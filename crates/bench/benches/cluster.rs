@@ -2,15 +2,13 @@
 //! paper's table configurations, dispatcher state-machine costs, the
 //! threaded backend, and the shared-memory pool ablation (A3).
 
-// Benchmarks the legacy message-passing backend on purpose.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
 use des_sim::ClusterSpec;
 use morpion::{cross_board, Variant};
 use nmcs_games::SumGame;
 use parallel_nmcs::{
-    par_nested, run_threads, simulate_trace, trace::run_reference, DispatchPolicy, DispatcherCore,
-    PoolConfig, RunMode, ThreadConfig, TraceModel,
+    par_nested, run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy,
+    DispatcherCore, PoolConfig, RunMode, ThreadConfig, TraceModel,
 };
 use std::hint::black_box;
 
@@ -60,7 +58,7 @@ fn bench_thread_backend(c: &mut Criterion) {
                 cfg.n_medians = 8;
                 cfg.mode = RunMode::FirstMove;
                 cfg.seed = 5;
-                black_box(run_threads(&board, &cfg).0.score)
+                black_box(run_threads_traced(&board, &cfg).0.score)
             })
         });
     }

@@ -1,19 +1,14 @@
 //! Micro-benchmarks of the sequential substrate: Morpion move generation
 //! and playouts, NMCS levels, and baseline comparisons. These quantify
 //! the cost model feeding Table I and the calibration.
-//!
-//! The deprecated free functions are exercised deliberately: they are
-//! zero-cost shims over the unified API, and benchmarking through them
-//! keeps the numbers comparable with the seed's history.
-#![allow(deprecated)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use morpion::{cross_board, standard_5d, Variant};
-use nmcs_core::baselines::flat_monte_carlo;
+use nmcs_core::baselines::flat_monte_carlo_with;
 use nmcs_core::search::sample_into;
 use nmcs_core::{
-    nested, nrpa, sample, Game, NestedConfig, NrpaConfig, PlayoutScratch, Rng, Score, SearchCtx,
-    SearchStats, SnapshotOnly,
+    nested_with, nrpa_with, sample, Game, NestedConfig, NrpaConfig, PlayoutScratch, Rng, Score,
+    SearchCtx, SearchResult, SearchStats, SnapshotOnly,
 };
 use nmcs_games::{SameGame, Tap};
 use std::hint::black_box;
@@ -69,20 +64,36 @@ fn bench_nested(c: &mut Criterion) {
     let cfg = NestedConfig::paper();
     let mut rng = Rng::seeded(7);
     group.bench_function("level1_small_cross", |b| {
-        b.iter(|| black_box(nested(&small, 1, &cfg, &mut rng).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| nested_with(&small, 1, &cfg, &mut rng, ctx)).score,
+            )
+        })
     });
 
     let standard = standard_5d();
     let mut rng2 = Rng::seeded(7);
     group.bench_function("level1_standard_cross", |b| {
-        b.iter(|| black_box(nested(&standard, 1, &cfg, &mut rng2).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| nested_with(&standard, 1, &cfg, &mut rng2, ctx))
+                    .score,
+            )
+        })
     });
 
     // Flat Monte-Carlo with the playout budget of a level-1 search
     // (quality comparison lives in the tables; here we time it).
     let mut rng3 = Rng::seeded(7);
     group.bench_function("flat_mc_700_playouts", |b| {
-        b.iter(|| black_box(flat_monte_carlo(&standard, 700, &mut rng3).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| {
+                    flat_monte_carlo_with(&standard, 700, &mut rng3, ctx)
+                })
+                .score,
+            )
+        })
     });
     group.finish();
 }
@@ -113,7 +124,7 @@ impl Game for SeedPatternSameGame {
 
 /// The clone-path evaluation pattern of the in-tree fallback: clone the
 /// position, play the candidate, roll out. `seq` is reused across calls,
-/// exactly as `nested_inner` reuses its scratch buffer — the comparison
+/// exactly as the nested search reuses its per-level buffer — the comparison
 /// against the undo path must not handicap this side with an allocation
 /// the real fallback does not pay.
 fn eval_clone_path<G: Game>(
@@ -239,21 +250,39 @@ fn bench_nested_paths(c: &mut Criterion) {
     let seed_game = SeedPatternSameGame(sg.clone());
     let mut rng = Rng::seeded(7);
     group.bench_function("samegame_nested1_seed_pattern", |b| {
-        b.iter(|| black_box(nested(&seed_game, 1, &cfg, &mut rng).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| nested_with(&seed_game, 1, &cfg, &mut rng, ctx))
+                    .score,
+            )
+        })
     });
     let mut rng = Rng::seeded(7);
     group.bench_function("samegame_nested1_undo_path", |b| {
-        b.iter(|| black_box(nested(&sg, 1, &cfg, &mut rng).score))
+        b.iter(|| {
+            black_box(SearchResult::unbounded(|ctx| nested_with(&sg, 1, &cfg, &mut rng, ctx)).score)
+        })
     });
 
     let small = cross_board(Variant::Disjoint, 3);
     let mut rng = Rng::seeded(7);
     group.bench_function("morpion_nested1_clone_path", |b| {
-        b.iter(|| black_box(nested(&SnapshotOnly(small.clone()), 1, &cfg, &mut rng).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| {
+                    nested_with(&SnapshotOnly(small.clone()), 1, &cfg, &mut rng, ctx)
+                })
+                .score,
+            )
+        })
     });
     let mut rng = Rng::seeded(7);
     group.bench_function("morpion_nested1_undo_path", |b| {
-        b.iter(|| black_box(nested(&small, 1, &cfg, &mut rng).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| nested_with(&small, 1, &cfg, &mut rng, ctx)).score,
+            )
+        })
     });
     group.finish();
 }
@@ -282,7 +311,11 @@ fn bench_nrpa(c: &mut Criterion) {
     };
     let mut rng = Rng::seeded(3);
     group.bench_function("level2_n20_small_cross", |b| {
-        b.iter(|| black_box(nrpa(&small, 2, &cfg, &mut rng).score))
+        b.iter(|| {
+            black_box(
+                SearchResult::unbounded(|ctx| nrpa_with(&small, 2, &cfg, &mut rng, ctx)).score,
+            )
+        })
     });
     group.finish();
 }

@@ -44,7 +44,17 @@ struct Args {
     all: bool,
 }
 
-fn parse_args() -> Args {
+fn usage() -> String {
+    format!(
+        "tables [--table N] [--figure 1] [--ablations] [--engine] [--leaf] [--tree] [--reuse] [--service] \
+         [--lint [--hot]] [--serve [--soak-small] [--sessions]] [--spec JSON [--game {}]] \
+         [--scale paper|real] [--seed S] [--out DIR]",
+        nmcs_bench::STOCK_GAMES.join("|")
+    )
+}
+
+/// Parses the command line; `Err` carries what was wrong with it.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         table: None,
         figure: None,
@@ -66,23 +76,14 @@ fn parse_args() -> Args {
         out: PathBuf::from("target/experiments"),
         all: true,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--table" => {
-                args.table = Some(
-                    expect_val(&mut it, "--table")
-                        .parse()
-                        .expect("table number"),
-                );
+                args.table = Some(number(&mut it, "--table")?);
                 args.all = false;
             }
             "--figure" => {
-                args.figure = Some(
-                    expect_val(&mut it, "--figure")
-                        .parse()
-                        .expect("figure number"),
-                );
+                args.figure = Some(number(&mut it, "--figure")?);
                 args.all = false;
             }
             "--ablations" => {
@@ -110,7 +111,7 @@ fn parse_args() -> Args {
                 args.all = false;
             }
             "--spec" => {
-                args.spec = Some(expect_val(&mut it, "--spec"));
+                args.spec = Some(value(&mut it, "--spec")?);
                 args.all = false;
             }
             "--lint" => {
@@ -127,37 +128,45 @@ fn parse_args() -> Args {
             }
             "--soak-small" => args.soak_small = true,
             "--sessions" => args.sessions = true,
-            "--game" => args.game = expect_val(&mut it, "--game"),
+            "--game" => args.game = value(&mut it, "--game")?,
             "--scale" => {
-                args.scale = match expect_val(&mut it, "--scale").as_str() {
+                args.scale = match value(&mut it, "--scale")?.as_str() {
                     "paper" => Scale::Paper,
                     "real" => Scale::Real,
-                    other => panic!("unknown scale '{other}' (paper|real)"),
+                    other => return Err(format!("unknown scale '{other}' (paper|real)")),
                 };
             }
-            "--seed" => args.seed = expect_val(&mut it, "--seed").parse().expect("seed"),
-            "--out" => args.out = PathBuf::from(expect_val(&mut it, "--out")),
+            "--seed" => args.seed = number(&mut it, "--seed")?,
+            "--out" => args.out = PathBuf::from(value(&mut it, "--out")?),
             "--help" | "-h" => {
-                println!(
-                    "tables [--table N] [--figure 1] [--ablations] [--engine] [--leaf] [--tree] [--reuse] [--service] \
-                     [--lint [--hot]] [--serve [--soak-small] [--sessions]] [--spec JSON [--game {}]] \
-                     [--scale paper|real] [--seed S] [--out DIR]",
-                    nmcs_bench::STOCK_GAMES.join("|")
-                );
+                println!("{}", usage());
                 std::process::exit(0);
             }
-            other => panic!("unknown argument '{other}' (see --help)"),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    args
+    Ok(args)
 }
 
-fn expect_val(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn number<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let raw = value(it, flag)?;
+    raw.parse()
+        .map_err(|_| format!("{flag} needs a number, got '{raw}'"))
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| {
+        eprintln!("tables: {problem}");
+        eprintln!("usage: {}", usage());
+        std::process::exit(2);
+    });
 
     // The invariant check needs no calibration and gates CI: print every
     // unwaived finding, summarise per rule, exit nonzero if any remain.

@@ -13,9 +13,8 @@
 //!    decay measured from a real recorded trace, parameterising
 //!    [`parallel_nmcs::TraceModel`] for paper-scale synthetic workloads.
 
-use crate::searches::nested_once;
 use morpion::standard_5d;
-use nmcs_core::{sample, NestedConfig, Rng};
+use nmcs_core::{nested_with, sample, NestedConfig, Rng, SearchResult};
 use parallel_nmcs::{SearchTrace, TraceModel};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -56,8 +55,8 @@ pub fn calibrate(seed: u64) -> Calibration {
 
     // Level-1 and level-2 costs (work units are machine-independent).
     let cfg = NestedConfig::paper();
-    let l1 = nested_once(&board, 1, &cfg, &mut rng);
-    let l2 = nested_once(&board, 2, &cfg, &mut rng);
+    let l1 = SearchResult::unbounded(|ctx| nested_with(&board, 1, &cfg, &mut rng, ctx));
+    let l2 = SearchResult::unbounded(|ctx| nested_with(&board, 2, &cfg, &mut rng, ctx));
     let level_ratio = l2.stats.work_units as f64 / l1.stats.work_units as f64;
 
     Calibration {

@@ -16,11 +16,10 @@
 use crate::calibrate::{calibrate, Calibration};
 use crate::paper;
 use crate::report::{fmt_speedup, persist, Table};
-use crate::searches::nested_once;
 use des_sim::{format_time, ClusterSpec, Time, SECOND};
 use morpion::{render_default, standard_5d, GameRecord};
 use nmcs_core::rng::derive_seed;
-use nmcs_core::{sample, Game, NestedConfig, Rng};
+use nmcs_core::{nested_with, sample, Game, NestedConfig, Rng, SearchResult};
 use parallel_nmcs::trace::run_reference;
 use parallel_nmcs::{simulate_trace, DispatchPolicy, RunMode, SearchTrace, TraceModel};
 use serde::Serialize;
@@ -76,7 +75,9 @@ impl Experiments {
         let mut pos = board;
         for (depth, mv) in game.sequence.iter().enumerate() {
             if depth % step == 0 && depth + 2 < total {
-                let r = nested_once(&pos, client_level, &cfg, &mut rng);
+                let r = SearchResult::unbounded(|ctx| {
+                    nested_with(&pos, client_level, &cfg, &mut rng, ctx)
+                });
                 out.push((depth as u64, r.stats.work_units.max(1)));
             }
             pos.play(mv);
@@ -148,7 +149,7 @@ impl Experiments {
         let mut prev_rollout: Option<f64> = None;
         for level in 1..=2u32 {
             // First move: the cost of evaluating every initial move with a
-            // level-1 search below the root = step 1 of nested(level).
+            // level-1 search below the root = step 1 of SearchResult::unbounded(|ctx| nested_with(level, ctx)).
             let t0 = std::time::Instant::now();
             let mut moves = Vec::new();
             board.legal_moves(&mut moves);
@@ -156,12 +157,14 @@ impl Experiments {
             for mv in &moves {
                 let mut child = board.clone();
                 child.play(mv);
-                let _ = nested_once(&child, level - 1, &cfg, &mut rng);
+                let _ = SearchResult::unbounded(|ctx| {
+                    nested_with(&child, level - 1, &cfg, &mut rng, ctx)
+                });
             }
             let first = t0.elapsed().as_secs_f64();
 
             let t1 = std::time::Instant::now();
-            let _ = nested_once(&board, level, &cfg, &mut rng);
+            let _ = SearchResult::unbounded(|ctx| nested_with(&board, level, &cfg, &mut rng, ctx));
             let rollout = t1.elapsed().as_secs_f64();
 
             if let Some(prev) = prev_rollout {
@@ -439,8 +442,8 @@ impl Experiments {
         let board = standard_5d();
         let cfg = NestedConfig::paper();
         let mut rng = Rng::seeded(self.seed);
-        let result = nested_once(&board, 2, &cfg, &mut rng);
-        let mut replay = board.clone();
+        let result = SearchResult::unbounded(|ctx| nested_with(&board, 2, &cfg, &mut rng, ctx));
+        let mut replay = board;
         for mv in &result.sequence {
             replay.play(mv);
         }
@@ -527,18 +530,24 @@ impl Experiments {
             let mut mem_sum = 0.0;
             let mut greedy_sum = 0.0;
             for s in 0..runs {
-                let mem = nested_once(
-                    &board,
-                    level,
-                    &NestedConfig::paper(),
-                    &mut Rng::seeded(self.seed + s),
-                );
-                let gre = nested_once(
-                    &board,
-                    level,
-                    &NestedConfig::greedy(),
-                    &mut Rng::seeded(self.seed + s),
-                );
+                let mem = SearchResult::unbounded(|ctx| {
+                    nested_with(
+                        &board,
+                        level,
+                        &NestedConfig::paper(),
+                        &mut Rng::seeded(self.seed + s),
+                        ctx,
+                    )
+                });
+                let gre = SearchResult::unbounded(|ctx| {
+                    nested_with(
+                        &board,
+                        level,
+                        &NestedConfig::greedy(),
+                        &mut Rng::seeded(self.seed + s),
+                        ctx,
+                    )
+                });
                 mem_sum += mem.score as f64;
                 greedy_sum += gre.score as f64;
             }
@@ -557,35 +566,47 @@ impl Experiments {
 
     /// Ablation A5 — NMCS vs the baselines at matched playout budgets.
     pub fn ablation_baselines(&self) -> Table {
-        use crate::searches::{annealing_once, flat_mc_once, iterated_sampling_once, uct_once};
-        use nmcs_core::{AnnealingConfig, UctConfig};
+        use nmcs_core::baselines::{flat_monte_carlo_with, iterated_sampling_with};
+        use nmcs_core::{simulated_annealing_with, uct_with, AnnealingConfig, UctConfig};
         let board = standard_5d();
         let mut rng = Rng::seeded(self.seed);
         // Budget: the playout count of one level-1 NMCS.
-        let l1 = nested_once(&board, 1, &NestedConfig::paper(), &mut rng);
+        let l1 = SearchResult::unbounded(|ctx| {
+            nested_with(&board, 1, &NestedConfig::paper(), &mut rng, ctx)
+        });
         let budget = l1.stats.playouts as usize;
         let mut t = Table::new(
             "Ablation A5 — NMCS vs baselines at matched playout budget (Morpion 5D)",
             &["algorithm", "score", "playouts"],
         );
-        let flat = flat_mc_once(&board, budget, &mut Rng::seeded(self.seed + 1));
-        let iter = iterated_sampling_once(&board, 1, &mut Rng::seeded(self.seed + 2));
-        let sa = annealing_once(
-            &board,
-            &AnnealingConfig {
-                iterations: budget,
-                ..Default::default()
-            },
-            &mut Rng::seeded(self.seed + 3),
-        );
-        let mcts = uct_once(
-            &board,
-            &UctConfig {
-                iterations: budget,
-                ..Default::default()
-            },
-            &mut Rng::seeded(self.seed + 4),
-        );
+        let flat = SearchResult::unbounded(|ctx| {
+            flat_monte_carlo_with(&board, budget, &mut Rng::seeded(self.seed + 1), ctx)
+        });
+        let iter = SearchResult::unbounded(|ctx| {
+            iterated_sampling_with(&board, 1, &mut Rng::seeded(self.seed + 2), ctx)
+        });
+        let sa = SearchResult::unbounded(|ctx| {
+            simulated_annealing_with(
+                &board,
+                &AnnealingConfig {
+                    iterations: budget,
+                    ..Default::default()
+                },
+                &mut Rng::seeded(self.seed + 3),
+                ctx,
+            )
+        });
+        let mcts = SearchResult::unbounded(|ctx| {
+            uct_with(
+                &board,
+                &UctConfig {
+                    iterations: budget,
+                    ..Default::default()
+                },
+                &mut Rng::seeded(self.seed + 4),
+                ctx,
+            )
+        });
         t.row(&[
             "flat Monte-Carlo".into(),
             flat.score.to_string(),
@@ -621,31 +642,37 @@ impl Experiments {
     /// budgets on Morpion 5D: the successor algorithm the paper's record
     /// eventually lost to.
     pub fn ablation_nrpa(&self) -> Table {
-        use crate::searches::nrpa_once;
-        use nmcs_core::NrpaConfig;
+        use nmcs_core::{nrpa_with, NrpaConfig};
         let board = standard_5d();
         let mut t = Table::new(
             "Extension X1 — NRPA vs NMCS (Morpion 5D, matched playouts)",
             &["algorithm", "score", "playouts"],
         );
-        let l1 = nested_once(
-            &board,
-            1,
-            &NestedConfig::paper(),
-            &mut Rng::seeded(self.seed),
-        );
+        let l1 = SearchResult::unbounded(|ctx| {
+            nested_with(
+                &board,
+                1,
+                &NestedConfig::paper(),
+                &mut Rng::seeded(self.seed),
+                ctx,
+            )
+        });
         // NRPA(2) with iterations^2 ≈ l1 playout count.
         let iters = (l1.stats.playouts as f64).sqrt().ceil() as usize;
         let cfg = NrpaConfig {
             iterations: iters,
             alpha: 1.0,
         };
-        let r2 = nrpa_once(&board, 2, &cfg, &mut Rng::seeded(self.seed));
+        let r2 = SearchResult::unbounded(|ctx| {
+            nrpa_with(&board, 2, &cfg, &mut Rng::seeded(self.seed), ctx)
+        });
         let cfg3 = NrpaConfig {
             iterations: 10,
             alpha: 1.0,
         };
-        let r3 = nrpa_once(&board, 3, &cfg3, &mut Rng::seeded(self.seed));
+        let r3 = SearchResult::unbounded(|ctx| {
+            nrpa_with(&board, 3, &cfg3, &mut Rng::seeded(self.seed), ctx)
+        });
         t.row(&[
             "NMCS level 1".into(),
             l1.score.to_string(),

@@ -13,7 +13,6 @@ pub mod paper;
 pub mod pooldelta;
 pub mod report;
 pub mod reuseexp;
-pub(crate) mod searches;
 pub mod serveexp;
 pub mod service;
 pub mod spec_cli;

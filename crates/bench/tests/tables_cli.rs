@@ -1,0 +1,35 @@
+//! `tables` answers a bad command line with the usage line on stderr and
+//! exit code 2, not a panic and a backtrace.
+
+use std::process::Command;
+
+/// Runs `tables` with `args`; returns its exit code and stderr.
+fn tables(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(args)
+        .output()
+        .expect("tables binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `args` must be refused with `problem`, the usage line, and exit 2.
+fn assert_refused(args: &[&str], problem: &str) {
+    let (code, stderr) = tables(args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(problem), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage: tables [--table N]"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn an_unknown_flag_prints_usage_and_exits_2() {
+    assert_refused(&["--bogus"], "unknown argument '--bogus'");
+}
+
+#[test]
+fn a_missing_flag_value_prints_usage_and_exits_2() {
+    assert_refused(&["--table", "2", "--seed"], "--seed needs a value");
+}

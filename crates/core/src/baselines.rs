@@ -13,7 +13,7 @@
 use crate::ctx::SearchCtx;
 use crate::game::{Game, Score};
 use crate::rng::Rng;
-use crate::search::{sample_ctx, PlayoutScratch, SearchResult};
+use crate::search::Walker;
 use serde::{Deserialize, Serialize};
 
 /// Flat Monte-Carlo search: play `n` independent random games from `game`
@@ -21,20 +21,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is the "simple Monte-Carlo search" that nested search improves on
 /// (§I). With the same playout budget as a level-1 NMCS it is markedly
-/// weaker, which the `flat_vs_nested` bench quantifies.
-#[deprecated(note = "use SearchSpec::flat_mc(n) — the unified search API")]
-pub fn flat_monte_carlo<G: Game>(game: &G, n: usize, rng: &mut Rng) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = flat_monte_carlo_with(game, n, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Ctx-threaded engine room of [`flat_monte_carlo`], used by
-/// `SearchSpec::flat_mc`.
+/// weaker, which the `flat_vs_nested` bench quantifies. The engine room
+/// of `SearchSpec::flat_mc`.
 pub fn flat_monte_carlo_with<G: Game>(
     game: &G,
     n: usize,
@@ -45,36 +33,19 @@ pub fn flat_monte_carlo_with<G: Game>(
     let mut best_score = Score::MIN;
     let mut best_seq: Vec<G::Move> = Vec::new();
     let mut seq: Vec<G::Move> = Vec::new();
-    if game.supports_undo() {
-        // Clone-free path: every playout runs in place on one position
-        // and unwinds through the scratch-state protocol.
-        let mut pos = game.clone();
-        let mut scratch = PlayoutScratch::new();
-        for i in 0..n {
-            if i > 0 && ctx.should_stop() {
-                break;
-            }
-            seq.clear();
-            let score = scratch.run_undo(&mut pos, rng, None, &mut seq, ctx);
-            if score > best_score {
-                best_score = score;
-                best_seq.clear();
-                best_seq.extend(seq.iter().cloned());
-            }
+    let mut walker = Walker::new(game);
+    for i in 0..n {
+        if i > 0 && ctx.should_stop() {
+            break;
         }
-    } else {
-        for i in 0..n {
-            if i > 0 && ctx.should_stop() {
-                break;
-            }
-            seq.clear();
-            let mut g = game.clone();
-            let score = sample_ctx(&mut g, rng, None, &mut seq, ctx);
-            if score > best_score {
-                best_score = score;
-                best_seq.clear();
-                best_seq.extend(seq.iter().cloned());
-            }
+        seq.clear();
+        let root = walker.mark();
+        let score = walker.rollout(rng, None, &mut seq, ctx);
+        walker.rewind(root);
+        if score > best_score {
+            best_score = score;
+            best_seq.clear();
+            best_seq.extend(seq.iter().cloned());
         }
     }
     (best_score, best_seq)
@@ -85,21 +56,10 @@ pub fn flat_monte_carlo_with<G: Game>(
 ///
 /// Equivalent to a level-1 NMCS when `n == 1` except for the absence of
 /// sequence memory; with larger `n` it is the classic "rollout algorithm"
-/// of Tesauro & Galperin applied with a uniform random base policy.
-#[deprecated(note = "use SearchSpec::iterated_sampling(n) — the unified search API")]
-pub fn iterated_sampling<G: Game>(game: &G, n: usize, rng: &mut Rng) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = iterated_sampling_with(game, n, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Ctx-threaded engine room of [`iterated_sampling`], used by
-/// `SearchSpec::iterated_sampling`. On interruption the game stops where
-/// it stands; the played prefix and its score stay consistent.
+/// of Tesauro & Galperin applied with a uniform random base policy. The
+/// engine room of `SearchSpec::iterated_sampling`. On interruption the
+/// game stops where it stands; the played prefix and its score stay
+/// consistent.
 pub fn iterated_sampling_with<G: Game>(
     game: &G,
     n: usize,
@@ -110,15 +70,12 @@ pub fn iterated_sampling_with<G: Game>(
         n > 0,
         "iterated_sampling needs at least one playout per move"
     );
-    let mut pos = game.clone();
+    let mut walker = Walker::new(game);
     let mut played: Vec<G::Move> = Vec::new();
     let mut moves: Vec<G::Move> = Vec::new();
     let mut seq: Vec<G::Move> = Vec::new();
-    let use_undo = game.supports_undo();
-    let mut scratch = PlayoutScratch::new();
     loop {
-        moves.clear();
-        pos.legal_moves(&mut moves);
+        walker.position().legal_moves_into(&mut moves);
         if moves.is_empty() {
             break;
         }
@@ -133,17 +90,10 @@ pub fn iterated_sampling_with<G: Game>(
                 }
                 ctx.record_expansion();
                 seq.clear();
-                let s = if use_undo {
-                    // Clone-free evaluation: apply, restoring playout, undo.
-                    let token = pos.apply(mv);
-                    let s = scratch.run_undo(&mut pos, rng, None, &mut seq, ctx);
-                    pos.undo(token);
-                    s
-                } else {
-                    let mut child = pos.clone();
-                    child.play(mv);
-                    sample_ctx(&mut child, rng, None, &mut seq, ctx)
-                };
+                let mark = walker.mark();
+                walker.play(mv);
+                let s = walker.rollout(rng, None, &mut seq, ctx);
+                walker.rewind(mark);
                 if best.is_none_or(|(bs, _)| s > bs) {
                     best = Some((s, i));
                 }
@@ -153,12 +103,11 @@ pub fn iterated_sampling_with<G: Game>(
             // Interrupted before any evaluation of this step finished.
             break;
         };
-        let mv = moves[idx].clone();
-        pos.play(&mv);
-        played.push(mv);
+        walker.play(&moves[idx]);
+        played.push(moves[idx].clone());
         ctx.record_nested_move();
     }
-    (pos.score(), played)
+    (walker.position().score(), played)
 }
 
 /// Configuration for the simulated-annealing baseline
@@ -193,25 +142,11 @@ impl Default for AnnealingConfig {
 /// (whose interpretation shifts with the new prefix — the classic encoding
 /// for permutation-free games). Standard Metropolis acceptance with a
 /// geometric cooling schedule.
-#[deprecated(note = "use SearchSpec::simulated_annealing() — the unified search API")]
-pub fn simulated_annealing<G: Game>(
-    game: &G,
-    config: &AnnealingConfig,
-    rng: &mut Rng,
-) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = simulated_annealing_with(game, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Ctx-threaded engine room of [`simulated_annealing`], used by
-/// `SearchSpec::simulated_annealing`. Budget/cancellation polls happen
-/// once per proposal and once per replayed move — and never touch the
-/// RNG, so an unhit budget is bit-identical to the unbudgeted run. An
+///
+/// The engine room of `SearchSpec::simulated_annealing`.
+/// Budget/cancellation polls happen once per proposal and once per
+/// replayed move — and never touch the RNG, so an unhit budget is
+/// bit-identical to the unbudgeted run. An
 /// interrupted replay stops where it stands; the prefix played so far
 /// and its score stay consistent, so the returned best line always
 /// replays to the returned score.
@@ -285,26 +220,9 @@ pub fn simulated_annealing_with<G: Game>(
 /// Beam search over playout-evaluated moves: keep the `width` best
 /// positions per depth, evaluating each candidate child with `n` random
 /// playouts. A deterministic, memory-bounded contrast to NMCS used in the
-/// ablation benches.
-#[deprecated(note = "use SearchSpec::beam(width, n) — the unified search API")]
-pub fn beam_search<G: Game>(
-    game: &G,
-    width: usize,
-    n: usize,
-    rng: &mut Rng,
-) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = beam_search_with(game, width, n, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Ctx-threaded engine room of [`beam_search`], used by
-/// `SearchSpec::beam`. On interruption the best position reached by any
-/// beam entry so far is returned.
+/// ablation benches. The engine room of `SearchSpec::beam`. On
+/// interruption the best position reached by any beam entry so far is
+/// returned.
 pub fn beam_search_with<G: Game>(
     game: &G,
     width: usize,
@@ -318,8 +236,9 @@ pub fn beam_search_with<G: Game>(
     let mut best_seq: Vec<G::Move> = Vec::new();
     let mut moves: Vec<G::Move> = Vec::new();
     let mut seq: Vec<G::Move> = Vec::new();
-    let use_undo = game.supports_undo();
-    let mut scratch = PlayoutScratch::new();
+    // The beam owns its positions; each child is lent to this one walker
+    // for its playouts and taken back.
+    let mut walker = Walker::new(game);
 
     'depths: loop {
         let mut children: Vec<(Score, G, Vec<G::Move>)> = Vec::new();
@@ -333,19 +252,17 @@ pub fn beam_search_with<G: Game>(
                 let mut child = pos.clone();
                 child.play(mv);
                 ctx.record_expansion();
-                // Evaluate with the best of n playouts (run in place and
-                // unwound on fast-path games; probed on a clone otherwise).
+                // Evaluate with the best of n playouts.
+                walker.swap_position(&mut child);
                 let mut value = Score::MIN;
                 for _ in 0..n {
                     seq.clear();
-                    let s = if use_undo {
-                        scratch.run_undo(&mut child, rng, None, &mut seq, ctx)
-                    } else {
-                        let mut probe = child.clone();
-                        sample_ctx(&mut probe, rng, None, &mut seq, ctx)
-                    };
+                    let mark = walker.mark();
+                    let s = walker.rollout(rng, None, &mut seq, ctx);
+                    walker.rewind(mark);
                     value = value.max(s);
                 }
+                walker.swap_position(&mut child);
                 let mut path2 = path.clone();
                 path2.push(mv.clone());
                 if child.score() > best_score {
@@ -366,12 +283,10 @@ pub fn beam_search_with<G: Game>(
     (best_score, best_seq)
 }
 
-// The unit tests keep exercising the deprecated free functions: they are
-// the regression net for the shims (new-API coverage lives in `spec.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::SearchResult;
 
     /// Depth-`d` ternary game scoring the base-3 reading of the path; the
     /// unique optimum plays move 2 every step.
@@ -413,8 +328,12 @@ mod tests {
     #[test]
     fn flat_mc_improves_with_budget() {
         let g = ternary(4);
-        let few = flat_monte_carlo(&g, 2, &mut Rng::seeded(1)).score;
-        let many = flat_monte_carlo(&g, 512, &mut Rng::seeded(1)).score;
+        let few =
+            SearchResult::unbounded(|ctx| flat_monte_carlo_with(&g, 2, &mut Rng::seeded(1), ctx))
+                .score;
+        let many =
+            SearchResult::unbounded(|ctx| flat_monte_carlo_with(&g, 512, &mut Rng::seeded(1), ctx))
+                .score;
         assert!(many >= few);
         assert!(
             many > optimum(4) / 2,
@@ -425,7 +344,8 @@ mod tests {
     #[test]
     fn flat_mc_sequence_is_replayable() {
         let g = ternary(5);
-        let r = flat_monte_carlo(&g, 16, &mut Rng::seeded(9));
+        let r =
+            SearchResult::unbounded(|ctx| flat_monte_carlo_with(&g, 16, &mut Rng::seeded(9), ctx));
         let mut replay = ternary(5);
         for mv in &r.sequence {
             replay.play(mv);
@@ -442,8 +362,14 @@ mod tests {
         for seed in 0..trials {
             let g = ternary(5);
             // iterated sampling with n=3: 5 steps × 3 moves × 3 playouts ≈ 45
-            flat_total += flat_monte_carlo(&g, 45, &mut Rng::seeded(seed)).score;
-            iter_total += iterated_sampling(&g, 3, &mut Rng::seeded(seed)).score;
+            flat_total += SearchResult::unbounded(|ctx| {
+                flat_monte_carlo_with(&g, 45, &mut Rng::seeded(seed), ctx)
+            })
+            .score;
+            iter_total += SearchResult::unbounded(|ctx| {
+                iterated_sampling_with(&g, 3, &mut Rng::seeded(seed), ctx)
+            })
+            .score;
         }
         assert!(
             iter_total > flat_total,
@@ -454,7 +380,8 @@ mod tests {
     #[test]
     fn iterated_sampling_sequence_consistent() {
         let g = ternary(4);
-        let r = iterated_sampling(&g, 2, &mut Rng::seeded(3));
+        let r =
+            SearchResult::unbounded(|ctx| iterated_sampling_with(&g, 2, &mut Rng::seeded(3), ctx));
         let mut replay = ternary(4);
         for mv in &r.sequence {
             replay.play(mv);
@@ -471,7 +398,9 @@ mod tests {
             t_initial: 8.0,
             t_final: 0.01,
         };
-        let r = simulated_annealing(&g, &cfg, &mut Rng::seeded(7));
+        let r = SearchResult::unbounded(|ctx| {
+            simulated_annealing_with(&g, &cfg, &mut Rng::seeded(7), ctx)
+        });
         assert!(
             r.score >= optimum(4) - 3,
             "annealing should get near optimum {}, got {}",
@@ -492,7 +421,9 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        let r = simulated_annealing(&g, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| {
+            simulated_annealing_with(&g, &cfg, &mut Rng::seeded(1), ctx)
+        });
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
     }
@@ -500,7 +431,8 @@ mod tests {
     #[test]
     fn beam_search_solves_small_game_with_wide_beam() {
         let g = ternary(3);
-        let r = beam_search(&g, 27, 1, &mut Rng::seeded(2));
+        let r =
+            SearchResult::unbounded(|ctx| beam_search_with(&g, 27, 1, &mut Rng::seeded(2), ctx));
         assert_eq!(r.score, optimum(3), "width 27 covers the whole tree");
         let mut replay = ternary(3);
         for mv in &r.sequence {
@@ -512,7 +444,7 @@ mod tests {
     #[test]
     fn beam_search_narrow_beam_still_returns_consistent_result() {
         let g = ternary(5);
-        let r = beam_search(&g, 2, 2, &mut Rng::seeded(4));
+        let r = SearchResult::unbounded(|ctx| beam_search_with(&g, 2, 2, &mut Rng::seeded(4), ctx));
         let mut replay = ternary(5);
         for mv in &r.sequence {
             replay.play(mv);
@@ -524,20 +456,36 @@ mod tests {
     fn baselines_deterministic_given_seed() {
         let g = ternary(4);
         assert_eq!(
-            flat_monte_carlo(&g, 10, &mut Rng::seeded(5)).score,
-            flat_monte_carlo(&g, 10, &mut Rng::seeded(5)).score
+            SearchResult::unbounded(|ctx| flat_monte_carlo_with(&g, 10, &mut Rng::seeded(5), ctx))
+                .score,
+            SearchResult::unbounded(|ctx| flat_monte_carlo_with(&g, 10, &mut Rng::seeded(5), ctx))
+                .score
         );
         assert_eq!(
-            iterated_sampling(&g, 2, &mut Rng::seeded(5)).sequence,
-            iterated_sampling(&g, 2, &mut Rng::seeded(5)).sequence
+            SearchResult::unbounded(|ctx| iterated_sampling_with(&g, 2, &mut Rng::seeded(5), ctx))
+                .sequence,
+            SearchResult::unbounded(|ctx| iterated_sampling_with(&g, 2, &mut Rng::seeded(5), ctx))
+                .sequence
         );
         let cfg = AnnealingConfig {
             iterations: 200,
             ..Default::default()
         };
         assert_eq!(
-            simulated_annealing(&g, &cfg, &mut Rng::seeded(5)).score,
-            simulated_annealing(&g, &cfg, &mut Rng::seeded(5)).score
+            SearchResult::unbounded(|ctx| simulated_annealing_with(
+                &g,
+                &cfg,
+                &mut Rng::seeded(5),
+                ctx
+            ))
+            .score,
+            SearchResult::unbounded(|ctx| simulated_annealing_with(
+                &g,
+                &cfg,
+                &mut Rng::seeded(5),
+                ctx
+            ))
+            .score
         );
     }
 }

@@ -76,8 +76,7 @@ impl BudgetMeter {
 
 /// Per-search context: stats plus the stopping conditions.
 ///
-/// Construct one with [`SearchCtx::unbounded`] (no limits — the blank
-/// context the deprecated free functions run under) or
+/// Construct one with [`SearchCtx::unbounded`] (no limits) or
 /// [`SearchCtx::new`] (from a [`Budget`] and optional [`CancelToken`]).
 /// Parallel backends give each worker a [`SearchCtx::fork`] and merge the
 /// workers back with [`SearchCtx::absorb`].

@@ -82,7 +82,7 @@ pub struct DriveReport<M> {
 ///
 /// ```
 /// use nmcs_core::driver::{drive, DriveBudget};
-/// use nmcs_core::{nested, NestedConfig, Game, Score, Rng};
+/// use nmcs_core::{nested_with, Game, NestedConfig, Score, SearchResult};
 ///
 /// #[derive(Clone)]
 /// struct Coin(Vec<u8>);
@@ -100,7 +100,7 @@ pub struct DriveReport<M> {
 ///     &Coin(vec![]),
 ///     42,
 ///     &DriveBudget::runs(5),
-///     |g, rng| nested(g, 1, &NestedConfig::paper(), rng),
+///     |g, rng| SearchResult::unbounded(|ctx| nested_with(g, 1, &NestedConfig::paper(), rng, ctx)),
 /// );
 /// assert_eq!(report.best.score, 4);
 /// assert_eq!(report.runs, 5);
@@ -154,13 +154,10 @@ where
     }
 }
 
-// The tests drive the restart loop through the deprecated `nested` shim
-// on purpose (shim behaviour is part of the regression surface).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{nested, sample, NestedConfig};
+    use crate::search::{nested_with, sample, NestedConfig};
 
     #[derive(Clone, Debug)]
     struct Ternary {
@@ -216,7 +213,9 @@ mod tests {
             &game(),
             3,
             &DriveBudget::runs(50).until_score(optimum),
-            |g, rng| nested(g, 2, &NestedConfig::paper(), rng),
+            |g, rng| {
+                SearchResult::unbounded(|ctx| nested_with(g, 2, &NestedConfig::paper(), rng, ctx))
+            },
         );
         assert_eq!(report.best.score, optimum);
         assert!(report.runs < 50, "should stop well before 50 runs");
@@ -241,7 +240,7 @@ mod tests {
     #[test]
     fn stats_aggregate_across_runs() {
         let report = drive(&game(), 5, &DriveBudget::runs(4), |g, rng| {
-            nested(g, 1, &NestedConfig::paper(), rng)
+            SearchResult::unbounded(|ctx| nested_with(g, 1, &NestedConfig::paper(), rng, ctx))
         });
         assert!(
             report.total_stats.playouts >= 4 * 5,

@@ -546,14 +546,11 @@ impl AnySearcher for SearchSpec {
     }
 }
 
-// The tests exercise the deprecated free functions on purpose: erasure
-// transparency must hold for the legacy shims too.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
-    use crate::search::{nested, sample, NestedConfig};
+    use crate::search::{nested_with, sample, NestedConfig};
 
     /// Small deterministic test game: pick digits, score favours large
     /// digits early (same shape as the Trap game in `search`).
@@ -622,8 +619,18 @@ mod tests {
         for seed in 0..10 {
             for level in 0..3 {
                 let cfg = NestedConfig::paper();
-                let typed = nested(&digits(), level, &cfg, &mut Rng::seeded(seed));
-                let erased = nested(&DynGame::new(digits()), level, &cfg, &mut Rng::seeded(seed));
+                let typed = SearchResult::unbounded(|ctx| {
+                    nested_with(&digits(), level, &cfg, &mut Rng::seeded(seed), ctx)
+                });
+                let erased = SearchResult::unbounded(|ctx| {
+                    nested_with(
+                        &DynGame::new(digits()),
+                        level,
+                        &cfg,
+                        &mut Rng::seeded(seed),
+                        ctx,
+                    )
+                });
                 let decoded = decode_result(&digits(), &erased);
                 assert_eq!(decoded, typed, "seed {seed} level {level}");
             }
@@ -724,7 +731,9 @@ mod tests {
     #[test]
     fn decode_sequence_replays_against_root() {
         let erased = DynGame::new(digits());
-        let r = nested(&erased, 1, &NestedConfig::paper(), &mut Rng::seeded(4));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&erased, 1, &NestedConfig::paper(), &mut Rng::seeded(4), ctx)
+        });
         let typed_seq = decode_sequence(&digits(), &r.sequence);
         let mut replay = digits();
         for mv in &typed_seq {

@@ -25,12 +25,12 @@
 //! Determinism contract: every evaluation's seed derives from its logical
 //! coordinates through [`crate::seeds`], so results are bit-identical
 //! across worker counts, bit-identical to the frozen spawn-per-step
-//! baselines, to `parallel_nmcs::leaf_nested` and to
-//! `parallel_nmcs::trace::run_reference` (and therefore to
-//! `run_threads`) for the same seed — the cross-crate agreement tests
-//! assert all of these. Work accounting matches the historical backends:
-//! only evaluation work is counted, so `stats.work_units` equals the old
-//! `total_work` and each evaluation counts one `client_job`.
+//! baselines and to `parallel_nmcs::trace::run_reference` (and
+//! therefore to the message-passing `run_threads_traced`) for the same
+//! seed — the cross-crate agreement tests assert all of these. Work
+//! accounting matches those backends: only evaluation work is counted,
+//! so `stats.work_units` equals their `total_work` and each evaluation
+//! counts one `client_job`.
 //!
 //! Budgets and cancellation flow through forked [`SearchCtx`]s sharing
 //! one atomic meter, so a deadline or playout cap stops leaf and root

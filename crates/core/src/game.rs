@@ -122,9 +122,11 @@ impl<G> std::fmt::Debug for Undo<G> {
 /// * tokens are consumed LIFO, with no interleaved `play` between an
 ///   `apply` and its `undo`.
 ///
-/// Games that don't opt in keep working unchanged: the default `apply`
-/// snapshots via `Clone`, and the searches keep their clone-per-candidate
-/// strategy (which is cheaper than snapshot-per-move would be).
+/// Games that don't opt in keep working unchanged: the searches copy the
+/// position once per candidate evaluation and put the copy back (cheaper
+/// than the default snapshotting `apply` per move would be). Which of the
+/// two happens is decided in one place, the crate's position walker; the
+/// search bodies are the same code either way.
 pub trait Game: Clone {
     /// The move type. `Clone + PartialEq` suffice for sequence memoisation.
     type Move: Clone + PartialEq + std::fmt::Debug;
@@ -253,12 +255,13 @@ pub trait Game: Clone {
     }
 }
 
-/// Adapter that hides a game's scratch-state fast path, forcing every
-/// search back onto the snapshot/clone fallback.
+/// Adapter that hides a game's scratch-state fast path, so every search
+/// treats it as a clone-only game.
 ///
 /// Exists for A/B measurement (the `clone-path vs undo-path` criterion
-/// benches) and for tests asserting the two paths produce bit-identical
-/// results. Not useful in production code.
+/// benches) and for tests asserting that a game's undo journal and its
+/// plain `play` lead every search to bit-identical results. Not useful
+/// in production code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotOnly<G>(pub G);
 

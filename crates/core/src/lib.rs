@@ -3,7 +3,7 @@
 //! This crate implements §III of *"Parallel Nested Monte-Carlo Search"*
 //! (Cazenave & Jouandeau, NIDISC/IPDPS 2009): the generic [`Game`]
 //! abstraction, the random [`sample`] playout, the nested
-//! rollout search [`nested`] with memorised best sequence,
+//! rollout search ([`nested_with`]) with memorised best sequence,
 //! and the baselines the paper's related-work section measures against
 //! (flat Monte-Carlo, iterated sampling, beam search and a simulated
 //! annealing baseline in the spirit of Hyyrö & Poranen's pre-paper Morpion
@@ -85,12 +85,3 @@ pub use session::SearchSession;
 pub use spec::{AlgorithmSpec, Budget, CancelToken, SearchBuilder, SearchSpec, Searcher};
 pub use stats::SearchStats;
 pub use uct::{uct_tree_parallel, uct_with, LockStrategy, StatsMode, TreeParallelOpts, UctConfig};
-
-// Deprecated free functions, re-exported so historical `use` paths keep
-// compiling (each is a thin shim over the unified SearchSpec API).
-#[allow(deprecated)]
-pub use nrpa::nrpa;
-#[allow(deprecated)]
-pub use search::nested;
-#[allow(deprecated)]
-pub use uct::uct;

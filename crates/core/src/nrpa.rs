@@ -18,19 +18,18 @@
 //! (colliding moves share a weight, which is sometimes even desirable).
 
 use crate::ctx::SearchCtx;
-use crate::game::{Game, Score, Undo};
+use crate::game::{Game, Score};
 use crate::rng::Rng;
-use crate::search::SearchResult;
+use crate::search::Walker;
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Reusable buffers of the clone-free NRPA path: a legal-move buffer and
-/// an undo-token stack shared by the policy playouts and the adaptation
-/// walks (only one of either is active at a time).
+/// Reusable buffers of an NRPA run: a legal-move buffer shared by the
+/// policy playouts and the adaptation walks (only one of either is
+/// active at a time).
 struct NrpaScratch<G: Game> {
     moves: Vec<G::Move>,
-    undos: Vec<Undo<G>>,
     /// (move code, softmax numerator) pairs of the adaptation step.
     probs: Vec<(u64, f64)>,
 }
@@ -39,7 +38,6 @@ impl<G: Game> NrpaScratch<G> {
     fn new() -> Self {
         NrpaScratch {
             moves: Vec::new(),
-            undos: Vec::new(),
             probs: Vec::new(),
         }
     }
@@ -121,18 +119,12 @@ impl Policy {
     /// weight and subtract `alpha · softmax-probability` from every legal
     /// move's weight.
     pub fn adapt<G: CodedGame>(&mut self, root: &G, sequence: &[G::Move], alpha: f64) {
-        let mut pos = root.clone();
-        let mut moves: Vec<G::Move> = Vec::new();
-        let mut probs: Vec<(u64, f64)> = Vec::new();
-        for played in sequence {
-            self.adapt_step(&pos, played, alpha, &mut moves, &mut probs);
-            pos.play(played);
-        }
+        let mut walker = Walker::new(root);
+        adapt_along(self, &mut walker, sequence, alpha, &mut NrpaScratch::new());
     }
 
     /// One position's worth of [`Policy::adapt`]: the softmax update at
-    /// `pos` toward `played`. Shared by the cloning and in-place walks so
-    /// the two paths are float-for-float identical.
+    /// `pos` toward `played`.
     fn adapt_step<G: CodedGame>(
         &mut self,
         pos: &G,
@@ -163,22 +155,26 @@ impl Policy {
     }
 }
 
-/// [`Policy::adapt`] walked with apply/undo on a shared position — the
-/// clone-free path used by [`nrpa`] on games with the scratch-state
-/// protocol. Restores `pos` before returning.
-fn adapt_in_place<G: CodedGame>(
+/// [`Policy::adapt`] on a walker: updates `policy` at every position of
+/// `sequence`, playing it forward. Leaves the walker at the end of
+/// `sequence`.
+fn adapt_along<G: CodedGame>(
     policy: &mut Policy,
-    pos: &mut G,
+    walker: &mut Walker<G>,
     sequence: &[G::Move],
     alpha: f64,
     scratch: &mut NrpaScratch<G>,
 ) {
-    debug_assert!(scratch.undos.is_empty());
     for played in sequence {
-        policy.adapt_step(&*pos, played, alpha, &mut scratch.moves, &mut scratch.probs);
-        scratch.undos.push(pos.apply(played));
+        policy.adapt_step(
+            walker.position(),
+            played,
+            alpha,
+            &mut scratch.moves,
+            &mut scratch.probs,
+        );
+        walker.play(played);
     }
-    pos.undo_all(&mut scratch.undos);
 }
 
 /// One policy-guided playout (NRPA level 0).
@@ -189,75 +185,34 @@ pub fn policy_playout<G: CodedGame>(
     stats: &mut SearchStats,
 ) -> (Score, Vec<G::Move>) {
     let mut ctx = SearchCtx::unbounded();
-    let out = policy_playout_ctx(game, policy, rng, &mut ctx);
+    let mut walker = Walker::new(game);
+    let out = policy_rollout(&mut walker, policy, rng, &mut ctx, &mut NrpaScratch::new());
     stats.merge(ctx.stats());
     out
 }
 
-/// Ctx-threaded core of [`policy_playout`]: identical draws, plus the
-/// uniform budget/cancellation poll per playout move.
-fn policy_playout_ctx<G: CodedGame>(
-    game: &G,
-    policy: &Policy,
-    rng: &mut Rng,
-    ctx: &mut SearchCtx,
-) -> (Score, Vec<G::Move>) {
-    let mut pos = game.clone();
-    let mut seq = Vec::new();
-    let mut moves: Vec<G::Move> = Vec::new();
-    loop {
-        if ctx.should_stop() {
-            break;
-        }
-        moves.clear();
-        pos.legal_moves(&mut moves);
-        if moves.is_empty() {
-            break;
-        }
-        // Gumbel-max sampling from the softmax: argmax(w + Gumbel noise).
-        // Equivalent to softmax sampling, needs one pass and no
-        // normalisation.
-        let mut best = 0usize;
-        let mut best_key = f64::NEG_INFINITY;
-        for (i, m) in moves.iter().enumerate() {
-            let w = policy.weight(pos.move_code(m));
-            let u = rng.unit_f64().max(1e-300);
-            let key = w - (-(u.ln())).ln();
-            if key > best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        let mv = moves.swap_remove(best);
-        pos.play(&mv);
-        seq.push(mv);
-        ctx.record_playout_move();
-    }
-    ctx.record_playout_end();
-    (pos.score(), seq)
-}
-
-/// One policy-guided playout walked with apply/undo on a shared position;
-/// draw-for-draw identical to [`policy_playout`] but clone-free, and it
-/// restores `pos` before returning.
-fn policy_playout_scratch<G: CodedGame>(
-    pos: &mut G,
+/// The policy-guided playout itself, with the uniform budget/cancellation
+/// poll per move. Leaves the walker at the end of the game it played.
+fn policy_rollout<G: CodedGame>(
+    walker: &mut Walker<G>,
     policy: &Policy,
     rng: &mut Rng,
     ctx: &mut SearchCtx,
     scratch: &mut NrpaScratch<G>,
 ) -> (Score, Vec<G::Move>) {
-    debug_assert!(scratch.undos.is_empty());
     let mut seq = Vec::new();
     loop {
         if ctx.should_stop() {
             break;
         }
+        let pos = walker.position();
         pos.legal_moves_into(&mut scratch.moves);
         if scratch.moves.is_empty() {
             break;
         }
-        // Gumbel-max sampling (see `policy_playout`).
+        // Gumbel-max sampling from the softmax: argmax(w + Gumbel noise).
+        // Equivalent to softmax sampling, needs one pass and no
+        // normalisation.
         let mut best = 0usize;
         let mut best_key = f64::NEG_INFINITY;
         for (i, m) in scratch.moves.iter().enumerate() {
@@ -270,38 +225,18 @@ fn policy_playout_scratch<G: CodedGame>(
             }
         }
         let mv = scratch.moves.swap_remove(best);
-        scratch.undos.push(pos.apply(&mv));
+        walker.play(&mv);
         seq.push(mv);
         ctx.record_playout_move();
     }
     ctx.record_playout_end();
-    let score = pos.score();
-    pos.undo_all(&mut scratch.undos);
-    (score, seq)
-}
-
-/// Nested Rollout Policy Adaptation at `level` from `game`.
-#[deprecated(note = "use SearchSpec::nrpa(level) — the unified search API")]
-pub fn nrpa<G: CodedGame>(
-    game: &G,
-    level: u32,
-    config: &NrpaConfig,
-    rng: &mut Rng,
-) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = nrpa_with(game, level, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
+    (walker.position().score(), seq)
 }
 
 /// Nested Rollout Policy Adaptation at `level` from `game`, accounting
 /// into (and honouring the budget/cancellation of) `ctx`.
 ///
-/// The engine room behind `SearchSpec::run` for the `Nrpa` strategy; the
-/// deprecated [`nrpa`] free function is a thin shim over it. On
+/// The engine room behind `SearchSpec::run` for the `Nrpa` strategy. On
 /// interruption the best sequence found so far is returned (still
 /// replayable to its score).
 pub fn nrpa_with<G: CodedGame>(
@@ -312,19 +247,23 @@ pub fn nrpa_with<G: CodedGame>(
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>) {
     let mut policy = Policy::new();
-    if game.supports_undo() {
-        // Clone-free path: every playout and every adaptation walk runs
-        // in place on one position via the scratch-state protocol.
-        let mut pos = game.clone();
-        let mut scratch = NrpaScratch::new();
-        nrpa_scratch(&mut pos, level, config, &mut policy, rng, ctx, &mut scratch)
-    } else {
-        nrpa_inner(game, level, config, &mut policy, rng, ctx)
-    }
+    let mut walker = Walker::new(game);
+    let mut scratch = NrpaScratch::new();
+    nrpa_level(
+        &mut walker,
+        level,
+        config,
+        &mut policy,
+        rng,
+        ctx,
+        &mut scratch,
+    )
 }
 
-fn nrpa_scratch<G: CodedGame>(
-    pos: &mut G,
+/// One NRPA level from the walker's position; the walker is back on that
+/// position when this returns.
+fn nrpa_level<G: CodedGame>(
+    walker: &mut Walker<G>,
     level: u32,
     config: &NrpaConfig,
     policy: &mut Policy,
@@ -333,72 +272,42 @@ fn nrpa_scratch<G: CodedGame>(
     scratch: &mut NrpaScratch<G>,
 ) -> (Score, Vec<G::Move>) {
     if level == 0 {
-        return policy_playout_scratch(pos, policy, rng, ctx, scratch);
+        let root = walker.mark();
+        let out = policy_rollout(walker, policy, rng, ctx, scratch);
+        walker.rewind(root);
+        return out;
     }
     let mut best_score = Score::MIN;
     let mut best_seq: Vec<G::Move> = Vec::new();
     // Each level adapts its own copy of the policy (Rosin's algorithm).
     let mut local = policy.clone();
     for i in 0..config.iterations {
-        if i > 0 && ctx.should_stop() {
-            break;
+        if i > 0 {
+            if ctx.should_stop() {
+                break;
+            }
+            // Pull the copy toward the best line before every call but
+            // the first; after the last call the copy is dropped, so an
+            // adaptation there would be a walk nobody sees.
+            if !best_seq.is_empty() {
+                let root = walker.mark();
+                adapt_along(&mut local, walker, &best_seq, config.alpha, scratch);
+                walker.rewind(root);
+            }
         }
-        let (score, seq) = nrpa_scratch(pos, level - 1, config, &mut local, rng, ctx, scratch);
+        let (score, seq) = nrpa_level(walker, level - 1, config, &mut local, rng, ctx, scratch);
         if score > best_score || i == 0 {
             best_score = score;
             best_seq = seq;
-        }
-        if ctx.interruption().is_some() {
-            break;
-        }
-        if !best_seq.is_empty() {
-            adapt_in_place(&mut local, pos, &best_seq, config.alpha, scratch);
         }
     }
     (best_score, best_seq)
 }
 
-fn nrpa_inner<G: CodedGame>(
-    game: &G,
-    level: u32,
-    config: &NrpaConfig,
-    policy: &mut Policy,
-    rng: &mut Rng,
-    ctx: &mut SearchCtx,
-) -> (Score, Vec<G::Move>) {
-    if level == 0 {
-        return policy_playout_ctx(game, policy, rng, ctx);
-    }
-    let mut best_score = Score::MIN;
-    let mut best_seq: Vec<G::Move> = Vec::new();
-    // Each level adapts its own copy of the policy (Rosin's algorithm).
-    let mut local = policy.clone();
-    for i in 0..config.iterations {
-        if i > 0 && ctx.should_stop() {
-            break;
-        }
-        let (score, seq) = nrpa_inner(game, level - 1, config, &mut local, rng, ctx);
-        if score > best_score || i == 0 {
-            best_score = score;
-            best_seq = seq;
-        }
-        if ctx.interruption().is_some() {
-            break;
-        }
-        if !best_seq.is_empty() {
-            local.adapt(game, &best_seq, config.alpha);
-        }
-    }
-    (best_score, best_seq)
-}
-
-// The unit tests keep exercising the deprecated free function: they are
-// the regression net for the shim (new-API coverage lives in `spec.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::sample;
+    use crate::search::{sample, SearchResult};
 
     /// Depth-`d` binary game scoring the base-2 reading of the path;
     /// optimal play is all-ones. Codes distinguish (depth, choice).
@@ -477,24 +386,30 @@ mod tests {
         };
         for seed in 0..10 {
             for level in 0..3 {
-                let slow = nrpa(
-                    &Binary {
-                        depth: 7,
-                        taken: vec![],
-                    },
-                    level,
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                );
-                let fast = nrpa(
-                    &FastBinary(Binary {
-                        depth: 7,
-                        taken: vec![],
-                    }),
-                    level,
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                );
+                let slow = SearchResult::unbounded(|ctx| {
+                    nrpa_with(
+                        &Binary {
+                            depth: 7,
+                            taken: vec![],
+                        },
+                        level,
+                        &cfg,
+                        &mut Rng::seeded(seed),
+                        ctx,
+                    )
+                });
+                let fast = SearchResult::unbounded(|ctx| {
+                    nrpa_with(
+                        &FastBinary(Binary {
+                            depth: 7,
+                            taken: vec![],
+                        }),
+                        level,
+                        &cfg,
+                        &mut Rng::seeded(seed),
+                        ctx,
+                    )
+                });
                 assert_eq!(fast.score, slow.score, "seed {seed} level {level}");
                 assert_eq!(fast.sequence, slow.sequence, "seed {seed} level {level}");
                 assert_eq!(fast.stats, slow.stats, "seed {seed} level {level}");
@@ -512,7 +427,7 @@ mod tests {
             iterations: 30,
             alpha: 1.0,
         };
-        let r = nrpa(&g, 2, &cfg, &mut Rng::seeded(5));
+        let r = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(5), ctx));
         assert_eq!(r.score, 255, "NRPA should learn the all-ones line");
         assert_eq!(r.sequence, vec![1; 8]);
     }
@@ -527,7 +442,7 @@ mod tests {
             iterations: 10,
             alpha: 1.0,
         };
-        let r = nrpa(&g, 2, &cfg, &mut Rng::seeded(3));
+        let r = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(3), ctx));
         // 100 playouts of uniform sampling:
         let mut rng = Rng::seeded(3);
         let best_uniform = (0..100).map(|_| sample(&g, &mut rng).score).max().unwrap();
@@ -585,7 +500,7 @@ mod tests {
             taken: vec![],
         };
         let cfg = NrpaConfig::default();
-        let r = nrpa(&g, 0, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| nrpa_with(&g, 0, &cfg, &mut Rng::seeded(1), ctx));
         assert_eq!(r.stats.playouts, 1);
         assert_eq!(r.sequence.len(), 5);
     }
@@ -600,8 +515,8 @@ mod tests {
             iterations: 8,
             alpha: 0.7,
         };
-        let a = nrpa(&g, 2, &cfg, &mut Rng::seeded(11));
-        let b = nrpa(&g, 2, &cfg, &mut Rng::seeded(11));
+        let a = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(11), ctx));
+        let b = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(11), ctx));
         assert_eq!(a.score, b.score);
         assert_eq!(a.sequence, b.sequence);
     }
@@ -617,7 +532,8 @@ mod tests {
             alpha: 1.0,
         };
         for seed in 0..10 {
-            let r = nrpa(&g, 1, &cfg, &mut Rng::seeded(seed));
+            let r =
+                SearchResult::unbounded(|ctx| nrpa_with(&g, 1, &cfg, &mut Rng::seeded(seed), ctx));
             let mut replay = g.clone();
             for mv in &r.sequence {
                 replay.play(mv);

@@ -78,8 +78,8 @@ impl<M> SearchReport<M> {
         self.stats.work_units
     }
 
-    /// Converts into the legacy [`SearchResult`] triple (used by the
-    /// deprecated shims and the engine's replica records).
+    /// Converts into the [`SearchResult`] triple (used by the engine's
+    /// replica records).
     pub fn into_result(self) -> SearchResult<M> {
         SearchResult {
             score: self.score,

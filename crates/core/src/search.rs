@@ -25,7 +25,7 @@
 //! module polls a [`SearchCtx`] so deadlines, playout/node budgets, and
 //! cancel tokens are honoured identically across all backends; the polls
 //! never touch the RNG, so an unbudgeted run through the spec is
-//! bit-identical to the historical direct calls.
+//! bit-identical to a direct call under [`SearchCtx::unbounded`].
 
 use crate::ctx::SearchCtx;
 use crate::game::{Game, Score, Undo};
@@ -59,8 +59,9 @@ impl<G: Game> PlayoutScratch<G> {
 
     /// Plays a uniformly random game forward on a *disposable* position
     /// (mutating it to the terminal position), appending the moves played
-    /// to `seq`, and returns the final score. Draw-for-draw identical to
-    /// [`sample_into`], minus its per-call buffer allocation.
+    /// to `seq`, and returns the final score. This is the one random
+    /// playout loop for positions nobody wants back; [`sample_into`],
+    /// [`sample`] and level-0 [`nested_with`] sit on top of it.
     ///
     /// Budget/cancellation polls go through `ctx` — one check per playout
     /// move, the shared choke point every backend's playouts pass through.
@@ -98,8 +99,8 @@ impl<G: Game> PlayoutScratch<G> {
     }
 
     /// Like [`PlayoutScratch::run`], but *restores* `game` to its entry
-    /// state through the scratch-state protocol before returning — the
-    /// engine of the clone-free level-1 evaluation loop.
+    /// state through the scratch-state protocol before returning — what
+    /// a playout costs on a game that is walked in place.
     ///
     /// Only worthwhile on games where [`Game::supports_undo`] is true:
     /// the fallback snapshot `apply` would pay one full clone per move.
@@ -140,13 +141,156 @@ impl<G: Game> PlayoutScratch<G> {
     }
 }
 
-/// Per-recursion-level buffers of the clone-free nested search; one set
-/// exists per level because exactly one call per level is active at a
-/// time.
+/// A position a search walks forward and gets back.
+///
+/// This is the one place in the crate that decides *how* a position is
+/// restored. A game with the scratch-state protocol
+/// ([`Game::supports_undo`]) is walked in place: every [`Walker::play`]
+/// keeps its undo token and [`Walker::rewind`] unwinds them. Any other
+/// game is copied at each [`Walker::mark`] and `rewind` puts the copy
+/// back — one clone per mark, so one per candidate evaluation, never
+/// one per playout move. Every algorithm body is written once against
+/// this type; the two modes make the same decisions and draw the same
+/// random numbers.
+///
+/// Search bodies *advance* the walker and leave it advanced; whoever
+/// wants the earlier position back takes a mark first and rewinds to it.
+pub(crate) struct Walker<G: Game> {
+    pos: G,
+    restore: Restore<G>,
+    playout: PlayoutScratch<G>,
+}
+
+enum Restore<G: Game> {
+    /// Tokens of the moves played and not yet rewound, oldest first;
+    /// `unwinding` is `rewind`'s hand-over buffer to [`Game::undo_all`],
+    /// kept for its capacity.
+    Undo {
+        played: Vec<Undo<G>>,
+        unwinding: Vec<Undo<G>>,
+    },
+    /// The position as it stood at each mark not yet rewound.
+    Copies(Vec<G>),
+}
+
+/// A point [`Walker::rewind`] can return to. Marks nest: rewinding to one
+/// drops every mark taken after it.
+pub(crate) struct Mark(usize);
+
+impl<G: Game> Walker<G> {
+    /// A walker standing on a copy of `root`.
+    pub(crate) fn new(root: &G) -> Self {
+        let restore = if root.supports_undo() {
+            Restore::Undo {
+                played: Vec::new(),
+                unwinding: Vec::new(),
+            }
+        } else {
+            Restore::Copies(Vec::new())
+        };
+        Walker {
+            pos: root.clone(),
+            restore,
+            playout: PlayoutScratch::new(),
+        }
+    }
+
+    /// The current position.
+    pub(crate) fn position(&self) -> &G {
+        &self.pos
+    }
+
+    /// Remembers the current position for a later [`Walker::rewind`].
+    pub(crate) fn mark(&mut self) -> Mark {
+        match &mut self.restore {
+            Restore::Undo { played, .. } => Mark(played.len()),
+            Restore::Copies(saved) => {
+                saved.push(self.pos.clone());
+                Mark(saved.len() - 1)
+            }
+        }
+    }
+
+    /// Plays `mv`, which must be legal in the current position.
+    pub(crate) fn play(&mut self, mv: &G::Move) {
+        match &mut self.restore {
+            Restore::Undo { played, .. } => played.push(self.pos.apply(mv)),
+            Restore::Copies(_) => self.pos.play(mv),
+        }
+    }
+
+    /// Returns to the position `mark` was taken at.
+    pub(crate) fn rewind(&mut self, mark: Mark) {
+        match &mut self.restore {
+            Restore::Undo { played, unwinding } => {
+                // One `undo_all` per rewind, so wrappers that refresh a
+                // cache per unwind (the `DynGame` erasure) do it once.
+                unwinding.extend(played.drain(mark.0..));
+                self.pos.undo_all(unwinding);
+            }
+            Restore::Copies(saved) => {
+                saved.truncate(mark.0 + 1);
+                self.pos = saved.pop().expect("rewind to a mark that was taken");
+            }
+        }
+    }
+
+    /// Plays one uniformly random game from the current position,
+    /// appending its moves to `seq`, and returns the final score. The
+    /// position is afterwards unspecified until the next
+    /// [`Walker::rewind`]: an undo game has already been unwound by
+    /// [`PlayoutScratch::run_undo`], a clone-only game stands at the end
+    /// of the playout and is restored from the mark's copy.
+    pub(crate) fn rollout(
+        &mut self,
+        rng: &mut Rng,
+        cap: Option<usize>,
+        seq: &mut Vec<G::Move>,
+        ctx: &mut SearchCtx,
+    ) -> Score {
+        match self.restore {
+            Restore::Undo { .. } => self.playout.run_undo(&mut self.pos, rng, cap, seq, ctx),
+            Restore::Copies(_) => self.playout.run(&mut self.pos, rng, cap, seq, ctx),
+        }
+    }
+
+    /// Hands out the current position as a value of its own and returns
+    /// to `mark` — for callers that keep the position they walked to
+    /// (the batched tree-parallel leaves). A clone-only game gives up
+    /// its working position and takes the mark's copy back, so this
+    /// costs it no clone beyond the mark's.
+    pub(crate) fn detach(&mut self, mark: Mark) -> G {
+        match &mut self.restore {
+            Restore::Undo { .. } => {
+                let leaf = self.pos.clone();
+                self.rewind(mark);
+                leaf
+            }
+            Restore::Copies(saved) => {
+                saved.truncate(mark.0 + 1);
+                let back = saved.pop().expect("detach to a mark that was taken");
+                std::mem::replace(&mut self.pos, back)
+            }
+        }
+    }
+
+    /// Exchanges the walker's position with `other`, so a caller that
+    /// owns many positions (beam search) can evaluate each through one
+    /// walker's buffers. Only between walks: nothing may be pending.
+    pub(crate) fn swap_position(&mut self, other: &mut G) {
+        debug_assert!(match &self.restore {
+            Restore::Undo { played, .. } => played.is_empty(),
+            Restore::Copies(saved) => saved.is_empty(),
+        });
+        std::mem::swap(&mut self.pos, other);
+    }
+}
+
+/// Per-recursion-level buffers of the nested search; one set exists per
+/// level because exactly one call per level is active at a time.
 struct LevelBufs<G: Game> {
     moves: Vec<G::Move>,
     seq: Vec<G::Move>,
-    undos: Vec<Undo<G>>,
 }
 
 impl<G: Game> Default for LevelBufs<G> {
@@ -154,24 +298,13 @@ impl<G: Game> Default for LevelBufs<G> {
         LevelBufs {
             moves: Vec::new(),
             seq: Vec::new(),
-            undos: Vec::new(),
         }
     }
 }
 
-/// Buffers shared by one clone-free [`nested_with`] call tree.
-pub(crate) struct NestedScratch<G: Game> {
-    levels: Vec<LevelBufs<G>>,
-    playout: PlayoutScratch<G>,
-}
-
-impl<G: Game> NestedScratch<G> {
-    pub(crate) fn new(level: u32) -> Self {
-        NestedScratch {
-            levels: (0..level).map(|_| LevelBufs::default()).collect(),
-            playout: PlayoutScratch::new(),
-        }
-    }
+/// The buffers of one [`nested_with`] call tree, indexed by level − 1.
+fn level_bufs<G: Game>(level: u32) -> Vec<LevelBufs<G>> {
+    (0..level).map(|_| LevelBufs::default()).collect()
 }
 
 /// Outcome of a search: the best score found and the move sequence that
@@ -186,7 +319,24 @@ pub struct SearchResult<M> {
     pub stats: SearchStats,
 }
 
-/// How `nested` advances its game between steps.
+impl<M> SearchResult<M> {
+    /// Runs `search` under an unbounded [`SearchCtx`] and packages the
+    /// `(score, sequence)` it returns with the context's counters — for
+    /// callers that thread one RNG through a series of direct `*_with`
+    /// calls instead of going through a `SearchSpec`:
+    /// `SearchResult::unbounded(|ctx| nested_with(&game, 1, &config, &mut rng, ctx))`.
+    pub fn unbounded(search: impl FnOnce(&mut SearchCtx) -> (Score, Vec<M>)) -> Self {
+        let mut ctx = SearchCtx::unbounded();
+        let (score, sequence) = search(&mut ctx);
+        SearchResult {
+            score,
+            sequence,
+            stats: ctx.into_stats(),
+        }
+    }
+}
+
+/// How [`nested_with`] advances its game between steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MemoryPolicy {
     /// Follow the globally best sequence found so far in this call
@@ -233,42 +383,6 @@ impl NestedConfig {
     }
 }
 
-/// Ctx-threaded core of [`sample_into`]; every playout in the workspace
-/// funnels through here or through [`PlayoutScratch`], which is what
-/// makes budget checks uniform across backends.
-pub(crate) fn sample_ctx<G: Game>(
-    game: &mut G,
-    rng: &mut Rng,
-    cap: Option<usize>,
-    seq: &mut Vec<G::Move>,
-    ctx: &mut SearchCtx,
-) -> Score {
-    let mut buf: Vec<G::Move> = Vec::new();
-    let mut steps = 0usize;
-    loop {
-        if let Some(c) = cap {
-            if steps >= c {
-                break;
-            }
-        }
-        if ctx.should_stop() {
-            break;
-        }
-        buf.clear();
-        game.legal_moves(&mut buf);
-        if buf.is_empty() {
-            break;
-        }
-        let mv = buf.swap_remove(rng.below(buf.len()));
-        game.play(&mv);
-        seq.push(mv);
-        ctx.record_playout_move();
-        steps += 1;
-    }
-    ctx.record_playout_end();
-    game.score()
-}
-
 /// Plays a uniformly random game from `game` (mutating it to the terminal
 /// position), appends the moves played to `seq`, and returns the final
 /// score.
@@ -283,62 +397,35 @@ pub fn sample_into<G: Game>(
     stats: &mut SearchStats,
 ) -> Score {
     let mut ctx = SearchCtx::unbounded();
-    let score = sample_ctx(game, rng, cap, seq, &mut ctx);
+    let score = PlayoutScratch::new().run(game, rng, cap, seq, &mut ctx);
     stats.merge(ctx.stats());
     score
 }
 
 /// Plays a uniformly random game from a copy of `game` and returns the
-/// result. Convenience wrapper over [`sample_into`].
+/// result: a level-0 [`nested_with`] under no budget.
 pub fn sample<G: Game>(game: &G, rng: &mut Rng) -> SearchResult<G::Move> {
-    let mut stats = SearchStats::new();
-    let mut seq = Vec::new();
-    let mut g = game.clone();
-    let score = sample_into(&mut g, rng, None, &mut seq, &mut stats);
-    SearchResult {
-        score,
-        sequence: seq,
-        stats,
-    }
+    SearchResult::unbounded(|ctx| nested_with(game, 0, &NestedConfig::paper(), rng, ctx))
 }
 
-/// Nested Monte-Carlo Search at `level` from `game`.
+/// Nested Monte-Carlo Search at `level` from `game`, accounting into (and
+/// honouring the budget/cancellation of) `ctx`.
 ///
 /// * `level == 0` degenerates to a single random playout (useful as a
 ///   baseline; the paper starts at level 1).
 /// * `level == 1` evaluates each candidate move with one random playout.
 /// * `level >= 2` evaluates each candidate move with a `level - 1` search.
 ///
-/// Returns the best score found, the full move sequence realising it, and
-/// the accumulated statistics. With [`MemoryPolicy::Memorise`] the returned
-/// score equals the score of the position reached by replaying the returned
-/// sequence.
-#[deprecated(note = "use SearchSpec::nested(level) — the unified search API")]
-pub fn nested<G: Game>(
-    game: &G,
-    level: u32,
-    config: &NestedConfig,
-    rng: &mut Rng,
-) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = nested_with(game, level, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Nested Monte-Carlo Search at `level` from `game`, accounting into (and
-/// honouring the budget/cancellation of) `ctx`.
+/// Returns the best score found and the full move sequence realising it.
+/// With [`MemoryPolicy::Memorise`] the returned score equals the score of
+/// the position reached by replaying the returned sequence.
 ///
 /// This is the engine room behind `SearchSpec::run` for the `Nested`
-/// strategy and behind the parallel backends' client evaluations; the
-/// deprecated [`nested`] free function is a thin shim over it with an
-/// unbounded context. If the context interrupts the search, the returned
-/// pair is still consistent: the score is realised by replaying the
-/// returned sequence (the memorising policy fast-forwards its memorised
-/// continuation without further evaluations before returning).
+/// strategy and behind the parallel backends' client evaluations. If the
+/// context interrupts the search, the returned pair is still consistent:
+/// the score is realised by replaying the returned sequence (the
+/// memorising policy fast-forwards its memorised continuation without
+/// further evaluations before returning).
 pub fn nested_with<G: Game>(
     game: &G,
     level: u32,
@@ -346,38 +433,36 @@ pub fn nested_with<G: Game>(
     rng: &mut Rng,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>) {
-    // Games implementing the scratch-state protocol take the clone-free
-    // path: one clone up front, apply/undo everywhere below. The two
-    // paths are draw-for-draw identical (asserted by the property tests),
-    // so this is purely a throughput decision.
-    if level >= 1 && game.supports_undo() {
+    if level == 0 {
+        // One playout on a copy nobody wants back: nothing to restore.
+        let mut seq = Vec::new();
         let mut pos = game.clone();
-        let mut scratch = NestedScratch::new(level);
-        nested_scratch(&mut pos, level, config, rng, ctx, &mut scratch)
-    } else {
-        nested_inner(game, level, config, rng, ctx)
+        let score = PlayoutScratch::new().run(&mut pos, rng, config.playout_cap, &mut seq, ctx);
+        return (score, seq);
     }
+    let mut walker = Walker::new(game);
+    let mut scratch = level_bufs(level);
+    nested_rollout(&mut walker, level, config, rng, ctx, &mut scratch)
 }
 
-/// Clone-free nested search over a game with the apply/undo fast path.
+/// The paper's nested rollout (§III) at `level >= 1`, played on `walker`.
 ///
-/// Mirrors [`nested_inner`] decision-for-decision, but walks a single
-/// mutable position: candidate evaluations `apply` the move, evaluate in
-/// place (a restoring playout at level 1, a recursive call at level ≥ 2),
-/// and `undo`; the memorised-sequence advance applies with a token that
-/// the final unwind pops, so `pos` is returned to the caller exactly as
-/// it came in.
+/// Each candidate move is evaluated between a mark and a rewind: played,
+/// scored (by a random playout at level 1, by a recursive call at level
+/// ≥ 2), and taken back. The game then advances along the memorised best
+/// sequence. The walker is left at the end of the line this call played;
+/// the caller rewinds if it wants its position back.
 // nmcs-lint: hot-entry
-fn nested_scratch<G: Game>(
-    pos: &mut G,
+fn nested_rollout<G: Game>(
+    walker: &mut Walker<G>,
     level: u32,
     config: &NestedConfig,
     rng: &mut Rng,
     ctx: &mut SearchCtx,
-    scratch: &mut NestedScratch<G>,
+    scratch: &mut [LevelBufs<G>],
 ) -> (Score, Vec<G::Move>) {
     debug_assert!(level >= 1);
-    let mut bufs = std::mem::take(&mut scratch.levels[level as usize - 1]);
+    let mut bufs = std::mem::take(&mut scratch[level as usize - 1]);
     // `best_seq[..played]` is the prefix already played by this call;
     // `best_seq[played..]` is the memorised best continuation.
     // nmcs-lint: allow(hot-path) reason="the returned best-sequence buffer: one empty Vec per nested call (no allocation until moves land), handed to the caller as the result"
@@ -386,7 +471,7 @@ fn nested_scratch<G: Game>(
     let mut best_score = Score::MIN;
 
     loop {
-        pos.legal_moves_into(&mut bufs.moves);
+        walker.position().legal_moves_into(&mut bufs.moves);
         if bufs.moves.is_empty() {
             break;
         }
@@ -401,20 +486,19 @@ fn nested_scratch<G: Game>(
             if ctx.should_stop() {
                 break;
             }
-            let token = pos.apply(&bufs.moves[i]);
+            let mark = walker.mark();
+            walker.play(&bufs.moves[i]);
             ctx.record_expansion();
 
             let score = if level == 1 {
                 bufs.seq.clear();
-                scratch
-                    .playout
-                    .run_undo(pos, rng, config.playout_cap, &mut bufs.seq, ctx)
+                walker.rollout(rng, config.playout_cap, &mut bufs.seq, ctx)
             } else {
-                let (s, seq) = nested_scratch(pos, level - 1, config, rng, ctx, scratch);
+                let (s, seq) = nested_rollout(walker, level - 1, config, rng, ctx, scratch);
                 bufs.seq = seq;
                 s
             };
-            pos.undo(token);
+            walker.rewind(mark);
 
             // Track the best move of *this step* (for the greedy policy) …
             if step_best.is_none_or(|(s, _)| score > s) {
@@ -432,13 +516,18 @@ fn nested_scratch<G: Game>(
             break;
         }
 
-        // Paper lines 10–11 (see `nested_inner` for the fallback rules).
+        // Paper lines 10–11: play the next move of the memorised best
+        // sequence. Fallbacks: the greedy policy always plays this step's
+        // argmax, and a capped search whose memorised (capped) continuation
+        // is exhausted must extend it with the step argmax.
         let follow_memory = config.memory == MemoryPolicy::Memorise && played < best_seq.len();
         let next = if follow_memory {
             best_seq[played].clone()
         } else {
             let (_, idx) = step_best.expect("non-empty move list");
             let mv = bufs.moves[idx].clone();
+            // Keep best_seq aligned with the actually-played prefix; the
+            // incumbent continuation (if any) is abandoned.
             if best_seq.len() <= played || best_seq[played] != mv {
                 best_seq.truncate(played);
                 best_seq.push(mv.clone());
@@ -446,7 +535,7 @@ fn nested_scratch<G: Game>(
             }
             mv
         };
-        bufs.undos.push(pos.apply(&next));
+        walker.play(&next);
         played += 1;
         ctx.record_nested_move();
     }
@@ -457,156 +546,29 @@ fn nested_scratch<G: Game>(
     // in an uninterrupted run.
     if ctx.interruption().is_some() && config.memory == MemoryPolicy::Memorise {
         while played < best_seq.len() {
-            let mv = best_seq[played].clone();
-            bufs.undos.push(pos.apply(&mv));
+            walker.play(&best_seq[played]);
             played += 1;
             ctx.record_nested_move();
         }
     }
 
+    let final_score = walker.position().score();
     if played > 0
         && config.memory == MemoryPolicy::Memorise
         && config.playout_cap.is_none()
         && ctx.interruption().is_none()
     {
         debug_assert_eq!(
-            best_score,
-            pos.score(),
+            best_score, final_score,
             "memorised sequence must reach the memorised score"
         );
         debug_assert_eq!(played, best_seq.len());
     }
-    let final_score = pos.score();
-    // Unwind the whole played prefix: the caller gets its position back.
-    pos.undo_all(&mut bufs.undos);
+    // The game was advanced along `best_seq[..played]`, so the pair below
+    // is consistent by construction under every policy.
     best_seq.truncate(played);
-    scratch.levels[level as usize - 1] = bufs;
+    scratch[level as usize - 1] = bufs;
     (final_score, best_seq)
-}
-
-fn nested_inner<G: Game>(
-    game: &G,
-    level: u32,
-    config: &NestedConfig,
-    rng: &mut Rng,
-    ctx: &mut SearchCtx,
-) -> (Score, Vec<G::Move>) {
-    if level == 0 {
-        let mut g = game.clone();
-        let mut seq = Vec::new();
-        let score = sample_ctx(&mut g, rng, config.playout_cap, &mut seq, ctx);
-        return (score, seq);
-    }
-
-    let mut pos = game.clone();
-    // `best_seq[..played]` is the prefix already played by this call;
-    // `best_seq[played..]` is the memorised best continuation.
-    let mut best_seq: Vec<G::Move> = Vec::new();
-    let mut played = 0usize;
-    let mut best_score = Score::MIN;
-    let mut moves: Vec<G::Move> = Vec::new();
-    // Workhorse buffer reused by level-1 playout evaluations.
-    let mut scratch_seq: Vec<G::Move> = Vec::new();
-
-    loop {
-        moves.clear();
-        pos.legal_moves(&mut moves);
-        if moves.is_empty() {
-            break;
-        }
-        if ctx.should_stop() {
-            break;
-        }
-
-        let mut step_best: Option<(Score, usize)> = None;
-        for (i, mv) in moves.iter().enumerate() {
-            // Once interrupted, no new evaluations may start.
-            if ctx.should_stop() {
-                break;
-            }
-            let mut child = pos.clone();
-            child.play(mv);
-            ctx.record_expansion();
-
-            let (score, continuation) = if level == 1 {
-                scratch_seq.clear();
-                let s = sample_ctx(&mut child, rng, config.playout_cap, &mut scratch_seq, ctx);
-                (s, &scratch_seq)
-            } else {
-                let (s, seq) = nested_inner(&child, level - 1, config, rng, ctx);
-                scratch_seq = seq;
-                (s, &scratch_seq)
-            };
-
-            // Track the best move of *this step* (for the greedy policy) …
-            if step_best.is_none_or(|(s, _)| score > s) {
-                step_best = Some((score, i));
-            }
-            // … and the best sequence of the *whole call* (paper lines 7–9).
-            if score > best_score {
-                best_score = score;
-                best_seq.truncate(played);
-                best_seq.push(mv.clone());
-                best_seq.extend(continuation.iter().cloned());
-            }
-        }
-        if ctx.interruption().is_some() {
-            break;
-        }
-
-        // Paper lines 10–11: play the next move of the memorised best
-        // sequence. Fallbacks: the greedy policy always plays this step's
-        // argmax, and a capped search whose memorised (capped) continuation
-        // is exhausted must extend it with the step argmax.
-        let follow_memory = config.memory == MemoryPolicy::Memorise && played < best_seq.len();
-        let next = if follow_memory {
-            best_seq[played].clone()
-        } else {
-            let (_, idx) = step_best.expect("non-empty move list");
-            let mv = moves[idx].clone();
-            // Keep best_seq aligned with the actually-played prefix; the
-            // incumbent continuation (if any) is abandoned.
-            if best_seq.len() <= played || best_seq[played] != mv {
-                best_seq.truncate(played);
-                best_seq.push(mv.clone());
-                best_score = Score::MIN;
-            }
-            mv
-        };
-        pos.play(&next);
-        played += 1;
-        ctx.record_nested_move();
-    }
-
-    // Interrupted: fast-forward the memorised continuation (see
-    // `nested_scratch`) so score and sequence stay consistent.
-    if ctx.interruption().is_some() && config.memory == MemoryPolicy::Memorise {
-        while played < best_seq.len() {
-            let mv = best_seq[played].clone();
-            pos.play(&mv);
-            played += 1;
-            ctx.record_nested_move();
-        }
-    }
-
-    if played > 0
-        && config.memory == MemoryPolicy::Memorise
-        && config.playout_cap.is_none()
-        && ctx.interruption().is_none()
-    {
-        debug_assert_eq!(
-            best_score,
-            pos.score(),
-            "memorised sequence must reach the memorised score"
-        );
-        debug_assert_eq!(played, best_seq.len());
-    }
-    // The game was advanced to a true terminal position along
-    // `best_seq[..played]`, so the pair below is consistent by construction
-    // under every policy (and equals the memorised optimum in the
-    // paper-faithful configuration, per the assertions above).
-    best_seq.truncate(played);
-    (pos.score(), best_seq)
 }
 
 /// Evaluates every legal move of `game` with a `level`-search and returns
@@ -625,77 +587,31 @@ pub fn evaluate_moves<G: Game>(
 ) -> Vec<(G::Move, SearchResult<G::Move>)> {
     let mut moves = Vec::new();
     game.legal_moves(&mut moves);
-    if game.supports_undo() {
-        // Clone-free evaluation: one position walked with apply/undo.
-        let mut pos = game.clone();
-        let mut scratch = NestedScratch::new(level.max(1));
-        return moves
-            .into_iter()
-            .enumerate()
-            .map(|(i, mv)| {
-                let mut rng = Rng::seeded(seeds(i));
-                let mut ctx = SearchCtx::unbounded();
-                let token = pos.apply(&mv);
-                let (score, sequence) = if level == 0 {
-                    let mut seq = Vec::new();
-                    let score = scratch.playout.run_undo(
-                        &mut pos,
-                        &mut rng,
-                        config.playout_cap,
-                        &mut seq,
-                        &mut ctx,
-                    );
-                    (score, seq)
-                } else {
-                    nested_scratch(&mut pos, level, config, &mut rng, &mut ctx, &mut scratch)
-                };
-                pos.undo(token);
-                (
-                    mv,
-                    SearchResult {
-                        score,
-                        sequence,
-                        stats: ctx.into_stats(),
-                    },
-                )
-            })
-            .collect();
-    }
+    let mut walker = Walker::new(game);
+    let mut scratch = level_bufs(level);
     moves
         .into_iter()
         .enumerate()
         .map(|(i, mv)| {
-            let mut child = game.clone();
-            child.play(&mv);
             let mut rng = Rng::seeded(seeds(i));
-            let mut ctx = SearchCtx::unbounded();
-            let res = if level == 0 {
-                let mut seq = Vec::new();
-                let mut g = child.clone();
-                let score = sample_ctx(&mut g, &mut rng, config.playout_cap, &mut seq, &mut ctx);
-                SearchResult {
-                    score,
-                    sequence: seq,
-                    stats: ctx.into_stats(),
-                }
-            } else {
-                let (score, sequence) = nested_with(&child, level, config, &mut rng, &mut ctx);
-                SearchResult {
-                    score,
-                    sequence,
-                    stats: ctx.into_stats(),
-                }
-            };
-            (mv, res)
+            let result = SearchResult::unbounded(|ctx| {
+                let mark = walker.mark();
+                walker.play(&mv);
+                let out = if level == 0 {
+                    let mut seq = Vec::new();
+                    let score = walker.rollout(&mut rng, config.playout_cap, &mut seq, ctx);
+                    (score, seq)
+                } else {
+                    nested_rollout(&mut walker, level, config, &mut rng, ctx, &mut scratch)
+                };
+                walker.rewind(mark);
+                out
+            });
+            (mv, result)
         })
         .collect()
 }
 
-// The unit tests intentionally keep exercising the deprecated free
-// functions: they are the regression net asserting the shims stay
-// bit-identical to the historical behaviour (new-API coverage lives in
-// `spec.rs` and `tests/budget_props.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,8 +686,9 @@ mod tests {
         }
     }
 
-    /// `Trap` with the scratch-state fast path: identical game, clone-free
-    /// search. Used to assert the two paths are draw-for-draw identical.
+    /// `Trap` with the scratch-state fast path: identical game, walked in
+    /// place. Used to assert the walker's two restore modes are
+    /// draw-for-draw identical.
     #[derive(Clone, Debug)]
     struct FastTrap(Trap);
 
@@ -807,18 +724,24 @@ mod tests {
         for seed in 0..20 {
             for level in 1..=3 {
                 for config in [NestedConfig::paper(), NestedConfig::greedy()] {
-                    let slow = nested(
-                        &Trap { taken: vec![] },
-                        level,
-                        &config,
-                        &mut Rng::seeded(seed),
-                    );
-                    let fast = nested(
-                        &FastTrap(Trap { taken: vec![] }),
-                        level,
-                        &config,
-                        &mut Rng::seeded(seed),
-                    );
+                    let slow = SearchResult::unbounded(|ctx| {
+                        nested_with(
+                            &Trap { taken: vec![] },
+                            level,
+                            &config,
+                            &mut Rng::seeded(seed),
+                            ctx,
+                        )
+                    });
+                    let fast = SearchResult::unbounded(|ctx| {
+                        nested_with(
+                            &FastTrap(Trap { taken: vec![] }),
+                            level,
+                            &config,
+                            &mut Rng::seeded(seed),
+                            ctx,
+                        )
+                    });
                     assert_eq!(fast.score, slow.score, "seed {seed} level {level}");
                     assert_eq!(fast.sequence, slow.sequence, "seed {seed} level {level}");
                     assert_eq!(fast.stats, slow.stats, "seed {seed} level {level}");
@@ -834,13 +757,24 @@ mod tests {
                 memory: MemoryPolicy::Memorise,
                 playout_cap: Some(2),
             };
-            let slow = nested(&Trap { taken: vec![] }, 1, &cfg, &mut Rng::seeded(seed));
-            let fast = nested(
-                &FastTrap(Trap { taken: vec![] }),
-                1,
-                &cfg,
-                &mut Rng::seeded(seed),
-            );
+            let slow = SearchResult::unbounded(|ctx| {
+                nested_with(
+                    &Trap { taken: vec![] },
+                    1,
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
+            let fast = SearchResult::unbounded(|ctx| {
+                nested_with(
+                    &FastTrap(Trap { taken: vec![] }),
+                    1,
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
             assert_eq!(fast.score, slow.score, "seed {seed}");
             assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
         }
@@ -920,7 +854,9 @@ mod tests {
     fn nested_level1_solves_small_games() {
         let g = fresh(5);
         let mut rng = Rng::seeded(7);
-        let r = nested(&g, 1, &NestedConfig::paper(), &mut rng);
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 1, &NestedConfig::paper(), &mut rng, ctx)
+        });
         assert_eq!(r.score, 5, "level-1 NMCS should find the all-ones line");
         assert_eq!(r.sequence, vec![1, 1, 1, 1, 1]);
     }
@@ -929,7 +865,9 @@ mod tests {
     fn nested_level2_solves_trap_game() {
         let g = Trap { taken: vec![] };
         let mut rng = Rng::seeded(3);
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut rng);
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut rng, ctx)
+        });
         assert_eq!(r.score, 26, "optimum is [2,2,2] scoring 2*9+2*3+2");
         assert_eq!(r.sequence, vec![2, 2, 2]);
     }
@@ -939,7 +877,9 @@ mod tests {
         for seed in 0..50 {
             let g = Trap { taken: vec![] };
             let mut rng = Rng::seeded(seed);
-            let r = nested(&g, 1, &NestedConfig::paper(), &mut rng);
+            let r = SearchResult::unbounded(|ctx| {
+                nested_with(&g, 1, &NestedConfig::paper(), &mut rng, ctx)
+            });
             let mut replay = Trap { taken: vec![] };
             for mv in &r.sequence {
                 replay.play(mv);
@@ -953,7 +893,9 @@ mod tests {
         for seed in 0..20 {
             let g = Trap { taken: vec![] };
             let mut rng = Rng::seeded(seed);
-            let r = nested(&g, 1, &NestedConfig::greedy(), &mut rng);
+            let r = SearchResult::unbounded(|ctx| {
+                nested_with(&g, 1, &NestedConfig::greedy(), &mut rng, ctx)
+            });
             let mut replay = Trap { taken: vec![] };
             for mv in &r.sequence {
                 replay.play(mv);
@@ -966,44 +908,23 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = Trap { taken: vec![] };
-        let a = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11));
-        let b = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11));
+        let a = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11), ctx)
+        });
+        let b = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11), ctx)
+        });
         assert_eq!(a.score, b.score);
         assert_eq!(a.sequence, b.sequence);
         assert_eq!(a.stats, b.stats);
     }
 
     #[test]
-    fn shim_equals_ctx_entry_point_seed_for_seed() {
-        // The deprecated shim and the ctx-threaded engine room must stay
-        // bit-identical (this is the contract the shims advertise).
-        for seed in 0..10 {
-            for level in 0..3 {
-                let shim = nested(
-                    &Trap { taken: vec![] },
-                    level,
-                    &NestedConfig::paper(),
-                    &mut Rng::seeded(seed),
-                );
-                let mut ctx = SearchCtx::unbounded();
-                let (score, sequence) = nested_with(
-                    &Trap { taken: vec![] },
-                    level,
-                    &NestedConfig::paper(),
-                    &mut Rng::seeded(seed),
-                    &mut ctx,
-                );
-                assert_eq!(shim.score, score, "seed {seed} level {level}");
-                assert_eq!(shim.sequence, sequence, "seed {seed} level {level}");
-                assert_eq!(shim.stats, ctx.into_stats(), "seed {seed} level {level}");
-            }
-        }
-    }
-
-    #[test]
     fn level0_is_a_single_playout() {
         let g = fresh(4);
-        let r = nested(&g, 0, &NestedConfig::paper(), &mut Rng::seeded(5));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 0, &NestedConfig::paper(), &mut Rng::seeded(5), ctx)
+        });
         assert_eq!(r.stats.playouts, 1);
         assert_eq!(r.sequence.len(), 4);
     }
@@ -1011,7 +932,9 @@ mod tests {
     #[test]
     fn nested_on_terminal_position_returns_empty_sequence() {
         let g = fresh(0);
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(1), ctx)
+        });
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
     }
@@ -1035,7 +958,16 @@ mod tests {
             (0..40)
                 .map(|seed| {
                     let g = Trap { taken: vec![] };
-                    nested(&g, level, &NestedConfig::paper(), &mut Rng::seeded(seed)).score as f64
+                    SearchResult::unbounded(|ctx| {
+                        nested_with(
+                            &g,
+                            level,
+                            &NestedConfig::paper(),
+                            &mut Rng::seeded(seed),
+                            ctx,
+                        )
+                    })
+                    .score as f64
                 })
                 .sum::<f64>()
                 / 40.0
@@ -1078,7 +1010,9 @@ mod tests {
     #[test]
     fn stats_accumulate_across_recursion() {
         let g = Trap { taken: vec![] };
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(4));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(4), ctx)
+        });
         // Level 2 over a 3-ary depth-3 game: 3 steps at top; each expansion
         // triggers a level-1 search. There must be strictly more playouts
         // than top-level expansions.

@@ -33,11 +33,12 @@
 //! ```
 //!
 //! Determinism contract: for any spec whose budget is never hit, the
-//! result is **bit-identical** to the historical direct call with the
-//! same seed (`nested`, `nrpa`, `uct`, the baselines, `leaf_nested`,
-//! `run_threads`/`run_reference`) — budget and cancellation polls never
-//! touch the RNG stream. `tests/budget_props.rs` and
-//! `tests/spec_api.rs` assert both halves of the contract.
+//! result is **bit-identical** to the direct call of the function the
+//! variant names with the same seed (`nested_with`, `nrpa_with`,
+//! `uct_with`, the baselines' `*_with`; for the parallel variants,
+//! `parallel_nmcs::trace::run_reference`) — budget and cancellation
+//! polls never touch the RNG stream. `tests/budget_props.rs` and the
+//! unit tests below assert both halves of the contract.
 
 use crate::baselines::{
     beam_search_with, flat_monte_carlo_with, iterated_sampling_with, simulated_annealing_with,
@@ -49,7 +50,7 @@ use crate::game::Game;
 use crate::nrpa::{nrpa_with, CodedGame, NrpaConfig};
 use crate::report::SearchReport;
 use crate::rng::Rng;
-use crate::search::{nested_with, MemoryPolicy, NestedConfig, PlayoutScratch};
+use crate::search::{nested_with, MemoryPolicy, NestedConfig};
 use crate::uct::{
     uct_tree_parallel_on, uct_with, LockStrategy, StatsMode, TpTree, TreeParallelOpts, UctConfig,
     DEFAULT_TT_BYTES,
@@ -176,7 +177,7 @@ impl Deserialize for Budget {
 // ---------------------------------------------------------------------
 
 /// Which search strategy to run, with its per-algorithm configuration.
-/// Every variant maps to exactly one historical entry point, so a spec
+/// Every serial variant maps to exactly one `*_with` function, so a spec
 /// run is reproducible as a direct library call with the same seed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AlgorithmSpec {
@@ -210,7 +211,7 @@ pub enum AlgorithmSpec {
     Sample,
     /// Leaf-parallel batched NMCS: each candidate move evaluated by a
     /// batch of seeded `level − 1` evaluations on a worker pool
-    /// (the strategy of `parallel_nmcs::leaf_nested`).
+    /// (the strategy documented in `parallel_nmcs::leaf`).
     LeafParallel {
         level: u32,
         batch: usize,
@@ -937,14 +938,9 @@ where
                 beam_search_with(game, *width, *samples, &mut rng, &mut ctx)
             }
             AlgorithmSpec::Sample => {
-                // Draw-for-draw identical to the paper's `sample` (the
-                // scratch runner is asserted equivalent by unit tests).
+                // The paper's `sample` is a level-0 nested search.
                 let mut rng = Rng::seeded(self.seed);
-                let mut pos = game.clone();
-                let mut seq = Vec::new();
-                let mut scratch = PlayoutScratch::new();
-                let score = scratch.run(&mut pos, &mut rng, None, &mut seq, &mut ctx);
-                (score, seq)
+                nested_with(game, 0, &NestedConfig::paper(), &mut rng, &mut ctx)
             }
             AlgorithmSpec::LeafParallel {
                 level,
@@ -1289,18 +1285,16 @@ mod tests {
         ));
     }
 
-    #[allow(deprecated)]
     #[test]
     fn every_serial_strategy_matches_its_legacy_entry_point() {
-        use crate::baselines::{beam_search, flat_monte_carlo, iterated_sampling};
-        use crate::nrpa::nrpa;
-        use crate::search::{nested, sample};
-        use crate::uct::uct;
+        use crate::search::{sample, SearchResult};
 
         let g = game();
         for seed in [1u64, 7, 42] {
             let r = SearchSpec::nested(2).seed(seed).run(&g);
-            let d = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1308,7 +1302,8 @@ mod tests {
 
             let cfg = NrpaConfig::with_iterations(8);
             let r = SearchSpec::nrpa_with(1, cfg.clone()).seed(seed).run(&g);
-            let d = nrpa(&g, 1, &cfg, &mut Rng::seeded(seed));
+            let d =
+                SearchResult::unbounded(|ctx| nrpa_with(&g, 1, &cfg, &mut Rng::seeded(seed), ctx));
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1319,28 +1314,34 @@ mod tests {
                 ..UctConfig::default()
             };
             let r = SearchSpec::uct_with(ucfg.clone()).seed(seed).run(&g);
-            let d = uct(&g, &ucfg, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| uct_with(&g, &ucfg, &mut Rng::seeded(seed), ctx));
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
             );
 
             let r = SearchSpec::flat_mc(16).seed(seed).run(&g);
-            let d = flat_monte_carlo(&g, 16, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                flat_monte_carlo_with(&g, 16, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
             );
 
             let r = SearchSpec::iterated_sampling(2).seed(seed).run(&g);
-            let d = iterated_sampling(&g, 2, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                iterated_sampling_with(&g, 2, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
             );
 
             let r = SearchSpec::beam(2, 2).seed(seed).run(&g);
-            let d = beam_search(&g, 2, 2, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                beam_search_with(&g, 2, 2, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1360,7 +1361,9 @@ mod tests {
             let r = SearchSpec::simulated_annealing_with(acfg.clone())
                 .seed(seed)
                 .run(&g);
-            let d = crate::baselines::simulated_annealing(&g, &acfg, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                simulated_annealing_with(&g, &acfg, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)

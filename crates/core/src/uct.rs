@@ -50,9 +50,9 @@
 
 use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
-use crate::game::{Game, Score, Undo};
+use crate::game::{Game, Score};
 use crate::rng::Rng;
-use crate::search::{PlayoutScratch, SearchResult};
+use crate::search::Walker;
 use crate::seeds::{tree_rollout_seed, tree_worker_seed};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -93,23 +93,10 @@ struct Node<M> {
     expanded: bool,
 }
 
-/// Runs UCT from `game` and returns the best playout found.
-#[deprecated(note = "use SearchSpec::uct() — the unified search API")]
-pub fn uct<G: Game>(game: &G, config: &UctConfig, rng: &mut Rng) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = uct_with(game, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
 /// Runs UCT from `game`, accounting into (and honouring the
 /// budget/cancellation of) `ctx`.
 ///
-/// The engine room behind `SearchSpec::uct()`; the deprecated [`uct`]
-/// free function is a thin shim over it. The node budget
+/// The engine room behind `SearchSpec::uct()`. The node budget
 /// (`Budget::max_nodes`) counts tree expansions, so a budgeted UCT run
 /// is bounded in memory as well as time.
 pub fn uct_with<G: Game>(
@@ -135,24 +122,14 @@ pub fn uct_with<G: Game>(
     let mut hi = f64::NEG_INFINITY;
 
     let mut moves_buf: Vec<G::Move> = Vec::new();
-    // On fast-path games every iteration walks this one shared position
-    // with apply/undo instead of cloning the root; `undo_stack` holds the
-    // tokens of the current descent and is fully unwound per iteration.
-    let use_undo = game.supports_undo();
-    let mut shared_pos = game.clone();
-    let mut undo_stack: Vec<Undo<G>> = Vec::new();
-    let mut playout: PlayoutScratch<G> = PlayoutScratch::new();
+    // Every iteration walks this one position down the tree and rewinds
+    // it to the root.
+    let mut walker = Walker::new(game);
     for iteration in 0..config.iterations.max(1) {
         if iteration > 0 && ctx.should_stop() {
             break;
         }
-        let mut cloned_pos: Option<G> = None;
-        let pos: &mut G = if use_undo {
-            debug_assert!(undo_stack.is_empty());
-            &mut shared_pos
-        } else {
-            cloned_pos.insert(game.clone())
-        };
+        let root = walker.mark();
         let mut path = vec![0usize];
         let mut seq: Vec<G::Move> = Vec::new();
 
@@ -160,8 +137,7 @@ pub fn uct_with<G: Game>(
         loop {
             let id = *path.last().expect("path non-empty");
             if !nodes[id].expanded {
-                moves_buf.clear();
-                pos.legal_moves(&mut moves_buf);
+                walker.position().legal_moves_into(&mut moves_buf);
                 nodes[id].unexpanded = moves_buf.clone();
                 nodes[id].expanded = true;
                 // Shuffle once so expansion order is unbiased.
@@ -173,11 +149,7 @@ pub fn uct_with<G: Game>(
             }
             // Expand one child if any remain.
             if let Some(mv) = nodes[id].unexpanded.pop() {
-                if use_undo {
-                    undo_stack.push(pos.apply(&mv));
-                } else {
-                    pos.play(&mv);
-                }
+                walker.play(&mv);
                 seq.push(mv.clone());
                 ctx.record_expansion();
                 let child = nodes.len();
@@ -214,25 +186,15 @@ pub fn uct_with<G: Game>(
                 }
             }
             let mv = nodes[best_child].mv.clone().expect("non-root");
-            if use_undo {
-                undo_stack.push(pos.apply(&mv));
-            } else {
-                pos.play(&mv);
-            }
+            walker.play(&mv);
             seq.push(mv);
             ctx.record_nested_move();
             path.push(best_child);
         }
 
         // ---- rollout ----
-        let score = if use_undo {
-            playout.run_undo(pos, rng, None, &mut seq, ctx)
-        } else {
-            crate::search::sample_ctx(pos, rng, None, &mut seq, ctx)
-        };
-        // Unwind the selection descent: the shared position returns to
-        // the root for the next iteration.
-        pos.undo_all(&mut undo_stack);
+        let score = walker.rollout(rng, None, &mut seq, ctx);
+        walker.rewind(root);
         let s = score as f64;
         lo = lo.min(s);
         hi = hi.max(s);
@@ -642,8 +604,6 @@ pub(crate) struct TpTree<M> {
 /// Per-worker descent buffers, reused across iterations so the hot
 /// loop stays allocation-free after warm-up.
 struct DescentScratch<G: Game> {
-    use_undo: bool,
-    undo_stack: Vec<Undo<G>>,
     moves: Vec<G::Move>,
     /// Moves of the current descent + rollout (the candidate best line).
     seq: Vec<G::Move>,
@@ -652,10 +612,8 @@ struct DescentScratch<G: Game> {
 }
 
 impl<G: Game> DescentScratch<G> {
-    fn new(game: &G) -> Self {
+    fn new() -> Self {
         DescentScratch {
-            use_undo: game.supports_undo(),
-            undo_stack: Vec::new(),
             moves: Vec::new(),
             seq: Vec::new(),
             path: Vec::new(),
@@ -862,15 +820,15 @@ impl<M: Clone> TpTree<M> {
         best.clone()
     }
 
-    /// Walks one selection + expansion descent from the root, applying
-    /// moves to `pos` and filling `scr.seq` / `scr.path`. Marks every
+    /// Walks one selection + expansion descent from the root, playing
+    /// its moves on `walker` and filling `scr.seq` / `scr.path`. Marks every
     /// non-root node on the path in-flight; the matching decrement
     /// happens in [`tp_backprop`]. Rollouts always run *after* this
     /// returns, outside every structural lock.
     // nmcs-lint: hot-entry
     fn descend<G>(
         &self,
-        pos: &mut G,
+        walker: &mut Walker<G>,
         scr: &mut DescentScratch<G>,
         rng: &mut Rng,
         wctx: &mut SearchCtx,
@@ -888,8 +846,7 @@ impl<M: Clone> TpTree<M> {
             {
                 let mut body = node.lock_body();
                 if !body.expanded {
-                    scr.moves.clear();
-                    pos.legal_moves(&mut scr.moves);
+                    walker.position().legal_moves_into(&mut scr.moves);
                     body.unexpanded = scr.moves.clone();
                     body.expanded = true;
                     // Shuffle once so expansion order is unbiased.
@@ -909,12 +866,8 @@ impl<M: Clone> TpTree<M> {
                         // apply/state_hash/intern all run outside node
                         // locks (`intern` takes only the table's own).
                         drop(body);
-                        if scr.use_undo {
-                            scr.undo_stack.push(pos.apply(&mv));
-                        } else {
-                            pos.play(&mv);
-                        }
-                        let stats = table.intern(pos.state_hash());
+                        walker.play(&mv);
+                        let stats = table.intern(walker.position().state_hash());
                         let child = Arc::new(TpNode::with_stats(Some(mv.clone()), stats));
                         // In-flight before publication, same invariant as
                         // the in-lock mark below.
@@ -945,11 +898,7 @@ impl<M: Clone> TpTree<M> {
                 next.stats.inflight.fetch_add(1, Ordering::Relaxed);
             }
             let mv = next.mv.clone().expect("non-root");
-            if scr.use_undo {
-                scr.undo_stack.push(pos.apply(&mv));
-            } else {
-                pos.play(&mv);
-            }
+            walker.play(&mv);
             scr.seq.push(mv);
             if expanded_child {
                 wctx.record_expansion();
@@ -1014,9 +963,8 @@ where
     /// one iteration at a time, rollouts outside every lock.
     fn worker_inline(&self, slot: usize, wctx: &mut SearchCtx) {
         let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
-        let mut shared_pos = self.game.clone();
-        let mut scr = DescentScratch::new(self.game);
-        let mut playout: PlayoutScratch<G> = PlayoutScratch::new();
+        let mut walker = Walker::new(self.game);
+        let mut scr = DescentScratch::new();
 
         loop {
             let iteration = self.iters.fetch_add(1, Ordering::Relaxed);
@@ -1027,28 +975,16 @@ where
                 break;
             }
 
-            let mut cloned_pos: Option<G> = None;
-            let pos: &mut G = if scr.use_undo {
-                debug_assert!(scr.undo_stack.is_empty());
-                &mut shared_pos
-            } else {
-                cloned_pos.insert(self.game.clone())
-            };
+            let root = walker.mark();
             scr.seq.clear();
             scr.path.clear();
 
             // ---- selection + expansion ----
-            self.tree.descend(pos, &mut scr, &mut rng, wctx);
+            self.tree.descend(&mut walker, &mut scr, &mut rng, wctx);
 
             // ---- rollout (outside every lock) ----
-            let score = if scr.use_undo {
-                playout.run_undo(pos, &mut rng, None, &mut scr.seq, wctx)
-            } else {
-                crate::search::sample_ctx(pos, &mut rng, None, &mut scr.seq, wctx)
-            };
-            // Unwind the selection descent: the shared position returns
-            // to the root for the next iteration.
-            pos.undo_all(&mut scr.undo_stack);
+            let score = walker.rollout(&mut rng, None, &mut scr.seq, wctx);
+            walker.rewind(root);
 
             // ---- backpropagation (lock-free) ----
             self.tree.backprop(&scr.path, score);
@@ -1068,8 +1004,8 @@ where
     /// `threads × leaf_batch` in-flight rollouts.
     fn worker_batched(&self, exec: &ExecutorPool, slot: usize, wctx: &mut SearchCtx) {
         let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
-        let mut shared_pos = self.game.clone();
-        let mut scr = DescentScratch::new(self.game);
+        let mut walker = Walker::new(self.game);
+        let mut scr = DescentScratch::new();
         let slots: Vec<Mutex<SlabSlot<G>>> = (0..self.leaf_batch)
             .map(|_| Mutex::new(SlabSlot::new()))
             .collect();
@@ -1088,25 +1024,13 @@ where
                     done = true;
                     break;
                 }
-                let mut cloned_pos: Option<G> = None;
-                let pos: &mut G = if scr.use_undo {
-                    debug_assert!(scr.undo_stack.is_empty());
-                    &mut shared_pos
-                } else {
-                    cloned_pos.insert(self.game.clone())
-                };
+                let root = walker.mark();
                 scr.seq.clear();
                 scr.path.clear();
-                self.tree.descend(pos, &mut scr, &mut rng, wctx);
+                self.tree.descend(&mut walker, &mut scr, &mut rng, wctx);
                 // Count the playout at claim time (see the method docs).
                 wctx.record_playout_end();
-                let leaf = if scr.use_undo {
-                    let snapshot = pos.clone();
-                    pos.undo_all(&mut scr.undo_stack);
-                    snapshot
-                } else {
-                    cloned_pos.take().expect("clone-path position")
-                };
+                let leaf = walker.detach(root);
                 let mut slab = slots[filled].lock();
                 slab.pending = Some(PendingLeaf {
                     pos: leaf,
@@ -1274,13 +1198,12 @@ where
     run.best.into_inner()
 }
 
-// The unit tests keep exercising the deprecated free functions: they are
-// the regression net for the shims (new-API coverage lives in `spec.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::flat_monte_carlo;
+    use crate::baselines::flat_monte_carlo_with;
+    use crate::game::Undo;
+    use crate::search::SearchResult;
 
     /// Depth-`d` ternary game, unique optimum all-2s.
     #[derive(Clone, Debug)]
@@ -1349,22 +1272,28 @@ mod tests {
             ..Default::default()
         };
         for seed in 0..10 {
-            let slow = uct(
-                &Ternary {
-                    depth: 5,
-                    taken: vec![],
-                },
-                &cfg,
-                &mut Rng::seeded(seed),
-            );
-            let fast = uct(
-                &FastTernary(Ternary {
-                    depth: 5,
-                    taken: vec![],
-                }),
-                &cfg,
-                &mut Rng::seeded(seed),
-            );
+            let slow = SearchResult::unbounded(|ctx| {
+                uct_with(
+                    &Ternary {
+                        depth: 5,
+                        taken: vec![],
+                    },
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
+            let fast = SearchResult::unbounded(|ctx| {
+                uct_with(
+                    &FastTernary(Ternary {
+                        depth: 5,
+                        taken: vec![],
+                    }),
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
             assert_eq!(fast.score, slow.score, "seed {seed}");
             assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");
@@ -1381,7 +1310,7 @@ mod tests {
             iterations: 2_000,
             ..Default::default()
         };
-        let r = uct(&g, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(1), ctx));
         assert_eq!(r.score, optimum(4));
     }
 
@@ -1396,7 +1325,7 @@ mod tests {
                 iterations: 200,
                 ..Default::default()
             };
-            let r = uct(&g, &cfg, &mut Rng::seeded(seed));
+            let r = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(seed), ctx));
             let mut replay = g.clone();
             for mv in &r.sequence {
                 replay.play(mv);
@@ -1421,8 +1350,13 @@ mod tests {
                 iterations: budget,
                 ..Default::default()
             };
-            uct_total += uct(&g, &cfg, &mut Rng::seeded(seed)).score;
-            flat_total += flat_monte_carlo(&g, budget, &mut Rng::seeded(seed)).score;
+            uct_total +=
+                SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(seed), ctx))
+                    .score;
+            flat_total += SearchResult::unbounded(|ctx| {
+                flat_monte_carlo_with(&g, budget, &mut Rng::seeded(seed), ctx)
+            })
+            .score;
         }
         assert!(
             uct_total > flat_total,
@@ -1443,7 +1377,8 @@ mod tests {
                         iterations: iters,
                         ..Default::default()
                     };
-                    uct(&g, &cfg, &mut Rng::seeded(s)).score
+                    SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(s), ctx))
+                        .score
                 })
                 .sum::<Score>()
         };
@@ -1460,8 +1395,8 @@ mod tests {
             iterations: 100,
             ..Default::default()
         };
-        let a = uct(&g, &cfg, &mut Rng::seeded(9));
-        let b = uct(&g, &cfg, &mut Rng::seeded(9));
+        let a = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(9), ctx));
+        let b = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(9), ctx));
         assert_eq!(a.score, b.score);
         assert_eq!(a.sequence, b.sequence);
     }
@@ -1645,7 +1580,7 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        let r = uct(&g, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(1), ctx));
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
     }

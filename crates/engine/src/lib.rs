@@ -610,13 +610,10 @@ impl Drop for Engine {
     }
 }
 
-// The unit tests exercise the deprecated shims on purpose (legacy-
-// surface regression net; the unified API has its own coverage).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmcs_core::{nested, NestedConfig, Rng};
+    use nmcs_core::SearchSpec;
     use nmcs_games::{NeedleLadder, SumGame};
 
     fn engine(workers: usize, cap: usize) -> Engine {
@@ -636,7 +633,7 @@ mod tests {
             .unwrap();
         let out = h.join();
         assert_eq!(out.state, JobState::Completed);
-        let direct = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(99));
+        let direct = SearchSpec::nested(1).seed(99).run(&g);
         assert_eq!(out.score().unwrap(), direct.score);
         e.shutdown();
     }

@@ -601,13 +601,10 @@ impl Game for SameGame {
     }
 }
 
-// The unit tests exercise the deprecated shims on purpose (legacy-
-// surface regression net; the unified API has its own coverage).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmcs_core::{nested, sample, NestedConfig};
+    use nmcs_core::{sample, SearchSpec};
 
     #[test]
     fn from_rows_round_trips_geometry() {
@@ -708,7 +705,7 @@ mod tests {
             .map(|_| sample(&g, &mut rng).score as f64)
             .sum::<f64>()
             / 20.0;
-        let nmcs = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(2));
+        let nmcs = SearchSpec::nested(1).seed(2).run(&g);
         assert!(
             (nmcs.score as f64) > random_avg,
             "NMCS {} should beat random avg {random_avg}",
@@ -810,13 +807,10 @@ mod tests {
         use nmcs_core::SnapshotOnly;
         for seed in 0..3 {
             let g = SameGame::random(6, 6, 3, seed);
-            let fast = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-            let slow = nested(
-                &SnapshotOnly(g.clone()),
-                1,
-                &NestedConfig::paper(),
-                &mut Rng::seeded(seed),
-            );
+            let fast = SearchSpec::nested(1).seed(seed).run(&g);
+            let slow = SearchSpec::nested(1)
+                .seed(seed)
+                .run(&SnapshotOnly(g.clone()));
             assert_eq!(fast.score, slow.score, "seed {seed}");
             assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");

@@ -261,13 +261,10 @@ impl CodedGame for Sudoku {
     }
 }
 
-// The unit tests exercise the deprecated shims on purpose (legacy-
-// surface regression net; the unified API has its own coverage).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmcs_core::{nested, sample, NestedConfig};
+    use nmcs_core::{sample, SearchSpec};
 
     #[test]
     fn generated_full_grid_is_valid_and_solved() {
@@ -320,7 +317,7 @@ mod tests {
         let random_solved = (0..tries)
             .filter(|_| sample(&s, &mut rng).score == 81)
             .count();
-        let nm = nested(&s, 1, &NestedConfig::paper(), &mut Rng::seeded(5));
+        let nm = SearchSpec::nested(1).seed(5).run(&s);
         assert_eq!(nm.score, 81, "level-1 NMCS should solve a 45-hole puzzle");
         // Not a hard assertion on random failing (fail-first ordering is
         // strong), but NMCS must never do worse.
@@ -364,7 +361,7 @@ mod tests {
     #[test]
     fn search_sequences_replay() {
         let s = Sudoku::puzzle(3, 35, 11);
-        let r = nested(&s, 1, &NestedConfig::paper(), &mut Rng::seeded(2));
+        let r = SearchSpec::nested(1).seed(2).run(&s);
         let mut replay = s;
         for mv in &r.sequence {
             replay.play(mv);

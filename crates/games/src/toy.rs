@@ -213,13 +213,10 @@ impl Game for NeedleLadder {
     }
 }
 
-// The unit tests exercise the deprecated shims on purpose (legacy-
-// surface regression net; the unified API has its own coverage).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmcs_core::{baselines::flat_monte_carlo, nested, NestedConfig};
+    use nmcs_core::SearchSpec;
 
     #[test]
     fn sum_game_optimum_is_reachable_by_exhaustive_play() {
@@ -244,7 +241,7 @@ mod tests {
     fn nmcs_level3_solves_random_sum_games() {
         for seed in 0..5 {
             let g = SumGame::random(5, 3, seed);
-            let r = nested(&g, 3, &NestedConfig::paper(), &mut Rng::seeded(seed + 100));
+            let r = SearchSpec::nested(3).seed(seed + 100).run(&g);
             assert_eq!(r.score, g.optimum(), "seed {seed}");
         }
     }
@@ -255,7 +252,7 @@ mod tests {
         // percent of the optimum on modest instances.
         for seed in 0..5 {
             let g = SumGame::random(6, 4, seed);
-            let r = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(seed + 100));
+            let r = SearchSpec::nested(2).seed(seed + 100).run(&g);
             let opt = g.optimum();
             assert!(
                 r.score as f64 >= 0.85 * opt as f64,
@@ -291,11 +288,11 @@ mod tests {
         let mut flat_wins = 0;
         let mut nmcs_wins = 0;
         for seed in 0..trials {
-            let flat = flat_monte_carlo(&g, budget, &mut Rng::seeded(seed));
+            let flat = SearchSpec::flat_mc(budget).seed(seed).run(&g);
             if flat.score == g.optimum() {
                 flat_wins += 1;
             }
-            let nm = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+            let nm = SearchSpec::nested(1).seed(seed).run(&g);
             if nm.score == g.optimum() {
                 nmcs_wins += 1;
             }

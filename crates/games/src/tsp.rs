@@ -209,13 +209,10 @@ impl Game for TspGame {
     }
 }
 
-// The unit tests exercise the deprecated shims on purpose (legacy-
-// surface regression net; the unified API has its own coverage).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmcs_core::{baselines::flat_monte_carlo, nested, sample, NestedConfig};
+    use nmcs_core::{sample, SearchSpec};
 
     #[test]
     fn distances_are_symmetric_and_triangle_ok() {
@@ -263,8 +260,8 @@ mod tests {
     fn nmcs_shortens_tours_versus_flat_mc() {
         let inst = TspInstance::random(14, 6);
         let g = TspGame::new(inst, None);
-        let flat = flat_monte_carlo(&g, 200, &mut Rng::seeded(7));
-        let nm = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(7));
+        let flat = SearchSpec::flat_mc(200).seed(7).run(&g);
+        let nm = SearchSpec::nested(2).seed(7).run(&g);
         assert!(
             nm.score >= flat.score,
             "NMCS tour {} should be no longer than flat-MC tour {}",
@@ -304,7 +301,7 @@ mod tests {
             cities: vec![(0, 0), (0, 1000), (1000, 1000), (1000, 0)],
         };
         let g = TspGame::new(inst, None);
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(1));
+        let r = SearchSpec::nested(2).seed(1).run(&g);
         assert_eq!(r.score, -4000, "NMCS must find the perimeter tour");
     }
 }

@@ -1,16 +1,10 @@
 // lint-fixture: path=crates/parallel/src/runner.rs expect=clean
-//! Known-good: the unified-API constructors share names with the
-//! deprecated free functions; calling them qualified by their type (or
-//! as methods) must not trip `deprecated-shim`.
+//! Known-good: building searches through the unified-API constructors
+//! (qualified by their type, or as builder methods) trips no rule.
 
 pub fn build_specs() {
     let a = SearchSpec::nested(2).build();
     let b = AlgorithmSpec::uct(UctConfig::default());
     let c = builder.nested(3);
     let _ = (a, b, c);
-}
-
-fn nested(level: u32) -> u32 {
-    // A local definition of the same name is not a shim call either.
-    level
 }

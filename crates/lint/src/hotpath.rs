@@ -4,7 +4,7 @@
 //! The repo's core perf claim is that the playout/rollout path is
 //! allocation-free and lock-free after warm-up. This pass makes the
 //! claim mechanical: functions marked `// nmcs-lint: hot-entry`
-//! (`PlayoutScratch::run`/`run_undo`, `nested_scratch`,
+//! (`PlayoutScratch::run`/`run_undo`, `nested_rollout`,
 //! `TpTree::descend`, `Game::legal_moves_into`, the domains' scratch
 //! `apply`/`undo` impls) are roots; everything reachable from them over
 //! the workspace call graph is *hot* and must not:
@@ -46,7 +46,7 @@ type FnId = (usize, usize);
 const REQUIRED_ENTRIES: &[(Option<&str>, &str)] = &[
     (Some("PlayoutScratch"), "run"),
     (Some("PlayoutScratch"), "run_undo"),
-    (None, "nested_scratch"),
+    (None, "nested_rollout"),
     (Some("TpTree"), "descend"),
     (Some("Game"), "legal_moves_into"),
 ];

@@ -39,11 +39,6 @@ pub const RULES: &[RuleInfo] = &[
                   paths — a panic there takes a worker (or the pool) down",
     },
     RuleInfo {
-        id: "deprecated-shim",
-        summary: "internal code never calls the #[deprecated] PR-3 free functions — the \
-                  unified SearchSpec API is the only internal entry point",
-    },
-    RuleInfo {
         id: "tag-identity",
         summary: "every AlgorithmSpec variant field must be mentioned in tag() — \
                   result-affecting knobs are identity bits",
@@ -141,7 +136,6 @@ pub(crate) fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     spawn_discipline(ctx, &mut out);
     seed_discipline(ctx, &mut out);
     panic_discipline(ctx, &mut out);
-    deprecated_shim(ctx, &mut out);
     tag_identity(ctx, &mut out);
     socket_discipline(ctx, &mut out);
     lock_discipline(ctx, &mut out);
@@ -353,79 +347,7 @@ fn panic_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// R5: deprecated-shim purity
-// ---------------------------------------------------------------------
-
-/// The PR-3 `#[deprecated]` free functions (legacy pre-SearchSpec API).
-const DEPRECATED_FNS: &[&str] = &[
-    "nested",
-    "nrpa",
-    "uct",
-    "flat_monte_carlo",
-    "iterated_sampling",
-    "simulated_annealing",
-    "beam_search",
-    "run_threads",
-    "leaf_nested",
-];
-
-/// Qualifiers under which a call to one of those names is the deprecated
-/// free function (e.g. `nmcs_core::nested(...)`). `SearchSpec::nested`
-/// and `AlgorithmSpec::nested` are the *new* API constructors and share
-/// the name, so an unknown qualifier is presumed fine.
-const SHIM_QUALIFIERS: &[&str] = &[
-    "nmcs_core",
-    "core",
-    "crate",
-    "search",
-    "nrpa",
-    "uct",
-    "baselines",
-    "runner",
-    "leaf",
-    "parallel_nmcs",
-    "self",
-    "super",
-];
-
-fn deprecated_shim(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.is_test_path {
-        return;
-    }
-    for i in 0..ctx.toks.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let Some(id) = ctx.ident(i) else { continue };
-        if !DEPRECATED_FNS.contains(&id) || ctx.punct(i + 1) != Some('(') {
-            continue;
-        }
-        // Skip definitions (`fn nested(`) and method calls (`.uct(`).
-        if i >= 1 && (ctx.ident(i - 1) == Some("fn") || ctx.punct(i - 1) == Some('.')) {
-            continue;
-        }
-        // Qualified call: only the shim modules count.
-        if i >= 2 && ctx.path_sep(i - 2) {
-            let qualified_bad =
-                i >= 3 && matches!(ctx.ident(i - 3), Some(q) if SHIM_QUALIFIERS.contains(&q));
-            if !qualified_bad {
-                continue;
-            }
-        }
-        out.push(finding(
-            ctx,
-            "deprecated-shim",
-            i,
-            format!(
-                "call to deprecated shim `{id}(…)`: internal code goes through the \
-                 unified `SearchSpec` API (shims exist only for external compatibility)"
-            ),
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------
-// R6: tag-identity consistency
+// R5: tag-identity consistency
 // ---------------------------------------------------------------------
 
 /// Returns the index range of the balanced `{ … }` group whose opening
@@ -555,7 +477,7 @@ fn tag_identity(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// R7: socket discipline
+// R6: socket discipline
 // ---------------------------------------------------------------------
 
 /// Socket types whose mere mention (as `net::…`) marks network I/O. No
@@ -615,7 +537,7 @@ fn socket_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// R8: lock discipline
+// R7: lock discipline
 // ---------------------------------------------------------------------
 
 /// Lock types that must come from vendored `parking_lot`, where the

@@ -57,7 +57,7 @@ fn hot_path_pass_covers_the_playout_core() {
     for needle in [
         ("crates/core/src/search.rs", "PlayoutScratch::run"),
         ("crates/core/src/search.rs", "PlayoutScratch::run_undo"),
-        ("crates/core/src/search.rs", "nested_scratch"),
+        ("crates/core/src/search.rs", "nested_rollout"),
         ("crates/core/src/uct.rs", "TpTree::descend"),
         ("crates/games/src/samegame.rs", "SameGame::undo"),
         ("crates/games/src/sudoku.rs", "Sudoku::most_constrained"),

@@ -1,9 +1,6 @@
 //! Quick calibration: playout and NMCS costs on the standard 5D cross.
-// Calibrates through the deprecated shims (zero-cost; comparable
-// with historical numbers).
-#![allow(deprecated)]
 use morpion::standard_5d;
-use nmcs_core::{nested, sample, NestedConfig, Rng};
+use nmcs_core::{nested_with, sample, NestedConfig, Rng, SearchResult};
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +26,9 @@ fn main() {
 
     for level in 1..=2 {
         let t = Instant::now();
-        let r = nested(&board, level, &NestedConfig::paper(), &mut rng);
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&board, level, &NestedConfig::paper(), &mut rng, ctx)
+        });
         let dt = t.elapsed();
         println!(
             "nested level {level}: score {} in {:?} ({} playouts, {} work units)",

@@ -518,9 +518,6 @@ impl std::fmt::Debug for Board {
     }
 }
 
-// The unit tests exercise the deprecated shims on purpose (legacy-
-// surface regression net; the unified API has its own coverage).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,16 +729,13 @@ mod tests {
 
     #[test]
     fn undo_path_search_matches_snapshot_path() {
-        use nmcs_core::{nested, NestedConfig, Rng, SnapshotOnly};
+        use nmcs_core::{SearchSpec, SnapshotOnly};
         let b = cross_board(Variant::Disjoint, 3);
         for seed in 0..3 {
-            let fast = nested(&b, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-            let slow = nested(
-                &SnapshotOnly(b.clone()),
-                1,
-                &NestedConfig::paper(),
-                &mut Rng::seeded(seed),
-            );
+            let fast = SearchSpec::nested(1).seed(seed).run(&b);
+            let slow = SearchSpec::nested(1)
+                .seed(seed)
+                .run(&SnapshotOnly(b.clone()));
             assert_eq!(fast.score, slow.score, "seed {seed}");
             assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");

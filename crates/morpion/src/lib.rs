@@ -14,11 +14,10 @@
 //!
 //! ```
 //! use morpion::{standard_5d, render_default};
-//! use nmcs_core::{nested, NestedConfig, Rng, Game};
+//! use nmcs_core::{Game, SearchSpec};
 //!
 //! let board = standard_5d();
-//! let mut rng = Rng::seeded(2009);
-//! let result = nested(&board, 1, &NestedConfig::paper(), &mut rng);
+//! let result = SearchSpec::nested(1).seed(2009).run(&board);
 //! assert!(result.score > 20, "level-1 NMCS clears 20 moves easily");
 //!
 //! let mut replay = board.clone();

@@ -10,12 +10,12 @@
 //! at level 1) whose `(move, slot)` work items spread across a worker
 //! pool.
 //!
-//! The implementation lives behind the unified front door
-//! (`SearchSpec::leaf(level, batch, threads)`), which fans the items of
-//! each step out over scoped std-thread workers with budget and
-//! cancellation support; the [`leaf_nested`] function here is the
-//! historical entry point, kept as a thin shim over the spec (and
-//! asserted result-identical to it).
+//! The implementation lives in `nmcs-core` behind the unified front
+//! door — `SearchSpec::leaf(level, batch, threads)` — which fans the
+//! items of each step out over the shared executor pool with budget and
+//! cancellation support. This module keeps the strategy's place in the
+//! crate that documents the parallelisation axes, its seed scheme, and
+//! the tests of its contract.
 //!
 //! Determinism contract: every work item's seed derives from its logical
 //! coordinates through the same [`crate::seeds`] scheme the cluster
@@ -25,100 +25,26 @@
 //! scheduling: results are bit-identical across any worker count, which
 //! the tests assert.
 
-use crate::trace::{ParallelOutcome, RunMode};
-use nmcs_core::{CodedGame, SearchSpec, Searcher};
-use std::time::Duration;
-
 pub use crate::seeds::slot_seed;
 
-/// Configuration for [`leaf_nested`].
-#[derive(Debug, Clone)]
-pub struct LeafConfig {
-    /// Search level of the top-level game (≥ 1). Each candidate move is
-    /// evaluated with `batch` independent `level − 1` evaluations.
-    pub level: u32,
-    /// Playouts (level-1) or sub-searches (level ≥ 2) per leaf. The
-    /// candidate's value is the batch maximum.
-    pub batch: usize,
-    /// Worker threads.
-    pub threads: usize,
-    /// Root seed of the deterministic per-item derivation.
-    pub seed: u64,
-    pub mode: RunMode,
-    pub playout_cap: Option<usize>,
-}
-
-impl LeafConfig {
-    pub fn new(level: u32, batch: usize, threads: usize) -> Self {
-        Self {
-            level,
-            batch,
-            threads,
-            seed: 0,
-            mode: RunMode::FullGame,
-            playout_cap: None,
-        }
-    }
-
-    /// The equivalent unified spec: `leaf_nested(game, &config)` and
-    /// `config.to_spec().run(&game)` produce identical outcomes.
-    pub fn to_spec(&self) -> SearchSpec {
-        let mut builder = SearchSpec::leaf(self.level, self.batch, self.threads).seed(self.seed);
-        if let Some(cap) = self.playout_cap {
-            builder = builder.playout_cap(cap);
-        }
-        if self.mode == RunMode::FirstMove {
-            builder = builder.first_move_only();
-        }
-        builder.build()
-    }
-}
-
-/// Runs a top-level greedy NMCS whose candidate moves are each evaluated
-/// by a batch of `config.batch` seeded evaluations fanned out over a
-/// worker pool. Returns the outcome and the wall-clock duration.
-///
-/// Ties break toward the lower move index (and are score-exact because
-/// every slot's result is deterministic), so the chosen move never
-/// depends on which worker finished first.
-#[deprecated(note = "use SearchSpec::leaf(level, batch, threads) — the unified search API")]
-pub fn leaf_nested<G>(game: &G, config: &LeafConfig) -> (ParallelOutcome<G::Move>, Duration)
-where
-    G: CodedGame + Send + Sync,
-    G::Move: Send + Sync,
-{
-    let report = config.to_spec().search(game, None);
-    (
-        ParallelOutcome {
-            score: report.score,
-            sequence: report.sequence,
-            total_work: report.stats.work_units,
-            client_jobs: report.client_jobs,
-        },
-        report.elapsed,
-    )
-}
-
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmcs_core::{SearchReport, SearchSpec};
     use nmcs_games::{NeedleLadder, SameGame, SumGame};
 
     #[test]
     fn worker_count_does_not_change_results() {
         let g = SameGame::random(5, 5, 3, 11);
-        let mut reference: Option<ParallelOutcome<_>> = None;
+        let mut reference: Option<SearchReport<_>> = None;
         for threads in [1, 2, 4] {
-            let mut cfg = LeafConfig::new(1, 4, threads);
-            cfg.seed = 2009;
-            let (out, _) = leaf_nested(&g, &cfg);
+            let out = SearchSpec::leaf(1, 4, threads).seed(2009).run(&g);
             match &reference {
                 None => reference = Some(out),
                 Some(r) => {
                     assert_eq!(out.score, r.score, "{threads} workers");
                     assert_eq!(out.sequence, r.sequence, "{threads} workers");
-                    assert_eq!(out.total_work, r.total_work, "{threads} workers");
+                    assert_eq!(out.stats, r.stats, "{threads} workers");
                     assert_eq!(out.client_jobs, r.client_jobs, "{threads} workers");
                 }
             }
@@ -126,24 +52,9 @@ mod tests {
     }
 
     #[test]
-    fn shim_equals_spec_seed_for_seed() {
-        let g = SameGame::random(5, 5, 3, 3);
-        for seed in [0u64, 7, 2009] {
-            let mut cfg = LeafConfig::new(1, 3, 2);
-            cfg.seed = seed;
-            let (out, _) = leaf_nested(&g, &cfg);
-            let report = cfg.to_spec().run(&g);
-            assert_eq!(out.score, report.score, "seed {seed}");
-            assert_eq!(out.sequence, report.sequence, "seed {seed}");
-            assert_eq!(out.total_work, report.stats.work_units, "seed {seed}");
-            assert_eq!(out.client_jobs, report.client_jobs, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn batch_size_one_level_one_counts_one_playout_per_move() {
         let g = SumGame::random(4, 3, 2);
-        let (out, _) = leaf_nested(&g, &LeafConfig::new(1, 1, 2));
+        let out = SearchSpec::leaf(1, 1, 2).run(&g);
         assert_eq!(out.sequence.len(), 4);
         assert_eq!(out.client_jobs, 12, "3 moves × 1 slot × 4 steps");
     }
@@ -151,14 +62,14 @@ mod tests {
     #[test]
     fn batching_multiplies_leaf_evaluations() {
         let g = SumGame::random(4, 3, 2);
-        let (out, _) = leaf_nested(&g, &LeafConfig::new(1, 8, 4));
+        let out = SearchSpec::leaf(1, 8, 4).run(&g);
         assert_eq!(out.client_jobs, 96, "3 moves × 8 slots × 4 steps");
     }
 
     #[test]
     fn solves_needle_ladder_like_the_other_backends() {
         let g = NeedleLadder::new(10);
-        let (out, _) = leaf_nested(&g, &LeafConfig::new(1, 2, 2));
+        let out = SearchSpec::leaf(1, 2, 2).run(&g);
         assert_eq!(out.score, g.optimum());
     }
 
@@ -171,12 +82,8 @@ mod tests {
         let mut large = 0i64;
         for seed in 0..trials {
             let g = SumGame::random(5, 4, seed);
-            let mut c1 = LeafConfig::new(1, 1, 2);
-            c1.seed = seed;
-            let mut c8 = LeafConfig::new(1, 8, 2);
-            c8.seed = seed;
-            small += leaf_nested(&g, &c1).0.score;
-            large += leaf_nested(&g, &c8).0.score;
+            small += SearchSpec::leaf(1, 1, 2).seed(seed).run(&g).score;
+            large += SearchSpec::leaf(1, 8, 2).seed(seed).run(&g).score;
         }
         assert!(
             large >= small,
@@ -187,9 +94,7 @@ mod tests {
     #[test]
     fn first_move_mode_stops_after_one_step() {
         let g = SumGame::random(5, 3, 4);
-        let mut cfg = LeafConfig::new(2, 2, 2);
-        cfg.mode = RunMode::FirstMove;
-        let (out, _) = leaf_nested(&g, &cfg);
+        let out = SearchSpec::leaf(2, 2, 2).first_move_only().run(&g);
         assert_eq!(out.sequence.len(), 1);
     }
 
@@ -208,8 +113,8 @@ mod tests {
     #[test]
     fn level_two_uses_nested_evaluations() {
         let g = SumGame::random(4, 3, 9);
-        let (out, _) = leaf_nested(&g, &LeafConfig::new(2, 2, 2));
+        let out = SearchSpec::leaf(2, 2, 2).run(&g);
         assert_eq!(out.sequence.len(), 4);
-        assert!(out.total_work > 0);
+        assert!(out.total_work() > 0);
     }
 }

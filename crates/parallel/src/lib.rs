@@ -9,7 +9,7 @@
 //!
 //! * [`trace::run_reference`] — sequential reference; also records the
 //!   fork-join job [`trace::SearchTrace`].
-//! * [`runner::run_threads`] — real parallelism: every role is an OS
+//! * [`runner::run_threads_traced`] — real parallelism: every role is an OS
 //!   thread exchanging messages over the `cluster-rt` runtime (the
 //!   Open MPI substitute).
 //! * [`sim::simulate_trace`] — virtual time: replays a trace on a
@@ -34,16 +34,9 @@ pub mod sim;
 pub mod trace;
 
 pub use dispatcher::{DispatchPolicy, DispatcherCore};
-pub use leaf::LeafConfig;
 pub use model::TraceModel;
 pub use protocol::{Msg, DISPATCHER, ROOT};
 pub use runner::{run_threads_traced, ThreadConfig, ThreadReport};
-
-// Deprecated shims re-exported under their historical paths.
-#[allow(deprecated)]
-pub use leaf::leaf_nested;
-#[allow(deprecated)]
-pub use runner::run_threads;
 pub use seeds::{client_seed, median_seed};
 pub use shared::{par_nested, PoolConfig};
 pub use sim::{

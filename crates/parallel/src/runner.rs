@@ -14,7 +14,7 @@ use crate::seeds::{client_seed, median_seed};
 use crate::trace::{ParallelOutcome, RunMode};
 use cluster_rt::{Endpoint, Rank, Trace, World};
 use nmcs_core::metrics::monotonic_now;
-use nmcs_core::{nested_with, Game, NestedConfig, Rng, Score, SearchCtx, SearchSpec};
+use nmcs_core::{nested_with, Game, NestedConfig, Rng, Score, SearchCtx};
 use std::time::Duration;
 
 /// Configuration of a threaded parallel search.
@@ -55,25 +55,6 @@ impl ThreadConfig {
             playout_cap: None,
         }
     }
-
-    /// The equivalent unified spec (`SearchSpec::root_parallel`). The
-    /// dispatch policy, median count, and client-speed emulation are
-    /// execution knobs that cannot change *results* (the determinism
-    /// contract), so the spec carries only the result-relevant fields
-    /// plus a worker count; `run_threads(game, &config)` and
-    /// `config.to_spec().run(&game)` produce identical outcomes
-    /// seed-for-seed.
-    pub fn to_spec(&self) -> SearchSpec {
-        let mut builder =
-            SearchSpec::root_parallel(self.level, self.n_clients.max(1)).seed(self.seed);
-        if let Some(cap) = self.playout_cap {
-            builder = builder.playout_cap(cap);
-        }
-        if self.mode == RunMode::FirstMove {
-            builder = builder.first_move_only();
-        }
-        builder.build()
-    }
 }
 
 /// Timing and throughput measurements of a threaded run.
@@ -85,29 +66,16 @@ pub struct ThreadReport {
     pub client_jobs: u64,
 }
 
-/// Runs the parallel search on real threads. Returns the outcome (scores,
-/// moves) and a wall-clock report.
+/// Runs the parallel search on real threads and records the full message
+/// trace. Returns the outcome (scores, moves), a wall-clock report, and
+/// the trace (which the tests check against the paper's Figure 2–5
+/// communication patterns).
 ///
 /// This is the paper-faithful message-passing reproduction (root, median,
 /// dispatcher, and client processes over the `cluster-rt` runtime). The
 /// unified `SearchSpec::root_parallel(level, threads)` runs the same
 /// strategy with identical results plus budget/cancellation support; use
-/// this function (or [`run_threads_traced`]) when the point is the
-/// communication structure itself.
-#[deprecated(
-    note = "use SearchSpec::root_parallel(level, threads) — the unified search API — unless you need the message-passing runtime itself"
-)]
-pub fn run_threads<G>(game: &G, config: &ThreadConfig) -> (ParallelOutcome<G::Move>, ThreadReport)
-where
-    G: Game + Send + 'static,
-    G::Move: Send + 'static,
-{
-    let (outcome, report, _) = run_threads_inner(game, config, false);
-    (outcome, report)
-}
-
-/// Like [`run_threads`] but records the full message trace (used by the
-/// tests that assert the paper's Figure 2–5 communication patterns).
+/// this function when the point is the communication structure itself.
 pub fn run_threads_traced<G>(
     game: &G,
     config: &ThreadConfig,
@@ -120,23 +88,6 @@ where
     G: Game + Send + 'static,
     G::Move: Send + 'static,
 {
-    let (outcome, report, trace) = run_threads_inner(game, config, true);
-    (outcome, report, trace.expect("trace requested"))
-}
-
-fn run_threads_inner<G>(
-    game: &G,
-    config: &ThreadConfig,
-    traced: bool,
-) -> (
-    ParallelOutcome<G::Move>,
-    ThreadReport,
-    Option<Vec<cluster_rt::TraceEntry>>,
-)
-where
-    G: Game + Send + 'static,
-    G::Move: Send + 'static,
-{
     assert!(config.level >= 2, "parallel NMCS needs level >= 2");
     assert!(config.n_clients > 0 && config.n_medians > 0);
     if let Some(speeds) = &config.client_speeds {
@@ -144,12 +95,7 @@ where
     }
 
     let n = world_size(config.n_medians, config.n_clients);
-    let (mut world, trace): (World<Msg<G, G::Move>>, Option<Trace>) = if traced {
-        let (w, t) = World::new_traced(n);
-        (w, Some(t))
-    } else {
-        (World::new(n), None)
-    };
+    let (mut world, trace): (World<Msg<G, G::Move>>, Trace) = World::new_traced(n);
 
     let start = monotonic_now();
     let mut handles = Vec::new();
@@ -266,7 +212,7 @@ where
         total_work: outcome.total_work,
         client_jobs: outcome.client_jobs,
     };
-    let log = trace.map(|t| t.lock().clone());
+    let log = trace.lock().clone();
     (outcome, report, log)
 }
 
@@ -450,14 +396,22 @@ where
     }
 }
 
-// The tests exercise the deprecated entry point on purpose: the shim
-// contract (run_threads ≡ reference ≡ SearchSpec) is regression surface.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::run_reference;
+    use nmcs_core::SearchSpec;
     use nmcs_games::{NeedleLadder, SumGame};
+
+    /// The threaded run without its message log.
+    fn run_threads<G>(game: &G, config: &ThreadConfig) -> (ParallelOutcome<G::Move>, ThreadReport)
+    where
+        G: Game + Send + 'static,
+        G::Move: Send + 'static,
+    {
+        let (outcome, report, _) = run_threads_traced(game, config);
+        (outcome, report)
+    }
 
     fn config(level: u32, policy: DispatchPolicy, clients: usize) -> ThreadConfig {
         ThreadConfig {
@@ -485,14 +439,18 @@ mod tests {
 
     #[test]
     fn threads_agree_with_unified_spec_seed_for_seed() {
-        // The satellite contract: the legacy entry point and the unified
-        // SearchSpec front door produce identical outcomes per seed.
+        // The message-passing runtime and the unified SearchSpec front
+        // door produce identical outcomes per seed.
         let g = SumGame::random(5, 3, 21);
         for mode in [RunMode::FirstMove, RunMode::FullGame] {
             let mut cfg = config(2, DispatchPolicy::LastMinute, 3);
             cfg.mode = mode;
             let (t_out, report) = run_threads(&g, &cfg);
-            let spec_report = cfg.to_spec().run(&g);
+            let mut spec = SearchSpec::root_parallel(cfg.level, cfg.n_clients).seed(cfg.seed);
+            if mode == RunMode::FirstMove {
+                spec = spec.first_move_only();
+            }
+            let spec_report = spec.run(&g);
             assert_eq!(t_out.score, spec_report.score, "{mode:?}");
             assert_eq!(t_out.sequence, spec_report.sequence, "{mode:?}");
             assert_eq!(t_out.total_work, spec_report.stats.work_units, "{mode:?}");

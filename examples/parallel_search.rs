@@ -10,14 +10,9 @@
 //! cargo run --release --example parallel_search [seed]
 //! ```
 
-// `run_threads` is deprecated in favour of `SearchSpec::root_parallel`;
-// this example demonstrates the message-passing runtime itself (and that
-// the unified spec agrees with it), so it calls the shim deliberately.
-#![allow(deprecated)]
-
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::parallel::{
-    run_threads, simulate_trace, trace::run_reference, DispatchPolicy, RunMode, ThreadConfig,
+    run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy, RunMode, ThreadConfig,
 };
 use pnmcs::search::SearchSpec;
 use pnmcs::sim::{format_time, ClusterSpec};
@@ -39,7 +34,7 @@ fn main() {
         config.n_medians = 16;
         config.seed = seed;
         config.mode = RunMode::FirstMove;
-        let (outcome, report) = run_threads(&board, &config);
+        let (outcome, report, _) = run_threads_traced(&board, &config);
         println!(
             "threads/{policy}: score {} with {} client jobs ({} work units) in {:.2?}",
             outcome.score, outcome.client_jobs, report.total_work, report.wall

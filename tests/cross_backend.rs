@@ -2,8 +2,7 @@
 //! runtime, the discrete-event simulator, and the unified `SearchSpec`
 //! executors must make identical search decisions for identical seeds —
 //! the determinism contract that makes the simulated cluster results
-//! transferable. (The deprecated `run_threads` shim is exercised on
-//! purpose: shim ≡ reference ≡ spec is exactly the contract under test.)
+//! transferable.
 //!
 //! Since the executors moved onto the persistent pool, this suite also
 //! pins: pool-backed spec runs ≡ the frozen spawn-per-step baselines
@@ -12,14 +11,12 @@
 //! tree-parallel UCT contract — single-worker ≡ sequential `uct`,
 //! multi-worker always replayable, on all five domains through both the
 //! typed and erased (engine) paths.
-#![allow(deprecated)]
 
 use pnmcs::engine::{Engine, EngineConfig, JobSpec, JobState};
 use pnmcs::games::{SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::parallel::{
-    run_threads, run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy, RunMode,
-    ThreadConfig,
+    run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy, RunMode, ThreadConfig,
 };
 use pnmcs::search::exec::baseline::{leaf_parallel_spawn, root_parallel_spawn};
 use pnmcs::search::{decode_sequence, CodedGame, DynGame, SearchSpec, Searcher, UctConfig};
@@ -41,7 +38,7 @@ fn threads_match_reference_on_morpion() {
     let board = cross_board(Variant::Disjoint, 2);
     for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::LastMinute] {
         let cfg = thread_config(2, policy);
-        let (t_out, _) = run_threads(&board, &cfg);
+        let (t_out, _, _) = run_threads_traced(&board, &cfg);
         let (r_out, _) = run_reference(&board, 2, cfg.seed, RunMode::FullGame, None);
         assert_eq!(t_out.score, r_out.score, "{policy}");
         assert_eq!(t_out.sequence, r_out.sequence, "{policy}");
@@ -58,9 +55,15 @@ fn unified_spec_matches_reference_and_threads() {
     for mode in [RunMode::FullGame, RunMode::FirstMove] {
         let mut cfg = thread_config(2, DispatchPolicy::LastMinute);
         cfg.mode = mode;
-        let (t_out, _) = run_threads(&board, &cfg);
+        let (t_out, _, _) = run_threads_traced(&board, &cfg);
         let (r_out, _) = run_reference(&board, 2, cfg.seed, mode, None);
-        let spec_report = cfg.to_spec().search(&board, None);
+        let spec = SearchSpec::root_parallel(2, cfg.n_clients).seed(cfg.seed);
+        let spec = if mode == RunMode::FirstMove {
+            spec.first_move_only()
+        } else {
+            spec
+        };
+        let spec_report = spec.run(&board);
         assert_eq!(spec_report.score, r_out.score, "{mode:?}");
         assert_eq!(spec_report.sequence, r_out.sequence, "{mode:?}");
         assert_eq!(spec_report.stats.work_units, r_out.total_work, "{mode:?}");
@@ -96,7 +99,7 @@ fn first_move_agreement_at_level_3() {
     let board = cross_board(Variant::Disjoint, 2);
     let mut cfg = thread_config(3, DispatchPolicy::LastMinute);
     cfg.mode = RunMode::FirstMove;
-    let (t_out, _) = run_threads(&board, &cfg);
+    let (t_out, _, _) = run_threads_traced(&board, &cfg);
     let (r_out, _) = run_reference(&board, 3, cfg.seed, RunMode::FirstMove, None);
     assert_eq!(t_out.score, r_out.score);
     assert_eq!(t_out.sequence, r_out.sequence);
@@ -409,7 +412,7 @@ fn playout_caps_propagate_to_all_backends() {
     let mut cfg = thread_config(2, DispatchPolicy::LastMinute);
     cfg.mode = RunMode::FirstMove;
     cfg.playout_cap = Some(4);
-    let (t_out, _) = run_threads(&board, &cfg);
+    let (t_out, _, _) = run_threads_traced(&board, &cfg);
     let (r_out, _) = run_reference(&board, 2, cfg.seed, RunMode::FirstMove, Some(4));
     assert_eq!(t_out.score, r_out.score);
     assert_eq!(t_out.total_work, r_out.total_work);

@@ -1,14 +1,9 @@
 //! Extension X1: NRPA (Rosin 2011) — the algorithm that took the Morpion
 //! record back from the paper — integrated with the rest of the library.
-//!
-//! Exercises the deprecated free-function shims on purpose: they are the
-//! historical surface these regressions pin (the unified-API coverage
-//! lives in tests/spec_api.rs and tests/budget_props.rs).
-#![allow(deprecated)]
 
 use pnmcs::morpion::{cross_board, standard_5d, GameRecord, Variant};
 use pnmcs::search::driver::{drive, DriveBudget};
-use pnmcs::search::{nested, nrpa, Game, NestedConfig, NrpaConfig, Rng};
+use pnmcs::search::{nrpa_with, Game, NrpaConfig, SearchResult, SearchSpec};
 
 #[test]
 fn nrpa_plays_legal_verified_morpion_games() {
@@ -17,7 +12,7 @@ fn nrpa_plays_legal_verified_morpion_games() {
         iterations: 15,
         alpha: 1.0,
     };
-    let r = nrpa(&board, 2, &cfg, &mut Rng::seeded(1));
+    let r = SearchSpec::nrpa_with(2, cfg).seed(1).run(&board);
     let mut replay = board;
     for mv in &r.sequence {
         replay.play(mv);
@@ -36,13 +31,13 @@ fn nrpa_level2_beats_single_level1_nmcs_on_average() {
     let mut nrpa_sum = 0i64;
     let mut nmcs_sum = 0i64;
     for seed in 0..trials {
-        let l1 = nested(&board, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let l1 = SearchSpec::nested(1).seed(seed).run(&board);
         let iters = (l1.stats.playouts as f64).sqrt().ceil() as usize;
         let cfg = NrpaConfig {
             iterations: iters,
             alpha: 1.0,
         };
-        let r = nrpa(&board, 2, &cfg, &mut Rng::seeded(seed));
+        let r = SearchSpec::nrpa_with(2, cfg).seed(seed).run(&board);
         nrpa_sum += r.score;
         nmcs_sum += l1.score;
     }
@@ -60,12 +55,14 @@ fn nrpa_works_under_the_restart_driver() {
         alpha: 1.0,
     };
     let report = drive(&board, 7, &DriveBudget::runs(4), |g, rng| {
-        nrpa(g, 1, &cfg, rng)
+        SearchResult::unbounded(|ctx| nrpa_with(g, 1, &cfg, rng, ctx))
     });
     assert_eq!(report.runs, 4);
     assert!(report.best.score > 0);
     // The winning seed reproduces the winning game.
-    let again = nrpa(&board, 1, &cfg, &mut Rng::seeded(report.best_seed));
+    let again = SearchSpec::nrpa_with(1, cfg)
+        .seed(report.best_seed)
+        .run(&board);
     assert_eq!(again.score, report.best.score);
     assert_eq!(again.sequence, report.best.sequence);
 }
@@ -79,7 +76,12 @@ fn nrpa_improves_with_iterations_on_morpion() {
             alpha: 1.0,
         };
         (0..3)
-            .map(|s| nrpa(&board, 1, &cfg, &mut Rng::seeded(s)).score)
+            .map(|s| {
+                SearchSpec::nrpa_with(1, cfg.clone())
+                    .seed(s)
+                    .run(&board)
+                    .score
+            })
             .sum::<i64>()
     };
     let few = score_at(3);

@@ -5,20 +5,21 @@
 //!   LIFO order — restores an *identical* observable state: score, move
 //!   count, and the legal-move list **in order** (order feeds the search
 //!   RNG, so it is part of the contract);
-//! * every search algorithm produces bit-identical results on the undo
-//!   path and the clone path for pinned seeds (asserted via the
-//!   [`SnapshotOnly`] adapter, which hides the fast path);
+//! * every serial backend, plus the width-1 shared-tree paths, returns a
+//!   bit-identical report — score, sequence, counters, interruption — on
+//!   a game and on its [`SnapshotOnly`] twin, which hides the fast path.
+//!   Both run the same search body; only the position walker differs
+//!   (apply/undo in place against copy-at-mark), so this checks each
+//!   domain's undo journal against its plain `play`;
 //! * the type-erased [`DynGame`] used by the engine preserves both
 //!   properties.
 
-// Exercises the deprecated free-function shims on purpose: clone-vs-
-// undo bit-identity must keep holding for the historical surface.
-#![allow(deprecated)]
 use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::baselines::flat_monte_carlo;
-use pnmcs::search::{nested, uct, Game, NestedConfig, Rng, SnapshotOnly, UctConfig};
-use pnmcs::search::{nrpa, CodedGame, DynGame, NrpaConfig};
+use pnmcs::search::{
+    AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, Rng, SearchSpec,
+    SnapshotOnly, UctConfig,
+};
 use proptest::prelude::*;
 
 /// Observable surface of a position: score, move count, and the ordered
@@ -71,44 +72,69 @@ fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
     }
 }
 
-/// Asserts the undo path and the clone path agree bit-for-bit on every
-/// search algorithm for a pinned seed.
-fn assert_paths_agree<G: CodedGame>(game: &G, seed: u64) {
-    let slow_game = SnapshotOnly(game.clone());
-
-    let fast = nested(game, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-    let slow = nested(
-        &slow_game,
-        1,
-        &NestedConfig::paper(),
-        &mut Rng::seeded(seed),
-    );
-    assert_eq!(fast.score, slow.score, "nested score");
-    assert_eq!(fast.sequence, slow.sequence, "nested sequence");
-    assert_eq!(fast.stats, slow.stats, "nested stats");
-
-    let fast = flat_monte_carlo(game, 8, &mut Rng::seeded(seed));
-    let slow = flat_monte_carlo(&slow_game, 8, &mut Rng::seeded(seed));
-    assert_eq!(fast.score, slow.score, "flat-mc score");
-    assert_eq!(fast.sequence, slow.sequence, "flat-mc sequence");
-
-    let ucfg = UctConfig {
+/// Every backend whose result is a function of the seed alone: the
+/// eight serial ones, UCT on the shared tree (reuse on, width 1 inline,
+/// width 1 batched), and one case each of the greedy policy, a playout
+/// cap, and a playout budget that trips mid-search.
+fn differential_specs(seed: u64) -> Vec<SearchSpec> {
+    let uct = UctConfig {
         iterations: 60,
         ..Default::default()
     };
-    let fast = uct(game, &ucfg, &mut Rng::seeded(seed));
-    let slow = uct(&slow_game, &ucfg, &mut Rng::seeded(seed));
-    assert_eq!(fast.score, slow.score, "uct score");
-    assert_eq!(fast.sequence, slow.sequence, "uct sequence");
-
-    let ncfg = NrpaConfig {
+    let nrpa = NrpaConfig {
         iterations: 5,
         alpha: 1.0,
     };
-    let fast = nrpa(game, 1, &ncfg, &mut Rng::seeded(seed));
-    let slow = nrpa(&slow_game, 1, &ncfg, &mut Rng::seeded(seed));
-    assert_eq!(fast.score, slow.score, "nrpa score");
-    assert_eq!(fast.sequence, slow.sequence, "nrpa sequence");
+    let annealing = AnnealingConfig {
+        iterations: 40,
+        ..Default::default()
+    };
+    [
+        SearchSpec::nested(1),
+        SearchSpec::nested(1).memory(MemoryPolicy::Greedy),
+        SearchSpec::nested(2).playout_cap(3),
+        SearchSpec::nested(2).max_playouts(25),
+        SearchSpec::nrpa_with(1, nrpa),
+        SearchSpec::uct_with(uct.clone()),
+        SearchSpec::uct_with(uct.clone()).tree_reuse(true),
+        SearchSpec::tree_parallel_with(uct.clone(), 1),
+        SearchSpec::tree_parallel_with(uct, 1).leaf_batch(3),
+        SearchSpec::flat_mc(8),
+        SearchSpec::iterated_sampling(2),
+        SearchSpec::beam(2, 2),
+        SearchSpec::sample(),
+        SearchSpec::simulated_annealing_with(annealing),
+    ]
+    .into_iter()
+    .map(|builder| builder.seed(seed).build())
+    .collect()
+}
+
+/// Asserts `fast` (walked with apply/undo) and `slow` (the same game
+/// with the fast path hidden) get the same report from every spec.
+fn assert_twins_agree<A, B>(fast: &A, slow: &B, seed: u64)
+where
+    A: CodedGame + Send + Sync,
+    A::Move: Send + Sync,
+    B: CodedGame<Move = A::Move> + Send + Sync,
+{
+    assert!(fast.supports_undo() && !slow.supports_undo());
+    for spec in differential_specs(seed) {
+        let a = spec.run(fast);
+        let b = spec.run(slow);
+        assert_eq!(a.score, b.score, "score of {spec:?}");
+        assert_eq!(a.sequence, b.sequence, "sequence of {spec:?}");
+        assert_eq!(a.stats, b.stats, "stats of {spec:?}");
+        assert_eq!(a.interrupted, b.interrupted, "interruption of {spec:?}");
+    }
+}
+
+fn assert_paths_agree<G>(game: &G, seed: u64)
+where
+    G: CodedGame + Send + Sync,
+    G::Move: Send + Sync,
+{
+    assert_twins_agree(game, &SnapshotOnly(game.clone()), seed);
 }
 
 proptest! {
@@ -177,25 +203,11 @@ proptest! {
         prop_assert!(erased.supports_undo());
         assert_round_trips(&erased, seed, 3);
 
-        let fast = nested(&erased, 2, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        let slow = nested(
-            &DynGame::new(SnapshotOnly(typed)),
-            2,
-            &NestedConfig::paper(),
-            &mut Rng::seeded(seed),
-        );
-        prop_assert_eq!(fast.score, slow.score);
-        prop_assert_eq!(fast.sequence, slow.sequence);
-        prop_assert_eq!(fast.stats, slow.stats);
+        assert_twins_agree(&erased, &DynGame::new(SnapshotOnly(typed)), seed);
     }
 
     #[test]
     fn morpion_paths_bit_identical(seed in 0u64..100) {
-        let b = cross_board(Variant::Disjoint, 2);
-        let fast = nested(&b, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        let slow = nested(&SnapshotOnly(b), 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        prop_assert_eq!(fast.score, slow.score);
-        prop_assert_eq!(fast.sequence, slow.sequence);
-        prop_assert_eq!(fast.stats, slow.stats);
+        assert_paths_agree(&cross_board(Variant::Disjoint, 2), seed);
     }
 }

@@ -2,15 +2,9 @@
 //! returned sequence must replay to its returned score, on every domain,
 //! under every configuration.
 
-// Exercises the deprecated free-function shims on purpose: the
-// properties pin the historical surface (unified-API coverage lives
-// in tests/spec_api.rs and tests/budget_props.rs).
-#![allow(deprecated)]
 use pnmcs::games::{NeedleLadder, SameGame, SumGame, TspGame, TspInstance};
-use pnmcs::search::baselines::{
-    beam_search, flat_monte_carlo, iterated_sampling, simulated_annealing, AnnealingConfig,
-};
-use pnmcs::search::{nested, sample, Game, MemoryPolicy, NestedConfig, Rng};
+use pnmcs::search::baselines::AnnealingConfig;
+use pnmcs::search::{sample, Game, MemoryPolicy, NestedConfig, Rng, SearchSpec};
 use proptest::prelude::*;
 
 fn replay_score<G: Game>(game: &G, seq: &[G::Move]) -> i64 {
@@ -32,7 +26,7 @@ proptest! {
         level in 0u32..3,
     ) {
         let g = SumGame::random(depth, width, seed);
-        let r = nested(&g, level, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let r = SearchSpec::nested(level).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
         prop_assert_eq!(r.sequence.len(), depth);
     }
@@ -41,7 +35,7 @@ proptest! {
     fn greedy_policy_sequences_also_replay(seed in 0u64..1000) {
         let g = SumGame::random(5, 3, seed);
         let cfg = NestedConfig { memory: MemoryPolicy::Greedy, playout_cap: None };
-        let r = nested(&g, 1, &cfg, &mut Rng::seeded(seed));
+        let r = SearchSpec::nested_with(1, cfg).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
     }
 
@@ -49,7 +43,7 @@ proptest! {
     fn capped_searches_stay_consistent(seed in 0u64..500, cap in 1usize..6) {
         let g = SumGame::random(6, 3, seed);
         let cfg = NestedConfig { memory: MemoryPolicy::Memorise, playout_cap: Some(cap) };
-        let r = nested(&g, 1, &cfg, &mut Rng::seeded(seed));
+        let r = SearchSpec::nested_with(1, cfg).seed(seed).run(&g);
         // The top-level game still runs to termination.
         prop_assert_eq!(r.sequence.len(), 6);
         prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
@@ -58,14 +52,14 @@ proptest! {
     #[test]
     fn samegame_search_results_replay(seed in 0u64..200) {
         let g = SameGame::random(6, 6, 3, seed);
-        let r = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let r = SearchSpec::nested(1).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
     }
 
     #[test]
     fn tsp_search_results_replay(seed in 0u64..200) {
         let g = TspGame::new(TspInstance::random(10, seed), None);
-        let r = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let r = SearchSpec::nested(1).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
         prop_assert_eq!(r.sequence.len(), 9);
     }
@@ -73,17 +67,13 @@ proptest! {
     #[test]
     fn baseline_sequences_replay(seed in 0u64..200) {
         let g = SumGame::random(5, 3, seed);
-        let flat = flat_monte_carlo(&g, 8, &mut Rng::seeded(seed));
+        let flat = SearchSpec::flat_mc(8).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &flat.sequence), flat.score);
-        let iter = iterated_sampling(&g, 2, &mut Rng::seeded(seed));
+        let iter = SearchSpec::iterated_sampling(2).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &iter.sequence), iter.score);
-        let beam = beam_search(&g, 3, 1, &mut Rng::seeded(seed));
+        let beam = SearchSpec::beam(3, 1).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &beam.sequence), beam.score);
-        let sa = simulated_annealing(
-            &g,
-            &AnnealingConfig { iterations: 50, ..Default::default() },
-            &mut Rng::seeded(seed),
-        );
+        let sa = SearchSpec::simulated_annealing_with(AnnealingConfig { iterations: 50, ..Default::default() }).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &sa.sequence), sa.score);
     }
 
@@ -93,7 +83,7 @@ proptest! {
         // single random playout from the same seed family in expectation,
         // but pointwise it must stay within the game's score range.
         let g = SumGame::random(4, 3, seed);
-        let r = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let r = SearchSpec::nested(1).seed(seed).run(&g);
         prop_assert!(r.score >= 0);
         prop_assert!(r.score <= g.optimum());
     }
@@ -101,7 +91,7 @@ proptest! {
     #[test]
     fn needle_ladder_solved_at_any_depth(depth in 3usize..12, seed in 0u64..100) {
         let g = NeedleLadder::new(depth);
-        let r = nested(&g, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let r = SearchSpec::nested(1).seed(seed).run(&g);
         prop_assert_eq!(r.score, g.optimum());
     }
 
@@ -122,7 +112,7 @@ fn level_improvement_is_statistical_not_pointwise() {
     let g = SumGame::random(8, 4, 99);
     let avg = |level: u32| -> f64 {
         (0..30)
-            .map(|s| nested(&g, level, &NestedConfig::paper(), &mut Rng::seeded(s)).score as f64)
+            .map(|s| SearchSpec::nested(level).seed(s).run(&g).score as f64)
             .sum::<f64>()
             / 30.0
     };

@@ -1,103 +1,13 @@
 //! Integration tests of the unified `SearchSpec` front door on the real
-//! domains: every deprecated free-function shim produces results equal
-//! to the equivalent spec run seed-for-seed, specs round-trip through
-//! JSON (the `tables --spec` reproducibility contract), and the erased
-//! `AnySearcher` form matches the typed runs.
-//!
-//! The deprecated shims are called deliberately: shim ≡ spec is the
-//! contract under test.
-#![allow(deprecated)]
+//! domains: specs round-trip through JSON (the `tables --spec`
+//! reproducibility contract), and the erased `AnySearcher` form matches
+//! the typed runs.
 
-use pnmcs::games::{SameGame, TspGame, TspInstance};
+use pnmcs::games::SameGame;
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::baselines::{
-    beam_search, flat_monte_carlo, iterated_sampling, simulated_annealing,
-};
 use pnmcs::search::{
-    decode_report, nested, nrpa, uct, AnnealingConfig, AnySearcher, DynGame, NestedConfig,
-    NrpaConfig, Rng, SearchReport, SearchSpec, UctConfig,
+    decode_report, AnnealingConfig, AnySearcher, DynGame, Game, SearchReport, SearchSpec, UctConfig,
 };
-use pnmcs::search::{Game, MemoryPolicy};
-
-fn assert_matches<M: PartialEq + std::fmt::Debug>(
-    report: &SearchReport<M>,
-    result: &pnmcs::search::SearchResult<M>,
-    label: &str,
-) {
-    assert_eq!(report.score, result.score, "{label} score");
-    assert_eq!(report.sequence, result.sequence, "{label} sequence");
-    assert_eq!(report.stats, result.stats, "{label} stats");
-    assert!(report.interrupted.is_none(), "{label} interrupted");
-}
-
-#[test]
-fn shims_equal_specs_on_morpion_seed_for_seed() {
-    let board = cross_board(Variant::Disjoint, 3);
-    for seed in [1u64, 2009] {
-        let spec_run = SearchSpec::nested(1).seed(seed).run(&board);
-        let shim = nested(&board, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "nested");
-
-        let greedy = SearchSpec::nested(1)
-            .memory(MemoryPolicy::Greedy)
-            .seed(seed)
-            .run(&board);
-        let shim = nested(&board, 1, &NestedConfig::greedy(), &mut Rng::seeded(seed));
-        assert_matches(&greedy, &shim, "nested-greedy");
-
-        let cfg = NrpaConfig::with_iterations(10);
-        let spec_run = SearchSpec::nrpa_with(1, cfg.clone()).seed(seed).run(&board);
-        let shim = nrpa(&board, 1, &cfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "nrpa");
-
-        let ucfg = UctConfig {
-            iterations: 300,
-            ..UctConfig::default()
-        };
-        let spec_run = SearchSpec::uct_with(ucfg.clone()).seed(seed).run(&board);
-        let shim = uct(&board, &ucfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "uct");
-    }
-}
-
-#[test]
-fn shims_equal_specs_on_samegame_and_tsp() {
-    let sg = SameGame::random(7, 7, 3, 4);
-    let tsp = TspGame::new(TspInstance::random(10, 4), None);
-    for seed in [3u64, 77] {
-        let spec_run = SearchSpec::flat_mc(64).seed(seed).run(&sg);
-        let shim = flat_monte_carlo(&sg, 64, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "flat-mc");
-
-        let spec_run = SearchSpec::iterated_sampling(2).seed(seed).run(&sg);
-        let shim = iterated_sampling(&sg, 2, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "iterated-sampling");
-
-        let spec_run = SearchSpec::beam(4, 2).seed(seed).run(&tsp);
-        let shim = beam_search(&tsp, 4, 2, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "beam");
-
-        let spec_run = SearchSpec::nested(2).seed(seed).run(&tsp);
-        let shim = nested(&tsp, 2, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "nested-tsp");
-
-        let acfg = AnnealingConfig {
-            iterations: 1_500,
-            ..Default::default()
-        };
-        let spec_run = SearchSpec::simulated_annealing_with(acfg.clone())
-            .seed(seed)
-            .run(&sg);
-        let shim = simulated_annealing(&sg, &acfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "simulated-annealing-samegame");
-
-        let spec_run = SearchSpec::simulated_annealing_with(acfg.clone())
-            .seed(seed)
-            .run(&tsp);
-        let shim = simulated_annealing(&tsp, &acfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "simulated-annealing-tsp");
-    }
-}
 
 #[test]
 fn simulated_annealing_spec_round_trips_and_reruns_identically() {
