@@ -1,14 +1,14 @@
 //! Cluster-level benchmarks: discrete-event replay throughput for the
-//! paper's table configurations, dispatcher state-machine costs, the
-//! threaded backend, and the shared-memory pool ablation (A3).
+//! paper's table configurations, dispatcher state-machine costs, and the
+//! threaded backend.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use des_sim::ClusterSpec;
 use morpion::{cross_board, Variant};
 use nmcs_games::SumGame;
 use parallel_nmcs::{
-    par_nested, run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy,
-    DispatcherCore, PoolConfig, RunMode, ThreadConfig, TraceModel,
+    run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy, DispatcherCore,
+    RunMode, ThreadConfig, TraceModel,
 };
 use std::hint::black_box;
 
@@ -65,22 +65,6 @@ fn bench_thread_backend(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par_nested_a3");
-    group.sample_size(10);
-    let board = cross_board(Variant::Disjoint, 2);
-    for threads in [1usize, 2] {
-        group.bench_function(format!("morpion_arm2_level2_{threads}_threads"), |b| {
-            b.iter(|| {
-                let mut cfg = PoolConfig::new(2, threads);
-                cfg.mode = RunMode::FirstMove;
-                black_box(par_nested(&board, &cfg).0.score)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_trace_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_generation");
     group.sample_size(10);
@@ -111,7 +95,6 @@ criterion_group!(
     bench_sim_replay,
     bench_dispatcher_core,
     bench_thread_backend,
-    bench_pool_ablation,
     bench_trace_generation
 );
 criterion_main!(benches);

@@ -283,12 +283,17 @@ fn main() {
         return;
     }
 
-    eprintln!("calibrating on this machine…");
-    let e = Experiments::new(args.seed, args.out.clone());
-    eprintln!(
-        "calibration: {:.0} ns/work-unit, mean playout {:.1} moves, level ratio x{:.0}\n",
-        e.cal.ns_per_unit, e.cal.mean_playout_len, e.cal.level_ratio
-    );
+    // Calibration takes minutes and only the table, figure and ablation
+    // modes read it, so it runs when the first of them asks for it.
+    let e = std::cell::LazyCell::new(|| {
+        eprintln!("calibrating on this machine…");
+        let e = Experiments::new(args.seed, args.out.clone());
+        eprintln!(
+            "calibration: {:.0} ns/work-unit, mean playout {:.1} moves, level ratio x{:.0}\n",
+            e.cal.ns_per_unit, e.cal.mean_playout_len, e.cal.level_ratio
+        );
+        e
+    });
 
     let run_table = |n: u32| match (n, args.scale) {
         (1, _) => println!("{}", e.table1().render()),

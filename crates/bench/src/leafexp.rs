@@ -3,20 +3,15 @@
 //! Sweeps worker count × batch size for the unified
 //! `SearchSpec::leaf(level, batch, threads)` strategy on SameGame boards
 //! (one small, one paper-sized) and a reduced Morpion cross, reporting
-//! score, wall-clock time, and leaf-evaluation throughput — for **both**
-//! execution backends: the persistent executor pool the spec now runs
-//! on, and the frozen PR-3 spawn-per-step implementation
-//! (`nmcs_core::exec::baseline`). The `speedup` column is the pool's
-//! throughput over the spawn baseline's; on the small board, where a
-//! step's work is comparable to the cost of spawning threads to do it,
-//! this is the number the pool exists to move (the acceptance floor is
-//! ≥ 1.3× at multi-worker cells).
+//! score, wall-clock time, leaf-evaluation throughput and what the
+//! persistent executor pool did meanwhile (steals, parks, wakeups). The
+//! pool's fixed cost per batch slot is priced by the perf ledger
+//! (`core.exec.run_batch_ns_per_slot_*`).
 //!
 //! Because the leaf backend derives every evaluation's seed from its
 //! logical coordinates, the score column is constant down each batch
-//! column *and identical between the two backends* — the table doubles
-//! as a visible determinism check (a score that moved with the thread
-//! count, or between pool and spawn, would be a seeding bug).
+//! column — the table doubles as a visible determinism check (a score
+//! that moved with the thread count would be a seeding bug).
 //!
 //! Every row records the exact [`SearchSpec`] JSON that produced it, so
 //! any cell is reproducible from the command line with one pasted
@@ -25,13 +20,11 @@
 use crate::pooldelta::PoolProbe;
 use crate::report::Table;
 use morpion::{cross_board, Variant};
-use nmcs_core::exec::baseline::leaf_parallel_spawn;
 use nmcs_core::{CodedGame, SearchSpec, Searcher};
 use nmcs_games::SameGame;
 use serde::Serialize;
 
-/// One measured (domain × workers × batch) cell: pool-backed spec run
-/// vs the frozen spawn-per-step baseline.
+/// One measured (domain × workers × batch) cell.
 #[derive(Debug, Clone, Serialize)]
 pub struct LeafRow {
     pub domain: String,
@@ -41,17 +34,12 @@ pub struct LeafRow {
     pub elapsed_ms: f64,
     pub leaf_evals: u64,
     pub evals_per_sec: f64,
-    /// Throughput of the frozen spawn-per-step baseline on the same cell.
-    pub spawn_evals_per_sec: f64,
-    /// `evals_per_sec / spawn_evals_per_sec` — the pool's win.
-    pub speedup: f64,
-    /// Executor-pool deque steals per second during the pool-backed
-    /// run (delta of the shared metrics registry around it).
+    /// Executor-pool deque steals per second during the run (delta of
+    /// the shared metrics registry around it).
     pub steals_per_sec: f64,
-    /// Executor-pool worker parks per second during the pool-backed run.
+    /// Executor-pool worker parks per second during the run.
     pub parks_per_sec: f64,
-    /// Executor-pool wakeup-generation bumps per second during the
-    /// pool-backed run.
+    /// Executor-pool wakeup-generation bumps per second during the run.
     pub wakeups_per_sec: f64,
     /// The exact spec JSON reproducing this row from the CLI.
     pub spec: String,
@@ -67,18 +55,6 @@ where
     let report = spec.search(game, None);
     let delta = probe.finish();
     let secs = report.elapsed.as_secs_f64().max(1e-9);
-
-    let t0 = std::time::Instant::now();
-    let spawn = leaf_parallel_spawn(game, 1, batch, threads, None, false, seed);
-    let spawn_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(
-        (spawn.score, spawn.client_jobs),
-        (report.score, report.client_jobs),
-        "{domain}: pool and spawn backends must agree bit-for-bit"
-    );
-
-    let evals_per_sec = report.client_jobs as f64 / secs;
-    let spawn_evals_per_sec = spawn.client_jobs as f64 / spawn_secs;
     LeafRow {
         domain: domain.to_string(),
         threads,
@@ -86,9 +62,7 @@ where
         score: report.score,
         elapsed_ms: secs * 1e3,
         leaf_evals: report.client_jobs,
-        evals_per_sec,
-        spawn_evals_per_sec,
-        speedup: evals_per_sec / spawn_evals_per_sec.max(1e-9),
+        evals_per_sec: report.client_jobs as f64 / secs,
         steals_per_sec: delta.steals_per_sec(secs),
         parks_per_sec: delta.parks_per_sec(secs),
         wakeups_per_sec: delta.wakeups_per_sec(secs),
@@ -115,12 +89,10 @@ fn sweep_domain<G>(
 }
 
 /// Sweeps the leaf backend over worker counts and batch sizes by
-/// enumerating specs (one [`SearchSpec`] per cell), measuring pool and
-/// spawn execution for each.
+/// enumerating specs (one [`SearchSpec`] per cell).
 pub fn leaf_sweep(threads: &[usize], batches: &[usize], seed: u64) -> Vec<LeafRow> {
     // The small board is the pool's motivating case: whole games take
-    // milliseconds, so per-step thread spawns dominate the spawn
-    // baseline's profile.
+    // milliseconds, so the fixed cost of a step's fan-out shows.
     let small = SameGame::random(6, 6, 3, seed);
     let samegame = SameGame::random(10, 10, 4, seed);
     let cross = cross_board(Variant::Disjoint, 3);
@@ -141,7 +113,7 @@ pub fn leaf_sweep(threads: &[usize], batches: &[usize], seed: u64) -> Vec<LeafRo
 /// Renders a sweep as a table in the style of the paper harness.
 pub fn leaf_table(rows: &[LeafRow]) -> Table {
     let mut table = Table::new(
-        "Leaf-parallel batched NMCS: persistent pool vs spawn-per-step throughput",
+        "Leaf-parallel batched NMCS on the persistent pool",
         &[
             "domain",
             "batch",
@@ -149,9 +121,7 @@ pub fn leaf_table(rows: &[LeafRow]) -> Table {
             "score",
             "elapsed (ms)",
             "leaf evals",
-            "pool evals/sec",
-            "spawn evals/sec",
-            "speedup",
+            "evals/sec",
             "steals/s",
             "parks/s",
             "wakeups/s",
@@ -166,8 +136,6 @@ pub fn leaf_table(rows: &[LeafRow]) -> Table {
             format!("{:.1}", r.elapsed_ms),
             r.leaf_evals.to_string(),
             format!("{:.0}", r.evals_per_sec),
-            format!("{:.0}", r.spawn_evals_per_sec),
-            format!("{:.2}x", r.speedup),
             format!("{:.0}", r.steals_per_sec),
             format!("{:.0}", r.parks_per_sec),
             format!("{:.0}", r.wakeups_per_sec),
@@ -214,7 +182,7 @@ mod tests {
                 nmcs_core::AlgorithmSpec::LeafParallel { batch: 2, .. }
             ));
             assert_eq!(spec.seed, 5);
-            assert!(row.speedup > 0.0);
+            assert!(row.evals_per_sec > 0.0);
         }
     }
 }

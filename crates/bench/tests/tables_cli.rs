@@ -1,5 +1,6 @@
 //! `tables` answers a bad command line with the usage line on stderr and
-//! exit code 2, not a panic and a backtrace.
+//! exit code 2, not a panic and a backtrace; and it calibrates only for
+//! the modes that read the calibration.
 
 use std::process::Command;
 
@@ -32,4 +33,14 @@ fn an_unknown_flag_prints_usage_and_exits_2() {
 #[test]
 fn a_missing_flag_value_prints_usage_and_exits_2() {
     assert_refused(&["--table", "2", "--seed"], "--seed needs a value");
+}
+
+#[test]
+fn a_mode_that_reads_no_calibration_does_not_calibrate() {
+    // `--service` is the cheapest of the modes (`--engine`, `--leaf`,
+    // `--tree`, `--service`) that sit behind the lazily built
+    // `Experiments`; only the table/figure/ablation modes calibrate.
+    let (code, stderr) = tables(&["--service", "--out", env!("CARGO_TARGET_TMPDIR")]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stderr.contains("calibrating"), "{stderr}");
 }

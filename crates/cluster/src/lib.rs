@@ -17,10 +17,6 @@
 //! The runtime is generic over the message type; the parallel-NMCS
 //! protocol lives in the `parallel-nmcs` crate.
 
-pub mod collectives;
-
-pub use collectives::{barrier, broadcast, gather, Collective};
-
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;

@@ -9,10 +9,9 @@
 //! threaded runtime, the discrete-event simulator, the in-core parallel
 //! executors, and the sequential reference all make identical decisions.
 //!
-//! These derivations historically lived in `parallel_nmcs::seeds`; they
-//! moved here so the unified [`crate::spec::SearchSpec`] front door can
-//! drive the parallel strategies without a dependency inversion. The
-//! `parallel_nmcs::seeds` module re-exports them, and the constants are
+//! They live here, below every backend, so the [`crate::spec::SearchSpec`]
+//! front door, the message-passing roles in `parallel-nmcs` and the
+//! engine's replica planner all import the one copy. The constants are
 //! pinned: changing them invalidates every recorded trace and table.
 
 use crate::rng::derive_seed;

@@ -211,7 +211,7 @@ pub enum AlgorithmSpec {
     Sample,
     /// Leaf-parallel batched NMCS: each candidate move evaluated by a
     /// batch of seeded `level − 1` evaluations on a worker pool
-    /// (the strategy documented in `parallel_nmcs::leaf`).
+    /// (the strategy documented in [`crate::exec`]).
     LeafParallel {
         level: u32,
         batch: usize,
@@ -553,6 +553,26 @@ impl Serialize for AlgorithmSpec {
     }
 }
 
+/// Reads the integer field `name` of a `kind` algorithm and refuses a
+/// value below `min`. Specs arrive from outside the program (`POST /jobs`,
+/// `tables --spec`); a width or level the executors assert on has to be
+/// turned away here, not inside an engine worker.
+fn field_at_least<T>(v: &Value, kind: &str, name: &str, min: T) -> Result<T, Error>
+where
+    T: Deserialize + PartialOrd + std::fmt::Display,
+{
+    let field = v
+        .get_field(name)
+        .ok_or_else(|| Error::missing_field(name))?;
+    let n = T::from_value(field)?;
+    if n < min {
+        return Err(Error::custom(format!(
+            "`{kind}` needs `{name}` >= {min}, got {n}"
+        )));
+    }
+    Ok(n)
+}
+
 impl Deserialize for AlgorithmSpec {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let field = |name: &str| -> Result<&Value, Error> {
@@ -599,15 +619,15 @@ impl Deserialize for AlgorithmSpec {
             }),
             "sample" => Ok(AlgorithmSpec::Sample),
             "leaf_parallel" => Ok(AlgorithmSpec::LeafParallel {
-                level: u32::from_value(field("level")?)?,
-                batch: usize::from_value(field("batch")?)?,
-                threads: usize::from_value(field("threads")?)?,
+                level: field_at_least(v, &kind, "level", 1)?,
+                batch: field_at_least(v, &kind, "batch", 1)?,
+                threads: field_at_least(v, &kind, "threads", 1)?,
                 playout_cap: Option::from_value(&opt("playout_cap"))?,
                 first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
             }),
             "root_parallel" => Ok(AlgorithmSpec::RootParallel {
-                level: u32::from_value(field("level")?)?,
-                threads: usize::from_value(field("threads")?)?,
+                level: field_at_least(v, &kind, "level", 2)?,
+                threads: field_at_least(v, &kind, "threads", 1)?,
                 playout_cap: Option::from_value(&opt("playout_cap"))?,
                 first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
             }),
@@ -616,7 +636,7 @@ impl Deserialize for AlgorithmSpec {
                     Some(c) => UctConfig::from_value(c)?,
                     None => UctConfig::default(),
                 },
-                threads: usize::from_value(field("threads")?)?,
+                threads: field_at_least(v, &kind, "threads", 1)?,
                 // Pre-knob (PR-4) rows carry none of these fields; they
                 // replay on the current defaults.
                 lock: match v.get_field("lock") {
@@ -949,16 +969,8 @@ where
                 playout_cap,
                 first_move,
             } => {
-                let run = exec::leaf_parallel(
-                    game,
-                    *level,
-                    *batch,
-                    *threads,
-                    *playout_cap,
-                    *first_move,
-                    self.seed,
-                    &mut ctx,
-                );
+                let fan = exec::Fan::new(*threads, *playout_cap, self.seed);
+                let run = exec::leaf_parallel(game, *level, *batch, *first_move, &fan, &mut ctx);
                 client_jobs = run.client_jobs;
                 (run.score, run.sequence)
             }
@@ -968,15 +980,8 @@ where
                 playout_cap,
                 first_move,
             } => {
-                let run = exec::root_parallel(
-                    game,
-                    *level,
-                    *threads,
-                    *playout_cap,
-                    *first_move,
-                    self.seed,
-                    &mut ctx,
-                );
+                let fan = exec::Fan::new(*threads, *playout_cap, self.seed);
+                let run = exec::root_parallel(game, *level, *first_move, &fan, &mut ctx);
                 client_jobs = run.client_jobs;
                 (run.score, run.sequence)
             }
@@ -1530,6 +1535,39 @@ mod tests {
             let json = serde_json::to_string(&spec).unwrap();
             let back: SearchSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(spec, back, "round-trip of {json}");
+        }
+    }
+
+    #[test]
+    fn serde_refuses_widths_and_levels_the_executors_assert_on() {
+        // One case per rejected field; each error names the field.
+        for (algorithm, field) in [
+            (
+                r#"{"kind":"leaf_parallel","level":0,"batch":4,"threads":2}"#,
+                "level",
+            ),
+            (
+                r#"{"kind":"leaf_parallel","level":1,"batch":0,"threads":2}"#,
+                "batch",
+            ),
+            (
+                r#"{"kind":"leaf_parallel","level":1,"batch":4,"threads":0}"#,
+                "threads",
+            ),
+            (r#"{"kind":"root_parallel","level":1,"threads":2}"#, "level"),
+            (
+                r#"{"kind":"root_parallel","level":2,"threads":0}"#,
+                "threads",
+            ),
+            (r#"{"kind":"tree_parallel","threads":0}"#, "threads"),
+        ] {
+            let err = serde_json::from_str::<AlgorithmSpec>(algorithm)
+                .expect_err(algorithm)
+                .to_string();
+            assert!(
+                err.contains(&format!("`{field}` >= ")),
+                "{algorithm}: {err}"
+            );
         }
     }
 

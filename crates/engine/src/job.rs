@@ -51,7 +51,7 @@ pub struct JobSpec {
     /// Root seed. With `replicas == 1` the job's search is bit-identical
     /// to the direct library call seeded with this value; with more
     /// replicas, per-replica seeds derive from it via
-    /// `parallel_nmcs::seeds::median_seed` (see
+    /// [`nmcs_core::seeds::median_seed`] (see
     /// [`crate::scheduler::ReplicaPlan`]).
     pub seed: u64,
     /// Per-replica budget (deadline / playout cap / node cap), honoured

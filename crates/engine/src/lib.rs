@@ -14,7 +14,7 @@
 //!
 //! * **Determinism** — a job's result is bit-identical to
 //!   `spec.run(&game)` with the job's seed; ensemble replicas derive
-//!   their seeds through `parallel_nmcs::seeds`, the same scheme the
+//!   their seeds through [`nmcs_core::seeds`], the same scheme the
 //!   cluster backends use (see [`scheduler`]).
 //! * **Backpressure** — the queue is bounded; [`Engine::submit`] blocks
 //!   when full, [`Engine::try_submit`] fails fast, and queued memory is

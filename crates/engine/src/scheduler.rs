@@ -4,7 +4,7 @@
 //! **Seed contract.** A single-replica job runs with exactly the job
 //! seed, so its result is bit-identical to the direct library call
 //! seeded with `spec.seed`. An ensemble job's replica `r` runs with
-//! `parallel_nmcs::seeds::median_seed(spec.seed, 0, r)` — the same
+//! `nmcs_core::seeds::median_seed(spec.seed, 0, r)` — the same
 //! derivation the paper's cluster search uses for the median of root
 //! move `r` at root step 0 — so ensemble replicas are reproducible as
 //! direct calls too, and the engine shares one seed-derivation scheme
@@ -25,8 +25,8 @@
 //! every result stays reproducible.
 
 use crate::job::{Algorithm, JobSpec};
+use nmcs_core::seeds::median_seed;
 use nmcs_core::MemoryPolicy;
-use parallel_nmcs::seeds::median_seed;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 

@@ -25,13 +25,13 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "spawn-discipline",
-        summary: "no thread::spawn/Builder outside core exec/ and the engine worker pool — \
-                  all parallelism flows through ExecutorPool",
+        summary: "no thread::spawn/Builder outside core exec/pool.rs and the engine worker \
+                  pool — all parallelism flows through ExecutorPool",
     },
     RuleInfo {
         id: "seed-discipline",
         summary: "no entropy sources, no ad-hoc seed arithmetic — seeds derive only from \
-                  logical coordinates via the seeds modules",
+                  logical coordinates via core::seeds",
     },
     RuleInfo {
         id: "panic-discipline",
@@ -196,7 +196,7 @@ fn clock_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
 
 /// The two sanctioned spawn sites: the core executor pool and the engine
 /// worker pool. Everything else inherits parallelism from them.
-const SPAWN_ALLOWED: &[&str] = &["crates/core/src/exec", "crates/engine/src/pool.rs"];
+const SPAWN_ALLOWED: &[&str] = &["crates/core/src/exec/pool.rs", "crates/engine/src/pool.rs"];
 
 fn spawn_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if ctx.is_test_path || starts_with_any(ctx.rel, SPAWN_ALLOWED) {
@@ -230,11 +230,7 @@ fn spawn_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------
 
 /// The modules that define seed derivations (and the deterministic RNG).
-const SEED_ALLOWED: &[&str] = &[
-    "crates/core/src/seeds.rs",
-    "crates/core/src/rng.rs",
-    "crates/parallel/src/seeds.rs",
-];
+const SEED_ALLOWED: &[&str] = &["crates/core/src/seeds.rs", "crates/core/src/rng.rs"];
 
 /// Identifiers that smuggle entropy into a run.
 const ENTROPY_IDENTS: &[&str] = &[

@@ -5,31 +5,27 @@
 //! four process roles — root, median, dispatcher, client — and two
 //! dispatch policies, **Round-Robin** and **Last-Minute**.
 //!
-//! Three interchangeable executions of the same algorithm:
+//! The workspace executes the paper's algorithm four ways, each with a
+//! job of its own; the first three live here:
 //!
-//! * [`trace::run_reference`] — sequential reference; also records the
-//!   fork-join job [`trace::SearchTrace`].
-//! * [`runner::run_threads_traced`] — real parallelism: every role is an OS
-//!   thread exchanging messages over the `cluster-rt` runtime (the
-//!   Open MPI substitute).
-//! * [`sim::simulate_trace`] — virtual time: replays a trace on a
-//!   simulated cluster of any size/heterogeneity (the 64-core-cluster
-//!   substitute), driving the *same* [`dispatcher::DispatcherCore`] as
-//!   the threaded backend.
+//! * [`trace::run_reference`] — the sequential reference the tests compare
+//!   against; also records the fork-join job [`trace::SearchTrace`].
+//! * [`runner::run_threads_traced`] — the paper's design: every role is an
+//!   OS thread exchanging messages over `cluster-rt` (the Open MPI substitute).
+//! * [`sim::simulate_trace`] — virtual time: replays a trace on a simulated
+//!   cluster of any size, driving the *same* [`dispatcher::DispatcherCore`].
+//! * `nmcs_core::SearchSpec::{root_parallel, leaf}` — the production path, on
+//!   the persistent executor pool, with budgets and cancellation.
 //!
-//! All three agree bit-for-bit on search decisions because every
+//! All four agree bit-for-bit on search decisions because every
 //! evaluation job's randomness derives from its logical coordinates
-//! ([`seeds`]). [`model::TraceModel`] generates synthetic paper-scale
-//! workloads for the level-4 tables, and [`shared::par_nested`] is the
-//! shared-memory worker-pool ablation.
+//! ([`nmcs_core::seeds`]). [`model::TraceModel`] generates synthetic
+//! paper-scale workloads for the level-4 tables.
 
 pub mod dispatcher;
-pub mod leaf;
 pub mod model;
 pub mod protocol;
 pub mod runner;
-pub mod seeds;
-pub mod shared;
 pub mod sim;
 pub mod trace;
 
@@ -37,8 +33,6 @@ pub use dispatcher::{DispatchPolicy, DispatcherCore};
 pub use model::TraceModel;
 pub use protocol::{Msg, DISPATCHER, ROOT};
 pub use runner::{run_threads_traced, ThreadConfig, ThreadReport};
-pub use seeds::{client_seed, median_seed};
-pub use shared::{par_nested, PoolConfig};
 pub use sim::{
     simulate_trace, simulate_trace_recorded, single_client_reference, sweep_cluster_sizes,
     SimOutcome,

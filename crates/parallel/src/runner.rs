@@ -10,10 +10,10 @@
 
 use crate::dispatcher::{DispatchPolicy, DispatcherCore};
 use crate::protocol::{client_rank, median_rank, world_size, Msg, DISPATCHER, ROOT};
-use crate::seeds::{client_seed, median_seed};
 use crate::trace::{ParallelOutcome, RunMode};
 use cluster_rt::{Endpoint, Rank, Trace, World};
 use nmcs_core::metrics::monotonic_now;
+use nmcs_core::seeds::{client_seed, median_seed};
 use nmcs_core::{nested_with, Game, NestedConfig, Rng, Score, SearchCtx};
 use std::time::Duration;
 

@@ -24,7 +24,7 @@
 //! root, step `s+1`'s medians may only start after all of step `s`'s
 //! medians finished (the root's collection barrier).
 
-use crate::seeds::{client_seed, median_seed};
+use nmcs_core::seeds::{client_seed, median_seed};
 use nmcs_core::{nested_with, Game, NestedConfig, Rng, Score, SearchCtx};
 use serde::{Deserialize, Serialize};
 

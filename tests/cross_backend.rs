@@ -4,22 +4,25 @@
 //! the determinism contract that makes the simulated cluster results
 //! transferable.
 //!
-//! Since the executors moved onto the persistent pool, this suite also
-//! pins: pool-backed spec runs ≡ the frozen spawn-per-step baselines
-//! per seed; leaf results bit-identical across 1/2/4 workers (the
-//! per-slot scratch reuse must not leak state between items); and the
+//! This suite also pins: leaf results bit-identical across 1/2/4
+//! workers (the per-slot scratch reuse must not leak state between
+//! items) with the rest of the leaf-parallel contract; and the
 //! tree-parallel UCT contract — single-worker ≡ sequential `uct`,
 //! multi-worker always replayable, on all five domains through both the
-//! typed and erased (engine) paths.
+//! typed and erased (engine) paths. (What the pool executors returned
+//! when they were last compared with the spawn-per-step ones is in
+//! `golden_vectors.rs`.)
 
 use pnmcs::engine::{Engine, EngineConfig, JobSpec, JobState};
-use pnmcs::games::{SameGame, Sudoku, SumGame, TspGame, TspInstance};
+use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::parallel::{
     run_threads_traced, simulate_trace, trace::run_reference, DispatchPolicy, RunMode, ThreadConfig,
 };
-use pnmcs::search::exec::baseline::{leaf_parallel_spawn, root_parallel_spawn};
-use pnmcs::search::{decode_sequence, CodedGame, DynGame, SearchSpec, Searcher, UctConfig};
+use pnmcs::search::seeds::slot_seed;
+use pnmcs::search::{
+    decode_sequence, CodedGame, DynGame, SearchReport, SearchSpec, Searcher, UctConfig,
+};
 use pnmcs::sim::ClusterSpec;
 
 mod common;
@@ -157,49 +160,6 @@ fn round_robin_run_has_no_free_notices() {
 }
 
 #[test]
-fn pool_backed_leaf_executor_is_bit_identical_to_the_spawn_baseline() {
-    // The tentpole contract: moving the executors onto the persistent
-    // pool changed *when* work runs, never *what* it computes. The
-    // frozen PR-3 spawn-per-step implementation is the oracle.
-    let sg = SameGame::random(7, 7, 3, 2);
-    let board = cross_board(Variant::Disjoint, 2);
-    for seed in [1u64, 42, 2009] {
-        for threads in [1usize, 2, test_workers()] {
-            let spec = SearchSpec::leaf(1, 4, threads).seed(seed).run(&sg);
-            let spawn = leaf_parallel_spawn(&sg, 1, 4, threads, None, false, seed);
-            assert_eq!(spec.score, spawn.score, "samegame seed {seed} t{threads}");
-            assert_eq!(spec.sequence, spawn.sequence, "samegame seed {seed}");
-            assert_eq!(spec.stats, spawn.stats, "samegame seed {seed}");
-            assert_eq!(spec.client_jobs, spawn.client_jobs, "samegame seed {seed}");
-
-            let spec = SearchSpec::leaf(2, 2, threads)
-                .seed(seed)
-                .first_move_only()
-                .run(&board);
-            let spawn = leaf_parallel_spawn(&board, 2, 2, threads, None, true, seed);
-            assert_eq!(spec.score, spawn.score, "morpion seed {seed} t{threads}");
-            assert_eq!(spec.sequence, spawn.sequence, "morpion seed {seed}");
-            assert_eq!(spec.stats, spawn.stats, "morpion seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn pool_backed_root_executor_is_bit_identical_to_the_spawn_baseline() {
-    let board = cross_board(Variant::Disjoint, 2);
-    for seed in [7u64, 4242] {
-        for threads in [1usize, test_workers()] {
-            let spec = SearchSpec::root_parallel(2, threads).seed(seed).run(&board);
-            let spawn = root_parallel_spawn(&board, 2, threads, None, false, seed);
-            assert_eq!(spec.score, spawn.score, "seed {seed} t{threads}");
-            assert_eq!(spec.sequence, spawn.sequence, "seed {seed} t{threads}");
-            assert_eq!(spec.stats, spawn.stats, "seed {seed} t{threads}");
-            assert_eq!(spec.client_jobs, spawn.client_jobs, "seed {seed}");
-        }
-    }
-}
-
-#[test]
 fn leaf_results_are_bit_identical_across_1_2_4_workers() {
     // Regression net for the per-slot scratch reuse: a leaked buffer or
     // seed would show up as a worker-count-dependent result.
@@ -211,6 +171,96 @@ fn leaf_results_are_bit_identical_across_1_2_4_workers() {
         assert_eq!(wide.sequence, reference.sequence, "{threads} workers");
         assert_eq!(wide.stats, reference.stats, "{threads} workers");
         assert_eq!(wide.client_jobs, reference.client_jobs, "{threads} workers");
+    }
+}
+
+/// The leaf-parallel contract (`SearchSpec::leaf(level, batch, threads)`).
+mod leaf {
+    use super::*;
+
+    #[test]
+    fn worker_count_does_not_change_results() {
+        let g = SameGame::random(5, 5, 3, 11);
+        let mut reference: Option<SearchReport<_>> = None;
+        for threads in [1, 2, 4] {
+            let out = SearchSpec::leaf(1, 4, threads).seed(2009).run(&g);
+            match &reference {
+                None => reference = Some(out),
+                Some(r) => {
+                    assert_eq!(out.score, r.score, "{threads} workers");
+                    assert_eq!(out.sequence, r.sequence, "{threads} workers");
+                    assert_eq!(out.stats, r.stats, "{threads} workers");
+                    assert_eq!(out.client_jobs, r.client_jobs, "{threads} workers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_size_one_level_one_counts_one_playout_per_move() {
+        let g = SumGame::random(4, 3, 2);
+        let out = SearchSpec::leaf(1, 1, 2).run(&g);
+        assert_eq!(out.sequence.len(), 4);
+        assert_eq!(out.client_jobs, 12, "3 moves × 1 slot × 4 steps");
+    }
+
+    #[test]
+    fn batching_multiplies_leaf_evaluations() {
+        let g = SumGame::random(4, 3, 2);
+        let out = SearchSpec::leaf(1, 8, 4).run(&g);
+        assert_eq!(out.client_jobs, 96, "3 moves × 8 slots × 4 steps");
+    }
+
+    #[test]
+    fn solves_needle_ladder_like_the_other_backends() {
+        let g = NeedleLadder::new(10);
+        let out = SearchSpec::leaf(1, 2, 2).run(&g);
+        assert_eq!(out.score, g.optimum());
+    }
+
+    #[test]
+    fn bigger_batches_never_hurt_on_average() {
+        // The batch max over more independent playouts stochastically
+        // dominates fewer; averaged over instances it must not be worse.
+        let trials = 8;
+        let mut small = 0i64;
+        let mut large = 0i64;
+        for seed in 0..trials {
+            let g = SumGame::random(5, 4, seed);
+            small += SearchSpec::leaf(1, 1, 2).seed(seed).run(&g).score;
+            large += SearchSpec::leaf(1, 8, 2).seed(seed).run(&g).score;
+        }
+        assert!(
+            large >= small,
+            "batch 8 total {large} must not trail batch 1 total {small}"
+        );
+    }
+
+    #[test]
+    fn first_move_mode_stops_after_one_step() {
+        let g = SumGame::random(5, 3, 4);
+        let out = SearchSpec::leaf(2, 2, 2).first_move_only().run(&g);
+        assert_eq!(out.sequence.len(), 1);
+    }
+
+    #[test]
+    fn slot_seeds_are_pinned_and_distinct() {
+        // Part of the determinism contract: a change here invalidates
+        // recorded results.
+        let a = slot_seed(42, 0, 0, 0);
+        assert_eq!(a, slot_seed(42, 0, 0, 0));
+        assert_ne!(a, slot_seed(42, 0, 0, 1));
+        assert_ne!(a, slot_seed(42, 0, 1, 0));
+        assert_ne!(a, slot_seed(42, 1, 0, 0));
+        assert_ne!(a, slot_seed(43, 0, 0, 0));
+    }
+
+    #[test]
+    fn level_two_uses_nested_evaluations() {
+        let g = SumGame::random(4, 3, 9);
+        let out = SearchSpec::leaf(2, 2, 2).run(&g);
+        assert_eq!(out.sequence.len(), 4);
+        assert!(out.total_work() > 0);
     }
 }
 

@@ -6,8 +6,8 @@
 use pnmcs::engine::{Algorithm, Engine, EngineConfig, JobHandle, JobSpec, JobState, SubmitError};
 use pnmcs::games::{SameGame, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, standard_5d, Variant};
-use pnmcs::parallel::seeds::median_seed;
 use pnmcs::search::nrpa::CodedGame;
+use pnmcs::search::seeds::median_seed;
 use pnmcs::search::{
     decode_result, Budget, Interruption, NestedConfig, NrpaConfig, SearchResult, SearchSpec,
 };

@@ -6,20 +6,32 @@
 //! compared one against the other; with one body left, nothing inside
 //! the tree can vouch for it, so the anchor is the parent commit's
 //! output. Each row names a spec (its JSON is in `SPECS`; the stock game
-//! is built from the spec's seed) and the five numbers the parent
+//! is built from the spec's seed) and the six numbers the parent
 //! produced — the same on the undo game and on its [`SnapshotOnly`]
 //! twin, which is checked here too. All eleven backends appear, UCT and
 //! the shared tree in each of their width-1 shapes.
+//!
+//! The rows on `samegame-7x7` and `morpion-c2` are what the frozen
+//! spawn-per-step leaf and root executors returned at commit f855283,
+//! the last one that carried them; the pool executors used to be compared
+//! with those per seed. An unbudgeted leaf- or root-parallel row must
+//! hold at every worker count. The two `*_CUT` rows pin where a tripped
+//! playout cap leaves the greedy game — reproducible only at one worker,
+//! so that is where they run.
 //!
 //! To re-capture after an intended behaviour change, run this test: on a
 //! mismatch it prints the whole table as it is now, ready to paste.
 
 use pnmcs::games::SameGame;
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::{CodedGame, Fnv1a, SearchReport, SearchSpec, SnapshotOnly};
+use pnmcs::search::{AlgorithmSpec, CodedGame, Fnv1a, SearchReport, SearchSpec, SnapshotOnly};
 
-/// `(score, sequence length, FNV-1a of the sequence, playouts, expansions)`.
-type Golden = (i64, usize, u64, u64, u64);
+mod common;
+use common::test_workers;
+
+/// `(score, sequence length, FNV-1a of the sequence, playouts,
+/// expansions, client jobs)`.
+type Golden = (i64, usize, u64, u64, u64, u64);
 
 /// The specs, by the name the rows below use.
 const SPECS: &[(&str, &str)] = &[
@@ -84,166 +96,261 @@ const SPECS: &[(&str, &str)] = &[
         "ANNEALING",
         r#"{"algorithm":{"kind":"simulated_annealing","config":{"iterations":200,"t_initial":4.0,"t_final":0.05}},"seed":26}"#,
     ),
+    (
+        "LEAF_1X4_S1",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":1,"batch":4,"threads":1},"seed":1}"#,
+    ),
+    (
+        "LEAF_1X4_S42",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":1,"batch":4,"threads":1},"seed":42}"#,
+    ),
+    (
+        "LEAF_1X4_S2009",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":1,"batch":4,"threads":1},"seed":2009}"#,
+    ),
+    (
+        "LEAF_2X2_FIRST_S1",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":2,"batch":2,"threads":1,"first_move":true},"seed":1}"#,
+    ),
+    (
+        "LEAF_2X2_FIRST_S42",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":2,"batch":2,"threads":1,"first_move":true},"seed":42}"#,
+    ),
+    (
+        "LEAF_2X2_FIRST_S2009",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":2,"batch":2,"threads":1,"first_move":true},"seed":2009}"#,
+    ),
+    (
+        "ROOT_2_S7",
+        r#"{"algorithm":{"kind":"root_parallel","level":2,"threads":1},"seed":7}"#,
+    ),
+    (
+        "ROOT_2_S4242",
+        r#"{"algorithm":{"kind":"root_parallel","level":2,"threads":1},"seed":4242}"#,
+    ),
+    (
+        "LEAF_CUT",
+        r#"{"algorithm":{"kind":"leaf_parallel","level":2,"batch":2,"threads":1},"budget":{"max_playouts":8000},"seed":27}"#,
+    ),
+    (
+        "ROOT_CUT",
+        r#"{"algorithm":{"kind":"root_parallel","level":2,"threads":1},"budget":{"max_playouts":6000},"seed":28}"#,
+    ),
 ];
 
-/// `(spec name, stock game, what commit 70ef745 returned)`, debug and
-/// release alike.
+/// `(spec name, stock game, what the parent commit returned)`, debug and
+/// release alike. The first two blocks are from 70ef745; their job
+/// counts and the last block are from f855283.
 const GOLDEN: &[(&str, &str, Golden)] = &[
     (
         "NESTED_2",
         "samegame-small",
-        (1110, 9, 12276730636424257326, 356, 382),
+        (1110, 9, 12276730636424257326, 356, 382, 0),
     ),
     (
         "NESTED_1_GREEDY",
         "samegame-small",
-        (1118, 6, 7483844548777703249, 20, 20),
+        (1118, 6, 7483844548777703249, 20, 20, 0),
     ),
     (
         "NESTED_2_CAPPED",
         "samegame-small",
-        (1156, 7, 9801951122013371721, 328, 354),
+        (1156, 7, 9801951122013371721, 328, 354, 0),
     ),
     (
         "NESTED_2_INTERRUPTED",
         "samegame-small",
-        (1074, 10, 15752795208005060062, 60, 64),
+        (1074, 10, 15752795208005060062, 60, 64, 0),
     ),
     (
         "NRPA_2",
         "samegame-small",
-        (1054, 9, 15683941822276328721, 64, 0),
+        (1054, 9, 15683941822276328721, 64, 0, 0),
     ),
     (
         "UCT",
         "samegame-small",
-        (1080, 8, 4767398949755182596, 300, 122),
+        (1080, 8, 4767398949755182596, 300, 122, 0),
     ),
     (
         "UCT_REUSE",
         "samegame-small",
-        (1118, 7, 17998830143073209900, 300, 214),
+        (1118, 7, 17998830143073209900, 300, 214, 0),
     ),
     (
         "FLAT_MC",
         "samegame-small",
-        (206, 5, 4059608484415841740, 32, 0),
+        (206, 5, 4059608484415841740, 32, 0, 0),
     ),
     (
         "ITERATED",
         "samegame-small",
-        (149, 6, 16628918643559266478, 40, 40),
+        (149, 6, 16628918643559266478, 40, 40, 0),
     ),
     (
         "BEAM",
         "samegame-small",
-        (1282, 4, 13793031836415709444, 54, 27),
+        (1282, 4, 13793031836415709444, 54, 27, 0),
     ),
     (
         "SAMPLE",
         "samegame-small",
-        (90, 9, 16637232903061044941, 1, 0),
+        (90, 9, 16637232903061044941, 1, 0, 0),
     ),
     (
         "LEAF",
         "samegame-small",
-        (1100, 7, 1764614119054885782, 862, 862),
+        (1100, 7, 1764614119054885782, 862, 862, 60),
     ),
     (
         "ROOT",
         "samegame-small",
-        (1172, 7, 13288589072194685582, 721, 0),
+        (1172, 7, 13288589072194685582, 721, 0, 721),
     ),
     (
         "TREE_1",
         "samegame-small",
-        (1114, 8, 11232429302378845598, 300, 300),
+        (1114, 8, 11232429302378845598, 300, 300, 0),
     ),
     (
         "TREE_1_BATCHED",
         "samegame-small",
-        (1106, 7, 18398045073032458615, 300, 64),
+        (1106, 7, 18398045073032458615, 300, 64, 0),
     ),
     (
         "ANNEALING",
         "samegame-small",
-        (1148, 7, 13023125504463441159, 201, 0),
+        (1148, 7, 13023125504463441159, 201, 0, 0),
     ),
     (
         "NESTED_2",
         "morpion-c3",
-        (20, 20, 5234184807030370768, 14872, 15067),
+        (20, 20, 5234184807030370768, 14872, 15067, 0),
     ),
     (
         "NESTED_1_GREEDY",
         "morpion-c3",
-        (18, 18, 4335103857427599305, 178, 178),
+        (18, 18, 4335103857427599305, 178, 178, 0),
     ),
     (
         "NESTED_2_CAPPED",
         "morpion-c3",
-        (19, 19, 303418054923973051, 9042, 9172),
+        (19, 19, 303418054923973051, 9042, 9172, 0),
     ),
     (
         "NESTED_2_INTERRUPTED",
         "morpion-c3",
-        (19, 19, 11631022372967082992, 60, 61),
+        (19, 19, 11631022372967082992, 60, 61, 0),
     ),
     (
         "NRPA_2",
         "morpion-c3",
-        (20, 20, 10418910628304192135, 64, 0),
+        (20, 20, 10418910628304192135, 64, 0, 0),
     ),
     (
         "UCT",
         "morpion-c3",
-        (19, 19, 12012106342406221755, 300, 300),
+        (19, 19, 12012106342406221755, 300, 300, 0),
     ),
     (
         "UCT_REUSE",
         "morpion-c3",
-        (19, 19, 2999103053236434667, 300, 300),
+        (19, 19, 2999103053236434667, 300, 300, 0),
     ),
     (
         "FLAT_MC",
         "morpion-c3",
-        (19, 19, 7180629947719075366, 32, 0),
+        (19, 19, 7180629947719075366, 32, 0, 0),
     ),
     (
         "ITERATED",
         "morpion-c3",
-        (19, 19, 11287353731609931035, 334, 334),
+        (19, 19, 11287353731609931035, 334, 334, 0),
     ),
     (
         "BEAM",
         "morpion-c3",
-        (20, 20, 1754060825167036300, 928, 464),
+        (20, 20, 1754060825167036300, 928, 464, 0),
     ),
-    ("SAMPLE", "morpion-c3", (15, 15, 245363851894596210, 1, 0)),
+    (
+        "SAMPLE",
+        "morpion-c3",
+        (15, 15, 245363851894596210, 1, 0, 0),
+    ),
     (
         "LEAF",
         "morpion-c3",
-        (20, 20, 10835502613018002232, 29405, 29405),
+        (20, 20, 10835502613018002232, 29405, 29405, 374),
     ),
     (
         "ROOT",
         "morpion-c3",
-        (19, 19, 7190029663495089920, 12801, 0),
+        (19, 19, 7190029663495089920, 12801, 0, 12801),
     ),
     (
         "TREE_1",
         "morpion-c3",
-        (19, 19, 7036528427292344293, 300, 300),
+        (19, 19, 7036528427292344293, 300, 300, 0),
     ),
     (
         "TREE_1_BATCHED",
         "morpion-c3",
-        (20, 20, 14290380724659806999, 300, 300),
+        (20, 20, 14290380724659806999, 300, 300, 0),
     ),
     (
         "ANNEALING",
         "morpion-c3",
-        (19, 19, 15465733730230896991, 201, 0),
+        (19, 19, 15465733730230896991, 201, 0, 0),
+    ),
+    (
+        "LEAF_1X4_S1",
+        "samegame-7x7",
+        (1323, 11, 10924223962733456046, 204, 0, 204),
+    ),
+    (
+        "LEAF_1X4_S42",
+        "samegame-7x7",
+        (1323, 12, 17477678361844262954, 180, 0, 180),
+    ),
+    (
+        "LEAF_1X4_S2009",
+        "samegame-7x7",
+        (1327, 11, 8086448445335239060, 204, 0, 204),
+    ),
+    (
+        "LEAF_2X2_FIRST_S1",
+        "morpion-c2",
+        (6, 1, 17249459895071019231, 304, 304, 16),
+    ),
+    (
+        "LEAF_2X2_FIRST_S42",
+        "morpion-c2",
+        (6, 1, 17249459895071019231, 292, 292, 16),
+    ),
+    (
+        "LEAF_2X2_FIRST_S2009",
+        "morpion-c2",
+        (6, 1, 3587671900763729170, 294, 294, 16),
+    ),
+    (
+        "ROOT_2_S7",
+        "morpion-c2",
+        (6, 6, 3555020295714840957, 272, 0, 272),
+    ),
+    (
+        "ROOT_2_S4242",
+        "morpion-c2",
+        (6, 6, 17336843996061727482, 272, 0, 272),
+    ),
+    (
+        "LEAF_CUT",
+        "morpion-c3",
+        (2, 2, 2806827915294668876, 8000, 8000, 55),
+    ),
+    (
+        "ROOT_CUT",
+        "morpion-c3",
+        (3, 3, 14774041858670472746, 6000, 0, 6000),
     ),
 ];
 
@@ -259,6 +366,7 @@ fn digest<M: std::fmt::Debug>(report: &SearchReport<M>) -> Golden {
         h.finish(),
         report.stats.playouts,
         report.stats.expansions,
+        report.client_jobs,
     )
 }
 
@@ -275,7 +383,31 @@ where
     assert_eq!(undo.sequence, clone.sequence, "{spec:?}");
     assert_eq!(undo.stats, clone.stats, "{spec:?}");
     assert_eq!(undo.interrupted, clone.interrupted, "{spec:?}");
-    digest(&undo)
+    let golden = digest(&undo);
+    for wide in worker_sweep(spec) {
+        assert_eq!(digest(&wide.run(game)), golden, "{wide:?}");
+    }
+    golden
+}
+
+/// An unbudgeted leaf- or root-parallel spec at 1, 2 and the CI worker
+/// count; nothing for any other spec.
+fn worker_sweep(spec: &SearchSpec) -> Vec<SearchSpec> {
+    if spec.budget.is_limited() {
+        return Vec::new();
+    }
+    [1, 2, test_workers()]
+        .into_iter()
+        .filter_map(|workers| {
+            let mut wide = spec.clone();
+            match &mut wide.algorithm {
+                AlgorithmSpec::LeafParallel { threads, .. }
+                | AlgorithmSpec::RootParallel { threads, .. } => *threads = workers,
+                _ => return None,
+            }
+            Some(wide)
+        })
+        .collect()
 }
 
 fn run_row(name: &str, game: &str) -> Golden {
@@ -287,7 +419,9 @@ fn run_row(name: &str, game: &str) -> Golden {
     let spec: SearchSpec = serde_json::from_str(json).expect("spec parses");
     match game {
         "samegame-small" => run_both(&spec, &SameGame::random(6, 6, 3, spec.seed)),
+        "samegame-7x7" => run_both(&spec, &SameGame::random(7, 7, 3, 2)),
         "morpion-c3" => run_both(&spec, &cross_board(Variant::Disjoint, 3)),
+        "morpion-c2" => run_both(&spec, &cross_board(Variant::Disjoint, 2)),
         other => panic!("unknown stock game {other}"),
     }
 }

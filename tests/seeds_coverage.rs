@@ -1,9 +1,9 @@
-//! Coverage for `parallel::seeds` — the cross-backend (and now
+//! Coverage for `search::seeds` — the cross-backend (and now
 //! cross-engine) determinism contract: derivations must be stable across
 //! calls, and must not collide across the coordinate ranges any
 //! realistic search or engine workload visits.
 
-use pnmcs::parallel::seeds::{client_seed, median_seed};
+use pnmcs::search::seeds::{client_seed, median_seed};
 use std::collections::HashSet;
 
 #[test]

@@ -551,6 +551,40 @@ fn streaming_progress_emits_ndjson_until_terminal() {
 }
 
 #[test]
+fn a_spec_the_executors_would_assert_on_gets_400_and_is_never_enqueued() {
+    // A root-parallel level below 2 and a zero width used to parse, get
+    // 202, and then kill the replica on an assert inside a worker.
+    let server = server(8, 1, 8);
+    let addr = server.addr();
+    for (algorithm, reason) in [
+        (
+            r#"{"kind":"root_parallel","level":1,"threads":2}"#,
+            "`level` >= 2",
+        ),
+        (
+            r#"{"kind":"leaf_parallel","level":1,"batch":0,"threads":2}"#,
+            "`batch` >= 1",
+        ),
+        (r#"{"kind":"tree_parallel","threads":0}"#, "`threads` >= 1"),
+    ] {
+        let body =
+            format!(r#"{{"tenant":"t","game":"sum","spec":{{"algorithm":{algorithm},"seed":1}}}}"#);
+        let (status, _, resp) = post(addr, "/jobs", &body);
+        assert_eq!(status, 400, "{algorithm}: {resp}");
+        assert!(
+            as_str(field(&json(&resp), "error")).contains(reason),
+            "{algorithm}: {resp}"
+        );
+    }
+    let (_, _, metrics) = get(addr, "/metrics?format=json");
+    let snapshot = json(&metrics);
+    let engine = field(&snapshot, "engine");
+    assert_eq!(as_u64(field(engine, "submitted_jobs")), 0);
+    assert_eq!(as_u64(field(engine, "failed_jobs")), 0);
+    server.shutdown();
+}
+
+#[test]
 fn error_paths_answer_400_404_405_as_documented() {
     let server = server(8, 1, 8);
     let addr = server.addr();
