@@ -4,9 +4,8 @@
 //! The workload is a fixed batch of small mixed-game jobs (SameGame,
 //! rollout-TSP, SumGame — the same mix as `examples/engine_service.rs`),
 //! submitted as fast as backpressure admits them. For each (workers,
-//! queue capacity) cell the experiment reports wall-clock throughput,
-//! queue behaviour (peak depth, rejected fast-path submissions), and
-//! work-stealing activity.
+//! queue capacity) cell the experiment reports wall-clock throughput
+//! and queue behaviour (peak depth, rejected fast-path submissions).
 
 use crate::report::Table;
 use nmcs_core::metrics::{HistogramSnapshot, MetricsSnapshot};
@@ -26,7 +25,6 @@ pub struct ThroughputRow {
     pub elapsed_ms: f64,
     pub jobs_per_sec: f64,
     pub total_work_units: u64,
-    pub stolen_tasks: u64,
     pub peak_queue_depth: usize,
     pub rejected_submissions: u64,
 }
@@ -93,7 +91,6 @@ pub fn measure_cell(
         elapsed_ms: elapsed.as_secs_f64() * 1e3,
         jobs_per_sec: n_jobs as f64 / elapsed.as_secs_f64(),
         total_work_units: stats.total_work_units,
-        stolen_tasks: stats.stolen_tasks,
         peak_queue_depth: stats.peak_queue_depth,
         rejected_submissions: stats.rejected_submissions,
     }
@@ -126,7 +123,6 @@ pub fn throughput_table(rows: &[ThroughputRow]) -> Table {
             "elapsed (ms)",
             "jobs/sec",
             "peak queue",
-            "stolen",
             "rejected",
         ],
     );
@@ -138,7 +134,6 @@ pub fn throughput_table(rows: &[ThroughputRow]) -> Table {
             format!("{:.1}", r.elapsed_ms),
             format!("{:.0}", r.jobs_per_sec),
             r.peak_queue_depth.to_string(),
-            r.stolen_tasks.to_string(),
             r.rejected_submissions.to_string(),
         ]);
     }

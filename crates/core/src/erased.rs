@@ -129,175 +129,104 @@ fn digest<G: Game>(game: &G, codes: impl Iterator<Item = u64>) -> u64 {
 /// look-alike roots, short enough to stay negligible next to a search.
 const PROBE_STEPS: usize = 16;
 
-/// Erasure of a [`CodedGame`]: true move codes, so NRPA over the erased
-/// game learns exactly the policy it would learn over the typed game.
-///
-/// The current legal-move list is cached eagerly (filled at
-/// construction, refreshed after every `play_nth`), so indexed
+/// Where an erasure's move codes come from: `(game, move, index) → code`.
+/// [`DynGame::new`] reads the game's true [`CodedGame::move_code`], so
+/// NRPA over the erased game learns exactly the policy it would learn
+/// over the typed game; [`DynGame::new_uncoded`] uses the index itself —
+/// NRPA still runs, but its policy keys on positions' move slots rather
+/// than stable move identity (fine for algorithms that ignore codes:
+/// NMCS, UCT, flat MC).
+type CodeSource<G> = fn(&G, &<G as Game>::Move, usize) -> u64;
+
+/// The erasure of a game. The current legal-move list is cached eagerly
+/// (filled at construction, refreshed after every move), so indexed
 /// accessors are O(1) and an erased search performs exactly one move
 /// generation per step — the same as the typed search it mirrors.
-struct ErasedCoded<G: CodedGame + Send + Sync + 'static>
-where
-    G::Move: Send + Sync,
-{
+struct Erased<G: Game> {
     game: G,
     moves: Vec<G::Move>,
     /// Undo tokens of outstanding `apply_nth` calls (LIFO). Not cloned:
     /// tokens belong to the position they were issued on.
     undo: Vec<Undo<G>>,
+    code: CodeSource<G>,
 }
 
-/// Erasure of a plain [`Game`]: positional move codes (the index
-/// itself). NRPA still runs, but its policy keys on positions' move
-/// slots rather than stable move identity — fine for algorithms that
-/// ignore codes (NMCS, UCT, flat MC), weaker for NRPA.
-struct ErasedUncoded<G: Game + Send + Sync + 'static>
+impl<G: Game> Erased<G> {
+    fn refresh_moves(&mut self) {
+        self.moves.clear();
+        self.game.legal_moves(&mut self.moves);
+    }
+}
+
+impl<G: Game + Send + Sync + 'static> AnyGame for Erased<G>
 where
     G::Move: Send + Sync,
 {
-    game: G,
-    moves: Vec<G::Move>,
-    /// Undo tokens of outstanding `apply_nth` calls (LIFO; not cloned).
-    undo: Vec<Undo<G>>,
-}
+    fn legal_count(&self) -> usize {
+        self.moves.len()
+    }
 
-fn current_moves<G: Game>(game: &G) -> Vec<G::Move> {
-    let mut buf = Vec::new();
-    game.legal_moves(&mut buf);
-    buf
-}
+    fn play_nth(&mut self, i: usize) {
+        let mv = self.moves[i].clone();
+        self.game.play(&mv);
+        self.refresh_moves();
+    }
 
-/// The scratch-protocol surface shared verbatim by both erasures (they
-/// differ only in move coding). One expansion site keeps the journal
-/// semantics — LIFO token pops, one cache refresh per batch — in
-/// lockstep; editing one erasure but not the other would silently break
-/// the bit-identity contract for the other coding scheme.
-macro_rules! erased_scratch_protocol {
-    () => {
-        fn supports_undo(&self) -> bool {
-            self.game.supports_undo()
-        }
+    fn score(&self) -> Score {
+        self.game.score()
+    }
 
-        fn apply_nth(&mut self, i: usize) {
-            let mv = self.moves[i].clone();
-            self.undo.push(self.game.apply(&mv));
-            self.moves.clear();
-            self.game.legal_moves(&mut self.moves);
-        }
+    fn moves_played(&self) -> usize {
+        self.game.moves_played()
+    }
 
-        fn undo_last(&mut self) {
-            let token = self.undo.pop().expect("undo_last without apply_nth");
+    fn move_code_nth(&self, i: usize) -> u64 {
+        (self.code)(&self.game, &self.moves[i], i)
+    }
+
+    fn state_hash(&self) -> u64 {
+        self.game.state_hash()
+    }
+
+    fn state_digest(&self) -> u64 {
+        let codes = (0..self.moves.len()).map(|i| self.move_code_nth(i));
+        digest(&self.game, codes)
+    }
+
+    fn clone_any(&self) -> Box<dyn AnyGame> {
+        Box::new(Erased {
+            game: self.game.clone(),
+            moves: self.moves.clone(),
+            undo: Vec::new(),
+            code: self.code,
+        })
+    }
+
+    fn supports_undo(&self) -> bool {
+        self.game.supports_undo()
+    }
+
+    fn apply_nth(&mut self, i: usize) {
+        let mv = self.moves[i].clone();
+        self.undo.push(self.game.apply(&mv));
+        self.refresh_moves();
+    }
+
+    fn undo_last(&mut self) {
+        let token = self.undo.pop().expect("undo_last without apply_nth");
+        self.game.undo(token);
+        self.refresh_moves();
+    }
+
+    fn undo_many(&mut self, n: usize) {
+        for _ in 0..n {
+            let token = self.undo.pop().expect("undo_many without apply_nth");
             self.game.undo(token);
-            self.moves.clear();
-            self.game.legal_moves(&mut self.moves);
         }
-
-        fn undo_many(&mut self, n: usize) {
-            for _ in 0..n {
-                let token = self.undo.pop().expect("undo_many without apply_nth");
-                self.game.undo(token);
-            }
-            if n > 0 {
-                self.moves.clear();
-                self.game.legal_moves(&mut self.moves);
-            }
+        if n > 0 {
+            self.refresh_moves();
         }
-    };
-}
-
-impl<G: CodedGame + Send + Sync + 'static> AnyGame for ErasedCoded<G>
-where
-    G::Move: Send + Sync,
-{
-    fn legal_count(&self) -> usize {
-        self.moves.len()
     }
-
-    fn play_nth(&mut self, i: usize) {
-        let mv = self.moves[i].clone();
-        self.game.play(&mv);
-        self.moves.clear();
-        self.game.legal_moves(&mut self.moves);
-    }
-
-    fn score(&self) -> Score {
-        self.game.score()
-    }
-
-    fn moves_played(&self) -> usize {
-        self.game.moves_played()
-    }
-
-    fn move_code_nth(&self, i: usize) -> u64 {
-        self.game.move_code(&self.moves[i])
-    }
-
-    fn state_hash(&self) -> u64 {
-        self.game.state_hash()
-    }
-
-    fn state_digest(&self) -> u64 {
-        digest(
-            &self.game,
-            self.moves.iter().map(|m| self.game.move_code(m)),
-        )
-    }
-
-    fn clone_any(&self) -> Box<dyn AnyGame> {
-        Box::new(ErasedCoded {
-            game: self.game.clone(),
-            moves: self.moves.clone(),
-            undo: Vec::new(),
-        })
-    }
-
-    erased_scratch_protocol!();
-}
-
-impl<G: Game + Send + Sync + 'static> AnyGame for ErasedUncoded<G>
-where
-    G::Move: Send + Sync,
-{
-    fn legal_count(&self) -> usize {
-        self.moves.len()
-    }
-
-    fn play_nth(&mut self, i: usize) {
-        let mv = self.moves[i].clone();
-        self.game.play(&mv);
-        self.moves.clear();
-        self.game.legal_moves(&mut self.moves);
-    }
-
-    fn score(&self) -> Score {
-        self.game.score()
-    }
-
-    fn moves_played(&self) -> usize {
-        self.game.moves_played()
-    }
-
-    fn move_code_nth(&self, i: usize) -> u64 {
-        i as u64
-    }
-
-    fn state_hash(&self) -> u64 {
-        self.game.state_hash()
-    }
-
-    fn state_digest(&self) -> u64 {
-        digest(&self.game, 0..self.moves.len() as u64)
-    }
-
-    fn clone_any(&self) -> Box<dyn AnyGame> {
-        Box::new(ErasedUncoded {
-            game: self.game.clone(),
-            moves: self.moves.clone(),
-            undo: Vec::new(),
-        })
-    }
-
-    erased_scratch_protocol!();
 }
 
 /// A boxed erased game that itself implements [`Game`] (with
@@ -320,20 +249,29 @@ fn domain_label<G: 'static>() -> &'static str {
 }
 
 impl DynGame {
+    fn erase<G: Game + Send + Sync + 'static>(game: G, code: CodeSource<G>) -> Self
+    where
+        G::Move: Send + Sync,
+    {
+        let mut erased = Erased {
+            game,
+            moves: Vec::new(),
+            undo: Vec::new(),
+            code,
+        };
+        erased.refresh_moves();
+        DynGame {
+            inner: Box::new(erased),
+            domain: domain_label::<G>(),
+        }
+    }
+
     /// Erases a coded game; NRPA keeps its true move codes.
     pub fn new<G: CodedGame + Send + Sync + 'static>(game: G) -> Self
     where
         G::Move: Send + Sync,
     {
-        let moves = current_moves(&game);
-        DynGame {
-            inner: Box::new(ErasedCoded {
-                game,
-                moves,
-                undo: Vec::new(),
-            }),
-            domain: domain_label::<G>(),
-        }
+        Self::erase(game, |game, mv, _| game.move_code(mv))
     }
 
     /// Erases a plain game; NRPA falls back to positional move codes.
@@ -341,15 +279,7 @@ impl DynGame {
     where
         G::Move: Send + Sync,
     {
-        let moves = current_moves(&game);
-        DynGame {
-            inner: Box::new(ErasedUncoded {
-                game,
-                moves,
-                undo: Vec::new(),
-            }),
-            domain: domain_label::<G>(),
-        }
+        Self::erase(game, |_, _, i| i as u64)
     }
 
     /// The concrete game type's short name (e.g. `"SameGame"`), kept

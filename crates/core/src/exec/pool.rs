@@ -8,8 +8,8 @@
 //! its workers alive for as long as the pool lives, so a whole game
 //! (hundreds of steps) pays the spawn cost once.
 //!
-//! Topology (mirroring the engine's job pool, scaled down to in-search
-//! granularity):
+//! Topology — the workspace's one work-stealing pool, sized for
+//! in-search granularity (borrowed fork-join batches of µs tasks):
 //!
 //! * one *injector* queue that [`ExecutorPool::run_batch`] submits to;
 //! * one local deque per worker — a worker grabs a small batch from the

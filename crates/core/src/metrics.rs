@@ -769,8 +769,6 @@ pub struct EngineSnapshot {
     pub executed_tasks: u64,
     /// Replica tasks skipped (cancelled before running).
     pub skipped_tasks: u64,
-    /// Replica tasks stolen between engine workers.
-    pub stolen_tasks: u64,
     /// Work units across all executed tasks.
     pub total_work_units: u64,
     /// Current submission-queue depth.
@@ -918,7 +916,6 @@ impl_value_struct!(EngineSnapshot {
     rejected_submissions,
     executed_tasks,
     skipped_tasks,
-    stolen_tasks,
     total_work_units,
     queue_depth,
     queue_wait,
@@ -1020,11 +1017,6 @@ impl MetricsSnapshot {
                 s,
                 "engine_tasks_total{{kind=\"skipped\"}} {}",
                 e.skipped_tasks
-            );
-            let _ = writeln!(
-                s,
-                "engine_tasks_total{{kind=\"stolen\"}} {}",
-                e.stolen_tasks
             );
             let _ = writeln!(s, "engine_work_units_total {}", e.total_work_units);
             let _ = writeln!(s, "engine_queue_depth {}", e.queue_depth);

@@ -4,11 +4,11 @@
 //! allows. This crate answers *many*: a long-running [`Engine`] accepts
 //! heterogeneous search jobs — any game (via the object-safe
 //! [`nmcs_core::DynGame`] erasure) × any strategy of the unified search
-//! API ([`Algorithm`] *is* [`nmcs_core::AlgorithmSpec`]) — on a bounded
-//! submission queue and executes them on a shared work-stealing worker
-//! pool. A job is "a [`nmcs_core::SearchSpec`] applied to an erased
-//! game" ([`JobSpec::from_spec`]), so algorithm, tunables, budget, and
-//! seed travel as one serde-able value.
+//! API ([`Algorithm`] *is* [`nmcs_core::AlgorithmSpec`]) — on one bounded
+//! FIFO of replica tasks that its worker threads pull from when free
+//! (the paper's Last-Minute rule). A job is "a [`nmcs_core::SearchSpec`]
+//! applied to an erased game" ([`JobSpec::from_spec`]), so algorithm,
+//! tunables, budget, and seed travel as one serde-able value.
 //!
 //! Properties the service layer guarantees:
 //!
@@ -18,7 +18,8 @@
 //!   cluster backends use (see [`scheduler`]).
 //! * **Backpressure** — the queue is bounded; [`Engine::submit`] blocks
 //!   when full, [`Engine::try_submit`] fails fast, and queued memory is
-//!   bounded by `queue_capacity` tasks
+//!   bounded by exactly `queue_capacity` tasks: every admitted but
+//!   unstarted replica is in the queue
 //!   ([`EngineStats::peak_queue_depth`] is the witness).
 //! * **Prompt cancellation** — [`JobHandle::cancel`] trips a
 //!   [`nmcs_core::CancelToken`] polled inside every search loop at
@@ -147,6 +148,13 @@ pub enum SubmitError {
     QueueFull { capacity: usize, requested: usize },
     /// The engine is shutting down.
     ShuttingDown,
+    /// The job can never finish as specified (`replicas == 0` would
+    /// enqueue nothing and leave its handle waiting forever). Nothing
+    /// was admitted.
+    InvalidJob {
+        /// Human-readable description of the rejected field.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -160,6 +168,7 @@ impl std::fmt::Display for SubmitError {
                 "submission queue full (capacity {capacity}, job needs {requested} slots)"
             ),
             SubmitError::ShuttingDown => f.write_str("engine is shutting down"),
+            SubmitError::InvalidJob { reason } => write!(f, "invalid job: {reason}"),
         }
     }
 }
@@ -182,8 +191,6 @@ pub struct EngineStats {
     pub executed_tasks: u64,
     /// Replica tasks skipped because their job was cancelled.
     pub skipped_tasks: u64,
-    /// Tasks a worker stole from a sibling's deque.
-    pub stolen_tasks: u64,
     /// Search work units executed on behalf of completed replicas.
     pub total_work_units: u64,
     /// `try_submit` calls refused by backpressure.
@@ -221,8 +228,8 @@ impl Engine {
             });
         }
         let in_flight = Arc::new(InFlight::default());
-        let shared = PoolShared::new(config.workers, config.queue_capacity, in_flight.clone());
-        let workers = spawn_workers(&shared).map_err(EngineError::WorkerSpawn)?;
+        let shared = PoolShared::new(config.queue_capacity, in_flight.clone());
+        let workers = spawn_workers(&shared, config.workers).map_err(EngineError::WorkerSpawn)?;
         Ok(Engine {
             shared,
             in_flight,
@@ -232,11 +239,7 @@ impl Engine {
         })
     }
 
-    fn admit(&self, spec: JobSpec) -> (Arc<JobCore>, Vec<Task>) {
-        self.admit_with(spec, None)
-    }
-
-    fn admit_with(
+    fn admit(
         &self,
         spec: JobSpec,
         session: Option<Arc<SessionEntry>>,
@@ -256,10 +259,49 @@ impl Engine {
         (core, tasks)
     }
 
-    fn rollback(&self, core: &Arc<JobCore>) {
-        for plan in &core.plans {
-            self.in_flight.release(plan.signature);
+    /// Enqueue-or-rollback, shared by every submission path: the whole
+    /// replica batch is admitted atomically (waiting for room when
+    /// `blocking`), or nothing is — the rejected tasks are dropped and
+    /// the job's planned in-flight signatures released, so a refused
+    /// job leaves no trace and `core` is its only remaining reference.
+    fn enqueue(&self, core: &JobCore, tasks: Vec<Task>, blocking: bool) -> Result<(), SubmitError> {
+        let requested = tasks.len();
+        let queue = &self.shared.queue;
+        let metrics = &self.shared.metrics;
+        let outcome = if requested == 0 {
+            // An empty batch always "fits", and a job with no replica to
+            // finish it would never reach a terminal state.
+            Err(SubmitError::InvalidJob {
+                reason: "replicas must be >= 1",
+            })
+        } else {
+            let pushed = if blocking {
+                queue.push_all(tasks)
+            } else {
+                queue.try_push_all(tasks)
+            };
+            pushed.map_err(|(push_error, _rejected_tasks)| match push_error {
+                PushError::Full => {
+                    metrics.rejected_submissions.fetch_add(1, Ordering::Relaxed);
+                    SubmitError::QueueFull {
+                        capacity: queue.capacity(),
+                        requested,
+                    }
+                }
+                PushError::Closed => SubmitError::ShuttingDown,
+            })
+        };
+        match outcome {
+            Ok(()) => {
+                metrics.submitted_jobs.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                for plan in &core.plans {
+                    self.in_flight.release(plan.signature);
+                }
+            }
         }
+        outcome
     }
 
     /// Submits a job, **blocking** while the queue is full
@@ -269,41 +311,12 @@ impl Engine {
     /// it never hangs, and never leaves a job half-admitted for the
     /// workers to cancel. Fails with [`SubmitError::QueueFull`] only
     /// when the job has more replicas than the queue has slots (waiting
-    /// could never succeed).
+    /// could never succeed), and with [`SubmitError::InvalidJob`] when
+    /// it has none.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        let (core, tasks) = self.admit(spec);
-        let n = tasks.len();
-        // Count the tasks as outstanding *before* they become poppable —
-        // a fast worker could otherwise finish one and decrement the
-        // counter below zero.
-        self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
-        match self.shared.injector.push_all(tasks) {
-            Ok(()) => {
-                self.shared
-                    .metrics
-                    .submitted_jobs
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle { core })
-            }
-            Err((push_error, rejected_tasks)) => {
-                self.shared.outstanding.fetch_sub(n, Ordering::AcqRel);
-                self.rollback(&core);
-                drop(rejected_tasks);
-                match push_error {
-                    PushError::Full => {
-                        self.shared
-                            .metrics
-                            .rejected_submissions
-                            .fetch_add(1, Ordering::Relaxed);
-                        Err(SubmitError::QueueFull {
-                            capacity: self.shared.injector.capacity(),
-                            requested: n,
-                        })
-                    }
-                    PushError::Closed => Err(SubmitError::ShuttingDown),
-                }
-            }
-        }
+        let (core, tasks) = self.admit(spec, None);
+        self.enqueue(&core, tasks, true)?;
+        Ok(JobHandle { core })
     }
 
     /// Submits a job without blocking: if the queue lacks room for
@@ -315,40 +328,10 @@ impl Engine {
     // API — the caller resubmits it without cloning the game.
     #[allow(clippy::result_large_err)]
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, (SubmitError, JobSpec)> {
-        let (core, tasks) = self.admit(spec);
-        let n = tasks.len();
-        // Count the tasks as outstanding *before* they become poppable —
-        // a fast worker could otherwise finish one and decrement the
-        // counter below zero. Both error arms give the pre-count back.
-        self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
-        match self.shared.injector.try_push_all(tasks) {
-            Ok(()) => {
-                self.shared
-                    .metrics
-                    .submitted_jobs
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle { core })
-            }
-            Err((push_error, rejected_tasks)) => {
-                self.shared.outstanding.fetch_sub(n, Ordering::AcqRel);
-                self.rollback(&core);
-                let error = match push_error {
-                    PushError::Full => {
-                        self.shared
-                            .metrics
-                            .rejected_submissions
-                            .fetch_add(1, Ordering::Relaxed);
-                        SubmitError::QueueFull {
-                            capacity: self.shared.injector.capacity(),
-                            requested: n,
-                        }
-                    }
-                    PushError::Closed => SubmitError::ShuttingDown,
-                };
-                // Nothing was admitted, so the rejected tasks hold the
-                // only other references to the core; dropping them lets
-                // the spec be recovered without a clone.
-                drop(rejected_tasks);
+        let (core, tasks) = self.admit(spec, None);
+        match self.enqueue(&core, tasks, false) {
+            Ok(()) => Ok(JobHandle { core }),
+            Err(error) => {
                 let spec = Arc::try_unwrap(core)
                     .unwrap_or_else(|_| unreachable!("rejected job leaked a reference"))
                     .spec;
@@ -423,35 +406,11 @@ impl Engine {
                 diversify_policies: false,
             }
         };
-        let (core, tasks) = self.admit_with(spec, Some(entry.clone()));
-        let n = tasks.len();
-        self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
-        match self.shared.injector.push_all(tasks) {
-            Ok(()) => {
-                self.shared
-                    .metrics
-                    .submitted_jobs
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle { core })
-            }
-            Err((push_error, rejected_tasks)) => {
-                self.shared.outstanding.fetch_sub(n, Ordering::AcqRel);
-                self.rollback(&core);
-                drop(rejected_tasks);
+        let (core, tasks) = self.admit(spec, Some(entry.clone()));
+        match self.enqueue(&core, tasks, true) {
+            Ok(()) => Ok(JobHandle { core }),
+            Err(error) => {
                 entry.step_inflight.store(false, Ordering::Release);
-                let error = match push_error {
-                    PushError::Full => {
-                        self.shared
-                            .metrics
-                            .rejected_submissions
-                            .fetch_add(1, Ordering::Relaxed);
-                        SubmitError::QueueFull {
-                            capacity: self.shared.injector.capacity(),
-                            requested: n,
-                        }
-                    }
-                    PushError::Closed => SubmitError::ShuttingDown,
-                };
                 Err(SessionError::Submit(error))
             }
         }
@@ -498,17 +457,16 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let m = &self.shared.metrics;
         EngineStats {
-            workers: self.shared.locals.len(),
-            queue_capacity: self.shared.injector.capacity(),
-            queue_depth: self.shared.injector.len(),
-            peak_queue_depth: self.shared.injector.peak(),
+            workers: self.workers.len(),
+            queue_capacity: self.shared.queue.capacity(),
+            queue_depth: self.shared.queue.len(),
+            peak_queue_depth: self.shared.queue.peak(),
             submitted_jobs: m.submitted_jobs.load(Ordering::Relaxed),
             completed_jobs: m.completed_jobs.load(Ordering::Relaxed),
             cancelled_jobs: m.cancelled_jobs.load(Ordering::Relaxed),
             failed_jobs: m.failed_jobs.load(Ordering::Relaxed),
             executed_tasks: m.executed_tasks.load(Ordering::Relaxed),
             skipped_tasks: m.skipped_tasks.load(Ordering::Relaxed),
-            stolen_tasks: m.stolen_tasks.load(Ordering::Relaxed),
             total_work_units: m.total_work_units.load(Ordering::Relaxed),
             rejected_submissions: m.rejected_submissions.load(Ordering::Relaxed),
             in_flight_replicas: self.in_flight.len(),
@@ -548,9 +506,8 @@ impl Engine {
             rejected_submissions: m.rejected_submissions.load(Ordering::Relaxed),
             executed_tasks: m.executed_tasks.load(Ordering::Relaxed),
             skipped_tasks: m.skipped_tasks.load(Ordering::Relaxed),
-            stolen_tasks: m.stolen_tasks.load(Ordering::Relaxed),
             total_work_units: m.total_work_units.load(Ordering::Relaxed),
-            queue_depth: self.shared.injector.len() as u64,
+            queue_depth: self.shared.queue.len() as u64,
             queue_wait: reg.queue_wait.snapshot(),
             run_time: reg.run_time.snapshot(),
             tenants: reg.tenants.snapshot(),
@@ -583,8 +540,7 @@ impl Engine {
     /// everything already admitted still drains. Workers exit once
     /// drained; they are joined by [`Engine::shutdown`] or drop.
     pub fn close(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.injector.close();
+        self.shared.queue.close();
     }
 
     /// Stops accepting jobs, drains everything already admitted, and
@@ -594,8 +550,7 @@ impl Engine {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.injector.close();
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -763,6 +718,137 @@ mod tests {
         }
     }
 
+    /// Opens its [`GateGame`]s — on request, or when dropped. Declare
+    /// it *after* the engine: a failing assertion then opens the gate
+    /// before the engine's drop joins the workers pinned on it, so the
+    /// test fails instead of hanging.
+    struct Gate(std::sync::Arc<std::sync::atomic::AtomicBool>);
+
+    impl Gate {
+        fn open(&self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    impl Drop for Gate {
+        fn drop(&mut self) {
+            self.open();
+        }
+    }
+
+    fn gate() -> (Gate, GateGame) {
+        let release = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let game = GateGame {
+            release: release.clone(),
+        };
+        (Gate(release), game)
+    }
+
+    /// Polls `cond` until it holds; a scheduler that never gets there
+    /// fails the test instead of hanging it.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn short_jobs_do_not_convoy_behind_a_long_one() {
+        let e = engine(2, 16);
+        let (release, long_game) = gate();
+        let long = e
+            .submit(JobSpec::uncoded("long", long_game, Algorithm::Sample, 1))
+            .unwrap();
+        wait_until("long job running", || {
+            long.poll_progress().state == JobState::Running
+        });
+        let short: Vec<_> = (0..6)
+            .map(|i| {
+                e.submit(JobSpec::new(
+                    format!("short-{i}"),
+                    SumGame::random(4, 3, i),
+                    Algorithm::Sample,
+                    i,
+                ))
+                .unwrap()
+            })
+            .collect();
+        // The free worker pulls all six, one after the other, while its
+        // sibling stays pinned: nothing waits behind the busy worker.
+        wait_until("six short jobs complete", || {
+            short
+                .iter()
+                .all(|h| h.poll_progress().state == JobState::Completed)
+        });
+        assert_eq!(long.poll_progress().state, JobState::Running);
+        release.open();
+        assert_eq!(long.join().state, JobState::Completed);
+        e.shutdown();
+    }
+
+    #[test]
+    fn queue_capacity_bounds_every_unstarted_replica_exactly() {
+        let e = engine(1, 8);
+        let (release_a, game_a) = gate();
+        let (release_b, game_b) = gate();
+        let job_b =
+            |i: u64| JobSpec::uncoded(format!("b-{i}"), game_b.clone(), Algorithm::Sample, i);
+        let a = e
+            .submit(JobSpec::uncoded("a", game_a, Algorithm::Sample, 0))
+            .unwrap();
+        wait_until("a running", || a.poll_progress().state == JobState::Running);
+        let mut queued: Vec<_> = (0..8).map(|i| e.try_submit(job_b(i)).unwrap()).collect();
+        assert!(matches!(
+            e.try_submit(job_b(8)),
+            Err((SubmitError::QueueFull { .. }, _))
+        ));
+        // The worker finishes `a` and pulls exactly one task — the head
+        // of the queue, which pins it again — so exactly one slot frees:
+        // no unstarted task lives anywhere but in the queue.
+        release_a.open();
+        wait_until("head of the queue running", || {
+            queued[0].poll_progress().state == JobState::Running
+        });
+        assert_eq!(e.stats().queue_depth, 7);
+        queued.push(e.try_submit(job_b(9)).expect("one slot freed"));
+        assert!(matches!(
+            e.try_submit(job_b(10)),
+            Err((SubmitError::QueueFull { .. }, _))
+        ));
+        assert_eq!(e.stats().peak_queue_depth, 8);
+        release_b.open();
+        assert_eq!(a.join().state, JobState::Completed);
+        for h in queued {
+            assert_eq!(h.join().state, JobState::Completed);
+        }
+        e.shutdown();
+    }
+
+    #[test]
+    fn a_job_with_zero_replicas_is_refused_not_admitted_to_wait_forever() {
+        let e = engine(1, 4);
+        let mut spec = JobSpec::new("empty", SumGame::random(4, 3, 1), Algorithm::nested(1), 9);
+        spec.replicas = 0;
+        match e.submit(spec.clone()) {
+            Err(SubmitError::InvalidJob { reason }) => {
+                assert!(reason.contains("replicas"), "got reason {reason:?}")
+            }
+            other => panic!("expected InvalidJob, got {other:?}"),
+        }
+        match e.try_submit(spec) {
+            Err((SubmitError::InvalidJob { .. }, returned)) => {
+                assert_eq!(returned.name, "empty", "spec is handed back");
+            }
+            other => panic!("expected InvalidJob, got {other:?}"),
+        }
+        let stats = e.stats();
+        assert_eq!(stats.in_flight_replicas, 0);
+        assert_eq!(stats.submitted_jobs, 0);
+        e.shutdown();
+    }
+
     #[test]
     fn blocked_submitter_wakes_with_error_when_engine_closes() {
         let release = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -874,7 +960,7 @@ mod tests {
             let stats = e.stats();
             assert_eq!(stats.submitted_jobs, accepted, "round {round}");
             assert_eq!(stats.in_flight_replicas, 0, "round {round}: leaked plans");
-            e.shutdown(); // must not hang on a mis-counted `outstanding`
+            e.shutdown(); // must not hang
         }
     }
 
@@ -903,7 +989,7 @@ mod tests {
         let e = engine(1, 4);
         // Simulate the closed-queue state shutdown creates, while the
         // engine value is still alive to submit through.
-        e.shared.injector.close();
+        e.shared.queue.close();
 
         let spec = JobSpec::new("late", SumGame::random(4, 3, 1), Algorithm::nested(1), 9)
             .with_replicas(2);
@@ -918,14 +1004,13 @@ mod tests {
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
         // Both failures must roll their bookkeeping back completely:
-        // leaked in-flight signatures would diversify future duplicates,
-        // and a wrong `outstanding` count would hang the join below.
+        // leaked in-flight signatures would diversify future duplicates.
         let stats = e.stats();
         assert_eq!(
             stats.in_flight_replicas, 0,
             "signatures released on rejection"
         );
         assert_eq!(stats.submitted_jobs, 0);
-        e.shutdown(); // must not hang on a mis-counted `outstanding`
+        e.shutdown(); // must not hang
     }
 }

@@ -1,12 +1,12 @@
-//! The work-stealing worker pool and per-task execution.
+//! The engine's workers and per-task execution.
 //!
-//! Topology: one bounded *injector* queue (the engine's submission
-//! queue) plus one local deque per worker. A worker grabs a small batch
-//! from the injector into its local deque, runs from the front, and —
-//! when both its deque and the injector are empty — steals from the
-//! *back* of a sibling's deque. Long searches therefore never convoy
-//! behind each other: whatever sits unstarted behind a busy worker is
-//! fair game for an idle one.
+//! One queue, pull-when-free — the paper's Last-Minute rule: every
+//! admitted replica sits in the one bounded FIFO ([`BoundedQueue`])
+//! until a worker *reports free* by popping it, oldest first. Workers
+//! block on the queue's condvar while it is empty and exit when it is
+//! closed and drained, so long searches never convoy (nothing is ever
+//! parked behind a busy worker), the capacity bound is exact, and an
+//! idle engine burns no CPU.
 //!
 //! Task execution goes through the unified search API: each replica
 //! builds a [`SearchSpec`] (the job's algorithm and budget with the
@@ -16,14 +16,16 @@
 //! no truncated-invariant panics — and budget-interrupted replicas
 //! return valid best-so-far results.
 //!
-//! Two pools, two granularities: this pool schedules whole *replicas*
-//! (long tasks, bounded queue, backpressure); a replica running a
-//! parallel strategy delegates its *in-search* fan-out — per-step leaf
-//! batches, median games, tree-parallel workers — to the process-wide
-//! `nmcs_core::ExecutorPool`, whose workers stay warm across every
-//! replica and every job. Neither pool ever blocks the other: executor
-//! batches are help-first (the submitting replica thread works too), so
-//! an engine fully busy with replicas still makes progress on each.
+//! A queue here, a pool there: whole *replicas* are long `'static`
+//! tasks under bounded admission and backpressure, which is what a FIFO
+//! is for; a replica running a parallel strategy delegates its
+//! *in-search* fan-out — per-step leaf batches, median games,
+//! tree-parallel workers: borrowed fork-join batches of µs tasks — to
+//! the process-wide `nmcs_core::ExecutorPool`, the workspace's one
+//! work-stealing pool, whose workers stay warm across every replica and
+//! every job. Neither ever blocks the other: executor batches are
+//! help-first (the submitting replica thread works too), so an engine
+//! fully busy with replicas still makes progress on each.
 
 use crate::handle::{JobCore, ReplicaOutcome};
 use crate::job::{Algorithm, ReplicaResult};
@@ -31,11 +33,9 @@ use crate::queue::BoundedQueue;
 use crate::scheduler::InFlight;
 use nmcs_core::metrics::{metrics_enabled, DeadLetter, DeadLetterQueue, Histogram, TagHistograms};
 use nmcs_core::{Fnv1a, Interruption, NestedConfig, Searcher};
-use parking_lot::{Mutex, MutexGuard};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 /// One schedulable unit: a single replica of a job.
 pub(crate) struct Task {
@@ -52,7 +52,6 @@ pub(crate) struct Metrics {
     pub failed_jobs: AtomicU64,
     pub executed_tasks: AtomicU64,
     pub skipped_tasks: AtomicU64,
-    pub stolen_tasks: AtomicU64,
     pub total_work_units: AtomicU64,
     pub rejected_submissions: AtomicU64,
 }
@@ -113,46 +112,25 @@ pub(crate) fn name_tag(name: &str) -> u64 {
 }
 
 pub(crate) struct PoolShared {
-    pub injector: BoundedQueue<Task>,
-    pub locals: Vec<Mutex<VecDeque<Task>>>,
+    pub queue: BoundedQueue<Task>,
     pub in_flight: Arc<InFlight>,
     pub metrics: Metrics,
     pub registry: Registry,
-    pub shutdown: AtomicBool,
-    /// Tasks admitted but not yet finished; lets shutdown drain cleanly.
-    pub outstanding: AtomicUsize,
 }
 
 impl PoolShared {
-    pub fn new(workers: usize, queue_capacity: usize, in_flight: Arc<InFlight>) -> Arc<Self> {
+    pub fn new(queue_capacity: usize, in_flight: Arc<InFlight>) -> Arc<Self> {
         Arc::new(PoolShared {
-            injector: BoundedQueue::new(queue_capacity),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: BoundedQueue::new(queue_capacity),
             in_flight,
             metrics: Metrics::default(),
             registry: Registry::default(),
-            shutdown: AtomicBool::new(false),
-            outstanding: AtomicUsize::new(0),
         })
-    }
-
-    fn local(&self, idx: usize) -> MutexGuard<'_, VecDeque<Task>> {
-        self.locals[idx].lock()
-    }
-
-    /// Work remains somewhere (injector or any local deque).
-    fn has_work(&self) -> bool {
-        self.injector.len() > 0
-            || self
-                .locals
-                .iter()
-                .enumerate()
-                .any(|(i, _)| !self.local(i).is_empty())
     }
 }
 
-/// Spawns the worker threads. They exit when `shutdown` is set *and*
-/// every queue is drained.
+/// Spawns the worker threads. They exit once the queue is closed *and*
+/// drained.
 ///
 /// Degrades gracefully when the OS refuses a thread: the workers spawned
 /// so far are shut down and joined, and the error surfaces to the caller
@@ -160,18 +138,18 @@ impl PoolShared {
 /// of aborting mid-construction with a panic.
 pub(crate) fn spawn_workers(
     shared: &Arc<PoolShared>,
+    workers: usize,
 ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-    let mut handles = Vec::with_capacity(shared.locals.len());
-    for idx in 0..shared.locals.len() {
+    let mut handles = Vec::with_capacity(workers);
+    for idx in 0..workers {
         let worker_shared = shared.clone();
         match std::thread::Builder::new()
             .name(format!("nmcs-engine-worker-{idx}"))
-            .spawn(move || worker_loop(&worker_shared, idx))
+            .spawn(move || worker_loop(&worker_shared))
         {
             Ok(handle) => handles.push(handle),
             Err(e) => {
-                shared.shutdown.store(true, Ordering::Release);
-                shared.injector.close();
+                shared.queue.close();
                 for handle in handles {
                     let _ = handle.join();
                 }
@@ -182,75 +160,9 @@ pub(crate) fn spawn_workers(
     Ok(handles)
 }
 
-fn worker_loop(shared: &Arc<PoolShared>, idx: usize) {
-    let workers = shared.locals.len();
-    // Idle backoff: 1ms while work was seen recently (steal latency),
-    // stretching to 64ms on a quiet engine so idle workers do not poll
-    // the injector a thousand times a second forever. New injector
-    // pushes (and banked surplus, via `poke`) wake sleepers immediately.
-    let mut idle_wait = Duration::from_millis(1);
-    loop {
-        // 1. Own deque, oldest first.
-        let task = shared.local(idx).pop_front();
-        if let Some(task) = task {
-            idle_wait = Duration::from_millis(1);
-            run_task(shared, task);
-            continue;
-        }
-
-        // 2. Injector: grab a small batch, run one, bank the rest where
-        //    siblings can steal them.
-        let batch_max = (shared.injector.len() / workers).clamp(1, 4);
-        let mut batch = shared.injector.try_pop_batch(batch_max);
-        if !batch.is_empty() {
-            idle_wait = Duration::from_millis(1);
-            let first = batch.remove(0);
-            if !batch.is_empty() {
-                shared.local(idx).extend(batch);
-                // Wake idle siblings: the surplus just banked in this
-                // worker's deque is stealable work they cannot see.
-                shared.injector.poke();
-            }
-            run_task(shared, first);
-            continue;
-        }
-
-        // 3. Steal from the back of a sibling's deque.
-        let mut stolen = None;
-        for off in 1..workers {
-            let victim = (idx + off) % workers;
-            if let Some(task) = shared.local(victim).pop_back() {
-                stolen = Some(task);
-                break;
-            }
-        }
-        if let Some(task) = stolen {
-            idle_wait = Duration::from_millis(1);
-            shared.metrics.stolen_tasks.fetch_add(1, Ordering::Relaxed);
-            run_task(shared, task);
-            continue;
-        }
-
-        // 4. Idle: park briefly on the injector, or exit on drained
-        //    shutdown.
-        if shared.shutdown.load(Ordering::Acquire)
-            && !shared.has_work()
-            && shared.outstanding.load(Ordering::Acquire) == 0
-        {
-            return;
-        }
-        if let Some(task) = shared.injector.pop_timeout(idle_wait) {
-            idle_wait = Duration::from_millis(1);
-            run_task(shared, task);
-        } else {
-            if shared.injector.is_closed() {
-                // pop_timeout returns immediately once the queue is
-                // closed; sleep so workers waiting out a sibling's
-                // long-running final task do not spin a core each.
-                std::thread::sleep(idle_wait);
-            }
-            idle_wait = (idle_wait * 2).min(Duration::from_millis(64));
-        }
+fn worker_loop(shared: &PoolShared) {
+    while let Some(task) = shared.queue.pop() {
+        run_task(shared, task);
     }
 }
 
@@ -409,5 +321,4 @@ fn finish_replica(
 ) {
     shared.in_flight.release(signature);
     job.record_replica(replica, outcome, &shared.metrics);
-    shared.outstanding.fetch_sub(1, Ordering::AcqRel);
 }

@@ -1,14 +1,19 @@
-//! Bounded MPMC submission queue with explicit backpressure.
+//! The engine's one queue: a bounded FIFO of replica tasks that workers
+//! pull from when free — the paper's Last-Minute rule (a job goes to a
+//! client only when that client reports free), so nothing piles up
+//! behind a busy worker while another idles.
 //!
-//! This is the engine's admission control: the queue holds *replica
-//! tasks*, its capacity bounds the engine's queued memory, and a full
-//! queue pushes back on submitters — [`BoundedQueue::push`] blocks,
-//! [`BoundedQueue::try_push_all`] fails fast (all-or-nothing, so a
-//! multi-replica job is never half-admitted).
+//! It is also the engine's admission control: its capacity bounds the
+//! engine's queued memory exactly (every admitted-but-unstarted replica
+//! is in here), and a full queue pushes back on submitters —
+//! [`BoundedQueue::push_all`] blocks, [`BoundedQueue::try_push_all`]
+//! fails fast (both all-or-nothing, so a multi-replica job is never
+//! half-admitted). "Closed" is the queue's own state: a
+//! [`BoundedQueue::pop`] that returns `None` is a worker's signal to
+//! exit.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,25 +60,15 @@ impl<T> BoundedQueue<T> {
         self.inner.lock()
     }
 
-    /// Blocking push: waits while the queue is full (backpressure).
-    /// Production submissions go through [`BoundedQueue::push_all`]
-    /// (atomic batches); the single-item form remains the close-race
-    /// regression tests' probe.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn push(&self, item: T) -> Result<(), PushError> {
-        let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return Err(PushError::Closed);
-            }
-            if inner.queue.len() < self.capacity {
-                inner.queue.push_back(item);
-                inner.peak = inner.peak.max(inner.queue.len());
-                drop(inner);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            self.not_full.wait(&mut inner);
+    /// Admits a whole batch under the held lock and wakes one popper
+    /// per item.
+    fn append(&self, mut inner: MutexGuard<'_, Inner<T>>, items: Vec<T>) {
+        let n = items.len();
+        inner.queue.extend(items);
+        inner.peak = inner.peak.max(inner.queue.len());
+        drop(inner);
+        for _ in 0..n {
+            self.not_empty.notify_one();
         }
     }
 
@@ -95,13 +90,7 @@ impl<T> BoundedQueue<T> {
                 return Err((PushError::Closed, items));
             }
             if self.capacity - inner.queue.len() >= items.len() {
-                let n = items.len();
-                inner.queue.extend(items);
-                inner.peak = inner.peak.max(inner.queue.len());
-                drop(inner);
-                for _ in 0..n {
-                    self.not_empty.notify_one();
-                }
+                self.append(inner, items);
                 return Ok(());
             }
             self.not_full.wait(&mut inner);
@@ -111,91 +100,45 @@ impl<T> BoundedQueue<T> {
     /// Non-blocking push of a whole batch; either every item is admitted
     /// or none is.
     pub fn try_push_all(&self, items: Vec<T>) -> Result<(), (PushError, Vec<T>)> {
-        let mut inner = self.lock();
+        let inner = self.lock();
         if inner.closed {
             return Err((PushError::Closed, items));
         }
         if self.capacity - inner.queue.len() < items.len() {
             return Err((PushError::Full, items));
         }
-        let n = items.len();
-        inner.queue.extend(items);
-        inner.peak = inner.peak.max(inner.queue.len());
-        drop(inner);
-        for _ in 0..n {
-            self.not_empty.notify_one();
-        }
+        self.append(inner, items);
         Ok(())
     }
 
-    /// Pops one item without blocking.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn try_pop(&self) -> Option<T> {
+    /// Blocks until an item is available and returns the oldest one;
+    /// `None` once the queue is closed *and* drained. Wakes **every**
+    /// blocked pusher: batch pushers wait for different amounts of room,
+    /// so waking only one could leave a small batch asleep behind a
+    /// large one that still does not fit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
-        let item = inner.queue.pop_front();
-        if item.is_some() {
-            drop(inner);
-            self.not_full.notify_one();
+        loop {
+            if let Some(item) = inner.queue.pop_front() {
+                drop(inner);
+                self.not_full.notify_all();
+                return Some(item);
+            }
+            if inner.closed {
+                return None;
+            }
+            self.not_empty.wait(&mut inner);
         }
-        item
-    }
-
-    /// Pops up to `max` items without blocking (work-stealing workers
-    /// take a batch so siblings can steal the surplus from them).
-    pub fn try_pop_batch(&self, max: usize) -> Vec<T> {
-        let mut inner = self.lock();
-        let n = max.min(inner.queue.len());
-        let batch: Vec<T> = inner.queue.drain(..n).collect();
-        if !batch.is_empty() {
-            drop(inner);
-            self.not_full.notify_all();
-        }
-        batch
-    }
-
-    /// Waits up to `timeout` for an item. Returns `None` on timeout,
-    /// when the queue is closed and drained, **or on any wakeup that
-    /// delivers no item** (notably [`BoundedQueue::poke`]) — an early
-    /// `None` tells the caller to go look for work that lives outside
-    /// this queue, such as a sibling's banked surplus.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut inner = self.lock();
-        if let Some(item) = inner.queue.pop_front() {
-            drop(inner);
-            self.not_full.notify_one();
-            return Some(item);
-        }
-        if inner.closed {
-            return None;
-        }
-        self.not_empty.wait_for(&mut inner, timeout);
-        let item = inner.queue.pop_front();
-        if item.is_some() {
-            drop(inner);
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Wakes every popper blocked in [`BoundedQueue::pop_timeout`]
-    /// without delivering an item — used to announce stealable work that
-    /// lives outside this queue (a worker's banked surplus).
-    pub fn poke(&self) {
-        self.not_empty.notify_all();
     }
 
     /// Closes the queue: pending items remain poppable, new pushes fail,
-    /// and blocked poppers wake up.
+    /// and blocked pushers and poppers wake up.
     pub fn close(&self) {
         let mut inner = self.lock();
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     pub fn len(&self) -> usize {
@@ -214,6 +157,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn try_push_all_is_all_or_nothing() {
@@ -230,33 +174,33 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_space() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
+        q.push_all(vec![1]).unwrap();
         let q2 = q.clone();
-        let t = thread::spawn(move || q2.push(2));
+        let t = thread::spawn(move || q2.push_all(vec![2]));
         thread::sleep(Duration::from_millis(20));
         assert_eq!(q.len(), 1, "push must still be blocked");
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop(), Some(1));
         t.join().unwrap().unwrap();
-        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
     fn close_wakes_blocked_pushers_with_a_shutdown_error() {
         // Regression shape of the engine-drop audit: a submitter blocked
-        // in `push` on a full queue must wake with `Closed` when the
+        // in `push_all` on a full queue must wake with `Closed` when the
         // queue shuts down — never hang forever, and never sneak its
         // item in after the close.
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
+        q.push_all(vec![1]).unwrap();
         let q2 = q.clone();
-        let t = thread::spawn(move || q2.push(2));
+        let t = thread::spawn(move || q2.push_all(vec![2]));
         thread::sleep(Duration::from_millis(20));
         assert!(!t.is_finished(), "pusher must be blocked on the full queue");
         q.close();
-        assert_eq!(t.join().unwrap(), Err(PushError::Closed));
+        assert_eq!(t.join().unwrap(), Err((PushError::Closed, vec![2])));
         // The pending item survives the close; the refused one does not.
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -264,13 +208,13 @@ mod tests {
         // A racier shape: close *then* drain. The woken pusher sees the
         // closed flag before the free slot and still errors out.
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
+        q.push_all(vec![1]).unwrap();
         let q2 = q.clone();
-        let t = thread::spawn(move || q2.push(2));
+        let t = thread::spawn(move || q2.push_all(vec![2]));
         thread::sleep(Duration::from_millis(10));
         q.close();
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(t.join().unwrap(), Err(PushError::Closed));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(t.join().unwrap(), Err((PushError::Closed, vec![2])));
         assert_eq!(q.len(), 0);
     }
 
@@ -278,11 +222,11 @@ mod tests {
     fn close_wakes_poppers_and_rejects_pushes() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
         let q2 = q.clone();
-        let t = thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
+        let t = thread::spawn(move || q2.pop());
         thread::sleep(Duration::from_millis(10));
         q.close();
         assert_eq!(t.join().unwrap(), None);
-        assert_eq!(q.push(1), Err(PushError::Closed));
+        assert_eq!(q.push_all(vec![1]), Err((PushError::Closed, vec![1])));
     }
 
     #[test]
@@ -293,14 +237,15 @@ mod tests {
         let t = thread::spawn(move || q2.push_all(vec![4, 5, 6]));
         thread::sleep(Duration::from_millis(20));
         assert!(!t.is_finished(), "batch must wait: only 1 slot free");
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop(), Some(1));
         thread::sleep(Duration::from_millis(20));
         assert!(!t.is_finished(), "batch must wait: only 2 slots free");
-        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.pop(), Some(2));
         t.join().unwrap().unwrap();
         assert_eq!(q.len(), 4);
         // Nothing interleaved into the middle of the batch.
-        assert_eq!(q.try_pop_batch(4), vec![3, 4, 5, 6]);
+        let rest: Vec<u32> = (0..4).filter_map(|_| q.pop()).collect();
+        assert_eq!(rest, vec![3, 4, 5, 6]);
     }
 
     #[test]
@@ -310,6 +255,36 @@ mod tests {
         assert_eq!(err, PushError::Full);
         assert_eq!(returned, vec![1, 2, 3]);
         assert_eq!(q.len(), 0);
+    }
+
+    /// Batch pushers wait for different amounts of room, so a freed slot
+    /// must wake all of them: waking only the longest waiter would leave
+    /// the one-item pusher asleep behind a three-item batch that still
+    /// does not fit.
+    #[test]
+    fn a_freed_slot_wakes_the_small_waiter_behind_a_large_one() {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
+        q.try_push_all(vec![1, 2, 3, 4]).unwrap();
+        let (qa, qb) = (q.clone(), q.clone());
+        let a = thread::spawn(move || qa.push_all(vec![10, 11, 12]));
+        thread::sleep(Duration::from_millis(20)); // A queues up first
+        let b = thread::spawn(move || qb.push_all(vec![20]));
+        thread::sleep(Duration::from_millis(20));
+        assert!(!a.is_finished() && !b.is_finished(), "queue is full");
+
+        assert_eq!(q.pop(), Some(1));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !b.is_finished() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(b.is_finished(), "B's single slot is free: it must wake");
+        b.join().unwrap().unwrap();
+        assert!(!a.is_finished(), "A still lacks room for its batch");
+        q.close();
+        assert_eq!(
+            a.join().unwrap(),
+            Err((PushError::Closed, vec![10, 11, 12]))
+        );
     }
 
     /// The submit-vs-close hammer: many threads blocking-push batches
@@ -340,7 +315,8 @@ mod tests {
                 thread::spawn(move || {
                     let mut got = Vec::new();
                     for _ in 0..(round % 7) {
-                        got.extend(q.try_pop_batch(2));
+                        got.extend(q.pop());
+                        got.extend(q.pop());
                         thread::yield_now();
                     }
                     got
@@ -354,7 +330,7 @@ mod tests {
                     ok += 1;
                 }
             }
-            while let Some(v) = q.try_pop() {
+            while let Some(v) = q.pop() {
                 admitted.push(v);
             }
             // Conservation: exactly the accepted batches are in the
@@ -366,13 +342,5 @@ mod tests {
                 assert_eq!(chunk[2], chunk[0] + 2, "torn batch: {admitted:?}");
             }
         }
-    }
-
-    #[test]
-    fn pop_batch_takes_at_most_max() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(10);
-        q.try_push_all((0..6).collect()).unwrap();
-        assert_eq!(q.try_pop_batch(4), vec![0, 1, 2, 3]);
-        assert_eq!(q.len(), 2);
     }
 }

@@ -390,6 +390,7 @@ fn submit(req: &Request, ctx: &ServerCtx) -> Response {
             ctx.metrics.shed("shutting-down");
             json_error(503, "shutting down", None)
         }
+        Err((e @ SubmitError::InvalidJob { .. }, _)) => json_error(400, &e.to_string(), None),
     }
 }
 
@@ -475,6 +476,9 @@ fn submit_session(ctx: &ServerCtx, id: SessionId) -> Response {
         Err(SessionError::Submit(SubmitError::ShuttingDown)) => {
             ctx.metrics.shed("shutting-down");
             json_error(503, "shutting down", None)
+        }
+        Err(SessionError::Submit(e @ SubmitError::InvalidJob { .. })) => {
+            json_error(400, &e.to_string(), None)
         }
     }
 }

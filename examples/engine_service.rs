@@ -156,7 +156,6 @@ fn main() {
     );
     println!("    jobs cancelled      {}", stats.cancelled_jobs);
     println!("    replica tasks run   {}", stats.executed_tasks);
-    println!("    tasks stolen        {}", stats.stolen_tasks);
     println!("    work units          {}", stats.total_work_units);
     println!(
         "    peak queue depth    {}/{}",

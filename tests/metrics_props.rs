@@ -290,6 +290,16 @@ fn engine_inspector_reports_all_three_layers_and_round_trips() {
     let json = serde_json::to_string(&snapshot).expect("snapshot serialises");
     let back: m::MetricsSnapshot = serde_json::from_str(&json).expect("snapshot parses");
     assert_eq!(back, snapshot);
+    // A snapshot written before the engine's steal counter was removed
+    // still parses: unknown keys are ignored.
+    let legacy = json.replacen(
+        "\"skipped_tasks\":",
+        "\"stolen_tasks\":3,\"skipped_tasks\":",
+        1,
+    );
+    assert_ne!(legacy, json, "the legacy key was spliced in");
+    let back: m::MetricsSnapshot = serde_json::from_str(&legacy).expect("legacy snapshot parses");
+    assert_eq!(back, snapshot);
     let text = snapshot.render_text();
     for series in ["pool_parks", "search_playouts", "engine_run_time"] {
         assert!(text.contains(series), "render_text missing {series}");
