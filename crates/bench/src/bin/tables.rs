@@ -13,25 +13,27 @@
 //! tables --serve [--soak-small]  # HTTP front-door soak (nonzero exit on any violated invariant)
 //! tables --serve --sessions      # soak plus the session-churn phase (quota, TTL table, eviction plateau)
 //! tables --reuse                 # equal-budget warm-tree reuse-on vs reuse-off comparison
+//! tables --service               # latency-SLO + dead-letter report through the engine
 //! ```
 //!
-//! `--spec` replays any persisted sweep row from its recorded JSON (see
+//! `--spec` runs any `SearchSpec` JSON at any width (see
 //! `nmcs_bench::spec_cli`); `--game` picks the stock game it runs on.
+//! Throughput and overhead are not measured here: `benches/ledger` is
+//! the workspace's one measurement system.
 
 use nmcs_bench::experiments::{Experiments, Scale};
+use nmcs_core::SearchSpec;
+use nmcs_serve::wire;
 use parallel_nmcs::{DispatchPolicy, RunMode};
 use std::path::PathBuf;
 
 struct Args {
     table: Option<u32>,
-    figure: Option<u32>,
+    figure: bool,
     ablations: bool,
-    engine: bool,
-    leaf: bool,
-    tree: bool,
     reuse: bool,
     service: bool,
-    spec: Option<String>,
+    spec: Option<SearchSpec>,
     game: String,
     lint: bool,
     hot: bool,
@@ -46,10 +48,10 @@ struct Args {
 
 fn usage() -> String {
     format!(
-        "tables [--table N] [--figure 1] [--ablations] [--engine] [--leaf] [--tree] [--reuse] [--service] \
+        "tables [--table N] [--figure 1] [--ablations] [--reuse] [--service] \
          [--lint [--hot]] [--serve [--soak-small] [--sessions]] [--spec JSON [--game {}]] \
          [--scale paper|real] [--seed S] [--out DIR]",
-        nmcs_bench::STOCK_GAMES.join("|")
+        wire::GAMES.join("|")
     )
 }
 
@@ -57,11 +59,8 @@ fn usage() -> String {
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         table: None,
-        figure: None,
+        figure: false,
         ablations: false,
-        engine: false,
-        leaf: false,
-        tree: false,
         reuse: false,
         service: false,
         spec: None,
@@ -79,27 +78,23 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--table" => {
-                args.table = Some(number(&mut it, "--table")?);
+                let n: u32 = number(&mut it, "--table")?;
+                if !(1..=6).contains(&n) {
+                    return Err(format!("no table {n} (1..=6)"));
+                }
+                args.table = Some(n);
                 args.all = false;
             }
             "--figure" => {
-                args.figure = Some(number(&mut it, "--figure")?);
+                let n: u32 = number(&mut it, "--figure")?;
+                if n != 1 {
+                    return Err(format!("no figure {n} (1)"));
+                }
+                args.figure = true;
                 args.all = false;
             }
             "--ablations" => {
                 args.ablations = true;
-                args.all = false;
-            }
-            "--engine" => {
-                args.engine = true;
-                args.all = false;
-            }
-            "--leaf" => {
-                args.leaf = true;
-                args.all = false;
-            }
-            "--tree" => {
-                args.tree = true;
                 args.all = false;
             }
             "--reuse" => {
@@ -111,7 +106,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.all = false;
             }
             "--spec" => {
-                args.spec = Some(value(&mut it, "--spec")?);
+                let json = value(&mut it, "--spec")?;
+                let spec = serde_json::from_str(&json)
+                    .map_err(|e| format!("--spec JSON did not parse: {e}"))?;
+                args.spec = Some(spec);
                 args.all = false;
             }
             "--lint" => {
@@ -128,7 +126,16 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--soak-small" => args.soak_small = true,
             "--sessions" => args.sessions = true,
-            "--game" => args.game = value(&mut it, "--game")?,
+            "--game" => {
+                args.game = value(&mut it, "--game")?;
+                if !wire::GAMES.contains(&args.game.as_str()) {
+                    return Err(format!(
+                        "unknown game '{}' ({})",
+                        args.game,
+                        wire::GAMES.join("|")
+                    ));
+                }
+            }
             "--scale" => {
                 args.scale = match value(&mut it, "--scale")?.as_str() {
                     "paper" => Scale::Paper,
@@ -161,12 +168,16 @@ fn number<T: std::str::FromStr>(
         .map_err(|_| format!("{flag} needs a number, got '{raw}'"))
 }
 
+/// Refuses the command line: the problem and the usage line on stderr,
+/// exit code 2.
+fn refuse(problem: &str) -> ! {
+    eprintln!("tables: {problem}");
+    eprintln!("usage: {}", usage());
+    std::process::exit(2);
+}
+
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| {
-        eprintln!("tables: {problem}");
-        eprintln!("usage: {}", usage());
-        std::process::exit(2);
-    });
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| refuse(&problem));
 
     // The invariant check needs no calibration and gates CI: print every
     // unwaived finding, summarise per rule, exit nonzero if any remain.
@@ -270,16 +281,11 @@ fn main() {
         return;
     }
 
-    // Spec replay needs no calibration: parse, run, render, done.
-    if let Some(json) = &args.spec {
-        let spec: nmcs_core::SearchSpec = match serde_json::from_str(json) {
-            Ok(spec) => spec,
-            Err(e) => panic!("--spec JSON did not parse: {e}"),
-        };
-        match nmcs_bench::run_spec_on(&spec, &args.game) {
-            Ok(table) => println!("{}", table.render()),
-            Err(e) => panic!("{e}"),
-        }
+    // Spec replay needs no calibration: run, render, done.
+    if let Some(spec) = &args.spec {
+        let table =
+            nmcs_bench::run_spec_on(spec, &args.game).unwrap_or_else(|problem| refuse(&problem));
+        println!("{}", table.render());
         return;
     }
 
@@ -377,7 +383,7 @@ fn main() {
                     .render()
             )
         }
-        (n, _) => panic!("no table {n}"),
+        (n, _) => unreachable!("parse_args admits tables 1..=6, got {n}"),
     };
 
     if args.all {
@@ -396,7 +402,7 @@ fn main() {
     if let Some(t) = args.table {
         run_table(t);
     }
-    if args.figure == Some(1) {
+    if args.figure {
         let (art, _) = e.figure1();
         println!("{art}");
     }
@@ -406,22 +412,6 @@ fn main() {
         println!("{}", e.ablation_memory(5).render());
         println!("{}", e.ablation_baselines().render());
         println!("{}", e.ablation_nrpa().render());
-    }
-    if args.engine {
-        let rows = nmcs_bench::throughput_sweep(&[1, 2, 4, 8], &[4, 32, 256], 96, args.seed);
-        println!("{}", nmcs_bench::throughput_table(&rows).render());
-        nmcs_bench::persist(&args.out, "engine_throughput", &rows)
-            .expect("persist engine throughput rows");
-    }
-    if args.leaf {
-        let rows = nmcs_bench::leaf_sweep(&[1, 2, 4, 8], &[1, 4, 16], args.seed);
-        println!("{}", nmcs_bench::leaf_table(&rows).render());
-        nmcs_bench::persist(&args.out, "leaf_parallel", &rows).expect("persist leaf rows");
-    }
-    if args.tree {
-        let rows = nmcs_bench::tree_sweep(&[1, 2, 4, 8], 20_000, args.seed);
-        println!("{}", nmcs_bench::tree_table(&rows).render());
-        nmcs_bench::persist(&args.out, "tree_parallel", &rows).expect("persist tree rows");
     }
     if args.service {
         // The latency-SLO report: a mixed workload (plus one injected

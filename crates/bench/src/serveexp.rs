@@ -20,10 +20,9 @@
 
 use crate::report::Table;
 use nmcs_core::metrics::MetricsSnapshot;
-use nmcs_core::{DynGame, SearchSpec};
+use nmcs_core::SearchSpec;
 use nmcs_engine::EngineConfig;
-use nmcs_games::{NeedleLadder, SameGame, SumGame, TspGame, TspInstance};
-use nmcs_serve::{ServeConfig, Server};
+use nmcs_serve::{wire, ServeConfig, Server};
 use serde::Value;
 use std::io::{Read, Write};
 // nmcs-lint: allow(socket-discipline) reason="the soak drives the HTTP edge from outside: these sockets are the test clients"
@@ -58,24 +57,12 @@ fn spec_for(client: usize, seed: u64) -> SearchSpec {
 }
 
 /// The direct library call the wire result must match: the same stock
-/// game the server builds for `domain`, searched over `DynGame` so the
-/// sequence comes back index-coded exactly like the engine's.
+/// game the server builds for `domain` (an erased `DynGame`, so the
+/// sequence comes back index-coded exactly like the engine's).
 fn direct_coded(domain: &str, spec: &SearchSpec) -> (i64, Vec<usize>, u64, u64) {
-    let seed = spec.seed;
-    let run = |g: DynGame| {
-        let r = spec.run(&g).into_result();
-        (r.score, r.sequence, r.stats.playouts, r.stats.work_units)
-    };
-    match domain {
-        "sum" => run(DynGame::new(SumGame::random(6, 4, seed))),
-        "samegame-small" => run(DynGame::new(SameGame::random(6, 6, 3, seed))),
-        "tsp" => run(DynGame::new(TspGame::new(
-            TspInstance::random(12, seed),
-            None,
-        ))),
-        "needle" => run(DynGame::new(NeedleLadder::new(10))),
-        other => panic!("soak has no domain '{other}'"),
-    }
+    let game = wire::stock_game(domain, spec.seed).expect("soak domains are stock games");
+    let r = spec.run(&game).into_result();
+    (r.score, r.sequence, r.stats.playouts, r.stats.work_units)
 }
 
 // ---------------------------------------------------------------------

@@ -1,33 +1,20 @@
-//! Engine throughput experiment: jobs/sec as a function of worker count
-//! and queue depth.
+//! The service report behind `tables --service`: latency percentiles
+//! against an SLO and the dead-letter record, read back through
+//! [`Engine::inspector`].
 //!
 //! The workload is a fixed batch of small mixed-game jobs (SameGame,
-//! rollout-TSP, SumGame — the same mix as `examples/engine_service.rs`),
-//! submitted as fast as backpressure admits them. For each (workers,
-//! queue capacity) cell the experiment reports wall-clock throughput
-//! and queue behaviour (peak depth, rejected fast-path submissions).
+//! rollout-TSP, SumGame — the same mix as `examples/engine_service.rs`)
+//! plus one guaranteed budget trip and one injected panic. It is a
+//! functional report; engine throughput is priced by the ledger's
+//! `engine.*` rows.
 
 use crate::report::Table;
 use nmcs_core::metrics::{HistogramSnapshot, MetricsSnapshot};
 use nmcs_core::seeds::median_seed;
 use nmcs_core::SearchSpec;
-use nmcs_engine::{Algorithm, Engine, EngineConfig, JobSpec, SubmitError};
+use nmcs_engine::{Algorithm, Engine, EngineConfig, JobSpec};
 use nmcs_games::{SameGame, SumGame, TspGame, TspInstance};
 use serde::Serialize;
-use std::time::Instant;
-
-/// One measured (workers × queue capacity) cell.
-#[derive(Debug, Clone, Serialize)]
-pub struct ThroughputRow {
-    pub workers: usize,
-    pub queue_capacity: usize,
-    pub jobs: usize,
-    pub elapsed_ms: f64,
-    pub jobs_per_sec: f64,
-    pub total_work_units: u64,
-    pub peak_queue_depth: usize,
-    pub rejected_submissions: u64,
-}
 
 /// Builds the `i`-th job of the mixed workload by enumerating unified
 /// specs — the job is (name, game, SearchSpec), nothing hand-wired.
@@ -47,97 +34,6 @@ fn mixed_job(i: usize, seed: u64) -> JobSpec {
         ),
         _ => JobSpec::from_spec(format!("sum-{i}"), SumGame::random(6, 4, job_seed), spec),
     }
-}
-
-/// Runs `n_jobs` mixed jobs through an engine with the given shape and
-/// measures completion throughput.
-pub fn measure_cell(
-    workers: usize,
-    queue_capacity: usize,
-    n_jobs: usize,
-    seed: u64,
-) -> ThroughputRow {
-    let engine = Engine::start(EngineConfig {
-        workers,
-        queue_capacity,
-    })
-    .expect("valid engine config");
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(n_jobs);
-    for i in 0..n_jobs {
-        // Exercise both admission paths: fast-path try_submit, falling
-        // back to the blocking (backpressure) path when full.
-        let handle = match engine.try_submit(mixed_job(i, seed)) {
-            Ok(h) => h,
-            Err((SubmitError::QueueFull { .. }, spec)) => {
-                engine.submit(spec).expect("engine accepting")
-            }
-            Err((e, _)) => panic!("submission failed: {e}"),
-        };
-        handles.push(handle);
-    }
-    for h in handles {
-        let out = h.join();
-        assert!(out.best.is_some(), "job {} produced no result", out.name);
-    }
-    let elapsed = started.elapsed();
-    let stats = engine.stats();
-    engine.shutdown();
-
-    ThroughputRow {
-        workers,
-        queue_capacity,
-        jobs: n_jobs,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        jobs_per_sec: n_jobs as f64 / elapsed.as_secs_f64(),
-        total_work_units: stats.total_work_units,
-        peak_queue_depth: stats.peak_queue_depth,
-        rejected_submissions: stats.rejected_submissions,
-    }
-}
-
-/// The full sweep: every worker count × queue capacity combination.
-pub fn throughput_sweep(
-    workers: &[usize],
-    queue_capacities: &[usize],
-    n_jobs: usize,
-    seed: u64,
-) -> Vec<ThroughputRow> {
-    let mut rows = Vec::new();
-    for &w in workers {
-        for &cap in queue_capacities {
-            rows.push(measure_cell(w, cap, n_jobs, seed));
-        }
-    }
-    rows
-}
-
-/// Renders a sweep as a table in the style of the paper harness.
-pub fn throughput_table(rows: &[ThroughputRow]) -> Table {
-    let mut table = Table::new(
-        "Engine throughput: mixed jobs vs workers vs queue depth",
-        &[
-            "workers",
-            "queue cap",
-            "jobs",
-            "elapsed (ms)",
-            "jobs/sec",
-            "peak queue",
-            "rejected",
-        ],
-    );
-    for r in rows {
-        table.row(&[
-            r.workers.to_string(),
-            r.queue_capacity.to_string(),
-            r.jobs.to_string(),
-            format!("{:.1}", r.elapsed_ms),
-            format!("{:.0}", r.jobs_per_sec),
-            r.peak_queue_depth.to_string(),
-            r.rejected_submissions.to_string(),
-        ]);
-    }
-    table
 }
 
 /// A game whose playouts panic — the service report's fault injector,
@@ -335,14 +231,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_cell_completes_all_jobs() {
-        let row = measure_cell(2, 8, 6, 42);
-        assert_eq!(row.jobs, 6);
-        assert!(row.jobs_per_sec > 0.0);
-        assert!(row.peak_queue_depth <= 8);
-    }
-
-    #[test]
     fn slo_report_covers_faults_budget_trips_and_percentiles() {
         let snapshot = slo_snapshot(4, 11);
         let engine = snapshot.engine.as_ref().expect("engine section present");
@@ -361,15 +249,5 @@ mod tests {
         let table = slo_table(&rows);
         assert_eq!(table.rows.len(), rows.len());
         assert!(dead_letter_table(&snapshot).rows.len() >= 2);
-    }
-
-    #[test]
-    fn sweep_covers_the_grid() {
-        let rows = throughput_sweep(&[1, 2], &[4], 3, 7);
-        assert_eq!(rows.len(), 2);
-        let table = throughput_table(&rows);
-        assert_eq!(table.rows.len(), 2);
-        // Rendering sanity: every row has the full width.
-        assert!(table.render().contains("jobs/sec"));
     }
 }

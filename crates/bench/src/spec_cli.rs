@@ -12,62 +12,19 @@
 //! ```
 
 use crate::report::Table;
-use morpion::{cross_board, standard_5d, Variant};
 use nmcs_core::{SearchReport, SearchSpec, Searcher};
-use nmcs_games::{NeedleLadder, SameGame, SumGame, TspGame, TspInstance};
+use nmcs_serve::wire;
 
-/// The stock games `--game` can name. Each is fully determined by the
-/// name plus the spec's seed, so (spec, game name) is a complete
-/// experiment description.
-pub const STOCK_GAMES: &[&str] = &[
-    "samegame",
-    "samegame-small",
-    "morpion",
-    "morpion-c3",
-    "tsp",
-    "sum",
-    "needle",
-];
-
-/// Runs `spec` on the stock game named `game` (seeded games derive from
-/// the spec's seed). Returns the rendered table; errors on an unknown
-/// game name.
+/// Runs `spec` on the stock game named `game` (one of [`wire::GAMES`];
+/// seeded games derive from the spec's seed, so (spec, game name) is a
+/// complete experiment description). Returns the rendered table; errors
+/// on an unknown game name.
 pub fn run_spec_on(spec: &SearchSpec, game: &str) -> Result<Table, String> {
-    let report = match game {
-        "samegame" => erase(spec.search(&SameGame::random(10, 10, 4, spec.seed), None)),
-        "samegame-small" => erase(spec.search(&SameGame::random(6, 6, 3, spec.seed), None)),
-        "morpion" => erase(spec.search(&standard_5d(), None)),
-        "morpion-c3" => erase(spec.search(&cross_board(Variant::Disjoint, 3), None)),
-        "tsp" => erase(spec.search(
-            &TspGame::new(TspInstance::random(12, spec.seed), None),
-            None,
-        )),
-        "sum" => erase(spec.search(&SumGame::random(6, 4, spec.seed), None)),
-        "needle" => erase(spec.search(&NeedleLadder::new(10), None)),
-        other => {
-            return Err(format!(
-                "unknown game '{other}' (expected one of {STOCK_GAMES:?})"
-            ))
-        }
-    };
-    Ok(spec_table(spec, game, &report))
+    let position = wire::stock_game(game, spec.seed)?;
+    Ok(spec_table(spec, game, &spec.search(&position, None)))
 }
 
-/// Drops the move type (every stock game has a different one; the table
-/// only needs scalars).
-fn erase<M>(report: SearchReport<M>) -> SearchReport<()> {
-    SearchReport {
-        score: report.score,
-        sequence: report.sequence.iter().map(|_| ()).collect(),
-        stats: report.stats,
-        elapsed: report.elapsed,
-        client_jobs: report.client_jobs,
-        interrupted: report.interrupted,
-        seed: report.seed,
-    }
-}
-
-fn spec_table(spec: &SearchSpec, game: &str, report: &SearchReport<()>) -> Table {
+fn spec_table(spec: &SearchSpec, game: &str, report: &SearchReport<usize>) -> Table {
     let mut table = Table::new(
         "Spec replay",
         &[

@@ -16,13 +16,15 @@ fn tables(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-/// `args` must be refused with `problem`, the usage line, and exit 2.
-fn assert_refused(args: &[&str], problem: &str) {
+/// `args` must be refused with `problem`, the usage line, and exit 2;
+/// returns the usage line.
+fn assert_refused(args: &[&str], problem: &str) -> String {
     let (code, stderr) = tables(args);
     assert_eq!(code, Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains(problem), "{args:?}: {stderr}");
-    assert!(stderr.contains("usage: tables [--table N]"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    let usage = stderr.lines().find(|l| l.starts_with("usage: tables "));
+    usage.expect("a usage line on stderr").to_string()
 }
 
 #[test]
@@ -36,10 +38,26 @@ fn a_missing_flag_value_prints_usage_and_exits_2() {
 }
 
 #[test]
+fn the_deleted_sweep_modes_are_unknown_arguments() {
+    for flag in ["--engine", "--leaf", "--tree"] {
+        let usage = assert_refused(&[flag], &format!("unknown argument '{flag}'"));
+        assert!(!usage.contains(flag), "{usage}");
+    }
+}
+
+#[test]
+fn a_bad_flag_value_prints_usage_and_exits_2() {
+    assert_refused(&["--table", "9"], "no table 9");
+    assert_refused(&["--figure", "2"], "no figure 2");
+    assert_refused(&["--spec", "{"], "--spec JSON did not parse");
+    let spec = r#"{"algorithm":{"kind":"sample"},"budget":{},"seed":1}"#;
+    assert_refused(&["--spec", spec, "--game", "chess"], "unknown game 'chess'");
+}
+
+#[test]
 fn a_mode_that_reads_no_calibration_does_not_calibrate() {
-    // `--service` is the cheapest of the modes (`--engine`, `--leaf`,
-    // `--tree`, `--service`) that sit behind the lazily built
-    // `Experiments`; only the table/figure/ablation modes calibrate.
+    // `--service` sits behind the lazily built `Experiments`; only the
+    // table/figure/ablation modes calibrate.
     let (code, stderr) = tables(&["--service", "--out", env!("CARGO_TARGET_TMPDIR")]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(!stderr.contains("calibrating"), "{stderr}");

@@ -47,7 +47,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,9 +90,6 @@ struct PoolShared {
     /// Per-worker deques; siblings steal from the back.
     locals: Vec<Mutex<VecDeque<Task>>>,
     shutdown: AtomicBool,
-    /// Tasks run by a thread other than their submitter after sitting in
-    /// a sibling's local deque — the observable work-stealing counter.
-    steals: AtomicU64,
     /// See [`PARK_TIMEOUT`]; tests shrink or stretch it per pool.
     park_timeout: Duration,
     /// Lock-free counters/clocks for this pool (see [`PoolMetrics`]).
@@ -194,7 +191,6 @@ impl ExecutorPool {
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
             shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
             park_timeout,
             metrics: PoolMetrics::new(background_workers),
         });
@@ -217,15 +213,9 @@ impl ExecutorPool {
         self.shared.locals.len()
     }
 
-    /// Tasks that ran on a thread other than the one that banked them —
-    /// the pool's work-stealing counter (monotonic; test observability).
-    pub fn steal_count(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
     /// This pool's metrics registry: park/wakeup/steal/batch counters,
-    /// the idle-workers gauge (what the `leaf_batch_dynamic` heuristic
-    /// reads), and per-worker busy/idle clocks. All reads are atomics.
+    /// the idle-workers gauge, and per-worker busy/idle clocks. All
+    /// reads are atomics.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.shared.metrics
     }
@@ -434,7 +424,6 @@ fn worker_loop(shared: &Arc<PoolShared>, idx: usize) {
             }
         }
         if let Some(task) = stolen {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
             shared.metrics.steals.incr();
             timed_run(task, clock);
             continue;
@@ -467,7 +456,7 @@ fn worker_loop(shared: &Arc<PoolShared>, idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     #[test]
     fn every_slot_runs_exactly_once() {

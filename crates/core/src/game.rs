@@ -258,10 +258,10 @@ pub trait Game: Clone {
 /// Adapter that hides a game's scratch-state fast path, so every search
 /// treats it as a clone-only game.
 ///
-/// Exists for A/B measurement (the `clone-path vs undo-path` criterion
-/// benches) and for tests asserting that a game's undo journal and its
-/// plain `play` lead every search to bit-identical results. Not useful
-/// in production code.
+/// Exists for A/B measurement (ledger row
+/// `core.search.playout_snapshot_per_s`) and for tests asserting that
+/// a game's undo journal and its plain `play` lead every search to
+/// bit-identical results. Not useful in production code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotOnly<G>(pub G);
 

@@ -516,8 +516,7 @@ pub struct PoolMetrics {
     pub batches: Counter,
     /// Total slots executed across all batches.
     pub batch_slots: Counter,
-    /// Workers currently parked (idle) — the gauge the
-    /// `leaf_batch_dynamic` heuristic reads.
+    /// Workers currently parked (idle).
     pub idle_workers: Gauge,
     per_worker: Vec<WorkerClock>,
 }

@@ -66,7 +66,6 @@ where
                 lock,
                 stats,
                 leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse: true,
             } => Some((
                 config.clone(),
@@ -75,7 +74,6 @@ where
                     lock: *lock,
                     stats: *stats,
                     leaf_batch: *leaf_batch,
-                    leaf_batch_dynamic: *leaf_batch_dynamic,
                 },
             )),
             _ => None,

@@ -247,16 +247,6 @@ pub enum AlgorithmSpec {
         lock: LockStrategy,
         stats: StatsMode,
         leaf_batch: usize,
-        /// With `leaf_batch ≥ 2`: hand a filled slab to the executor
-        /// pool only when its idle-workers gauge shows someone free to
-        /// help; otherwise run the same slots, in the same order with
-        /// the same per-iteration seeds, on the collecting worker
-        /// itself. Purely a placement heuristic: every rollout keeps
-        /// its iteration-derived seed, so the deterministic
-        /// (single-worker) form is bit-identical to the static slab
-        /// path, and multi-worker runs stay within the backend's usual
-        /// schedule-dependence.
-        leaf_batch_dynamic: bool,
         /// Warm-tree mode, as on [`AlgorithmSpec::Uct`]: expansions
         /// intern their position's [`Game::state_hash`] in a bounded
         /// transposition table so transposed lines share statistics.
@@ -300,7 +290,6 @@ impl AlgorithmSpec {
             lock: LockStrategy::default(),
             stats: StatsMode::default(),
             leaf_batch: 0,
-            leaf_batch_dynamic: false,
             tree_reuse: false,
         }
     }
@@ -420,7 +409,6 @@ impl AlgorithmSpec {
                 lock,
                 stats,
                 leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse,
             } => [
                 0xA00,
@@ -439,7 +427,6 @@ impl AlgorithmSpec {
                     };
                     lock_code
                         | (stats_code << 8)
-                        | ((*leaf_batch_dynamic as u64) << 9)
                         | ((*tree_reuse as u64) << 10)
                         | ((*leaf_batch as u64) << 16)
                 },
@@ -529,7 +516,6 @@ impl Serialize for AlgorithmSpec {
                 lock,
                 stats,
                 leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse,
             } => vec![
                 kind("tree_parallel"),
@@ -538,10 +524,6 @@ impl Serialize for AlgorithmSpec {
                 ("lock".to_string(), lock.to_value()),
                 ("stats".to_string(), stats.to_value()),
                 ("leaf_batch".to_string(), leaf_batch.to_value()),
-                (
-                    "leaf_batch_dynamic".to_string(),
-                    leaf_batch_dynamic.to_value(),
-                ),
                 ("tree_reuse".to_string(), tree_reuse.to_value()),
             ],
             AlgorithmSpec::SimulatedAnnealing { config } => vec![
@@ -651,10 +633,9 @@ impl Deserialize for AlgorithmSpec {
                     Some(b) => usize::from_value(b)?,
                     None => 0,
                 },
-                leaf_batch_dynamic: match v.get_field("leaf_batch_dynamic") {
-                    Some(b) => bool::from_value(b)?,
-                    None => false,
-                },
+                // A legacy `"leaf_batch_dynamic"` key is ignored: the
+                // knob only chose where a slab ran, never what it
+                // computed, so such a row replays bit-identically.
                 tree_reuse: match v.get_field("tree_reuse") {
                     Some(b) => bool::from_value(b)?,
                     None => false,
@@ -823,7 +804,6 @@ impl SearchSpec {
             lock: LockStrategy::default(),
             stats: StatsMode::default(),
             leaf_batch: 0,
-            leaf_batch_dynamic: false,
             tree_reuse: false,
         })
     }
@@ -991,7 +971,6 @@ where
                 lock,
                 stats,
                 leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse,
             } => {
                 let opts = TreeParallelOpts {
@@ -999,7 +978,6 @@ where
                     lock: *lock,
                     stats: *stats,
                     leaf_batch: *leaf_batch,
-                    leaf_batch_dynamic: *leaf_batch_dynamic,
                 };
                 let tree = if *tree_reuse {
                     TpTree::with_table(config, opts.lock, opts.stats, DEFAULT_TT_BYTES)
@@ -1165,24 +1143,6 @@ impl SearchBuilder {
     pub fn leaf_batch(mut self, batch: usize) -> Self {
         if let AlgorithmSpec::TreeParallel { leaf_batch, .. } = &mut self.spec.algorithm {
             *leaf_batch = batch;
-        }
-        self
-    }
-
-    /// Gates slab hand-off on the pool's idle-workers gauge: a filled
-    /// slab goes to the executor pool only when an idle worker could
-    /// actually pick slots up, and otherwise runs on the collecting
-    /// worker with identical per-iteration seeds — a placement-only
-    /// heuristic that leaves the deterministic single-worker form
-    /// bit-identical to the static slab path (tree-parallel with
-    /// `leaf_batch ≥ 2` only; ignored by other strategies). Part of
-    /// [`AlgorithmSpec::tag`] identity.
-    pub fn leaf_batch_dynamic(mut self, dynamic: bool) -> Self {
-        if let AlgorithmSpec::TreeParallel {
-            leaf_batch_dynamic, ..
-        } = &mut self.spec.algorithm
-        {
-            *leaf_batch_dynamic = dynamic;
         }
         self
     }

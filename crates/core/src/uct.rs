@@ -225,7 +225,7 @@ pub fn uct_with<G: Game>(
 pub enum LockStrategy {
     /// One mutex serialises every selection + expansion (the original
     /// single-arena-mutex behaviour, kept as the measured contention
-    /// baseline for `tables --tree`).
+    /// baseline: ledger row `core.uct.tptree_w1_global_iter_per_s`).
     Global,
     /// Every node carries its own lock; descents contend only when they
     /// touch the same node at the same instant, so selection scales
@@ -287,12 +287,6 @@ pub struct TreeParallelOpts {
     /// rollouts as one [`ExecutorPool`] slab (WU-UCT's master/worker
     /// shape), overlapping tree walks with leaf evaluation.
     pub leaf_batch: usize,
-    /// With `leaf_batch ≥ 2`: hand a filled slab to the pool only when
-    /// its idle-workers gauge shows a free helper, otherwise drain the
-    /// same slots on the collecting worker. Placement-only — slab
-    /// rollouts are seeded by iteration index, so results are
-    /// bit-identical either way.
-    pub leaf_batch_dynamic: bool,
 }
 
 impl TreeParallelOpts {
@@ -304,7 +298,6 @@ impl TreeParallelOpts {
             lock: LockStrategy::default(),
             stats: StatsMode::default(),
             leaf_batch: 0,
-            leaf_batch_dynamic: false,
         }
     }
 }
@@ -943,7 +936,6 @@ struct TpRun<'a, G: Game> {
     best: Mutex<(Score, Vec<G::Move>)>,
     seed: u64,
     leaf_batch: usize,
-    leaf_batch_dynamic: bool,
 }
 
 impl<G> TpRun<'_, G>
@@ -1051,15 +1043,6 @@ where
             // saturated pools degrade to inline draining) ----
             if filled == 1 {
                 run_slab_slot(&slots[0], self.seed);
-            } else if self.leaf_batch_dynamic && exec.metrics().idle_workers.get() <= 0 {
-                // Dynamic gate: nobody is parked, so a pool hand-off
-                // would only pay submission overhead — drain the same
-                // slots here instead. Each slot's rollout is seeded by
-                // its iteration index, so this placement choice cannot
-                // change any result.
-                for slab in &slots[..filled] {
-                    run_slab_slot(slab, self.seed);
-                }
             } else {
                 exec.run_batch(filled, &|i| run_slab_slot(&slots[i], self.seed));
             }
@@ -1177,7 +1160,6 @@ where
         best: Mutex::new((Score::MIN, Vec::new())),
         seed,
         leaf_batch: opts.leaf_batch,
-        leaf_batch_dynamic: opts.leaf_batch_dynamic,
     };
     let outs: Mutex<Vec<SearchCtx>> = Mutex::new(Vec::with_capacity(opts.threads));
     let parent: &SearchCtx = ctx;
@@ -1411,7 +1393,6 @@ mod tests {
                     lock,
                     stats,
                     leaf_batch: 0,
-                    leaf_batch_dynamic: false,
                 });
             }
         }

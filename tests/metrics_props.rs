@@ -23,9 +23,6 @@ use pnmcs::search::{SearchSpec, Searcher};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-mod common;
-use common::test_workers;
-
 /// Serialises the tests that flip the process-global enable flag.
 static FLAG_LOCK: Mutex<()> = Mutex::new(());
 
@@ -59,9 +56,9 @@ fn assert_hist_eq(a: &m::Histogram, b: &m::Histogram, label: &str) {
 }
 
 /// Deterministic strategies of the unified API, smallest-sensible
-/// shapes (the `budget_props` list, plus the `leaf_batch_dynamic`
-/// tree-parallel form this PR adds). Tree-parallel joins at one worker,
-/// its deterministic form.
+/// shapes (the `budget_props` list, plus the batched-leaf
+/// tree-parallel form). Tree-parallel joins at one worker, its
+/// deterministic form.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
     vec![
         SearchSpec::nested(1).seed(seed).build(),
@@ -76,7 +73,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::tree_parallel(1).seed(seed).build(),
         SearchSpec::tree_parallel(1)
             .leaf_batch(4)
-            .leaf_batch_dynamic(true)
             .seed(seed)
             .build(),
     ]
@@ -191,50 +187,29 @@ proptest! {
 
 #[test]
 fn leaf_batch_dynamic_is_bit_identical_and_serde_back_compatible() {
+    // The knob chose where an already-seeded slab ran, never what it
+    // computed; rows persisted while it existed must still parse, name
+    // the same search and produce the same result.
     let game = SameGame::random(5, 5, 3, 17);
-    let fixed = SearchSpec::tree_parallel(1).leaf_batch(4).seed(17).build();
-    let dynamic = SearchSpec::tree_parallel(1)
-        .leaf_batch(4)
-        .leaf_batch_dynamic(true)
-        .seed(17)
-        .build();
-
-    // The dynamic gate only moves *where* already-seeded slab slots
-    // run, so the deterministic single-worker form is bit-identical to
-    // the static slab path — but the spec identity records the
-    // difference.
-    let a = fixed.search(&game, None);
-    let b = dynamic.search(&game, None);
-    assert_eq!((a.score, &a.sequence), (b.score, &b.sequence));
-    assert_ne!(fixed.algorithm.tag(), dynamic.algorithm.tag());
-
-    // At the suite's worker count the backend is schedule-dependent
-    // either way; the gate must still produce a valid, replayable
-    // search.
-    let wide = SearchSpec::tree_parallel(test_workers())
-        .leaf_batch(4)
-        .leaf_batch_dynamic(true)
-        .seed(17)
-        .build()
-        .search(&game, None);
-    {
-        use pnmcs::search::Game;
-        let mut replay = game;
-        for mv in &wide.sequence {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), wide.score, "dynamic-gate report replays");
+    let spec = SearchSpec::tree_parallel(1).leaf_batch(4).seed(17).build();
+    let json = serde_json::to_string(&spec).expect("specs serialise");
+    assert!(!json.contains("leaf_batch_dynamic"));
+    let now = spec.search(&game, None);
+    for value in ["true", "false"] {
+        let legacy = json.replace(
+            "\"leaf_batch\":4",
+            &format!("\"leaf_batch\":4,\"leaf_batch_dynamic\":{value}"),
+        );
+        assert_ne!(legacy, json, "the legacy key must have been inserted");
+        let parsed: SearchSpec = serde_json::from_str(&legacy).expect("legacy spec parses");
+        assert_eq!(parsed.algorithm.tag(), spec.algorithm.tag());
+        let then = parsed.search(&game, None);
+        assert_eq!(
+            (then.score, &then.sequence, then.stats.playouts),
+            (now.score, &now.sequence, now.stats.playouts),
+            "leaf_batch_dynamic:{value}"
+        );
     }
-
-    // Back-compat: a pre-upgrade spec JSON (no `leaf_batch_dynamic`
-    // field) still parses, defaults the gate off, and keeps the same
-    // identity tag.
-    let json = serde_json::to_string(&fixed).expect("specs serialise");
-    assert!(json.contains("\"leaf_batch_dynamic\":false"));
-    let legacy = json.replace(",\"leaf_batch_dynamic\":false", "");
-    assert_ne!(legacy, json, "the field must have been stripped");
-    let parsed: SearchSpec = serde_json::from_str(&legacy).expect("legacy spec parses");
-    assert_eq!(parsed.algorithm.tag(), fixed.algorithm.tag());
 }
 
 #[test]

@@ -221,7 +221,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::tree_parallel(1).seed(seed).build(),
         SearchSpec::tree_parallel(1)
             .leaf_batch(4)
-            .leaf_batch_dynamic(true)
             .seed(seed)
             .build(),
     ]
