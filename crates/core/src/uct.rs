@@ -122,6 +122,9 @@ pub fn uct_with<G: Game>(
     let mut hi = f64::NEG_INFINITY;
 
     let mut moves_buf: Vec<G::Move> = Vec::new();
+    // Node ids and moves of the current descent, reused across iterations.
+    let mut path: Vec<usize> = Vec::new();
+    let mut seq: Vec<G::Move> = Vec::new();
     // Every iteration walks this one position down the tree and rewinds
     // it to the root.
     let mut walker = Walker::new(game);
@@ -130,8 +133,9 @@ pub fn uct_with<G: Game>(
             break;
         }
         let root = walker.mark();
-        let mut path = vec![0usize];
-        let mut seq: Vec<G::Move> = Vec::new();
+        path.clear();
+        path.push(0);
+        seq.clear();
 
         // ---- selection ----
         loop {
@@ -209,7 +213,7 @@ pub fn uct_with<G: Game>(
 
         if score > best_score {
             best_score = score;
-            best_seq = seq;
+            best_seq.clone_from(&seq);
         }
     }
 

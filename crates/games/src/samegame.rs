@@ -5,11 +5,62 @@
 //! remove it, scoring `(n − 2)²` for a group of `n`. Tiles above fall
 //! down; empty columns close up to the left. Clearing the whole board
 //! earns a +1000 bonus. The game ends when no group of ≥2 remains.
+//!
+//! ## Layout
+//!
+//! The board is one flat column-major byte buffer: cell `(x, y)` (`y`
+//! counted bottom-up) is `cells[x * stride + y]` with `stride = height +
+//! 1`. The extra cell on top of every column is a *guard* that is never
+//! a tile, so the four orthogonal neighbours of flat index `i` are `i ±
+//! 1` and `i ± stride`, and a neighbour that is off the board either
+//! lands on a guard or fails the slice's own bounds check — floods carry
+//! no coordinates. Beside the buffer sits one `Column` (height and
+//! content hash) per column. Four invariants hold between moves:
+//!
+//! 1. a cell is `0` iff it holds no tile (colours are `1..=9`; guards are
+//!    always `0`);
+//! 2. columns are packed bottom-up — `cells[x * stride..][..height_x]`
+//!    are all tiles, everything above is `0`;
+//! 3. empty columns trail — a column is empty only if every column to
+//!    its right is;
+//! 4. `cols[x]` describes column `x` of the buffer: its height and the
+//!    `column_hash` of its tiles.
+//!
+//! Together they make the buffer a canonical form (`==` compares it
+//! byte-wise), keep [`Game::state_hash`] an O(width) fold, and let `undo`
+//! restore a move by copying bytes back.
+//!
+//! **Why the flood may remove.** A colour never equals `0`, so zeroing a
+//! cell the moment the flood reaches it both removes the tile and marks
+//! it visited: `play`/`apply` need no member list and no visit marks. The
+//! holes are closed by one read/write-pointer pass over the columns the
+//! group spanned (a connected group spans a contiguous column range), and
+//! a column that emptied by one `copy_within` slide of the live columns
+//! to its right. A tap on fewer than two tiles is refused before the
+//! first write, so a panicking `play` leaves the position intact.
+//!
+//! **Why scan order is canonical order.** Movegen scans cells by `(x,
+//! y)` ascending and floods from each unvisited tile, so the cell a group
+//! is first met at *is* its canonical cell (smallest `x`, then smallest
+//! `y`) and groups come out ordered by canonical cell — the order of
+//! [`SameGame::groups_reference`], which stays the executable
+//! specification. The same argument shows that an unvisited tile cannot
+//! match its left or lower neighbour (the flood from that neighbour
+//! would have visited it), so a singleton is recognised from its upper
+//! and right neighbours alone and skipped without touching the stack.
+//!
+//! Both floods share one thread-local scratch (`FLOOD`) and the undo
+//! journal lives in the position, so a warmed playout allocates nothing
+//! (`tests/alloc_playout.rs`).
 
 use nmcs_core::{mix64, CodedGame, Game, Rng, Score, Undo};
 
 /// Bonus for clearing the entire board.
 pub const CLEAR_BONUS: Score = 1000;
+
+/// Largest width and height: a [`Tap`] addresses cells with `u8`
+/// coordinates. (Flat indices are `u32`; `256 × 257` cells fit.)
+const MAX_SIDE: usize = u8::MAX as usize + 1;
 
 /// Domain-separation salts of the board hash (non-zero: `mix64(0) == 0`).
 const SAMEGAME_COL_SALT: u64 = 0x1fb7_62d9_8e04_c3a5;
@@ -27,43 +78,23 @@ fn column_hash(col: &[u8]) -> u64 {
     h
 }
 
-/// Reusable flood-fill scratch of the playout core. `legal_moves` takes
-/// `&self`, so the buffers live in a thread-local (cheap: one borrow per
-/// movegen) instead of the game struct. Visit marks are epoch-stamped so
-/// nothing is ever cleared between calls.
-#[derive(Default)]
-struct FloodScratch {
-    stamp: Vec<u32>,
-    epoch: u32,
-    stack: Vec<(u8, u8)>,
-    members: Vec<(u8, u8)>,
-    /// Flat colour snapshot (`0` = empty) rebuilt per movegen: floods
-    /// then read one array instead of chasing `Vec<Vec<u8>>` bounds.
-    grid: Vec<u8>,
+/// Flat indices of the four orthogonal neighbours of cell `i`. Off-board
+/// ones are a guard cell or out of the buffer's range (wrapping below
+/// zero included), so `cells.get(j) == Some(&colour)` is the whole test.
+#[inline]
+fn neighbours(i: usize, stride: usize) -> [usize; 4] {
+    [i + 1, i.wrapping_sub(1), i + stride, i.wrapping_sub(stride)]
 }
 
-impl FloodScratch {
-    /// Opens a fresh visit epoch over `cells` cells.
-    fn begin(&mut self, cells: usize) {
-        if self.stamp.len() < cells {
-            self.stamp.resize(cells, 0);
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    #[inline]
-    fn seen(&self, i: usize) -> bool {
-        self.stamp[i] == self.epoch
-    }
-
-    #[inline]
-    fn visit(&mut self, i: usize) {
-        self.stamp[i] = self.epoch;
-    }
+/// Reusable flood-fill scratch of the playout core. `legal_moves` takes
+/// `&self`, so the buffers live in a thread-local (cheap: one borrow per
+/// flood) instead of the game struct.
+#[derive(Default)]
+struct FloodScratch {
+    /// Flat indices still to expand; empty between floods.
+    stack: Vec<u32>,
+    /// Movegen's visit marks, one per cell, reset per call.
+    seen: Vec<bool>,
 }
 
 thread_local! {
@@ -71,41 +102,52 @@ thread_local! {
         std::cell::RefCell::new(FloodScratch::default());
 }
 
-/// One `apply` frame of the undo journal: where this move's reversal
-/// data starts in the shared spill buffers, plus its scalar deltas.
+/// Derived state of one column (invariant 4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Column {
+    /// [`column_hash`] of the column's tiles.
+    hash: u64,
+    /// Number of tiles in the column.
+    height: u16,
+}
+
+/// What [`Column`] says of a column without tiles.
+const EMPTY_COLUMN: Column = Column {
+    hash: SAMEGAME_COL_SALT,
+    height: 0,
+};
+
+/// One `apply` frame of the undo journal: the run of columns the move
+/// changed, whose pre-move bytes and [`Column`]s end the spill buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TapFrame {
-    /// Start of this frame's tiles in `undo_tiles`.
-    tiles_start: u32,
-    /// Start of this frame's collapsed-column indices in `undo_cols`.
-    cols_start: u32,
+    /// Leftmost changed column.
+    first: u8,
+    /// Number of changed columns (a contiguous run from `first`).
+    cols: u16,
     /// Score earned by the move (group score plus any clear bonus).
     score_delta: Score,
 }
 
-/// A SameGame position. Columns are stored bottom-up, which makes gravity
-/// and column removal O(column).
+/// A SameGame position (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct SameGame {
-    /// `cols[x][y]` = colour of the tile at column `x`, height `y`
-    /// (bottom-up). Colours are `1..=colors`.
-    cols: Vec<Vec<u8>>,
-    /// `col_hash[x]` = [`column_hash`] of `cols[x]`, maintained through
-    /// every move and undo so [`Game::state_hash`] is an O(width) fold
-    /// instead of an O(cells) rescan. Derived state: deliberately
-    /// excluded from `PartialEq`.
-    col_hash: Vec<u64>,
+    /// `cells[x * (height + 1) + y]` = colour at column `x`, height `y`
+    /// (bottom-up), `0` = empty. Colours are `1..=colors`.
+    cells: Vec<u8>,
+    /// Height and content hash of every column, maintained through every
+    /// move and undo. Derived state: deliberately excluded from
+    /// `PartialEq`.
+    cols: Vec<Column>,
     width: usize,
     height: usize,
     accumulated: Score,
     moves: usize,
-    /// Spill buffer of removed tiles `(x, y, colour)` in pre-removal
-    /// coordinates, ascending `(x, y)` — re-inserting in this order
-    /// rebuilds every column exactly.
-    undo_tiles: Vec<(u8, u8, u8)>,
-    /// Spill buffer of pre-collapse indices of columns this move emptied,
-    /// ascending.
-    undo_cols: Vec<u8>,
+    /// Spill buffer of pre-move column bytes, `height + 1` per journalled
+    /// column.
+    undo_cells: Vec<u8>,
+    /// Spill buffer of the same columns' pre-move [`Column`]s.
+    undo_cols: Vec<Column>,
     /// One frame per outstanding `apply`.
     undo_frames: Vec<TapFrame>,
 }
@@ -116,7 +158,7 @@ pub struct SameGame {
 /// stays usable for transposition checks and deduplication.
 impl PartialEq for SameGame {
     fn eq(&self, other: &Self) -> bool {
-        self.cols == other.cols
+        self.cells == other.cells
             && self.width == other.width
             && self.height == other.height
             && self.accumulated == other.accumulated
@@ -137,186 +179,102 @@ pub struct Tap {
 }
 
 impl SameGame {
+    /// A full `width × height` board whose tile at `(x, y)` is
+    /// `colour(x, y)`, asked column by column, bottom-up.
+    fn filled(width: usize, height: usize, mut colour: impl FnMut(usize, usize) -> u8) -> Self {
+        assert!(width > 0 && height > 0, "a board has at least one cell");
+        assert!(
+            width <= MAX_SIDE && height <= MAX_SIDE,
+            "a board is at most {MAX_SIDE}×{MAX_SIDE} (Tap coordinates are u8), not {width}×{height}"
+        );
+        let stride = height + 1;
+        let mut cells = vec![0; width * stride];
+        let cols = (0..width)
+            .map(|x| {
+                let col = &mut cells[x * stride..][..height];
+                for (y, c) in col.iter_mut().enumerate() {
+                    *c = colour(x, y);
+                }
+                Column {
+                    hash: column_hash(col),
+                    height: height as u16,
+                }
+            })
+            .collect();
+        Self {
+            cells,
+            cols,
+            width,
+            height,
+            accumulated: 0,
+            moves: 0,
+            undo_cells: Vec::new(),
+            undo_cols: Vec::new(),
+            undo_frames: Vec::new(),
+        }
+    }
+
     /// Builds a board from rows given top-down (as usually printed), each
-    /// row a slice of colours in `1..=9`.
+    /// row a slice of colours in `1..=9`. At most 256 × 256.
     pub fn from_rows(rows: &[&[u8]]) -> Self {
         assert!(!rows.is_empty());
         let width = rows[0].len();
         assert!(rows.iter().all(|r| r.len() == width), "ragged rows");
         let height = rows.len();
-        let mut cols = vec![Vec::with_capacity(height); width];
-        for row in rows.iter().rev() {
-            for (x, &c) in row.iter().enumerate() {
-                assert!((1..=9).contains(&c), "colours are 1..=9");
-                cols[x].push(c);
-            }
-        }
-        let col_hash = cols.iter().map(|c| column_hash(c)).collect();
-        Self {
-            cols,
-            col_hash,
-            width,
-            height,
-            accumulated: 0,
-            moves: 0,
-            undo_tiles: Vec::new(),
-            undo_cols: Vec::new(),
-            undo_frames: Vec::new(),
-        }
+        Self::filled(width, height, |x, y| {
+            let c = rows[height - 1 - y][x];
+            assert!((1..=9).contains(&c), "colours are 1..=9");
+            c
+        })
     }
 
-    /// A pseudo-random `width × height` board with `colors` colours,
-    /// matching the standard benchmark generator (uniform i.i.d. tiles).
+    /// A pseudo-random `width × height` board (at most 256 × 256) with
+    /// `colors` colours, matching the standard benchmark generator
+    /// (uniform i.i.d. tiles).
     pub fn random(width: usize, height: usize, colors: u8, seed: u64) -> Self {
-        assert!(width > 0 && height > 0 && (1..=9).contains(&colors));
+        assert!((1..=9).contains(&colors));
         let mut rng = Rng::seeded(seed);
-        let cols: Vec<Vec<u8>> = (0..width)
-            .map(|_| {
-                (0..height)
-                    .map(|_| rng.below(colors as usize) as u8 + 1)
-                    .collect()
-            })
-            .collect();
-        let col_hash = cols.iter().map(|c| column_hash(c)).collect();
-        Self {
-            cols,
-            col_hash,
-            width,
-            height,
-            accumulated: 0,
-            moves: 0,
-            undo_tiles: Vec::new(),
-            undo_cols: Vec::new(),
-            undo_frames: Vec::new(),
-        }
+        Self::filled(width, height, |_, _| rng.below(colors as usize) as u8 + 1)
+    }
+
+    /// Distance between the bottoms of neighbouring columns in `cells`: a
+    /// column's cells and its guard.
+    #[inline]
+    fn stride(&self) -> usize {
+        self.height + 1
+    }
+
+    /// Whether the tile at flat index `i` has its colour above it or to
+    /// its right — all that telling a group from a singleton takes when
+    /// cells are met in scan order (module docs).
+    #[inline]
+    fn pairs_up_or_right(&self, i: usize) -> bool {
+        let colour = self.cells[i];
+        self.cells[i + 1] == colour || self.cells.get(i + self.stride()) == Some(&colour)
     }
 
     /// Colour at `(x, y)` (bottom-up), if a tile is present.
     pub fn tile(&self, x: usize, y: usize) -> Option<u8> {
-        self.cols.get(x).and_then(|c| c.get(y)).copied()
+        let on_board = x < self.width && y < self.height;
+        on_board
+            .then(|| self.cells[x * self.stride() + y])
+            .filter(|&c| c != 0)
     }
 
     /// Remaining tile count.
     pub fn tiles_left(&self) -> usize {
-        self.cols.iter().map(Vec::len).sum()
+        self.cols.iter().map(|c| c.height as usize).sum()
     }
 
     /// Whether every tile has been removed.
     pub fn cleared(&self) -> bool {
-        self.cols.iter().all(Vec::is_empty)
-    }
-
-    /// Flood-fills the group containing `(x, y)` into `members` using the
-    /// shared scratch (the allocation-free playout core). `members` is
-    /// cleared first.
-    fn flood_into(
-        &self,
-        x: usize,
-        y: usize,
-        scratch: &mut FloodScratch,
-        members: &mut Vec<(u8, u8)>,
-    ) {
-        members.clear();
-        let Some(color) = self.tile(x, y) else {
-            return;
-        };
-        scratch.begin(self.width * self.height);
-        scratch.stack.clear();
-        scratch.visit(x * self.height + y);
-        scratch.stack.push((x as u8, y as u8));
-        while let Some((cx, cy)) = scratch.stack.pop() {
-            members.push((cx, cy));
-            let (cx, cy) = (cx as usize, cy as usize);
-            let neighbours = [
-                (cx.wrapping_sub(1), cy),
-                (cx + 1, cy),
-                (cx, cy.wrapping_sub(1)),
-                (cx, cy + 1),
-            ];
-            for (nx, ny) in neighbours {
-                if nx < self.width
-                    && ny < self.height
-                    && !scratch.seen(nx * self.height + ny)
-                    && self.tile(nx, ny) == Some(color)
-                {
-                    scratch.visit(nx * self.height + ny);
-                    scratch.stack.push((nx as u8, ny as u8));
-                }
-            }
-        }
-    }
-
-    /// Enumerates the canonical taps of groups of ≥2 tiles into `out`, in
-    /// the same order as [`SameGame::groups_reference`] (first-visited
-    /// cell order — the order is part of the determinism contract, since
-    /// move enumeration feeds the search RNG).
-    ///
-    /// One epoch-stamped flood pass over the board with reusable buffers:
-    /// every tile is visited exactly once and nothing is allocated after
-    /// warm-up, against the reference's O(cells) fresh allocations per
-    /// call. This is the hot function of SameGame playouts.
-    fn groups_into(&self, scratch: &mut FloodScratch, out: &mut Vec<Tap>) {
-        let (w, h) = (self.width, self.height);
-        scratch.begin(w * h);
-        // Snapshot the columns into a flat colour grid so the flood reads
-        // one contiguous array (0 = empty cell).
-        scratch.grid.clear();
-        scratch.grid.resize(w * h, 0);
-        for (x, col) in self.cols.iter().enumerate() {
-            scratch.grid[x * h..x * h + col.len()].copy_from_slice(col);
-        }
-        for x in 0..w {
-            for y in 0..self.cols[x].len() {
-                if scratch.seen(x * h + y) {
-                    continue;
-                }
-                let color = self.cols[x][y];
-                // Flood the group, tracking size and canonical cell.
-                scratch.stack.clear();
-                scratch.visit(x * h + y);
-                scratch.stack.push((x as u8, y as u8));
-                let mut size = 0usize;
-                let mut canon = (u8::MAX, u8::MAX);
-                while let Some((cx, cy)) = scratch.stack.pop() {
-                    size += 1;
-                    if (cx, cy) < canon {
-                        canon = (cx, cy);
-                    }
-                    let (cx, cy) = (cx as usize, cy as usize);
-                    let i = cx * h + cy;
-                    // Up/down are index ±1 in the flat grid; left/right ±h.
-                    if cy + 1 < h && scratch.grid[i + 1] == color && !scratch.seen(i + 1) {
-                        scratch.visit(i + 1);
-                        scratch.stack.push((cx as u8, cy as u8 + 1));
-                    }
-                    if cy > 0 && scratch.grid[i - 1] == color && !scratch.seen(i - 1) {
-                        scratch.visit(i - 1);
-                        scratch.stack.push((cx as u8, cy as u8 - 1));
-                    }
-                    if cx + 1 < w && scratch.grid[i + h] == color && !scratch.seen(i + h) {
-                        scratch.visit(i + h);
-                        scratch.stack.push((cx as u8 + 1, cy as u8));
-                    }
-                    if cx > 0 && scratch.grid[i - h] == color && !scratch.seen(i - h) {
-                        scratch.visit(i - h);
-                        scratch.stack.push((cx as u8 - 1, cy as u8));
-                    }
-                }
-                if size >= 2 {
-                    out.push(Tap {
-                        x: canon.0,
-                        y: canon.1,
-                    });
-                }
-            }
-        }
+        // Empty columns trail, so the first one decides.
+        self.cols[0].height == 0
     }
 
     /// The original allocating group enumeration, kept verbatim as the
     /// executable specification of move generation: the property tests
-    /// assert the scratch-buffer path matches it along random games, and
-    /// the `clone-path vs undo-path` benches use it to reproduce the
-    /// seed's playout cost profile.
+    /// assert the scratch-buffer path matches it along random games.
     #[doc(hidden)]
     pub fn groups_reference(&self) -> Vec<(Tap, usize)> {
         let group = |x: usize, y: usize| -> Vec<(usize, usize)> {
@@ -351,7 +309,7 @@ impl SameGame {
         let mut seen = vec![false; self.width * self.height];
         let mut out = Vec::new();
         for x in 0..self.width {
-            for y in 0..self.cols[x].len() {
+            for y in 0..self.cols[x].height as usize {
                 if seen[x * self.height + y] {
                     continue;
                 }
@@ -377,78 +335,117 @@ impl SameGame {
         out
     }
 
-    /// Removes the group containing the tap, applies gravity and column
-    /// collapse, and returns the group size. Panics if the group has
-    /// fewer than two tiles.
+    /// Plays the tap: removes the group containing it, applies gravity
+    /// and column collapse, and books the score. Panics, before anything
+    /// is written, if the group has fewer than two tiles.
     ///
-    /// With `record`, journals everything needed to reverse the move in
-    /// the undo spill buffers (see [`TapFrame`]): the removed tiles in
-    /// pre-removal coordinates and the pre-collapse indices of columns
-    /// the move emptied. The journal relies on the invariant that empty
-    /// columns only ever sit at the right end (construction fills every
-    /// column; collapse re-packs).
-    fn remove_inner(&mut self, tap: Tap, record: bool) -> usize {
-        FLOOD.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut members = std::mem::take(&mut scratch.members);
-            self.flood_into(tap.x as usize, tap.y as usize, scratch, &mut members);
-            let n = members.len();
-            assert!(n >= 2, "tap on a group of {n} tiles");
-            // One ascending (x, y) sort serves both directions: reversed
-            // iteration drops tiles per column highest-y first (so
-            // indices stay valid), and the undo journal re-inserts in
-            // forward order to rebuild columns bottom-up.
-            members.sort_unstable();
-            if record {
-                let color = self
-                    .tile(tap.x as usize, tap.y as usize)
-                    .expect("tap on a tile");
-                for &(x, y) in &members {
-                    self.undo_tiles.push((x, y, color));
-                }
-            }
-            for &(x, y) in members.iter().rev() {
-                self.cols[x as usize].remove(y as usize);
-            }
-            if record {
-                // First member per column checks for a newly-emptied
-                // column (ascending x, as undo's re-open expects).
-                let mut last_x = u16::MAX;
-                for &(x, _) in &members {
-                    if x as u16 != last_x {
-                        last_x = x as u16;
-                        if self.cols[x as usize].is_empty() {
-                            self.undo_cols.push(x);
-                        }
+    /// With `record`, first journals the pre-move bytes and [`Column`]s
+    /// of every column the move changes — the columns the group spans
+    /// and, if one of them empties, every live column to their right —
+    /// as one [`TapFrame`].
+    fn remove(&mut self, tap: Tap, record: bool) {
+        let stride = self.stride();
+        let start = tap.x as usize * stride + tap.y as usize;
+        let tile = self.tile(tap.x as usize, tap.y as usize);
+        let twin = |&c: &u8| {
+            neighbours(start, stride)
+                .iter()
+                .any(|&j| self.cells.get(j) == Some(&c))
+        };
+        let Some(colour) = tile.filter(twin) else {
+            panic!("tap on a group of {} tiles", tile.is_some() as usize);
+        };
+
+        // Flood = removal; the extreme indices name the spanned columns.
+        let (n, lowest, highest) = FLOOD.with(|cell| {
+            let stack = &mut cell.borrow_mut().stack;
+            self.cells[start] = 0;
+            stack.push(start as u32);
+            let (mut n, mut lowest, mut highest) = (0usize, start, start);
+            while let Some(i) = stack.pop() {
+                let i = i as usize;
+                n += 1;
+                lowest = lowest.min(i);
+                highest = highest.max(i);
+                for j in neighbours(i, stride) {
+                    if let Some(cell) = self.cells.get_mut(j).filter(|c| **c == colour) {
+                        *cell = 0;
+                        stack.push(j as u32);
                     }
                 }
             }
-            // Refresh the content hash of every column the removal
-            // touched (ascending members make distinct-x detection a
-            // one-token lookback), while indices are still pre-collapse.
-            let mut last_x = u16::MAX;
-            for &(x, _) in &members {
-                if x as u16 != last_x {
-                    last_x = x as u16;
-                    self.col_hash[x as usize] = column_hash(&self.cols[x as usize]);
+            (n, lowest, highest)
+        });
+        let (first, last) = (lowest / stride, highest / stride);
+
+        let (cells_mark, cols_mark) = (self.undo_cells.len(), self.undo_cols.len());
+        if record {
+            // The flood has already punched its holes into these bytes;
+            // the gravity pass below fills them back in on the copy.
+            self.undo_cols.extend_from_slice(&self.cols[first..=last]);
+            self.undo_cells
+                .extend_from_slice(&self.cells[first * stride..(last + 1) * stride]);
+        }
+
+        // Gravity: one read/write-pointer pass packs each spanned column's
+        // survivors downwards. Every hole it passes is a removed tile.
+        let mut emptied = false;
+        for x in first..=last {
+            let col = &mut self.cells[x * stride..][..self.cols[x].height as usize];
+            let mut top = 0;
+            for y in 0..col.len() {
+                let c = std::mem::take(&mut col[y]);
+                if c != 0 {
+                    col[top] = c;
+                    top += 1;
+                } else if record {
+                    self.undo_cells[cells_mark + (x - first) * stride + y] = colour;
                 }
             }
-            // Stable partition: surviving columns slide left in order,
-            // emptied columns become the trailing pads with their
-            // buffers (and capacity) intact — the collapse neither
-            // drops nor creates a single Vec. The hash vector mirrors
-            // every swap so `col_hash[x]` keeps tracking `cols[x]`.
-            let mut write = 0;
-            for read in 0..self.cols.len() {
-                if !self.cols[read].is_empty() {
-                    self.cols.swap(read, write);
-                    self.col_hash.swap(read, write);
-                    write += 1;
+            self.cols[x] = Column {
+                hash: column_hash(&col[..top]),
+                height: top as u16,
+            };
+            emptied |= top == 0;
+        }
+
+        // Collapse: slide the live columns right of an emptied one over
+        // it and clear the vacated last place, rightmost emptied column
+        // first so the remaining indices stay valid.
+        if emptied {
+            let mut live = (last + 1..self.width)
+                .find(|&x| self.cols[x].height == 0)
+                .unwrap_or(self.width);
+            if record {
+                self.undo_cols.extend_from_slice(&self.cols[last + 1..live]);
+                self.undo_cells
+                    .extend_from_slice(&self.cells[(last + 1) * stride..live * stride]);
+            }
+            for x in (first..=last).rev() {
+                if self.cols[x].height == 0 {
+                    self.cells
+                        .copy_within((x + 1) * stride..live * stride, x * stride);
+                    self.cols.copy_within(x + 1..live, x);
+                    live -= 1;
+                    self.cells[live * stride..][..stride].fill(0);
+                    self.cols[live] = EMPTY_COLUMN;
                 }
             }
-            scratch.members = members;
-            n
-        })
+        }
+
+        let mut score_delta = ((n - 2) * (n - 2)) as Score;
+        if self.cleared() {
+            score_delta += CLEAR_BONUS;
+        }
+        self.accumulated += score_delta;
+        self.moves += 1;
+        if record {
+            self.undo_frames.push(TapFrame {
+                first: first as u8,
+                cols: (self.undo_cols.len() - cols_mark) as u16,
+                score_delta,
+            });
+        }
     }
 }
 
@@ -467,35 +464,56 @@ impl CodedGame for SameGame {
 impl Game for SameGame {
     type Move = Tap;
 
+    /// Appends the canonical taps of groups of ≥2 tiles in the order of
+    /// [`SameGame::groups_reference`] (the order is part of the
+    /// determinism contract: move enumeration feeds the search RNG). One
+    /// flood pass over the live buffer; nothing is allocated after
+    /// warm-up. This is the hot function of SameGame playouts.
     fn legal_moves(&self, out: &mut Vec<Tap>) {
-        FLOOD.with(|cell| self.groups_into(&mut cell.borrow_mut(), out));
+        let stride = self.stride();
+        FLOOD.with(|cell| {
+            let FloodScratch { stack, seen } = &mut *cell.borrow_mut();
+            seen.clear();
+            seen.resize(self.cells.len(), false);
+            for (x, col) in self.cols.iter().enumerate() {
+                for y in 0..col.height as usize {
+                    let start = x * stride + y;
+                    // An unvisited tile is the canonical cell of its
+                    // group; one that pairs neither way is a singleton.
+                    if seen[start] || !self.pairs_up_or_right(start) {
+                        continue;
+                    }
+                    let colour = self.cells[start];
+                    out.push(Tap {
+                        x: x as u8,
+                        y: y as u8,
+                    });
+                    seen[start] = true;
+                    stack.push(start as u32);
+                    while let Some(i) = stack.pop() {
+                        for j in neighbours(i as usize, stride) {
+                            if self.cells.get(j) == Some(&colour) && !seen[j] {
+                                seen[j] = true;
+                                stack.push(j as u32);
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
 
     fn is_terminal(&self) -> bool {
         // A legal move exists iff some two same-coloured tiles touch
         // orthogonally — no flood fill needed.
-        for (x, col) in self.cols.iter().enumerate() {
-            for (y, &c) in col.iter().enumerate() {
-                if y + 1 < col.len() && col[y + 1] == c {
-                    return false;
-                }
-                if let Some(right) = self.cols.get(x + 1) {
-                    if right.get(y) == Some(&c) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let stride = self.stride();
+        !self.cols.iter().enumerate().any(|(x, col)| {
+            (x * stride..x * stride + col.height as usize).any(|i| self.pairs_up_or_right(i))
+        })
     }
 
     fn play(&mut self, mv: &Tap) {
-        let n = self.remove_inner(*mv, false);
-        self.accumulated += ((n - 2) * (n - 2)) as Score;
-        self.moves += 1;
-        if self.cleared() {
-            self.accumulated += CLEAR_BONUS;
-        }
+        self.remove(*mv, false);
     }
 
     fn score(&self) -> Score {
@@ -511,21 +529,20 @@ impl Game for SameGame {
     /// count — distinct merge orders can reach the same board with
     /// different earnings, and those positions must not share
     /// statistics). Allocation-free; the per-column maintenance lives in
-    /// the `remove_inner`/`undo` journal.
+    /// `remove` and the `undo` journal.
     // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let mut h = SAMEGAME_HASH_SALT;
-        for &ch in &self.col_hash {
-            h = mix64(h ^ ch);
+        for col in &self.cols {
+            h = mix64(h ^ col.hash);
         }
         h = mix64(h ^ self.accumulated as u64);
         mix64(h ^ self.moves as u64)
     }
 
-    // Scratch-state fast path: `apply` journals the removed group and the
-    // collapse it caused; `undo` re-opens collapsed columns and re-inserts
-    // the tiles, which also reverses gravity (a removal never reorders
-    // surviving tiles within a column).
+    // Scratch-state fast path: `apply` journals the columns the move
+    // changes, `undo` copies them back — tiles, heights and hashes, so
+    // nothing is re-inserted or re-hashed on the way out.
 
     fn supports_undo(&self) -> bool {
         true
@@ -533,20 +550,7 @@ impl Game for SameGame {
 
     // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &Tap) -> Undo<Self> {
-        let tiles_start = self.undo_tiles.len() as u32;
-        let cols_start = self.undo_cols.len() as u32;
-        let n = self.remove_inner(*mv, true);
-        let mut score_delta = ((n - 2) * (n - 2)) as Score;
-        self.moves += 1;
-        if self.cleared() {
-            score_delta += CLEAR_BONUS;
-        }
-        self.accumulated += score_delta;
-        self.undo_frames.push(TapFrame {
-            tiles_start,
-            cols_start,
-            score_delta,
-        });
+        self.remove(*mv, true);
         Undo::internal()
     }
 
@@ -554,48 +558,15 @@ impl Game for SameGame {
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         let frame = self.undo_frames.pop().expect("undo without apply");
-
-        // 1. Reverse the column collapse: re-open the emptied columns at
-        //    their pre-collapse indices (ascending inserts hit the
-        //    recorded absolute positions exactly).
-        //    Each re-opened column recycles a pad popped from the right
-        //    end (pads are interchangeable empty columns, and ascending
-        //    re-open indices keep the remaining pads trailing), so the
-        //    unwind allocates nothing.
-        let cols_start = frame.cols_start as usize;
-        for i in cols_start..self.undo_cols.len() {
-            let x = self.undo_cols[i] as usize;
-            let pad = self.cols.pop().expect("collapse keeps the width");
-            debug_assert!(pad.is_empty());
-            self.cols.insert(x, pad);
-            // Mirror on the hash vector: a trailing pad hash moves to x
-            // (every empty column hashes to the salt, so pop-and-insert
-            // is exact).
-            let pad_hash = self.col_hash.pop().expect("hash tracks width");
-            debug_assert_eq!(pad_hash, column_hash(&[]));
-            self.col_hash.insert(x, pad_hash);
-        }
-        self.undo_cols.truncate(cols_start);
-
-        // 2. Re-insert the removed tiles; ascending (x, y) order rebuilds
-        //    each column bottom-up. Refresh each distinct touched
-        //    column's hash afterwards (same lookback as the removal).
-        let tiles_start = frame.tiles_start as usize;
-        for i in tiles_start..self.undo_tiles.len() {
-            let (x, y, color) = self.undo_tiles[i];
-            self.cols[x as usize].insert(y as usize, color);
-        }
-        let mut last_x = u16::MAX;
-        for i in tiles_start..self.undo_tiles.len() {
-            let x = self.undo_tiles[i].0;
-            if x as u16 != last_x {
-                last_x = x as u16;
-                self.col_hash[x as usize] = column_hash(&self.cols[x as usize]);
-            }
-        }
-        self.undo_tiles.truncate(tiles_start);
-
-        // 3. Scalars.
+        let (first, cols) = (frame.first as usize, frame.cols as usize);
+        let stride = self.stride();
+        let cells_mark = self.undo_cells.len() - cols * stride;
+        self.cells[first * stride..][..cols * stride]
+            .copy_from_slice(&self.undo_cells[cells_mark..]);
+        self.undo_cells.truncate(cells_mark);
+        let cols_mark = self.undo_cols.len() - cols;
+        self.cols[first..][..cols].copy_from_slice(&self.undo_cols[cols_mark..]);
+        self.undo_cols.truncate(cols_mark);
         self.accumulated -= frame.score_delta;
         self.moves -= 1;
     }
@@ -820,8 +791,9 @@ mod tests {
     /// From-scratch reference of the maintained hash.
     fn rehash(g: &SameGame) -> u64 {
         let mut h = SAMEGAME_HASH_SALT;
-        for col in &g.cols {
-            h = mix64(h ^ column_hash(col));
+        for (x, col) in g.cols.iter().enumerate() {
+            let tiles = &g.cells[x * g.stride()..][..col.height as usize];
+            h = mix64(h ^ column_hash(tiles));
         }
         h = mix64(h ^ g.accumulated as u64);
         mix64(h ^ g.moves as u64)
@@ -878,5 +850,271 @@ mod tests {
         for t in &a {
             assert!(set.insert((t.x, t.y)), "duplicate canonical tap {t:?}");
         }
+    }
+
+    // ---- the flat-buffer kernel against the executable specification ----
+
+    fn taps(g: &SameGame) -> Vec<Tap> {
+        let mut out = Vec::new();
+        g.legal_moves(&mut out);
+        out
+    }
+
+    /// Every cell of the group under `tap`, by the obvious flood over
+    /// `tile` (independent of the kernel's buffers).
+    fn members(g: &SameGame, tap: Tap) -> Vec<Tap> {
+        let colour = g.tile(tap.x as usize, tap.y as usize);
+        let mut found = vec![tap];
+        let mut next = 0;
+        while next < found.len() {
+            let (x, y) = (found[next].x as usize, found[next].y as usize);
+            next += 1;
+            for (nx, ny) in [
+                (x + 1, y),
+                (x.wrapping_sub(1), y),
+                (x, y + 1),
+                (x, y.wrapping_sub(1)),
+            ] {
+                // Off-board coordinates (wrapped ones included) hold no tile.
+                if g.tile(nx, ny) == colour {
+                    let cell = Tap {
+                        x: nx as u8,
+                        y: ny as u8,
+                    };
+                    if !found.contains(&cell) {
+                        found.push(cell);
+                    }
+                }
+            }
+        }
+        found
+    }
+
+    /// Degenerate strips, the ledger's three sizes, two-colour boards
+    /// (board-sized groups, boards that clear) and nine-colour boards
+    /// (mostly singletons), three seeds each.
+    fn spec_boards() -> Vec<SameGame> {
+        let shapes = [
+            (1, 9, 2),
+            (9, 1, 2),
+            (2, 2, 2),
+            (6, 6, 3),
+            (10, 10, 4),
+            (15, 15, 5),
+            (5, 4, 2),
+            (8, 8, 2),
+            (7, 9, 9),
+        ];
+        (0..3)
+            .flat_map(|seed| shapes.map(|(w, h, colours)| SameGame::random(w, h, colours, seed)))
+            .collect()
+    }
+
+    #[test]
+    fn kernel_matches_the_specification_after_every_move() {
+        let (mut cleared, mut collapsed) = (0, 0);
+        for (board, mut g) in spec_boards().into_iter().enumerate() {
+            let mut rng = Rng::seeded(board as u64 + 77);
+            let mut score = 0;
+            loop {
+                let moves = taps(&g);
+                let reference = g.groups_reference();
+                let reference_taps: Vec<Tap> = reference.iter().map(|&(t, _)| t).collect();
+                assert_eq!(moves, reference_taps, "board {board}: movegen order");
+                assert_eq!(g.is_terminal(), moves.is_empty(), "board {board}");
+                if moves.is_empty() {
+                    break;
+                }
+                for &(tap, size) in &reference {
+                    let mut played = g.clone();
+                    played.play(&tap);
+                    assert_eq!(played.tiles_left() + size, g.tiles_left(), "board {board}");
+                    assert_eq!(played.state_hash(), rehash(&played), "board {board}: play");
+                    // Any cell of the group names the group.
+                    let cells = members(&g, tap);
+                    assert_eq!(cells.len(), size, "board {board}: {tap:?}");
+                    for cell in cells {
+                        let mut other = g.clone();
+                        other.play(&cell);
+                        assert_eq!(other, played, "board {board}: {cell:?} of {tap:?}");
+                        assert_eq!(other.state_hash(), played.state_hash());
+                    }
+                    // `apply` is `play` with a way back.
+                    let before = g.state_hash();
+                    let token = g.apply(&tap);
+                    assert_eq!(g, played, "board {board}: apply {tap:?}");
+                    assert_eq!(g.state_hash(), played.state_hash(), "board {board}");
+                    assert_eq!(taps(&g), taps(&played), "board {board}");
+                    g.undo(token);
+                    assert_eq!(g.state_hash(), before, "board {board}: undo {tap:?}");
+                    assert_eq!(taps(&g), moves, "board {board}: undo {tap:?}");
+                    assert!(g.undo_frames.is_empty() && g.undo_cells.is_empty());
+                }
+                let (mv, size) = reference[rng.below(moves.len())];
+                let live = |g: &SameGame| g.cols.iter().filter(|c| c.height > 0).count();
+                let before = live(&g);
+                g.play(&mv);
+                collapsed += (live(&g) < before && !g.cleared()) as usize;
+                cleared += g.cleared() as usize;
+                assert_eq!(g.cleared(), g.tiles_left() == 0, "board {board}");
+                score += ((size - 2) * (size - 2)) as Score;
+                score += if g.cleared() { CLEAR_BONUS } else { 0 };
+                assert_eq!(g.score(), score, "board {board}: bonus iff cleared");
+            }
+        }
+        assert!(
+            cleared >= 2,
+            "the set must reach the clear bonus ({cleared})"
+        );
+        assert!(collapsed >= 10, "the set must slide columns ({collapsed})");
+    }
+
+    /// Plays `apply` to the end of the game with the moves `seed` picks.
+    fn apply_to_the_end(g: &mut SameGame, seed: u64) -> Vec<Undo<SameGame>> {
+        let mut rng = Rng::seeded(seed);
+        let mut tokens = Vec::new();
+        loop {
+            let moves = taps(g);
+            if moves.is_empty() {
+                return tokens;
+            }
+            tokens.push(g.apply(&moves[rng.below(moves.len())]));
+        }
+    }
+
+    #[test]
+    fn a_full_game_chain_leaves_an_empty_journal_it_can_reuse() {
+        for (board, root) in spec_boards().into_iter().enumerate() {
+            let mut g = root.clone();
+            let journal = |g: &SameGame| {
+                (
+                    (g.undo_cells.len(), g.undo_cols.len(), g.undo_frames.len()),
+                    (g.undo_cells.as_ptr(), g.undo_cells.capacity()),
+                    (g.undo_cols.as_ptr(), g.undo_cols.capacity()),
+                    (g.undo_frames.as_ptr(), g.undo_frames.capacity()),
+                )
+            };
+            let mut buffers = None;
+            for chain in 0..2 {
+                let mut tokens = apply_to_the_end(&mut g, board as u64);
+                assert!(g.is_terminal());
+                assert_eq!(g.undo_frames.len(), tokens.len());
+                g.undo_all(&mut tokens);
+                assert_eq!(g, root, "board {board}: chain {chain} unwinds to the root");
+                assert_eq!(g.state_hash(), root.state_hash(), "board {board}");
+                assert_eq!(taps(&g), taps(&root), "board {board}");
+                assert_eq!(journal(&g).0, (0, 0, 0), "board {board}: journal drained");
+                // The second, identical chain fits the buffers the first
+                // one grew: same blocks, same capacities.
+                let grown = *buffers.get_or_insert(journal(&g));
+                assert_eq!(
+                    journal(&g),
+                    grown,
+                    "board {board}: chain {chain} reallocated"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_taken_mid_chain_is_independent_of_later_undos() {
+        for (board, root) in spec_boards().into_iter().enumerate() {
+            let mut g = root.clone();
+            let mut expected = root.clone();
+            let mut rng = Rng::seeded(board as u64);
+            let mut tokens = Vec::new();
+            // Half a game by `apply`, shadowed by `play` on a clean copy.
+            for _ in 0..taps(&root).len().div_ceil(2) {
+                let moves = taps(&g);
+                if moves.is_empty() {
+                    break;
+                }
+                let mv = moves[rng.below(moves.len())];
+                tokens.push(g.apply(&mv));
+                expected.play(&mv);
+            }
+            // What the walker's `detach` does: keep a copy, unwind.
+            let mut leaf = g.clone();
+            tokens.extend(apply_to_the_end(&mut g, 5));
+            g.undo_all(&mut tokens);
+            assert_eq!(g, root, "board {board}");
+            assert_eq!(leaf, expected, "board {board}: the copy kept its position");
+            assert_eq!(leaf.state_hash(), expected.state_hash(), "board {board}");
+            assert_eq!(taps(&leaf), taps(&expected), "board {board}");
+            // The copy searches on from there, on top of the frames it
+            // inherited, without disturbing the original.
+            let mut own = apply_to_the_end(&mut leaf, 9);
+            leaf.undo_all(&mut own);
+            assert_eq!(leaf, expected, "board {board}: the copy unwinds to itself");
+            assert_eq!(leaf.state_hash(), expected.state_hash(), "board {board}");
+            assert_eq!(g, root, "board {board}");
+        }
+    }
+
+    // ---- boards a `Tap` cannot address ----
+
+    #[test]
+    #[should_panic(expected = "at most 256×256")]
+    fn random_refuses_a_board_wider_than_a_tap_can_address() {
+        // Was: 91 taps (one twice) for 107 groups — columns ≥ 256 aliased.
+        SameGame::random(300, 2, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256×256")]
+    fn from_rows_refuses_a_board_taller_than_a_tap_can_address() {
+        let rows: Vec<&[u8]> = vec![&[1]; 257];
+        SameGame::from_rows(&rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cell")]
+    fn from_rows_refuses_zero_width() {
+        SameGame::from_rows(&[&[], &[]]);
+    }
+
+    #[test]
+    fn the_widest_and_tallest_legal_boards_tap_their_last_cells() {
+        // 256 columns of a two-row checkerboard of 2s and 3s (no groups)
+        // except the last, a pair of 1s.
+        let row = |odd: usize| -> Vec<u8> {
+            (0..256)
+                .map(|x| {
+                    if x == 255 {
+                        1
+                    } else {
+                        2 + ((x + odd) % 2) as u8
+                    }
+                })
+                .collect()
+        };
+        let (top, bottom) = (row(0), row(1));
+        let mut wide = SameGame::from_rows(&[&top, &bottom]);
+        let last = Tap { x: 255, y: 0 };
+        assert_eq!(taps(&wide), [last]);
+        assert_eq!(wide.groups_reference(), [(last, 2)]);
+        let token = wide.apply(&last);
+        assert_eq!((wide.tiles_left(), wide.tile(255, 0)), (510, None));
+        assert_eq!(wide.tile(254, 0), Some(bottom[254]), "its own group only");
+        assert!(wide.is_terminal());
+        wide.undo(token);
+        assert_eq!(wide, SameGame::from_rows(&[&top, &bottom]));
+
+        // One column of 256: alternating 2s and 3s under a pair of 1s.
+        let column: Vec<[u8; 1]> = (0..256)
+            .map(|row| [if row < 2 { 1 } else { 2 + (row % 2) as u8 }])
+            .collect();
+        let rows: Vec<&[u8]> = column.iter().map(|r| &r[..]).collect();
+        let mut tall = SameGame::from_rows(&rows);
+        assert_eq!(taps(&tall), [Tap { x: 0, y: 254 }]);
+        tall.play(&Tap { x: 0, y: 255 });
+        assert_eq!((tall.tiles_left(), tall.tile(0, 254)), (254, None));
+        assert_eq!(tall.state_hash(), rehash(&tall));
+
+        // And the largest board there is, end to end.
+        let full = SameGame::random(256, 256, 9, 1);
+        let moves = taps(&full);
+        let reference: Vec<Tap> = full.groups_reference().iter().map(|&(t, _)| t).collect();
+        assert_eq!(moves, reference);
     }
 }

@@ -113,3 +113,32 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
     );
     assert_eq!((score_a, len_a), (score_b, len_b));
 }
+
+/// Sequential UCT allocates when it grows the tree — a node's move list
+/// and child list, the arena's own growth — and not otherwise: the
+/// descent's path and move sequence are buffers of the search, not of
+/// the iteration. On a 6×6 board most of 2000 iterations end on a
+/// terminal node and build nothing, so a per-iteration allocation shows
+/// as a multiple of this bound.
+#[test]
+fn uct_allocates_per_expansion_not_per_iteration() {
+    use pnmcs::search::{SearchSpec, UctConfig};
+    for seed in 0..3 {
+        let board = SameGame::random(6, 6, 3, seed);
+        let spec = SearchSpec::uct_with(UctConfig {
+            iterations: 2000,
+            ..UctConfig::default()
+        })
+        .seed(seed);
+        let (events, report) = count_allocs(|| spec.run(&board));
+        let expansions = report.stats.expansions;
+        assert!(
+            expansions < 1000,
+            "seed {seed}: {expansions} expansions — most iterations must build no node"
+        );
+        assert!(
+            events <= 2 * expansions + 80,
+            "seed {seed}: {events} allocations for {expansions} expansions"
+        );
+    }
+}
