@@ -324,6 +324,14 @@ impl JobHandle {
         self.core.output(&inner)
     }
 
+    /// Whether the job already reached a terminal state — exactly
+    /// `try_output().is_some()`, for the price of one lock and one flag
+    /// read: nothing is cloned or allocated, so a directory can ask it
+    /// of every retained job on every submit.
+    pub fn is_terminal(&self) -> bool {
+        self.core.lock().state.is_terminal()
+    }
+
     /// The merged outcome if the job already finished, `None` while it
     /// is still queued or running. Never blocks on search work.
     pub fn try_output(&self) -> Option<JobOutput> {
@@ -359,6 +367,47 @@ mod tests {
         inner.state = JobState::Running;
         let now = monotonic_now();
         inner.started_at = Some(now.checked_sub(ago).unwrap_or(now));
+    }
+
+    /// `is_terminal()` is `try_output().is_some()` at every point of a
+    /// job's life, whichever of the three terminal states it ends in.
+    #[test]
+    fn is_terminal_agrees_with_try_output_through_every_transition() {
+        for end in [JobState::Completed, JobState::Cancelled, JobState::Failed] {
+            let handle = JobHandle {
+                core: core_with_deadline(None, 1),
+            };
+            let agree = |expect: bool| {
+                assert_eq!(handle.is_terminal(), expect, "towards {end:?}");
+                assert_eq!(handle.try_output().is_some(), expect, "towards {end:?}");
+            };
+            agree(false); // queued
+            assert!(handle.core.mark_running());
+            agree(false); // running
+            let outcome = match end {
+                JobState::Cancelled => {
+                    handle.cancel();
+                    agree(false); // cancellation requested, replica not yet back
+                    ReplicaOutcome::Skipped
+                }
+                JobState::Failed => ReplicaOutcome::Panicked,
+                _ => ReplicaOutcome::Finished(ReplicaResult {
+                    replica: 0,
+                    seed_used: 1,
+                    memory_policy: None,
+                    result: nmcs_core::SearchResult {
+                        score: 5,
+                        sequence: vec![0, 1, 2],
+                        stats: nmcs_core::SearchStats::default(),
+                    },
+                    interrupted: None,
+                    elapsed: Duration::ZERO,
+                }),
+            };
+            assert!(handle.core.record_replica(0, outcome, &Metrics::default()));
+            agree(true);
+            assert_eq!(handle.poll_progress().state, end);
+        }
     }
 
     #[test]

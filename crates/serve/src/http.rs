@@ -1,7 +1,8 @@
 //! Minimal HTTP/1.1 on a blocking `TcpStream`: just enough of the
 //! protocol for the job API — request line + headers + `Content-Length`
-//! bodies in, fixed or chunked responses out. No TLS, no compression,
-//! no HTTP/2; curl and any standard client speak this subset.
+//! bodies in, fixed or chunked responses out, pipelined requests
+//! answered in order. No TLS, no compression, no HTTP/2; curl and any
+//! standard client speak this subset.
 //!
 //! Hard limits protect the server from hostile peers: headers are
 //! capped at [`MAX_HEAD_BYTES`], bodies at the caller's `max_body`, and
@@ -78,11 +79,21 @@ impl Request {
 
 /// Reads one request. Blocks until a full head (and declared body)
 /// arrives, the socket times out, or a limit trips.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+///
+/// `buf` is the connection's read buffer and belongs to the caller for
+/// the connection's whole life: parsing starts from whatever it already
+/// holds, and bytes that arrived behind this request's declared body —
+/// the start of a pipelined next request — are left in it for the next
+/// call instead of being dropped. It never holds more than one
+/// incomplete head plus one read's worth of surplus.
+pub fn read_request(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    max_body: usize,
+) -> Result<Request, HttpError> {
     let mut chunk = [0u8; 1024];
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head_end(buf) {
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
@@ -145,15 +156,22 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         return Err(HttpError::BodyTooLarge);
     }
 
-    let mut body = buf[head_end + 4..].to_vec();
+    // Take this request's bytes out of the buffer. What stays is the
+    // surplus: nothing unless the peer pipelines, and draining a whole
+    // buffer moves no byte.
+    let body_start = head_end + 4;
+    let buffered = (buf.len() - body_start).min(content_length);
+    let mut body = buf[body_start..body_start + buffered].to_vec();
+    buf.drain(..body_start + buffered);
     while body.len() < content_length {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-body"));
         }
-        body.extend_from_slice(&chunk[..n]);
+        let take = n.min(content_length - body.len());
+        body.extend_from_slice(&chunk[..take]);
+        buf.extend_from_slice(&chunk[take..n]);
     }
-    body.truncate(content_length);
 
     Ok(Request {
         method,

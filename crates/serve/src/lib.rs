@@ -210,8 +210,11 @@ fn accept_loop(
 fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>) {
     let _ = stream.set_read_timeout(Some(ctx.config.read_timeout));
     let _ = stream.set_nodelay(true);
+    // The connection's read buffer: bytes a client sent behind one
+    // request (pipelining) wait here for the next `read_request`.
+    let mut buf = Vec::with_capacity(1024);
     loop {
-        let request = match http::read_request(&mut stream, ctx.config.max_body_bytes) {
+        let request = match http::read_request(&mut stream, &mut buf, ctx.config.max_body_bytes) {
             Ok(req) => req,
             Err(HttpError::Eof) | Err(HttpError::Io(_)) => return,
             Err(HttpError::BodyTooLarge) => {

@@ -5,6 +5,10 @@
 //! by id after the submitting connection is gone, and a per-tenant
 //! in-flight count for admission quotas. Terminal entries are retained
 //! (bounded) so a poll shortly after completion still finds its result.
+//!
+//! Every submit walks the retained entries (the quota gauge once, the
+//! retention count once more), so the walk asks each handle only
+//! [`JobHandle::is_terminal`] — a lock and a flag read, nothing built.
 
 use nmcs_engine::{JobHandle, JobId};
 use parking_lot::Mutex;
@@ -40,14 +44,11 @@ impl JobDirectory {
             tenant: tenant.to_string(),
             handle,
         });
-        let terminal = entries
-            .iter()
-            .filter(|e| e.handle.try_output().is_some())
-            .count();
+        let terminal = entries.iter().filter(|e| e.handle.is_terminal()).count();
         if terminal > self.retain_terminal {
             let mut evict = terminal - self.retain_terminal;
             entries.retain(|e| {
-                if evict > 0 && e.handle.try_output().is_some() {
+                if evict > 0 && e.handle.is_terminal() {
                     evict -= 1;
                     false
                 } else {
@@ -74,7 +75,7 @@ impl JobDirectory {
         self.entries
             .lock()
             .iter()
-            .filter(|e| e.tenant == tenant && e.handle.try_output().is_none())
+            .filter(|e| e.tenant == tenant && !e.handle.is_terminal())
             .count()
     }
 
@@ -132,22 +133,76 @@ mod tests {
         e.shutdown();
     }
 
+    fn ids(dir: &JobDirectory) -> Vec<JobId> {
+        dir.entries.lock().iter().map(|e| e.id).collect()
+    }
+
     #[test]
     fn terminal_entries_are_retained_then_evicted_oldest_first() {
         let e = engine();
         let dir = JobDirectory::new(2);
-        let mut ids = Vec::new();
+        let mut submitted = Vec::new();
         for i in 0..5 {
             let h = e.submit(job("t", i)).unwrap();
-            ids.push(h.id());
-            h.clone().join(); // terminal before the next insert
+            submitted.push(h.id());
+            h.clone().join(); // terminal before its own insert
             dir.insert("t", h);
+            // Never more than the two newest, in submission order.
+            let keep = submitted.len().saturating_sub(2);
+            assert_eq!(ids(&dir), submitted[keep..], "after insert {i}");
         }
-        // Retention: at most 2 terminal entries besides the fresh one.
-        assert!(dir.len() <= 3, "len {}", dir.len());
-        // The newest ids survive; the oldest were evicted.
-        assert!(dir.handle(ids[4]).is_some());
-        assert!(dir.handle(ids[0]).is_none());
+        assert!(dir.handle(submitted[4]).is_some());
+        assert!(dir.handle(submitted[0]).is_none());
+        e.shutdown();
+    }
+
+    #[test]
+    fn a_parked_job_between_terminal_ones_is_kept_and_counted() {
+        let e = engine(); // one worker
+        let dir = JobDirectory::new(2);
+        let done: Vec<_> = (0..4)
+            .map(|i| {
+                let h = e.submit(job("t", i)).unwrap();
+                h.wait();
+                h
+            })
+            .collect();
+        // Pin the worker, then park a job of tenant "t" behind it.
+        let blocker = e
+            .submit(JobSpec::from_spec(
+                "busy",
+                morpion::standard_5d(),
+                SearchSpec::nested(3).seed(1).build(),
+            ))
+            .unwrap();
+        let parked = e.submit(job("t", 9)).unwrap();
+        assert!(!parked.is_terminal());
+
+        dir.insert("busy", blocker.clone());
+        dir.insert("t", done[0].clone());
+        dir.insert("t", done[1].clone());
+        dir.insert("t", parked.clone());
+        dir.insert("t", done[2].clone()); // third terminal entry: evicts done[0]
+        dir.insert("t", done[3].clone()); // fourth: evicts done[1], steps over `parked`
+        assert_eq!(
+            ids(&dir),
+            [blocker.id(), parked.id(), done[2].id(), done[3].id()],
+            "only terminal entries are evicted, oldest first"
+        );
+        assert_eq!(dir.tenant_inflight("t"), 1, "the parked job holds its slot");
+        assert_eq!(dir.tenant_inflight("busy"), 1);
+
+        // Both finish (cancelled): the slots free themselves, and the
+        // next insert retires them as the oldest terminal entries.
+        blocker.cancel();
+        blocker.wait();
+        parked.wait();
+        assert_eq!(dir.tenant_inflight("t"), 0);
+        assert_eq!(dir.tenant_inflight("busy"), 0);
+        let last = e.submit(job("t", 10)).unwrap();
+        last.wait();
+        dir.insert("t", last.clone());
+        assert_eq!(ids(&dir), [done[3].id(), last.id()]);
         e.shutdown();
     }
 }

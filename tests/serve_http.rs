@@ -613,3 +613,104 @@ fn error_paths_answer_400_404_405_as_documented() {
     assert_eq!((status, body.as_str()), (200, "ok\n"));
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// Pipelining: bytes that arrive behind a request belong to the next one.
+// ---------------------------------------------------------------------
+
+/// Reads exactly one `Content-Length` response off a keep-alive
+/// connection, leaving whatever follows it in the socket. A read
+/// timeout (the server sat on a request it had already received) fails
+/// the test here instead of after the server's own 30 s `read_timeout`.
+fn read_one_response(stream: &mut TcpStream) -> ClientResponse {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("response head in time");
+        assert_eq!(n, 1, "connection closed before a complete response head");
+        raw.push(byte[0]);
+    }
+    let length: usize = std::str::from_utf8(&raw)
+        .expect("UTF-8 head")
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+        .map(|(_, v)| v.trim().parse().expect("numeric length"))
+        .expect("Content-Length");
+    let head_len = raw.len();
+    raw.resize(head_len + length, 0);
+    stream
+        .read_exact(&mut raw[head_len..])
+        .expect("response body in time");
+    parse_response(&raw)
+}
+
+fn keep_alive_connection(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to server");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
+#[test]
+fn two_requests_in_one_write_get_two_responses_in_order() {
+    let server = server(8, 1, 8);
+    let mut stream = keep_alive_connection(server.addr());
+    let healthz = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    let missing = "GET /jobs/999999 HTTP/1.1\r\nHost: test\r\n\r\n";
+    stream
+        .write_all(format!("{healthz}{missing}").as_bytes())
+        .expect("write both requests at once");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!((status, body.as_str()), (200, "ok\n"), "first response");
+    let (status, _, _) = read_one_response(&mut stream);
+    assert_eq!(status, 404, "second response, in request order");
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn a_post_with_body_followed_by_a_get_in_the_same_segment_are_both_answered() {
+    let server = server(8, 1, 8);
+    let mut stream = keep_alive_connection(server.addr());
+    let spec = SearchSpec::sample().seed(3).build();
+    let body = submit_body("pipe", "sum", &spec, "");
+    // The GET rides in the bytes right behind the declared body — and
+    // asks for the job the POST is about to create (ids start at 1).
+    let raw = format!(
+        "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /jobs/1?wait=1 HTTP/1.1\r\nHost: test\r\n\r\n",
+        body.len()
+    );
+    stream
+        .write_all(raw.as_bytes())
+        .expect("write both at once");
+    let (status, _, resp) = read_one_response(&mut stream);
+    assert_eq!(status, 202, "{resp}");
+    assert_eq!(as_u64(field(&json(&resp), "job")), 1);
+    let (status, _, out) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "{out}");
+    assert_eq!(as_str(field(&json(&out), "state")), "completed");
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn garbage_after_a_valid_request_gets_400_after_the_first_answer() {
+    let server = server(8, 1, 8);
+    let mut stream = keep_alive_connection(server.addr());
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\nnot-http\r\n\r\n")
+        .expect("write request and garbage at once");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    let (status, headers, resp) = read_one_response(&mut stream);
+    assert_eq!(status, 400, "{resp}");
+    assert_eq!(header(&headers, "connection"), Some("close"));
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("server closes");
+    assert!(rest.is_empty(), "nothing follows the 400");
+    server.shutdown();
+}
