@@ -1,12 +1,12 @@
 //! Lock-free metrics registry: counters, gauges, and log-bucketed
-//! latency histograms, plus the serde-serialisable snapshot types the
-//! future `/metrics` endpoint will render.
+//! latency histograms, plus the serde-serialisable snapshot types
+//! `nmcs-serve`'s `/metrics` route renders.
 //!
 //! Three layers feed this module:
 //!
-//! - the [`ExecutorPool`] records park/steal/
-//!   wakeup/batch events and per-worker busy-vs-idle clocks into a
-//!   per-pool [`PoolMetrics`];
+//! - the [`ExecutorPool`] records park/wakeup/batch events, slots run
+//!   off their submitter's thread, and per-worker busy-vs-idle clocks
+//!   into a per-pool [`PoolMetrics`];
 //! - [`Searcher::search`](crate::Searcher::search) records per-backend
 //!   wall-time histograms (keyed by
 //!   [`AlgorithmSpec::tag()`](crate::AlgorithmSpec::tag)), playout
@@ -498,7 +498,7 @@ impl DeadLetterQueue {
 pub struct WorkerClock {
     /// Nanoseconds spent running tasks.
     pub busy_ns: Counter,
-    /// Nanoseconds spent parked or scanning for work.
+    /// Nanoseconds spent parked.
     pub idle_ns: Counter,
 }
 
@@ -506,11 +506,13 @@ pub struct WorkerClock {
 /// All fields are atomics; see the module docs for the hot-path
 /// contract.
 pub struct PoolMetrics {
-    /// Times a worker parked on the injector condvar.
+    /// Times a worker parked on the pool's condvar.
     pub parks: Counter,
-    /// Wakeup-generation bumps (notifications issued to parked workers).
+    /// Notifications issued to parked workers: one per published batch,
+    /// one at shutdown.
     pub wakeups: Counter,
-    /// Successful steals from a sibling's deque.
+    /// Slots run by a thread other than their batch's submitter (that
+    /// is, by a pool worker).
     pub steals: Counter,
     /// `run_batch` submissions.
     pub batches: Counter,
@@ -691,9 +693,9 @@ pub struct PoolSnapshot {
     pub workers: u64,
     /// Times a worker parked.
     pub parks: u64,
-    /// Wakeup-generation bumps.
+    /// Notifications issued to parked workers.
     pub wakeups: u64,
-    /// Successful deque steals.
+    /// Slots run by a thread other than their batch's submitter.
     pub steals: u64,
     /// `run_batch` submissions.
     pub batches: u64,
@@ -804,8 +806,8 @@ pub struct EngineSnapshot {
     pub sessions_evicted: u64,
 }
 
-/// The full, serde-round-trippable metrics snapshot — the future
-/// `/metrics` endpoint body. `engine` is `None` for core-only
+/// The full, serde-round-trippable metrics snapshot — the body of
+/// `nmcs-serve`'s `/metrics` route. `engine` is `None` for core-only
 /// snapshots (no engine in the process).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
@@ -944,8 +946,8 @@ impl_value_struct!(MetricsSnapshot {
 impl MetricsSnapshot {
     /// Renders the snapshot in a Prometheus-flavoured text exposition
     /// format — one `name{labels} value` line per series. This (or the
-    /// JSON form via `serde_json`) is what a future `/metrics` endpoint
-    /// serves.
+    /// JSON form via `serde_json`, `?format=json`) is what `nmcs-serve`'s
+    /// `/metrics` route serves.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

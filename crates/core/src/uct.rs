@@ -47,6 +47,17 @@
 //!   when nothing is in flight. Multi-worker runs are inherently
 //!   schedule-dependent and promise only a replayable best line (the
 //!   conformance tests assert both halves).
+//!
+//! That identity does not licence deleting the sequential arena
+//! (ROADMAP item 6(a), closed by measurement): routing
+//! `AlgorithmSpec::Uct` with reuse off through `TpTree` at width 1
+//! keeps every digest but read ≈ −24 % `ops_per_s` on the ledger's
+//! `uct-cold-samegame` (≈ 485 → ≈ 370, 0 of 10 alternating pairs ahead,
+//! `mean_score` equal). Since PR 20 an iteration there is ≈ 1 µs, and
+//! `TpTree`'s per-level `Arc` clone, node mutex and CAS back-up are a
+//! quarter of it. Both trees stay *because* the spec variant selects
+//! between them and the ledger has a workload on each side —
+//! `uct-cold-samegame` on the arena, `uct-warm-sessions` on `TpTree`.
 
 use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
@@ -1043,13 +1054,9 @@ where
                 break;
             }
 
-            // ---- evaluate the slab (idle pool workers steal slots;
-            // saturated pools degrade to inline draining) ----
-            if filled == 1 {
-                run_slab_slot(&slots[0], self.seed);
-            } else {
-                exec.run_batch(filled, &|i| run_slab_slot(&slots[i], self.seed));
-            }
+            // ---- evaluate the slab (idle pool workers claim slots;
+            // a one-slot slab, or a saturated pool, runs inline) ----
+            exec.run_batch(filled, &|i| run_slab_slot(&slots[i], self.seed));
 
             // ---- back up in slot order ----
             for slab in &slots[..filled] {

@@ -21,9 +21,8 @@
 //! is for; a replica running a parallel strategy delegates its
 //! *in-search* fan-out — per-step leaf batches, median games,
 //! tree-parallel workers: borrowed fork-join batches of µs tasks — to
-//! the process-wide `nmcs_core::ExecutorPool`, the workspace's one
-//! work-stealing pool, whose workers stay warm across every replica and
-//! every job. Neither ever blocks the other: executor batches are
+//! the process-wide `nmcs_core::ExecutorPool`, whose workers stay warm
+//! across every replica and every job. Neither ever blocks the other: executor batches are
 //! help-first (the submitting replica thread works too), so an engine
 //! fully busy with replicas still makes progress on each.
 

@@ -21,7 +21,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "clock-discipline",
         summary: "Instant::now()/SystemTime only in ctx.rs, metrics.rs (monotonic_now), \
-                  exec/pool.rs, and bench — wall clocks feed observability, never results",
+                  and bench — wall clocks feed observability, never results",
     },
     RuleInfo {
         id: "spawn-discipline",
@@ -148,12 +148,11 @@ pub(crate) fn run_all(ctx: &FileCtx) -> Vec<Finding> {
 
 /// Modules allowed to read the wall clock directly: the budget machinery
 /// (`ctx.rs`), the metrics registry (which exports `monotonic_now` as
-/// the sanctioned accessor for everyone else), the executor pool's
-/// busy/idle clocks, and the bench crate (timing is its whole job).
+/// the sanctioned accessor for everyone else), and the bench crate
+/// (timing is its whole job).
 const CLOCK_ALLOWED: &[&str] = &[
     "crates/core/src/ctx.rs",
     "crates/core/src/metrics.rs",
-    "crates/core/src/exec/pool.rs",
     "crates/bench/",
 ];
 

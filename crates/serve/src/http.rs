@@ -1,7 +1,7 @@
 //! Minimal HTTP/1.1 on a blocking `TcpStream`: just enough of the
 //! protocol for the job API — request line + headers + `Content-Length`
-//! bodies in, fixed or chunked responses out, pipelined requests
-//! answered in order. No TLS, no compression, no HTTP/2; curl and any
+//! bodies in (`Transfer-Encoding` and disagreeing lengths are a 400),
+//! fixed or chunked responses out, pipelined requests answered in order. No TLS, no compression, no HTTP/2; curl and any
 //! standard client speak this subset.
 //!
 //! Hard limits protect the server from hostile peers: headers are
@@ -143,15 +143,25 @@ pub fn read_request(
 
     let (path, query) = split_target(target);
 
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| HttpError::Malformed("bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    // A body this parser cannot frame must be refused, not guessed at:
+    // every byte behind the length it settles on is kept as the start of
+    // the next request, so a wrong guess turns the rest of the body into
+    // a request line.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::Malformed(
+            "transfer-encoding is not supported; send content-length",
+        ));
+    }
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .parse::<usize>()
+            .map_err(|_| HttpError::Malformed("bad content-length"))?;
+        if content_length.replace(n).is_some_and(|first| first != n) {
+            return Err(HttpError::Malformed("conflicting content-length headers"));
+        }
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge);
     }

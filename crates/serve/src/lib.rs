@@ -187,7 +187,16 @@ fn accept_loop(
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
-            Err(_) => continue,
+            Err(_) => {
+                // Out of descriptors, say: shutdown's wake-up connection
+                // cannot arrive either, so the flag is read here too, and
+                // the retry waits instead of spinning.
+                if !ctx.accepting.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
         };
         if !ctx.accepting.load(Ordering::Acquire) {
             return;

@@ -12,7 +12,7 @@
 //! | [`parallel`] | `parallel-nmcs` | root/median/dispatcher/client roles, RR & LM dispatchers, backends |
 //! | [`cluster`] | `cluster-rt` | MPI-like in-process message passing |
 //! | [`sim`] | `des-sim` | deterministic discrete-event cluster simulation |
-//! | [`engine`] | `nmcs-engine` | concurrent multi-tenant search service: job queue, work-stealing workers, backpressure, cancellation |
+//! | [`engine`] | `nmcs-engine` | concurrent multi-tenant search service: one bounded job queue, blocking workers, backpressure, cancellation |
 //! | [`serve`] | `nmcs-serve` | HTTP/1.1 front door for the engine: submit/poll/cancel/metrics routes with admission control |
 //!
 //! ## Quickstart — one front door for every backend

@@ -7,6 +7,10 @@
 //! * a panicking task surfaces on the submitter without poisoning the
 //!   pool — later submissions (including from other threads) run
 //!   normally;
+//! * every slot of every batch runs exactly once under nesting and
+//!   concurrent submitters, on pools with and without workers. The pool
+//!   has no timeout anywhere, so a lost wake-up is a hang: the watchdog
+//!   *is* the assertion;
 //! * budget- and cancel-interrupted runs of the pool-backed backends
 //!   return promptly with a best-so-far line that replays to its score.
 //!
@@ -21,8 +25,8 @@ use pnmcs::search::exec::pool::ExecutorPool;
 use pnmcs::search::{Budget, CancelToken, Game, Interruption, SearchReport, SearchSpec};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Runs `f` on a helper thread and fails loudly if it does not finish
@@ -40,6 +44,62 @@ where
     match rx.recv_timeout(timeout) {
         Ok(()) => worker.join().expect("watchdogged body panicked"),
         Err(_) => panic!("{label}: pool hung past {timeout:?}"),
+    }
+}
+
+/// Runs a `slots`-wide batch whose every slot submits a smaller batch of
+/// its own, `depth` levels down, and checks after each `run_batch`
+/// returns that every slot of that batch ran exactly once. A failed
+/// check inside a slot is a panic the pool carries up to the caller.
+fn run_nested(pool: &ExecutorPool, slots: usize, depth: usize) {
+    let counts: Vec<AtomicUsize> = (0..slots).map(|_| AtomicUsize::new(0)).collect();
+    pool.run_batch(slots, &|slot| {
+        counts[slot].fetch_add(1, Ordering::Relaxed);
+        if depth > 0 {
+            run_nested(pool, 1 + (slot + depth) % 4, depth - 1);
+        }
+    });
+    for (slot, count) in counts.iter().enumerate() {
+        let ran = count.load(Ordering::Relaxed);
+        assert_eq!(ran, 1, "slot {slot} of {slots} at depth {depth}");
+    }
+}
+
+/// `submitters` threads each drive [`run_nested`] on one shared pool,
+/// then the pool is dropped.
+fn hammer_nested(workers: usize, submitters: usize, slots: usize, depth: usize) {
+    let pool = ExecutorPool::new(workers);
+    std::thread::scope(|scope| {
+        for _ in 0..submitters {
+            scope.spawn(|| run_nested(&pool, slots, depth));
+        }
+    });
+}
+
+/// Returns once every worker of `pool` is parked. The gauge moves under
+/// the monitor mutex that a publish or the drop has to take next, so
+/// whoever was counted is inside its wait by the time either happens.
+fn wait_until_parked(pool: &ExecutorPool) {
+    while pool.metrics().idle_workers.get() < pool.background_workers() as i64 {
+        std::thread::yield_now();
+    }
+}
+
+/// A one-shot latch: `wait` blocks until some thread has called `open`.
+#[derive(Default)]
+struct Gate(Mutex<bool>, Condvar);
+
+impl Gate {
+    fn open(&self) {
+        *self.0.lock().expect("gate") = true;
+        self.1.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.0.lock().expect("gate");
+        while !*open {
+            open = self.1.wait(open).expect("gate");
+        }
     }
 }
 
@@ -125,6 +185,21 @@ proptest! {
                 h.join().expect("submitter thread");
             }
             assert_eq!(total.load(Ordering::Relaxed), 12);
+        });
+    }
+
+    /// Exactly-once under arbitrary pool width, concurrent submitters,
+    /// batch size and nesting depth — including `workers = 0`, where
+    /// every nested batch must drain on its own submitter.
+    #[test]
+    fn nested_concurrent_batches_run_every_slot_exactly_once(
+        workers in 0usize..4,
+        submitters in 1usize..5,
+        slots in 1usize..41,
+        depth in 0usize..3,
+    ) {
+        with_watchdog("nested exactly-once", Duration::from_secs(60), move || {
+            hammer_nested(workers, submitters, slots, depth);
         });
     }
 
@@ -214,56 +289,123 @@ fn mid_flight_cancellation_unblocks_pool_backed_searches() {
     }
 }
 
-/// The executor pool's stealing machinery is observable: saturating the
-/// injector from one submitter with more slots than workers must
-/// complete every slot exactly once (the steal counter is allowed to be
-/// anything — scheduling decides — but nothing may be lost or doubled).
+/// One submitter with far more slots than workers: every slot runs
+/// exactly once whichever thread claims it (the steal counter is allowed
+/// to be anything — scheduling decides — but nothing may be lost or
+/// doubled).
 #[test]
 fn oversubscribed_batches_complete_every_slot_exactly_once() {
     with_watchdog("oversubscription", Duration::from_secs(30), || {
         let pool = ExecutorPool::new(2);
         for _ in 0..10 {
-            let counts: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_batch(32, &|slot| {
-                counts[slot].fetch_add(1, Ordering::Relaxed);
-            });
-            for (slot, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "slot {slot}");
-            }
+            run_nested(&pool, 32, 0);
         }
     });
 }
 
-/// A lost park/unpark wakeup must be a test failure, not a 50 ms blip
-/// the timeout net quietly absorbs: this pool's park timeout is far
-/// beyond the watchdog budget, so the only way the hammering below
-/// completes in time is the wakeup-generation handshake doing its job
-/// — including under concurrent submitters racing workers toward their
-/// parks, and at shutdown.
+/// Concurrent submitters race the workers toward their parks, 200
+/// batches over, and the drop then has to wake whoever is parked. The
+/// pool has no timeout to fall back on, so any lost wake-up — at a
+/// publish or at shutdown — hangs here and trips the watchdog.
 #[test]
 fn wakeup_generation_makes_the_park_timeout_net_redundant() {
-    with_watchdog("long-park-timeout hammer", Duration::from_secs(60), || {
-        let pool = Arc::new(ExecutorPool::with_park_timeout(3, Duration::from_secs(300)));
-        let total = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let pool = pool.clone();
-                let total = total.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..50 {
-                        pool.run_batch(4, &|_| {
-                            total.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
+    with_watchdog(
+        "concurrent-submitter hammer",
+        Duration::from_secs(60),
+        || {
+            let pool = Arc::new(ExecutorPool::new(3));
+            let total = Arc::new(AtomicUsize::new(0));
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let pool = pool.clone();
+                    let total = total.clone();
+                    std::thread::spawn(move || {
+                        for _ in 0..50 {
+                            pool.run_batch(4, &|_| {
+                                total.fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("submitter thread");
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 50 * 4);
-        // Shutdown must wake the parked workers without the net too.
-        drop(Arc::try_unwrap(pool).ok().expect("sole owner"));
+                .collect();
+            for h in handles {
+                h.join().expect("submitter thread");
+            }
+            assert_eq!(total.load(Ordering::Relaxed), 4 * 50 * 4);
+            drop(Arc::try_unwrap(pool).ok().expect("sole owner"));
+        },
+    );
+}
+
+/// Three levels of `run_batch` from inside slots, four submitter threads
+/// at once, on a pool with no workers, one worker and three: no width
+/// may deadlock (the submitter of each batch can always finish it alone)
+/// and every slot of every batch runs exactly once.
+#[test]
+fn three_deep_nested_batches_from_four_submitters_run_exactly_once() {
+    for workers in [0, 1, 3] {
+        with_watchdog("three-deep nesting", Duration::from_secs(60), move || {
+            hammer_nested(workers, 4, 6, 3);
+        });
+    }
+}
+
+/// A panic is re-thrown on the submitter exactly once and only after the
+/// batch has drained, whichever thread claimed the slot that panicked,
+/// and the pool then runs the next batch. The claiming thread is forced,
+/// not hoped for: in the worker case slot 0 holds the submitter until a
+/// worker has claimed the bad slot; in the submitter case every slot a
+/// worker claims waits until the submitter is inside the bad one.
+#[test]
+fn submitter_and_worker_claimed_panics_are_each_rethrown_once_after_the_drain() {
+    const SLOTS: usize = 8;
+    for on_worker in [true, false] {
+        with_watchdog("claimed-slot panic", Duration::from_secs(30), move || {
+            let pool = ExecutorPool::new(2);
+            // Parked first: the worker case then also proves that a
+            // publish wakes them (slot 0 waits for a worker forever
+            // otherwise).
+            wait_until_parked(&pool);
+            let submitter = std::thread::current().id();
+            let gate = Gate::default();
+            let thrown = AtomicBool::new(false);
+            let ran = AtomicUsize::new(0);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_batch(SLOTS, &|slot| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    let here_is_worker = std::thread::current().id() != submitter;
+                    if slot > 0 && here_is_worker == on_worker {
+                        if !thrown.swap(true, Ordering::Relaxed) {
+                            gate.open();
+                            panic!("injected into slot {slot}");
+                        }
+                    } else if here_is_worker != on_worker {
+                        gate.wait();
+                    }
+                });
+            }));
+            let payload = outcome.expect_err("the injected panic must surface");
+            let message = payload.downcast_ref::<String>().expect("panic message");
+            assert!(message.starts_with("injected into slot"), "{message}");
+            assert_eq!(ran.load(Ordering::Relaxed), SLOTS, "batch drained first");
+
+            let again = AtomicUsize::new(0);
+            pool.run_batch(SLOTS, &|_| {
+                again.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(again.load(Ordering::Relaxed), SLOTS);
+        });
+    }
+}
+
+/// Dropping a pool whose workers are all parked wakes and joins them.
+#[test]
+fn drop_of_a_parked_pool_returns_promptly() {
+    with_watchdog("drop while parked", Duration::from_secs(10), || {
+        let pool = ExecutorPool::new(3);
+        pool.run_batch(8, &|_| {});
+        wait_until_parked(&pool);
+        drop(pool);
     });
 }
 

@@ -714,3 +714,58 @@ fn garbage_after_a_valid_request_gets_400_after_the_first_answer() {
     assert!(rest.is_empty(), "nothing follows the 400");
     server.shutdown();
 }
+
+/// `raw` is a POST whose body this server cannot frame, with a complete
+/// request hidden in that body. It must get one `400`, a closed
+/// connection, and no answer to the hidden request — while a keep-alive
+/// client on another connection is served before and after.
+fn assert_unframeable_post_is_refused(raw: &str) {
+    let server = server(8, 1, 8);
+    let healthz = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    let mut bystander = keep_alive_connection(server.addr());
+    bystander.write_all(healthz).expect("bystander request");
+    assert_eq!(read_one_response(&mut bystander).0, 200);
+
+    let mut stream = keep_alive_connection(server.addr());
+    stream.write_all(raw.as_bytes()).expect("write request");
+    let (status, headers, resp) = read_one_response(&mut stream);
+    assert_eq!(status, 400, "{resp}");
+    assert_eq!(header(&headers, "connection"), Some("close"));
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("server closes");
+    assert!(
+        rest.is_empty(),
+        "the body was answered as a request: {}",
+        String::from_utf8_lossy(&rest)
+    );
+
+    bystander.write_all(healthz).expect("bystander request");
+    let (status, _, body) = read_one_response(&mut bystander);
+    assert_eq!(
+        (status, body.as_str()),
+        (200, "ok\n"),
+        "bystander unaffected"
+    );
+    drop(bystander);
+    server.shutdown();
+}
+
+#[test]
+fn a_chunked_post_gets_400_and_its_body_is_not_read_as_a_request() {
+    let hidden = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    assert_unframeable_post_is_refused(&format!(
+        "POST /jobs HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n\
+         {:x}\r\n{hidden}\r\n0\r\n\r\n",
+        hidden.len()
+    ));
+}
+
+#[test]
+fn disagreeing_content_lengths_get_400_and_the_body_is_not_read_as_a_request() {
+    let hidden = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    assert_unframeable_post_is_refused(&format!(
+        "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\nContent-Length: {}\r\n\r\n\
+         {hidden}",
+        hidden.len()
+    ));
+}
