@@ -50,7 +50,6 @@
 
 pub mod baselines;
 pub mod ctx;
-pub mod driver;
 pub mod erased;
 pub mod exec;
 pub mod game;
@@ -67,7 +66,6 @@ pub mod uct;
 
 pub use baselines::{simulated_annealing_with, AnnealingConfig};
 pub use ctx::SearchCtx;
-pub use driver::{drive, DriveBudget, DriveReport};
 pub use erased::{decode_report, decode_result, decode_sequence, AnyGame, AnySearcher, DynGame};
 pub use exec::pool::ExecutorPool;
 pub use game::{mix64, Game, Score, SnapshotOnly, Undo};
@@ -84,4 +82,4 @@ pub use search::{nested_with, sample, MemoryPolicy, NestedConfig, PlayoutScratch
 pub use session::SearchSession;
 pub use spec::{AlgorithmSpec, Budget, CancelToken, SearchBuilder, SearchSpec, Searcher};
 pub use stats::SearchStats;
-pub use uct::{uct_tree_parallel, uct_with, LockStrategy, StatsMode, TreeParallelOpts, UctConfig};
+pub use uct::{uct_with, LockStrategy, StatsMode, UctConfig};

@@ -254,26 +254,6 @@ impl<G: Game> Walker<G> {
         }
     }
 
-    /// Hands out the current position as a value of its own and returns
-    /// to `mark` — for callers that keep the position they walked to
-    /// (the batched tree-parallel leaves). A clone-only game gives up
-    /// its working position and takes the mark's copy back, so this
-    /// costs it no clone beyond the mark's.
-    pub(crate) fn detach(&mut self, mark: Mark) -> G {
-        match &mut self.restore {
-            Restore::Undo { .. } => {
-                let leaf = self.pos.clone();
-                self.rewind(mark);
-                leaf
-            }
-            Restore::Copies(saved) => {
-                saved.truncate(mark.0 + 1);
-                let back = saved.pop().expect("detach to a mark that was taken");
-                std::mem::replace(&mut self.pos, back)
-            }
-        }
-    }
-
     /// Exchanges the walker's position with `other`, so a caller that
     /// owns many positions (beam search) can evaluate each through one
     /// walker's buffers. Only between walks: nothing may be pending.

@@ -20,7 +20,6 @@ use crate::rng::derive_seed;
 const TAG_MEDIAN: u64 = 0x6d65_6469_616e_0001;
 const TAG_CLIENT: u64 = 0x636c_6965_6e74_0001;
 const TAG_TREE_WORKER: u64 = 0x7472_6565_7770_0001;
-const TAG_TREE_LEAF: u64 = 0x7472_6565_6c66_0001;
 const TAG_SESSION_STEP: u64 = 0x7365_7373_7374_0001;
 
 /// Seed of the median search spawned for `root_move` at `root_step`.
@@ -54,15 +53,6 @@ pub fn tree_worker_seed(root_seed: u64, worker: usize) -> u64 {
     } else {
         derive_seed(root_seed, &[TAG_TREE_WORKER, worker as u64])
     }
-}
-
-/// The rollout seed of tree-parallel iteration `iteration` in
-/// batched-leaf mode. Keyed by the *iteration index* (not the worker or
-/// the pool slot that happens to evaluate it), so a slab's rollouts are
-/// placement-independent: a single-worker batched run produces the same
-/// result no matter how many pool workers execute its slabs.
-pub fn tree_rollout_seed(root_seed: u64, iteration: u64) -> u64 {
-    derive_seed(root_seed, &[TAG_TREE_LEAF, iteration])
 }
 
 /// The search seed of session step `step`. Step 0 uses the root seed
@@ -107,15 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_rollout_seeds_are_iteration_keyed() {
-        assert_ne!(tree_rollout_seed(42, 0), tree_rollout_seed(42, 1));
-        assert_ne!(tree_rollout_seed(42, 0), tree_rollout_seed(43, 0));
-        // Domain-separated from the worker derivation.
-        assert_ne!(tree_rollout_seed(42, 1), tree_worker_seed(42, 1));
-        assert_eq!(tree_rollout_seed(42, 7), tree_rollout_seed(42, 7));
-    }
-
-    #[test]
     fn session_step_zero_is_the_root_seed() {
         // Pinned: step 0 ≡ root seed makes a session's first step equal
         // to the one-shot run of the same spec.
@@ -124,7 +105,6 @@ mod tests {
         assert_ne!(session_step_seed(42, 1), session_step_seed(42, 2));
         // Domain-separated from the other derivations.
         assert_ne!(session_step_seed(42, 1), tree_worker_seed(42, 1));
-        assert_ne!(session_step_seed(42, 1), tree_rollout_seed(42, 1));
     }
 
     #[test]

@@ -52,8 +52,7 @@ use crate::report::SearchReport;
 use crate::rng::Rng;
 use crate::search::{nested_with, MemoryPolicy, NestedConfig};
 use crate::uct::{
-    uct_tree_parallel_on, uct_with, LockStrategy, StatsMode, TpTree, TreeParallelOpts, UctConfig,
-    DEFAULT_TT_BYTES,
+    uct_tree_parallel_on, uct_with, LockStrategy, StatsMode, TpTree, UctConfig, DEFAULT_TT_BYTES,
 };
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -231,22 +230,18 @@ pub enum AlgorithmSpec {
         /// Evaluate and play only the first move (paper Tables I–II mode).
         first_move: bool,
     },
-    /// Tree-parallel UCT ([`crate::uct::uct_tree_parallel`]): `threads`
-    /// workers share one tree, with three execution knobs — the
-    /// [`LockStrategy`] (sharded per-node locks vs the global arena
-    /// mutex), the [`StatsMode`] (WU-UCT unobserved-sample statistics
-    /// vs plain virtual loss), and `leaf_batch` (≥ 2 hands each
-    /// worker's pending rollouts to the executor pool in slabs). The
-    /// one backend whose multi-worker results are schedule-dependent;
-    /// `threads == 1` is deterministic at any knob setting and (with
-    /// `leaf_batch < 2`) bit-identical to [`AlgorithmSpec::Uct`] per
-    /// seed.
+    /// Tree-parallel UCT ([`crate::uct`]): `threads` workers share one
+    /// tree, each rolling out its own leaves, with two execution knobs —
+    /// the [`LockStrategy`] (sharded per-node locks vs the global arena
+    /// mutex) and the [`StatsMode`] (WU-UCT unobserved-sample statistics
+    /// vs plain virtual loss). The one backend whose multi-worker
+    /// results are schedule-dependent; `threads == 1` is bit-identical
+    /// to [`AlgorithmSpec::Uct`] per seed at any knob setting.
     TreeParallel {
         config: UctConfig,
         threads: usize,
         lock: LockStrategy,
         stats: StatsMode,
-        leaf_batch: usize,
         /// Warm-tree mode, as on [`AlgorithmSpec::Uct`]: expansions
         /// intern their position's [`Game::state_hash`] in a bounded
         /// transposition table so transposed lines share statistics.
@@ -289,7 +284,6 @@ impl AlgorithmSpec {
             threads,
             lock: LockStrategy::default(),
             stats: StatsMode::default(),
-            leaf_batch: 0,
             tree_reuse: false,
         }
     }
@@ -324,9 +318,6 @@ impl AlgorithmSpec {
     /// worker: leaf- and root-parallel derive every evaluation's seed
     /// from its logical coordinates, but tree-parallel workers race on
     /// one shared tree, so their interleaving shapes the search itself.
-    /// A *single* tree worker stays deterministic even in batched-leaf
-    /// mode — slab rollouts are seeded by iteration index, so pool
-    /// placement cannot change them.
     pub fn worker_count_deterministic(&self) -> bool {
         !matches!(
             self,
@@ -401,14 +392,13 @@ impl AlgorithmSpec {
             // Unlike leaf/root, the thread count IS part of a
             // tree-parallel identity: the workers race on one shared
             // tree, so different counts genuinely produce different
-            // searches — and so are the lock/stats/batch knobs, which
-            // change which search the racing workers perform.
+            // searches — and so are the lock/stats knobs, which change
+            // which search the racing workers perform.
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
                 lock,
                 stats,
-                leaf_batch,
                 tree_reuse,
             } => [
                 0xA00,
@@ -425,10 +415,7 @@ impl AlgorithmSpec {
                         StatsMode::VirtualLoss => 0u64,
                         StatsMode::WuUct => 1,
                     };
-                    lock_code
-                        | (stats_code << 8)
-                        | ((*tree_reuse as u64) << 10)
-                        | ((*leaf_batch as u64) << 16)
+                    lock_code | (stats_code << 8) | ((*tree_reuse as u64) << 10)
                 },
             ],
             AlgorithmSpec::SimulatedAnnealing { config } => [
@@ -515,7 +502,6 @@ impl Serialize for AlgorithmSpec {
                 threads,
                 lock,
                 stats,
-                leaf_batch,
                 tree_reuse,
             } => vec![
                 kind("tree_parallel"),
@@ -523,7 +509,6 @@ impl Serialize for AlgorithmSpec {
                 ("threads".to_string(), threads.to_value()),
                 ("lock".to_string(), lock.to_value()),
                 ("stats".to_string(), stats.to_value()),
-                ("leaf_batch".to_string(), leaf_batch.to_value()),
                 ("tree_reuse".to_string(), tree_reuse.to_value()),
             ],
             AlgorithmSpec::SimulatedAnnealing { config } => vec![
@@ -535,11 +520,18 @@ impl Serialize for AlgorithmSpec {
     }
 }
 
+/// The widest `threads` a spec may ask for. The executors size per-worker
+/// state from it before any budget is read, and a failed allocation
+/// aborts the process (no `catch_unwind` sees it). The paper's widest run
+/// is 64 clients; the shared pool has `cores − 1` workers.
+const MAX_THREADS: usize = 1024;
+
 /// Reads the integer field `name` of a `kind` algorithm and refuses a
-/// value below `min`. Specs arrive from outside the program (`POST /jobs`,
-/// `tables --spec`); a width or level the executors assert on has to be
+/// value below `min` or above `max`. Specs arrive from outside the
+/// program (`POST /jobs`, `tables --spec`); a width or level the
+/// executors assert on, or would allocate for without bound, has to be
 /// turned away here, not inside an engine worker.
-fn field_at_least<T>(v: &Value, kind: &str, name: &str, min: T) -> Result<T, Error>
+fn field_in_range<T>(v: &Value, kind: &str, name: &str, min: T, max: Option<T>) -> Result<T, Error>
 where
     T: Deserialize + PartialOrd + std::fmt::Display,
 {
@@ -547,9 +539,10 @@ where
         .get_field(name)
         .ok_or_else(|| Error::missing_field(name))?;
     let n = T::from_value(field)?;
-    if n < min {
+    if n < min || max.as_ref().is_some_and(|max| n > *max) {
+        let upper = max.map_or(String::new(), |max| format!(" and <= {max}"));
         return Err(Error::custom(format!(
-            "`{kind}` needs `{name}` >= {min}, got {n}"
+            "`{kind}` needs `{name}` >= {min}{upper}, got {n}"
         )));
     }
     Ok(n)
@@ -601,46 +594,54 @@ impl Deserialize for AlgorithmSpec {
             }),
             "sample" => Ok(AlgorithmSpec::Sample),
             "leaf_parallel" => Ok(AlgorithmSpec::LeafParallel {
-                level: field_at_least(v, &kind, "level", 1)?,
-                batch: field_at_least(v, &kind, "batch", 1)?,
-                threads: field_at_least(v, &kind, "threads", 1)?,
+                level: field_in_range(v, &kind, "level", 1, None)?,
+                batch: field_in_range(v, &kind, "batch", 1, None)?,
+                threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
                 playout_cap: Option::from_value(&opt("playout_cap"))?,
                 first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
             }),
             "root_parallel" => Ok(AlgorithmSpec::RootParallel {
-                level: field_at_least(v, &kind, "level", 2)?,
-                threads: field_at_least(v, &kind, "threads", 1)?,
+                level: field_in_range(v, &kind, "level", 2, None)?,
+                threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
                 playout_cap: Option::from_value(&opt("playout_cap"))?,
                 first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
             }),
-            "tree_parallel" => Ok(AlgorithmSpec::TreeParallel {
-                config: match v.get_field("config") {
-                    Some(c) => UctConfig::from_value(c)?,
-                    None => UctConfig::default(),
-                },
-                threads: field_at_least(v, &kind, "threads", 1)?,
-                // Pre-knob (PR-4) rows carry none of these fields; they
-                // replay on the current defaults.
-                lock: match v.get_field("lock") {
-                    Some(l) => LockStrategy::from_value(l)?,
-                    None => LockStrategy::default(),
-                },
-                stats: match v.get_field("stats") {
-                    Some(s) => StatsMode::from_value(s)?,
-                    None => StatsMode::default(),
-                },
-                leaf_batch: match v.get_field("leaf_batch") {
-                    Some(b) => usize::from_value(b)?,
-                    None => 0,
-                },
-                // A legacy `"leaf_batch_dynamic"` key is ignored: the
-                // knob only chose where a slab ran, never what it
-                // computed, so such a row replays bit-identically.
-                tree_reuse: match v.get_field("tree_reuse") {
-                    Some(b) => bool::from_value(b)?,
-                    None => false,
-                },
-            }),
+            "tree_parallel" => {
+                // Batched leaves are gone: a legacy `"leaf_batch"` of 0 or
+                // 1 was this same inline search, so it is ignored (as is
+                // `"leaf_batch_dynamic"`, which only chose where a slab
+                // ran); a batch of 2 or more named a different search and
+                // is refused rather than silently replayed as this one.
+                if let Some(b) = v.get_field("leaf_batch") {
+                    let b = usize::from_value(b)?;
+                    if b >= 2 {
+                        return Err(Error::custom(format!(
+                            "`tree_parallel` no longer batches leaves: `leaf_batch` must be 0 or 1, got {b}"
+                        )));
+                    }
+                }
+                Ok(AlgorithmSpec::TreeParallel {
+                    config: match v.get_field("config") {
+                        Some(c) => UctConfig::from_value(c)?,
+                        None => UctConfig::default(),
+                    },
+                    threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
+                    // Pre-knob (PR-4) rows carry none of these fields;
+                    // they replay on the current defaults.
+                    lock: match v.get_field("lock") {
+                        Some(l) => LockStrategy::from_value(l)?,
+                        None => LockStrategy::default(),
+                    },
+                    stats: match v.get_field("stats") {
+                        Some(s) => StatsMode::from_value(s)?,
+                        None => StatsMode::default(),
+                    },
+                    tree_reuse: match v.get_field("tree_reuse") {
+                        Some(b) => bool::from_value(b)?,
+                        None => false,
+                    },
+                })
+            }
             "simulated_annealing" => Ok(AlgorithmSpec::SimulatedAnnealing {
                 config: match v.get_field("config") {
                     Some(c) => AnnealingConfig::from_value(c)?,
@@ -785,11 +786,10 @@ impl SearchSpec {
     }
 
     /// Tree-parallel UCT on `threads` workers (default tunables:
-    /// sharded locks, WU-UCT statistics, inline rollouts — tune with
-    /// [`SearchBuilder::lock_strategy`], [`SearchBuilder::stats_mode`],
-    /// and [`SearchBuilder::leaf_batch`]). With `threads == 1` this is
-    /// bit-identical to [`SearchSpec::uct`] per seed; with more
-    /// workers, results are schedule-dependent (see
+    /// sharded locks, WU-UCT statistics — tune with
+    /// [`SearchBuilder::lock_strategy`] and [`SearchBuilder::stats_mode`]).
+    /// With `threads == 1` this is bit-identical to [`SearchSpec::uct`]
+    /// per seed; with more workers, results are schedule-dependent (see
     /// [`AlgorithmSpec::worker_count_deterministic`]).
     pub fn tree_parallel(threads: usize) -> SearchBuilder {
         SearchBuilder::new(AlgorithmSpec::tree_parallel(threads))
@@ -803,7 +803,6 @@ impl SearchSpec {
             threads,
             lock: LockStrategy::default(),
             stats: StatsMode::default(),
-            leaf_batch: 0,
             tree_reuse: false,
         })
     }
@@ -912,14 +911,14 @@ where
             AlgorithmSpec::Uct { config, tree_reuse } => {
                 if *tree_reuse {
                     // Reuse-on routes through the width-1 shared tree
-                    // with a transposition table. A single unbatched
-                    // tree worker is bit-identical to `uct_with` when
-                    // no table intervenes, so the *only* behavioural
-                    // delta of the knob is the statistics sharing it
-                    // exists to provide.
-                    let opts = TreeParallelOpts::new(1);
-                    let tree = TpTree::with_table(config, opts.lock, opts.stats, DEFAULT_TT_BYTES);
-                    uct_tree_parallel_on(game, &tree, config, &opts, self.seed, &mut ctx)
+                    // with a transposition table. A single tree worker
+                    // is bit-identical to `uct_with` when no table
+                    // intervenes, so the *only* behavioural delta of the
+                    // knob is the statistics sharing it exists to
+                    // provide.
+                    let (lock, stats) = (LockStrategy::default(), StatsMode::default());
+                    let tree = TpTree::with_table(config, lock, stats, DEFAULT_TT_BYTES);
+                    uct_tree_parallel_on(game, &tree, config, 1, self.seed, &mut ctx)
                 } else {
                     let mut rng = Rng::seeded(self.seed);
                     uct_with(game, config, &mut rng, &mut ctx)
@@ -970,21 +969,14 @@ where
                 threads,
                 lock,
                 stats,
-                leaf_batch,
                 tree_reuse,
             } => {
-                let opts = TreeParallelOpts {
-                    threads: *threads,
-                    lock: *lock,
-                    stats: *stats,
-                    leaf_batch: *leaf_batch,
-                };
                 let tree = if *tree_reuse {
-                    TpTree::with_table(config, opts.lock, opts.stats, DEFAULT_TT_BYTES)
+                    TpTree::with_table(config, *lock, *stats, DEFAULT_TT_BYTES)
                 } else {
-                    TpTree::new(config, opts.lock, opts.stats)
+                    TpTree::new(config, *lock, *stats)
                 };
-                uct_tree_parallel_on(game, &tree, config, &opts, self.seed, &mut ctx)
+                uct_tree_parallel_on(game, &tree, config, *threads, self.seed, &mut ctx)
             }
             AlgorithmSpec::SimulatedAnnealing { config } => {
                 let mut rng = Rng::seeded(self.seed);
@@ -1132,17 +1124,6 @@ impl SearchBuilder {
     pub fn stats_mode(mut self, mode: StatsMode) -> Self {
         if let AlgorithmSpec::TreeParallel { stats, .. } = &mut self.spec.algorithm {
             *stats = mode;
-        }
-        self
-    }
-
-    /// Slab size for batched leaf evaluation — `0`/`1` runs rollouts
-    /// inline on the descending worker, `≥ 2` hands each worker's
-    /// pending rollouts to the executor pool in slabs (tree-parallel
-    /// only; ignored by other strategies).
-    pub fn leaf_batch(mut self, batch: usize) -> Self {
-        if let AlgorithmSpec::TreeParallel { leaf_batch, .. } = &mut self.spec.algorithm {
-            *leaf_batch = batch;
         }
         self
     }
@@ -1520,6 +1501,20 @@ mod tests {
                 "threads",
             ),
             (r#"{"kind":"tree_parallel","threads":0}"#, "threads"),
+            // Over-wide: the executors would size a `Vec` from these
+            // before any budget is read, and a failed allocation aborts.
+            (
+                r#"{"kind":"tree_parallel","threads":1099511627776}"#,
+                "threads",
+            ),
+            (
+                r#"{"kind":"leaf_parallel","level":1,"batch":4,"threads":1099511627776}"#,
+                "threads",
+            ),
+            (
+                r#"{"kind":"root_parallel","level":2,"threads":1099511627776}"#,
+                "threads",
+            ),
         ] {
             let err = serde_json::from_str::<AlgorithmSpec>(algorithm)
                 .expect_err(algorithm)

@@ -18,12 +18,14 @@
 //! Two execution shapes share the algorithm:
 //!
 //! * [`uct_with`] — the sequential tree, one iteration at a time;
-//! * [`uct_tree_parallel`] — **tree-parallel** UCT in the style of the
-//!   parallel-MCTS literature the paper cites: one shared tree, workers
-//!   descending concurrently, visit/value statistics accumulated
-//!   atomically so rollouts (the dominant cost) run outside any lock.
-//!   Three orthogonal knobs ([`TreeParallelOpts`]) control how it
-//!   scales:
+//! * **tree-parallel** UCT ([`crate::spec::SearchSpec::tree_parallel`])
+//!   in the style of the parallel-MCTS literature the paper cites: one
+//!   shared tree, `threads` workers on the [`ExecutorPool`] descending
+//!   concurrently, each rolling out its own leaf outside every lock, and
+//!   visit/value statistics accumulated atomically. (WU-UCT's
+//!   master/worker shape, a selector keeping simulation workers busy, is
+//!   what `threads` workers sharing one tree already are.) Two knobs
+//!   control how the workers share the tree:
 //!
 //!   * [`LockStrategy`] — `Global` serialises every descent behind one
 //!     structure mutex (the original arena behaviour, kept as the
@@ -36,17 +38,15 @@
 //!     parallelizing Monte Carlo tree search"* (Liu et al. 2020), where
 //!     incomplete visits widen only the exploration term and never
 //!     distort the observed mean.
-//!   * `leaf_batch` — with a batch of `B ≥ 2`, each worker collects `B`
-//!     pending descents and hands their rollouts to the
-//!     [`ExecutorPool`] as one slab (per-slot scratch, iteration-keyed
-//!     rollout seeds), overlapping tree walks with leaf evaluation.
 //!
-//!   A single-worker, unbatched tree-parallel run is **bit-identical**
-//!   to [`uct_with`] for the same seed under *any* lock strategy and
-//!   stats mode — both formulas reduce exactly to the sequential one
-//!   when nothing is in flight. Multi-worker runs are inherently
+//!   A single-worker tree-parallel run is **bit-identical** to
+//!   [`uct_with`] for the same seed under *any* lock strategy and stats
+//!   mode — both formulas reduce exactly to the sequential one when
+//!   nothing is in flight. Multi-worker runs are inherently
 //!   schedule-dependent and promise only a replayable best line (the
-//!   conformance tests assert both halves).
+//!   conformance tests assert both halves). At most `threads` descents
+//!   are ever in flight, and debug builds check at the end of every
+//!   search that none still is.
 //!
 //! That identity does not licence deleting the sequential arena
 //! (ROADMAP item 6(a), closed by measurement): routing
@@ -64,7 +64,7 @@ use crate::exec::pool::ExecutorPool;
 use crate::game::{Game, Score};
 use crate::rng::Rng;
 use crate::search::Walker;
-use crate::seeds::{tree_rollout_seed, tree_worker_seed};
+use crate::seeds::tree_worker_seed;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -283,43 +283,6 @@ impl StatsMode {
             StatsMode::VirtualLoss => "vloss",
             StatsMode::WuUct => "wu-uct",
         }
-    }
-}
-
-/// Execution-shape knobs of [`uct_tree_parallel`] (the algorithmic
-/// tunables stay in [`UctConfig`]). Mirrored field-for-field on
-/// `AlgorithmSpec::TreeParallel` so every knob serde-round-trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeParallelOpts {
-    /// Concurrent tree workers (≥ 1).
-    pub threads: usize,
-    /// How descents lock the shared structure.
-    pub lock: LockStrategy,
-    /// How in-flight descents bias selection.
-    pub stats: StatsMode,
-    /// `0` or `1`: each worker runs its rollouts inline. `B ≥ 2`: each
-    /// worker collects `B` pending descents and evaluates their
-    /// rollouts as one [`ExecutorPool`] slab (WU-UCT's master/worker
-    /// shape), overlapping tree walks with leaf evaluation.
-    pub leaf_batch: usize,
-}
-
-impl TreeParallelOpts {
-    /// Default knobs (sharded locks, WU-UCT stats, inline rollouts) at
-    /// the given width.
-    pub fn new(threads: usize) -> Self {
-        TreeParallelOpts {
-            threads,
-            lock: LockStrategy::default(),
-            stats: StatsMode::default(),
-            leaf_batch: 0,
-        }
-    }
-}
-
-impl Default for TreeParallelOpts {
-    fn default() -> Self {
-        TreeParallelOpts::new(1)
     }
 }
 
@@ -629,36 +592,6 @@ impl<G: Game> DescentScratch<G> {
     }
 }
 
-/// One pending rollout of a batched-leaf slab: the leaf position a
-/// descent reached, the moves that led there, and the nodes to back the
-/// result up through.
-struct PendingLeaf<G: Game> {
-    pos: G,
-    seq: Vec<G::Move>,
-    path: Vec<Arc<TpNode<G::Move>>>,
-    iteration: usize,
-    score: Score,
-}
-
-/// Per-slot state of a worker's slab: the pending rollout plus reusable
-/// scratch (legal-move buffer, forked budget context). Slots are locked
-/// uncontended — exactly one pool thread runs each slot of a batch.
-struct SlabSlot<G: Game> {
-    pending: Option<PendingLeaf<G>>,
-    moves: Vec<G::Move>,
-    ctx: Option<SearchCtx>,
-}
-
-impl<G: Game> SlabSlot<G> {
-    fn new() -> Self {
-        SlabSlot {
-            pending: None,
-            moves: Vec::new(),
-            ctx: None,
-        }
-    }
-}
-
 impl<M: Clone> TpTree<M> {
     pub(crate) fn new(config: &UctConfig, lock: LockStrategy, stats: StatsMode) -> Self {
         TpTree {
@@ -937,10 +870,52 @@ impl<M: Clone> TpTree<M> {
             }
         }
     }
+
+    /// The invariants a finished search leaves behind (ROADMAP 3(b)),
+    /// checked in debug builds once every worker has returned:
+    ///
+    /// * no descent is still in flight anywhere in the tree;
+    /// * on a table-less tree (built fresh per search, never re-rooted),
+    ///   every node with a child has Σ child visits = visits − 1, and the
+    ///   root Σ child visits = visits. Each iteration ends either at the
+    ///   one node it created or at a terminal node, so every visit of a
+    ///   node but its first continues into exactly one child. A
+    ///   transposition table shares statistics cells between nodes, so
+    ///   there only the first law is checked.
+    #[cfg(debug_assertions)]
+    fn assert_quiescent(&self) {
+        fn walk<M>(node: &TpNode<M>, conserve: bool) {
+            let body = node.lock_body();
+            let visits = node.stats.visits.load(Ordering::Relaxed);
+            assert_eq!(
+                node.stats.inflight.load(Ordering::Relaxed),
+                0,
+                "a descent is still in flight after the search (visits {visits})"
+            );
+            if conserve && !body.children.is_empty() {
+                let below: u64 = body
+                    .children
+                    .iter()
+                    .map(|c| c.stats.visits.load(Ordering::Relaxed))
+                    .sum();
+                let own = u64::from(node.mv.is_some());
+                assert_eq!(
+                    below + own,
+                    visits,
+                    "child visits do not add up to the node's (root: {})",
+                    node.mv.is_none()
+                );
+            }
+            for c in &body.children {
+                walk(c, conserve);
+            }
+        }
+        walk(&self.root, self.table.is_none());
+    }
 }
 
 /// Shared state of one tree-parallel run (tree + budget counters +
-/// incumbent), with the two worker-loop shapes as methods.
+/// incumbent), with the worker loop as a method.
 struct TpRun<'a, G: Game> {
     game: &'a G,
     tree: &'a TpTree<G::Move>,
@@ -950,7 +925,6 @@ struct TpRun<'a, G: Game> {
     max_iters: usize,
     best: Mutex<(Score, Vec<G::Move>)>,
     seed: u64,
-    leaf_batch: usize,
 }
 
 impl<G> TpRun<'_, G>
@@ -966,9 +940,9 @@ where
         }
     }
 
-    /// The unbatched worker loop: descend, roll out inline, back up —
-    /// one iteration at a time, rollouts outside every lock.
-    fn worker_inline(&self, slot: usize, wctx: &mut SearchCtx) {
+    /// One tree worker: descend, roll out its own leaf, back up — one
+    /// iteration at a time, rollouts outside every lock.
+    fn worker(&self, slot: usize, wctx: &mut SearchCtx) {
         let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
         let mut walker = Walker::new(self.game);
         let mut scr = DescentScratch::new();
@@ -998,157 +972,36 @@ where
             self.offer_best(score, &mut scr.seq);
         }
     }
-
-    /// The batched-leaf worker loop (WU-UCT's master/worker shape): the
-    /// worker collects `leaf_batch` pending descents — each marking its
-    /// path in-flight so later descents steer away — then evaluates all
-    /// their rollouts as one [`ExecutorPool`] slab and backs the slab
-    /// up in slot order.
-    ///
-    /// Playouts are counted against the budget meter when the descent
-    /// is *claimed* (every claimed descent is evaluated), which bounds
-    /// budget overshoot by the worker count rather than by
-    /// `threads × leaf_batch` in-flight rollouts.
-    fn worker_batched(&self, exec: &ExecutorPool, slot: usize, wctx: &mut SearchCtx) {
-        let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
-        let mut walker = Walker::new(self.game);
-        let mut scr = DescentScratch::new();
-        let slots: Vec<Mutex<SlabSlot<G>>> = (0..self.leaf_batch)
-            .map(|_| Mutex::new(SlabSlot::new()))
-            .collect();
-        let mut done = false;
-
-        while !done {
-            // ---- collect up to `leaf_batch` pending descents ----
-            let mut filled = 0usize;
-            while filled < self.leaf_batch {
-                let iteration = self.iters.fetch_add(1, Ordering::Relaxed);
-                if iteration >= self.max_iters {
-                    done = true;
-                    break;
-                }
-                if iteration > 0 && wctx.should_stop() {
-                    done = true;
-                    break;
-                }
-                let root = walker.mark();
-                scr.seq.clear();
-                scr.path.clear();
-                self.tree.descend(&mut walker, &mut scr, &mut rng, wctx);
-                // Count the playout at claim time (see the method docs).
-                wctx.record_playout_end();
-                let leaf = walker.detach(root);
-                let mut slab = slots[filled].lock();
-                slab.pending = Some(PendingLeaf {
-                    pos: leaf,
-                    seq: std::mem::take(&mut scr.seq),
-                    path: std::mem::take(&mut scr.path),
-                    iteration,
-                    score: Score::MIN,
-                });
-                slab.ctx = Some(wctx.fork());
-                drop(slab);
-                filled += 1;
-            }
-            if filled == 0 {
-                break;
-            }
-
-            // ---- evaluate the slab (idle pool workers claim slots;
-            // a one-slot slab, or a saturated pool, runs inline) ----
-            exec.run_batch(filled, &|i| run_slab_slot(&slots[i], self.seed));
-
-            // ---- back up in slot order ----
-            for slab in &slots[..filled] {
-                let mut slab = slab.lock();
-                let mut pending = slab.pending.take().expect("slab slot was filled");
-                if let Some(slot_ctx) = slab.ctx.take() {
-                    wctx.absorb(slot_ctx);
-                }
-                drop(slab);
-                self.tree.backprop(&pending.path, pending.score);
-                self.offer_best(pending.score, &mut pending.seq);
-            }
-        }
-    }
 }
 
-/// Evaluates one slab slot: a random rollout from the pending leaf,
-/// seeded by the *iteration index* (not the executing thread), so slab
-/// results are placement-independent. Does **not** record a playout end
-/// — the claiming worker already counted it.
-fn run_slab_slot<G>(slot: &Mutex<SlabSlot<G>>, root_seed: u64)
-where
-    G: Game,
-{
-    let mut slab = slot.lock();
-    let slab = &mut *slab;
-    let Some(pending) = slab.pending.as_mut() else {
-        return;
-    };
-    let ctx = slab.ctx.as_mut().expect("slot ctx set with pending");
-    let mut rng = Rng::seeded(tree_rollout_seed(root_seed, pending.iteration as u64));
-    loop {
-        if ctx.should_stop() {
-            break;
-        }
-        pending.pos.legal_moves_into(&mut slab.moves);
-        if slab.moves.is_empty() {
-            break;
-        }
-        let mv = slab.moves.swap_remove(rng.below(slab.moves.len()));
-        pending.pos.play(&mv);
-        pending.seq.push(mv);
-        ctx.record_playout_move();
-    }
-    pending.score = pending.pos.score();
-}
-
-/// Tree-parallel UCT: `opts.threads` workers share one tree through the
+/// Tree-parallel UCT on `tree`: `threads` workers share it through the
 /// process-wide [`ExecutorPool`], descending concurrently. The engine
-/// room behind `SearchSpec::tree_parallel`.
+/// room behind `SearchSpec::tree_parallel` (which passes a fresh tree)
+/// and `SearchSession` (which keeps one across steps, re-rooted per
+/// committed move). The tree's selection knobs were fixed at its
+/// construction and must match `config`.
 ///
 /// Concurrency shape: selection and expansion (cheap pointer-chasing)
 /// run under per-node locks ([`LockStrategy::Sharded`]) or one
 /// structure mutex ([`LockStrategy::Global`], the measured baseline);
-/// rollouts — the dominant cost on every domain we ship — run outside
-/// every lock, inline or as [`ExecutorPool`] slabs (`opts.leaf_batch`);
-/// backpropagation goes straight to the nodes' atomic counters.
-/// In-flight descents steer workers apart per the [`StatsMode`], and
-/// both formulas reduce *exactly* to the sequential one when nothing is
-/// in flight — which is why `threads == 1` (unbatched) is bit-identical
-/// to [`uct_with`] per seed (asserted by `tests/cross_backend.rs`).
+/// each worker rolls out its own leaf — the dominant cost on every
+/// domain we ship — outside every lock; backpropagation goes straight
+/// to the nodes' atomic counters. In-flight descents steer workers apart
+/// per the [`StatsMode`], and both formulas reduce *exactly* to the
+/// sequential one when nothing is in flight — which is why
+/// `threads == 1` is bit-identical to [`uct_with`] per seed (asserted by
+/// `tests/cross_backend.rs`).
 ///
 /// Budget/cancellation polls hit every worker once per iteration plus
 /// once per playout move (inside the rollout), sharing one atomic meter
 /// through the forked [`SearchCtx`]s; tree-parallel overshoots a
 /// playout cap by at most one in-flight rollout per worker
-/// (`tests/budget_props.rs` proves the bound at every width and batch).
-pub fn uct_tree_parallel<G>(
-    game: &G,
-    config: &UctConfig,
-    opts: &TreeParallelOpts,
-    seed: u64,
-    ctx: &mut SearchCtx,
-) -> (Score, Vec<G::Move>)
-where
-    G: Game + Send + Sync,
-    G::Move: Send + Sync,
-{
-    let tree = TpTree::new(config, opts.lock, opts.stats);
-    uct_tree_parallel_on(game, &tree, config, opts, seed, ctx)
-}
-
-/// Tree-parallel UCT on an *existing* tree: the warm-start entry point
-/// behind [`uct_tree_parallel`] (which passes a fresh tree) and
-/// `SearchSession` (which keeps one across steps, re-rooted per
-/// committed move). The tree's selection knobs were fixed at its
-/// construction and must match `config`.
+/// (`tests/budget_props.rs` proves the bound at every width).
 pub(crate) fn uct_tree_parallel_on<G>(
     game: &G,
     tree: &TpTree<G::Move>,
     config: &UctConfig,
-    opts: &TreeParallelOpts,
+    threads: usize,
     seed: u64,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>)
@@ -1156,13 +1009,9 @@ where
     G: Game + Send + Sync,
     G::Move: Send + Sync,
 {
-    assert!(
-        opts.threads >= 1,
-        "tree-parallel UCT needs at least one worker"
-    );
+    assert!(threads >= 1, "tree-parallel UCT needs at least one worker");
     debug_assert_eq!(tree.exploration.to_bits(), config.exploration.to_bits());
     debug_assert_eq!(tree.max_bias.to_bits(), config.max_bias.to_bits());
-    let exec = ExecutorPool::shared();
     let run = TpRun {
         game,
         tree,
@@ -1170,21 +1019,18 @@ where
         max_iters: config.iterations.max(1),
         best: Mutex::new((Score::MIN, Vec::new())),
         seed,
-        leaf_batch: opts.leaf_batch,
     };
-    let outs: Mutex<Vec<SearchCtx>> = Mutex::new(Vec::with_capacity(opts.threads));
+    let outs: Mutex<Vec<SearchCtx>> = Mutex::new(Vec::with_capacity(threads));
     let parent: &SearchCtx = ctx;
 
-    exec.run_batch(opts.threads, &|slot| {
+    ExecutorPool::shared().run_batch(threads, &|slot| {
         let mut wctx = parent.fork();
-        if run.leaf_batch >= 2 {
-            run.worker_batched(exec, slot, &mut wctx);
-        } else {
-            run.worker_inline(slot, &mut wctx);
-        }
+        run.worker(slot, &mut wctx);
         outs.lock().push(wctx);
     });
 
+    #[cfg(debug_assertions)]
+    tree.assert_quiescent();
     for wctx in outs.into_inner() {
         ctx.absorb(wctx);
     }
@@ -1394,20 +1240,29 @@ mod tests {
         assert_eq!(a.sequence, b.sequence);
     }
 
-    /// Every lock × stats combination, unbatched.
-    fn all_modes(threads: usize) -> Vec<TreeParallelOpts> {
-        let mut out = Vec::new();
-        for lock in [LockStrategy::Global, LockStrategy::Sharded] {
-            for stats in [StatsMode::VirtualLoss, StatsMode::WuUct] {
-                out.push(TreeParallelOpts {
-                    threads,
-                    lock,
-                    stats,
-                    leaf_batch: 0,
-                });
-            }
-        }
-        out
+    /// Every lock × stats combination.
+    const ALL_MODES: [(LockStrategy, StatsMode); 4] = [
+        (LockStrategy::Global, StatsMode::VirtualLoss),
+        (LockStrategy::Global, StatsMode::WuUct),
+        (LockStrategy::Sharded, StatsMode::VirtualLoss),
+        (LockStrategy::Sharded, StatsMode::WuUct),
+    ];
+
+    /// Tree-parallel UCT on a fresh table-less tree.
+    fn tree_parallel<G>(
+        game: &G,
+        cfg: &UctConfig,
+        (lock, stats): (LockStrategy, StatsMode),
+        threads: usize,
+        seed: u64,
+        ctx: &mut SearchCtx,
+    ) -> (Score, Vec<G::Move>)
+    where
+        G: Game + Send + Sync,
+        G::Move: Send + Sync,
+    {
+        let tree = TpTree::new(cfg, lock, stats);
+        uct_tree_parallel_on(game, &tree, cfg, threads, seed, ctx)
     }
 
     #[test]
@@ -1423,11 +1278,11 @@ mod tests {
             };
             let mut seq_ctx = SearchCtx::unbounded();
             let sequential = uct_with(&g, &cfg, &mut Rng::seeded(seed), &mut seq_ctx);
-            for opts in all_modes(1) {
+            for mode in ALL_MODES {
                 let mut tp_ctx = SearchCtx::unbounded();
-                let tree = uct_tree_parallel(&g, &cfg, &opts, seed, &mut tp_ctx);
-                assert_eq!(tree, sequential, "seed {seed} {opts:?}");
-                assert_eq!(tp_ctx.stats(), seq_ctx.stats(), "seed {seed} {opts:?}");
+                let tree = tree_parallel(&g, &cfg, mode, 1, seed, &mut tp_ctx);
+                assert_eq!(tree, sequential, "seed {seed} {mode:?}");
+                assert_eq!(tp_ctx.stats(), seq_ctx.stats(), "seed {seed} {mode:?}");
             }
         }
     }
@@ -1445,10 +1300,10 @@ mod tests {
             });
             let mut seq_ctx = SearchCtx::unbounded();
             let sequential = uct_with(&g, &cfg, &mut Rng::seeded(seed), &mut seq_ctx);
-            for opts in all_modes(1) {
+            for mode in ALL_MODES {
                 let mut tp_ctx = SearchCtx::unbounded();
-                let tree = uct_tree_parallel(&g, &cfg, &opts, seed, &mut tp_ctx);
-                assert_eq!(tree, sequential, "seed {seed} {opts:?}");
+                let tree = tree_parallel(&g, &cfg, mode, 1, seed, &mut tp_ctx);
+                assert_eq!(tree, sequential, "seed {seed} {mode:?}");
             }
         }
     }
@@ -1464,57 +1319,19 @@ mod tests {
             ..Default::default()
         };
         for workers in [2usize, 4] {
-            for mut opts in all_modes(workers) {
-                for leaf_batch in [0usize, 4] {
-                    opts.leaf_batch = leaf_batch;
-                    let mut ctx = SearchCtx::unbounded();
-                    let (score, seq) = uct_tree_parallel(&g, &cfg, &opts, 9, &mut ctx);
-                    let mut replay = g.clone();
-                    for mv in &seq {
-                        replay.play(mv);
-                    }
-                    assert_eq!(replay.score(), score, "{opts:?}");
-                    // The iteration counter is shared: total playouts equal
-                    // the configured budget no matter how many workers (or
-                    // slab slots) split it.
-                    assert_eq!(ctx.stats().playouts, 400, "{opts:?}");
+            for mode in ALL_MODES {
+                let mut ctx = SearchCtx::unbounded();
+                let (score, seq) = tree_parallel(&g, &cfg, mode, workers, 9, &mut ctx);
+                let mut replay = g.clone();
+                for mv in &seq {
+                    replay.play(mv);
                 }
+                assert_eq!(replay.score(), score, "t{workers} {mode:?}");
+                // The iteration counter is shared: total playouts equal
+                // the configured budget no matter how many workers split
+                // it.
+                assert_eq!(ctx.stats().playouts, 400, "t{workers} {mode:?}");
             }
-        }
-    }
-
-    #[test]
-    fn batched_single_worker_runs_are_schedule_independent() {
-        // A one-worker batched run claims, evaluates (iteration-seeded),
-        // and backs up serially, so pool placement cannot change it:
-        // repeated runs are identical, on both game paths.
-        let cfg = UctConfig {
-            iterations: 300,
-            ..Default::default()
-        };
-        let opts = TreeParallelOpts {
-            leaf_batch: 4,
-            ..TreeParallelOpts::new(1)
-        };
-        for seed in 0..5 {
-            let g = Ternary {
-                depth: 5,
-                taken: vec![],
-            };
-            let mut ctx_a = SearchCtx::unbounded();
-            let a = uct_tree_parallel(&g, &cfg, &opts, seed, &mut ctx_a);
-            let mut ctx_b = SearchCtx::unbounded();
-            let b = uct_tree_parallel(&g, &cfg, &opts, seed, &mut ctx_b);
-            assert_eq!(a, b, "seed {seed}");
-            assert_eq!(ctx_a.stats(), ctx_b.stats(), "seed {seed}");
-
-            let fast = FastTernary(g.clone());
-            let mut ctx_f = SearchCtx::unbounded();
-            let f1 = uct_tree_parallel(&fast, &cfg, &opts, seed, &mut ctx_f);
-            let mut ctx_g = SearchCtx::unbounded();
-            let f2 = uct_tree_parallel(&fast, &cfg, &opts, seed, &mut ctx_g);
-            assert_eq!(f1, f2, "fast-path seed {seed}");
-            assert_eq!(ctx_f.stats(), ctx_g.stats(), "fast-path seed {seed}");
         }
     }
 
@@ -1528,17 +1345,10 @@ mod tests {
             iterations: 2_000,
             ..Default::default()
         };
-        for opts in [
-            TreeParallelOpts::new(4),
-            TreeParallelOpts {
-                leaf_batch: 4,
-                ..TreeParallelOpts::new(4)
-            },
-        ] {
-            let mut ctx = SearchCtx::unbounded();
-            let (score, _) = uct_tree_parallel(&g, &cfg, &opts, 1, &mut ctx);
-            assert_eq!(score, optimum(4), "{opts:?}");
-        }
+        let mut ctx = SearchCtx::unbounded();
+        let default = (LockStrategy::default(), StatsMode::default());
+        let (score, _) = tree_parallel(&g, &cfg, default, 4, 1, &mut ctx);
+        assert_eq!(score, optimum(4));
     }
 
     #[test]
@@ -1551,14 +1361,11 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        for mut opts in all_modes(3) {
-            for leaf_batch in [0usize, 3] {
-                opts.leaf_batch = leaf_batch;
-                let mut ctx = SearchCtx::unbounded();
-                let (score, seq) = uct_tree_parallel(&g, &cfg, &opts, 1, &mut ctx);
-                assert_eq!(score, 0, "{opts:?}");
-                assert!(seq.is_empty(), "{opts:?}");
-            }
+        for mode in ALL_MODES {
+            let mut ctx = SearchCtx::unbounded();
+            let (score, seq) = tree_parallel(&g, &cfg, mode, 3, 1, &mut ctx);
+            assert_eq!(score, 0, "{mode:?}");
+            assert!(seq.is_empty(), "{mode:?}");
         }
     }
 
@@ -1625,10 +1432,9 @@ mod tests {
             iterations: 500,
             ..Default::default()
         };
-        let opts = TreeParallelOpts::new(1);
-        let mut tree = TpTree::new(&cfg, opts.lock, opts.stats);
+        let mut tree = TpTree::new(&cfg, LockStrategy::default(), StatsMode::default());
         let mut ctx = SearchCtx::unbounded();
-        let (_, seq) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 7, &mut ctx);
+        let (_, seq) = uct_tree_parallel_on(&g, &tree, &cfg, 1, 7, &mut ctx);
         let first = seq[0];
 
         let child_visits = {
@@ -1671,12 +1477,16 @@ mod tests {
             iterations: 300,
             ..Default::default()
         };
-        let opts = TreeParallelOpts::new(1);
         for seed in 0..5 {
             let run = |cfg: &UctConfig| {
-                let tree = TpTree::with_table(cfg, opts.lock, opts.stats, 256 * 1024);
+                let tree = TpTree::with_table(
+                    cfg,
+                    LockStrategy::default(),
+                    StatsMode::default(),
+                    256 * 1024,
+                );
                 let mut ctx = SearchCtx::unbounded();
-                let out = uct_tree_parallel_on(&g, &tree, cfg, &opts, seed, &mut ctx);
+                let out = uct_tree_parallel_on(&g, &tree, cfg, 1, seed, &mut ctx);
                 (out, *ctx.stats())
             };
             let a = run(&cfg);
@@ -1696,10 +1506,14 @@ mod tests {
             ..Default::default()
         };
         for threads in [1usize, 4] {
-            let opts = TreeParallelOpts::new(threads);
-            let tree = TpTree::with_table(&cfg, opts.lock, opts.stats, 1024 * 1024);
+            let tree = TpTree::with_table(
+                &cfg,
+                LockStrategy::default(),
+                StatsMode::default(),
+                1024 * 1024,
+            );
             let mut ctx = SearchCtx::unbounded();
-            let (score, seq) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 3, &mut ctx);
+            let (score, seq) = uct_tree_parallel_on(&g, &tree, &cfg, threads, 3, &mut ctx);
             assert_eq!(score, optimum(4), "threads {threads}");
             let mut replay = g.clone();
             for mv in &seq {
@@ -1750,10 +1564,14 @@ mod tests {
             iterations: 2_000,
             ..Default::default()
         };
-        let opts = TreeParallelOpts::new(1);
-        let tree = TpTree::with_table(&cfg, opts.lock, opts.stats, 1024 * 1024);
+        let tree = TpTree::with_table(
+            &cfg,
+            LockStrategy::default(),
+            StatsMode::default(),
+            1024 * 1024,
+        );
         let mut ctx = SearchCtx::unbounded();
-        let (score, _) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 5, &mut ctx);
+        let (score, _) = uct_tree_parallel_on(&g, &tree, &cfg, 1, 5, &mut ctx);
         assert_eq!(score, 0b111100, "the four heaviest items win");
         let (hits, _) = tree.table().expect("reuse-on tree").counters();
         assert!(

@@ -1033,7 +1033,7 @@ mod tests {
                 tokens.push(g.apply(&mv));
                 expected.play(&mv);
             }
-            // What the walker's `detach` does: keep a copy, unwind.
+            // Keep a copy taken mid-journal, then unwind the original.
             let mut leaf = g.clone();
             tokens.extend(apply_to_the_end(&mut g, 5));
             g.undo_all(&mut tokens);

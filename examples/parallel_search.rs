@@ -75,27 +75,25 @@ fn main() {
 
     //    The execution knobs are builder methods: the PR-4 global arena
     //    mutex and plain virtual loss remain available as the measured
-    //    baseline, and batched-leaf mode hands each worker's rollouts
-    //    to the executor pool in slabs (WU-UCT's master/worker shape).
+    //    baseline beside the sharded / WU-UCT default.
     {
         use pnmcs::search::{LockStrategy, StatsMode};
-        let arena = SearchSpec::tree_parallel(4)
-            .lock_strategy(LockStrategy::Global)
-            .stats_mode(StatsMode::VirtualLoss)
-            .seed(seed)
-            .run(&board);
-        let batched = SearchSpec::tree_parallel(4)
-            .leaf_batch(8)
-            .seed(seed)
-            .run(&board);
-        println!(
-            "tree×4 global/vloss (arena baseline): score {} in {:.2?}",
-            arena.score, arena.elapsed
-        );
-        println!(
-            "tree×4 sharded/wu-uct batch-8:        score {} in {:.2?}",
-            batched.score, batched.elapsed
-        );
+        for lock in [LockStrategy::Sharded, LockStrategy::Global] {
+            for stats in [StatsMode::WuUct, StatsMode::VirtualLoss] {
+                let r = SearchSpec::tree_parallel(4)
+                    .lock_strategy(lock)
+                    .stats_mode(stats)
+                    .seed(seed)
+                    .run(&board);
+                println!(
+                    "tree×4 {:>7}/{:<6}: score {} in {:.2?}",
+                    lock.label(),
+                    stats.label(),
+                    r.score,
+                    r.elapsed
+                );
+            }
+        }
     }
 
     // 4. Sequential reference records the job trace...

@@ -310,46 +310,10 @@ fn single_worker_tree_parallel_equals_sequential_uct_on_real_domains() {
     }
 }
 
-#[test]
-fn batched_single_worker_tree_parallel_is_run_to_run_deterministic() {
-    // Batched leaves at one worker promise schedule independence (slab
-    // rollouts are iteration-seeded, backed up in slot order): two runs
-    // of the same spec are bit-identical no matter how the pool places
-    // the slab slots — on an undo-path domain and a clone-path one.
-    let cfg = UctConfig {
-        iterations: 300,
-        ..UctConfig::default()
-    };
-    let sg = SameGame::random(6, 6, 3, 2);
-    let tsp = TspGame::new(TspInstance::random(8, 4), None);
-    for seed in [3u64, 11] {
-        let spec = SearchSpec::tree_parallel_with(cfg.clone(), 1)
-            .leaf_batch(4)
-            .seed(seed)
-            .build();
-        assert!(spec.algorithm.worker_count_deterministic());
-        let a = spec.run(&sg);
-        let b = spec.run(&sg);
-        assert_eq!(
-            (a.score, &a.sequence, &a.stats),
-            (b.score, &b.sequence, &b.stats),
-            "samegame seed {seed}"
-        );
-        let a = spec.run(&tsp);
-        let b = spec.run(&tsp);
-        assert_eq!(
-            (a.score, &a.sequence, &a.stats),
-            (b.score, &b.sequence, &b.stats),
-            "tsp seed {seed}"
-        );
-    }
-}
-
 /// Runs tree-parallel on `game` at the CI worker count through the
 /// typed path and the erased path, asserting the replay invariant (the
 /// one promise multi-worker tree-parallel makes) on both — for the
-/// default sharded/WU-UCT configuration, the global-mutex baseline,
-/// and the batched-leaf mode.
+/// default sharded/WU-UCT configuration and the global-mutex baseline.
 fn tree_parallel_runs_on<G>(game: &G, label: &str)
 where
     G: CodedGame + Send + Sync + 'static,
@@ -365,13 +329,9 @@ where
         SearchSpec::tree_parallel_with(cfg.clone(), workers)
             .seed(5)
             .build(),
-        SearchSpec::tree_parallel_with(cfg.clone(), workers)
+        SearchSpec::tree_parallel_with(cfg, workers)
             .lock_strategy(LockStrategy::Global)
             .stats_mode(StatsMode::VirtualLoss)
-            .seed(5)
-            .build(),
-        SearchSpec::tree_parallel_with(cfg, workers)
-            .leaf_batch(4)
             .seed(5)
             .build(),
     ];

@@ -89,10 +89,6 @@ const SPECS: &[(&str, &str)] = &[
         r#"{"algorithm":{"kind":"tree_parallel","config":{"iterations":300,"exploration":0.4,"max_bias":0.5},"threads":1},"seed":24}"#,
     ),
     (
-        "TREE_1_BATCHED",
-        r#"{"algorithm":{"kind":"tree_parallel","config":{"iterations":300,"exploration":0.4,"max_bias":0.5},"threads":1,"leaf_batch":4},"seed":25}"#,
-    ),
-    (
         "ANNEALING",
         r#"{"algorithm":{"kind":"simulated_annealing","config":{"iterations":200,"t_initial":4.0,"t_final":0.05}},"seed":26}"#,
     ),
@@ -213,11 +209,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         (1114, 8, 11232429302378845598, 300, 300, 0),
     ),
     (
-        "TREE_1_BATCHED",
-        "samegame-small",
-        (1106, 7, 18398045073032458615, 300, 64, 0),
-    ),
-    (
         "ANNEALING",
         "samegame-small",
         (1148, 7, 13023125504463441159, 201, 0, 0),
@@ -291,11 +282,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "TREE_1",
         "morpion-c3",
         (19, 19, 7036528427292344293, 300, 300, 0),
-    ),
-    (
-        "TREE_1_BATCHED",
-        "morpion-c3",
-        (20, 20, 14290380724659806999, 300, 300, 0),
     ),
     (
         "ANNEALING",

@@ -56,9 +56,8 @@ fn assert_hist_eq(a: &m::Histogram, b: &m::Histogram, label: &str) {
 }
 
 /// Deterministic strategies of the unified API, smallest-sensible
-/// shapes (the `budget_props` list, plus the batched-leaf
-/// tree-parallel form). Tree-parallel joins at one worker, its
-/// deterministic form.
+/// shapes (the `budget_props` list). Tree-parallel joins at one worker,
+/// its deterministic form.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
     vec![
         SearchSpec::nested(1).seed(seed).build(),
@@ -71,10 +70,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),
-        SearchSpec::tree_parallel(1)
-            .leaf_batch(4)
-            .seed(seed)
-            .build(),
     ]
 }
 
@@ -191,14 +186,14 @@ fn leaf_batch_dynamic_is_bit_identical_and_serde_back_compatible() {
     // computed; rows persisted while it existed must still parse, name
     // the same search and produce the same result.
     let game = SameGame::random(5, 5, 3, 17);
-    let spec = SearchSpec::tree_parallel(1).leaf_batch(4).seed(17).build();
+    let spec = SearchSpec::tree_parallel(1).seed(17).build();
     let json = serde_json::to_string(&spec).expect("specs serialise");
-    assert!(!json.contains("leaf_batch_dynamic"));
+    assert!(!json.contains("leaf_batch"));
     let now = spec.search(&game, None);
     for value in ["true", "false"] {
         let legacy = json.replace(
-            "\"leaf_batch\":4",
-            &format!("\"leaf_batch\":4,\"leaf_batch_dynamic\":{value}"),
+            "\"threads\":1",
+            &format!("\"threads\":1,\"leaf_batch_dynamic\":{value}"),
         );
         assert_ne!(legacy, json, "the legacy key must have been inserted");
         let parsed: SearchSpec = serde_json::from_str(&legacy).expect("legacy spec parses");

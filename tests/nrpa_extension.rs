@@ -2,8 +2,7 @@
 //! record back from the paper — integrated with the rest of the library.
 
 use pnmcs::morpion::{cross_board, standard_5d, GameRecord, Variant};
-use pnmcs::search::driver::{drive, DriveBudget};
-use pnmcs::search::{nrpa_with, Game, NrpaConfig, SearchResult, SearchSpec};
+use pnmcs::search::{Game, NrpaConfig, SearchSpec};
 
 #[test]
 fn nrpa_plays_legal_verified_morpion_games() {
@@ -45,26 +44,6 @@ fn nrpa_level2_beats_single_level1_nmcs_on_average() {
         nrpa_sum + 2 * trials as i64 >= nmcs_sum,
         "NRPA ({nrpa_sum}) should be competitive with NMCS level 1 ({nmcs_sum})"
     );
-}
-
-#[test]
-fn nrpa_works_under_the_restart_driver() {
-    let board = cross_board(Variant::Disjoint, 2);
-    let cfg = NrpaConfig {
-        iterations: 8,
-        alpha: 1.0,
-    };
-    let report = drive(&board, 7, &DriveBudget::runs(4), |g, rng| {
-        SearchResult::unbounded(|ctx| nrpa_with(g, 1, &cfg, rng, ctx))
-    });
-    assert_eq!(report.runs, 4);
-    assert!(report.best.score > 0);
-    // The winning seed reproduces the winning game.
-    let again = SearchSpec::nrpa_with(1, cfg)
-        .seed(report.best_seed)
-        .run(&board);
-    assert_eq!(again.score, report.best.score);
-    assert_eq!(again.sequence, report.best.sequence);
 }
 
 #[test]

@@ -408,28 +408,3 @@ fn drop_of_a_parked_pool_returns_promptly() {
         drop(pool);
     });
 }
-
-/// Tree-parallel batched-leaf slabs are nested `run_batch` calls from
-/// inside an outer batch's workers; the pool must drain them without
-/// deadlock even when every background worker is occupied by the outer
-/// batch (the submitter helps drain its own slab), at the CI worker
-/// count.
-#[test]
-fn nested_batches_from_busy_workers_cannot_deadlock() {
-    with_watchdog("nested batched-leaf run", Duration::from_secs(120), || {
-        let workers = test_workers();
-        let game = SameGame::random(6, 6, 3, 17);
-        let report = SearchSpec::tree_parallel(workers)
-            .leaf_batch(4)
-            .seed(3)
-            .max_playouts(400)
-            .build()
-            .run(&game);
-        assert!(report.stats.playouts > 0);
-        let mut replay = game;
-        for mv in &report.sequence {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), report.score);
-    });
-}

@@ -204,7 +204,7 @@ fn submit_and_wait(addr: SocketAddr, body: &str) -> Value {
     json(&out)
 }
 
-/// The 11 deterministic strategy shapes of the unified API (the
+/// The 10 deterministic strategy shapes of the unified API (the
 /// `tests/metrics_props.rs` list): every `AlgorithmSpec` variant, with
 /// tree-parallel at one worker — its deterministic form.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
@@ -219,10 +219,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),
-        SearchSpec::tree_parallel(1)
-            .leaf_batch(4)
-            .seed(seed)
-            .build(),
     ]
 }
 
@@ -580,6 +576,44 @@ fn a_spec_the_executors_would_assert_on_gets_400_and_is_never_enqueued() {
     let engine = field(&snapshot, "engine");
     assert_eq!(as_u64(field(engine, "submitted_jobs")), 0);
     assert_eq!(as_u64(field(engine, "failed_jobs")), 0);
+    server.shutdown();
+}
+
+#[test]
+fn an_over_wide_spec_gets_400_and_the_server_keeps_answering() {
+    // Each of these once sized a `Vec` before any budget was read; the
+    // failed allocation aborted the whole server process.
+    let server = server(8, 1, 8);
+    let addr = server.addr();
+    for (algorithm, field_name) in [
+        (
+            r#"{"kind":"tree_parallel","threads":1099511627776}"#,
+            "`threads`",
+        ),
+        (
+            r#"{"kind":"leaf_parallel","level":1,"batch":4,"threads":1099511627776}"#,
+            "`threads`",
+        ),
+        (
+            r#"{"kind":"root_parallel","level":2,"threads":1099511627776}"#,
+            "`threads`",
+        ),
+        (
+            r#"{"kind":"tree_parallel","threads":1,"leaf_batch":1099511627776}"#,
+            "`leaf_batch`",
+        ),
+    ] {
+        let body =
+            format!(r#"{{"tenant":"t","game":"sum","spec":{{"algorithm":{algorithm},"seed":1}}}}"#);
+        let (status, _, resp) = post(addr, "/jobs", &body);
+        assert_eq!(status, 400, "{algorithm}: {resp}");
+        assert!(
+            as_str(field(&json(&resp), "error")).contains(field_name),
+            "{algorithm}: {resp}"
+        );
+        let (status, _, resp) = get(addr, "/healthz");
+        assert_eq!(status, 200, "after {algorithm}: {resp}");
+    }
     server.shutdown();
 }
 

@@ -123,32 +123,26 @@ fn tree_parallel_knobs_round_trip_and_rerun_identically() {
     // (one worker) also rerun identically from the parsed spec.
     for lock in [LockStrategy::Global, LockStrategy::Sharded] {
         for stats in [StatsMode::VirtualLoss, StatsMode::WuUct] {
-            for leaf_batch in [0usize, 4] {
-                let spec = SearchSpec::tree_parallel_with(cfg.clone(), 1)
-                    .lock_strategy(lock)
-                    .stats_mode(stats)
-                    .leaf_batch(leaf_batch)
-                    .seed(9)
-                    .build();
-                let json = serde_json::to_string(&spec).unwrap();
-                let back: SearchSpec = serde_json::from_str(&json).unwrap();
-                assert_eq!(spec, back, "round-trip of {json}");
-                let AlgorithmSpec::TreeParallel {
-                    lock: l,
-                    stats: s,
-                    leaf_batch: b,
-                    ..
-                } = &back.algorithm
-                else {
-                    panic!("wrong variant from {json}");
-                };
-                assert_eq!((*l, *s, *b), (lock, stats, leaf_batch));
-                let first = spec.run(&sg);
-                let again = back.run(&sg);
-                assert_eq!(first.score, again.score, "{json}");
-                assert_eq!(first.sequence, again.sequence, "{json}");
-                assert_eq!(first.stats, again.stats, "{json}");
-            }
+            let spec = SearchSpec::tree_parallel_with(cfg.clone(), 1)
+                .lock_strategy(lock)
+                .stats_mode(stats)
+                .seed(9)
+                .build();
+            let json = serde_json::to_string(&spec).unwrap();
+            let back: SearchSpec = serde_json::from_str(&json).unwrap();
+            assert_eq!(spec, back, "round-trip of {json}");
+            let AlgorithmSpec::TreeParallel {
+                lock: l, stats: s, ..
+            } = &back.algorithm
+            else {
+                panic!("wrong variant from {json}");
+            };
+            assert_eq!((*l, *s), (lock, stats));
+            let first = spec.run(&sg);
+            let again = back.run(&sg);
+            assert_eq!(first.score, again.score, "{json}");
+            assert_eq!(first.sequence, again.sequence, "{json}");
+            assert_eq!(first.stats, again.stats, "{json}");
         }
     }
 }
@@ -156,15 +150,14 @@ fn tree_parallel_knobs_round_trip_and_rerun_identically() {
 #[test]
 fn pre_knob_tree_parallel_json_parses_to_the_defaults() {
     use pnmcs::search::{AlgorithmSpec, LockStrategy, StatsMode};
-    // A PR-4 row knows nothing of lock/stats/leaf_batch; it must still
-    // parse, landing on the current defaults.
+    // A PR-4 row knows nothing of lock/stats; it must still parse,
+    // landing on the current defaults.
     let json = r#"{"algorithm":{"kind":"tree_parallel","threads":4},"seed":7}"#;
     let spec: SearchSpec = serde_json::from_str(json).unwrap();
     let AlgorithmSpec::TreeParallel {
         threads,
         lock,
         stats,
-        leaf_batch,
         ..
     } = &spec.algorithm
     else {
@@ -173,7 +166,53 @@ fn pre_knob_tree_parallel_json_parses_to_the_defaults() {
     assert_eq!(*threads, 4);
     assert_eq!(*lock, LockStrategy::Sharded);
     assert_eq!(*stats, StatsMode::WuUct);
-    assert_eq!(*leaf_batch, 0);
+}
+
+#[test]
+fn legacy_leaf_batch_parses_as_the_inline_search_or_is_refused() {
+    // Batched leaves are gone. A row saved with `leaf_batch` 0 or 1 ran
+    // the inline search, so it still parses to exactly that spec; a
+    // batched row (>= 2) named a different search and is refused with
+    // a reason naming the field, never replayed as something else.
+    let plain = r#"{"algorithm":{"kind":"tree_parallel","threads":2},"seed":3}"#;
+    let expected: SearchSpec = serde_json::from_str(plain).unwrap();
+    for batch in [0, 1] {
+        let json = format!(
+            r#"{{"algorithm":{{"kind":"tree_parallel","threads":2,"leaf_batch":{batch}}},"seed":3}}"#
+        );
+        let spec: SearchSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(spec, expected, "{json}");
+        assert_eq!(spec.algorithm.tag(), expected.algorithm.tag(), "{json}");
+    }
+    let batched = r#"{"algorithm":{"kind":"tree_parallel","threads":2,"leaf_batch":4},"seed":3}"#;
+    let err = serde_json::from_str::<SearchSpec>(batched)
+        .expect_err("a batched row must not parse")
+        .to_string();
+    assert!(err.contains("`leaf_batch`"), "{err}");
+}
+
+#[test]
+fn tree_parallel_tags_keep_their_values_from_before_the_leaf_batch_deletion() {
+    use pnmcs::search::{LockStrategy, StatsMode};
+    // `leaf_batch: 0` added nothing to `tag()`, so dropping the field
+    // must leave every remaining spec's identity (engine duplicate
+    // detection, recorded metrics rows) exactly where it was.
+    let tag = |spec: SearchSpec| spec.algorithm.tag();
+    assert_eq!(
+        tag(SearchSpec::tree_parallel(1).build()),
+        0xc83e_d18c_98a3_8851
+    );
+    assert_eq!(
+        tag(SearchSpec::tree_parallel(4).build()),
+        0xf098_fba1_ab70_fd98
+    );
+    assert_eq!(
+        tag(SearchSpec::tree_parallel_with(UctConfig::default(), 4)
+            .lock_strategy(LockStrategy::Global)
+            .stats_mode(StatsMode::VirtualLoss)
+            .build()),
+        0x96f0_b022_f255_8652
+    );
 }
 
 #[test]
@@ -183,35 +222,27 @@ fn tree_parallel_knobs_are_part_of_tag_identity() {
     // specs differing only in a knob must not look alike to the
     // engine's duplicate detection.
     let base = AlgorithmSpec::tree_parallel(4);
-    let with = |lock, stats, leaf_batch| {
+    let with = |lock, stats| {
         let mut a = AlgorithmSpec::tree_parallel(4);
         if let AlgorithmSpec::TreeParallel {
-            lock: l,
-            stats: s,
-            leaf_batch: b,
-            ..
+            lock: l, stats: s, ..
         } = &mut a
         {
             *l = lock;
             *s = stats;
-            *b = leaf_batch;
         }
         a
     };
     assert_ne!(
         base.tag(),
-        with(LockStrategy::Global, StatsMode::WuUct, 0).tag()
+        with(LockStrategy::Global, StatsMode::WuUct).tag()
     );
     assert_ne!(
         base.tag(),
-        with(LockStrategy::Sharded, StatsMode::VirtualLoss, 0).tag()
-    );
-    assert_ne!(
-        base.tag(),
-        with(LockStrategy::Sharded, StatsMode::WuUct, 8).tag()
+        with(LockStrategy::Sharded, StatsMode::VirtualLoss).tag()
     );
     assert_eq!(
         base.tag(),
-        with(LockStrategy::Sharded, StatsMode::WuUct, 0).tag()
+        with(LockStrategy::Sharded, StatsMode::WuUct).tag()
     );
 }
