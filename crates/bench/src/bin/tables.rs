@@ -9,7 +9,6 @@
 //! tables --scale real --table 2  # real recorded level-2 traces
 //! tables --seed 42 --out target/experiments
 //! tables --spec '{"algorithm":{"kind":"nested","level":2},"budget":{"deadline_ms":200},"seed":42}' --game samegame
-//! tables --lint                  # workspace invariant check (nonzero exit on findings)
 //! tables --serve [--soak-small]  # HTTP front-door soak (nonzero exit on any violated invariant)
 //! tables --serve --sessions      # soak plus the session-churn phase (quota, TTL table, eviction plateau)
 //! tables --reuse                 # equal-budget warm-tree reuse-on vs reuse-off comparison
@@ -35,8 +34,6 @@ struct Args {
     service: bool,
     spec: Option<SearchSpec>,
     game: String,
-    lint: bool,
-    hot: bool,
     serve: bool,
     soak_small: bool,
     sessions: bool,
@@ -49,7 +46,7 @@ struct Args {
 fn usage() -> String {
     format!(
         "tables [--table N] [--figure 1] [--ablations] [--reuse] [--service] \
-         [--lint [--hot]] [--serve [--soak-small] [--sessions]] [--spec JSON [--game {}]] \
+         [--serve [--soak-small] [--sessions]] [--spec JSON [--game {}]] \
          [--scale paper|real] [--seed S] [--out DIR]",
         wire::GAMES.join("|")
     )
@@ -65,8 +62,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         service: false,
         spec: None,
         game: "samegame".to_string(),
-        lint: false,
-        hot: false,
         serve: false,
         soak_small: false,
         sessions: false,
@@ -110,14 +105,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 let spec = serde_json::from_str(&json)
                     .map_err(|e| format!("--spec JSON did not parse: {e}"))?;
                 args.spec = Some(spec);
-                args.all = false;
-            }
-            "--lint" => {
-                args.lint = true;
-                args.all = false;
-            }
-            "--hot" => {
-                args.hot = true;
                 args.all = false;
             }
             "--serve" => {
@@ -179,88 +166,7 @@ fn refuse(problem: &str) -> ! {
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| refuse(&problem));
 
-    // The invariant check needs no calibration and gates CI: print every
-    // unwaived finding, summarise per rule, exit nonzero if any remain.
-    // `--hot` additionally renders every function the hot-path pass
-    // proved reachable from a `nmcs-lint: hot-entry` root, with its
-    // verdict and provenance chain.
-    if args.lint {
-        if args.hot {
-            let (hot, hot_findings) = match nmcs_lint::hot_report(std::path::Path::new(".")) {
-                Ok(r) => r,
-                Err(e) => panic!("workspace walk failed (run from the repo root): {e}"),
-            };
-            let mut t = nmcs_bench::Table::new(
-                "Hot-path reachability (nmcs-lint --hot)",
-                &["function", "file:line", "verdict", "hot via"],
-            );
-            for f in &hot {
-                let in_fn = |x: &&nmcs_lint::Finding| {
-                    x.file == f.file && x.line >= f.line && x.line <= f.end_line
-                };
-                let open = hot_findings
-                    .iter()
-                    .filter(in_fn)
-                    .filter(|x| !x.waived)
-                    .count();
-                let waived = hot_findings
-                    .iter()
-                    .filter(in_fn)
-                    .filter(|x| x.waived)
-                    .count();
-                let verdict = match (open, waived) {
-                    (0, 0) => "clean".to_string(),
-                    (0, w) => format!("waived x{w}"),
-                    (o, _) => format!("DENY x{o}"),
-                };
-                t.row(&[
-                    f.name.clone(),
-                    format!("{}:{}", f.file, f.line),
-                    verdict,
-                    f.via.clone(),
-                ]);
-            }
-            println!("{}", t.render());
-            if hot_findings.iter().any(|x| !x.waived) {
-                std::process::exit(1);
-            }
-            return;
-        }
-        let findings = match nmcs_lint::lint_workspace(std::path::Path::new(".")) {
-            Ok(f) => f,
-            Err(e) => panic!("workspace walk failed (run from the repo root): {e}"),
-        };
-        let mut unwaived = 0usize;
-        for f in &findings {
-            if !f.waived {
-                unwaived += 1;
-                println!("{f}");
-            }
-        }
-        let mut t = nmcs_bench::Table::new(
-            "Workspace invariants (nmcs-lint)",
-            &["rule", "unwaived", "waived"],
-        );
-        for (rule, (open, excused)) in nmcs_lint::rule_counts(&findings) {
-            t.row(&[rule.to_string(), open.to_string(), excused.to_string()]);
-        }
-        println!("{}", t.render());
-        // Persist the machine-readable report CI consumes — the same
-        // serialisation `nmcs-lint --format json` prints.
-        let json = nmcs_lint::findings_to_json(&findings);
-        if std::fs::create_dir_all(&args.out).is_ok() {
-            let path = args.out.join("lint_findings.json");
-            if std::fs::write(&path, json).is_ok() {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        if unwaived > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // The soak needs no calibration either: it drives the HTTP front
+    // The soak needs no calibration: it drives the HTTP front
     // door and panics (nonzero exit) on any violated invariant.
     if args.serve {
         let (_, table) = nmcs_bench::serve_soak(args.soak_small, args.seed);

@@ -14,10 +14,10 @@
 //!    [`parallel_nmcs::TraceModel`] for paper-scale synthetic workloads.
 
 use morpion::standard_5d;
+use nmcs_core::metrics::monotonic_now;
 use nmcs_core::{nested_with, sample, NestedConfig, Rng, SearchResult};
 use parallel_nmcs::{SearchTrace, TraceModel};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Results of the on-machine calibration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,7 +43,7 @@ pub fn calibrate(seed: u64) -> Calibration {
     let n = 2_000;
     let mut work = 0u64;
     let mut moves = 0u64;
-    let t0 = Instant::now();
+    let t0 = monotonic_now();
     for _ in 0..n {
         let r = sample(&board, &mut rng);
         work += r.stats.work_units;

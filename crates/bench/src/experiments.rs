@@ -18,6 +18,7 @@ use crate::paper;
 use crate::report::{fmt_speedup, persist, Table};
 use des_sim::{format_time, ClusterSpec, Time, SECOND};
 use morpion::{render_default, standard_5d, GameRecord};
+use nmcs_core::metrics::monotonic_now;
 use nmcs_core::rng::derive_seed;
 use nmcs_core::{nested_with, sample, Game, NestedConfig, Rng, SearchResult};
 use parallel_nmcs::trace::run_reference;
@@ -150,7 +151,7 @@ impl Experiments {
         for level in 1..=2u32 {
             // First move: the cost of evaluating every initial move with a
             // level-1 search below the root = step 1 of SearchResult::unbounded(|ctx| nested_with(level, ctx)).
-            let t0 = std::time::Instant::now();
+            let t0 = monotonic_now();
             let mut moves = Vec::new();
             board.legal_moves(&mut moves);
             let mut rng = Rng::seeded(self.seed);
@@ -163,7 +164,7 @@ impl Experiments {
             }
             let first = t0.elapsed().as_secs_f64();
 
-            let t1 = std::time::Instant::now();
+            let t1 = monotonic_now();
             let _ = SearchResult::unbounded(|ctx| nested_with(&board, level, &cfg, &mut rng, ctx));
             let rollout = t1.elapsed().as_secs_f64();
 
@@ -229,7 +230,10 @@ impl Experiments {
 
     /// Tables II–V — a speedup sweep for one policy and mode at one
     /// level, with the paper's column alongside.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "title, trace, policy, anchor, paper column and file name are independent inputs of one table"
+    )]
     pub fn speedup_table(
         &self,
         title: &str,

@@ -7,6 +7,8 @@
 //! -- --help`) for the command-line interface. Nothing here measures
 //! throughput: speed is priced by `benches/ledger` alone.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod calibrate;
 pub mod experiments;
 pub mod paper;

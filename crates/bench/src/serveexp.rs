@@ -25,7 +25,6 @@ use nmcs_engine::EngineConfig;
 use nmcs_serve::{wire, ServeConfig, Server};
 use serde::Value;
 use std::io::{Read, Write};
-// nmcs-lint: allow(socket-discipline) reason="the soak drives the HTTP edge from outside: these sockets are the test clients"
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -152,6 +151,10 @@ fn get_path(stream: &mut TcpStream, path: &str) -> Result<HttpReply, String> {
     )
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the soak drives the HTTP edge from outside: these sockets are the test clients"
+)]
 fn connect(addr: SocketAddr) -> Result<TcpStream, String> {
     // Under a 200-way connect storm the accept queue can briefly fill;
     // a couple of spaced retries ride that out.
@@ -351,6 +354,10 @@ fn soak_workers() -> usize {
 
 /// Runs the soak and panics on any violated invariant, so a CI job can
 /// gate on the exit code. Returns the outcome plus a rendered table.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "soak clients: driver threads for the HTTP edge, never search work"
+)]
 pub fn serve_soak(small: bool, seed: u64) -> (SoakOutcome, Table) {
     let connections = if small { 24 } else { 224 };
     let workers = soak_workers();
@@ -380,7 +387,6 @@ pub fn serve_soak(small: bool, seed: u64) -> (SoakOutcome, Table) {
                 mismatches.clone(),
                 barrier.clone(),
             );
-            // nmcs-lint: allow(spawn-discipline) reason="soak clients: driver threads for the HTTP edge, never search work"
             std::thread::spawn(move || {
                 // Each client is a logical worker of the soak, so its
                 // seed derives from that coordinate.

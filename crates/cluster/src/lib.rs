@@ -17,6 +17,8 @@
 //! The runtime is generic over the message type; the parallel-NMCS
 //! protocol lives in the `parallel-nmcs` crate.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -212,6 +214,10 @@ impl<M: Send + Tagged> Endpoint<M> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests run ranks on threads of their own"
+)]
 mod tests {
     use super::*;
     use std::thread;

@@ -252,10 +252,15 @@ pub fn beam_search_with<G: Game>(
                 let mut child = pos.clone();
                 child.play(mv);
                 ctx.record_expansion();
-                // Evaluate with the best of n playouts.
+                // Evaluate with the best of n playouts; an interruption
+                // ends the evaluation here and the search at the next
+                // candidate.
                 walker.swap_position(&mut child);
                 let mut value = Score::MIN;
-                for _ in 0..n {
+                for i in 0..n {
+                    if i > 0 && ctx.should_stop() {
+                        break;
+                    }
                     seq.clear();
                     let mark = walker.mark();
                     let s = walker.rollout(rng, None, &mut seq, ctx);

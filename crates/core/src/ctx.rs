@@ -19,6 +19,7 @@
 //!   unwind promptly, and parallel workers observe each other's trip
 //!   through the shared meter.
 
+use crate::metrics::monotonic_now;
 use crate::report::Interruption;
 use crate::spec::{Budget, CancelToken};
 use crate::stats::SearchStats;
@@ -26,7 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many `should_stop` polls pass between `Instant::now()` reads when
+/// How many `should_stop` polls pass between clock reads when
 /// a deadline is set. Playout steps run in the 0.1–1 µs range, so the
 /// deadline is honoured to within a few microseconds while the hot loop
 /// pays a clock read only once per stride.
@@ -36,7 +37,7 @@ use std::time::Instant;
 /// are expensive (a deep nested rollout, a slow domain) must not run 31
 /// of them past a short deadline before noticing the clock at all. The
 /// stride only amortises polls *after* that first read.
-const DEADLINE_STRIDE: u32 = 32;
+pub const DEADLINE_STRIDE: u32 = 32;
 
 /// Countdown start for a fresh context: the first poll reads the clock.
 const FIRST_POLL: u32 = 1;
@@ -120,7 +121,7 @@ impl SearchCtx {
         };
         SearchCtx {
             stats: SearchStats::new(),
-            deadline: budget.deadline.map(|d| Instant::now() + d),
+            deadline: budget.deadline.map(|d| monotonic_now() + d),
             meter,
             cancel: cancel.cloned(),
             interrupted: None,
@@ -189,8 +190,7 @@ impl SearchCtx {
             self.poll = self.poll.saturating_sub(1);
             if self.poll == 0 {
                 self.poll = DEADLINE_STRIDE;
-                // nmcs-lint: allow(hot-path) reason="strided deadline poll: one clock read per DEADLINE_STRIDE playout steps is the documented budget contract"
-                if Instant::now() >= deadline {
+                if monotonic_now() >= deadline {
                     self.interrupted = Some(Interruption::Deadline);
                     // Let sibling workers see the trip without waiting
                     // for their own clock poll.

@@ -364,7 +364,6 @@ impl Game for DynGame {
             self.inner.apply_nth(*mv);
             Undo::internal()
         } else {
-            // nmcs-lint: allow(hot-path) reason="snapshot fallback for erased games without the undo fast path; fast-path games take the journal branch above"
             let snapshot = Undo::snapshot(self.clone());
             self.inner.play_nth(*mv);
             snapshot

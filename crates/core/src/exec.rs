@@ -32,6 +32,9 @@
 //! one atomic meter, so a deadline or playout cap stops leaf and root
 //! workers exactly like it stops a serial search.
 
+// A panic in the executors takes a pool worker or a joiner down.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod pool;
 
 use crate::ctx::SearchCtx;

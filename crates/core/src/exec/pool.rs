@@ -123,6 +123,11 @@ impl ExecutorPool {
     /// Zero is allowed: every batch then runs inline on the submitting
     /// thread, which is exactly the right degenerate form for
     /// single-threaded specs and keeps them trivially deterministic.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "one of the two sanctioned spawn sites; the OS refusing a thread at pool construction is unrecoverable, so it fails fast before any work is accepted"
+    )]
     pub fn new(background_workers: usize) -> Self {
         let shared = Arc::new(PoolShared {
             monitor: Mutex::new(Monitor {
@@ -138,7 +143,6 @@ impl ExecutorPool {
                 std::thread::Builder::new()
                     .name(format!("nmcs-exec-{idx}"))
                     .spawn(move || worker_loop(&shared, idx))
-                    // nmcs-lint: allow(panic-discipline) reason="OS refusing to spawn at pool construction is unrecoverable; fail fast before any work is accepted"
                     .expect("spawn executor pool worker")
             })
             .collect();

@@ -58,7 +58,6 @@ impl<G> Undo<G> {
     /// A token carrying a full pre-move snapshot (the fallback path).
     pub fn snapshot(state: G) -> Self {
         Undo {
-            // nmcs-lint: allow(hot-path) reason="the snapshot token exists to box a full state copy; fast-path games return Undo::internal and never reach it"
             snapshot: Some(Box::new(state)),
         }
     }
@@ -174,7 +173,6 @@ pub trait Game: Clone {
     /// can reuse one buffer across an entire search without sprinkling
     /// `clear()` calls, and so cached-candidate games have a single place
     /// to shortcut.
-    // nmcs-lint: hot-entry
     fn legal_moves_into(&self, out: &mut Vec<Self::Move>) {
         out.clear();
         self.legal_moves(out);
@@ -192,8 +190,8 @@ pub trait Game: Clone {
     /// and [`Game::undo`] restores the previous hash exactly.
     ///
     /// Called once per tree expansion on the search hot path, so
-    /// implementations must be allocation-free (the `nmcs-lint` hot-path
-    /// pass checks every implementation in the workspace). Games with an
+    /// implementations must be allocation-free (`tests/alloc_playout.rs`
+    /// checks every domain's). Games with an
     /// undo journal should maintain the hash incrementally in
     /// `apply`/`undo` (Zobrist XOR via [`mix64`]) or fold over their
     /// compact state on demand.
@@ -201,7 +199,6 @@ pub trait Game: Clone {
     /// The default mixes only `(moves_played, score)` — a weak snapshot
     /// digest that never distinguishes siblings with equal score. It
     /// keeps every existing game compiling; real domains override it.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let a = mix64(self.moves_played() as u64 ^ STATE_HASH_FALLBACK_SALT);
         mix64(a ^ (self.score() as u64))

@@ -48,6 +48,8 @@
 //! assert!(report.interrupted.is_none());
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod baselines;
 pub mod ctx;
 pub mod erased;

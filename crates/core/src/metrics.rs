@@ -46,14 +46,34 @@ use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// The sanctioned monotonic clock read for wall-time *observability*
-/// (latency reports, deadline bookkeeping). Every timing site outside
-/// the clock-allowlisted modules must come through here so the
-/// `nmcs-lint` clock-discipline rule can see, from the call site alone,
-/// that the reading feeds reporting and never a seed or an RNG.
+/// The workspace's one clock read: `clippy.toml` disallows a raw
+/// `Instant::now()` everywhere else, so every `Instant` in the
+/// workspace — latency stamps, the deadline polls of
+/// [`SearchCtx`](crate::SearchCtx), bench timings — starts here, and a
+/// reading can feed reporting or a budget poll but never a seed or an
+/// RNG.
+///
+/// Debug builds count the calls per thread ([`clock_reads`]), which is
+/// how `tests/alloc_playout.rs` bounds the clock reads of a playout;
+/// release builds compile the counter out, leaving `Instant::now()`.
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned clock read")]
 pub fn monotonic_now() -> Instant {
+    #[cfg(debug_assertions)]
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
     Instant::now()
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times the calling thread has read [`monotonic_now`]
+/// (debug builds only).
+#[cfg(debug_assertions)]
+pub fn clock_reads() -> u64 {
+    CLOCK_READS.with(std::cell::Cell::get)
 }
 
 /// Whether instrumentation sites should record (one relaxed load).
@@ -179,7 +199,10 @@ fn bucket_mid(i: usize) -> u64 {
 impl Histogram {
     /// An empty histogram (usable in `static` position).
     pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[allow(
+            clippy::declare_interior_mutable_const,
+            reason = "the array initialiser copies the const, so no element is shared"
+        )]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
             buckets: [ZERO; HISTOGRAM_BUCKETS],
@@ -349,7 +372,10 @@ impl Default for TagHistograms {
 impl TagHistograms {
     /// An empty table (usable in `static` position).
     pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[allow(
+            clippy::declare_interior_mutable_const,
+            reason = "the array initialiser copies the const, so no element is shared"
+        )]
         const SLOT: TagSlot = TagSlot::new();
         TagHistograms {
             slots: [SLOT; TAG_SLOTS],
@@ -604,7 +630,7 @@ impl SearchMetrics {
             node_trips: Counter::new(),
             cancellations: Counter::new(),
             wall: TagHistograms::new(),
-            epoch: Instant::now(),
+            epoch: monotonic_now(),
         }
     }
 

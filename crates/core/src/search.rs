@@ -65,7 +65,6 @@ impl<G: Game> PlayoutScratch<G> {
     ///
     /// Budget/cancellation polls go through `ctx` — one check per playout
     /// move, the shared choke point every backend's playouts pass through.
-    // nmcs-lint: hot-entry
     pub fn run(
         &mut self,
         game: &mut G,
@@ -104,7 +103,6 @@ impl<G: Game> PlayoutScratch<G> {
     ///
     /// Only worthwhile on games where [`Game::supports_undo`] is true:
     /// the fallback snapshot `apply` would pay one full clone per move.
-    // nmcs-lint: hot-entry
     pub fn run_undo(
         &mut self,
         game: &mut G,
@@ -432,7 +430,6 @@ pub fn nested_with<G: Game>(
 /// ≥ 2), and taken back. The game then advances along the memorised best
 /// sequence. The walker is left at the end of the line this call played;
 /// the caller rewinds if it wants its position back.
-// nmcs-lint: hot-entry
 fn nested_rollout<G: Game>(
     walker: &mut Walker<G>,
     level: u32,
@@ -445,7 +442,6 @@ fn nested_rollout<G: Game>(
     let mut bufs = std::mem::take(&mut scratch[level as usize - 1]);
     // `best_seq[..played]` is the prefix already played by this call;
     // `best_seq[played..]` is the memorised best continuation.
-    // nmcs-lint: allow(hot-path) reason="the returned best-sequence buffer: one empty Vec per nested call (no allocation until moves land), handed to the caller as the result"
     let mut best_seq: Vec<G::Move> = Vec::new();
     let mut played = 0usize;
     let mut best_score = Score::MIN;

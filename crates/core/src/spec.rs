@@ -526,6 +526,12 @@ impl Serialize for AlgorithmSpec {
 /// is 64 clients; the shared pool has `cores − 1` workers.
 const MAX_THREADS: usize = 1024;
 
+/// The largest leaf-parallel `batch`. Every step sizes one score slot per
+/// `(move, batch slot)` pair before any budget is read, so an unbounded
+/// batch is an allocation the process cannot survive. The paper runs at
+/// most 64 evaluations of a candidate at once.
+const MAX_BATCH: usize = 1024;
+
 /// Reads the integer field `name` of a `kind` algorithm and refuses a
 /// value below `min` or above `max`. Specs arrive from outside the
 /// program (`POST /jobs`, `tables --spec`); a width or level the
@@ -595,7 +601,7 @@ impl Deserialize for AlgorithmSpec {
             "sample" => Ok(AlgorithmSpec::Sample),
             "leaf_parallel" => Ok(AlgorithmSpec::LeafParallel {
                 level: field_in_range(v, &kind, "level", 1, None)?,
-                batch: field_in_range(v, &kind, "batch", 1, None)?,
+                batch: field_in_range(v, &kind, "batch", 1, Some(MAX_BATCH))?,
                 threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
                 playout_cap: Option::from_value(&opt("playout_cap"))?,
                 first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
@@ -1514,6 +1520,14 @@ mod tests {
             (
                 r#"{"kind":"root_parallel","level":2,"threads":1099511627776}"#,
                 "threads",
+            ),
+            (
+                r#"{"kind":"leaf_parallel","level":1,"batch":1099511627776,"threads":2}"#,
+                "batch",
+            ),
+            (
+                r#"{"kind":"leaf_parallel","level":1,"batch":4611686018427387904,"threads":2}"#,
+                "batch",
             ),
         ] {
             let err = serde_json::from_str::<AlgorithmSpec>(algorithm)

@@ -335,9 +335,7 @@ struct TpBody<M> {
 impl<M> TpBody<M> {
     fn empty() -> Self {
         TpBody {
-            // nmcs-lint: allow(hot-path) reason="node construction at expansion: the UCT tree grows by design, bounded by the node budget, not per playout step"
             children: Vec::new(),
-            // nmcs-lint: allow(hot-path) reason="node construction at expansion: the UCT tree grows by design, bounded by the node budget, not per playout step"
             unexpanded: Vec::new(),
             expanded: false,
         }
@@ -355,11 +353,6 @@ impl<M> TpNode<M> {
             stats,
             body: Mutex::new(TpBody::empty()),
         }
-    }
-
-    fn lock_body(&self) -> parking_lot::MutexGuard<'_, TpBody<M>> {
-        // nmcs-lint: allow(hot-path) reason="per-node parking_lot mutex is the tree-parallel sharing design (PR 5); playouts proper never hold it"
-        self.body.lock()
     }
 }
 
@@ -436,7 +429,6 @@ impl TransTable {
     /// Returns the statistics cell for `key`, creating (and possibly
     /// evicting) as needed. Called once per tree expansion.
     fn intern(&self, key: u64) -> Arc<TpStats> {
-        // nmcs-lint: allow(hot-path) reason="one table lock per tree expansion (not per playout step), held for an O(ways) scan; same budget-bounded cadence as node construction"
         let mut slots = self.slots.lock();
         let set = (key & self.set_mask) as usize * TT_WAYS;
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -636,7 +628,7 @@ impl<M: Clone> TpTree<M> {
         M: PartialEq,
     {
         let taken = {
-            let mut body = self.root.lock_body();
+            let mut body = self.root.body.lock();
             body.children
                 .iter()
                 .position(|c| c.mv.as_ref() == Some(mv))
@@ -647,7 +639,7 @@ impl<M: Clone> TpTree<M> {
                 // The subtree body moves wholesale onto the new root;
                 // `mv: None` keeps root semantics (WU-UCT's in-flight
                 // exclusion keys off `mv.is_some()`).
-                let inner = std::mem::replace(&mut *child.lock_body(), TpBody::empty());
+                let inner = std::mem::replace(&mut *child.body.lock(), TpBody::empty());
                 Arc::new(TpNode {
                     mv: None,
                     stats: child.stats.clone(),
@@ -663,7 +655,7 @@ impl<M: Clone> TpTree<M> {
     /// plus the transposition table's bound-plateaued footprint.
     pub(crate) fn approx_bytes(&self) -> usize {
         fn walk<M>(node: &TpNode<M>) -> usize {
-            let body = node.lock_body();
+            let body = node.body.lock();
             let own = std::mem::size_of::<TpNode<M>>()
                 + std::mem::size_of::<TpStats>()
                 + body.unexpanded.capacity() * std::mem::size_of::<M>()
@@ -766,7 +758,6 @@ impl<M: Clone> TpTree<M> {
     /// non-root node on the path in-flight; the matching decrement
     /// happens in [`tp_backprop`]. Rollouts always run *after* this
     /// returns, outside every structural lock.
-    // nmcs-lint: hot-entry
     fn descend<G>(
         &self,
         walker: &mut Walker<G>,
@@ -776,16 +767,15 @@ impl<M: Clone> TpTree<M> {
     ) where
         G: Game<Move = M>,
     {
-        let _structure_guard = matches!(self.lock, LockStrategy::Global)
-            // nmcs-lint: allow(hot-path) reason="opt-in Global lock strategy (the paper's single-mutex baseline) measured against the sharded default; not on the default path"
-            .then(|| self.structure.lock());
+        let _structure_guard =
+            matches!(self.lock, LockStrategy::Global).then(|| self.structure.lock());
         scr.path.push(self.root.clone());
         let mut node = self.root.clone();
         loop {
             let next: Arc<TpNode<M>>;
             let expanded_child: bool;
             {
-                let mut body = node.lock_body();
+                let mut body = node.body.lock();
                 if !body.expanded {
                     walker.position().legal_moves_into(&mut scr.moves);
                     body.unexpanded = scr.moves.clone();
@@ -813,7 +803,7 @@ impl<M: Clone> TpTree<M> {
                         // In-flight before publication, same invariant as
                         // the in-lock mark below.
                         child.stats.inflight.fetch_add(1, Ordering::Relaxed);
-                        node.lock_body().children.push(child.clone());
+                        node.body.lock().children.push(child.clone());
                         scr.seq.push(mv);
                         wctx.record_expansion();
                         scr.path.push(child);
@@ -885,7 +875,7 @@ impl<M: Clone> TpTree<M> {
     #[cfg(debug_assertions)]
     fn assert_quiescent(&self) {
         fn walk<M>(node: &TpNode<M>, conserve: bool) {
-            let body = node.lock_body();
+            let body = node.body.lock();
             let visits = node.stats.visits.load(Ordering::Relaxed);
             assert_eq!(
                 node.stats.inflight.load(Ordering::Relaxed),
@@ -1438,7 +1428,7 @@ mod tests {
         let first = seq[0];
 
         let child_visits = {
-            let body = tree.root.lock_body();
+            let body = tree.root.body.lock();
             let child = body
                 .children
                 .iter()
@@ -1597,7 +1587,7 @@ mod tests {
             if !seen.contains(&ptr) {
                 seen.push(ptr);
             }
-            let body = node.lock_body();
+            let body = node.body.lock();
             for c in &body.children {
                 walk(c, seen);
             }

@@ -1,9 +1,14 @@
 //! Regression coverage for the lock-order deadlock detector.
 //!
 //! The detector lives in vendored `parking_lot` (every lock in this
-//! workspace goes through it — that is what the `lock-discipline` lint
-//! rule enforces). These tests live in their own integration binary
+//! workspace goes through it — `clippy.toml` disallows the `std::sync`
+//! locks). These tests live in their own integration binary
 //! because enabling detection is process-global.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test provokes lock orders from threads of its own"
+)]
 
 #[cfg(debug_assertions)]
 mod debug_build {

@@ -21,6 +21,8 @@
 //! The parallel-NMCS trace replay that drives this kernel lives in the
 //! `parallel-nmcs` crate; this crate knows nothing about games.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod cluster;
 pub mod event;
 pub mod station;

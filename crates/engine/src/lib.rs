@@ -57,6 +57,10 @@
 //! engine.shutdown();
 //! ```
 
+// A panic on a worker, queue or scheduler path takes a worker down.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod handle;
 mod job;
 mod pool;
@@ -324,9 +328,10 @@ impl Engine {
     /// [`SubmitError::QueueFull`] **with the spec handed back**, so the
     /// retry-with-blocking-`submit` fallback needs no upfront clone of
     /// the game position.
-    // Handing the (large) spec back on rejection is the point of this
-    // API — the caller resubmits it without cloning the game.
-    #[allow(clippy::result_large_err)]
+    #[allow(
+        clippy::result_large_err,
+        reason = "handing the spec back on rejection is the point: the caller resubmits it without cloning the game"
+    )]
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, (SubmitError, JobSpec)> {
         let (core, tasks) = self.admit(spec, None);
         match self.enqueue(&core, tasks, false) {
@@ -566,6 +571,10 @@ impl Drop for Engine {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests race and time the engine from threads of their own"
+)]
 mod tests {
     use super::*;
     use nmcs_core::SearchSpec;

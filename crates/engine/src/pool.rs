@@ -135,6 +135,10 @@ impl PoolShared {
 /// so far are shut down and joined, and the error surfaces to the caller
 /// ([`crate::Engine::start`] maps it to [`crate::EngineError`]) instead
 /// of aborting mid-construction with a panic.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the engine's worker pool is one of the two sanctioned spawn sites"
+)]
 pub(crate) fn spawn_workers(
     shared: &Arc<PoolShared>,
     workers: usize,

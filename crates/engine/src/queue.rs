@@ -153,6 +153,10 @@ impl<T> BoundedQueue<T> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests race the queue from threads of their own"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

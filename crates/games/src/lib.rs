@@ -14,6 +14,8 @@
 //!   to validate that every search and every parallel backend actually
 //!   finds what it should.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod samegame;
 pub mod sudoku;
 pub mod toy;

@@ -530,7 +530,6 @@ impl Game for SameGame {
     /// different earnings, and those positions must not share
     /// statistics). Allocation-free; the per-column maintenance lives in
     /// `remove` and the `undo` journal.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let mut h = SAMEGAME_HASH_SALT;
         for col in &self.cols {
@@ -548,13 +547,11 @@ impl Game for SameGame {
         true
     }
 
-    // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &Tap) -> Undo<Self> {
         self.remove(*mv, true);
         Undo::internal()
     }
 
-    // nmcs-lint: hot-entry
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         let frame = self.undo_frames.pop().expect("undo without apply");

@@ -221,7 +221,6 @@ impl Game for Sudoku {
     /// so the hash XORs one Zobrist key per filled cell — order-
     /// independent, so distinct fill orders reaching the same grid
     /// transpose. Allocation-free O(side²) fold.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let mut h = mix64(self.filled as u64 ^ SUDOKU_HASH_SALT);
         for (i, &d) in self.cells.iter().enumerate() {
@@ -236,14 +235,12 @@ impl Game for Sudoku {
         true
     }
 
-    // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &Fill) -> Undo<Self> {
         self.play(mv);
         self.undo_cells.push(mv.cell);
         Undo::internal()
     }
 
-    // nmcs-lint: hot-entry
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         let cell = self.undo_cells.pop().expect("undo without apply");

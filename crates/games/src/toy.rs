@@ -91,7 +91,6 @@ impl Game for SumGame {
 
     /// The taken prefix *is* the position, so a sequential fold over it
     /// (plus the accumulated score) is an exact identity, allocation-free.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let mut h = SUM_HASH_SALT;
         for &m in &self.taken {
@@ -107,13 +106,11 @@ impl Game for SumGame {
         true
     }
 
-    // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &u8) -> Undo<Self> {
         self.play(mv);
         Undo::internal()
     }
 
-    // nmcs-lint: hot-entry
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         let mv = self.taken.pop().expect("undo without apply");
@@ -184,7 +181,6 @@ impl Game for NeedleLadder {
     }
 
     /// The taken prefix is the whole position; fold it.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let mut h = NEEDLE_HASH_SALT;
         for &m in &self.taken {
@@ -200,13 +196,11 @@ impl Game for NeedleLadder {
         true
     }
 
-    // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &u8) -> Undo<Self> {
         self.play(mv);
         Undo::internal()
     }
 
-    // nmcs-lint: hot-entry
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         self.taken.pop().expect("undo without apply");

@@ -172,7 +172,6 @@ impl Game for TspGame {
     /// hash is an order-independent XOR over visited cities combined
     /// with those two scalars — permuted middles transpose, as a TSP
     /// table should. Allocation-free O(n) fold.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         let mut h = 0u64;
         for (c, &v) in self.visited_mask.iter().enumerate() {
@@ -192,13 +191,11 @@ impl Game for TspGame {
         true
     }
 
-    // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &u16) -> Undo<Self> {
         self.play(mv);
         Undo::internal()
     }
 
-    // nmcs-lint: hot-entry
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         let city = self.tour.pop().expect("undo without apply");

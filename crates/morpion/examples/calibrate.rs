@@ -1,13 +1,13 @@
 //! Quick calibration: playout and NMCS costs on the standard 5D cross.
 use morpion::standard_5d;
+use nmcs_core::metrics::monotonic_now;
 use nmcs_core::{nested_with, sample, NestedConfig, Rng, SearchResult};
-use std::time::Instant;
 
 fn main() {
     let board = standard_5d();
     let mut rng = Rng::seeded(1);
 
-    let t = Instant::now();
+    let t = monotonic_now();
     let n = 20_000;
     let mut total = 0i64;
     let mut best = 0i64;
@@ -25,7 +25,7 @@ fn main() {
     );
 
     for level in 1..=2 {
-        let t = Instant::now();
+        let t = monotonic_now();
         let r = SearchResult::unbounded(|ctx| {
             nested_with(&board, level, &NestedConfig::paper(), &mut rng, ctx)
         });

@@ -448,7 +448,6 @@ impl Game for Board {
     /// constraint bits — cells fully determine the position (the score is
     /// the move count, derivable from occupancy minus the fixed cross),
     /// so transposed move orders reaching the same marks hash equal.
-    // nmcs-lint: hot-entry
     fn state_hash(&self) -> u64 {
         self.hash
     }
@@ -462,13 +461,11 @@ impl Game for Board {
         true
     }
 
-    // nmcs-lint: hot-entry
     fn apply(&mut self, mv: &Move) -> Undo<Self> {
         self.play_move_inner(mv, true);
         Undo::internal()
     }
 
-    // nmcs-lint: hot-entry
     fn undo(&mut self, token: Undo<Self>) {
         debug_assert!(token.is_internal());
         let m = self.history.pop().expect("undo without apply");

@@ -25,6 +25,8 @@
 //! println!("{}", render_default(&replay));
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod analysis;
 pub mod board;
 pub mod cross;

@@ -22,6 +22,8 @@
 //! ([`nmcs_core::seeds`]). [`model::TraceModel`] generates synthetic
 //! paper-scale workloads for the level-4 tables.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod dispatcher;
 pub mod model;
 pub mod protocol;

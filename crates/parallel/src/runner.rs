@@ -76,6 +76,10 @@ pub struct ThreadReport {
 /// unified `SearchSpec::root_parallel(level, threads)` runs the same
 /// strategy with identical results plus budget/cancellation support; use
 /// this function when the point is the communication structure itself.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the dispatcher, client and median ranks are cluster processes of the paper's threaded reference runtime, not pool work"
+)]
 pub fn run_threads_traced<G>(
     game: &G,
     config: &ThreadConfig,
@@ -106,7 +110,6 @@ where
         .map(|i| client_rank(config.n_medians, i))
         .collect();
     let mut core = DispatcherCore::new(config.policy, client_ranks);
-    // nmcs-lint: allow(spawn-discipline) reason="the dispatcher is a cluster process of the paper's threaded reference runtime, not pool work"
     handles.push(std::thread::spawn(move || {
         loop {
             let env = disp_ep.recv();
@@ -141,7 +144,6 @@ where
         let mut ep = world.take_endpoint(client_rank(config.n_medians, i));
         let cfg = client_config.clone();
         let speed = config.client_speeds.as_ref().map_or(1.0, |s| s[i]);
-        // nmcs-lint: allow(spawn-discipline) reason="each client rank is a cluster process of the paper's threaded reference runtime, not pool work"
         handles.push(std::thread::spawn(move || {
             loop {
                 let env = ep.recv();
@@ -190,7 +192,6 @@ where
     // ---- medians ----
     for m in 0..config.n_medians {
         let mut ep = world.take_endpoint(median_rank(m));
-        // nmcs-lint: allow(spawn-discipline) reason="each median rank is a cluster process of the paper's threaded reference runtime, not pool work"
         handles.push(std::thread::spawn(move || median_loop::<G>(&mut ep)));
     }
 

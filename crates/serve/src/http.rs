@@ -10,7 +10,6 @@
 //! connection handler.
 
 use std::io::{Read, Write};
-// nmcs-lint: allow(socket-discipline) reason="the HTTP edge: every socket read/write of the serve crate funnels through this module"
 use std::net::TcpStream;
 
 /// Upper bound on the request line + headers, bytes.

@@ -31,6 +31,8 @@
 //!
 //! [`MetricsSnapshot::render_text`]: nmcs_core::metrics::MetricsSnapshot::render_text
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod admission;
 pub mod http;
 pub mod metrics;
@@ -49,7 +51,6 @@ use nmcs_engine::{
 use registry::JobDirectory;
 use serde::Value;
 use std::io::Write as _;
-// nmcs-lint: allow(socket-discipline) reason="the HTTP edge: this module owns the listener and its shutdown self-connect"
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -118,6 +119,10 @@ pub struct Server {
 
 impl Server {
     /// Binds, starts the engine, and spawns the accept loop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the HTTP edge: this is the one listener, and its accept loop is not search work"
+    )]
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -134,7 +139,6 @@ impl Server {
         let conn_threads = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let accept_ctx = ctx.clone();
         let accept_conns = conn_threads.clone();
-        // nmcs-lint: allow(spawn-discipline) reason="server edge: the accept loop is not search work and never touches a search RNG"
         let accept_thread = std::thread::Builder::new()
             .name("nmcs-serve-accept".to_string())
             .spawn(move || accept_loop(listener, accept_ctx, accept_conns))?;
@@ -156,6 +160,10 @@ impl Server {
         self.shutdown_inner();
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the HTTP edge: a throwaway connection wakes the listener's blocking accept"
+    )]
     fn shutdown_inner(&mut self) {
         self.ctx.accepting.store(false, Ordering::Release);
         self.ctx.engine.close();
@@ -179,6 +187,10 @@ impl Drop for Server {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "server edge: one thread per connection; search work still runs only on engine workers"
+)]
 fn accept_loop(
     listener: TcpListener,
     ctx: Arc<ServerCtx>,
@@ -202,7 +214,6 @@ fn accept_loop(
             return;
         }
         let conn_ctx = ctx.clone();
-        // nmcs-lint: allow(spawn-discipline) reason="server edge: one thread per connection; search work still runs only on engine workers"
         let spawned = std::thread::Builder::new()
             .name("nmcs-serve-conn".to_string())
             .spawn(move || handle_connection(stream, conn_ctx));

@@ -38,7 +38,10 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     pub fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[allow(
+            clippy::declare_interior_mutable_const,
+            reason = "the array initialiser copies the const, so no element is shared"
+        )]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         ServeMetrics {
             routes: TagHistograms::new(),

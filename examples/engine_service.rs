@@ -10,7 +10,8 @@
 use pnmcs::engine::{Algorithm, Engine, EngineConfig, JobSpec, JobState, SubmitError};
 use pnmcs::games::{SameGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, standard_5d, Variant};
-use std::time::{Duration, Instant};
+use pnmcs::search::metrics::monotonic_now;
+use std::time::Duration;
 
 fn main() {
     let workers = 4;
@@ -20,7 +21,7 @@ fn main() {
     })
     .expect("valid engine config");
     println!("engine up: {workers} workers, queue capacity 64\n");
-    let started = Instant::now();
+    let started = monotonic_now();
 
     // --- a few dozen mixed jobs, three domains × two algorithms -------
     let mut handles = Vec::new();

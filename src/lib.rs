@@ -74,6 +74,8 @@
 //! engine.shutdown();
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub use cluster_rt as cluster;
 pub use des_sim as sim;
 pub use morpion;

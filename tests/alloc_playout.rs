@@ -1,6 +1,8 @@
-//! Zero-allocation playout sanitizer — the dynamic half of the hot-path
-//! purity contract (the static half is the call-graph pass in
-//! `crates/lint/src/hotpath.rs`).
+//! The hot-path contract, counted: a warmed playout on every domain
+//! allocates nothing, takes no lock and reads no clock; a deadline costs
+//! one clock read per `DEADLINE_STRIDE` polls; sequential UCT takes no
+//! lock, and the shared tree's lock count is pinned per iteration and
+//! per expansion.
 //!
 //! This binary installs the counting [`alloc_counter::CountingAllocator`]
 //! as its global allocator; being a *separate test binary* is the cfg
@@ -14,19 +16,42 @@
 //! scratch (apply/undo) path this must be **zero** for every domain; on
 //! the clone path (via [`SnapshotOnly`]) we instead record the honest
 //! non-zero count and pin its determinism.
+//!
+//! Locks and clock reads are counted per thread by vendored
+//! `parking_lot` ([`parking_lot::lock_acquisitions`]) and by the one
+//! clock function ([`monotonic_now`](pnmcs::search::metrics::monotonic_now),
+//! [`clock_reads`]). Both counters exist in debug builds only, so those
+//! bounds are checked by the debug `cargo test` passes; the release run
+//! of this binary checks allocations.
 
 use alloc_counter::{assert_no_alloc, count_allocs};
 use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
+#[cfg(debug_assertions)]
+use pnmcs::search::{ctx::DEADLINE_STRIDE, metrics::clock_reads, Budget};
 use pnmcs::search::{Game, PlayoutScratch, Rng, SearchCtx, SnapshotOnly};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 
-/// Replays the same seeded playout `rounds` times on the restoring
-/// scratch path (so every round starts from the identical position and
-/// consumes the identical RNG stream), asserting rounds after the first
-/// allocate nothing.
+/// The locks this thread takes and the clock reads it makes while `f`
+/// runs.
+#[cfg(debug_assertions)]
+fn locks_and_clock_reads(f: impl FnOnce()) -> (u64, u64) {
+    let (locks, clocks) = (parking_lot::lock_acquisitions(), clock_reads());
+    f();
+    (
+        parking_lot::lock_acquisitions() - locks,
+        clock_reads() - clocks,
+    )
+}
+
+/// Replays the same seeded playout on the restoring scratch path (so
+/// every round starts from the identical position and consumes the
+/// identical RNG stream), asserting that rounds after the warm-up
+/// allocate nothing, take no lock and read no clock — and that the
+/// position's `state_hash`, read once per tree expansion, allocates
+/// nothing either.
 fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
     assert!(game.supports_undo(), "{label}: scratch path requires undo");
     let mut scratch = PlayoutScratch::new();
@@ -51,6 +76,35 @@ fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u
         scratch.run_undo(game, &mut rng, None, &mut seq, &mut ctx);
     });
     assert_eq!(seq.len(), warm_len, "{label}: replay diverged from warm-up");
+    game.state_hash();
+    assert_no_alloc(label, || game.state_hash());
+
+    // The same replay takes no lock and reads no clock. Under a deadline
+    // a playout polls once per move, and a fresh context reads the clock
+    // on its first poll and then on every `DEADLINE_STRIDE`-th.
+    #[cfg(debug_assertions)]
+    {
+        let mut replay = |ctx: &mut SearchCtx| {
+            seq.clear();
+            let mut rng = Rng::seeded(seed);
+            scratch.run_undo(game, &mut rng, None, &mut seq, ctx);
+        };
+        let unbounded = locks_and_clock_reads(|| replay(&mut ctx));
+        assert_eq!(
+            unbounded,
+            (0, 0),
+            "{label}: (locks, clock reads) of a playout"
+        );
+        let budget = Budget::none().with_deadline(std::time::Duration::from_secs(3600));
+        let mut timed = SearchCtx::new(&budget, None);
+        let (locks, clocks) = locks_and_clock_reads(|| replay(&mut timed));
+        let bound = (warm_len as u64).div_ceil(u64::from(DEADLINE_STRIDE)) + 1;
+        assert_eq!(locks, 0, "{label}: locks of a playout under a deadline");
+        assert!(
+            (1..=bound).contains(&clocks),
+            "{label}: {clocks} clock reads over {warm_len} moves, bound {bound}"
+        );
+    }
 }
 
 #[test]
@@ -114,31 +168,103 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
     assert_eq!((score_a, len_a), (score_b, len_b));
 }
 
-/// Sequential UCT allocates when it grows the tree — a node's move list
-/// and child list, the arena's own growth — and not otherwise: the
+/// UCT allocates when it grows the tree and not otherwise: the
 /// descent's path and move sequence are buffers of the search, not of
-/// the iteration. On a 6×6 board most of 2000 iterations end on a
-/// terminal node and build nothing, so a per-iteration allocation shows
-/// as a multiple of this bound.
+/// the iteration. Sequential UCT pays a node's move list and child list
+/// and the arena's growth; the shared tree at width 1 pays the node and
+/// its statistics cell (two `Arc`s), the move list copied in when a node
+/// is first descended into, and its parent's child list growing. On a
+/// 6×6 board most of 2000 iterations end on a terminal node and build
+/// nothing, so a per-iteration allocation shows as a multiple of these
+/// bounds.
 #[test]
 fn uct_allocates_per_expansion_not_per_iteration() {
     use pnmcs::search::{SearchSpec, UctConfig};
+    let config = UctConfig {
+        iterations: 2000,
+        ..UctConfig::default()
+    };
     for seed in 0..3 {
         let board = SameGame::random(6, 6, 3, seed);
-        let spec = SearchSpec::uct_with(UctConfig {
-            iterations: 2000,
-            ..UctConfig::default()
-        })
-        .seed(seed);
-        let (events, report) = count_allocs(|| spec.run(&board));
-        let expansions = report.stats.expansions;
-        assert!(
-            expansions < 1000,
-            "seed {seed}: {expansions} expansions — most iterations must build no node"
-        );
-        assert!(
-            events <= 2 * expansions + 80,
-            "seed {seed}: {events} allocations for {expansions} expansions"
-        );
+        for (label, spec, per_expansion) in [
+            ("uct", SearchSpec::uct_with(config.clone()), 2),
+            (
+                "tree_parallel(1)",
+                SearchSpec::tree_parallel_with(config.clone(), 1),
+                4,
+            ),
+        ] {
+            let (events, report) = count_allocs(|| spec.seed(seed).run(&board));
+            let expansions = report.stats.expansions;
+            assert!(
+                expansions < 1000,
+                "{label} seed {seed}: {expansions} expansions — most iterations must build no node"
+            );
+            assert!(
+                events <= per_expansion * expansions + 80,
+                "{label} seed {seed}: {events} allocations for {expansions} expansions"
+            );
+        }
+    }
+}
+
+/// Sequential UCT's tree belongs to its one search: however many
+/// iterations run, it takes no lock and, unbounded, reads no clock.
+#[cfg(debug_assertions)]
+#[test]
+fn sequential_uct_takes_no_lock() {
+    use pnmcs::search::{uct_with, SearchResult, UctConfig};
+    let board = SameGame::random(6, 6, 3, 1);
+    let config = UctConfig {
+        iterations: 2000,
+        ..UctConfig::default()
+    };
+    let counts = locks_and_clock_reads(|| {
+        SearchResult::unbounded(|ctx| uct_with(&board, &config, &mut Rng::seeded(1), ctx));
+    });
+    assert_eq!(counts, (0, 0), "(locks, clock reads) of 2000 iterations");
+}
+
+/// The shared tree at width 1, where every lock lands on this thread (a
+/// one-slot batch runs inline). Each iteration `descend` locks the body
+/// of every node it stands on: one per step down to an existing child
+/// (counted in `nested_moves`) plus one where it stops, expanding a child
+/// or meeting a terminal node. `offer_best` then locks the incumbent
+/// once. After the batch, one lock hands the worker's context back and
+/// the debug end-of-search check walks the tree, locking each of its
+/// `expansions + 1` nodes once. So
+/// `locks = nested_moves + 2 · iterations + expansions + 2`.
+/// A transposition table adds two per expansion: the
+/// table's own lock, and re-locking the parent to publish the child once
+/// `state_hash` has run outside it. The `Global` strategy adds its
+/// structure lock once per iteration.
+#[cfg(debug_assertions)]
+#[test]
+fn tree_parallel_locks_are_pinned_per_iteration_and_per_expansion() {
+    use pnmcs::search::{LockStrategy, SearchSpec, UctConfig};
+    let board = SameGame::random(6, 6, 3, 2);
+    let iterations = 1500;
+    let config = UctConfig {
+        iterations,
+        ..UctConfig::default()
+    };
+    for (label, reuse, lock, per_iteration, per_expansion) in [
+        ("sharded", false, LockStrategy::Sharded, 2, 1),
+        ("sharded + table", true, LockStrategy::Sharded, 2, 3),
+        ("global", false, LockStrategy::Global, 3, 1),
+    ] {
+        let spec = SearchSpec::tree_parallel_with(config.clone(), 1)
+            .lock_strategy(lock)
+            .tree_reuse(reuse)
+            .seed(2)
+            .build();
+        let mut stats = None;
+        let (locks, _) = locks_and_clock_reads(|| stats = Some(spec.run(&board).stats));
+        let stats = stats.expect("the search ran");
+        let expected = stats.nested_moves
+            + per_iteration * iterations as u64
+            + per_expansion * stats.expansions
+            + 2;
+        assert_eq!(locks, expected, "{label}: locks for {stats:?}");
     }
 }

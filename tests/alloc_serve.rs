@@ -8,6 +8,12 @@
 //! allocator; no other binary is affected. The two tests share the
 //! process-wide gauges, so they take [`SERIAL`] and run one at a time.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the test drives the server over real sockets and serialises its cases on a std mutex"
+)]
+
 use alloc_counter::{count_allocs, live_blocks, live_bytes};
 use pnmcs::engine::{Engine, EngineConfig, JobSpec};
 use pnmcs::games::SumGame;

@@ -9,6 +9,11 @@
 //! * an *unhit* budget leaves results bit-identical to the unbudgeted
 //!   run — the budget checks provably do not perturb the RNG stream.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test times searches and cancels them from threads of its own"
+)]
+
 use pnmcs::games::{SameGame, SumGame};
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::search::{Budget, CancelToken, CodedGame, Game, Interruption, SearchReport, SearchSpec};
@@ -321,4 +326,37 @@ fn node_budget_bounds_uct_tree_growth() {
         report.stats.expansions
     );
     assert_replays(&board, &report, "uct-node-budget");
+}
+
+#[test]
+fn a_beam_with_huge_samples_stops_on_a_deadline_and_on_cancellation() {
+    // The per-child playout loop once never polled: a 50 ms deadline or
+    // a `DELETE /jobs/:id` left an engine worker on it for good.
+    let board = SameGame::random(6, 6, 3, 1);
+    let spec = SearchSpec::beam(2, 1 << 40).seed(1).build();
+    let t0 = Instant::now();
+    let report = with_budget(
+        &spec,
+        Budget::none().with_deadline(Duration::from_millis(50)),
+    )
+    .run(&board);
+    assert_eq!(report.interrupted, Some(Interruption::Deadline));
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "took {:?}",
+        t0.elapsed()
+    );
+    assert_replays(&board, &report, "beam-deadline");
+
+    let token = CancelToken::new();
+    token.cancel();
+    let t0 = Instant::now();
+    let report = spec.run_cancellable(&board, &token);
+    assert_eq!(report.interrupted, Some(Interruption::Cancelled));
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "took {:?}",
+        t0.elapsed()
+    );
+    assert_replays(&board, &report, "beam-cancel");
 }

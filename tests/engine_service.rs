@@ -3,6 +3,11 @@
 //! backpressure, prompt cancellation, ensemble merging, and duplicate
 //! diversification.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test times and races the engine from threads of its own"
+)]
+
 use pnmcs::engine::{Algorithm, Engine, EngineConfig, JobHandle, JobSpec, JobState, SubmitError};
 use pnmcs::games::{SameGame, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, standard_5d, Variant};

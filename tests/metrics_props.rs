@@ -17,6 +17,12 @@
 //! The enable flag is process-global, so the tests that flip it
 //! serialise on one lock and always restore the enabled state.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the test times searches and serialises its cases on a std mutex"
+)]
+
 use pnmcs::games::SameGame;
 use pnmcs::search::metrics as m;
 use pnmcs::search::{SearchSpec, Searcher};

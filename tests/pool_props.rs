@@ -17,6 +17,12 @@
 //! Worker-count-sensitive assertions honour `NMCS_TEST_WORKERS` so CI
 //! exercises them at both 1 and 4 workers (see `.github/workflows`).
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the test races, times and watchdogs the pool with std threads and locks of its own"
+)]
+
 mod common;
 
 use common::test_workers;

@@ -17,6 +17,11 @@
 //! * `?stream=1` streams parseable NDJSON progress until terminal;
 //! * the error paths answer 400/404/405 as documented.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test drives the server over real sockets"
+)]
+
 use pnmcs::engine::EngineConfig;
 use pnmcs::games::SumGame;
 use pnmcs::morpion::standard_5d;
@@ -601,6 +606,14 @@ fn an_over_wide_spec_gets_400_and_the_server_keeps_answering() {
         (
             r#"{"kind":"tree_parallel","threads":1,"leaf_batch":1099511627776}"#,
             "`leaf_batch`",
+        ),
+        (
+            r#"{"kind":"leaf_parallel","level":1,"batch":1099511627776,"threads":2}"#,
+            "`batch`",
+        ),
+        (
+            r#"{"kind":"leaf_parallel","level":1,"batch":4611686018427387904,"threads":2}"#,
+            "`batch`",
         ),
     ] {
         let body =

@@ -3,11 +3,17 @@
 //! reproducibility contract), and the erased `AnySearcher` form matches
 //! the typed runs.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the parse-edge sweep bounds each run's wall time from a thread of its own"
+)]
+
 use pnmcs::games::SameGame;
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::search::{
     decode_report, AnnealingConfig, AnySearcher, DynGame, Game, SearchReport, SearchSpec, UctConfig,
 };
+use proptest::prelude::*;
 
 #[test]
 fn simulated_annealing_spec_round_trips_and_reruns_identically() {
@@ -245,4 +251,252 @@ fn tree_parallel_knobs_are_part_of_tag_identity() {
         base.tag(),
         with(LockStrategy::Sharded, StatsMode::WuUct).tag()
     );
+}
+
+/// One spec of each of the eleven kinds, its counts drawn from `n`, its
+/// floats from `x`, and its flags, options and enum knobs from `bits`.
+fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::AlgorithmSpec {
+    use pnmcs::search::{
+        AlgorithmSpec as A, LockStrategy, MemoryPolicy, NestedConfig, NrpaConfig, StatsMode,
+    };
+    let f = 0.1 + x as f64 / 100.0;
+    let flag = bits & 1 == 1;
+    let cap = (bits & 2 == 2).then_some(n + 3);
+    let level = n as u32 % 4;
+    let threads = 1 + n % 8;
+    let uct = UctConfig {
+        iterations: n,
+        exploration: f,
+        max_bias: f / 10.0,
+    };
+    match kind {
+        0 => A::Nested {
+            level,
+            config: NestedConfig {
+                memory: if flag {
+                    MemoryPolicy::Greedy
+                } else {
+                    MemoryPolicy::Memorise
+                },
+                playout_cap: cap,
+            },
+        },
+        1 => A::Nrpa {
+            level,
+            config: NrpaConfig {
+                iterations: n,
+                alpha: f,
+            },
+        },
+        2 => A::Uct {
+            config: uct,
+            tree_reuse: flag,
+        },
+        3 => A::FlatMc { playouts: n },
+        4 => A::IteratedSampling { samples: n },
+        5 => A::Beam {
+            width: n,
+            samples: n + 1,
+        },
+        6 => A::Sample,
+        7 => A::LeafParallel {
+            level: 1 + level,
+            batch: n,
+            threads,
+            playout_cap: cap,
+            first_move: flag,
+        },
+        8 => A::RootParallel {
+            level: 2 + level,
+            threads,
+            playout_cap: cap,
+            first_move: flag,
+        },
+        9 => A::TreeParallel {
+            config: uct,
+            threads,
+            lock: if bits & 4 == 4 {
+                LockStrategy::Global
+            } else {
+                LockStrategy::Sharded
+            },
+            stats: if bits & 8 == 8 {
+                StatsMode::VirtualLoss
+            } else {
+                StatsMode::WuUct
+            },
+            tree_reuse: flag,
+        },
+        _ => A::SimulatedAnnealing {
+            config: AnnealingConfig {
+                iterations: n,
+                t_initial: 1.0 + f,
+                t_final: f / 10.0,
+            },
+        },
+    }
+}
+
+/// Every leaf of a serialised spec with its dotted path (`config.alpha`);
+/// nested objects are walked, the `kind` tag is not.
+fn leaves(value: &serde::Value, path: &str, out: &mut Vec<(String, serde::Value)>) {
+    match value {
+        serde::Value::Object(fields) => {
+            for (name, field) in fields.iter().filter(|(name, _)| name != "kind") {
+                leaves(field, &format!("{path}{name}."), out);
+            }
+        }
+        leaf => out.push((path.trim_end_matches('.').to_string(), leaf.clone())),
+    }
+}
+
+/// What a leaf can be changed to: a count or a float moves, a flag
+/// flips, an option toggles between absent and present, and an enum
+/// knob tries every other variant name of the spec types.
+fn perturbations(leaf: &serde::Value) -> Vec<serde::Value> {
+    use serde::Value as V;
+    const VARIANTS: [&str; 6] = [
+        "Memorise",
+        "Greedy",
+        "Global",
+        "Sharded",
+        "VirtualLoss",
+        "WuUct",
+    ];
+    match leaf {
+        V::Null => vec![V::U64(7)],
+        V::Bool(b) => vec![V::Bool(!b)],
+        V::U64(n) => vec![V::U64(n + 1), V::Null],
+        V::I64(n) => vec![V::I64(n + 1), V::Null],
+        V::F64(x) => vec![V::F64(x + 0.25)],
+        V::Str(s) => VARIANTS
+            .iter()
+            .filter(|v| **v != s.as_str())
+            .map(|v| V::Str(v.to_string()))
+            .collect(),
+        V::Array(_) | V::Object(_) => unreachable!("spec leaves are scalars"),
+    }
+}
+
+/// `value` with the leaf at dotted `path` replaced by `leaf`.
+fn with_leaf(value: &serde::Value, path: &str, leaf: &serde::Value) -> serde::Value {
+    let serde::Value::Object(fields) = value else {
+        return leaf.clone();
+    };
+    let (head, rest) = path.split_once('.').unwrap_or((path, ""));
+    serde::Value::Object(
+        fields
+            .iter()
+            .map(|(name, field)| {
+                let field = if name == head {
+                    with_leaf(field, rest, leaf)
+                } else {
+                    field.clone()
+                };
+                (name.clone(), field)
+            })
+            .collect(),
+    )
+}
+
+/// The parse edge, swept: every integer field of every algorithm kind
+/// (`level`, `batch`, `threads`, `width`, `samples`, `playouts`,
+/// `iterations`, `playout_cap`) set to 2^40 under a 50 ms deadline, as
+/// `POST /jobs` or `tables --spec` receives it. Each spec is either
+/// refused by the parser or returns a replayable report within `WALL`.
+/// A spec that sizes work from the integer before its budget is read
+/// either aborts this process or misses the bound.
+#[test]
+fn every_integer_field_at_2_pow_40_is_refused_or_stops_on_the_deadline() {
+    use serde::{Serialize, Value};
+    const WALL: std::time::Duration = std::time::Duration::from_secs(5);
+    let game = pnmcs::serve::wire::stock_game("samegame-small", 1).expect("stock game");
+    let (mut refused, mut ran) = (0, 0);
+    for kind in 0..11 {
+        let json = arbitrary_spec(kind, 2, 0, 2).to_value();
+        let mut fields = Vec::new();
+        leaves(&json, "", &mut fields);
+        for (path, _) in fields
+            .iter()
+            .filter(|(_, v)| matches!(v, Value::U64(_) | Value::Null))
+        {
+            let algorithm =
+                serde_json::to_string(&with_leaf(&json, path, &Value::U64(1 << 40))).unwrap();
+            let case = format!("{algorithm} ({path})");
+            let spec =
+                format!(r#"{{"algorithm":{algorithm},"budget":{{"deadline_ms":50}},"seed":1}}"#);
+            let Ok(spec) = serde_json::from_str::<SearchSpec>(&spec) else {
+                refused += 1;
+                continue;
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            let searched = game.clone();
+            let search = std::thread::spawn(move || tx.send(spec.run(&searched)));
+            let report = rx
+                .recv_timeout(WALL)
+                .unwrap_or_else(|_| panic!("{case}: no report within {WALL:?}"));
+            search
+                .join()
+                .expect("the search thread returned")
+                .expect("the report was received");
+            let mut replay = game.clone();
+            for mv in &report.sequence {
+                replay.play(mv);
+            }
+            assert_eq!(replay.score(), report.score, "{case}");
+            ran += 1;
+        }
+    }
+    // Levels (`u32`), `threads` and `batch` are refused; counts of work
+    // that a budget interrupts, and caps, run.
+    assert_eq!((refused, ran), (8, 11), "(refused, ran)");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `tag()` is the identity of a result (engine duplicate detection,
+    /// metrics rows). Take any spec's serialised JSON object, change any
+    /// one field — nested `config` fields included — and the spec must
+    /// parse to a different search with a different tag. The one
+    /// documented exception is the `threads` of `leaf_parallel` and
+    /// `root_parallel`, whose results do not depend on it.
+    #[test]
+    fn changing_any_serialised_field_changes_the_tag(
+        kind in 0usize..11,
+        n in 1usize..500,
+        x in 0u64..1000,
+        bits in 0u8..16,
+    ) {
+        use pnmcs::search::AlgorithmSpec;
+        use serde::{Deserialize, Serialize};
+        let spec = arbitrary_spec(kind, n, x, bits);
+        let json = spec.to_value();
+        let identity_free = matches!(
+            spec,
+            AlgorithmSpec::LeafParallel { .. } | AlgorithmSpec::RootParallel { .. }
+        );
+        let mut fields = Vec::new();
+        leaves(&json, "", &mut fields);
+        for (path, value) in fields {
+            let options = perturbations(&value);
+            let mut parsed = 0;
+            for leaf in &options {
+                let Ok(changed) = AlgorithmSpec::from_value(&with_leaf(&json, &path, leaf)) else {
+                    continue;
+                };
+                parsed += 1;
+                prop_assert!(changed != spec, "{path} = {leaf:?} parsed back to {spec:?}");
+                if identity_free && path == "threads" {
+                    prop_assert_eq!(changed.tag(), spec.tag());
+                } else {
+                    prop_assert!(
+                        changed.tag() != spec.tag(),
+                        "{path} = {leaf:?} keeps the tag of {spec:?}"
+                    );
+                }
+            }
+            prop_assert!(parsed > 0, "no change of {path} parses: {options:?}");
+        }
+    }
 }
