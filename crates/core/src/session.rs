@@ -203,6 +203,14 @@ where
     /// transposition table (0 for cold sessions — they keep no search
     /// state). Recomputed by a tree walk, so call it between steps, not
     /// per move.
+    ///
+    /// The table's own share is capped by its configured bound, but the
+    /// whole is not: statistics cells the table evicted stay alive while
+    /// tree nodes hold them. The walk counts those through their nodes,
+    /// so the true bound is the table bound plus the live tree, one
+    /// statistics cell per node. Shared cells are counted once per
+    /// holder; `Arc` reference counts and allocator overhead are not
+    /// counted.
     pub fn approx_bytes(&self) -> usize {
         self.tree.as_ref().map_or(0, |t| t.approx_bytes())
     }

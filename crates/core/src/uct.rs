@@ -51,13 +51,16 @@
 //! That identity does not licence deleting the sequential arena
 //! (ROADMAP item 6(a), closed by measurement): routing
 //! `AlgorithmSpec::Uct` with reuse off through `TpTree` at width 1
-//! keeps every digest but read ≈ −24 % `ops_per_s` on the ledger's
-//! `uct-cold-samegame` (≈ 485 → ≈ 370, 0 of 10 alternating pairs ahead,
-//! `mean_score` equal). Since PR 20 an iteration there is ≈ 1 µs, and
-//! `TpTree`'s per-level `Arc` clone, node mutex and CAS back-up are a
-//! quarter of it. Both trees stay *because* the spec variant selects
-//! between them and the ledger has a workload on each side —
-//! `uct-cold-samegame` on the arena, `uct-warm-sessions` on `TpTree`.
+//! keeps every digest but reads ≈ −31 % `ops_per_s` on the ledger's
+//! `uct-cold-samegame` (medians 506 → 347 over 10 alternating 20 s
+//! pairs, 0 ahead, `mean_score` equal; it was ≈ −24 % before the arena
+//! stopped allocating per expansion and began caching each child's
+//! exploitation term). An arena iteration there is ≈ 1 µs, and
+//! `TpTree`'s per-level `Arc` clone, node mutex, CAS back-up and per
+//! node allocations cost it almost half as much again. Both trees stay
+//! *because* the spec variant selects between them and the ledger has a
+//! workload on each side — `uct-cold-samegame` on the arena,
+//! `uct-warm-sessions` on `TpTree`.
 
 use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
@@ -92,16 +95,89 @@ impl Default for UctConfig {
     }
 }
 
-struct Node<M> {
-    /// Move that led here (None for the root).
-    mv: Option<M>,
-    children: Vec<usize>,
-    /// Moves not yet expanded.
-    unexpanded: Vec<M>,
+/// Visit counts below this have their `ln` cached (512 KiB at most).
+const LN_TABLE_LEN: usize = 1 << 16;
+
+/// `ln` of visit counts, for the exploration term of UCB. Each count is
+/// computed once per table and then looked up, and the cached value is
+/// the very `f64::ln` the formula would compute, so selection stays
+/// bit-identical. One per search (sequential) or per worker (tree).
+#[derive(Default)]
+struct LnTable(Vec<f64>);
+
+impl LnTable {
+    /// `ln(max(n, 1))`. Slots are filled on first use (NaN until then),
+    /// so a warm tree whose root already has many visits does not pay
+    /// for every count below them.
+    fn ln(&mut self, n: u64) -> f64 {
+        let fresh = || (n.max(1) as f64).ln();
+        match usize::try_from(n) {
+            Ok(k) if k < LN_TABLE_LEN => {
+                if k >= self.0.len() {
+                    self.0.resize(k + 1, f64::NAN);
+                }
+                let slot = &mut self.0[k];
+                if slot.is_nan() {
+                    *slot = fresh();
+                }
+                *slot
+            }
+            _ => fresh(),
+        }
+    }
+}
+
+/// Absent arena link: no child, no next sibling, no move (the root).
+const NIL: usize = usize::MAX;
+
+/// One node of the sequential arena. Children are a linked list in
+/// expansion order, and moves live in one search-wide pool: a node's
+/// unexpanded moves are the range `pool[untried..untried_end]`, and the
+/// move that led to it is the pool slot it was expanded from. Growing
+/// the tree therefore allocates only when the arena or the pool outgrow
+/// their capacity.
+struct Node {
+    /// Pool slot of the move that led here (`NIL` for the root).
+    mv: usize,
+    first_child: usize,
+    last_child: usize,
+    next_sibling: usize,
+    /// Unexpanded moves, popped from the back.
+    untried: usize,
+    untried_end: usize,
     visits: u64,
     total: f64,
     best: Score,
+    /// The exploitation half of the node's UCB value,
+    /// `(1 − max_bias)·mean + max_bias·maxv`, as last computed. Valid
+    /// while `exploit_epoch` equals the search's bounds epoch: only a
+    /// backup through the node or a move of the normalisation bounds
+    /// changes it.
+    exploit: f64,
+    exploit_epoch: u64,
     expanded: bool,
+}
+
+/// An `exploit_epoch` no search reaches: the cached term is stale.
+const STALE: u64 = 0;
+
+impl Node {
+    fn new(mv: usize) -> Self {
+        Node {
+            mv,
+            first_child: NIL,
+            last_child: NIL,
+            next_sibling: NIL,
+            untried: 0,
+            untried_end: 0,
+            visits: 0,
+            total: 0.0,
+            best: Score::MIN,
+            exploit: 0.0,
+            exploit_epoch: STALE,
+            expanded: false,
+        }
+    }
 }
 
 /// Runs UCT from `game`, accounting into (and honouring the
@@ -116,21 +192,18 @@ pub fn uct_with<G: Game>(
     rng: &mut Rng,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>) {
-    let mut nodes: Vec<Node<G::Move>> = vec![Node {
-        mv: None,
-        children: Vec::new(),
-        unexpanded: Vec::new(),
-        visits: 0,
-        total: 0.0,
-        best: Score::MIN,
-        expanded: false,
-    }];
+    let mut nodes = vec![Node::new(NIL)];
+    let mut pool: Vec<G::Move> = Vec::new();
+    let mut ln = LnTable::default();
 
     let mut best_score = Score::MIN;
     let mut best_seq: Vec<G::Move> = Vec::new();
     // Running bounds for reward normalisation.
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
+    // Bumped whenever `lo` or `hi` moves, which stales every cached
+    // exploitation term at once.
+    let mut epoch = STALE + 1;
 
     let mut moves_buf: Vec<G::Move> = Vec::new();
     // Node ids and moves of the current descent, reused across iterations.
@@ -153,54 +226,62 @@ pub fn uct_with<G: Game>(
             let id = *path.last().expect("path non-empty");
             if !nodes[id].expanded {
                 walker.position().legal_moves_into(&mut moves_buf);
-                nodes[id].unexpanded = moves_buf.clone();
-                nodes[id].expanded = true;
+                let start = pool.len();
+                pool.append(&mut moves_buf);
                 // Shuffle once so expansion order is unbiased.
-                let n = nodes[id].unexpanded.len();
-                for i in (1..n).rev() {
+                let moves = &mut pool[start..];
+                for i in (1..moves.len()).rev() {
                     let j = rng.below(i + 1);
-                    nodes[id].unexpanded.swap(i, j);
+                    moves.swap(i, j);
                 }
+                let node = &mut nodes[id];
+                (node.untried, node.untried_end) = (start, pool.len());
+                node.expanded = true;
             }
             // Expand one child if any remain.
-            if let Some(mv) = nodes[id].unexpanded.pop() {
+            if nodes[id].untried < nodes[id].untried_end {
+                nodes[id].untried_end -= 1;
+                let slot = nodes[id].untried_end;
+                let mv = pool[slot].clone();
                 walker.play(&mv);
-                seq.push(mv.clone());
+                seq.push(mv);
                 ctx.record_expansion();
                 let child = nodes.len();
-                nodes.push(Node {
-                    mv: Some(mv),
-                    children: Vec::new(),
-                    unexpanded: Vec::new(),
-                    visits: 0,
-                    total: 0.0,
-                    best: Score::MIN,
-                    expanded: false,
-                });
-                nodes[id].children.push(child);
+                nodes.push(Node::new(slot));
+                match nodes[id].last_child {
+                    NIL => nodes[id].first_child = child,
+                    last => nodes[last].next_sibling = child,
+                }
+                nodes[id].last_child = child;
                 path.push(child);
                 break;
             }
-            if nodes[id].children.is_empty() {
+            if nodes[id].first_child == NIL {
                 break; // terminal
             }
             // UCB over children with normalised means + max bias.
             let span = (hi - lo).max(1.0);
-            let ln_n = ((nodes[id].visits.max(1)) as f64).ln();
-            let mut best_child = nodes[id].children[0];
+            let ln_n = ln.ln(nodes[id].visits);
+            let mut best_child = nodes[id].first_child;
             let mut best_val = f64::NEG_INFINITY;
-            for &c in &nodes[id].children {
-                let n = &nodes[c];
-                let mean = (n.total / n.visits.max(1) as f64 - lo) / span;
-                let maxv = (n.best as f64 - lo) / span;
+            let mut c = best_child;
+            while c != NIL {
+                let n = &mut nodes[c];
+                if n.exploit_epoch != epoch {
+                    let mean = (n.total / n.visits.max(1) as f64 - lo) / span;
+                    let maxv = (n.best as f64 - lo) / span;
+                    n.exploit = (1.0 - config.max_bias) * mean + config.max_bias * maxv;
+                    n.exploit_epoch = epoch;
+                }
                 let explore = config.exploration * (ln_n / n.visits.max(1) as f64).sqrt();
-                let val = (1.0 - config.max_bias) * mean + config.max_bias * maxv + explore;
+                let val = n.exploit + explore;
                 if val > best_val {
                     best_val = val;
                     best_child = c;
                 }
+                c = n.next_sibling;
             }
-            let mv = nodes[best_child].mv.clone().expect("non-root");
+            let mv = pool[nodes[best_child].mv].clone();
             walker.play(&mv);
             seq.push(mv);
             ctx.record_nested_move();
@@ -211,8 +292,11 @@ pub fn uct_with<G: Game>(
         let score = walker.rollout(rng, None, &mut seq, ctx);
         walker.rewind(root);
         let s = score as f64;
-        lo = lo.min(s);
-        hi = hi.max(s);
+        if s < lo || s > hi {
+            lo = lo.min(s);
+            hi = hi.max(s);
+            epoch += 1;
+        }
 
         // ---- backpropagation ----
         for &id in &path {
@@ -220,6 +304,7 @@ pub fn uct_with<G: Game>(
             n.visits += 1;
             n.total += s;
             n.best = n.best.max(score);
+            n.exploit_epoch = STALE;
         }
 
         if score > best_score {
@@ -478,6 +563,12 @@ impl TransTable {
     /// Approximate bytes held: the fixed slot backing plus one stats
     /// allocation per occupied slot. Monotone up to the bound, then
     /// flat — eviction recycles slots instead of growing.
+    ///
+    /// This counts slots, not every statistics cell the table created:
+    /// a cell it has evicted stays allocated while a live tree node
+    /// holds its `Arc`. The statistics memory of a reuse-on tree is
+    /// therefore bounded by `bytes()` plus one cell per live tree node,
+    /// not by `bytes()` alone; [`TpTree::approx_bytes`] adds that part.
     pub(crate) fn bytes(&self) -> usize {
         let backing =
             ((self.set_mask as usize + 1) * TT_WAYS) * std::mem::size_of::<Option<TtSlot>>();
@@ -572,6 +663,7 @@ struct DescentScratch<G: Game> {
     seq: Vec<G::Move>,
     /// Nodes of the current descent, root first.
     path: Vec<Arc<TpNode<G::Move>>>,
+    ln: LnTable,
 }
 
 impl<G: Game> DescentScratch<G> {
@@ -580,6 +672,7 @@ impl<G: Game> DescentScratch<G> {
             moves: Vec::new(),
             seq: Vec::new(),
             path: Vec::new(),
+            ln: LnTable::default(),
         }
     }
 }
@@ -653,6 +746,13 @@ impl<M: Clone> TpTree<M> {
     /// Approximate heap bytes of the live tree (a between-steps walk —
     /// re-rooting drops subtrees, so this is recomputed, not counted)
     /// plus the transposition table's bound-plateaued footprint.
+    ///
+    /// The walk counts one statistics cell per node, so cells the table
+    /// has evicted but live nodes still hold are included. A cell shared
+    /// by several holders (nodes, or a node and a table slot) is counted
+    /// once per holder, so cells are over- rather than under-counted.
+    /// Not counted: each `Arc`'s two reference counts and the
+    /// allocator's own overhead.
     pub(crate) fn approx_bytes(&self) -> usize {
         fn walk<M>(node: &TpNode<M>) -> usize {
             let body = node.body.lock();
@@ -669,7 +769,12 @@ impl<M: Clone> TpTree<M> {
     /// in-flight descents in per the [`StatsMode`]. With nothing in
     /// flight both modes compute exactly the sequential formula — the
     /// keystone of the single-worker bit-identity contract.
-    fn select_child(&self, parent: &TpNode<M>, children: &[Arc<TpNode<M>>]) -> Arc<TpNode<M>> {
+    fn select_child(
+        &self,
+        parent: &TpNode<M>,
+        children: &[Arc<TpNode<M>>],
+        ln: &mut LnTable,
+    ) -> Arc<TpNode<M>> {
         let lo = f64::from_bits(self.lo_bits.load(Ordering::Relaxed));
         let hi = f64::from_bits(self.hi_bits.load(Ordering::Relaxed));
         if !(lo.is_finite() && hi.is_finite()) {
@@ -693,8 +798,8 @@ impl<M: Clone> TpTree<M> {
         }
         let span = (hi - lo).max(1.0);
         let parent_visits = parent.stats.visits.load(Ordering::Relaxed);
-        let ln_n = match self.stats {
-            StatsMode::VirtualLoss => (parent_visits.max(1) as f64).ln(),
+        let ln_n = ln.ln(match self.stats {
+            StatsMode::VirtualLoss => parent_visits,
             StatsMode::WuUct => {
                 // WU-UCT's parent term is ln(N + O). The selecting
                 // descent itself already counts 1 in this (non-root)
@@ -704,9 +809,9 @@ impl<M: Clone> TpTree<M> {
                 let own = u64::from(parent.mv.is_some());
                 let others =
                     (parent.stats.inflight.load(Ordering::Relaxed) as u64).saturating_sub(own);
-                ((parent_visits + others).max(1) as f64).ln()
+                parent_visits + others
             }
-        };
+        });
         let mut best_val = f64::NEG_INFINITY;
         let mut best = &children[0];
         for c in children {
@@ -816,7 +921,7 @@ impl<M: Clone> TpTree<M> {
                 } else if body.children.is_empty() {
                     return; // terminal leaf
                 } else {
-                    next = self.select_child(&node, &body.children);
+                    next = self.select_child(&node, &body.children, &mut scr.ln);
                     expanded_child = false;
                 }
                 // Mark the step in flight *before* releasing the parent

@@ -14,8 +14,8 @@
 //! a tile, so the four orthogonal neighbours of flat index `i` are `i ±
 //! 1` and `i ± stride`, and a neighbour that is off the board either
 //! lands on a guard or fails the slice's own bounds check — floods carry
-//! no coordinates. Beside the buffer sits one `Column` (height and
-//! content hash) per column. Four invariants hold between moves:
+//! no coordinates. Beside the buffer sits one height per column. Four
+//! invariants hold between moves:
 //!
 //! 1. a cell is `0` iff it holds no tile (colours are `1..=9`; guards are
 //!    always `0`);
@@ -23,12 +23,13 @@
 //!    are all tiles, everything above is `0`;
 //! 3. empty columns trail — a column is empty only if every column to
 //!    its right is;
-//! 4. `cols[x]` describes column `x` of the buffer: its height and the
-//!    `column_hash` of its tiles.
+//! 4. `heights[x]` is the number of tiles in column `x`.
 //!
 //! Together they make the buffer a canonical form (`==` compares it
-//! byte-wise), keep [`Game::state_hash`] an O(width) fold, and let `undo`
-//! restore a move by copying bytes back.
+//! byte-wise) and let `undo` restore a move by copying bytes back.
+//! [`Game::state_hash`] is computed on demand, one `column_hash` per
+//! column over its tiles: nothing on the move path maintains a hash, so
+//! playouts, which never read it, do not pay for it.
 //!
 //! **Why the flood may remove.** A colour never equals `0`, so zeroing a
 //! cell the moment the flood reaches it both removes the tile and marks
@@ -102,23 +103,8 @@ thread_local! {
         std::cell::RefCell::new(FloodScratch::default());
 }
 
-/// Derived state of one column (invariant 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Column {
-    /// [`column_hash`] of the column's tiles.
-    hash: u64,
-    /// Number of tiles in the column.
-    height: u16,
-}
-
-/// What [`Column`] says of a column without tiles.
-const EMPTY_COLUMN: Column = Column {
-    hash: SAMEGAME_COL_SALT,
-    height: 0,
-};
-
 /// One `apply` frame of the undo journal: the run of columns the move
-/// changed, whose pre-move bytes and [`Column`]s end the spill buffers.
+/// changed, whose pre-move bytes and heights end the spill buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TapFrame {
     /// Leftmost changed column.
@@ -135,10 +121,9 @@ pub struct SameGame {
     /// `cells[x * (height + 1) + y]` = colour at column `x`, height `y`
     /// (bottom-up), `0` = empty. Colours are `1..=colors`.
     cells: Vec<u8>,
-    /// Height and content hash of every column, maintained through every
-    /// move and undo. Derived state: deliberately excluded from
-    /// `PartialEq`.
-    cols: Vec<Column>,
+    /// Tile count of every column, maintained through every move and
+    /// undo. Derived state: deliberately excluded from `PartialEq`.
+    heights: Vec<u16>,
     width: usize,
     height: usize,
     accumulated: Score,
@@ -146,8 +131,8 @@ pub struct SameGame {
     /// Spill buffer of pre-move column bytes, `height + 1` per journalled
     /// column.
     undo_cells: Vec<u8>,
-    /// Spill buffer of the same columns' pre-move [`Column`]s.
-    undo_cols: Vec<Column>,
+    /// Spill buffer of the same columns' pre-move heights.
+    undo_heights: Vec<u16>,
     /// One frame per outstanding `apply`.
     undo_frames: Vec<TapFrame>,
 }
@@ -189,27 +174,20 @@ impl SameGame {
         );
         let stride = height + 1;
         let mut cells = vec![0; width * stride];
-        let cols = (0..width)
-            .map(|x| {
-                let col = &mut cells[x * stride..][..height];
-                for (y, c) in col.iter_mut().enumerate() {
-                    *c = colour(x, y);
-                }
-                Column {
-                    hash: column_hash(col),
-                    height: height as u16,
-                }
-            })
-            .collect();
+        for x in 0..width {
+            for (y, c) in cells[x * stride..][..height].iter_mut().enumerate() {
+                *c = colour(x, y);
+            }
+        }
         Self {
             cells,
-            cols,
+            heights: vec![height as u16; width],
             width,
             height,
             accumulated: 0,
             moves: 0,
             undo_cells: Vec::new(),
-            undo_cols: Vec::new(),
+            undo_heights: Vec::new(),
             undo_frames: Vec::new(),
         }
     }
@@ -263,13 +241,13 @@ impl SameGame {
 
     /// Remaining tile count.
     pub fn tiles_left(&self) -> usize {
-        self.cols.iter().map(|c| c.height as usize).sum()
+        self.heights.iter().map(|&h| h as usize).sum()
     }
 
     /// Whether every tile has been removed.
     pub fn cleared(&self) -> bool {
         // Empty columns trail, so the first one decides.
-        self.cols[0].height == 0
+        self.heights[0] == 0
     }
 
     /// The original allocating group enumeration, kept verbatim as the
@@ -309,7 +287,7 @@ impl SameGame {
         let mut seen = vec![false; self.width * self.height];
         let mut out = Vec::new();
         for x in 0..self.width {
-            for y in 0..self.cols[x].height as usize {
+            for y in 0..self.heights[x] as usize {
                 if seen[x * self.height + y] {
                     continue;
                 }
@@ -339,8 +317,8 @@ impl SameGame {
     /// and column collapse, and books the score. Panics, before anything
     /// is written, if the group has fewer than two tiles.
     ///
-    /// With `record`, first journals the pre-move bytes and [`Column`]s
-    /// of every column the move changes — the columns the group spans
+    /// With `record`, first journals the pre-move bytes and heights of
+    /// every column the move changes — the columns the group spans
     /// and, if one of them empties, every live column to their right —
     /// as one [`TapFrame`].
     fn remove(&mut self, tap: Tap, record: bool) {
@@ -378,11 +356,12 @@ impl SameGame {
         });
         let (first, last) = (lowest / stride, highest / stride);
 
-        let (cells_mark, cols_mark) = (self.undo_cells.len(), self.undo_cols.len());
+        let (cells_mark, heights_mark) = (self.undo_cells.len(), self.undo_heights.len());
         if record {
             // The flood has already punched its holes into these bytes;
             // the gravity pass below fills them back in on the copy.
-            self.undo_cols.extend_from_slice(&self.cols[first..=last]);
+            self.undo_heights
+                .extend_from_slice(&self.heights[first..=last]);
             self.undo_cells
                 .extend_from_slice(&self.cells[first * stride..(last + 1) * stride]);
         }
@@ -391,7 +370,7 @@ impl SameGame {
         // survivors downwards. Every hole it passes is a removed tile.
         let mut emptied = false;
         for x in first..=last {
-            let col = &mut self.cells[x * stride..][..self.cols[x].height as usize];
+            let col = &mut self.cells[x * stride..][..self.heights[x] as usize];
             let mut top = 0;
             for y in 0..col.len() {
                 let c = std::mem::take(&mut col[y]);
@@ -402,10 +381,7 @@ impl SameGame {
                     self.undo_cells[cells_mark + (x - first) * stride + y] = colour;
                 }
             }
-            self.cols[x] = Column {
-                hash: column_hash(&col[..top]),
-                height: top as u16,
-            };
+            self.heights[x] = top as u16;
             emptied |= top == 0;
         }
 
@@ -414,21 +390,22 @@ impl SameGame {
         // first so the remaining indices stay valid.
         if emptied {
             let mut live = (last + 1..self.width)
-                .find(|&x| self.cols[x].height == 0)
+                .find(|&x| self.heights[x] == 0)
                 .unwrap_or(self.width);
             if record {
-                self.undo_cols.extend_from_slice(&self.cols[last + 1..live]);
+                self.undo_heights
+                    .extend_from_slice(&self.heights[last + 1..live]);
                 self.undo_cells
                     .extend_from_slice(&self.cells[(last + 1) * stride..live * stride]);
             }
             for x in (first..=last).rev() {
-                if self.cols[x].height == 0 {
+                if self.heights[x] == 0 {
                     self.cells
                         .copy_within((x + 1) * stride..live * stride, x * stride);
-                    self.cols.copy_within(x + 1..live, x);
+                    self.heights.copy_within(x + 1..live, x);
                     live -= 1;
                     self.cells[live * stride..][..stride].fill(0);
-                    self.cols[live] = EMPTY_COLUMN;
+                    self.heights[live] = 0;
                 }
             }
         }
@@ -442,7 +419,7 @@ impl SameGame {
         if record {
             self.undo_frames.push(TapFrame {
                 first: first as u8,
-                cols: (self.undo_cols.len() - cols_mark) as u16,
+                cols: (self.undo_heights.len() - heights_mark) as u16,
                 score_delta,
             });
         }
@@ -475,8 +452,8 @@ impl Game for SameGame {
             let FloodScratch { stack, seen } = &mut *cell.borrow_mut();
             seen.clear();
             seen.resize(self.cells.len(), false);
-            for (x, col) in self.cols.iter().enumerate() {
-                for y in 0..col.height as usize {
+            for (x, &height) in self.heights.iter().enumerate() {
+                for y in 0..height as usize {
                     let start = x * stride + y;
                     // An unvisited tile is the canonical cell of its
                     // group; one that pairs neither way is a singleton.
@@ -507,8 +484,8 @@ impl Game for SameGame {
         // A legal move exists iff some two same-coloured tiles touch
         // orthogonally — no flood fill needed.
         let stride = self.stride();
-        !self.cols.iter().enumerate().any(|(x, col)| {
-            (x * stride..x * stride + col.height as usize).any(|i| self.pairs_up_or_right(i))
+        !self.heights.iter().enumerate().any(|(x, &height)| {
+            (x * stride..x * stride + height as usize).any(|i| self.pairs_up_or_right(i))
         })
     }
 
@@ -524,24 +501,26 @@ impl Game for SameGame {
         self.moves
     }
 
-    /// O(width) fold over the maintained per-column hashes plus the two
-    /// scalars a transposition must also agree on (score and move
-    /// count — distinct merge orders can reach the same board with
-    /// different earnings, and those positions must not share
-    /// statistics). Allocation-free; the per-column maintenance lives in
-    /// `remove` and the `undo` journal.
+    /// Folds each column's `column_hash`, computed from its tiles on
+    /// demand, plus the two scalars a transposition must also agree on
+    /// (score and move count — distinct merge orders can reach the same
+    /// board with different earnings, and those positions must not share
+    /// statistics). At most `tiles + width` `mix64`s and allocation-free.
+    /// Only transposition lookups read it, once per tree expansion, so it
+    /// is cheaper to compute here than to maintain on every move.
     fn state_hash(&self) -> u64 {
+        let stride = self.stride();
         let mut h = SAMEGAME_HASH_SALT;
-        for col in &self.cols {
-            h = mix64(h ^ col.hash);
+        for (x, &height) in self.heights.iter().enumerate() {
+            h = mix64(h ^ column_hash(&self.cells[x * stride..][..height as usize]));
         }
         h = mix64(h ^ self.accumulated as u64);
         mix64(h ^ self.moves as u64)
     }
 
     // Scratch-state fast path: `apply` journals the columns the move
-    // changes, `undo` copies them back — tiles, heights and hashes, so
-    // nothing is re-inserted or re-hashed on the way out.
+    // changes, `undo` copies them back — tiles and heights, so nothing is
+    // re-inserted on the way out.
 
     fn supports_undo(&self) -> bool {
         true
@@ -561,9 +540,9 @@ impl Game for SameGame {
         self.cells[first * stride..][..cols * stride]
             .copy_from_slice(&self.undo_cells[cells_mark..]);
         self.undo_cells.truncate(cells_mark);
-        let cols_mark = self.undo_cols.len() - cols;
-        self.cols[first..][..cols].copy_from_slice(&self.undo_cols[cols_mark..]);
-        self.undo_cols.truncate(cols_mark);
+        let heights_mark = self.undo_heights.len() - cols;
+        self.heights[first..][..cols].copy_from_slice(&self.undo_heights[heights_mark..]);
+        self.undo_heights.truncate(heights_mark);
         self.accumulated -= frame.score_delta;
         self.moves -= 1;
     }
@@ -785,19 +764,20 @@ mod tests {
         }
     }
 
-    /// From-scratch reference of the maintained hash.
+    /// From-scratch reference of the hash: tiles read through `tile`,
+    /// independent of the heights and the flat layout.
     fn rehash(g: &SameGame) -> u64 {
         let mut h = SAMEGAME_HASH_SALT;
-        for (x, col) in g.cols.iter().enumerate() {
-            let tiles = &g.cells[x * g.stride()..][..col.height as usize];
-            h = mix64(h ^ column_hash(tiles));
+        for x in 0..g.width {
+            let tiles: Vec<u8> = (0..g.height).map_while(|y| g.tile(x, y)).collect();
+            h = mix64(h ^ column_hash(&tiles));
         }
         h = mix64(h ^ g.accumulated as u64);
         mix64(h ^ g.moves as u64)
     }
 
     #[test]
-    fn state_hash_is_maintained_incrementally_along_random_games() {
+    fn state_hash_agrees_with_the_reference_fold_along_random_games() {
         for seed in 0..6 {
             let mut g = SameGame::random(8, 8, 3, seed);
             let mut rng = Rng::seeded(seed + 900);
@@ -818,6 +798,102 @@ mod tests {
                 assert_eq!(g.state_hash(), before, "seed {seed}: undo restores");
                 g.play(&mv);
             }
+        }
+    }
+
+    /// `state_hash` values recorded when the hash was still maintained
+    /// per column on every move, before and after each move of one fixed
+    /// random line. Transposition keys of warm sessions depend on these
+    /// exact values, not only on their self-consistency.
+    #[test]
+    fn state_hash_values_are_pinned_along_fixed_lines() {
+        const PINNED: [(usize, &[u64]); 3] = [
+            // 6×6, three colours, seed 0.
+            (
+                3,
+                &[
+                    0xfefd8097a705ef12,
+                    0xecabeaebaf1822c4,
+                    0xb19aa35c9191c3ac,
+                    0x1edae9e7c50f8c04,
+                    0xe3f743a3ca399532,
+                    0xf6a68d3a7d92b60e,
+                    0x7c07584795c8b337,
+                    0xa8639bff567bc35a,
+                    0xda6c37ba309ae53d,
+                    0x924180b0f9c03899,
+                    0xe09bcc5d69e5969c,
+                ],
+            ),
+            // 8×8, two colours, seed 0: this line clears the board.
+            (
+                7,
+                &[
+                    0xf0370cead26743b2,
+                    0xbea486443d78d2b3,
+                    0x2dfb0d3155d25ea8,
+                    0xa8652f9c8c5c212b,
+                    0x850827f03f46ae05,
+                    0x2f3200f0ccf06da3,
+                    0xd1e60edf274ad422,
+                    0xe7bc381ffa74c77a,
+                ],
+            ),
+            // 7×9, nine colours, seed 2.
+            (
+                26,
+                &[
+                    0x800db8863962a017,
+                    0xfcb12b91fd9d4d0e,
+                    0xa101d12f6c165968,
+                    0xae75f3c8adde5c2a,
+                    0xfd81b8f807933545,
+                    0xe99cd9ca00178870,
+                    0x991fe261a65114c0,
+                    0xe63c68ff81154b07,
+                    0x899dea4a7e7f373b,
+                    0x9987c1b5b4134ce3,
+                    0x3c081529483e8337,
+                    0x9d9e24b75c053c65,
+                    0x1be8ccab40135a4d,
+                    0x1fa7ae707994aad6,
+                    0x3196d5fc0016b282,
+                ],
+            ),
+        ];
+        let boards = spec_boards();
+        for (board, pinned) in PINNED {
+            let root = boards[board].clone();
+            let mut rng = Rng::seeded(board as u64 + 1234);
+            // The same line twice: by `play`, and by `apply` with every
+            // move round-tripped once through `undo` first.
+            let mut played = root.clone();
+            let mut applied = root.clone();
+            let mut tokens = Vec::new();
+            for (ply, &expected) in pinned.iter().enumerate() {
+                assert_eq!(played.state_hash(), expected, "board {board} ply {ply}");
+                assert_eq!(applied.state_hash(), expected, "board {board} ply {ply}");
+                let moves = taps(&played);
+                if ply + 1 == pinned.len() {
+                    assert!(moves.is_empty(), "board {board}: the line ends here");
+                    break;
+                }
+                let mv = moves[rng.below(moves.len())];
+                let token = applied.apply(&mv);
+                applied.undo(token);
+                assert_eq!(applied.state_hash(), expected, "board {board} ply {ply}");
+                tokens.push(applied.apply(&mv));
+                played.play(&mv);
+            }
+            assert_eq!(played.cleared(), board == 7, "board {board}");
+            // Unwinding the journal meets every pinned value again.
+            for (ply, &expected) in pinned.iter().enumerate().rev() {
+                assert_eq!(applied.state_hash(), expected, "board {board} undo {ply}");
+                if let Some(token) = tokens.pop() {
+                    applied.undo(token);
+                }
+            }
+            assert_eq!(applied, root, "board {board}");
         }
     }
 
@@ -948,7 +1024,7 @@ mod tests {
                     assert!(g.undo_frames.is_empty() && g.undo_cells.is_empty());
                 }
                 let (mv, size) = reference[rng.below(moves.len())];
-                let live = |g: &SameGame| g.cols.iter().filter(|c| c.height > 0).count();
+                let live = |g: &SameGame| g.heights.iter().filter(|&&h| h > 0).count();
                 let before = live(&g);
                 g.play(&mv);
                 collapsed += (live(&g) < before && !g.cleared()) as usize;
@@ -985,9 +1061,13 @@ mod tests {
             let mut g = root.clone();
             let journal = |g: &SameGame| {
                 (
-                    (g.undo_cells.len(), g.undo_cols.len(), g.undo_frames.len()),
+                    (
+                        g.undo_cells.len(),
+                        g.undo_heights.len(),
+                        g.undo_frames.len(),
+                    ),
                     (g.undo_cells.as_ptr(), g.undo_cells.capacity()),
-                    (g.undo_cols.as_ptr(), g.undo_cols.capacity()),
+                    (g.undo_heights.as_ptr(), g.undo_heights.capacity()),
                     (g.undo_frames.as_ptr(), g.undo_frames.capacity()),
                 )
             };

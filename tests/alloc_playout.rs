@@ -170,13 +170,16 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
 
 /// UCT allocates when it grows the tree and not otherwise: the
 /// descent's path and move sequence are buffers of the search, not of
-/// the iteration. Sequential UCT pays a node's move list and child list
-/// and the arena's growth; the shared tree at width 1 pays the node and
-/// its statistics cell (two `Arc`s), the move list copied in when a node
-/// is first descended into, and its parent's child list growing. On a
-/// 6×6 board most of 2000 iterations end on a terminal node and build
-/// nothing, so a per-iteration allocation shows as a multiple of these
-/// bounds.
+/// the iteration. Sequential UCT allocates nothing per expansion either:
+/// its arena, its move pool and its `ln` table are search-wide vectors,
+/// so all it pays is their amortised (doubling) growth and the search's
+/// fixed buffers. The shared tree at width 1 pays, per expansion, the
+/// node and its statistics cell (two `Arc`s), the move list copied in
+/// when a node is first descended into, and its parent's child list
+/// growing. On a 6×6 board most of 2000 iterations end on a terminal
+/// node and build nothing, so a per-iteration allocation shows as a
+/// multiple of these bounds, and one allocation per sequential
+/// expansion (a few hundred here) breaks the fixed bound.
 #[test]
 fn uct_allocates_per_expansion_not_per_iteration() {
     use pnmcs::search::{SearchSpec, UctConfig};
@@ -187,7 +190,7 @@ fn uct_allocates_per_expansion_not_per_iteration() {
     for seed in 0..3 {
         let board = SameGame::random(6, 6, 3, seed);
         for (label, spec, per_expansion) in [
-            ("uct", SearchSpec::uct_with(config.clone()), 2),
+            ("uct", SearchSpec::uct_with(config.clone()), 0),
             (
                 "tree_parallel(1)",
                 SearchSpec::tree_parallel_with(config.clone(), 1),
