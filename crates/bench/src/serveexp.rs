@@ -9,8 +9,9 @@
 //!   unmeetable deadline) carries `Retry-After` and is never enqueued:
 //!   at the end the engine's `submitted_jobs` counter equals the exact
 //!   number of `202` responses the clients saw;
-//! * `GET /metrics` parses line-by-line as Prometheus text, and the
-//!   JSON form round-trips byte-identically through the snapshot types.
+//! * `GET /metrics` parses line-by-line as Prometheus text with no
+//!   series (metric name and label set) repeated, and the JSON form
+//!   round-trips byte-identically through the snapshot types.
 //!
 //! The full soak holds ≥ 200 connections open at once (a barrier after
 //! connect guarantees the concurrency actually happens); `--soak-small`
@@ -409,7 +410,7 @@ pub fn serve_soak(small: bool, seed: u64) -> (SoakOutcome, Table) {
     let mut stream = connect(addr).expect("connect for the metrics audit");
     let (status, _, text) = get_path(&mut stream, "/metrics").expect("GET /metrics");
     assert_eq!(status, 200, "metrics endpoint answers");
-    let mut series = 0usize;
+    let mut seen = std::collections::BTreeSet::new();
     for line in text
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -425,8 +426,9 @@ pub fn serve_soak(small: bool, seed: u64) -> (SoakOutcome, Table) {
             !name.is_empty() && name.contains('{') == name.ends_with('}'),
             "malformed metrics series: {line:?}"
         );
-        series += 1;
+        assert!(seen.insert(name), "repeated metrics series: {name:?}");
     }
+    let series = seen.len();
     assert!(series > 0, "metrics text has series");
 
     let (status, _, json_body) =

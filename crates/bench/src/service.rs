@@ -39,10 +39,9 @@ fn mixed_job(i: usize, seed: u64) -> JobSpec {
 /// A game whose playouts panic — the service report's fault injector,
 /// proving the dead-letter queue end to end (the engine fences every
 /// replica with `catch_unwind`, so the worker and the report survive).
-/// The fault fires a few moves into a playout, past the scheduler's
-/// short state-digest probe, so submission succeeds and the panic
-/// happens where a buggy game would really throw: on a worker, inside
-/// the search.
+/// The fault fires a few moves into a playout. Submitting a job runs no
+/// game code, so the panic happens where a buggy game would really
+/// throw: on a worker, inside the search.
 #[derive(Clone, Default)]
 struct FaultyGame {
     moves: usize,

@@ -53,16 +53,6 @@ pub trait AnyGame: Send + Sync {
     /// interns exactly the keys the typed search would.
     fn state_hash(&self) -> u64;
 
-    /// A cheap digest of the current position, used by schedulers to
-    /// tell positions apart without access to the concrete game type.
-    /// Hashes the position's observable surface (move count, score,
-    /// legal-move codes) plus a short deterministic probe rollout, so
-    /// games whose roots *look* alike but play differently (e.g. two
-    /// random TSP instances, which share move codes but not distances)
-    /// still separate. Not collision-free — a discriminator, not an
-    /// identity.
-    fn state_digest(&self) -> u64;
-
     /// Clones the erased position. The clone is an independent position:
     /// undo tokens pending on `self` do **not** transfer (see
     /// [`AnyGame::apply_nth`]).
@@ -99,35 +89,6 @@ pub trait AnyGame: Send + Sync {
         }
     }
 }
-
-/// Digest over the observable surface of a position plus a short
-/// deterministic probe rollout (always-first-move, capped) whose scores
-/// expose game dynamics the surface alone cannot.
-fn digest<G: Game>(game: &G, codes: impl Iterator<Item = u64>) -> u64 {
-    let mut h = crate::rng::Fnv1a::new();
-    h.write_u64(game.moves_played() as u64);
-    h.write_u64(game.score() as u64);
-    for c in codes {
-        h.write_u64(c);
-    }
-    let mut probe = game.clone();
-    let mut buf = Vec::new();
-    for _ in 0..PROBE_STEPS {
-        buf.clear();
-        probe.legal_moves(&mut buf);
-        let Some(mv) = buf.first().cloned() else {
-            break;
-        };
-        probe.play(&mv);
-        h.write_u64(probe.score() as u64);
-        h.write_u64(buf.len() as u64);
-    }
-    h.finish()
-}
-
-/// Length cap of the digest's probe rollout: long enough to separate
-/// look-alike roots, short enough to stay negligible next to a search.
-const PROBE_STEPS: usize = 16;
 
 /// Where an erasure's move codes come from: `(game, move, index) → code`.
 /// [`DynGame::new`] reads the game's true [`CodedGame::move_code`], so
@@ -186,11 +147,6 @@ where
 
     fn state_hash(&self) -> u64 {
         self.game.state_hash()
-    }
-
-    fn state_digest(&self) -> u64 {
-        let codes = (0..self.moves.len()).map(|i| self.move_code_nth(i));
-        digest(&self.game, codes)
     }
 
     fn clone_any(&self) -> Box<dyn AnyGame> {
@@ -288,21 +244,6 @@ impl DynGame {
     pub fn domain(&self) -> &'static str {
         self.domain
     }
-
-    /// Digest of the current position (see [`AnyGame::state_digest`]).
-    pub fn state_digest(&self) -> u64 {
-        self.inner.state_digest()
-    }
-
-    /// Reverts the `n` most recent internal-token applies in one batch,
-    /// refreshing the legal-move cache once (see [`AnyGame::undo_many`]).
-    /// Exists so wrappers holding a `DynGame` (the engine's cancellation
-    /// shim) can reach the batch path without materialising tokens.
-    pub fn undo_last_n(&mut self, n: usize) {
-        if n > 0 {
-            self.inner.undo_many(n);
-        }
-    }
 }
 
 impl Clone for DynGame {
@@ -384,7 +325,7 @@ impl Game for DynGame {
         if tokens.iter().all(|t| t.is_internal()) {
             let n = tokens.len();
             tokens.clear();
-            self.undo_last_n(n);
+            self.inner.undo_many(n);
         } else {
             while let Some(token) = tokens.pop() {
                 self.undo(token);

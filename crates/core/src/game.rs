@@ -6,6 +6,8 @@
 //! `sample` and `nested` need: cheap position cloning, legal move
 //! enumeration, move application, and a score.
 
+use crate::rng::mix64;
+
 /// The score of a game; the search maximises it.
 ///
 /// Integer scores make the per-move `argmax` exact and deterministic —
@@ -13,21 +15,6 @@
 /// sequential search. Domains with fractional objectives should scale them
 /// to integers (e.g. TSP tour lengths in integer units).
 pub type Score = i64;
-
-/// SplitMix64 finaliser — the workspace's one bit-mixing primitive for
-/// position hashing. `mix64(coordinate ^ salt)` is a Zobrist key computed
-/// on the fly: full avalanche, no lookup tables, no allocation, so
-/// [`Game::state_hash`] implementations can stay hot-path clean without
-/// carrying per-game random tables.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
 
 /// Domain-separation salt of the default [`Game::state_hash`], so the
 /// weak fallback digest never collides structurally with a real

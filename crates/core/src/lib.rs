@@ -70,7 +70,7 @@ pub use baselines::{simulated_annealing_with, AnnealingConfig};
 pub use ctx::SearchCtx;
 pub use erased::{decode_report, decode_result, decode_sequence, AnyGame, AnySearcher, DynGame};
 pub use exec::pool::ExecutorPool;
-pub use game::{mix64, Game, Score, SnapshotOnly, Undo};
+pub use game::{Game, Score, SnapshotOnly, Undo};
 pub use metrics::{
     metrics_enabled, search_metrics, set_metrics_enabled, Counter, DeadLetter, DeadLetterQueue,
     EngineSnapshot, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, PoolMetrics,
@@ -79,7 +79,7 @@ pub use metrics::{
 };
 pub use nrpa::{nrpa_with, CodedGame, NrpaConfig, Policy};
 pub use report::{Interruption, SearchReport};
-pub use rng::{Fnv1a, Rng};
+pub use rng::{mix64, Fnv1a, Rng};
 pub use search::{nested_with, sample, MemoryPolicy, NestedConfig, PlayoutScratch, SearchResult};
 pub use session::SearchSession;
 pub use spec::{AlgorithmSpec, Budget, CancelToken, SearchBuilder, SearchSpec, Searcher};

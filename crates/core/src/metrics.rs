@@ -7,9 +7,10 @@
 //! - the [`ExecutorPool`] records park/wakeup/batch events, slots run
 //!   off their submitter's thread, and per-worker busy-vs-idle clocks
 //!   into a per-pool [`PoolMetrics`];
-//! - [`Searcher::search`](crate::Searcher::search) records per-backend
-//!   wall-time histograms (keyed by
-//!   [`AlgorithmSpec::tag()`](crate::AlgorithmSpec::tag)), playout
+//! - every completed search — a [`Searcher::search`](crate::Searcher::search)
+//!   run or a warm [`SearchSession`](crate::SearchSession) step —
+//!   records its wall time (keyed by backend kind,
+//!   [`AlgorithmSpec::label`](crate::AlgorithmSpec::label)), playout
 //!   totals, and budget-trip/cancellation tallies into the process-wide
 //!   [`SearchMetrics`] registry;
 //! - `nmcs-engine` fills the [`EngineSnapshot`] section (queue-wait vs
@@ -34,6 +35,7 @@
 //! against.
 
 use crate::exec::pool::ExecutorPool;
+use crate::rng::Fnv1a;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -346,8 +348,9 @@ fn slot_key(tag: u64) -> u64 {
 }
 
 /// A fixed-capacity, lock-free table of histograms keyed by a `u64`
-/// tag (e.g. [`AlgorithmSpec::tag()`](crate::AlgorithmSpec::tag), or an
-/// FNV hash of a tenant/domain name).
+/// tag — in practice the FNV-1a hash of a label
+/// ([`TagHistograms::record_label`]): a backend kind, a tenant, a game
+/// domain, a route.
 ///
 /// Slots are claimed by CAS on first sight of a key; the human-readable
 /// label allocates once at claim time (cold path) and is immutable
@@ -420,6 +423,15 @@ impl TagHistograms {
             }
         }
         self.overflow.incr();
+    }
+
+    /// Records `ns` under `label`, tagged by FNV-1a over the label's
+    /// bytes — the one way every label in the workspace (backend kind,
+    /// tenant, domain, route) becomes a tag.
+    pub fn record_label(&self, label: &str, ns: u64) {
+        let mut h = Fnv1a::new();
+        h.write_bytes(label.as_bytes());
+        self.record(h.finish(), label, ns);
     }
 
     /// Records that found no free slot (including collision re-routes).
@@ -594,9 +606,10 @@ impl PoolMetrics {
 // Search metrics (process-wide registry)
 // ---------------------------------------------------------------------
 
-/// Process-wide search-layer registry, fed by
-/// [`Searcher::search`](crate::Searcher::search) once per completed
-/// search (nothing records inside rollout loops).
+/// Process-wide search-layer registry, fed once per completed search —
+/// a [`Searcher::search`](crate::Searcher::search) run or a warm
+/// [`SearchSession`](crate::SearchSession) step (nothing records inside
+/// rollout loops).
 pub struct SearchMetrics {
     /// Completed searches.
     pub searches: Counter,
@@ -613,8 +626,10 @@ pub struct SearchMetrics {
     pub node_trips: Counter,
     /// Searches interrupted by cancellation.
     pub cancellations: Counter,
-    /// Per-backend wall-time histograms keyed by
-    /// [`AlgorithmSpec::tag()`](crate::AlgorithmSpec::tag).
+    /// Wall-time histograms keyed by backend kind
+    /// ([`AlgorithmSpec::label`](crate::AlgorithmSpec::label)), so
+    /// there is at most one series per kind however many configurations
+    /// a client sends.
     pub wall: TagHistograms,
     epoch: Instant,
 }
@@ -688,21 +703,10 @@ pub struct HistogramSnapshot {
     pub p99_ns: u64,
 }
 
-impl HistogramSnapshot {
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// One claimed slot of a [`TagHistograms`] table.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaggedHistogramSnapshot {
-    /// The slot's key (e.g. an algorithm `tag()`).
+    /// The slot's key (the FNV-1a hash of `label`).
     pub tag: u64,
     /// Human-readable label recorded at claim time.
     pub label: String,
@@ -758,7 +762,7 @@ pub struct SearchSnapshot {
     pub node_trips: u64,
     /// Cancelled searches.
     pub cancellations: u64,
-    /// Per-backend wall-time histograms.
+    /// Wall-time histograms, one per backend kind.
     pub backends: Vec<TaggedHistogramSnapshot>,
     /// Backend records rejected because their tag collided with a slot
     /// claimed by a different label (see [`TagHistograms::collisions`]).

@@ -38,8 +38,14 @@ impl SplitMix64 {
     }
 }
 
-/// The finalising mixer of SplitMix64 (also known as `murmur3`-style
-/// avalanche with David Stafford's "Mix13" constants).
+/// The finalising mixer of SplitMix64 (David Stafford's "Mix13"
+/// constants) — the workspace's one bit-mixing primitive, behind the
+/// RNG, seed derivation and position hashing alike. `mix64(coordinate ^
+/// salt)` is a Zobrist key computed on the fly: full avalanche, no
+/// lookup tables, no allocation, so [`Game::state_hash`] implementations
+/// can stay hot-path clean without carrying per-game random tables.
+///
+/// [`Game::state_hash`]: crate::Game::state_hash
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -72,8 +78,8 @@ pub fn derive_seed(parent: u64, tags: &[u64]) -> u64 {
 }
 
 /// FNV-1a over a byte stream — the workspace's one non-cryptographic
-/// content hash (job signatures, position digests, test seeding all go
-/// through here so the constants live in exactly one place).
+/// content hash (metric label tags and test digests both go through
+/// here so the constants live in exactly one place).
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 

@@ -23,7 +23,7 @@ use crate::game::{Game, Score};
 use crate::nrpa::CodedGame;
 use crate::report::SearchReport;
 use crate::seeds::session_step_seed;
-use crate::spec::{AlgorithmSpec, Budget, CancelToken, SearchSpec, Searcher};
+use crate::spec::{finish_search, AlgorithmSpec, CancelToken, SearchSpec, Searcher};
 use crate::uct::{
     uct_tree_parallel_on, LockStrategy, StatsMode, TpTree, UctConfig, DEFAULT_TT_BYTES,
 };
@@ -115,18 +115,9 @@ where
             (Some(tree), Some((config, threads))) => {
                 let started = crate::metrics::monotonic_now();
                 let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
-                let (score, sequence) =
+                let line =
                     uct_tree_parallel_on(&self.game, tree, config, *threads, step_seed, &mut ctx);
-                let interrupted = ctx.interruption();
-                SearchReport {
-                    score,
-                    sequence,
-                    stats: ctx.into_stats(),
-                    elapsed: started.elapsed(),
-                    client_jobs: 0,
-                    interrupted,
-                    seed: step_seed,
-                }
+                finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0)
             }
             _ => {
                 // Cold step: the plain spec at the step seed. A budget
@@ -166,12 +157,6 @@ where
     /// The spec steps run under.
     pub fn spec(&self) -> &SearchSpec {
         &self.spec
-    }
-
-    /// Replaces the per-step budget (session TTL/quota tuning; the
-    /// algorithm and seed stay fixed — they are the session's identity).
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.spec.budget = budget;
     }
 
     /// Moves committed so far, in order.

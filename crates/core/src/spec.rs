@@ -46,9 +46,9 @@ use crate::baselines::{
 };
 use crate::ctx::SearchCtx;
 use crate::exec;
-use crate::game::Game;
+use crate::game::{Game, Score};
 use crate::nrpa::{nrpa_with, CodedGame, NrpaConfig};
-use crate::report::SearchReport;
+use crate::report::{Interruption, SearchReport};
 use crate::rng::Rng;
 use crate::search::{nested_with, MemoryPolicy, NestedConfig};
 use crate::uct::{
@@ -57,7 +57,7 @@ use crate::uct::{
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Cancellation
@@ -194,7 +194,7 @@ pub enum AlgorithmSpec {
         /// steps. **Off** (the default): bit-identical to the pre-knob
         /// behaviour per seed. **On**: a different (table-backed)
         /// search — run-to-run deterministic, but *not* bit-identical
-        /// to reuse-off. Part of [`AlgorithmSpec::tag`] identity.
+        /// to reuse-off.
         tree_reuse: bool,
     },
     /// Flat Monte-Carlo: best of `playouts` random playouts
@@ -246,8 +246,7 @@ pub enum AlgorithmSpec {
         /// intern their position's [`Game::state_hash`] in a bounded
         /// transposition table so transposed lines share statistics.
         /// Off (default): bit-identical to the pre-knob behaviour.
-        /// On at `threads == 1`: run-to-run deterministic. Part of
-        /// [`AlgorithmSpec::tag`] identity.
+        /// On at `threads == 1`: run-to-run deterministic.
         tree_reuse: bool,
     },
     /// Simulated annealing over decision vectors
@@ -323,115 +322,6 @@ impl AlgorithmSpec {
             self,
             AlgorithmSpec::TreeParallel { threads, .. } if *threads > 1
         )
-    }
-
-    /// Stable digest of the variant *and* its configuration (used by the
-    /// engine's duplicate detection). Two algorithms with the same shape
-    /// but different tunables must not look alike.
-    pub fn tag(&self) -> u64 {
-        let words: [u64; 6] = match self {
-            AlgorithmSpec::Nested { level, config } => [
-                0x100 + *level as u64,
-                config.memory as u64,
-                config.playout_cap.map_or(u64::MAX, |c| c as u64),
-                0,
-                0,
-                0,
-            ],
-            AlgorithmSpec::Nrpa { level, config } => [
-                0x200 + *level as u64,
-                config.iterations as u64,
-                config.alpha.to_bits(),
-                0,
-                0,
-                0,
-            ],
-            AlgorithmSpec::Uct { config, tree_reuse } => [
-                0x300,
-                config.iterations as u64,
-                config.exploration.to_bits(),
-                config.max_bias.to_bits(),
-                // Reuse changes the search (table-backed tree), so it
-                // is identity; `false` keeps the pre-knob tag.
-                *tree_reuse as u64,
-                0,
-            ],
-            AlgorithmSpec::FlatMc { playouts } => [0x400, *playouts as u64, 0, 0, 0, 0],
-            AlgorithmSpec::Sample => [0x500, 0, 0, 0, 0, 0],
-            AlgorithmSpec::IteratedSampling { samples } => [0x600, *samples as u64, 0, 0, 0, 0],
-            AlgorithmSpec::Beam { width, samples } => {
-                [0x700, *width as u64, *samples as u64, 0, 0, 0]
-            }
-            AlgorithmSpec::LeafParallel {
-                level,
-                batch,
-                threads: _,
-                playout_cap,
-                first_move,
-            } => [
-                0x800 + *level as u64,
-                *batch as u64,
-                playout_cap.map_or(u64::MAX, |c| c as u64),
-                *first_move as u64,
-                0,
-                0,
-            ],
-            AlgorithmSpec::RootParallel {
-                level,
-                threads: _,
-                playout_cap,
-                first_move,
-            } => [
-                0x900 + *level as u64,
-                playout_cap.map_or(u64::MAX, |c| c as u64),
-                *first_move as u64,
-                0,
-                0,
-                0,
-            ],
-            // Unlike leaf/root, the thread count IS part of a
-            // tree-parallel identity: the workers race on one shared
-            // tree, so different counts genuinely produce different
-            // searches — and so are the lock/stats knobs, which change
-            // which search the racing workers perform.
-            AlgorithmSpec::TreeParallel {
-                config,
-                threads,
-                lock,
-                stats,
-                tree_reuse,
-            } => [
-                0xA00,
-                config.iterations as u64,
-                config.exploration.to_bits(),
-                config.max_bias.to_bits(),
-                *threads as u64,
-                {
-                    let lock_code = match lock {
-                        LockStrategy::Global => 0u64,
-                        LockStrategy::Sharded => 1,
-                    };
-                    let stats_code = match stats {
-                        StatsMode::VirtualLoss => 0u64,
-                        StatsMode::WuUct => 1,
-                    };
-                    lock_code | (stats_code << 8) | ((*tree_reuse as u64) << 10)
-                },
-            ],
-            AlgorithmSpec::SimulatedAnnealing { config } => [
-                0xB00,
-                config.iterations as u64,
-                config.t_initial.to_bits(),
-                config.t_final.to_bits(),
-                0,
-                0,
-            ],
-        };
-        let mut h = crate::rng::Fnv1a::new();
-        for w in words {
-            h.write_u64(w);
-        }
-        h.finish()
     }
 }
 
@@ -905,7 +795,7 @@ where
         let started = crate::metrics::monotonic_now();
         let mut ctx = SearchCtx::new(&self.budget, cancel);
         let mut client_jobs = 0u64;
-        let (score, sequence) = match &self.algorithm {
+        let line = match &self.algorithm {
             AlgorithmSpec::Nested { level, config } => {
                 let mut rng = Rng::seeded(self.seed);
                 nested_with(game, *level, config, &mut rng, &mut ctx)
@@ -989,40 +879,56 @@ where
                 simulated_annealing_with(game, config, &mut rng, &mut ctx)
             }
         };
-        let interrupted = ctx.interruption();
-        let elapsed = started.elapsed();
-        let stats = ctx.into_stats();
-        // Metrics are recorded once per *completed search*, after the
-        // backend returned — never inside a rollout loop, and never
-        // touching the RNG, so enabling them cannot change any result
-        // (asserted by `tests/metrics_props.rs`).
-        if crate::metrics::metrics_enabled() {
-            let reg = crate::metrics::search_metrics();
-            reg.searches.incr();
-            reg.playouts.add(stats.playouts);
-            reg.playout_moves.add(stats.playout_moves);
-            match interrupted {
-                Some(crate::report::Interruption::Deadline) => reg.deadline_trips.incr(),
-                Some(crate::report::Interruption::PlayoutBudget) => reg.playout_trips.incr(),
-                Some(crate::report::Interruption::NodeBudget) => reg.node_trips.incr(),
-                Some(crate::report::Interruption::Cancelled) => reg.cancellations.incr(),
-                None => {}
-            }
-            reg.wall.record(
-                self.algorithm.tag(),
-                self.algorithm.label(),
-                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            );
+        finish_search(&self.algorithm, self.seed, started, ctx, line, client_jobs)
+    }
+}
+
+/// Closes a completed search: reads the interruption, wall time and
+/// stats off `ctx`, records them in the process-wide
+/// [`search_metrics`](crate::metrics::search_metrics), and assembles
+/// the report. One-shot [`Searcher::search`] runs and warm
+/// [`SearchSession`](crate::SearchSession) steps both end here, so every
+/// completed search is counted exactly once.
+///
+/// Metrics are recorded after the backend returned — never inside a
+/// rollout loop, and never touching the RNG, so enabling them cannot
+/// change any result (asserted by `tests/metrics_props.rs`).
+pub(crate) fn finish_search<M>(
+    algorithm: &AlgorithmSpec,
+    seed: u64,
+    started: Instant,
+    ctx: SearchCtx,
+    (score, sequence): (Score, Vec<M>),
+    client_jobs: u64,
+) -> SearchReport<M> {
+    let interrupted = ctx.interruption();
+    let elapsed = started.elapsed();
+    let stats = ctx.into_stats();
+    if crate::metrics::metrics_enabled() {
+        let reg = crate::metrics::search_metrics();
+        reg.searches.incr();
+        reg.playouts.add(stats.playouts);
+        reg.playout_moves.add(stats.playout_moves);
+        match interrupted {
+            Some(Interruption::Deadline) => reg.deadline_trips.incr(),
+            Some(Interruption::PlayoutBudget) => reg.playout_trips.incr(),
+            Some(Interruption::NodeBudget) => reg.node_trips.incr(),
+            Some(Interruption::Cancelled) => reg.cancellations.incr(),
+            None => {}
         }
-        SearchReport {
-            score,
-            sequence,
-            stats,
-            elapsed,
-            client_jobs,
-            interrupted,
-            seed: self.seed,
-        }
+        reg.wall.record_label(
+            algorithm.label(),
+            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+        );
+    }
+    SearchReport {
+        score,
+        sequence,
+        stats,
+        elapsed,
+        client_jobs,
+        interrupted,
+        seed,
     }
 }
 
@@ -1145,8 +1051,7 @@ impl SearchBuilder {
     /// runs verbatim, and legacy JSON without the field deserialises to
     /// off); **reuse-on is run-to-run deterministic at width 1** (same
     /// spec + seed → same result on every run), but is a different
-    /// search from reuse-off — table sharing is the point. Part of
-    /// [`AlgorithmSpec::tag`] identity.
+    /// search from reuse-off — table sharing is the point.
     pub fn tree_reuse(mut self, reuse: bool) -> Self {
         match &mut self.spec.algorithm {
             AlgorithmSpec::Uct { tree_reuse, .. }
@@ -1566,67 +1471,6 @@ mod tests {
             assert_eq!(a.stats, b.stats, "budget checks must not perturb the RNG");
             assert!(b.interrupted.is_none());
         }
-    }
-
-    #[test]
-    fn tag_distinguishes_configurations() {
-        let a = AlgorithmSpec::nested(2).tag();
-        let b = AlgorithmSpec::nested(3).tag();
-        let c = AlgorithmSpec::nrpa(2, 100).tag();
-        let d = AlgorithmSpec::nrpa(2, 50).tag();
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(c, d);
-        // Thread count is an execution knob, not an identity: two leaf
-        // specs differing only in threads produce identical results and
-        // must collide.
-        let l2 = AlgorithmSpec::LeafParallel {
-            level: 1,
-            batch: 4,
-            threads: 2,
-            playout_cap: None,
-            first_move: false,
-        };
-        let l8 = AlgorithmSpec::LeafParallel {
-            level: 1,
-            batch: 4,
-            threads: 8,
-            playout_cap: None,
-            first_move: false,
-        };
-        assert_eq!(l2.tag(), l8.tag());
-        // Tree-parallel is the exception: its thread count shapes the
-        // search, so it IS identity.
-        assert_ne!(
-            AlgorithmSpec::tree_parallel(2).tag(),
-            AlgorithmSpec::tree_parallel(8).tag()
-        );
-        assert_ne!(
-            AlgorithmSpec::tree_parallel(2).tag(),
-            AlgorithmSpec::Uct {
-                config: UctConfig::default(),
-                tree_reuse: false,
-            }
-            .tag()
-        );
-        assert_ne!(
-            AlgorithmSpec::simulated_annealing().tag(),
-            AlgorithmSpec::nested(2).tag()
-        );
-        // Warm-tree reuse changes the search, so it is identity on both
-        // tree backends — and `false` keeps the pre-knob tag.
-        assert_ne!(
-            SearchSpec::uct().tree_reuse(true).build().algorithm.tag(),
-            SearchSpec::uct().build().algorithm.tag()
-        );
-        assert_ne!(
-            SearchSpec::tree_parallel(2)
-                .tree_reuse(true)
-                .build()
-                .algorithm
-                .tag(),
-            SearchSpec::tree_parallel(2).build().algorithm.tag()
-        );
     }
 
     #[test]

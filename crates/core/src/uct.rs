@@ -1490,7 +1490,7 @@ mod tests {
         );
         let mut peak = 0usize;
         for key in 0..1_000_000u64 {
-            table.intern(crate::game::mix64(key + 1));
+            table.intern(crate::rng::mix64(key + 1));
             peak = peak.max(table.bytes());
         }
         assert!(
@@ -1645,7 +1645,7 @@ mod tests {
             self.count
         }
         fn state_hash(&self) -> u64 {
-            crate::game::mix64(self.chosen as u64 + 1)
+            crate::rng::mix64(self.chosen as u64 + 1)
         }
     }
 

@@ -63,16 +63,6 @@ impl ClusterSpec {
         }
     }
 
-    /// The paper's reduced runs: `n ≤ 40` clients on 1.86 GHz PCs only
-    /// ("the result for 32 clients is obtained using only 1.86 GHz PCs").
-    pub fn paper_subset(n: usize) -> Self {
-        assert!(
-            (1..=40).contains(&n),
-            "paper subsets use the 40 slow clients"
-        );
-        Self::homogeneous(n)
-    }
-
     /// Table VI repartition `16x4+16x2`: 16 dual-core PCs running 4
     /// clients each (speed 2/4 = 0.5) plus 16 PCs running the normal 2
     /// clients (speed 1.0) — 96 clients total.

@@ -27,10 +27,7 @@ pub type JobId = u64;
 /// `Algorithm::TreeParallel` above one worker is the only variant
 /// whose replica results are not reproducible bit-for-bit from
 /// `ReplicaResult::seed_used` (see
-/// `AlgorithmSpec::worker_count_deterministic`; the lock-strategy /
-/// stats-mode knobs are part of the job's `tag()`
-/// identity, so two jobs differing only in a knob are not duplicates);
-/// its replay invariant — sequence replays to score — still holds and
+/// `AlgorithmSpec::worker_count_deterministic`); its replay invariant — sequence replays to score — still holds and
 /// is what the engine's merge relies on.
 pub type Algorithm = nmcs_core::AlgorithmSpec;
 
@@ -39,10 +36,9 @@ pub type Algorithm = nmcs_core::AlgorithmSpec;
 /// wins.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Human-readable name; also part of the scheduler's duplicate
-    /// detection, so submitting the same (name, algorithm, seed) twice
-    /// concurrently diversifies the second copy instead of repeating
-    /// identical work.
+    /// Human-readable name: the tenant key of the engine's per-tenant
+    /// histograms and the name on the job's dead letters. It never
+    /// influences the search.
     pub name: String,
     /// Initial position (type-erased; see [`nmcs_core::erased`]).
     pub game: DynGame,
@@ -61,8 +57,7 @@ pub struct JobSpec {
     pub replicas: usize,
     /// When true, odd NMCS replicas run the greedy memory policy instead
     /// of the memorising one, so the ensemble explores structurally
-    /// different trajectories (WU-UCT-style diversification) instead of
-    /// only reseeding.
+    /// different trajectories instead of only reseeding.
     pub diversify_policies: bool,
 }
 
@@ -204,11 +199,11 @@ pub struct Progress {
 #[derive(Debug, Clone)]
 pub struct ReplicaResult {
     pub replica: usize,
-    /// The seed this replica actually ran with. Normally the scheduler's
-    /// canonical derivation from the job seed; differs only when
-    /// duplicate in-flight work forced diversification. Either way, the
-    /// replica's `result` is bit-identical to `spec.run` with this seed
-    /// (and `memory_policy`, for NMCS).
+    /// The seed this replica ran with: the job seed for a single
+    /// replica, `median_seed(seed, 0, replica)` for an ensemble (see
+    /// [`crate::scheduler`]), the step's derived seed for a session
+    /// step. The replica's `result` is bit-identical to `spec.run` with
+    /// this seed (and `memory_policy`, for NMCS).
     pub seed_used: u64,
     /// The NMCS memory policy this replica ran with (None for non-NMCS
     /// algorithms).

@@ -12,10 +12,11 @@
 //!
 //! Properties the service layer guarantees:
 //!
-//! * **Determinism** — a job's result is bit-identical to
-//!   `spec.run(&game)` with the job's seed; ensemble replicas derive
-//!   their seeds through [`nmcs_core::seeds`], the same scheme the
-//!   cluster backends use (see [`scheduler`]).
+//! * **Determinism** — a job runs the seed it was given: its result is
+//!   bit-identical to `spec.run(&game)` with the job's seed, however
+//!   many identical jobs are in flight; ensemble replicas derive their
+//!   seeds through [`nmcs_core::seeds`], the same scheme the cluster
+//!   backends use (see [`scheduler`]). Submitting runs no game code.
 //! * **Backpressure** — the queue is bounded; [`Engine::submit`] blocks
 //!   when full, [`Engine::try_submit`] fails fast, and queued memory is
 //!   bounded by exactly `queue_capacity` tasks: every admitted but
@@ -31,11 +32,9 @@
 //!   [`ReplicaResult::interrupted`].
 //! * **Streaming progress** — [`JobHandle::poll_progress`] returns
 //!   monotone snapshots (replicas done, best-so-far score, work units).
-//! * **Diversified ensembles** — root-parallel replica jobs perturb
-//!   per-replica seeds (and optionally NMCS memory policies), and the
-//!   scheduler consults an in-flight registry so duplicate submissions
-//!   explore fresh trajectories instead of repeating identical work —
-//!   the WU-UCT observation applied to job scheduling.
+//! * **Diversified ensembles** — the replicas of an ensemble job run
+//!   distinct derived seeds, and [`JobSpec::with_policy_diversification`]
+//!   opts odd NMCS replicas into the greedy memory policy.
 //!
 //! ## Example
 //!
@@ -78,7 +77,6 @@ use nmcs_core::metrics::{EngineSnapshot, HistogramSnapshot, MetricsSnapshot};
 use nmcs_core::{CodedGame, DynGame, SearchSession, SearchSpec};
 use pool::{spawn_workers, PoolShared, Task};
 use queue::PushError;
-use scheduler::InFlight;
 use session::{SessionEntry, SessionTable};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -199,14 +197,11 @@ pub struct EngineStats {
     pub total_work_units: u64,
     /// `try_submit` calls refused by backpressure.
     pub rejected_submissions: u64,
-    /// Replica signatures currently registered (queued or running).
-    pub in_flight_replicas: usize,
 }
 
 /// The multi-tenant search service. See the crate docs.
 pub struct Engine {
     shared: Arc<PoolShared>,
-    in_flight: Arc<InFlight>,
     sessions: Arc<SessionTable>,
     next_id: AtomicU64,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -231,12 +226,10 @@ impl Engine {
                 reason: "queue_capacity must be >= 1",
             });
         }
-        let in_flight = Arc::new(InFlight::default());
-        let shared = PoolShared::new(config.queue_capacity, in_flight.clone());
+        let shared = PoolShared::new(config.queue_capacity);
         let workers = spawn_workers(&shared, config.workers).map_err(EngineError::WorkerSpawn)?;
         Ok(Engine {
             shared,
-            in_flight,
             sessions: Arc::new(SessionTable::new()),
             next_id: AtomicU64::new(1),
             workers,
@@ -249,11 +242,8 @@ impl Engine {
         session: Option<Arc<SessionEntry>>,
     ) -> (Arc<JobCore>, Vec<Task>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let plans = self.in_flight.plan_job(&spec);
+        let plans = scheduler::plan_job(&spec);
         let core = JobCore::new(id, spec, plans, session);
-        // Weak-register for the inspector's stall scan (weak refs do not
-        // block the spec recovery `Arc::try_unwrap` on rejection).
-        self.shared.registry.track(&core);
         let tasks = (0..core.spec.replicas)
             .map(|replica| Task {
                 job: core.clone(),
@@ -263,49 +253,39 @@ impl Engine {
         (core, tasks)
     }
 
-    /// Enqueue-or-rollback, shared by every submission path: the whole
+    /// Enqueue-or-drop, shared by every submission path: the whole
     /// replica batch is admitted atomically (waiting for room when
-    /// `blocking`), or nothing is — the rejected tasks are dropped and
-    /// the job's planned in-flight signatures released, so a refused
-    /// job leaves no trace and `core` is its only remaining reference.
-    fn enqueue(&self, core: &JobCore, tasks: Vec<Task>, blocking: bool) -> Result<(), SubmitError> {
+    /// `blocking`), or nothing is — the rejected tasks are dropped, so a
+    /// refused job leaves no trace and the caller's `JobCore` is its
+    /// only remaining reference.
+    fn enqueue(&self, tasks: Vec<Task>, blocking: bool) -> Result<(), SubmitError> {
         let requested = tasks.len();
-        let queue = &self.shared.queue;
-        let metrics = &self.shared.metrics;
-        let outcome = if requested == 0 {
+        if requested == 0 {
             // An empty batch always "fits", and a job with no replica to
             // finish it would never reach a terminal state.
-            Err(SubmitError::InvalidJob {
+            return Err(SubmitError::InvalidJob {
                 reason: "replicas must be >= 1",
-            })
-        } else {
-            let pushed = if blocking {
-                queue.push_all(tasks)
-            } else {
-                queue.try_push_all(tasks)
-            };
-            pushed.map_err(|(push_error, _rejected_tasks)| match push_error {
-                PushError::Full => {
-                    metrics.rejected_submissions.fetch_add(1, Ordering::Relaxed);
-                    SubmitError::QueueFull {
-                        capacity: queue.capacity(),
-                        requested,
-                    }
-                }
-                PushError::Closed => SubmitError::ShuttingDown,
-            })
-        };
-        match outcome {
-            Ok(()) => {
-                metrics.submitted_jobs.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                for plan in &core.plans {
-                    self.in_flight.release(plan.signature);
-                }
-            }
+            });
         }
-        outcome
+        let queue = &self.shared.queue;
+        let metrics = &self.shared.metrics;
+        let pushed = if blocking {
+            queue.push_all(tasks)
+        } else {
+            queue.try_push_all(tasks)
+        };
+        pushed.map_err(|(push_error, _rejected_tasks)| match push_error {
+            PushError::Full => {
+                metrics.rejected_submissions.fetch_add(1, Ordering::Relaxed);
+                SubmitError::QueueFull {
+                    capacity: queue.capacity(),
+                    requested,
+                }
+            }
+            PushError::Closed => SubmitError::ShuttingDown,
+        })?;
+        metrics.submitted_jobs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Submits a job, **blocking** while the queue is full
@@ -319,7 +299,7 @@ impl Engine {
     /// it has none.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
         let (core, tasks) = self.admit(spec, None);
-        self.enqueue(&core, tasks, true)?;
+        self.enqueue(tasks, true)?;
         Ok(JobHandle { core })
     }
 
@@ -334,7 +314,7 @@ impl Engine {
     )]
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, (SubmitError, JobSpec)> {
         let (core, tasks) = self.admit(spec, None);
-        match self.enqueue(&core, tasks, false) {
+        match self.enqueue(tasks, false) {
             Ok(()) => Ok(JobHandle { core }),
             Err(error) => {
                 let spec = Arc::try_unwrap(core)
@@ -412,7 +392,7 @@ impl Engine {
             }
         };
         let (core, tasks) = self.admit(spec, Some(entry.clone()));
-        match self.enqueue(&core, tasks, true) {
+        match self.enqueue(tasks, true) {
             Ok(()) => Ok(JobHandle { core }),
             Err(error) => {
                 entry.step_inflight.store(false, Ordering::Release);
@@ -474,7 +454,6 @@ impl Engine {
             skipped_tasks: m.skipped_tasks.load(Ordering::Relaxed),
             total_work_units: m.total_work_units.load(Ordering::Relaxed),
             rejected_submissions: m.rejected_submissions.load(Ordering::Relaxed),
-            in_flight_replicas: self.in_flight.len(),
         }
     }
 
@@ -624,7 +603,6 @@ mod tests {
         let stats = e.stats();
         assert_eq!(stats.completed_jobs, 16);
         assert_eq!(stats.executed_tasks, 16);
-        assert_eq!(stats.in_flight_replicas, 0);
         e.shutdown();
     }
 
@@ -852,9 +830,7 @@ mod tests {
             }
             other => panic!("expected InvalidJob, got {other:?}"),
         }
-        let stats = e.stats();
-        assert_eq!(stats.in_flight_replicas, 0);
-        assert_eq!(stats.submitted_jobs, 0);
+        assert_eq!(e.stats().submitted_jobs, 0);
         e.shutdown();
     }
 
@@ -921,7 +897,7 @@ mod tests {
     /// on a small queue while `close()` lands mid-storm. Every submit
     /// either completes — its handle joins to a terminal state — or
     /// returns `ShuttingDown` with nothing half-admitted; shutdown then
-    /// joins without hanging and leaks no in-flight signatures.
+    /// joins without hanging.
     #[test]
     fn submit_racing_close_completes_or_errors_never_hangs() {
         for round in 0..10u64 {
@@ -966,9 +942,7 @@ mod tests {
                     Err(other) => panic!("round {round}: unexpected {other:?}"),
                 }
             }
-            let stats = e.stats();
-            assert_eq!(stats.submitted_jobs, accepted, "round {round}");
-            assert_eq!(stats.in_flight_replicas, 0, "round {round}: leaked plans");
+            assert_eq!(e.stats().submitted_jobs, accepted, "round {round}");
             e.shutdown(); // must not hang
         }
     }
@@ -987,9 +961,7 @@ mod tests {
             }) => {}
             other => panic!("expected QueueFull, got {other:?}"),
         }
-        let stats = e.stats();
-        assert_eq!(stats.in_flight_replicas, 0, "signatures released");
-        assert_eq!(stats.rejected_submissions, 1);
+        assert_eq!(e.stats().rejected_submissions, 1);
         e.shutdown();
     }
 
@@ -1012,14 +984,10 @@ mod tests {
             }
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
-        // Both failures must roll their bookkeeping back completely:
-        // leaked in-flight signatures would diversify future duplicates.
+        // Neither failure admitted anything.
         let stats = e.stats();
-        assert_eq!(
-            stats.in_flight_replicas, 0,
-            "signatures released on rejection"
-        );
         assert_eq!(stats.submitted_jobs, 0);
+        assert_eq!(stats.queue_depth, 0);
         e.shutdown(); // must not hang
     }
 }

@@ -29,9 +29,8 @@
 use crate::handle::{JobCore, ReplicaOutcome};
 use crate::job::{Algorithm, ReplicaResult};
 use crate::queue::BoundedQueue;
-use crate::scheduler::InFlight;
 use nmcs_core::metrics::{metrics_enabled, DeadLetter, DeadLetterQueue, Histogram, TagHistograms};
-use nmcs_core::{Fnv1a, Interruption, NestedConfig, Searcher};
+use nmcs_core::{Interruption, NestedConfig, Searcher};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -61,8 +60,8 @@ const DLQ_CAPACITY: usize = 64;
 /// The engine's observability registry: latency histograms, per-key
 /// tables, the dead-letter record, and the live-job list the stall
 /// scan walks. Histograms/tables are pure atomics; the DLQ and job
-/// list take a mutex only at replica completion / job admission —
-/// never on a search path.
+/// list take a mutex only at replica completion / a job's first pickup,
+/// on a worker — never on a search path and never in `submit`.
 pub(crate) struct Registry {
     /// Submission → first replica pickup, per job.
     pub queue_wait: Histogram,
@@ -74,7 +73,8 @@ pub(crate) struct Registry {
     pub domains: TagHistograms,
     /// Panicked / cancelled / budget-tripped replicas.
     pub dlq: DeadLetterQueue,
-    /// Weak refs to every admitted job; pruned by the stall scan.
+    /// Weak refs to every job a worker has picked up (only a running
+    /// job can stall); pruned by the stall scan.
     pub jobs: Mutex<Vec<Weak<JobCore>>>,
 }
 
@@ -92,8 +92,8 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Registers an admitted job for the stall scan, pruning dead
-    /// entries opportunistically so the list stays O(live jobs).
+    /// Registers a job at its first pickup for the stall scan, pruning
+    /// dead entries opportunistically so the list stays O(live jobs).
     pub fn track(&self, job: &Arc<JobCore>) {
         let mut jobs = self.jobs.lock();
         jobs.retain(|w| w.strong_count() > 0);
@@ -101,27 +101,16 @@ impl Registry {
     }
 }
 
-/// FNV digest of a string key for the per-tenant/per-domain tables.
-pub(crate) fn name_tag(name: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    for b in name.as_bytes() {
-        h.write_u64(*b as u64);
-    }
-    h.finish()
-}
-
 pub(crate) struct PoolShared {
     pub queue: BoundedQueue<Task>,
-    pub in_flight: Arc<InFlight>,
     pub metrics: Metrics,
     pub registry: Registry,
 }
 
 impl PoolShared {
-    pub fn new(queue_capacity: usize, in_flight: Arc<InFlight>) -> Arc<Self> {
+    pub fn new(queue_capacity: usize) -> Arc<Self> {
         Arc::new(PoolShared {
             queue: BoundedQueue::new(queue_capacity),
-            in_flight,
             metrics: Metrics::default(),
             registry: Registry::default(),
         })
@@ -177,22 +166,20 @@ fn run_task(shared: &PoolShared, task: Task) {
         shared.metrics.skipped_tasks.fetch_add(1, Ordering::Relaxed);
         dead_letter(shared, &job, task.replica, "cancelled");
         release_session(&job);
-        finish_replica(
-            shared,
-            &job,
-            task.replica,
-            ReplicaOutcome::Skipped,
-            plan.signature,
-        );
+        job.record_replica(task.replica, ReplicaOutcome::Skipped, &shared.metrics);
         return;
     }
 
-    if job.mark_running() && metrics_enabled() {
-        // First pickup: the job's whole queue wait, recorded once.
-        shared
-            .registry
-            .queue_wait
-            .record_duration(job.submitted_at.elapsed());
+    if job.mark_running() {
+        // First pickup: from now on the job can stall, and its whole
+        // queue wait is known (recorded once).
+        shared.registry.track(&job);
+        if metrics_enabled() {
+            shared
+                .registry
+                .queue_wait
+                .record_duration(job.submitted_at.elapsed());
+        }
     }
 
     // The search is fenced with catch_unwind so a buggy game
@@ -255,10 +242,11 @@ fn run_task(shared: &PoolShared, task: Task) {
             if metrics_enabled() {
                 let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
                 shared.registry.run_time.record(ns);
-                let tenant = job.spec.name.as_str();
-                shared.registry.tenants.record(name_tag(tenant), tenant, ns);
-                let domain = job.spec.game.domain();
-                shared.registry.domains.record(name_tag(domain), domain, ns);
+                shared.registry.tenants.record_label(&job.spec.name, ns);
+                shared
+                    .registry
+                    .domains
+                    .record_label(job.spec.game.domain(), ns);
             }
             if let Some(why) = interrupted {
                 let reason = match why {
@@ -286,7 +274,7 @@ fn run_task(shared: &PoolShared, task: Task) {
             ReplicaOutcome::Panicked
         }
     };
-    finish_replica(shared, &job, task.replica, outcome, plan.signature);
+    job.record_replica(task.replica, outcome, &shared.metrics);
 }
 
 /// Clears a session job's in-flight flag and stamps its touch time, so
@@ -313,15 +301,4 @@ fn dead_letter(shared: &PoolShared, job: &Arc<JobCore>, replica: usize, reason: 
         reason: reason.to_string(),
         age_ms: u64::try_from(job.submitted_at.elapsed().as_millis()).unwrap_or(u64::MAX),
     });
-}
-
-fn finish_replica(
-    shared: &PoolShared,
-    job: &Arc<JobCore>,
-    replica: usize,
-    outcome: ReplicaOutcome,
-    signature: u64,
-) {
-    shared.in_flight.release(signature);
-    job.record_replica(replica, outcome, &shared.metrics);
 }

@@ -4,10 +4,11 @@
 //!
 //! Route labels and shed reasons are both small closed sets of static
 //! strings, so the histograms ride the core's lock-free
-//! [`TagHistograms`] (tagged by an FNV-1a hash of the label — no
-//! collisions are possible between labels this module controls) and the
-//! counters are a fixed array of atomics. Recording is allocation-free
-//! on every request after a route's first sight.
+//! [`TagHistograms`] (tagged by [`TagHistograms::record_label`]'s
+//! FNV-1a hash of the label — no collisions are possible between labels
+//! this module controls) and the counters are a fixed array of atomics.
+//! Recording is allocation-free on every request after a route's first
+//! sight.
 
 use nmcs_core::metrics::TagHistograms;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +53,7 @@ impl ServeMetrics {
     /// Records one handled request under its route template.
     pub fn record_route(&self, label: &'static str, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.routes.record(fnv1a(label), label, ns);
+        self.routes.record_label(label, ns);
     }
 
     /// Counts one refused request. Unknown reasons are ignored rather
@@ -113,17 +114,6 @@ impl Default for ServeMetrics {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// FNV-1a over the label bytes — the route/reason tag space is tiny and
-/// fully controlled here, so a 64-bit hash cannot collide in practice.
-fn fnv1a(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

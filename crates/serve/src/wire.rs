@@ -269,7 +269,7 @@ mod tests {
 
         let back: SubmitRequest =
             serde_json::from_str(&serde_json::to_string(&req).unwrap()).unwrap();
-        assert_eq!(back.spec.algorithm.tag(), req.spec.algorithm.tag());
+        assert_eq!(back.spec, req.spec);
     }
 
     #[test]

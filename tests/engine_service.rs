@@ -1,7 +1,8 @@
 //! Integration tests of the `nmcs-engine` service layer: determinism
 //! (engine results are bit-identical to direct library calls),
-//! backpressure, prompt cancellation, ensemble merging, and duplicate
-//! diversification.
+//! backpressure, prompt cancellation, ensemble merging, identical jobs
+//! that each run the seed they were given, and game panics fenced on
+//! the worker.
 
 #![allow(
     clippy::disallowed_methods,
@@ -127,7 +128,6 @@ fn thirty_two_mixed_jobs_are_bit_identical_to_direct_calls() {
     let stats = engine.stats();
     assert_eq!(stats.completed_jobs, 36);
     assert_eq!(stats.cancelled_jobs, 0);
-    assert_eq!(stats.in_flight_replicas, 0);
     engine.shutdown();
 }
 
@@ -407,13 +407,13 @@ fn blocking_submit_applies_backpressure_then_succeeds() {
 }
 
 #[test]
-fn duplicate_in_flight_submissions_are_diversified() {
+fn identical_jobs_in_flight_both_run_the_seed_they_were_given() {
     let engine = Engine::start(EngineConfig {
         workers: 1,
         queue_capacity: 8,
     })
     .expect("valid engine config");
-    // Hold the worker so both duplicates stay queued while planned.
+    // Hold the worker so both copies are queued at the same time.
     let blocker = engine
         .submit(JobSpec::new(
             "blocker",
@@ -430,27 +430,76 @@ fn duplicate_in_flight_submissions_are_diversified() {
 
     blocker.cancel();
     let _ = blocker.join();
-    let out1 = first.join();
-    let out2 = second.join();
-    let r1 = out1.best.unwrap();
-    let r2 = out2.best.unwrap();
-    assert_eq!(
-        r1.seed_used, 12345,
-        "first submission keeps the canonical seed"
-    );
-    assert_ne!(
-        r2.seed_used, 12345,
-        "in-flight duplicate must be diversified"
-    );
-
-    // Both results are still reproducible from their recorded seeds.
-    for r in [&r1, &r2] {
-        let direct = SearchSpec::nested(1)
-            .seed(r.seed_used)
-            .run(&g)
-            .into_result();
+    let direct = SearchSpec::nested(1).seed(12345).run(&g).into_result();
+    for h in [first, second] {
+        let r = h.join().best.expect("completed job has a result");
+        assert_eq!(r.seed_used, 12345, "a job runs the seed it was given");
         assert_eq!(decode_result(&g, &r.result), direct);
     }
+    engine.shutdown();
+}
+
+/// Panics on the second move of any line: the first move it sees on
+/// any position is fine, the one after it is not.
+#[derive(Clone, Debug)]
+struct PanicsOnSecondMove {
+    played: usize,
+}
+
+impl pnmcs::search::Game for PanicsOnSecondMove {
+    type Move = u8;
+    fn legal_moves(&self, out: &mut Vec<u8>) {
+        if self.played < 8 {
+            out.extend_from_slice(&[0, 1]);
+        }
+    }
+    fn play(&mut self, _mv: &u8) {
+        assert!(self.played < 1, "injected fault on the second move");
+        self.played += 1;
+    }
+    fn score(&self) -> i64 {
+        self.played as i64
+    }
+    fn moves_played(&self) -> usize {
+        self.played
+    }
+}
+
+impl CodedGame for PanicsOnSecondMove {
+    fn move_code(&self, mv: &u8) -> u64 {
+        u64::from(*mv)
+    }
+}
+
+#[test]
+fn a_game_that_panics_early_fails_its_job_on_the_worker() {
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        queue_capacity: 4,
+    })
+    .expect("valid engine config");
+    // Submitting runs no game code, so the panic cannot reach the
+    // caller's thread: it happens inside the worker's fence.
+    let handle = engine
+        .submit(JobSpec::new(
+            "early-panic",
+            PanicsOnSecondMove { played: 0 },
+            Algorithm::nested(1),
+            3,
+        ))
+        .expect("submit returns a handle");
+    assert_eq!(handle.join().state, JobState::Failed);
+    let letters = engine
+        .inspector()
+        .engine
+        .expect("engine section")
+        .dead_letters;
+    assert_eq!(letters.len(), 1, "{letters:?}");
+    assert_eq!(
+        (letters[0].name.as_str(), letters[0].reason.as_str()),
+        ("early-panic", "panicked")
+    );
+    assert_eq!(engine.stats().failed_jobs, 1);
     engine.shutdown();
 }
 

@@ -12,10 +12,15 @@
 //!   percentiles, the queue-wait/run-time split, and dead letters for a
 //!   panicked job, and the whole snapshot round-trips through JSON;
 //! * instrumented sequential UCT stays within noise of a
-//!   registry-disabled run (the cheap-overhead guard).
+//!   registry-disabled run (the cheap-overhead guard);
+//! * wall-time series are keyed by backend kind: any number of
+//!   configurations leaves one series per kind, and the text render
+//!   never repeats a (metric name, label set) line;
+//! * a warm session step is counted like a one-shot search.
 //!
-//! The enable flag is process-global, so the tests that flip it
-//! serialise on one lock and always restore the enabled state.
+//! The enable flag is process-global, so the tests that flip it — and
+//! the ones that search or count exact counter deltas — serialise on
+//! one lock and always restore the enabled state.
 
 #![allow(
     clippy::disallowed_methods,
@@ -25,7 +30,7 @@
 
 use pnmcs::games::SameGame;
 use pnmcs::search::metrics as m;
-use pnmcs::search::{SearchSpec, Searcher};
+use pnmcs::search::{SearchSession, SearchSpec, Searcher, UctConfig};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -188,6 +193,7 @@ proptest! {
 
 #[test]
 fn leaf_batch_dynamic_is_bit_identical_and_serde_back_compatible() {
+    let _serial = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The knob chose where an already-seeded slab ran, never what it
     // computed; rows persisted while it existed must still parse, name
     // the same search and produce the same result.
@@ -203,7 +209,7 @@ fn leaf_batch_dynamic_is_bit_identical_and_serde_back_compatible() {
         );
         assert_ne!(legacy, json, "the legacy key must have been inserted");
         let parsed: SearchSpec = serde_json::from_str(&legacy).expect("legacy spec parses");
-        assert_eq!(parsed.algorithm.tag(), spec.algorithm.tag());
+        assert_eq!(parsed.algorithm, spec.algorithm);
         let then = parsed.search(&game, None);
         assert_eq!(
             (then.score, &then.sequence, then.stats.playouts),
@@ -405,4 +411,95 @@ fn instrumented_sequential_uct_stays_within_noise() {
         on <= off * 3 + std::time::Duration::from_millis(5),
         "instrumented run too slow: on={on:?} off={off:?}"
     );
+}
+
+fn uct(iterations: usize) -> SearchSpec {
+    SearchSpec::uct_with(UctConfig {
+        iterations,
+        ..UctConfig::default()
+    })
+    .seed(iterations as u64)
+    .build()
+}
+
+#[test]
+fn render_text_repeats_no_series_after_many_configs_of_one_kind() {
+    let _serial = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = EnabledGuard;
+    let game = SameGame::random(5, 5, 3, 5);
+    for level in 0..3 {
+        SearchSpec::nested(level).seed(5).run(&game);
+    }
+    for iterations in [10, 20, 30] {
+        uct(iterations).search(&game, None);
+    }
+    let text = m::snapshot().render_text();
+    let mut seen = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        let (series, _value) = line.rsplit_once(' ').expect("space-separated");
+        assert!(
+            seen.insert(series),
+            "repeated series {series:?} in:\n{text}"
+        );
+    }
+    for kind in ["nested", "uct"] {
+        let count = format!("search_wall_seconds_count{{backend=\"{kind}\"}}");
+        assert!(seen.contains(count.as_str()), "{count} missing");
+    }
+}
+
+#[test]
+fn backend_series_are_one_per_kind_however_many_configs_run() {
+    let _serial = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = EnabledGuard;
+    let game = SameGame::random(4, 4, 3, 9);
+    for iterations in 1..=40 {
+        uct(iterations).search(&game, None);
+    }
+    let registry = m::search_metrics();
+    assert_eq!(registry.wall.overflow(), 0, "a backend kind found no slot");
+    let backends = registry.snapshot().backends;
+    assert!(backends.len() <= 11, "{} series", backends.len());
+    assert_eq!(
+        backends.iter().filter(|b| b.label == "uct").count(),
+        1,
+        "one uct series"
+    );
+}
+
+#[test]
+fn a_warm_session_step_counts_once_in_the_search_metrics() {
+    let _serial = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = EnabledGuard;
+    let spec = SearchSpec::uct_with(UctConfig {
+        iterations: 200,
+        ..UctConfig::default()
+    })
+    .tree_reuse(true)
+    .seed(3)
+    .build();
+    let mut session = SearchSession::new(SameGame::random(5, 5, 3, 3), spec, None);
+    assert!(session.is_warm());
+    let registry = m::search_metrics();
+    let uct_hits = || {
+        registry
+            .snapshot()
+            .backends
+            .iter()
+            .find(|b| b.label == "uct")
+            .map_or(0, |b| b.hist.count)
+    };
+    for step in 0..3 {
+        let (searches, playouts, hits) =
+            (registry.searches.get(), registry.playouts.get(), uct_hits());
+        let report = session.step(None);
+        assert!(report.stats.playouts > 0, "step {step} searched");
+        assert_eq!(registry.searches.get(), searches + 1, "step {step}");
+        assert_eq!(
+            registry.playouts.get(),
+            playouts + report.stats.playouts,
+            "step {step}"
+        );
+        assert_eq!(uct_hits(), hits + 1, "step {step}");
+    }
 }

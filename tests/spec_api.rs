@@ -188,69 +188,12 @@ fn legacy_leaf_batch_parses_as_the_inline_search_or_is_refused() {
         );
         let spec: SearchSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, expected, "{json}");
-        assert_eq!(spec.algorithm.tag(), expected.algorithm.tag(), "{json}");
     }
     let batched = r#"{"algorithm":{"kind":"tree_parallel","threads":2,"leaf_batch":4},"seed":3}"#;
     let err = serde_json::from_str::<SearchSpec>(batched)
         .expect_err("a batched row must not parse")
         .to_string();
     assert!(err.contains("`leaf_batch`"), "{err}");
-}
-
-#[test]
-fn tree_parallel_tags_keep_their_values_from_before_the_leaf_batch_deletion() {
-    use pnmcs::search::{LockStrategy, StatsMode};
-    // `leaf_batch: 0` added nothing to `tag()`, so dropping the field
-    // must leave every remaining spec's identity (engine duplicate
-    // detection, recorded metrics rows) exactly where it was.
-    let tag = |spec: SearchSpec| spec.algorithm.tag();
-    assert_eq!(
-        tag(SearchSpec::tree_parallel(1).build()),
-        0xc83e_d18c_98a3_8851
-    );
-    assert_eq!(
-        tag(SearchSpec::tree_parallel(4).build()),
-        0xf098_fba1_ab70_fd98
-    );
-    assert_eq!(
-        tag(SearchSpec::tree_parallel_with(UctConfig::default(), 4)
-            .lock_strategy(LockStrategy::Global)
-            .stats_mode(StatsMode::VirtualLoss)
-            .build()),
-        0x96f0_b022_f255_8652
-    );
-}
-
-#[test]
-fn tree_parallel_knobs_are_part_of_tag_identity() {
-    use pnmcs::search::{AlgorithmSpec, LockStrategy, StatsMode};
-    // The knobs change which search the racing workers perform, so two
-    // specs differing only in a knob must not look alike to the
-    // engine's duplicate detection.
-    let base = AlgorithmSpec::tree_parallel(4);
-    let with = |lock, stats| {
-        let mut a = AlgorithmSpec::tree_parallel(4);
-        if let AlgorithmSpec::TreeParallel {
-            lock: l, stats: s, ..
-        } = &mut a
-        {
-            *l = lock;
-            *s = stats;
-        }
-        a
-    };
-    assert_ne!(
-        base.tag(),
-        with(LockStrategy::Global, StatsMode::WuUct).tag()
-    );
-    assert_ne!(
-        base.tag(),
-        with(LockStrategy::Sharded, StatsMode::VirtualLoss).tag()
-    );
-    assert_eq!(
-        base.tag(),
-        with(LockStrategy::Sharded, StatsMode::WuUct).tag()
-    );
 }
 
 /// One spec of each of the eleven kinds, its counts drawn from `n`, its
@@ -455,14 +398,11 @@ fn every_integer_field_at_2_pow_40_is_refused_or_stops_on_the_deadline() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `tag()` is the identity of a result (engine duplicate detection,
-    /// metrics rows). Take any spec's serialised JSON object, change any
-    /// one field — nested `config` fields included — and the spec must
-    /// parse to a different search with a different tag. The one
-    /// documented exception is the `threads` of `leaf_parallel` and
-    /// `root_parallel`, whose results do not depend on it.
+    /// Every serialised field is part of a spec: take any spec's JSON
+    /// object, change any one field — nested `config` fields included —
+    /// and it must parse to a different spec.
     #[test]
-    fn changing_any_serialised_field_changes_the_tag(
+    fn changing_any_serialised_field_changes_the_spec(
         kind in 0usize..11,
         n in 1usize..500,
         x in 0u64..1000,
@@ -472,10 +412,6 @@ proptest! {
         use serde::{Deserialize, Serialize};
         let spec = arbitrary_spec(kind, n, x, bits);
         let json = spec.to_value();
-        let identity_free = matches!(
-            spec,
-            AlgorithmSpec::LeafParallel { .. } | AlgorithmSpec::RootParallel { .. }
-        );
         let mut fields = Vec::new();
         leaves(&json, "", &mut fields);
         for (path, value) in fields {
@@ -487,14 +423,6 @@ proptest! {
                 };
                 parsed += 1;
                 prop_assert!(changed != spec, "{path} = {leaf:?} parsed back to {spec:?}");
-                if identity_free && path == "threads" {
-                    prop_assert_eq!(changed.tag(), spec.tag());
-                } else {
-                    prop_assert!(
-                        changed.tag() != spec.tag(),
-                        "{path} = {leaf:?} keeps the tag of {spec:?}"
-                    );
-                }
             }
             prop_assert!(parsed > 0, "no change of {path} parses: {options:?}");
         }
