@@ -4,33 +4,58 @@
 //! time. A [`SearchSession`] instead *keeps* the tree between steps:
 //! each [`SearchSession::step`] searches from the current position,
 //! commits the first move of the best line, plays it, and re-roots the
-//! shared tree on the chosen child — so the statistics gathered below
-//! that child carry into the next step, and the bounded transposition
-//! table keyed by [`Game::state_hash`] keeps sharing statistics across
+//! tree on the chosen child — so the statistics gathered below that
+//! child carry into the next step, and the bounded transposition table
+//! keyed by [`Game::state_hash`] keeps sharing statistics across
 //! transposed lines. At equal per-step budget, a warm search starts
 //! from thousands of already-evaluated positions instead of zero
 //! (`tables --reuse` measures the gap).
 //!
+//! Which tree is kept follows the spec. `uct` with `tree_reuse` keeps
+//! the sequential arena (`UctArena`), which takes no lock and allocates
+//! nothing per expansion; `tree_parallel` with `tree_reuse` keeps the
+//! shared tree (`TpTree`) its workers need. At width 1, in the default
+//! WU-UCT stats mode, the two are bit-identical at every step, table
+//! counters included (`tests/session_props.rs`).
+//!
 //! Determinism: step `k` searches with
 //! [`session_step_seed`]`(spec.seed, k)` (step 0 ≡ the root seed), so a
 //! session is run-to-run deterministic whenever its backend is — always
-//! for reuse-off steps, and at width 1 for reuse-on steps. Reuse-off
-//! sessions run the plain spec per step, cold, bit-identical to a
-//! sequence of one-shot runs at the derived seeds.
+//! for reuse-off steps and for `uct` with reuse on, and at width 1 for
+//! reuse-on `tree_parallel` steps. Reuse-off sessions run the plain
+//! spec per step, cold, bit-identical to a sequence of one-shot runs at
+//! the derived seeds.
 
 use crate::ctx::SearchCtx;
 use crate::game::{Game, Score};
 use crate::nrpa::CodedGame;
-use crate::report::SearchReport;
+use crate::report::{Interruption, SearchReport};
+use crate::rng::Rng;
 use crate::seeds::session_step_seed;
 use crate::spec::{finish_search, AlgorithmSpec, CancelToken, SearchSpec, Searcher};
-use crate::uct::{
-    uct_tree_parallel_on, LockStrategy, StatsMode, TpTree, UctConfig, DEFAULT_TT_BYTES,
-};
+use crate::uct::{uct_tree_parallel_on, TpTree, UctArena, UctConfig, DEFAULT_TT_BYTES};
+
+/// What a session keeps between steps, fixed at open.
+enum WarmState<M> {
+    /// Reuse off: every step is a cold one-shot search.
+    Cold,
+    /// `uct` with `tree_reuse`: the sequential arena and its table.
+    Arena {
+        arena: UctArena<M>,
+        config: UctConfig,
+    },
+    /// `tree_parallel` with `tree_reuse`: the shared tree, searched by
+    /// `threads` workers.
+    Shared {
+        tree: TpTree<M>,
+        config: UctConfig,
+        threads: usize,
+    },
+}
 
 /// Persistent search state for stepping one game to completion: the
 /// current position, the committed moves, and — when the spec's
-/// `tree_reuse` knob is on — the warm `TpTree` re-rooted after every
+/// `tree_reuse` knob is on — the warm tree re-rooted after every
 /// committed move.
 ///
 /// The engine holds one per open session (`Engine::open_session`),
@@ -38,10 +63,7 @@ use crate::uct::{
 pub struct SearchSession<G: Game> {
     game: G,
     spec: SearchSpec,
-    /// `Some` iff the spec enables `tree_reuse` (UCT / tree-parallel).
-    tree: Option<TpTree<G::Move>>,
-    /// Config and width of the warm backend, fixed at session open.
-    warm: Option<(UctConfig, usize)>,
+    warm: WarmState<G::Move>,
     step: usize,
     committed: Vec<G::Move>,
 }
@@ -53,32 +75,35 @@ where
 {
     /// Opens a session at `game`'s current position. Whether steps run
     /// warm is read off the spec: `tree_reuse` on a UCT or
-    /// tree-parallel algorithm builds the shared tree (with its
-    /// transposition table bounded to `table_bytes`, or the default
-    /// bound if `None`); anything else steps cold.
+    /// tree-parallel algorithm builds the tree (with its transposition
+    /// table bounded to `table_bytes`, or the default bound if `None`);
+    /// anything else steps cold.
     pub fn new(game: G, spec: SearchSpec, table_bytes: Option<usize>) -> Self {
+        let table_bytes = table_bytes.unwrap_or(DEFAULT_TT_BYTES);
         let warm = match &spec.algorithm {
             AlgorithmSpec::Uct {
                 config,
                 tree_reuse: true,
-            } => Some((config, 1, LockStrategy::default(), StatsMode::default())),
+            } => WarmState::Arena {
+                arena: UctArena::new(Some(table_bytes)),
+                config: config.clone(),
+            },
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
                 lock,
                 stats,
                 tree_reuse: true,
-            } => Some((config, *threads, *lock, *stats)),
-            _ => None,
+            } => WarmState::Shared {
+                tree: TpTree::with_table(config, *lock, *stats, table_bytes),
+                config: config.clone(),
+                threads: *threads,
+            },
+            _ => WarmState::Cold,
         };
-        let tree = warm.map(|(config, _, lock, stats)| {
-            TpTree::with_table(config, lock, stats, table_bytes.unwrap_or(DEFAULT_TT_BYTES))
-        });
-        let warm = warm.map(|(config, threads, ..)| (config.clone(), threads));
         SearchSession {
             game,
             spec,
-            tree,
             warm,
             step: 0,
             committed: Vec::new(),
@@ -99,8 +124,8 @@ where
     /// best-so-far line is a valid result. Neither poisons the session.
     pub fn step(&mut self, cancel: Option<&CancelToken>) -> SearchReport<G::Move> {
         let step_seed = session_step_seed(self.spec.seed, self.step);
+        self.step += 1;
         if self.game.is_terminal() {
-            self.step += 1;
             return SearchReport {
                 score: self.game.score(),
                 sequence: Vec::new(),
@@ -111,41 +136,47 @@ where
                 seed: step_seed,
             };
         }
-        let report = match (&self.tree, &self.warm) {
-            (Some(tree), Some((config, threads))) => {
-                let started = crate::metrics::monotonic_now();
-                let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
-                let line =
-                    uct_tree_parallel_on(&self.game, tree, config, *threads, step_seed, &mut ctx);
-                finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0)
-            }
-            _ => {
-                // Cold step: the plain spec at the step seed. A budget
-                // trip (or cancellation) surfaces in the report but
-                // does not poison the session — the next step starts
-                // fresh from whatever was committed.
+        let report = match &mut self.warm {
+            WarmState::Cold => {
+                // The plain spec at the step seed. A budget trip (or
+                // cancellation) surfaces in the report but does not
+                // poison the session — the next step starts fresh from
+                // whatever was committed.
                 let mut spec = self.spec.clone();
                 spec.seed = step_seed;
                 spec.search(&self.game, cancel)
             }
-        };
-        // A cancelled step commits nothing: cancellation means "stop and
-        // discard", unlike a tripped budget whose best-so-far line is a
-        // valid (replayable) result. The session stays usable either way.
-        let cancelled = matches!(
-            report.interrupted,
-            Some(crate::report::Interruption::Cancelled)
-        );
-        if !cancelled {
-            if let Some(mv) = report.sequence.first() {
-                self.game.play(mv);
-                if let Some(tree) = &mut self.tree {
+            WarmState::Arena { arena, config } => {
+                let started = crate::metrics::monotonic_now();
+                let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
+                let mut rng = Rng::seeded(step_seed);
+                let line = arena.search(&self.game, config, &mut rng, &mut ctx);
+                let report = finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0);
+                if let Some(mv) = committable(&report) {
+                    arena.reroot(mv);
+                }
+                report
+            }
+            WarmState::Shared {
+                tree,
+                config,
+                threads,
+            } => {
+                let started = crate::metrics::monotonic_now();
+                let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
+                let line =
+                    uct_tree_parallel_on(&self.game, tree, config, *threads, step_seed, &mut ctx);
+                let report = finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0);
+                if let Some(mv) = committable(&report) {
                     tree.reroot(mv);
                 }
-                self.committed.push(mv.clone());
+                report
             }
+        };
+        if let Some(mv) = committable(&report) {
+            self.game.play(mv);
+            self.committed.push(mv.clone());
         }
-        self.step += 1;
         report
     }
 
@@ -181,31 +212,46 @@ where
 
     /// Whether steps run on a warm tree.
     pub fn is_warm(&self) -> bool {
-        self.tree.is_some()
+        !matches!(self.warm, WarmState::Cold)
     }
 
     /// Approximate heap bytes held across steps: the warm tree plus its
     /// transposition table (0 for cold sessions — they keep no search
-    /// state). Recomputed by a tree walk, so call it between steps, not
-    /// per move.
+    /// state).
     ///
-    /// The table's own share is capped by its configured bound, but the
-    /// whole is not: statistics cells the table evicted stay alive while
-    /// tree nodes hold them. The walk counts those through their nodes,
-    /// so the true bound is the table bound plus the live tree, one
-    /// statistics cell per node. Shared cells are counted once per
-    /// holder; `Arc` reference counts and allocator overhead are not
-    /// counted.
+    /// On the arena (`uct`) this is read off its vectors' capacities in
+    /// O(1). Statistics cells are reclaimed once no node or table slot
+    /// holds them, so they stay within one per live node plus one per
+    /// occupied slot. On the shared tree (`tree_parallel`) it is a walk
+    /// that locks every node, counting one statistics cell per node
+    /// plus the table's slots; a cell shared by several holders is
+    /// counted once per holder, and `Arc` reference counts and
+    /// allocator overhead are not counted. Call it between steps.
     pub fn approx_bytes(&self) -> usize {
-        self.tree.as_ref().map_or(0, |t| t.approx_bytes())
+        match &self.warm {
+            WarmState::Cold => 0,
+            WarmState::Arena { arena, .. } => arena.approx_bytes(),
+            WarmState::Shared { tree, .. } => tree.approx_bytes(),
+        }
     }
 
     /// (hits, evictions) of the warm tree's transposition table.
     pub fn table_counters(&self) -> (u64, u64) {
-        self.tree
-            .as_ref()
-            .and_then(|t| t.table())
-            .map_or((0, 0), |t| t.counters())
+        match &self.warm {
+            WarmState::Cold => (0, 0),
+            WarmState::Arena { arena, .. } => arena.table_counters(),
+            WarmState::Shared { tree, .. } => tree.table().map_or((0, 0), |t| t.counters()),
+        }
+    }
+}
+
+/// The move a step commits: the head of its line, unless the step was
+/// cancelled. Cancellation means "stop and discard", unlike a tripped
+/// budget whose best-so-far line is a valid (replayable) result.
+fn committable<M>(report: &SearchReport<M>) -> Option<&M> {
+    match report.interrupted {
+        Some(Interruption::Cancelled) => None,
+        _ => report.sequence.first(),
     }
 }
 

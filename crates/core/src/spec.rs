@@ -52,7 +52,7 @@ use crate::report::{Interruption, SearchReport};
 use crate::rng::Rng;
 use crate::search::{nested_with, MemoryPolicy, NestedConfig};
 use crate::uct::{
-    uct_tree_parallel_on, uct_with, LockStrategy, StatsMode, TpTree, UctConfig, DEFAULT_TT_BYTES,
+    uct_tree_parallel_on, LockStrategy, StatsMode, TpTree, UctArena, UctConfig, DEFAULT_TT_BYTES,
 };
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -805,20 +805,12 @@ where
                 nrpa_with(game, *level, config, &mut rng, &mut ctx)
             }
             AlgorithmSpec::Uct { config, tree_reuse } => {
-                if *tree_reuse {
-                    // Reuse-on routes through the width-1 shared tree
-                    // with a transposition table. A single tree worker
-                    // is bit-identical to `uct_with` when no table
-                    // intervenes, so the *only* behavioural delta of the
-                    // knob is the statistics sharing it exists to
-                    // provide.
-                    let (lock, stats) = (LockStrategy::default(), StatsMode::default());
-                    let tree = TpTree::with_table(config, lock, stats, DEFAULT_TT_BYTES);
-                    uct_tree_parallel_on(game, &tree, config, 1, self.seed, &mut ctx)
-                } else {
-                    let mut rng = Rng::seeded(self.seed);
-                    uct_with(game, config, &mut rng, &mut ctx)
-                }
+                // Reuse-on gives the same arena a transposition table,
+                // so the *only* behavioural delta of the knob is the
+                // statistics sharing it exists to provide.
+                let table = tree_reuse.then_some(DEFAULT_TT_BYTES);
+                let mut rng = Rng::seeded(self.seed);
+                UctArena::new(table).search(game, config, &mut rng, &mut ctx)
             }
             AlgorithmSpec::FlatMc { playouts } => {
                 let mut rng = Rng::seeded(self.seed);
@@ -1087,6 +1079,7 @@ mod tests {
     use super::*;
     use crate::game::Score;
     use crate::report::Interruption;
+    use crate::uct::uct_with;
 
     /// Ternary toy with a unique optimum at all-2s, coded for NRPA.
     #[derive(Clone, Debug)]

@@ -17,15 +17,22 @@
 //!
 //! Two execution shapes share the algorithm:
 //!
-//! * [`uct_with`] — the sequential tree, one iteration at a time;
+//! * the **arena** (`UctArena`) — the sequential tree, one iteration at
+//!   a time, in a few flat vectors: nodes, one move pool and statistics
+//!   cells. It serves `uct` with reuse off ([`uct_with`], a fresh
+//!   table-less arena per search) and with reuse on (an arena with a
+//!   transposition table, one-shot or kept across a
+//!   [`SearchSession`](crate::SearchSession)'s steps and re-rooted
+//!   under each committed move). It takes no lock and allocates nothing
+//!   per expansion;
 //! * **tree-parallel** UCT ([`crate::spec::SearchSpec::tree_parallel`])
 //!   in the style of the parallel-MCTS literature the paper cites: one
-//!   shared tree, `threads` workers on the [`ExecutorPool`] descending
-//!   concurrently, each rolling out its own leaf outside every lock, and
-//!   visit/value statistics accumulated atomically. (WU-UCT's
-//!   master/worker shape, a selector keeping simulation workers busy, is
-//!   what `threads` workers sharing one tree already are.) Two knobs
-//!   control how the workers share the tree:
+//!   shared tree (`TpTree`), `threads` workers on the [`ExecutorPool`]
+//!   descending concurrently, each rolling out its own leaf outside
+//!   every lock, and visit/value statistics accumulated atomically.
+//!   (WU-UCT's master/worker shape, a selector keeping simulation
+//!   workers busy, is what `threads` workers sharing one tree already
+//!   are.) Two knobs control how the workers share the tree:
 //!
 //!   * [`LockStrategy`] — `Global` serialises every descent behind one
 //!     structure mutex (the original arena behaviour, kept as the
@@ -39,28 +46,29 @@
 //!     incomplete visits widen only the exploration term and never
 //!     distort the observed mean.
 //!
-//!   A single-worker tree-parallel run is **bit-identical** to
-//!   [`uct_with`] for the same seed under *any* lock strategy and stats
-//!   mode — both formulas reduce exactly to the sequential one when
-//!   nothing is in flight. Multi-worker runs are inherently
-//!   schedule-dependent and promise only a replayable best line (the
-//!   conformance tests assert both halves). At most `threads` descents
-//!   are ever in flight, and debug builds check at the end of every
-//!   search that none still is.
+//!   A single-worker tree-parallel run is **bit-identical** to the
+//!   arena for the same seed under *any* lock strategy and stats mode —
+//!   both formulas reduce exactly to the sequential one when nothing is
+//!   in flight. With a transposition table the identity holds too, for
+//!   the default WU-UCT mode: both trees size and evict their tables
+//!   alike, and the arena counts the cells a descent already holds as
+//!   WU-UCT's in-flight samples, as the shared tree does. Multi-worker
+//!   runs are inherently schedule-dependent and promise only a
+//!   replayable best line (the conformance tests assert both halves).
+//!   At most `threads` descents are ever in flight, and debug builds
+//!   check at the end of every search that none still is.
 //!
-//! That identity does not licence deleting the sequential arena
-//! (ROADMAP item 6(a), closed by measurement): routing
-//! `AlgorithmSpec::Uct` with reuse off through `TpTree` at width 1
-//! keeps every digest but reads ≈ −31 % `ops_per_s` on the ledger's
-//! `uct-cold-samegame` (medians 506 → 347 over 10 alternating 20 s
-//! pairs, 0 ahead, `mean_score` equal; it was ≈ −24 % before the arena
-//! stopped allocating per expansion and began caching each child's
-//! exploitation term). An arena iteration there is ≈ 1 µs, and
-//! `TpTree`'s per-level `Arc` clone, node mutex, CAS back-up and per
-//! node allocations cost it almost half as much again. Both trees stay
-//! *because* the spec variant selects between them and the ledger has a
-//! workload on each side — `uct-cold-samegame` on the arena,
-//! `uct-warm-sessions` on `TpTree`.
+//! That identity licenses running every `uct` search on the arena, not
+//! deleting `TpTree`: `TpTree` is the only tree several workers can
+//! share, so it stays for `tree_parallel` at every width, reuse on or
+//! off. No ledger workload runs it since `uct` with reuse on moved to
+//! the arena; only the `core.uct.tptree_w1_*` rows do. At width 1 the
+//! shared tree pays for a per-level `Arc` clone, a node mutex, CAS
+//! back-ups and per-node allocations that have nothing to protect: on
+//! `uct-cold-samegame` (≈ 1 µs iterations) it read ≈ −31 % `ops_per_s`
+//! against the arena, and the median warm session step on 10×10
+//! SameGame (500 iterations) takes ≈ 0.73× as long on the arena as on
+//! `TpTree`.
 
 use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
@@ -127,42 +135,45 @@ impl LnTable {
     }
 }
 
+/// An arena link: a node, a statistics cell or a slot of the move pool.
+/// 32 bits keep a node at 32 bytes, which big trees need to stay in
+/// cache.
+type Ix = u32;
+
 /// Absent arena link: no child, no next sibling, no move (the root).
-const NIL: usize = usize::MAX;
+const NIL: Ix = Ix::MAX;
+
+/// The root's id in every tree an arena holds.
+const ROOT: usize = 0;
+
+/// `i` as an arena link.
+fn ix(i: usize) -> Ix {
+    Ix::try_from(i).expect("the arena outgrew 32-bit links")
+}
 
 /// One node of the sequential arena. Children are a linked list in
-/// expansion order, and moves live in one search-wide pool: a node's
+/// expansion order, and moves live in one arena-wide pool: a node's
 /// unexpanded moves are the range `pool[untried..untried_end]`, and the
-/// move that led to it is the pool slot it was expanded from. Growing
-/// the tree therefore allocates only when the arena or the pool outgrow
-/// their capacity.
+/// move that led to it is the pool slot it was expanded from. Its
+/// statistics are a [`Cell`], shared with transposed nodes when the
+/// arena has a table. Growing the tree therefore allocates only when a
+/// vector outgrows its capacity.
 struct Node {
     /// Pool slot of the move that led here (`NIL` for the root).
-    mv: usize,
-    first_child: usize,
-    last_child: usize,
-    next_sibling: usize,
+    mv: Ix,
+    first_child: Ix,
+    last_child: Ix,
+    next_sibling: Ix,
     /// Unexpanded moves, popped from the back.
-    untried: usize,
-    untried_end: usize,
-    visits: u64,
-    total: f64,
-    best: Score,
-    /// The exploitation half of the node's UCB value,
-    /// `(1 − max_bias)·mean + max_bias·maxv`, as last computed. Valid
-    /// while `exploit_epoch` equals the search's bounds epoch: only a
-    /// backup through the node or a move of the normalisation bounds
-    /// changes it.
-    exploit: f64,
-    exploit_epoch: u64,
+    untried: Ix,
+    untried_end: Ix,
+    /// Index of the node's statistics cell.
+    cell: Ix,
     expanded: bool,
 }
 
-/// An `exploit_epoch` no search reaches: the cached term is stale.
-const STALE: u64 = 0;
-
 impl Node {
-    fn new(mv: usize) -> Self {
+    fn new(mv: Ix, cell: usize) -> Self {
         Node {
             mv,
             first_child: NIL,
@@ -170,20 +181,516 @@ impl Node {
             next_sibling: NIL,
             untried: 0,
             untried_end: 0,
+            cell: ix(cell),
+            expanded: false,
+        }
+    }
+}
+
+/// The statistics of one position: one per node on a table-less arena,
+/// one per table key otherwise.
+struct Cell {
+    visits: u64,
+    total: f64,
+    best: Score,
+    /// The exploitation half of the UCB value,
+    /// `(1 − max_bias)·mean + max_bias·maxv`, as last computed. Valid
+    /// while `exploit_epoch` equals the arena's bounds epoch: only a
+    /// backup through the cell or a move of the normalisation bounds
+    /// changes it.
+    exploit: f64,
+    exploit_epoch: u64,
+    /// Nodes and table slots holding the cell; at 0 it is free.
+    holders: u32,
+    /// Non-root nodes of the current descent holding the cell: WU-UCT's
+    /// in-flight count, which one worker only sees when a descent
+    /// meets a position it has already passed through.
+    inflight: u32,
+}
+
+/// An `exploit_epoch` no search reaches: the cached term is stale.
+const STALE: u64 = 0;
+
+/// The arena's statistics cells, with a free list: a cell whose last
+/// holder lets go is reused before the vector grows, so live cells
+/// never exceed occupied table slots plus live nodes.
+#[derive(Default)]
+struct Cells {
+    cells: Vec<Cell>,
+    free: Vec<usize>,
+}
+
+impl Cells {
+    /// A fresh cell with no holder yet.
+    fn take(&mut self) -> usize {
+        let fresh = Cell {
             visits: 0,
             total: 0.0,
             best: Score::MIN,
             exploit: 0.0,
             exploit_epoch: STALE,
-            expanded: false,
+            holders: 0,
+            inflight: 0,
+        };
+        match self.free.pop() {
+            Some(c) => {
+                self.cells[c] = fresh;
+                c
+            }
+            None => {
+                self.cells.push(fresh);
+                self.cells.len() - 1
+            }
         }
+    }
+
+    fn hold(&mut self, c: usize) {
+        self.cells[c].holders += 1;
+    }
+
+    fn release(&mut self, c: usize) {
+        self.cells[c].holders -= 1;
+        if self.cells[c].holders == 0 {
+            self.free.push(c);
+        }
+    }
+
+    /// Cells some node or slot still holds.
+    fn live(&self) -> usize {
+        self.cells.len() - self.free.len()
+    }
+}
+
+/// One slot of a [`CellTable`]. Ticks start at 1, so `touch == 0`
+/// marks an empty slot and a slot stays 24 bytes.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u64,
+    cell: usize,
+    touch: u64,
+}
+
+/// The arena's transposition table: [`TransTable`]'s geometry and
+/// eviction (the same set count for the same bound, [`TT_WAYS`] ways,
+/// least-recently-touched victim) over cell indices, with no lock. The
+/// slot vector is allocated once, so the table's own memory is bounded
+/// by construction.
+struct CellTable {
+    slots: Vec<Slot>,
+    /// Set index mask (`set_count - 1`; set count is a power of two).
+    set_mask: u64,
+    /// Access clock for LRU-within-set.
+    tick: u64,
+    occupied: usize,
+    hits: u64,
+    evictions: u64,
+}
+
+impl CellTable {
+    fn new(bytes_bound: usize) -> Self {
+        let sets = tt_sets(bytes_bound);
+        let empty = Slot {
+            key: 0,
+            cell: usize::MAX,
+            touch: 0,
+        };
+        CellTable {
+            slots: vec![empty; sets * TT_WAYS],
+            set_mask: sets as u64 - 1,
+            tick: 0,
+            occupied: 0,
+            hits: 0,
+            evictions: 0,
+        }
+    }
+
+    /// The cell for `key`, taking a fresh one (and possibly evicting)
+    /// on a miss. The caller holds the returned cell for its node; the
+    /// table holds it for the slot.
+    fn intern(&mut self, key: u64, cells: &mut Cells) -> usize {
+        let set = (key & self.set_mask) as usize * TT_WAYS;
+        self.tick += 1;
+        let mut empty = None;
+        let mut victim = set;
+        let mut victim_touch = u64::MAX;
+        for i in set..set + TT_WAYS {
+            let s = &mut self.slots[i];
+            if s.touch == 0 {
+                empty = empty.or(Some(i));
+            } else if s.key == key {
+                s.touch = self.tick;
+                self.hits += 1;
+                return s.cell;
+            } else if s.touch < victim_touch {
+                victim_touch = s.touch;
+                victim = i;
+            }
+        }
+        let i = match empty {
+            Some(i) => {
+                self.occupied += 1;
+                i
+            }
+            None => {
+                self.evictions += 1;
+                cells.release(self.slots[victim].cell);
+                victim
+            }
+        };
+        let cell = cells.take();
+        cells.hold(cell);
+        self.slots[i] = Slot {
+            key,
+            cell,
+            touch: self.tick,
+        };
+        cell
+    }
+}
+
+/// The sequential UCT tree, owned by one search or kept across the
+/// steps of a session. It keeps its normalisation bounds and their
+/// epoch, and with a table ([`UctArena::new`] with a bound) shares one
+/// statistics cell between transposed positions exactly as [`TpTree`]
+/// with a [`TransTable`] does: one worker on either is bit-identical,
+/// hits and evictions included.
+pub(crate) struct UctArena<M> {
+    nodes: Vec<Node>,
+    pool: Vec<M>,
+    cells: Cells,
+    table: Option<CellTable>,
+    /// Running bounds for reward normalisation.
+    lo: f64,
+    hi: f64,
+    /// Bumped whenever `lo` or `hi` moves, which stales every cached
+    /// exploitation term at once.
+    epoch: u64,
+    /// Kept with the tree, whose visit counts carry over from step to
+    /// step, so a warm step does not recompute their logarithms.
+    ln: LnTable,
+}
+
+impl<M: Clone + PartialEq> UctArena<M> {
+    /// An empty tree; with `table_bytes`, expansions intern their
+    /// position's [`Game::state_hash`] in a table bounded to that many
+    /// bytes.
+    pub(crate) fn new(table_bytes: Option<usize>) -> Self {
+        let mut cells = Cells::default();
+        let root = cells.take();
+        cells.hold(root);
+        UctArena {
+            nodes: vec![Node::new(NIL, root)],
+            pool: Vec::new(),
+            cells,
+            table: table_bytes.map(CellTable::new),
+            lo: f64::INFINITY,
+            hi: f64::NEG_INFINITY,
+            epoch: STALE + 1,
+            ln: LnTable::default(),
+        }
+    }
+
+    /// Runs UCT from `game`, which must be the position the tree is
+    /// rooted at, growing the tree in place.
+    pub(crate) fn search<G: Game<Move = M>>(
+        &mut self,
+        game: &G,
+        config: &UctConfig,
+        rng: &mut Rng,
+        ctx: &mut SearchCtx,
+    ) -> (Score, Vec<M>) {
+        // One body, compiled for each case: without a table no cell is
+        // shared, and the table and in-flight bookkeeping fold away.
+        if self.table.is_some() {
+            self.search_on::<G, true>(game, config, rng, ctx)
+        } else {
+            self.search_on::<G, false>(game, config, rng, ctx)
+        }
+    }
+
+    /// [`UctArena::search`], with `SHARED` telling whether the arena has
+    /// a table. Only a table makes two nodes share a cell, so only then
+    /// can a descent meet a cell it already holds (WU-UCT's in-flight
+    /// count).
+    fn search_on<G: Game<Move = M>, const SHARED: bool>(
+        &mut self,
+        game: &G,
+        config: &UctConfig,
+        rng: &mut Rng,
+        ctx: &mut SearchCtx,
+    ) -> (Score, Vec<M>) {
+        let UctArena {
+            nodes,
+            pool,
+            cells,
+            table,
+            ln,
+            ..
+        } = self;
+        let (mut lo, mut hi, mut epoch) = (self.lo, self.hi, self.epoch);
+        let mut best_score = Score::MIN;
+        let mut best_seq: Vec<M> = Vec::new();
+        let mut moves_buf: Vec<M> = Vec::new();
+        // Cells and moves of the current descent, reused across iterations.
+        let mut path: Vec<usize> = Vec::new();
+        let mut seq: Vec<M> = Vec::new();
+        // Every iteration walks this one position down the tree and rewinds
+        // it to the root.
+        let mut walker = Walker::new(game);
+        for iteration in 0..config.iterations.max(1) {
+            if iteration > 0 && ctx.should_stop() {
+                break;
+            }
+            let root = walker.mark();
+            let mut id = ROOT;
+            path.clear();
+            path.push(nodes[ROOT].cell as usize);
+            seq.clear();
+
+            // ---- selection ----
+            loop {
+                if !nodes[id].expanded {
+                    walker.position().legal_moves_into(&mut moves_buf);
+                    let start = pool.len();
+                    pool.append(&mut moves_buf);
+                    // Shuffle once so expansion order is unbiased.
+                    let moves = &mut pool[start..];
+                    for i in (1..moves.len()).rev() {
+                        let j = rng.below(i + 1);
+                        moves.swap(i, j);
+                    }
+                    let node = &mut nodes[id];
+                    (node.untried, node.untried_end) = (ix(start), ix(pool.len()));
+                    node.expanded = true;
+                }
+                // Expand one child if any remain.
+                if nodes[id].untried < nodes[id].untried_end {
+                    nodes[id].untried_end -= 1;
+                    let slot = nodes[id].untried_end;
+                    let mv = pool[slot as usize].clone();
+                    walker.play(&mv);
+                    seq.push(mv);
+                    ctx.record_expansion();
+                    // The key is the *child* position's hash, so the
+                    // move is played before the node exists.
+                    let cell = match table {
+                        Some(table) if SHARED => {
+                            table.intern(walker.position().state_hash(), cells)
+                        }
+                        _ => cells.take(),
+                    };
+                    cells.hold(cell);
+                    if SHARED {
+                        cells.cells[cell].inflight += 1;
+                    }
+                    let child = ix(nodes.len());
+                    nodes.push(Node::new(slot, cell));
+                    match nodes[id].last_child {
+                        NIL => nodes[id].first_child = child,
+                        last => nodes[last as usize].next_sibling = child,
+                    }
+                    nodes[id].last_child = child;
+                    path.push(cell);
+                    break;
+                }
+                if nodes[id].first_child == NIL {
+                    break; // terminal
+                }
+                // UCB over children with normalised means + max bias.
+                // Cells held earlier on this descent are WU-UCT's
+                // unobserved samples (ln(N + O) and n + o); the node's
+                // own mark is not one, and the root carries none.
+                let span = (hi - lo).max(1.0);
+                let here = &cells.cells[nodes[id].cell as usize];
+                let others = if SHARED {
+                    here.inflight - u32::from(id != ROOT)
+                } else {
+                    0
+                };
+                let ln_n = ln.ln(here.visits + u64::from(others));
+                let mut best_child = nodes[id].first_child;
+                let mut best_val = f64::NEG_INFINITY;
+                let mut c = best_child;
+                while c != NIL {
+                    let node = &nodes[c as usize];
+                    let n = &mut cells.cells[node.cell as usize];
+                    if n.exploit_epoch != epoch {
+                        let mean = (n.total / n.visits.max(1) as f64 - lo) / span;
+                        let maxv = (n.best as f64 - lo) / span;
+                        n.exploit = (1.0 - config.max_bias) * mean + config.max_bias * maxv;
+                        n.exploit_epoch = epoch;
+                    }
+                    let in_flight = if SHARED { u64::from(n.inflight) } else { 0 };
+                    let n_explore = (n.visits + in_flight).max(1) as f64;
+                    let val = n.exploit + config.exploration * (ln_n / n_explore).sqrt();
+                    if val > best_val {
+                        best_val = val;
+                        best_child = c;
+                    }
+                    c = node.next_sibling;
+                }
+                id = best_child as usize;
+                let cell = nodes[id].cell as usize;
+                if SHARED {
+                    cells.cells[cell].inflight += 1;
+                }
+                let mv = pool[nodes[id].mv as usize].clone();
+                walker.play(&mv);
+                seq.push(mv);
+                ctx.record_nested_move();
+                path.push(cell);
+            }
+
+            // ---- rollout ----
+            let score = walker.rollout(rng, None, &mut seq, ctx);
+            walker.rewind(root);
+            let s = score as f64;
+            if s < lo || s > hi {
+                lo = lo.min(s);
+                hi = hi.max(s);
+                epoch += 1;
+                // Stored at once, so the kept tree's cached terms always
+                // match the arena's epoch, even after a game panicked
+                // mid-search.
+                (self.lo, self.hi, self.epoch) = (lo, hi, epoch);
+            }
+
+            // ---- backpropagation ----
+            for &c in &path {
+                let n = &mut cells.cells[c];
+                n.visits += 1;
+                n.total += s;
+                n.best = n.best.max(score);
+                n.exploit_epoch = STALE;
+            }
+            if SHARED {
+                for &c in &path[1..] {
+                    cells.cells[c].inflight -= 1;
+                }
+            }
+
+            if score > best_score {
+                best_score = score;
+                best_seq.clone_from(&seq);
+            }
+        }
+
+        (best_score, best_seq)
+    }
+
+    /// Re-roots the tree on the root's child reached by `mv`, keeping
+    /// that subtree (statistics, untried moves and sibling order) and
+    /// the normalisation bounds. The subtree is copied breadth-first
+    /// into fresh node and move storage, so the dropped siblings'
+    /// memory goes with the old vectors; cells only they held are
+    /// freed. A move that was never expanded re-roots onto a fresh cold
+    /// node.
+    pub(crate) fn reroot(&mut self, mv: &M) {
+        let mut taken = self.nodes[ROOT].first_child;
+        while taken != NIL && self.pool[self.nodes[taken as usize].mv as usize] != *mv {
+            taken = self.nodes[taken as usize].next_sibling;
+        }
+        let mut nodes = Vec::new();
+        let mut pool = Vec::new();
+        if taken == NIL {
+            let cell = self.cells.take();
+            self.cells.hold(cell);
+            nodes.push(Node::new(NIL, cell));
+        } else {
+            // Old ids in breadth-first order: the children of `order[i]`
+            // sit together, in sibling order, further along.
+            let mut order = Vec::with_capacity(self.nodes.len());
+            order.push(taken as usize);
+            let mut moves = 0;
+            let mut i = 0;
+            while let Some(&old) = order.get(i) {
+                let n = &self.nodes[old];
+                moves += (n.untried_end - n.untried) as usize;
+                let mut c = n.first_child;
+                while c != NIL {
+                    order.push(c as usize);
+                    moves += 1;
+                    c = self.nodes[c as usize].next_sibling;
+                }
+                i += 1;
+            }
+            nodes.reserve_exact(order.len());
+            pool.reserve_exact(moves);
+            let mut next = 1;
+            for (i, &old) in order.iter().enumerate() {
+                let n = &self.nodes[old];
+                let slot = if i == 0 {
+                    NIL
+                } else {
+                    pool.push(self.pool[n.mv as usize].clone());
+                    ix(pool.len() - 1)
+                };
+                let mut node = Node::new(slot, n.cell as usize);
+                node.expanded = n.expanded;
+                node.untried = ix(pool.len());
+                pool.extend_from_slice(&self.pool[n.untried as usize..n.untried_end as usize]);
+                node.untried_end = ix(pool.len());
+                let mut c = n.first_child;
+                while c != NIL {
+                    if node.first_child == NIL {
+                        node.first_child = next;
+                    }
+                    node.last_child = next;
+                    next += 1;
+                    c = self.nodes[c as usize].next_sibling;
+                }
+                nodes.push(node);
+                self.cells.hold(n.cell as usize);
+            }
+            for parent in 0..nodes.len() {
+                let (first, last) = (nodes[parent].first_child, nodes[parent].last_child);
+                if first != NIL {
+                    for c in first..last {
+                        nodes[c as usize].next_sibling = c + 1;
+                    }
+                }
+            }
+        }
+        for n in &self.nodes {
+            self.cells.release(n.cell as usize);
+        }
+        self.nodes = nodes;
+        self.pool = pool;
+        debug_assert!(
+            self.cells.live() <= self.nodes.len() + self.table.as_ref().map_or(0, |t| t.occupied),
+            "a cell outlived its last holder"
+        );
+    }
+
+    /// Heap bytes the arena holds, read off its vectors' capacities:
+    /// nodes, moves, cells (live and free) and the table's slots. O(1),
+    /// so a session can report it after every step.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<Node>()
+            + self.pool.capacity() * size_of::<M>()
+            + self.cells.cells.capacity() * size_of::<Cell>()
+            + self.cells.free.capacity() * size_of::<usize>()
+            + self.ln.0.capacity() * size_of::<f64>()
+            + self
+                .table
+                .as_ref()
+                .map_or(0, |t| t.slots.capacity() * size_of::<Slot>())
+    }
+
+    /// (hits, evictions) of the table; (0, 0) without one.
+    pub(crate) fn table_counters(&self) -> (u64, u64) {
+        self.table
+            .as_ref()
+            .map_or((0, 0), |t| (t.hits, t.evictions))
     }
 }
 
 /// Runs UCT from `game`, accounting into (and honouring the
 /// budget/cancellation of) `ctx`.
 ///
-/// The engine room behind `SearchSpec::uct()`. The node budget
+/// The engine room behind `SearchSpec::uct()`: a fresh table-less
+/// `UctArena`, dropped when the search returns. The node budget
 /// (`Budget::max_nodes`) counts tree expansions, so a budgeted UCT run
 /// is bounded in memory as well as time.
 pub fn uct_with<G: Game>(
@@ -192,128 +699,7 @@ pub fn uct_with<G: Game>(
     rng: &mut Rng,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>) {
-    let mut nodes = vec![Node::new(NIL)];
-    let mut pool: Vec<G::Move> = Vec::new();
-    let mut ln = LnTable::default();
-
-    let mut best_score = Score::MIN;
-    let mut best_seq: Vec<G::Move> = Vec::new();
-    // Running bounds for reward normalisation.
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    // Bumped whenever `lo` or `hi` moves, which stales every cached
-    // exploitation term at once.
-    let mut epoch = STALE + 1;
-
-    let mut moves_buf: Vec<G::Move> = Vec::new();
-    // Node ids and moves of the current descent, reused across iterations.
-    let mut path: Vec<usize> = Vec::new();
-    let mut seq: Vec<G::Move> = Vec::new();
-    // Every iteration walks this one position down the tree and rewinds
-    // it to the root.
-    let mut walker = Walker::new(game);
-    for iteration in 0..config.iterations.max(1) {
-        if iteration > 0 && ctx.should_stop() {
-            break;
-        }
-        let root = walker.mark();
-        path.clear();
-        path.push(0);
-        seq.clear();
-
-        // ---- selection ----
-        loop {
-            let id = *path.last().expect("path non-empty");
-            if !nodes[id].expanded {
-                walker.position().legal_moves_into(&mut moves_buf);
-                let start = pool.len();
-                pool.append(&mut moves_buf);
-                // Shuffle once so expansion order is unbiased.
-                let moves = &mut pool[start..];
-                for i in (1..moves.len()).rev() {
-                    let j = rng.below(i + 1);
-                    moves.swap(i, j);
-                }
-                let node = &mut nodes[id];
-                (node.untried, node.untried_end) = (start, pool.len());
-                node.expanded = true;
-            }
-            // Expand one child if any remain.
-            if nodes[id].untried < nodes[id].untried_end {
-                nodes[id].untried_end -= 1;
-                let slot = nodes[id].untried_end;
-                let mv = pool[slot].clone();
-                walker.play(&mv);
-                seq.push(mv);
-                ctx.record_expansion();
-                let child = nodes.len();
-                nodes.push(Node::new(slot));
-                match nodes[id].last_child {
-                    NIL => nodes[id].first_child = child,
-                    last => nodes[last].next_sibling = child,
-                }
-                nodes[id].last_child = child;
-                path.push(child);
-                break;
-            }
-            if nodes[id].first_child == NIL {
-                break; // terminal
-            }
-            // UCB over children with normalised means + max bias.
-            let span = (hi - lo).max(1.0);
-            let ln_n = ln.ln(nodes[id].visits);
-            let mut best_child = nodes[id].first_child;
-            let mut best_val = f64::NEG_INFINITY;
-            let mut c = best_child;
-            while c != NIL {
-                let n = &mut nodes[c];
-                if n.exploit_epoch != epoch {
-                    let mean = (n.total / n.visits.max(1) as f64 - lo) / span;
-                    let maxv = (n.best as f64 - lo) / span;
-                    n.exploit = (1.0 - config.max_bias) * mean + config.max_bias * maxv;
-                    n.exploit_epoch = epoch;
-                }
-                let explore = config.exploration * (ln_n / n.visits.max(1) as f64).sqrt();
-                let val = n.exploit + explore;
-                if val > best_val {
-                    best_val = val;
-                    best_child = c;
-                }
-                c = n.next_sibling;
-            }
-            let mv = pool[nodes[best_child].mv].clone();
-            walker.play(&mv);
-            seq.push(mv);
-            ctx.record_nested_move();
-            path.push(best_child);
-        }
-
-        // ---- rollout ----
-        let score = walker.rollout(rng, None, &mut seq, ctx);
-        walker.rewind(root);
-        let s = score as f64;
-        if s < lo || s > hi {
-            lo = lo.min(s);
-            hi = hi.max(s);
-            epoch += 1;
-        }
-
-        // ---- backpropagation ----
-        for &id in &path {
-            let n = &mut nodes[id];
-            n.visits += 1;
-            n.total += s;
-            n.best = n.best.max(score);
-            n.exploit_epoch = STALE;
-        }
-
-        if score > best_score {
-            best_score = score;
-            best_seq.clone_from(&seq);
-        }
-    }
-
-    (best_score, best_seq)
+    UctArena::new(None).search(game, config, rng, ctx)
 }
 
 // ---------------------------------------------------------------------
@@ -491,14 +877,23 @@ fn tt_entry_bytes() -> usize {
     std::mem::size_of::<Option<TtSlot>>() + std::mem::size_of::<TpStats>()
 }
 
+/// The set count of a table bounded to `bytes_bound`: the largest power
+/// of two whose [`TT_WAYS`]-way sets of [`tt_entry_bytes`] entries fit,
+/// and at least one. [`TransTable`] and the arena's [`CellTable`] size
+/// by it alike, so they evict alike.
+fn tt_sets(bytes_bound: usize) -> usize {
+    let capacity = (bytes_bound / tt_entry_bytes()).max(TT_WAYS);
+    let mut sets = 1usize;
+    while sets * 2 * TT_WAYS <= capacity {
+        sets *= 2;
+    }
+    sets
+}
+
 impl TransTable {
     /// A table sized to stay within `bytes_bound` once full.
     pub(crate) fn new(bytes_bound: usize) -> Self {
-        let capacity = (bytes_bound / tt_entry_bytes()).max(TT_WAYS);
-        let mut sets = 1usize;
-        while sets * 2 * TT_WAYS <= capacity {
-            sets *= 2;
-        }
+        let sets = tt_sets(bytes_bound);
         let mut slots = Vec::new();
         slots.resize_with(sets * TT_WAYS, || None);
         TransTable {
@@ -633,9 +1028,9 @@ fn f64_cas_max(cell: &AtomicU64, candidate: f64) {
 
 /// The shared search tree plus the selection knobs every descent needs.
 ///
-/// Crate-visible (not public API): `SearchSession` holds one across
-/// steps, re-rooting it on each committed move so the next search
-/// starts warm.
+/// Crate-visible (not public API): a `tree_parallel` session holds one
+/// across steps, re-rooting it on each committed move so the next
+/// search starts warm. (A `uct` session keeps a `UctArena` instead.)
 pub(crate) struct TpTree<M> {
     root: Arc<TpNode<M>>,
     /// Taken for the whole selection + expansion of one descent in
@@ -1685,20 +2080,223 @@ mod tests {
         );
     }
 
-    /// Counts distinct statistics cells in the subtree (root included).
-    fn tree_distinct_stats<M>(node: &TpNode<M>) -> usize {
-        fn walk<M>(node: &TpNode<M>, seen: &mut Vec<*const TpStats>) {
-            let ptr = Arc::as_ptr(&node.stats);
-            if !seen.contains(&ptr) {
-                seen.push(ptr);
-            }
-            let body = node.body.lock();
-            for c in &body.children {
-                walk(c, seen);
+    /// `PickSet` at a size a session can step through: pick 6 of 12.
+    #[derive(Clone, Debug)]
+    struct PickMany {
+        chosen: u16,
+        count: usize,
+    }
+
+    impl Game for PickMany {
+        type Move = u8;
+        fn legal_moves(&self, out: &mut Vec<u8>) {
+            if self.count < 6 {
+                out.extend((0..12u8).filter(|i| self.chosen & (1 << i) == 0));
             }
         }
+        fn play(&mut self, mv: &u8) {
+            self.chosen |= 1 << mv;
+            self.count += 1;
+        }
+        fn score(&self) -> Score {
+            (0..12)
+                .filter(|i| self.chosen & (1 << i) != 0)
+                .map(|i| (i * 7) % 12)
+                .sum()
+        }
+        fn moves_played(&self) -> usize {
+            self.count
+        }
+        fn state_hash(&self) -> u64 {
+            crate::rng::mix64(self.chosen as u64 + 1)
+        }
+    }
+
+    /// Holders each arena cell should have: its nodes plus its slots.
+    fn arena_holders<M>(arena: &UctArena<M>) -> Vec<u32> {
+        let mut holders = vec![0u32; arena.cells.cells.len()];
+        for n in &arena.nodes {
+            holders[n.cell as usize] += 1;
+        }
+        for s in arena.table.iter().flat_map(|t| &t.slots) {
+            if s.touch != 0 {
+                holders[s.cell] += 1;
+            }
+        }
+        holders
+    }
+
+    /// A whole session on a 512-byte table (64 slots; the tree outgrows
+    /// it on the first step), checking after every re-root that every
+    /// cell counts its holders exactly, that free cells are exactly the
+    /// unheld ones, and so that live cells ≤ occupied slots + live
+    /// nodes: the memory bound `approx_bytes` documents.
+    #[test]
+    fn arena_cells_stay_within_occupied_slots_plus_live_nodes() {
+        let cfg = UctConfig {
+            iterations: 400,
+            ..Default::default()
+        };
+        let mut game = PickMany {
+            chosen: 0,
+            count: 0,
+        };
+        let mut arena = UctArena::new(Some(512));
+        for step in 0u64.. {
+            if game.is_terminal() {
+                break;
+            }
+            let mut ctx = SearchCtx::unbounded();
+            let (_, seq) = arena.search(&game, &cfg, &mut Rng::seeded(step), &mut ctx);
+            arena.reroot(&seq[0]);
+            game.play(&seq[0]);
+
+            let holders = arena_holders(&arena);
+            for (c, cell) in arena.cells.cells.iter().enumerate() {
+                let free = arena.cells.free.contains(&c);
+                assert_eq!(cell.holders, holders[c], "step {step}: cell {c}");
+                assert_eq!(free, holders[c] == 0, "step {step}: cell {c} free");
+                assert_eq!(cell.inflight, 0, "step {step}: no descent in flight");
+            }
+            let occupied = arena.table.as_ref().map_or(0, |t| t.occupied);
+            assert!(
+                arena.cells.live() <= occupied + arena.nodes.len(),
+                "step {step}: {} live cells, {occupied} slots, {} nodes",
+                arena.cells.live(),
+                arena.nodes.len()
+            );
+        }
+        let (_, evictions) = arena.table_counters();
+        assert!(evictions > 0, "the tree must outgrow 64 slots");
+    }
+
+    /// The same bound on the shared tree, whose cells are `Arc`s: the
+    /// distinct cells held by its nodes and its table slots.
+    #[test]
+    fn shared_tree_cells_stay_within_occupied_slots_plus_live_nodes() {
+        let cfg = UctConfig {
+            iterations: 400,
+            ..Default::default()
+        };
+        let mut game = PickMany {
+            chosen: 0,
+            count: 0,
+        };
+        let (lock, stats) = (LockStrategy::default(), StatsMode::default());
+        let mut tree = TpTree::with_table(&cfg, lock, stats, 512);
+        for step in 0u64.. {
+            if game.is_terminal() {
+                break;
+            }
+            let mut ctx = SearchCtx::unbounded();
+            let (_, seq) = uct_tree_parallel_on(&game, &tree, &cfg, 1, step, &mut ctx);
+            tree.reroot(&seq[0]);
+            game.play(&seq[0]);
+
+            let table = tree.table().expect("reuse-on tree");
+            let mut seen = Vec::new();
+            let nodes = tree_cells(&tree.root, &mut seen);
+            let slots = table.slots.lock();
+            let occupied = slots.iter().flatten().count();
+            for slot in slots.iter().flatten() {
+                let ptr = Arc::as_ptr(&slot.stats);
+                if !seen.contains(&ptr) {
+                    seen.push(ptr);
+                }
+            }
+            assert!(
+                seen.len() <= occupied + nodes,
+                "step {step}: {} live cells, {occupied} slots, {nodes} nodes",
+                seen.len()
+            );
+        }
+        let (_, evictions) = tree.table().expect("reuse-on tree").counters();
+        assert!(evictions > 0, "the tree must outgrow 64 slots");
+    }
+
+    /// Pushes the distinct cells of the subtree onto `seen`; returns its
+    /// node count.
+    fn tree_cells<M>(node: &TpNode<M>, seen: &mut Vec<*const TpStats>) -> usize {
+        let ptr = Arc::as_ptr(&node.stats);
+        if !seen.contains(&ptr) {
+            seen.push(ptr);
+        }
+        let body = node.body.lock();
+        1 + body
+            .children
+            .iter()
+            .map(|c| tree_cells(c, seen))
+            .sum::<usize>()
+    }
+
+    #[test]
+    fn arena_reroot_keeps_the_chosen_subtree_in_sibling_order() {
+        let g = Ternary {
+            depth: 5,
+            taken: vec![],
+        };
+        let cfg = UctConfig {
+            iterations: 500,
+            ..Default::default()
+        };
+        let mut arena = UctArena::new(None);
+        let mut ctx = SearchCtx::unbounded();
+        let (_, seq) = arena.search(&g, &cfg, &mut Rng::seeded(7), &mut ctx);
+        let first = seq[0];
+
+        // (move, visits) of every node below `id`, depth first.
+        fn shape(arena: &UctArena<u8>, id: Ix, out: &mut Vec<(u8, u64)>) {
+            let mut c = arena.nodes[id as usize].first_child;
+            while c != NIL {
+                let n = &arena.nodes[c as usize];
+                let visits = arena.cells.cells[n.cell as usize].visits;
+                out.push((arena.pool[n.mv as usize], visits));
+                shape(arena, c, out);
+                c = n.next_sibling;
+            }
+        }
+        fn node(arena: &UctArena<u8>, id: Ix) -> &Node {
+            &arena.nodes[id as usize]
+        }
+        let mut child = node(&arena, ROOT as Ix).first_child;
+        while arena.pool[node(&arena, child).mv as usize] != first {
+            child = node(&arena, child).next_sibling;
+        }
+        let n = node(&arena, child);
+        let visits = arena.cells.cells[n.cell as usize].visits;
+        let untried = arena.pool[n.untried as usize..n.untried_end as usize].to_vec();
+        let mut before = Vec::new();
+        shape(&arena, child, &mut before);
+        let bytes_before = arena.approx_bytes();
+
+        arena.reroot(&first);
+        let root = node(&arena, ROOT as Ix);
+        assert_eq!(root.mv, NIL, "roots have no inbound move");
+        assert_eq!(arena.cells.cells[root.cell as usize].visits, visits);
+        assert_eq!(
+            arena.pool[root.untried as usize..root.untried_end as usize],
+            untried[..]
+        );
+        let mut after = Vec::new();
+        shape(&arena, ROOT as Ix, &mut after);
+        assert_eq!(after, before, "the subtree, in sibling order");
+        assert_eq!(arena.nodes.len(), before.len() + 1, "siblings dropped");
+        assert!(arena.approx_bytes() < bytes_before);
+        assert!(arena.cells.live() == arena.nodes.len(), "one cell per node");
+
+        // A move with no expanded child starts cold (9 is not a Ternary
+        // move, standing in for an unexplored line).
+        arena.reroot(&9u8);
+        assert_eq!(arena.nodes.len(), 1);
+        let root = node(&arena, ROOT as Ix);
+        assert_eq!(arena.cells.cells[root.cell as usize].visits, 0);
+        assert_eq!(arena.cells.live(), 1);
+    }
+
+    /// Counts distinct statistics cells in the subtree (root included).
+    fn tree_distinct_stats<M>(node: &TpNode<M>) -> usize {
         let mut seen = Vec::new();
-        walk(node, &mut seen);
+        tree_cells(node, &mut seen);
         seen.len()
     }
 }

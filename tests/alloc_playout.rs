@@ -182,7 +182,7 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
 /// expansion (a few hundred here) breaks the fixed bound.
 #[test]
 fn uct_allocates_per_expansion_not_per_iteration() {
-    use pnmcs::search::{SearchSpec, UctConfig};
+    use pnmcs::search::{SearchSession, SearchSpec, UctConfig};
     let config = UctConfig {
         iterations: 2000,
         ..UctConfig::default()
@@ -191,6 +191,11 @@ fn uct_allocates_per_expansion_not_per_iteration() {
         let board = SameGame::random(6, 6, 3, seed);
         for (label, spec, per_expansion) in [
             ("uct", SearchSpec::uct_with(config.clone()), 0),
+            (
+                "uct + tree_reuse",
+                SearchSpec::uct_with(config.clone()).tree_reuse(true),
+                0,
+            ),
             (
                 "tree_parallel(1)",
                 SearchSpec::tree_parallel_with(config.clone(), 1),
@@ -208,15 +213,34 @@ fn uct_allocates_per_expansion_not_per_iteration() {
                 "{label} seed {seed}: {events} allocations for {expansions} expansions"
             );
         }
+        // A warm step grows the kept arena and re-roots it into fresh
+        // storage: still no term per expansion.
+        let spec = SearchSpec::uct_with(config.clone())
+            .tree_reuse(true)
+            .seed(seed)
+            .build();
+        let mut session = SearchSession::new(board.clone(), spec, None);
+        session.step(None);
+        let (events, report) = count_allocs(|| session.step(None));
+        let expansions = report.stats.expansions;
+        assert!(
+            events <= 80,
+            "warm uct step, seed {seed}: {events} allocations for {expansions} expansions"
+        );
     }
 }
 
 /// Sequential UCT's tree belongs to its one search: however many
 /// iterations run, it takes no lock and, unbounded, reads no clock.
+/// With `tree_reuse` the same arena carries a transposition table, one
+/// shot or kept warm across a session's steps, and still takes none:
+/// such a search or step costs exactly what the spec wrapper around a
+/// reuse-off search or cold step does (the wall-clock read its report
+/// carries).
 #[cfg(debug_assertions)]
 #[test]
 fn sequential_uct_takes_no_lock() {
-    use pnmcs::search::{uct_with, SearchResult, UctConfig};
+    use pnmcs::search::{uct_with, SearchResult, SearchSession, SearchSpec, UctConfig};
     let board = SameGame::random(6, 6, 3, 1);
     let config = UctConfig {
         iterations: 2000,
@@ -226,6 +250,27 @@ fn sequential_uct_takes_no_lock() {
         SearchResult::unbounded(|ctx| uct_with(&board, &config, &mut Rng::seeded(1), ctx));
     });
     assert_eq!(counts, (0, 0), "(locks, clock reads) of 2000 iterations");
+
+    let spec = |reuse: bool| {
+        SearchSpec::uct_with(config.clone())
+            .tree_reuse(reuse)
+            .seed(1)
+            .build()
+    };
+    let one_shot = |reuse: bool| locks_and_clock_reads(|| drop(spec(reuse).run(&board)));
+    let wrapper = one_shot(false);
+    assert_eq!(wrapper, (0, 1), "the spec wrapper reads the clock once");
+    assert_eq!(one_shot(true), wrapper, "one-shot uct + tree_reuse");
+
+    // The second step of each session: the warm one searches and
+    // re-roots a tree it kept.
+    let second_step = |reuse: bool| {
+        let mut session = SearchSession::new(board.clone(), spec(reuse), None);
+        session.step(None);
+        locks_and_clock_reads(|| drop(session.step(None)))
+    };
+    assert_eq!(second_step(false), wrapper, "cold session step");
+    assert_eq!(second_step(true), wrapper, "warm uct session step");
 }
 
 /// The shared tree at width 1, where every lock lands on this thread (a

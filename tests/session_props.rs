@@ -15,10 +15,19 @@
 //!    and the apply-path hash equals the play-path hash for the same
 //!    move. Without this, a warm tree re-rooted after an undo-backed
 //!    search would look up poisoned entries.
+//!
+//! 3. **One warm tree, two implementations** — a warm `uct` session
+//!    steps on the sequential arena and a warm `tree_parallel(1)`
+//!    session on the shared tree; at every step the two agree on score,
+//!    sequence, counters and transposition-table hits and evictions, on
+//!    every table size down to one that evicts constantly, and on a game
+//!    whose `state_hash` collides on purpose.
 
 use pnmcs::games::{NeedleLadder, SameGame, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::{DynGame, Game, Rng, SearchReport, SearchSpec};
+use pnmcs::search::{
+    mix64, CodedGame, DynGame, Game, Rng, Score, SearchReport, SearchSession, SearchSpec, UctConfig,
+};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
@@ -196,5 +205,120 @@ proptest! {
         // see a `DynGame`.
         check_hash_walk(DynGame::new(SameGame::random(5, 5, 3, seed)), seed, 48);
         check_hash_walk(DynGame::new(SumGame::random(5, 4, seed)), seed, 16);
+    }
+}
+
+// -- contract 3: warm `uct` ≡ warm `tree_parallel(1)` -----------------
+
+/// Table bounds the warm equivalence runs under: the default, and two
+/// small enough that eviction runs all the time.
+const TABLES: [Option<usize>; 3] = [None, Some(4 * 1024), Some(512)];
+
+/// Steps a warm `uct` session and a warm `tree_parallel(1)` session
+/// from `game` to the end, asserting that every step agrees; returns
+/// the final (hits, evictions).
+fn warm_sessions_agree<G>(
+    label: &str,
+    game: G,
+    iterations: usize,
+    table: Option<usize>,
+) -> (u64, u64)
+where
+    G: CodedGame + Send + Sync,
+    G::Move: Send + Sync,
+{
+    let config = UctConfig {
+        iterations,
+        ..UctConfig::default()
+    };
+    let seed = 31;
+    let uct = SearchSpec::uct_with(config.clone())
+        .tree_reuse(true)
+        .seed(seed)
+        .build();
+    let shared = SearchSpec::tree_parallel_with(config, 1)
+        .tree_reuse(true)
+        .seed(seed)
+        .build();
+    let mut arena = SearchSession::new(game.clone(), uct, table);
+    let mut tree = SearchSession::new(game, shared, table);
+    let mut step = 0;
+    while !arena.is_done() {
+        let (a, t) = (arena.step(None), tree.step(None));
+        let at = format!("{label}, table {table:?}, step {step}");
+        assert_eq!(a.score, t.score, "{at}: score");
+        assert_eq!(a.sequence, t.sequence, "{at}: sequence");
+        assert_eq!(a.stats, t.stats, "{at}: counters");
+        assert_eq!(arena.table_counters(), tree.table_counters(), "{at}: table");
+        step += 1;
+    }
+    assert!(tree.is_done(), "{label}: both sessions end together");
+    assert_eq!(arena.committed(), tree.committed(), "{label}");
+    arena.table_counters()
+}
+
+#[test]
+fn warm_uct_matches_warm_tree_parallel_on_every_domain_and_table() {
+    let mut evictions = 0;
+    for table in TABLES {
+        evictions += warm_sessions_agree("samegame", SameGame::random(10, 10, 4, 3), 200, table).1;
+        warm_sessions_agree("sum", SumGame::random(12, 6, 4), 300, table);
+        warm_sessions_agree(
+            "tsp",
+            TspGame::new(TspInstance::random(9, 5), None),
+            300,
+            table,
+        );
+        // As served: sessions opened over HTTP step a `DynGame`.
+        let served = DynGame::new(SameGame::random(8, 8, 3, 6));
+        warm_sessions_agree("served samegame", served, 200, table);
+    }
+    assert!(evictions > 0, "the small tables must evict");
+}
+
+/// `SumGame` whose `state_hash` keeps three bits of the score, so most
+/// positions share a key with a sibling, an ancestor or a descendant,
+/// and a descent often meets a statistics cell it already holds.
+#[derive(Clone, Debug)]
+struct Colliding(SumGame);
+
+impl Game for Colliding {
+    type Move = u8;
+    fn legal_moves(&self, out: &mut Vec<u8>) {
+        self.0.legal_moves(out);
+    }
+    fn play(&mut self, mv: &u8) {
+        self.0.play(mv);
+    }
+    fn score(&self) -> Score {
+        self.0.score()
+    }
+    fn moves_played(&self) -> usize {
+        self.0.moves_played()
+    }
+    fn state_hash(&self) -> u64 {
+        mix64(self.0.score() as u64 % 8 + 1)
+    }
+}
+
+impl CodedGame for Colliding {
+    fn move_code(&self, mv: &u8) -> u64 {
+        self.0.move_code(mv)
+    }
+}
+
+#[test]
+fn warm_uct_matches_warm_tree_parallel_when_state_hashes_collide() {
+    for table in TABLES {
+        let (hits, _) = warm_sessions_agree(
+            "colliding",
+            Colliding(SumGame::random(10, 5, 8)),
+            300,
+            table,
+        );
+        assert!(
+            hits > 100,
+            "table {table:?}: collisions must share cells ({hits} hits)"
+        );
     }
 }
