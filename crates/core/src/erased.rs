@@ -24,10 +24,11 @@ use crate::nrpa::CodedGame;
 use crate::report::SearchReport;
 use crate::search::SearchResult;
 use crate::spec::{CancelToken, SearchSpec, Searcher};
+use std::any::Any;
 
 /// Object-safe view of a game: moves are indices into the current
 /// position's legal-move list (in `legal_moves` order).
-pub trait AnyGame: Send + Sync {
+pub trait AnyGame: Any + Send + Sync {
     /// Number of legal moves at the current position.
     fn legal_count(&self) -> usize;
 
@@ -57,6 +58,13 @@ pub trait AnyGame: Send + Sync {
     /// undo tokens pending on `self` do **not** transfer (see
     /// [`AnyGame::apply_nth`]).
     fn clone_any(&self) -> Box<dyn AnyGame>;
+
+    /// Copies `source` into `self`, reusing `self`'s buffers, when both
+    /// erase the same game type, and returns whether it did; otherwise
+    /// leaves `self` as it was. Like [`AnyGame::clone_any`], pending
+    /// undo tokens do not transfer. [`DynGame`]'s `clone_from` calls it
+    /// and falls back to `clone_any` on `false`.
+    fn clone_from_any(&mut self, source: &dyn AnyGame) -> bool;
 
     /// Whether the underlying game implements the scratch-state fast
     /// path ([`Game::supports_undo`]). Erasures over snapshot-only games
@@ -158,6 +166,17 @@ where
         })
     }
 
+    fn clone_from_any(&mut self, source: &dyn AnyGame) -> bool {
+        let Some(source) = (source as &dyn Any).downcast_ref::<Self>() else {
+            return false;
+        };
+        self.game.clone_from(&source.game);
+        self.moves.clone_from(&source.moves);
+        self.undo.clear();
+        self.code = source.code;
+        true
+    }
+
     fn supports_undo(&self) -> bool {
         self.game.supports_undo()
     }
@@ -252,6 +271,16 @@ impl Clone for DynGame {
             inner: self.inner.clone_any(),
             domain: self.domain,
         }
+    }
+
+    /// Copies in place when both sides erase the same game type, so a
+    /// search that copies an erased position at every mark allocates
+    /// only what the typed game's own `clone_from` does.
+    fn clone_from(&mut self, source: &Self) {
+        if !self.inner.clone_from_any(&*source.inner) {
+            self.inner = source.inner.clone_any();
+        }
+        self.domain = source.domain;
     }
 }
 

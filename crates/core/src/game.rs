@@ -93,11 +93,12 @@ impl<G> std::fmt::Debug for Undo<G> {
 ///
 /// The hot loop of every search is the random playout, and the dominant
 /// cost of the naive implementation is cloning the full game state per
-/// candidate evaluation. Games that can *revert* a move cheaply should
-/// implement [`Game::apply`] / [`Game::undo`] (and return `true` from
-/// [`Game::supports_undo`]): the searches in this crate then run their
-/// playouts and nested rollouts in place on a single mutable position,
-/// never cloning on the hot path. Requirements for the fast path:
+/// candidate evaluation. Games that can *revert* a move for less than a
+/// copy of the position costs should implement [`Game::apply`] /
+/// [`Game::undo`] (and return `true` from [`Game::supports_undo`]): the
+/// searches in this crate then run their playouts and nested rollouts in
+/// place on a single mutable position, never cloning on the hot path.
+/// Requirements for the fast path:
 ///
 /// * `apply` behaves exactly like `play` as far as any observer can tell
 ///   (same state transition, same subsequent `legal_moves` **order** —
@@ -109,10 +110,19 @@ impl<G> std::fmt::Debug for Undo<G> {
 ///   `apply` and its `undo`.
 ///
 /// Games that don't opt in keep working unchanged: the searches copy the
-/// position once per candidate evaluation and put the copy back (cheaper
-/// than the default snapshotting `apply` per move would be). Which of the
-/// two happens is decided in one place, the crate's position walker; the
-/// search bodies are the same code either way.
+/// position once per candidate evaluation with [`Clone::clone_from`] into
+/// a copy they keep, and swap it back (cheaper than the default
+/// snapshotting `apply` per move would be). Which of the two happens is
+/// decided in one place, the crate's position walker; the search bodies
+/// are the same code either way.
+///
+/// **Opt in only when an `apply` + `undo` pair costs less than a
+/// `clone_from`.** The copy is paid once per mark, the pair once per
+/// move, so a game whose whole position copies faster than it journals
+/// one move gains nothing from the protocol. SameGame is such a game: it
+/// does not opt in, and writes `clone_from` out so that the copy reuses
+/// the target's buffers. A game that does not opt in and holds heap
+/// buffers should do the same, or every mark allocates.
 pub trait Game: Clone {
     /// The move type. `Clone + PartialEq` suffice for sequence memoisation.
     type Move: Clone + PartialEq + std::fmt::Debug;
@@ -192,11 +202,14 @@ pub trait Game: Clone {
     }
 
     /// Whether this game implements the O(move)-cost [`Game::apply`] /
-    /// [`Game::undo`] fast path.
+    /// [`Game::undo`] fast path — the one thing that picks how searches
+    /// restore its positions.
     ///
     /// The default (snapshot-based) protocol returns `false`; searches
-    /// then keep the clone-per-evaluation strategy instead of paying a
-    /// full snapshot per playout move.
+    /// then keep the copy-per-evaluation strategy instead of paying a
+    /// full snapshot per playout move. Return `true` only when an
+    /// `apply` + `undo` pair costs less than a `clone_from` of the whole
+    /// position (see the trait docs).
     fn supports_undo(&self) -> bool {
         false
     }

@@ -145,11 +145,14 @@ impl<G: Game> PlayoutScratch<G> {
 /// restored. A game with the scratch-state protocol
 /// ([`Game::supports_undo`]) is walked in place: every [`Walker::play`]
 /// keeps its undo token and [`Walker::rewind`] unwinds them. Any other
-/// game is copied at each [`Walker::mark`] and `rewind` puts the copy
-/// back — one clone per mark, so one per candidate evaluation, never
-/// one per playout move. Every algorithm body is written once against
-/// this type; the two modes make the same decisions and draw the same
-/// random numbers.
+/// game is copied at each [`Walker::mark`] and `rewind` swaps the copy
+/// back — one copy per mark, so one per candidate evaluation, never
+/// one per playout move. The copies live in one slot per mark depth:
+/// `mark` copies into its slot with [`Clone::clone_from`], and `rewind`
+/// leaves the position it swapped out in the slot, so a game whose
+/// `clone_from` reuses its buffers is walked without allocating. Every
+/// algorithm body is written once against this type; the two modes make
+/// the same decisions and draw the same random numbers.
 ///
 /// Search bodies *advance* the walker and leave it advanced; whoever
 /// wants the earlier position back takes a mark first and rewinds to it.
@@ -167,8 +170,10 @@ enum Restore<G: Game> {
         played: Vec<Undo<G>>,
         unwinding: Vec<Undo<G>>,
     },
-    /// The position as it stood at each mark not yet rewound.
-    Copies(Vec<G>),
+    /// `saved[..depth]` is the position as it stood at each mark not yet
+    /// rewound; the slots past `depth` hold positions rewound away, kept
+    /// for their buffers.
+    Copies { saved: Vec<G>, depth: usize },
 }
 
 /// A point [`Walker::rewind`] can return to. Marks nest: rewinding to one
@@ -184,7 +189,10 @@ impl<G: Game> Walker<G> {
                 unwinding: Vec::new(),
             }
         } else {
-            Restore::Copies(Vec::new())
+            Restore::Copies {
+                saved: Vec::new(),
+                depth: 0,
+            }
         };
         Walker {
             pos: root.clone(),
@@ -202,9 +210,13 @@ impl<G: Game> Walker<G> {
     pub(crate) fn mark(&mut self) -> Mark {
         match &mut self.restore {
             Restore::Undo { played, .. } => Mark(played.len()),
-            Restore::Copies(saved) => {
-                saved.push(self.pos.clone());
-                Mark(saved.len() - 1)
+            Restore::Copies { saved, depth } => {
+                match saved.get_mut(*depth) {
+                    Some(slot) => slot.clone_from(&self.pos),
+                    None => saved.push(self.pos.clone()),
+                }
+                *depth += 1;
+                Mark(*depth - 1)
             }
         }
     }
@@ -213,7 +225,7 @@ impl<G: Game> Walker<G> {
     pub(crate) fn play(&mut self, mv: &G::Move) {
         match &mut self.restore {
             Restore::Undo { played, .. } => played.push(self.pos.apply(mv)),
-            Restore::Copies(_) => self.pos.play(mv),
+            Restore::Copies { .. } => self.pos.play(mv),
         }
     }
 
@@ -226,9 +238,10 @@ impl<G: Game> Walker<G> {
                 unwinding.extend(played.drain(mark.0..));
                 self.pos.undo_all(unwinding);
             }
-            Restore::Copies(saved) => {
-                saved.truncate(mark.0 + 1);
-                self.pos = saved.pop().expect("rewind to a mark that was taken");
+            Restore::Copies { saved, depth } => {
+                assert!(mark.0 < *depth, "rewind to a mark that was taken");
+                *depth = mark.0;
+                std::mem::swap(&mut self.pos, &mut saved[mark.0]);
             }
         }
     }
@@ -248,7 +261,7 @@ impl<G: Game> Walker<G> {
     ) -> Score {
         match self.restore {
             Restore::Undo { .. } => self.playout.run_undo(&mut self.pos, rng, cap, seq, ctx),
-            Restore::Copies(_) => self.playout.run(&mut self.pos, rng, cap, seq, ctx),
+            Restore::Copies { .. } => self.playout.run(&mut self.pos, rng, cap, seq, ctx),
         }
     }
 
@@ -258,7 +271,7 @@ impl<G: Game> Walker<G> {
     pub(crate) fn swap_position(&mut self, other: &mut G) {
         debug_assert!(match &self.restore {
             Restore::Undo { played, .. } => played.is_empty(),
-            Restore::Copies(saved) => saved.is_empty(),
+            Restore::Copies { depth, .. } => *depth == 0,
         });
         std::mem::swap(&mut self.pos, other);
     }
@@ -780,6 +793,51 @@ mod tests {
                 assert_eq!(rs.stats, rf.stats, "level {level}");
             }
         }
+    }
+
+    #[test]
+    fn copy_walker_rewinds_nested_marks_to_the_marked_positions() {
+        let root = Trap { taken: vec![] };
+        assert!(!root.supports_undo());
+        let mut walker = Walker::new(&root);
+        // Twice, so the second round copies into the slots the first left.
+        for round in 0..2 {
+            let outer = walker.mark();
+            walker.play(&0);
+            let inner = walker.mark();
+            walker.play(&1);
+            assert_eq!(walker.position().taken, [0, 1], "round {round}");
+            walker.rewind(inner);
+            assert_eq!(walker.position().taken, [0], "round {round}: inner mark");
+            walker.play(&2);
+            assert_eq!(walker.position().taken, [0, 2], "round {round}");
+            walker.rewind(outer);
+            assert!(
+                walker.position().taken.is_empty(),
+                "round {round}: outer mark"
+            );
+        }
+
+        // Nothing is pending, so positions can be swapped in and out.
+        let mut other = Trap { taken: vec![2] };
+        walker.swap_position(&mut other);
+        assert_eq!(walker.position().taken, [2]);
+        let mark = walker.mark();
+        walker.play(&1);
+        walker.rewind(mark);
+        walker.swap_position(&mut other);
+        assert!(walker.position().taken.is_empty());
+        assert_eq!(other.taken, [2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rewind to a mark that was taken")]
+    fn copy_walker_refuses_a_mark_it_never_took() {
+        let mut walker = Walker::new(&Trap { taken: vec![] });
+        // Leaves a slot behind, which must not make a later depth valid.
+        let mark = walker.mark();
+        walker.rewind(mark);
+        walker.rewind(Mark(0));
     }
 
     #[test]

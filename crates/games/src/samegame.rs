@@ -26,14 +26,13 @@
 //! 4. `heights[x]` is the number of tiles in column `x`.
 //!
 //! Together they make the buffer a canonical form (`==` compares it
-//! byte-wise) and let `undo` restore a move by copying bytes back.
-//! [`Game::state_hash`] is computed on demand, one `column_hash` per
-//! column over its tiles: nothing on the move path maintains a hash, so
-//! playouts, which never read it, do not pay for it.
+//! byte-wise). [`Game::state_hash`] is computed on demand, one
+//! `column_hash` per column over its tiles: nothing on the move path
+//! maintains a hash, so playouts, which never read it, do not pay for it.
 //!
 //! **Why the flood may remove.** A colour never equals `0`, so zeroing a
 //! cell the moment the flood reaches it both removes the tile and marks
-//! it visited: `play`/`apply` need no member list and no visit marks. The
+//! it visited: `play` needs no member list and no visit marks. The
 //! holes are closed by one read/write-pointer pass over the columns the
 //! group spanned (a connected group spans a contiguous column range), and
 //! a column that emptied by one `copy_within` slide of the live columns
@@ -50,11 +49,18 @@
 //! would have visited it), so a singleton is recognised from its upper
 //! and right neighbours alone and skipped without touching the stack.
 //!
-//! Both floods share one thread-local scratch (`FLOOD`) and the undo
-//! journal lives in the position, so a warmed playout allocates nothing
-//! (`tests/alloc_playout.rs`).
+//! **Why there is no undo journal.** A position is two short vectors.
+//! Copying a whole 15×15 position costs less than one journalled move
+//! and its undo (35 ns against 59 ns, medians of three perf-ledger runs
+//! on a 2-vCPU x86-64 VM), and a search copies once per mark, not once
+//! per move. So
+//! SameGame does not opt into [`Game::supports_undo`]: the searches copy
+//! the position at each mark, and the hand-written `clone_from` copies
+//! into the buffers the target already has. Both floods share one
+//! thread-local scratch (`FLOOD`), so a warmed playout and a warmed
+//! `clone_from` allocate nothing (`tests/alloc_playout.rs`).
 
-use nmcs_core::{mix64, CodedGame, Game, Rng, Score, Undo};
+use nmcs_core::{mix64, CodedGame, Game, Rng, Score};
 
 /// Bonus for clearing the entire board.
 pub const CLEAR_BONUS: Score = 1000;
@@ -103,55 +109,46 @@ thread_local! {
         std::cell::RefCell::new(FloodScratch::default());
 }
 
-/// One `apply` frame of the undo journal: the run of columns the move
-/// changed, whose pre-move bytes and heights end the spill buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TapFrame {
-    /// Leftmost changed column.
-    first: u8,
-    /// Number of changed columns (a contiguous run from `first`).
-    cols: u16,
-    /// Score earned by the move (group score plus any clear bonus).
-    score_delta: Score,
-}
-
-/// A SameGame position (see the module docs for the layout).
-#[derive(Debug, Clone)]
+/// A SameGame position (see the module docs for the layout). `==`
+/// compares the observable position; the heights follow from the cells,
+/// so comparing them as well changes no answer.
+#[derive(Debug, PartialEq, Eq)]
 pub struct SameGame {
     /// `cells[x * (height + 1) + y]` = colour at column `x`, height `y`
     /// (bottom-up), `0` = empty. Colours are `1..=colors`.
     cells: Vec<u8>,
-    /// Tile count of every column, maintained through every move and
-    /// undo. Derived state: deliberately excluded from `PartialEq`.
+    /// Tile count of every column, maintained through every move.
     heights: Vec<u16>,
     width: usize,
     height: usize,
     accumulated: Score,
     moves: usize,
-    /// Spill buffer of pre-move column bytes, `height + 1` per journalled
-    /// column.
-    undo_cells: Vec<u8>,
-    /// Spill buffer of the same columns' pre-move heights.
-    undo_heights: Vec<u16>,
-    /// One frame per outstanding `apply`.
-    undo_frames: Vec<TapFrame>,
 }
 
-/// Equality is over the *observable position* — board, score, move
-/// count — and deliberately ignores the undo journal: a position reached
-/// via `play` equals the same position reached via `apply`, so `==`
-/// stays usable for transposition checks and deduplication.
-impl PartialEq for SameGame {
-    fn eq(&self, other: &Self) -> bool {
-        self.cells == other.cells
-            && self.width == other.width
-            && self.height == other.height
-            && self.accumulated == other.accumulated
-            && self.moves == other.moves
+/// Written out for `clone_from`, which the searches call at every mark:
+/// it copies into the target's own `Vec`s, so once they are as large as
+/// the source's nothing is allocated.
+impl Clone for SameGame {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            heights: self.heights.clone(),
+            width: self.width,
+            height: self.height,
+            accumulated: self.accumulated,
+            moves: self.moves,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cells.clone_from(&source.cells);
+        self.heights.clone_from(&source.heights);
+        self.width = source.width;
+        self.height = source.height;
+        self.accumulated = source.accumulated;
+        self.moves = source.moves;
     }
 }
-
-impl Eq for SameGame {}
 
 /// A move: remove the group containing this cell. `(x, y)` is the
 /// *canonical* cell of the group (smallest `x`, then smallest `y`), so two
@@ -186,9 +183,6 @@ impl SameGame {
             height,
             accumulated: 0,
             moves: 0,
-            undo_cells: Vec::new(),
-            undo_heights: Vec::new(),
-            undo_frames: Vec::new(),
         }
     }
 
@@ -316,12 +310,7 @@ impl SameGame {
     /// Plays the tap: removes the group containing it, applies gravity
     /// and column collapse, and books the score. Panics, before anything
     /// is written, if the group has fewer than two tiles.
-    ///
-    /// With `record`, first journals the pre-move bytes and heights of
-    /// every column the move changes — the columns the group spans
-    /// and, if one of them empties, every live column to their right —
-    /// as one [`TapFrame`].
-    fn remove(&mut self, tap: Tap, record: bool) {
+    fn remove(&mut self, tap: Tap) {
         let stride = self.stride();
         let start = tap.x as usize * stride + tap.y as usize;
         let tile = self.tile(tap.x as usize, tap.y as usize);
@@ -356,16 +345,6 @@ impl SameGame {
         });
         let (first, last) = (lowest / stride, highest / stride);
 
-        let (cells_mark, heights_mark) = (self.undo_cells.len(), self.undo_heights.len());
-        if record {
-            // The flood has already punched its holes into these bytes;
-            // the gravity pass below fills them back in on the copy.
-            self.undo_heights
-                .extend_from_slice(&self.heights[first..=last]);
-            self.undo_cells
-                .extend_from_slice(&self.cells[first * stride..(last + 1) * stride]);
-        }
-
         // Gravity: one read/write-pointer pass packs each spanned column's
         // survivors downwards. Every hole it passes is a removed tile.
         let mut emptied = false;
@@ -377,8 +356,6 @@ impl SameGame {
                 if c != 0 {
                     col[top] = c;
                     top += 1;
-                } else if record {
-                    self.undo_cells[cells_mark + (x - first) * stride + y] = colour;
                 }
             }
             self.heights[x] = top as u16;
@@ -392,12 +369,6 @@ impl SameGame {
             let mut live = (last + 1..self.width)
                 .find(|&x| self.heights[x] == 0)
                 .unwrap_or(self.width);
-            if record {
-                self.undo_heights
-                    .extend_from_slice(&self.heights[last + 1..live]);
-                self.undo_cells
-                    .extend_from_slice(&self.cells[(last + 1) * stride..live * stride]);
-            }
             for x in (first..=last).rev() {
                 if self.heights[x] == 0 {
                     self.cells
@@ -410,19 +381,11 @@ impl SameGame {
             }
         }
 
-        let mut score_delta = ((n - 2) * (n - 2)) as Score;
+        self.accumulated += ((n - 2) * (n - 2)) as Score;
         if self.cleared() {
-            score_delta += CLEAR_BONUS;
+            self.accumulated += CLEAR_BONUS;
         }
-        self.accumulated += score_delta;
         self.moves += 1;
-        if record {
-            self.undo_frames.push(TapFrame {
-                first: first as u8,
-                cols: (self.undo_heights.len() - heights_mark) as u16,
-                score_delta,
-            });
-        }
     }
 }
 
@@ -490,7 +453,7 @@ impl Game for SameGame {
     }
 
     fn play(&mut self, mv: &Tap) {
-        self.remove(*mv, false);
+        self.remove(*mv);
     }
 
     fn score(&self) -> Score {
@@ -517,41 +480,12 @@ impl Game for SameGame {
         h = mix64(h ^ self.accumulated as u64);
         mix64(h ^ self.moves as u64)
     }
-
-    // Scratch-state fast path: `apply` journals the columns the move
-    // changes, `undo` copies them back — tiles and heights, so nothing is
-    // re-inserted on the way out.
-
-    fn supports_undo(&self) -> bool {
-        true
-    }
-
-    fn apply(&mut self, mv: &Tap) -> Undo<Self> {
-        self.remove(*mv, true);
-        Undo::internal()
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        debug_assert!(token.is_internal());
-        let frame = self.undo_frames.pop().expect("undo without apply");
-        let (first, cols) = (frame.first as usize, frame.cols as usize);
-        let stride = self.stride();
-        let cells_mark = self.undo_cells.len() - cols * stride;
-        self.cells[first * stride..][..cols * stride]
-            .copy_from_slice(&self.undo_cells[cells_mark..]);
-        self.undo_cells.truncate(cells_mark);
-        let heights_mark = self.undo_heights.len() - cols;
-        self.heights[first..][..cols].copy_from_slice(&self.undo_heights[heights_mark..]);
-        self.undo_heights.truncate(heights_mark);
-        self.accumulated -= frame.score_delta;
-        self.moves -= 1;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmcs_core::{sample, SearchSpec};
+    use nmcs_core::{sample, SearchSpec, Undo};
 
     #[test]
     fn from_rows_round_trips_geometry() {
@@ -712,8 +646,8 @@ mod tests {
 
     #[test]
     fn play_and_apply_reach_equal_positions() {
-        // `==` is over the observable board: the undo journal an `apply`
-        // leaves behind must not make identical positions compare unequal.
+        // `apply` (the trait's snapshot fallback) reaches the position
+        // `play` reaches.
         let root = SameGame::random(6, 6, 3, 1);
         let mut moves = Vec::new();
         root.legal_moves(&mut moves);
@@ -886,7 +820,7 @@ mod tests {
                 played.play(&mv);
             }
             assert_eq!(played.cleared(), board == 7, "board {board}");
-            // Unwinding the journal meets every pinned value again.
+            // Unwinding the tokens meets every pinned value again.
             for (ply, &expected) in pinned.iter().enumerate().rev() {
                 assert_eq!(applied.state_hash(), expected, "board {board} undo {ply}");
                 if let Some(token) = tokens.pop() {
@@ -1021,7 +955,6 @@ mod tests {
                     g.undo(token);
                     assert_eq!(g.state_hash(), before, "board {board}: undo {tap:?}");
                     assert_eq!(taps(&g), moves, "board {board}: undo {tap:?}");
-                    assert!(g.undo_frames.is_empty() && g.undo_cells.is_empty());
                 }
                 let (mv, size) = reference[rng.below(moves.len())];
                 let live = |g: &SameGame| g.heights.iter().filter(|&&h| h > 0).count();
@@ -1056,40 +989,29 @@ mod tests {
     }
 
     #[test]
-    fn a_full_game_chain_leaves_an_empty_journal_it_can_reuse() {
-        for (board, root) in spec_boards().into_iter().enumerate() {
-            let mut g = root.clone();
-            let journal = |g: &SameGame| {
+    fn clone_from_a_same_size_board_keeps_its_buffers() {
+        let boards = spec_boards();
+        // Boards `i` and `i + 9` have the same shape and another seed.
+        for (board, root) in boards.iter().enumerate() {
+            let mut src = root.clone();
+            let _ = apply_to_the_end(&mut src, board as u64);
+            let mut dst = boards[(board + 9) % boards.len()].clone();
+            let buffers = |g: &SameGame| {
                 (
-                    (
-                        g.undo_cells.len(),
-                        g.undo_heights.len(),
-                        g.undo_frames.len(),
-                    ),
-                    (g.undo_cells.as_ptr(), g.undo_cells.capacity()),
-                    (g.undo_heights.as_ptr(), g.undo_heights.capacity()),
-                    (g.undo_frames.as_ptr(), g.undo_frames.capacity()),
+                    (g.cells.as_ptr(), g.cells.capacity()),
+                    (g.heights.as_ptr(), g.heights.capacity()),
                 )
             };
-            let mut buffers = None;
-            for chain in 0..2 {
-                let mut tokens = apply_to_the_end(&mut g, board as u64);
-                assert!(g.is_terminal());
-                assert_eq!(g.undo_frames.len(), tokens.len());
-                g.undo_all(&mut tokens);
-                assert_eq!(g, root, "board {board}: chain {chain} unwinds to the root");
-                assert_eq!(g.state_hash(), root.state_hash(), "board {board}");
-                assert_eq!(taps(&g), taps(&root), "board {board}");
-                assert_eq!(journal(&g).0, (0, 0, 0), "board {board}: journal drained");
-                // The second, identical chain fits the buffers the first
-                // one grew: same blocks, same capacities.
-                let grown = *buffers.get_or_insert(journal(&g));
-                assert_eq!(
-                    journal(&g),
-                    grown,
-                    "board {board}: chain {chain} reallocated"
-                );
-            }
+            let before = buffers(&dst);
+            dst.clone_from(&src);
+            assert_eq!(dst, src, "board {board}");
+            assert_eq!(dst.state_hash(), src.state_hash(), "board {board}");
+            assert_eq!(taps(&dst), taps(&src), "board {board}");
+            assert_eq!(
+                buffers(&dst),
+                before,
+                "board {board}: clone_from reallocated"
+            );
         }
     }
 
@@ -1110,7 +1032,7 @@ mod tests {
                 tokens.push(g.apply(&mv));
                 expected.play(&mv);
             }
-            // Keep a copy taken mid-journal, then unwind the original.
+            // Keep a copy taken mid-chain, then unwind the original.
             let mut leaf = g.clone();
             tokens.extend(apply_to_the_end(&mut g, 5));
             g.undo_all(&mut tokens);
@@ -1118,8 +1040,8 @@ mod tests {
             assert_eq!(leaf, expected, "board {board}: the copy kept its position");
             assert_eq!(leaf.state_hash(), expected.state_hash(), "board {board}");
             assert_eq!(taps(&leaf), taps(&expected), "board {board}");
-            // The copy searches on from there, on top of the frames it
-            // inherited, without disturbing the original.
+            // The copy searches on from there without disturbing the
+            // original.
             let mut own = apply_to_the_end(&mut leaf, 9);
             leaf.undo_all(&mut own);
             assert_eq!(leaf, expected, "board {board}: the copy unwinds to itself");

@@ -13,9 +13,10 @@
 //! [`PlayoutScratch`] by replaying the exact seeded playout that will be
 //! measured (identical RNG stream ⇒ identical peak buffer sizes), then
 //! wrap the replay in [`alloc_counter::assert_no_alloc`]. On the
-//! scratch (apply/undo) path this must be **zero** for every domain; on
-//! the clone path (via [`SnapshotOnly`]) we instead record the honest
-//! non-zero count and pin its determinism.
+//! restore path each domain uses — apply/undo in place, or `clone_from`
+//! into a kept copy (SameGame) — this must be **zero**; on the snapshot
+//! fallback (via [`SnapshotOnly`]) we instead record the honest non-zero
+//! count and pin its determinism.
 //!
 //! Locks and clock reads are counted per thread by vendored
 //! `parking_lot` ([`parking_lot::lock_acquisitions`]) and by the one
@@ -29,7 +30,10 @@ use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance
 use pnmcs::morpion::{cross_board, Variant};
 #[cfg(debug_assertions)]
 use pnmcs::search::{ctx::DEADLINE_STRIDE, metrics::clock_reads, Budget};
-use pnmcs::search::{Game, PlayoutScratch, Rng, SearchCtx, SnapshotOnly};
+use pnmcs::search::{
+    CodedGame, DynGame, Game, PlayoutScratch, Rng, SearchCtx, SearchSession, SearchSpec,
+    SnapshotOnly, UctConfig,
+};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -46,50 +50,71 @@ fn locks_and_clock_reads(f: impl FnOnce()) -> (u64, u64) {
     )
 }
 
-/// Replays the same seeded playout on the restoring scratch path (so
-/// every round starts from the identical position and consumes the
-/// identical RNG stream), asserting that rounds after the warm-up
-/// allocate nothing, take no lock and read no clock — and that the
-/// position's `state_hash`, read once per tree expansion, allocates
-/// nothing either.
-fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
-    assert!(game.supports_undo(), "{label}: scratch path requires undo");
-    let mut scratch = PlayoutScratch::new();
-    let mut seq = Vec::new();
+/// One seeded playout from `root`, restored the way the searches' walker
+/// restores this game: in place by apply/undo where the game opts into
+/// the scratch-state protocol, otherwise on a copy that `clone_from`
+/// refreshes from `root` first.
+struct Replay<'a, G: Game> {
+    root: &'a mut G,
+    copy: G,
+    scratch: PlayoutScratch<G>,
+    seq: Vec<G::Move>,
+    seed: u64,
+}
+
+impl<G: Game> Replay<'_, G> {
+    /// Plays the playout again and returns its length.
+    fn run(&mut self, ctx: &mut SearchCtx) -> usize {
+        self.seq.clear();
+        let mut rng = Rng::seeded(self.seed);
+        if self.root.supports_undo() {
+            self.scratch
+                .run_undo(self.root, &mut rng, None, &mut self.seq, ctx);
+        } else {
+            self.copy.clone_from(self.root);
+            self.scratch
+                .run(&mut self.copy, &mut rng, None, &mut self.seq, ctx);
+        }
+        self.seq.len()
+    }
+}
+
+/// Replays the same seeded playout on the game's restore path (so every
+/// round starts from the identical position and consumes the identical
+/// RNG stream), asserting that rounds after the warm-up allocate
+/// nothing, take no lock and read no clock — and that the position's
+/// `state_hash`, read once per tree expansion, allocates nothing either.
+fn assert_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
+    let mut replay = Replay {
+        copy: game.clone(),
+        root: game,
+        scratch: PlayoutScratch::new(),
+        seq: Vec::new(),
+        seed,
+    };
     let mut ctx = SearchCtx::unbounded();
 
-    // Warm-up: grows the move/undo/seq buffers and any domain
+    // Warm-up: grows the move/undo/seq buffers, the copy and any domain
     // thread-local scratch to this playout's peak size. Two rounds so
-    // the second confirms the first left the position fully restored.
-    for _ in 0..2 {
-        seq.clear();
-        let mut rng = Rng::seeded(seed);
-        scratch.run_undo(game, &mut rng, None, &mut seq, &mut ctx);
-    }
-    let warm_len = seq.len();
+    // the second confirms the first left the root fully restored.
+    replay.run(&mut ctx);
+    let warm_len = replay.run(&mut ctx);
 
     // The measured replay: byte-for-byte the same playout, now required
     // to stay off the allocator entirely.
-    assert_no_alloc(label, || {
-        seq.clear();
-        let mut rng = Rng::seeded(seed);
-        scratch.run_undo(game, &mut rng, None, &mut seq, &mut ctx);
-    });
-    assert_eq!(seq.len(), warm_len, "{label}: replay diverged from warm-up");
-    game.state_hash();
-    assert_no_alloc(label, || game.state_hash());
+    let len = assert_no_alloc(label, || replay.run(&mut ctx));
+    assert_eq!(len, warm_len, "{label}: replay diverged from warm-up");
+    replay.root.state_hash();
+    assert_no_alloc(label, || replay.root.state_hash());
 
     // The same replay takes no lock and reads no clock. Under a deadline
     // a playout polls once per move, and a fresh context reads the clock
     // on its first poll and then on every `DEADLINE_STRIDE`-th.
     #[cfg(debug_assertions)]
     {
-        let mut replay = |ctx: &mut SearchCtx| {
-            seq.clear();
-            let mut rng = Rng::seeded(seed);
-            scratch.run_undo(game, &mut rng, None, &mut seq, ctx);
-        };
-        let unbounded = locks_and_clock_reads(|| replay(&mut ctx));
+        let unbounded = locks_and_clock_reads(|| {
+            replay.run(&mut ctx);
+        });
         assert_eq!(
             unbounded,
             (0, 0),
@@ -97,7 +122,9 @@ fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u
         );
         let budget = Budget::none().with_deadline(std::time::Duration::from_secs(3600));
         let mut timed = SearchCtx::new(&budget, None);
-        let (locks, clocks) = locks_and_clock_reads(|| replay(&mut timed));
+        let (locks, clocks) = locks_and_clock_reads(|| {
+            replay.run(&mut timed);
+        });
         let bound = (warm_len as u64).div_ceil(u64::from(DEADLINE_STRIDE)) + 1;
         assert_eq!(locks, 0, "{label}: locks of a playout under a deadline");
         assert!(
@@ -107,15 +134,25 @@ fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u
     }
 }
 
+/// Runs the check on a game that opts into the scratch-state protocol.
+fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
+    assert!(game.supports_undo(), "{label}: scratch path requires undo");
+    assert_playout_alloc_free(label, game, seed);
+}
+
 #[test]
 fn morpion_scratch_playout_is_allocation_free() {
     assert_scratch_playout_alloc_free("morpion-5d", &mut cross_board(Variant::Disjoint, 3), 2009);
     assert_scratch_playout_alloc_free("morpion-5t", &mut cross_board(Variant::Touching, 3), 2009);
 }
 
+/// SameGame restores by copy: the walker refreshes its copy with
+/// `clone_from`, which reuses the copy's buffers.
 #[test]
-fn samegame_scratch_playout_is_allocation_free() {
-    assert_scratch_playout_alloc_free("samegame", &mut SameGame::random(8, 8, 3, 7), 2009);
+fn samegame_copy_restore_playout_is_allocation_free() {
+    let mut board = SameGame::random(8, 8, 3, 7);
+    assert!(!board.supports_undo(), "samegame restores by copy");
+    assert_playout_alloc_free("samegame", &mut board, 2009);
 }
 
 #[test]
@@ -180,54 +217,73 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
 /// node and build nothing, so a per-iteration allocation shows as a
 /// multiple of these bounds, and one allocation per sequential
 /// expansion (a few hundred here) breaks the fixed bound.
+///
+/// SameGame restores by copy, so every iteration copies the root into
+/// the walker's kept slot. That copy allocates nothing, typed or
+/// erased: an erased position copies in place when both sides erase
+/// the same game type.
 #[test]
 fn uct_allocates_per_expansion_not_per_iteration() {
-    use pnmcs::search::{SearchSession, SearchSpec, UctConfig};
+    for seed in 0..3 {
+        let board = SameGame::random(6, 6, 3, seed);
+        assert_uct_allocations("typed", &board, seed, true);
+        assert_uct_allocations("erased", &DynGame::new(board), seed, false);
+    }
+}
+
+/// The allocation bounds of sequential UCT on `board`, one-shot with and
+/// without `tree_reuse` and as a warm session step, plus the shared
+/// tree's per-expansion bound at width 1 when `tree_parallel` is set.
+fn assert_uct_allocations<G>(game: &str, board: &G, seed: u64, tree_parallel: bool)
+where
+    G: CodedGame + Send + Sync,
+    G::Move: Send + Sync,
+{
     let config = UctConfig {
         iterations: 2000,
         ..UctConfig::default()
     };
-    for seed in 0..3 {
-        let board = SameGame::random(6, 6, 3, seed);
-        for (label, spec, per_expansion) in [
-            ("uct", SearchSpec::uct_with(config.clone()), 0),
-            (
-                "uct + tree_reuse",
-                SearchSpec::uct_with(config.clone()).tree_reuse(true),
-                0,
-            ),
-            (
-                "tree_parallel(1)",
-                SearchSpec::tree_parallel_with(config.clone(), 1),
-                4,
-            ),
-        ] {
-            let (events, report) = count_allocs(|| spec.seed(seed).run(&board));
-            let expansions = report.stats.expansions;
-            assert!(
-                expansions < 1000,
-                "{label} seed {seed}: {expansions} expansions — most iterations must build no node"
-            );
-            assert!(
-                events <= per_expansion * expansions + 80,
-                "{label} seed {seed}: {events} allocations for {expansions} expansions"
-            );
-        }
-        // A warm step grows the kept arena and re-roots it into fresh
-        // storage: still no term per expansion.
-        let spec = SearchSpec::uct_with(config.clone())
-            .tree_reuse(true)
-            .seed(seed)
-            .build();
-        let mut session = SearchSession::new(board.clone(), spec, None);
-        session.step(None);
-        let (events, report) = count_allocs(|| session.step(None));
+    let mut rows = vec![
+        ("uct", SearchSpec::uct_with(config.clone()), 0),
+        (
+            "uct + tree_reuse",
+            SearchSpec::uct_with(config.clone()).tree_reuse(true),
+            0,
+        ),
+    ];
+    if tree_parallel {
+        rows.push((
+            "tree_parallel(1)",
+            SearchSpec::tree_parallel_with(config.clone(), 1),
+            4,
+        ));
+    }
+    for (label, spec, per_expansion) in rows {
+        let (events, report) = count_allocs(|| spec.seed(seed).run(board));
         let expansions = report.stats.expansions;
         assert!(
-            events <= 80,
-            "warm uct step, seed {seed}: {events} allocations for {expansions} expansions"
+            expansions < 1000,
+            "{game} {label} seed {seed}: {expansions} expansions — most iterations must build no node"
+        );
+        assert!(
+            events <= per_expansion * expansions + 80,
+            "{game} {label} seed {seed}: {events} allocations for {expansions} expansions"
         );
     }
+    // A warm step grows the kept arena and re-roots it into fresh
+    // storage: still no term per expansion.
+    let spec = SearchSpec::uct_with(config)
+        .tree_reuse(true)
+        .seed(seed)
+        .build();
+    let mut session = SearchSession::new(board.clone(), spec, None);
+    session.step(None);
+    let (events, report) = count_allocs(|| session.step(None));
+    let expansions = report.stats.expansions;
+    assert!(
+        events <= 80,
+        "{game} warm uct step, seed {seed}: {events} allocations for {expansions} expansions"
+    );
 }
 
 /// Sequential UCT's tree belongs to its one search: however many
@@ -240,7 +296,7 @@ fn uct_allocates_per_expansion_not_per_iteration() {
 #[cfg(debug_assertions)]
 #[test]
 fn sequential_uct_takes_no_lock() {
-    use pnmcs::search::{uct_with, SearchResult, SearchSession, SearchSpec, UctConfig};
+    use pnmcs::search::{uct_with, SearchResult};
     let board = SameGame::random(6, 6, 3, 1);
     let config = UctConfig {
         iterations: 2000,
@@ -289,7 +345,7 @@ fn sequential_uct_takes_no_lock() {
 #[cfg(debug_assertions)]
 #[test]
 fn tree_parallel_locks_are_pinned_per_iteration_and_per_expansion() {
-    use pnmcs::search::{LockStrategy, SearchSpec, UctConfig};
+    use pnmcs::search::LockStrategy;
     let board = SameGame::random(6, 6, 3, 2);
     let iterations = 1500;
     let config = UctConfig {

@@ -5,9 +5,16 @@
 //! The bounds are the clone counts of commit 70ef745 (PR 11), whose
 //! dedicated clone-per-candidate bodies were then folded into the single
 //! walker-driven body; the fold may make fewer copies, never more.
+//!
+//! The walker makes those copies with `clone_from` into a slot it keeps
+//! per mark depth, so a copy must be a copy whatever the slot held
+//! before: for every domain and for the erased `DynGame`, `clone_from`
+//! is checked against `clone` from targets of other sizes and, erased,
+//! of another game type.
 
-use pnmcs::games::SumGame;
-use pnmcs::search::{CodedGame, Game, NrpaConfig, Score, SearchSpec, UctConfig};
+use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
+use pnmcs::morpion::{cross_board, Variant};
+use pnmcs::search::{CodedGame, DynGame, Game, NrpaConfig, Rng, Score, SearchSpec, UctConfig};
 use std::cell::Cell;
 
 thread_local! {
@@ -89,5 +96,103 @@ fn clone_only_games_pay_no_more_copies_than_before_the_fold() {
             now <= parent,
             "{name}: {now} clones, the parent commit made {parent}"
         );
+    }
+}
+
+/// What a search can observe of a position: its transposition key,
+/// score, move count and ordered legal moves.
+fn observe<G: Game>(g: &G) -> (u64, Score, usize, Vec<String>) {
+    let mut moves = Vec::new();
+    g.legal_moves(&mut moves);
+    (
+        g.state_hash(),
+        g.score(),
+        g.moves_played(),
+        moves.iter().map(|m| format!("{m:?}")).collect(),
+    )
+}
+
+/// Plays up to `plies` moves of the random line `seed` picks.
+fn advanced<G: Game>(mut g: G, plies: usize, seed: u64) -> G {
+    let mut rng = Rng::seeded(seed);
+    let mut moves = Vec::new();
+    for _ in 0..plies {
+        g.legal_moves_into(&mut moves);
+        if moves.is_empty() {
+            break;
+        }
+        g.play(&moves[rng.below(moves.len())]);
+    }
+    g
+}
+
+/// `dst.clone_from(src)` is observably `src.clone()`, and stays so along
+/// the rest of a random game played on both.
+fn assert_clone_from_is_clone<G: Game>(label: &str, mut dst: G, src: &G) {
+    let expected = src.clone();
+    dst.clone_from(src);
+    assert_eq!(observe(&dst), observe(&expected), "{label}");
+    let (dst, expected) = (
+        advanced(dst, usize::MAX, 7),
+        advanced(expected, usize::MAX, 7),
+    );
+    assert_eq!(observe(&dst), observe(&expected), "{label}: played on");
+}
+
+#[test]
+fn clone_from_equals_clone_in_every_domain() {
+    for seed in 0..3 {
+        // Targets of the same size and of a smaller and a larger board.
+        let src = advanced(SameGame::random(8, 8, 3, seed), 4, seed);
+        for dst in [(8, 8), (3, 5), (12, 10)].map(|(w, h)| SameGame::random(w, h, 4, seed + 9)) {
+            let mut copy = dst.clone();
+            copy.clone_from(&src);
+            assert_eq!(copy, src, "samegame seed {seed}");
+            assert_clone_from_is_clone("samegame", dst, &src);
+        }
+        let src = advanced(TspGame::new(TspInstance::random(10, seed), None), 3, seed);
+        for (n, k) in [(10, None), (6, Some(3)), (14, None)] {
+            let dst = advanced(TspGame::new(TspInstance::random(n, seed + 1), k), 2, seed);
+            assert_clone_from_is_clone("tsp", dst, &src);
+        }
+        let src = advanced(Sudoku::puzzle(3, 30, seed), 5, seed);
+        for (n, holes) in [(3, 40), (2, 6)] {
+            let dst = Sudoku::puzzle(n, holes, seed + 1);
+            let mut copy = dst.clone();
+            copy.clone_from(&src);
+            assert_eq!(copy, src, "sudoku seed {seed}");
+            assert_clone_from_is_clone("sudoku", dst, &src);
+        }
+        let src = advanced(SumGame::random(6, 4, seed), 2, seed);
+        assert_clone_from_is_clone("sumgame", SumGame::random(3, 2, seed + 1), &src);
+        let src = advanced(NeedleLadder::new(8), 3, seed);
+        assert_clone_from_is_clone("needle-ladder", NeedleLadder::new(3), &src);
+        let src = advanced(cross_board(Variant::Disjoint, 3), 6, seed);
+        for dst in [
+            cross_board(Variant::Disjoint, 2),
+            advanced(cross_board(Variant::Touching, 3), 3, seed),
+        ] {
+            assert_clone_from_is_clone("morpion", dst, &src);
+        }
+    }
+}
+
+#[test]
+fn erased_clone_from_equals_clone_within_and_across_game_types() {
+    for seed in 0..3 {
+        let src = advanced(DynGame::new(SameGame::random(8, 8, 3, seed)), 4, seed);
+        // The same erased type copies in place; another one is replaced.
+        for dst in [
+            DynGame::new(SameGame::random(8, 8, 3, seed + 1)),
+            DynGame::new(SameGame::random(4, 11, 5, seed)),
+            DynGame::new(SumGame::random(5, 3, seed)),
+            DynGame::new(TspGame::new(TspInstance::random(7, seed), None)),
+        ] {
+            let label = format!("{} into {}", src.domain(), dst.domain());
+            let mut copy = dst.clone();
+            copy.clone_from(&src);
+            assert_eq!(copy.domain(), src.domain(), "{label}");
+            assert_clone_from_is_clone(&label, dst, &src);
+        }
     }
 }

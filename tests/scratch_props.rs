@@ -10,14 +10,17 @@
 //!   a game and on its [`SnapshotOnly`] twin, which hides the fast path.
 //!   Both run the same search body; only the position walker differs
 //!   (apply/undo in place against copy-at-mark), so this checks each
-//!   domain's undo journal against its plain `play`;
+//!   domain's undo journal against its plain `play`. SameGame restores
+//!   by copy, so its twin is the other way round: [`InPlace`] walks it
+//!   in place on the trait's snapshot tokens, which checks the walker's
+//!   copy slots against its undo path;
 //! * the type-erased [`DynGame`] used by the engine preserves both
 //!   properties.
 
 use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::search::{
-    AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, Rng, SearchSpec,
+    AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, Rng, Score, SearchSpec,
     SnapshotOnly, UctConfig,
 };
 use proptest::prelude::*;
@@ -36,9 +39,9 @@ fn observe<G: Game>(g: &G) -> (i64, usize, Vec<String>) {
 
 /// Walks a random game, and at every step round-trips an apply/undo
 /// chain of up to `chain` moves, asserting the observable state is
-/// restored exactly.
+/// restored exactly. On a game that opts in this checks its journal; on
+/// a clone-only game, the trait's snapshot fallback.
 fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
-    assert!(root.supports_undo(), "game under test must opt in");
     let mut g = root.clone();
     let mut rng = Rng::seeded(seed);
     let mut moves = Vec::new();
@@ -128,6 +131,40 @@ where
     }
 }
 
+/// Opts a clone-only game into the scratch-state protocol with the
+/// trait's default snapshot `apply`/`undo`, so the walker takes its undo
+/// path on it.
+#[derive(Debug, Clone)]
+struct InPlace<G>(G);
+
+impl<G: Game> Game for InPlace<G> {
+    type Move = G::Move;
+    fn legal_moves(&self, out: &mut Vec<G::Move>) {
+        self.0.legal_moves(out);
+    }
+    fn play(&mut self, mv: &G::Move) {
+        self.0.play(mv);
+    }
+    fn score(&self) -> Score {
+        self.0.score()
+    }
+    fn moves_played(&self) -> usize {
+        self.0.moves_played()
+    }
+    fn state_hash(&self) -> u64 {
+        self.0.state_hash()
+    }
+    fn supports_undo(&self) -> bool {
+        true
+    }
+}
+
+impl<G: CodedGame> CodedGame for InPlace<G> {
+    fn move_code(&self, mv: &G::Move) -> u64 {
+        self.0.move_code(mv)
+    }
+}
+
 fn assert_paths_agree<G>(game: &G, seed: u64)
 where
     G: CodedGame + Send + Sync,
@@ -142,6 +179,7 @@ proptest! {
     #[test]
     fn samegame_round_trips(seed in 0u64..500, w in 5usize..10, h in 5usize..10) {
         let g = SameGame::random(w, h, 3, seed);
+        prop_assert!(!g.supports_undo(), "samegame restores by copy");
         assert_round_trips(&g, seed, 3);
     }
 
@@ -174,7 +212,8 @@ proptest! {
 
     #[test]
     fn samegame_paths_bit_identical(seed in 0u64..300) {
-        assert_paths_agree(&SameGame::random(6, 6, 3, seed), seed);
+        let g = SameGame::random(6, 6, 3, seed);
+        assert_twins_agree(&InPlace(g.clone()), &g, seed);
     }
 
     #[test]
