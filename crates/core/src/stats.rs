@@ -16,14 +16,19 @@ pub struct SearchStats {
     pub playouts: u64,
     /// Moves applied inside random playouts.
     pub playout_moves: u64,
-    /// Moves applied by `nested` itself while advancing its game.
+    /// Moves applied by `nested` itself while advancing its game. On
+    /// UCT, the tree edges its descents walk, whether or not a position
+    /// follows them: the sequential arena plays a descent's edges only
+    /// when the descent needs the position.
     pub nested_moves: u64,
     /// Positions cloned for candidate-move evaluation.
     pub expansions: u64,
     /// Abstract work units: every move application (playout or nested)
     /// plus every expansion counts one unit. Monotone, additive across
     /// sub-searches, and roughly proportional to wall-clock time for a
-    /// fixed game — exactly what a service-time model needs.
+    /// fixed game — exactly what a service-time model needs. (On UCT's
+    /// sequential arena most descent edges are node visits, not moves
+    /// applied; see `nested_moves`.)
     pub work_units: u64,
 }
 

@@ -24,12 +24,19 @@
 //!   transposition table, one-shot or kept across a
 //!   [`SearchSession`](crate::SearchSession)'s steps and re-rooted
 //!   under each committed move). It takes no lock and allocates nothing
-//!   per expansion;
+//!   per expansion. Its descent walks the tree, not the board: each
+//!   selected edge only appends its move to the descent's sequence, and
+//!   the one position the search owns plays the pending moves when the
+//!   descent needs a position — to list a new node's moves, to hash a
+//!   new child, or to roll out. A node found terminal keeps its score,
+//!   so an iteration that ends on one runs no game code at all (most
+//!   iterations of a small SameGame search do);
 //! * **tree-parallel** UCT ([`crate::spec::SearchSpec::tree_parallel`])
 //!   in the style of the parallel-MCTS literature the paper cites: one
 //!   shared tree (`TpTree`), `threads` workers on the [`ExecutorPool`]
-//!   descending concurrently, each rolling out its own leaf outside
-//!   every lock, and visit/value statistics accumulated atomically.
+//!   descending concurrently, each replaying its descent on its own
+//!   position and rolling out its leaf outside every lock, and
+//!   visit/value statistics accumulated atomically.
 //!   (WU-UCT's master/worker shape, a selector keeping simulation
 //!   workers busy, is what `threads` workers sharing one tree already
 //!   are.) Two knobs control how the workers share the tree:
@@ -74,7 +81,7 @@ use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
 use crate::game::{Game, Score};
 use crate::rng::Rng;
-use crate::search::Walker;
+use crate::search::{Mark, Walker};
 use crate::seeds::tree_worker_seed;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -136,7 +143,7 @@ impl LnTable {
 }
 
 /// An arena link: a node, a statistics cell or a slot of the move pool.
-/// 32 bits keep a node at 32 bytes, which big trees need to stay in
+/// 32-bit links keep a node at 40 bytes, which big trees need to stay in
 /// cache.
 type Ix = u32;
 
@@ -158,6 +165,10 @@ fn ix(i: usize) -> Ix {
 /// statistics are a [`Cell`], shared with transposed nodes when the
 /// arena has a table. Growing the tree therefore allocates only when a
 /// vector outgrows its capacity.
+///
+/// A node is *terminal* once it is expanded with no moves: no untried
+/// range and no child. It keeps its position's score then, so a descent
+/// that ends on it backs that up without replaying its path.
 struct Node {
     /// Pool slot of the move that led here (`NIL` for the root).
     mv: Ix,
@@ -170,6 +181,8 @@ struct Node {
     /// Index of the node's statistics cell.
     cell: Ix,
     expanded: bool,
+    /// The position's score, set when the node turns out terminal.
+    score: Score,
 }
 
 impl Node {
@@ -183,6 +196,7 @@ impl Node {
             untried_end: 0,
             cell: ix(cell),
             expanded: false,
+            score: 0,
         }
     }
 }
@@ -434,23 +448,31 @@ impl<M: Clone + PartialEq> UctArena<M> {
         // Cells and moves of the current descent, reused across iterations.
         let mut path: Vec<usize> = Vec::new();
         let mut seq: Vec<M> = Vec::new();
-        // Every iteration walks this one position down the tree and rewinds
-        // it to the root.
-        let mut walker = Walker::new(game);
+        // The descent walks the tree; this one position follows it down
+        // only when a position is needed, and goes back to the root after.
+        let mut trail = Trail {
+            walker: Walker::new(game),
+            root: None,
+            played: 0,
+        };
         for iteration in 0..config.iterations.max(1) {
             if iteration > 0 && ctx.should_stop() {
                 break;
             }
-            let root = walker.mark();
             let mut id = ROOT;
             path.clear();
             path.push(nodes[ROOT].cell as usize);
             seq.clear();
+            let mut terminal = false;
 
             // ---- selection ----
             loop {
                 if !nodes[id].expanded {
-                    walker.position().legal_moves_into(&mut moves_buf);
+                    let position = trail.at(&seq).position();
+                    position.legal_moves_into(&mut moves_buf);
+                    if moves_buf.is_empty() {
+                        nodes[id].score = position.score();
+                    }
                     let start = pool.len();
                     pool.append(&mut moves_buf);
                     // Shuffle once so expansion order is unbiased.
@@ -467,15 +489,13 @@ impl<M: Clone + PartialEq> UctArena<M> {
                 if nodes[id].untried < nodes[id].untried_end {
                     nodes[id].untried_end -= 1;
                     let slot = nodes[id].untried_end;
-                    let mv = pool[slot as usize].clone();
-                    walker.play(&mv);
-                    seq.push(mv);
+                    seq.push(pool[slot as usize].clone());
                     ctx.record_expansion();
                     // The key is the *child* position's hash, so the
                     // move is played before the node exists.
                     let cell = match table {
                         Some(table) if SHARED => {
-                            table.intern(walker.position().state_hash(), cells)
+                            table.intern(trail.at(&seq).position().state_hash(), cells)
                         }
                         _ => cells.take(),
                     };
@@ -494,7 +514,8 @@ impl<M: Clone + PartialEq> UctArena<M> {
                     break;
                 }
                 if nodes[id].first_child == NIL {
-                    break; // terminal
+                    terminal = true;
+                    break;
                 }
                 // UCB over children with normalised means + max bias.
                 // Cells held earlier on this descent are WU-UCT's
@@ -534,16 +555,22 @@ impl<M: Clone + PartialEq> UctArena<M> {
                 if SHARED {
                     cells.cells[cell].inflight += 1;
                 }
-                let mv = pool[nodes[id].mv as usize].clone();
-                walker.play(&mv);
-                seq.push(mv);
+                seq.push(pool[nodes[id].mv as usize].clone());
                 ctx.record_nested_move();
                 path.push(cell);
             }
 
             // ---- rollout ----
-            let score = walker.rollout(rng, None, &mut seq, ctx);
-            walker.rewind(root);
+            let score = if terminal {
+                // What a rollout from a position with no moves does,
+                // without the position: poll once, end the playout.
+                ctx.should_stop();
+                ctx.record_playout_end();
+                nodes[id].score
+            } else {
+                trail.at(&seq).rollout(rng, None, &mut seq, ctx)
+            };
+            trail.reset();
             let s = score as f64;
             if s < lo || s > hi {
                 lo = lo.min(s);
@@ -627,6 +654,7 @@ impl<M: Clone + PartialEq> UctArena<M> {
                 };
                 let mut node = Node::new(slot, n.cell as usize);
                 node.expanded = n.expanded;
+                node.score = n.score;
                 node.untried = ix(pool.len());
                 pool.extend_from_slice(&self.pool[n.untried as usize..n.untried_end as usize]);
                 node.untried_end = ix(pool.len());
@@ -683,6 +711,40 @@ impl<M: Clone + PartialEq> UctArena<M> {
         self.table
             .as_ref()
             .map_or((0, 0), |t| (t.hits, t.evictions))
+    }
+}
+
+/// The position of one [`UctArena`] descent. The descent records its
+/// moves in its sequence and walks the tree; the walker plays them only
+/// when a position is needed (to list a node's moves, hash a new child
+/// or roll out), so a descent ending on a known terminal node runs no
+/// game code.
+struct Trail<G: Game> {
+    walker: Walker<G>,
+    /// The root, marked on this iteration's first need.
+    root: Option<Mark>,
+    /// How many moves of the sequence the walker has played.
+    played: usize,
+}
+
+impl<G: Game> Trail<G> {
+    /// The walker, caught up with `seq`, the descent's moves so far.
+    fn at(&mut self, seq: &[G::Move]) -> &mut Walker<G> {
+        let walker = &mut self.walker;
+        self.root.get_or_insert_with(|| walker.mark());
+        for mv in &seq[self.played..] {
+            walker.play(mv);
+        }
+        self.played = seq.len();
+        walker
+    }
+
+    /// Back at the root, for the next iteration.
+    fn reset(&mut self) {
+        if let Some(root) = self.root.take() {
+            self.walker.rewind(root);
+        }
+        self.played = 0;
     }
 }
 

@@ -42,6 +42,11 @@ static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocato
 /// runs.
 #[cfg(debug_assertions)]
 fn locks_and_clock_reads(f: impl FnOnce()) -> (u64, u64) {
+    // The first spec run in the process creates the metrics registry,
+    // whose epoch is one clock read on the creating thread. Create it
+    // before counting, so no count depends on which test of this binary
+    // runs a spec first.
+    pnmcs::search::metrics::search_metrics();
     let (locks, clocks) = (parking_lot::lock_acquisitions(), clock_reads());
     f();
     (
@@ -218,8 +223,10 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
 /// multiple of these bounds, and one allocation per sequential
 /// expansion (a few hundred here) breaks the fixed bound.
 ///
-/// SameGame restores by copy, so every iteration copies the root into
-/// the walker's kept slot. That copy allocates nothing, typed or
+/// SameGame restores by copy, so an iteration that needs a position (to
+/// expand a node or to roll out from a leaf not known to be terminal)
+/// copies the root into the walker's kept slot; one ending on a known
+/// terminal node copies nothing. That copy allocates nothing, typed or
 /// erased: an erased position copies in place when both sides erase
 /// the same game type.
 #[test]
@@ -327,6 +334,30 @@ fn sequential_uct_takes_no_lock() {
     };
     assert_eq!(second_step(false), wrapper, "cold session step");
     assert_eq!(second_step(true), wrapper, "warm uct session step");
+}
+
+/// Under a deadline, `uct` polls as often as `tree_parallel(1)`, so both
+/// read the clock equally often. Most of these iterations end on a node
+/// the arena already knows is terminal: it backs up the node's score
+/// without a position, but still polls once, as the shared tree's
+/// rollout from that position does.
+#[cfg(debug_assertions)]
+#[test]
+fn uct_polls_a_deadline_as_often_as_the_shared_tree() {
+    let board = SameGame::random(6, 6, 3, 1);
+    let config = UctConfig {
+        iterations: 2000,
+        ..UctConfig::default()
+    };
+    let clock_reads = |spec: pnmcs::search::SearchBuilder| {
+        let spec = spec.seed(1).deadline_ms(3_600_000).build();
+        locks_and_clock_reads(|| drop(spec.run(&board))).1
+    };
+    let arena = clock_reads(SearchSpec::uct_with(config.clone()));
+    let shared = clock_reads(SearchSpec::tree_parallel_with(config, 1));
+    // The spec wrapper's read and the polls of 2000 iterations.
+    assert!(arena > 2000 / u64::from(DEADLINE_STRIDE), "{arena}");
+    assert_eq!(arena, shared, "clock reads under a far deadline");
 }
 
 /// The shared tree at width 1, where every lock lands on this thread (a

@@ -16,7 +16,9 @@
 
 use pnmcs::games::{SameGame, SumGame};
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::{Budget, CancelToken, CodedGame, Game, Interruption, SearchReport, SearchSpec};
+use pnmcs::search::{
+    Budget, CancelToken, CodedGame, Game, Interruption, SearchReport, SearchSpec, UctConfig,
+};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -359,4 +361,45 @@ fn a_beam_with_huge_samples_stops_on_a_deadline_and_on_cancellation() {
         t0.elapsed()
     );
     assert_replays(&board, &report, "beam-cancel");
+}
+
+/// A budget that trips mid-search stops `uct` (the sequential arena)
+/// exactly where it stops `tree_parallel(1)` (the shared tree, which
+/// replays every descent on the board): same score, sequence, counters
+/// and interruption. Most of these iterations end on a node the arena
+/// already knows is terminal, where it ends the playout without the
+/// position: a playout it failed to count would show here.
+#[test]
+fn hit_budgets_stop_uct_where_they_stop_tree_parallel_at_one_worker() {
+    let config = UctConfig {
+        iterations: 2_000,
+        ..UctConfig::default()
+    };
+    let caps = [1, 2, 7, 50, 333, 1000, 1999];
+    for seed in 0..20 {
+        let board = SameGame::random(6, 6, 3, seed);
+        for cap in caps {
+            for (kind, budget) in [
+                ("max_playouts", Budget::none().with_max_playouts(cap)),
+                ("max_nodes", Budget::none().with_max_nodes(cap)),
+            ] {
+                let uct = with_budget(
+                    &SearchSpec::uct_with(config.clone()).seed(seed).build(),
+                    budget.clone(),
+                );
+                let tree = with_budget(
+                    &SearchSpec::tree_parallel_with(config.clone(), 1)
+                        .seed(seed)
+                        .build(),
+                    budget,
+                );
+                let (a, b) = (uct.run(&board), tree.run(&board));
+                let label = format!("seed {seed}, {kind} {cap}");
+                assert_eq!(a.score, b.score, "{label}");
+                assert_eq!(a.sequence, b.sequence, "{label}");
+                assert_eq!(a.stats, b.stats, "{label}");
+                assert_eq!(a.interrupted, b.interrupted, "{label}");
+            }
+        }
+    }
 }

@@ -1,6 +1,8 @@
 //! The cost model of clone-only games, pinned: a game without the
 //! apply/undo fast path pays one position copy per candidate evaluation
 //! (per tree iteration, per NRPA walk) — never one per playout move.
+//! Sequential UCT pays neither a copy nor any other game call on an
+//! iteration that ends on a node it already knows is terminal.
 //!
 //! The bounds are the clone counts of commit 70ef745 (PR 11), whose
 //! dedicated clone-per-candidate bodies were then folded into the single
@@ -21,14 +23,22 @@ thread_local! {
     /// Per-thread so concurrently running tests do not see each other;
     /// every search below is serial.
     static CLONES: Cell<u64> = const { Cell::new(0) };
+    /// `play` and `legal_moves` calls, counted the same way.
+    static PLAYS: Cell<u64> = const { Cell::new(0) };
+    static LISTS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A clone-only view of `G` (no `supports_undo`) that counts its copies.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.with(|c| c.set(c.get() + 1));
+}
+
+/// A clone-only view of `G` (no `supports_undo`) that counts its copies,
+/// moves played and move lists.
 struct Counted<G>(G);
 
 impl<G: Clone> Clone for Counted<G> {
     fn clone(&self) -> Self {
-        CLONES.with(|c| c.set(c.get() + 1));
+        bump(&CLONES);
         Counted(self.0.clone())
     }
 }
@@ -36,9 +46,11 @@ impl<G: Clone> Clone for Counted<G> {
 impl<G: Game> Game for Counted<G> {
     type Move = G::Move;
     fn legal_moves(&self, out: &mut Vec<G::Move>) {
+        bump(&LISTS);
         self.0.legal_moves(out);
     }
     fn play(&mut self, mv: &G::Move) {
+        bump(&PLAYS);
         self.0.play(mv);
     }
     fn score(&self) -> Score {
@@ -97,6 +109,46 @@ fn clone_only_games_pay_no_more_copies_than_before_the_fold() {
             "{name}: {now} clones, the parent commit made {parent}"
         );
     }
+}
+
+/// Sequential UCT walks its tree without the board: it plays a
+/// descent's moves only when it needs the position (to list a new
+/// node's moves, hash a new child or roll out), and backs up a known
+/// terminal node's kept score. A 4×4 board's whole tree is built within
+/// 2 000 iterations, so 18 000 more run almost no game code; replaying
+/// every descent, as the shared tree still does, costs about four
+/// `play` calls and one `legal_moves` call per iteration here.
+#[test]
+fn an_exhausted_uct_tree_runs_no_game_code() {
+    let game = Counted(SameGame::random(4, 4, 3, 1));
+    let calls = |iterations| {
+        PLAYS.with(|c| c.set(0));
+        LISTS.with(|c| c.set(0));
+        let config = UctConfig {
+            iterations,
+            ..Default::default()
+        };
+        let report = SearchSpec::uct_with(config).seed(1).run(&game);
+        assert!(report.interrupted.is_none());
+        (
+            PLAYS.with(|c| c.get()),
+            LISTS.with(|c| c.get()),
+            report.stats.expansions,
+        )
+    };
+    let (plays, lists, expansions) = calls(2_000);
+    let (more_plays, more_lists, more_expansions) = calls(20_000);
+    assert!(
+        more_expansions - expansions <= 2,
+        "{expansions} expansions in 2 000 iterations, {more_expansions} in 20 000"
+    );
+    // At most one call per hundred extra iterations.
+    assert!(
+        more_plays - plays <= 180 && more_lists - lists <= 180,
+        "18 000 more iterations made {} more `play` and {} more `legal_moves` calls",
+        more_plays - plays,
+        more_lists - lists
+    );
 }
 
 /// What a search can observe of a position: its transposition key,
