@@ -217,77 +217,6 @@ pub fn simulated_annealing_with<G: Game>(
     (best_score, best_seq)
 }
 
-/// Beam search over playout-evaluated moves: keep the `width` best
-/// positions per depth, evaluating each candidate child with `n` random
-/// playouts. A deterministic, memory-bounded contrast to NMCS used in the
-/// ablation benches. The engine room of `SearchSpec::beam`. On
-/// interruption the best position reached by any beam entry so far is
-/// returned.
-pub fn beam_search_with<G: Game>(
-    game: &G,
-    width: usize,
-    n: usize,
-    rng: &mut Rng,
-    ctx: &mut SearchCtx,
-) -> (Score, Vec<G::Move>) {
-    assert!(width > 0 && n > 0);
-    let mut beam: Vec<(G, Vec<G::Move>)> = vec![(game.clone(), Vec::new())];
-    let mut best_score = game.score();
-    let mut best_seq: Vec<G::Move> = Vec::new();
-    let mut moves: Vec<G::Move> = Vec::new();
-    let mut seq: Vec<G::Move> = Vec::new();
-    // The beam owns its positions; each child is lent to this one walker
-    // for its playouts and taken back.
-    let mut walker = Walker::new(game);
-
-    'depths: loop {
-        let mut children: Vec<(Score, G, Vec<G::Move>)> = Vec::new();
-        for (pos, path) in &beam {
-            moves.clear();
-            pos.legal_moves(&mut moves);
-            for mv in &moves {
-                if ctx.should_stop() {
-                    break 'depths;
-                }
-                let mut child = pos.clone();
-                child.play(mv);
-                ctx.record_expansion();
-                // Evaluate with the best of n playouts; an interruption
-                // ends the evaluation here and the search at the next
-                // candidate.
-                walker.swap_position(&mut child);
-                let mut value = Score::MIN;
-                for i in 0..n {
-                    if i > 0 && ctx.should_stop() {
-                        break;
-                    }
-                    seq.clear();
-                    let mark = walker.mark();
-                    let s = walker.rollout(rng, None, &mut seq, ctx);
-                    walker.rewind(mark);
-                    value = value.max(s);
-                }
-                walker.swap_position(&mut child);
-                let mut path2 = path.clone();
-                path2.push(mv.clone());
-                if child.score() > best_score {
-                    best_score = child.score();
-                    best_seq = path2.clone();
-                }
-                children.push((value, child, path2));
-            }
-        }
-        if children.is_empty() {
-            break;
-        }
-        children.sort_by_key(|c| std::cmp::Reverse(c.0));
-        children.truncate(width);
-        beam = children.into_iter().map(|(_, g, p)| (g, p)).collect();
-    }
-
-    (best_score, best_seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,30 +360,6 @@ mod tests {
         });
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
-    }
-
-    #[test]
-    fn beam_search_solves_small_game_with_wide_beam() {
-        let g = ternary(3);
-        let r =
-            SearchResult::unbounded(|ctx| beam_search_with(&g, 27, 1, &mut Rng::seeded(2), ctx));
-        assert_eq!(r.score, optimum(3), "width 27 covers the whole tree");
-        let mut replay = ternary(3);
-        for mv in &r.sequence {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), r.score);
-    }
-
-    #[test]
-    fn beam_search_narrow_beam_still_returns_consistent_result() {
-        let g = ternary(5);
-        let r = SearchResult::unbounded(|ctx| beam_search_with(&g, 2, 2, &mut Rng::seeded(4), ctx));
-        let mut replay = ternary(5);
-        for mv in &r.sequence {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), r.score);
     }
 
     #[test]

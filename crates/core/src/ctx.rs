@@ -121,7 +121,8 @@ impl SearchCtx {
         };
         SearchCtx {
             stats: SearchStats::new(),
-            deadline: budget.deadline.map(|d| monotonic_now() + d),
+            // A deadline past what an `Instant` can hold is never reached.
+            deadline: budget.deadline.and_then(|d| monotonic_now().checked_add(d)),
             meter,
             cancel: cancel.cloned(),
             interrupted: None,

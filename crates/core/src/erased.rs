@@ -19,7 +19,7 @@
 //! between the two, and the engine's integration tests assert the
 //! round-trip is bit-identical (scores, sequences, and stats).
 
-use crate::game::{Game, Score, Undo};
+use crate::game::{Game, Score};
 use crate::nrpa::CodedGame;
 use crate::report::SearchReport;
 use crate::search::SearchResult;
@@ -54,48 +54,14 @@ pub trait AnyGame: Any + Send + Sync {
     /// interns exactly the keys the typed search would.
     fn state_hash(&self) -> u64;
 
-    /// Clones the erased position. The clone is an independent position:
-    /// undo tokens pending on `self` do **not** transfer (see
-    /// [`AnyGame::apply_nth`]).
+    /// Clones the erased position.
     fn clone_any(&self) -> Box<dyn AnyGame>;
 
     /// Copies `source` into `self`, reusing `self`'s buffers, when both
     /// erase the same game type, and returns whether it did; otherwise
-    /// leaves `self` as it was. Like [`AnyGame::clone_any`], pending
-    /// undo tokens do not transfer. [`DynGame`]'s `clone_from` calls it
-    /// and falls back to `clone_any` on `false`.
+    /// leaves `self` as it was. [`DynGame`]'s `clone_from` calls it and
+    /// falls back to `clone_any` on `false`.
     fn clone_from_any(&mut self, source: &dyn AnyGame) -> bool;
-
-    /// Whether the underlying game implements the scratch-state fast
-    /// path ([`Game::supports_undo`]). Erasures over snapshot-only games
-    /// return `false`, and [`DynGame`] then falls back to snapshotting —
-    /// the default `apply_nth`/`undo_last` pair below is never called in
-    /// that case.
-    fn supports_undo(&self) -> bool {
-        false
-    }
-
-    /// Plays the `i`-th legal move like [`AnyGame::play_nth`], recording
-    /// reversal data internally for [`AnyGame::undo_last`]. Tokens are an
-    /// internal LIFO stack; clones do not inherit it.
-    fn apply_nth(&mut self, i: usize) {
-        self.play_nth(i);
-    }
-
-    /// Reverts the most recent not-yet-undone [`AnyGame::apply_nth`].
-    fn undo_last(&mut self) {
-        panic!("erased game does not implement the undo fast path");
-    }
-
-    /// Reverts the `n` most recent `apply_nth` calls in one go. The
-    /// erasures override this to refresh their legal-move cache once at
-    /// the end instead of once per token — on movegen-heavy games that
-    /// halves the cost of unwinding a playout.
-    fn undo_many(&mut self, n: usize) {
-        for _ in 0..n {
-            self.undo_last();
-        }
-    }
 }
 
 /// Where an erasure's move codes come from: `(game, move, index) → code`.
@@ -114,9 +80,6 @@ type CodeSource<G> = fn(&G, &<G as Game>::Move, usize) -> u64;
 struct Erased<G: Game> {
     game: G,
     moves: Vec<G::Move>,
-    /// Undo tokens of outstanding `apply_nth` calls (LIFO). Not cloned:
-    /// tokens belong to the position they were issued on.
-    undo: Vec<Undo<G>>,
     code: CodeSource<G>,
 }
 
@@ -161,7 +124,6 @@ where
         Box::new(Erased {
             game: self.game.clone(),
             moves: self.moves.clone(),
-            undo: Vec::new(),
             code: self.code,
         })
     }
@@ -172,35 +134,8 @@ where
         };
         self.game.clone_from(&source.game);
         self.moves.clone_from(&source.moves);
-        self.undo.clear();
         self.code = source.code;
         true
-    }
-
-    fn supports_undo(&self) -> bool {
-        self.game.supports_undo()
-    }
-
-    fn apply_nth(&mut self, i: usize) {
-        let mv = self.moves[i].clone();
-        self.undo.push(self.game.apply(&mv));
-        self.refresh_moves();
-    }
-
-    fn undo_last(&mut self) {
-        let token = self.undo.pop().expect("undo_last without apply_nth");
-        self.game.undo(token);
-        self.refresh_moves();
-    }
-
-    fn undo_many(&mut self, n: usize) {
-        for _ in 0..n {
-            let token = self.undo.pop().expect("undo_many without apply_nth");
-            self.game.undo(token);
-        }
-        if n > 0 {
-            self.refresh_moves();
-        }
     }
 }
 
@@ -231,7 +166,6 @@ impl DynGame {
         let mut erased = Erased {
             game,
             moves: Vec::new(),
-            undo: Vec::new(),
             code,
         };
         erased.refresh_moves();
@@ -319,47 +253,6 @@ impl Game for DynGame {
 
     fn state_hash(&self) -> u64 {
         self.inner.state_hash()
-    }
-
-    // The scratch-state protocol passes straight through the erasure, so
-    // searches over a `DynGame` of a fast-path game stay clone-free (the
-    // engine inherits the speedup for every game that has it).
-
-    fn supports_undo(&self) -> bool {
-        self.inner.supports_undo()
-    }
-
-    fn apply(&mut self, mv: &usize) -> Undo<Self> {
-        if self.inner.supports_undo() {
-            self.inner.apply_nth(*mv);
-            Undo::internal()
-        } else {
-            let snapshot = Undo::snapshot(self.clone());
-            self.inner.play_nth(*mv);
-            snapshot
-        }
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        match token.into_snapshot() {
-            Some(snapshot) => *self = *snapshot,
-            None => self.inner.undo_last(),
-        }
-    }
-
-    fn undo_all(&mut self, tokens: &mut Vec<Undo<Self>>) {
-        // Tokens are homogeneous (the fast-path decision is a property
-        // of the inner game), so a stack of internal tokens can unwind
-        // through the erasure's batch path — one cache refresh total.
-        if tokens.iter().all(|t| t.is_internal()) {
-            let n = tokens.len();
-            tokens.clear();
-            self.inner.undo_many(n);
-        } else {
-            while let Some(token) = tokens.pop() {
-                self.undo(token);
-            }
-        }
     }
 }
 
@@ -475,20 +368,6 @@ mod tests {
         fn moves_played(&self) -> usize {
             self.taken.len()
         }
-
-        fn supports_undo(&self) -> bool {
-            true
-        }
-
-        fn apply(&mut self, mv: &u8) -> Undo<Self> {
-            self.play(mv);
-            Undo::internal()
-        }
-
-        fn undo(&mut self, token: Undo<Self>) {
-            debug_assert!(token.is_internal());
-            self.taken.pop().expect("undo without apply");
-        }
     }
 
     impl CodedGame for Digits {
@@ -551,60 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn erasure_passes_the_fast_path_through() {
-        let mut g = DynGame::new(digits());
-        assert!(g.supports_undo(), "Digits opts in, so its erasure must");
-        let mut buf = Vec::new();
-        g.legal_moves(&mut buf);
-        let before_score = g.score();
-        let token = g.apply(&buf[1]);
-        assert!(token.is_internal());
-        assert_eq!(g.moves_played(), 1);
-        g.undo(token);
-        assert_eq!(g.moves_played(), 0);
-        assert_eq!(g.score(), before_score);
-        let mut buf2 = Vec::new();
-        g.legal_moves(&mut buf2);
-        assert_eq!(buf, buf2, "legal-move indices restored");
-    }
-
-    #[test]
-    fn batch_unwind_restores_the_position_in_one_refresh() {
-        let mut g = DynGame::new(digits());
-        let mut reference = Vec::new();
-        g.legal_moves(&mut reference);
-        let before = (g.score(), g.moves_played());
-
-        // Apply a chain of three moves, then unwind it through undo_all
-        // (the playout-unwind path, which batches the cache refresh).
-        let mut tokens = Vec::new();
-        for _ in 0..3 {
-            let mut moves = Vec::new();
-            g.legal_moves(&mut moves);
-            tokens.push(g.apply(&moves[0]));
-        }
-        assert_eq!(g.moves_played(), 3);
-        g.undo_all(&mut tokens);
-        assert!(tokens.is_empty());
-        assert_eq!((g.score(), g.moves_played()), before);
-        let mut after = Vec::new();
-        g.legal_moves(&mut after);
-        assert_eq!(after, reference, "legal-move cache refreshed correctly");
-    }
-
-    #[test]
-    fn snapshot_only_erasure_falls_back_to_snapshots() {
-        use crate::game::SnapshotOnly;
-        let mut g = DynGame::new_uncoded(SnapshotOnly(digits()));
-        assert!(!g.supports_undo());
-        let token = g.apply(&0);
-        assert!(!token.is_internal());
-        assert_eq!(g.moves_played(), 1);
-        g.undo(token);
-        assert_eq!(g.moves_played(), 0);
-    }
-
-    #[test]
     fn state_hash_passes_through_the_erasure() {
         let typed = digits();
         let mut erased = DynGame::new(digits());
@@ -613,11 +438,10 @@ mod tests {
         t2.play(&1);
         erased.play(&1);
         assert_eq!(erased.state_hash(), t2.state_hash());
-        // Undo restores the previous key exactly.
-        let before = erased.state_hash();
-        let token = erased.apply(&0);
-        erased.undo(token);
-        assert_eq!(erased.state_hash(), before);
+        // A copy keeps the key.
+        let mut copy = DynGame::new(digits());
+        copy.clone_from(&erased);
+        assert_eq!(copy.state_hash(), erased.state_hash());
     }
 
     #[test]

@@ -21,57 +21,28 @@ pub type Score = i64;
 /// implementation's keys.
 const STATE_HASH_FALLBACK_SALT: u64 = 0x5e55_10f0_9b3a_7c41;
 
-/// An undo token returned by [`Game::apply`] and consumed by
-/// [`Game::undo`].
+/// The token [`Game::apply`] returns and [`Game::undo`] consumes: a boxed
+/// copy of the pre-move state.
 ///
-/// Two shapes, one type:
-///
-/// * [`Undo::snapshot`] carries a boxed copy of the pre-move state — the
-///   blanket fallback every game gets for free from `Clone`.
-/// * [`Undo::internal`] is an empty marker meaning the game recorded its
-///   own reversal data internally (an undo journal inside the game
-///   struct). Games on this fast path must override **both** `apply` and
-///   `undo`, and tokens must be consumed in strict LIFO order with no
-///   interleaved [`Game::play`] calls — the journal is a stack.
-///
-/// The token is deliberately not `Clone`: it represents the one right to
-/// revert the matching `apply`.
+/// No search reads it. It is kept, with `apply`/`undo`, because the perf
+/// ledger still prices that pair (`morpion.apply_undo_ns`).
 #[must_use = "an un-consumed undo token leaves the game permanently advanced"]
 pub struct Undo<G> {
-    snapshot: Option<Box<G>>,
+    snapshot: Box<G>,
 }
 
 impl<G> Undo<G> {
-    /// A token carrying a full pre-move snapshot (the fallback path).
+    /// A token carrying a full pre-move snapshot.
     pub fn snapshot(state: G) -> Self {
         Undo {
-            snapshot: Some(Box::new(state)),
+            snapshot: Box::new(state),
         }
-    }
-
-    /// A token for a game that journals its own reversal data.
-    pub fn internal() -> Self {
-        Undo { snapshot: None }
-    }
-
-    /// Whether this token relies on the game's internal journal.
-    pub fn is_internal(&self) -> bool {
-        self.snapshot.is_none()
-    }
-
-    /// Extracts the snapshot, if the token carries one.
-    pub fn into_snapshot(self) -> Option<Box<G>> {
-        self.snapshot
     }
 }
 
 impl<G> std::fmt::Debug for Undo<G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.is_internal() {
-            "Undo::internal"
-        } else {
-            "Undo::snapshot"
-        })
+        f.write_str("Undo::snapshot")
     }
 }
 
@@ -84,45 +55,19 @@ impl<G> std::fmt::Debug for Undo<G> {
 /// * **Finiteness** — every playout reaches a state with no legal moves in
 ///   a bounded number of steps (Morpion games are bounded by the grid,
 ///   SameGame by the number of tiles, …).
-/// * **Cheap `Clone`** — the fallback search path clones the position once
-///   per candidate move per step; a flat memcpy-style clone keeps level-3+
-///   searches affordable when the scratch-state protocol below is not
-///   implemented.
+/// * **Cheap `Clone`** — searches get a position back by copying it:
+///   the position walker copies it once per candidate evaluation, never
+///   once per playout move.
 ///
-/// ## The scratch-state protocol (opt-in fast path)
+/// ## Restoring by copy
 ///
-/// The hot loop of every search is the random playout, and the dominant
-/// cost of the naive implementation is cloning the full game state per
-/// candidate evaluation. Games that can *revert* a move for less than a
-/// copy of the position costs should implement [`Game::apply`] /
-/// [`Game::undo`] (and return `true` from [`Game::supports_undo`]): the
-/// searches in this crate then run their playouts and nested rollouts in
-/// place on a single mutable position, never cloning on the hot path.
-/// Requirements for the fast path:
-///
-/// * `apply` behaves exactly like `play` as far as any observer can tell
-///   (same state transition, same subsequent `legal_moves` **order** —
-///   move ordering feeds the RNG, so a reordering would silently change
-///   search results);
-/// * `undo` restores the position *exactly*, including the order of the
-///   legal-move list;
-/// * tokens are consumed LIFO, with no interleaved `play` between an
-///   `apply` and its `undo`.
-///
-/// Games that don't opt in keep working unchanged: the searches copy the
-/// position once per candidate evaluation with [`Clone::clone_from`] into
-/// a copy they keep, and swap it back (cheaper than the default
-/// snapshotting `apply` per move would be). Which of the two happens is
-/// decided in one place, the crate's position walker; the search bodies
-/// are the same code either way.
-///
-/// **Opt in only when an `apply` + `undo` pair costs less than a
-/// `clone_from`.** The copy is paid once per mark, the pair once per
-/// move, so a game whose whole position copies faster than it journals
-/// one move gains nothing from the protocol. SameGame is such a game: it
-/// does not opt in, and writes `clone_from` out so that the copy reuses
-/// the target's buffers. A game that does not opt in and holds heap
-/// buffers should do the same, or every mark allocates.
+/// Searches restore positions by copy: a search that scores a candidate
+/// copies the position into a slot it keeps ([`Clone::clone_from`]),
+/// plays the candidate and its playout forward, and swaps the copy back.
+/// The slots are reused from one candidate to the next, so **make
+/// `clone_from` reuse your buffers**: a game that holds heap buffers and
+/// keeps the derived `clone_from` (which is `*self = source.clone()`)
+/// allocates once per candidate.
 pub trait Game: Clone {
     /// The move type. `Clone + PartialEq` suffice for sequence memoisation.
     type Move: Clone + PartialEq + std::fmt::Debug;
@@ -181,17 +126,14 @@ pub trait Game: Clone {
     /// Contract: positions that are observably equal (same board, same
     /// score, same future) must hash equal; positions with different
     /// futures should hash differently with overwhelming probability.
-    /// The hash must depend only on the observable position — a state
-    /// reached via [`Game::play`] and the same state reached via
-    /// [`Game::apply`] (with its undo journal pending) hash identically,
-    /// and [`Game::undo`] restores the previous hash exactly.
+    /// The hash must depend only on the observable position, so a copy
+    /// hashes like its source.
     ///
     /// Called once per tree expansion on the search hot path, so
     /// implementations must be allocation-free (`tests/alloc_playout.rs`
-    /// checks every domain's). Games with an
-    /// undo journal should maintain the hash incrementally in
-    /// `apply`/`undo` (Zobrist XOR via [`mix64`]) or fold over their
-    /// compact state on demand.
+    /// checks every domain's). Maintain it incrementally in `play`
+    /// (Zobrist XOR via [`mix64`]) or fold over the compact state on
+    /// demand.
     ///
     /// The default mixes only `(moves_played, score)` — a weak snapshot
     /// digest that never distinguishes siblings with equal score. It
@@ -201,50 +143,30 @@ pub trait Game: Clone {
         mix64(a ^ (self.score() as u64))
     }
 
-    /// Whether this game implements the O(move)-cost [`Game::apply`] /
-    /// [`Game::undo`] fast path — the one thing that picks how searches
-    /// restore its positions.
-    ///
-    /// The default (snapshot-based) protocol returns `false`; searches
-    /// then keep the copy-per-evaluation strategy instead of paying a
-    /// full snapshot per playout move. Return `true` only when an
-    /// `apply` + `undo` pair costs less than a `clone_from` of the whole
-    /// position (see the trait docs).
+    /// Whether the game journals its own moves. No search reads it; it
+    /// is kept, `false`, because the perf ledger still names it.
     fn supports_undo(&self) -> bool {
         false
     }
 
     /// Applies a legal move like [`Game::play`] and returns a token that
-    /// [`Game::undo`] consumes to revert it.
-    ///
-    /// The default snapshots the whole state; fast-path games override it
-    /// to journal a small reversal delta internally and return
-    /// [`Undo::internal`].
+    /// [`Game::undo`] consumes to revert it, by snapshotting the whole
+    /// state. No search calls it: they restore by copy (see the trait
+    /// docs). Kept because the perf ledger still prices it.
     fn apply(&mut self, mv: &Self::Move) -> Undo<Self> {
         let snapshot = Undo::snapshot(self.clone());
         self.play(mv);
         snapshot
     }
 
-    /// Reverts the most recent not-yet-undone [`Game::apply`] (strict
-    /// LIFO; see the trait docs for the full protocol).
-    ///
-    /// Panics if handed an [`Undo::internal`] token by a game that does
-    /// not override `undo` — that means `apply` was overridden without
-    /// its other half.
+    /// Reverts the most recent not-yet-undone [`Game::apply`]. No search
+    /// calls it; kept for the perf ledger.
     fn undo(&mut self, token: Undo<Self>) {
-        match token.into_snapshot() {
-            Some(snapshot) => *self = *snapshot,
-            None => panic!("game returned Undo::internal() but does not override undo"),
-        }
+        *self = *token.snapshot;
     }
 
     /// Reverts a whole stack of applies (newest first), draining
-    /// `tokens`. Equivalent to popping and [`Game::undo`]ing one by one —
-    /// the default does exactly that — but overridable so wrappers that
-    /// maintain per-position caches (notably the [`crate::DynGame`]
-    /// erasure) can refresh them once per unwind instead of once per
-    /// token. Playout unwinds go through this.
+    /// `tokens`. No search calls it; kept for the perf ledger.
     fn undo_all(&mut self, tokens: &mut Vec<Undo<Self>>) {
         while let Some(token) = tokens.pop() {
             self.undo(token);
@@ -252,13 +174,11 @@ pub trait Game: Clone {
     }
 }
 
-/// Adapter that hides a game's scratch-state fast path, so every search
-/// treats it as a clone-only game.
+/// A wrapper that plays exactly like the game it wraps.
 ///
-/// Exists for A/B measurement (ledger row
-/// `core.search.playout_snapshot_per_s`) and for tests asserting that
-/// a game's undo journal and its plain `play` lead every search to
-/// bit-identical results. Not useful in production code.
+/// No search reads it: every game now restores by copy, so the wrapper
+/// hides nothing. It is kept because the perf ledger still names it
+/// (`core.search.playout_snapshot_per_s`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotOnly<G>(pub G);
 
@@ -286,13 +206,10 @@ impl<G: Game> Game for SnapshotOnly<G> {
     }
 
     // The position is the inner game's position, so its hash passes
-    // through — A/B runs over the adapter intern the same table keys.
+    // through.
     fn state_hash(&self) -> u64 {
         self.0.state_hash()
     }
-
-    // `supports_undo`, `apply`, `undo` deliberately stay at their
-    // defaults: that is the whole point of the adapter.
 }
 
 impl<G: crate::nrpa::CodedGame> crate::nrpa::CodedGame for SnapshotOnly<G> {
@@ -338,7 +255,6 @@ mod tests {
         let mut g = Countdown(3);
         assert!(!g.supports_undo());
         let token = g.apply(&());
-        assert!(!token.is_internal());
         assert_eq!(g.0, 2);
         g.undo(token);
         assert_eq!(g.0, 3);

@@ -5,8 +5,8 @@
 //! abstraction, the random [`sample`] playout, the nested
 //! rollout search ([`nested_with`]) with memorised best sequence,
 //! and the baselines the paper's related-work section measures against
-//! (flat Monte-Carlo, iterated sampling, beam search and a simulated
-//! annealing baseline in the spirit of Hyyrö & Poranen's pre-paper Morpion
+//! (flat Monte-Carlo, iterated sampling and a simulated annealing
+//! baseline in the spirit of Hyyrö & Poranen's pre-paper Morpion
 //! record).
 //!
 //! Everything is deterministic given a seed: randomness flows exclusively

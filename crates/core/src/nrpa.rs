@@ -341,82 +341,6 @@ mod tests {
         }
     }
 
-    /// `Binary` with the scratch-state fast path, for path-equality tests.
-    #[derive(Clone, Debug)]
-    struct FastBinary(Binary);
-
-    impl Game for FastBinary {
-        type Move = u8;
-        fn legal_moves(&self, out: &mut Vec<u8>) {
-            self.0.legal_moves(out);
-        }
-        fn play(&mut self, mv: &u8) {
-            self.0.play(mv);
-        }
-        fn score(&self) -> Score {
-            self.0.score()
-        }
-        fn moves_played(&self) -> usize {
-            self.0.moves_played()
-        }
-        fn supports_undo(&self) -> bool {
-            true
-        }
-        fn apply(&mut self, mv: &u8) -> crate::game::Undo<Self> {
-            self.0.play(mv);
-            crate::game::Undo::internal()
-        }
-        fn undo(&mut self, token: crate::game::Undo<Self>) {
-            debug_assert!(token.is_internal());
-            self.0.taken.pop().expect("undo without apply");
-        }
-    }
-
-    impl CodedGame for FastBinary {
-        fn move_code(&self, mv: &u8) -> u64 {
-            self.0.move_code(mv)
-        }
-    }
-
-    #[test]
-    fn nrpa_undo_path_is_bit_identical_to_clone_path() {
-        let cfg = NrpaConfig {
-            iterations: 6,
-            alpha: 0.8,
-        };
-        for seed in 0..10 {
-            for level in 0..3 {
-                let slow = SearchResult::unbounded(|ctx| {
-                    nrpa_with(
-                        &Binary {
-                            depth: 7,
-                            taken: vec![],
-                        },
-                        level,
-                        &cfg,
-                        &mut Rng::seeded(seed),
-                        ctx,
-                    )
-                });
-                let fast = SearchResult::unbounded(|ctx| {
-                    nrpa_with(
-                        &FastBinary(Binary {
-                            depth: 7,
-                            taken: vec![],
-                        }),
-                        level,
-                        &cfg,
-                        &mut Rng::seeded(seed),
-                        ctx,
-                    )
-                });
-                assert_eq!(fast.score, slow.score, "seed {seed} level {level}");
-                assert_eq!(fast.sequence, slow.sequence, "seed {seed} level {level}");
-                assert_eq!(fast.stats, slow.stats, "seed {seed} level {level}");
-            }
-        }
-    }
-
     #[test]
     fn nrpa_level2_solves_binary_game() {
         let g = Binary {

@@ -35,8 +35,8 @@ use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for the allocation-free playout core.
 ///
-/// A playout needs a legal-move buffer (and, on the restoring variant, a
-/// stack of undo tokens); keeping them in one value lets a search run
+/// A playout needs a legal-move buffer (and [`PlayoutScratch::run_undo`]
+/// a stack of undo tokens); keeping them in one value lets a search run
 /// thousands of playouts without touching the allocator after warm-up.
 pub struct PlayoutScratch<G: Game> {
     moves: Vec<G::Move>,
@@ -60,8 +60,8 @@ impl<G: Game> PlayoutScratch<G> {
     /// Plays a uniformly random game forward on a *disposable* position
     /// (mutating it to the terminal position), appending the moves played
     /// to `seq`, and returns the final score. This is the one random
-    /// playout loop for positions nobody wants back; [`sample_into`],
-    /// [`sample`] and level-0 [`nested_with`] sit on top of it.
+    /// playout loop; [`sample_into`], [`sample`], level-0 [`nested_with`]
+    /// and every walker rollout sit on top of it.
     ///
     /// Budget/cancellation polls go through `ctx` — one check per playout
     /// move, the shared choke point every backend's playouts pass through.
@@ -97,12 +97,12 @@ impl<G: Game> PlayoutScratch<G> {
         game.score()
     }
 
-    /// Like [`PlayoutScratch::run`], but *restores* `game` to its entry
-    /// state through the scratch-state protocol before returning — what
-    /// a playout costs on a game that is walked in place.
+    /// Like [`PlayoutScratch::run`], but plays with [`Game::apply`] and
+    /// restores `game` to its entry state with [`Game::undo_all`] before
+    /// returning, paying one snapshot per move.
     ///
-    /// Only worthwhile on games where [`Game::supports_undo`] is true:
-    /// the fallback snapshot `apply` would pay one full clone per move.
+    /// No search calls it: they restore by copy. Kept because the perf
+    /// ledger still names it.
     pub fn run_undo(
         &mut self,
         game: &mut G,
@@ -141,39 +141,24 @@ impl<G: Game> PlayoutScratch<G> {
 
 /// A position a search walks forward and gets back.
 ///
-/// This is the one place in the crate that decides *how* a position is
-/// restored. A game with the scratch-state protocol
-/// ([`Game::supports_undo`]) is walked in place: every [`Walker::play`]
-/// keeps its undo token and [`Walker::rewind`] unwinds them. Any other
-/// game is copied at each [`Walker::mark`] and `rewind` swaps the copy
-/// back — one copy per mark, so one per candidate evaluation, never
+/// Every algorithm body is written once against this type. The position
+/// is copied at each [`Walker::mark`] and [`Walker::rewind`] swaps the
+/// copy back — one copy per mark, so one per candidate evaluation, never
 /// one per playout move. The copies live in one slot per mark depth:
 /// `mark` copies into its slot with [`Clone::clone_from`], and `rewind`
 /// leaves the position it swapped out in the slot, so a game whose
-/// `clone_from` reuses its buffers is walked without allocating. Every
-/// algorithm body is written once against this type; the two modes make
-/// the same decisions and draw the same random numbers.
+/// `clone_from` reuses its buffers is walked without allocating.
 ///
 /// Search bodies *advance* the walker and leave it advanced; whoever
 /// wants the earlier position back takes a mark first and rewinds to it.
 pub(crate) struct Walker<G: Game> {
     pos: G,
-    restore: Restore<G>,
-    playout: PlayoutScratch<G>,
-}
-
-enum Restore<G: Game> {
-    /// Tokens of the moves played and not yet rewound, oldest first;
-    /// `unwinding` is `rewind`'s hand-over buffer to [`Game::undo_all`],
-    /// kept for its capacity.
-    Undo {
-        played: Vec<Undo<G>>,
-        unwinding: Vec<Undo<G>>,
-    },
     /// `saved[..depth]` is the position as it stood at each mark not yet
     /// rewound; the slots past `depth` hold positions rewound away, kept
     /// for their buffers.
-    Copies { saved: Vec<G>, depth: usize },
+    saved: Vec<G>,
+    depth: usize,
+    playout: PlayoutScratch<G>,
 }
 
 /// A point [`Walker::rewind`] can return to. Marks nest: rewinding to one
@@ -183,20 +168,10 @@ pub(crate) struct Mark(usize);
 impl<G: Game> Walker<G> {
     /// A walker standing on a copy of `root`.
     pub(crate) fn new(root: &G) -> Self {
-        let restore = if root.supports_undo() {
-            Restore::Undo {
-                played: Vec::new(),
-                unwinding: Vec::new(),
-            }
-        } else {
-            Restore::Copies {
-                saved: Vec::new(),
-                depth: 0,
-            }
-        };
         Walker {
             pos: root.clone(),
-            restore,
+            saved: Vec::new(),
+            depth: 0,
             playout: PlayoutScratch::new(),
         }
     }
@@ -208,50 +183,30 @@ impl<G: Game> Walker<G> {
 
     /// Remembers the current position for a later [`Walker::rewind`].
     pub(crate) fn mark(&mut self) -> Mark {
-        match &mut self.restore {
-            Restore::Undo { played, .. } => Mark(played.len()),
-            Restore::Copies { saved, depth } => {
-                match saved.get_mut(*depth) {
-                    Some(slot) => slot.clone_from(&self.pos),
-                    None => saved.push(self.pos.clone()),
-                }
-                *depth += 1;
-                Mark(*depth - 1)
-            }
+        match self.saved.get_mut(self.depth) {
+            Some(slot) => slot.clone_from(&self.pos),
+            None => self.saved.push(self.pos.clone()),
         }
+        self.depth += 1;
+        Mark(self.depth - 1)
     }
 
     /// Plays `mv`, which must be legal in the current position.
     pub(crate) fn play(&mut self, mv: &G::Move) {
-        match &mut self.restore {
-            Restore::Undo { played, .. } => played.push(self.pos.apply(mv)),
-            Restore::Copies { .. } => self.pos.play(mv),
-        }
+        self.pos.play(mv);
     }
 
     /// Returns to the position `mark` was taken at.
     pub(crate) fn rewind(&mut self, mark: Mark) {
-        match &mut self.restore {
-            Restore::Undo { played, unwinding } => {
-                // One `undo_all` per rewind, so wrappers that refresh a
-                // cache per unwind (the `DynGame` erasure) do it once.
-                unwinding.extend(played.drain(mark.0..));
-                self.pos.undo_all(unwinding);
-            }
-            Restore::Copies { saved, depth } => {
-                assert!(mark.0 < *depth, "rewind to a mark that was taken");
-                *depth = mark.0;
-                std::mem::swap(&mut self.pos, &mut saved[mark.0]);
-            }
-        }
+        assert!(mark.0 < self.depth, "rewind to a mark that was taken");
+        self.depth = mark.0;
+        std::mem::swap(&mut self.pos, &mut self.saved[mark.0]);
     }
 
     /// Plays one uniformly random game from the current position,
     /// appending its moves to `seq`, and returns the final score. The
-    /// position is afterwards unspecified until the next
-    /// [`Walker::rewind`]: an undo game has already been unwound by
-    /// [`PlayoutScratch::run_undo`], a clone-only game stands at the end
-    /// of the playout and is restored from the mark's copy.
+    /// position stands at the end of the playout until the next
+    /// [`Walker::rewind`] restores it from the mark's copy.
     pub(crate) fn rollout(
         &mut self,
         rng: &mut Rng,
@@ -259,21 +214,7 @@ impl<G: Game> Walker<G> {
         seq: &mut Vec<G::Move>,
         ctx: &mut SearchCtx,
     ) -> Score {
-        match self.restore {
-            Restore::Undo { .. } => self.playout.run_undo(&mut self.pos, rng, cap, seq, ctx),
-            Restore::Copies { .. } => self.playout.run(&mut self.pos, rng, cap, seq, ctx),
-        }
-    }
-
-    /// Exchanges the walker's position with `other`, so a caller that
-    /// owns many positions (beam search) can evaluate each through one
-    /// walker's buffers. Only between walks: nothing may be pending.
-    pub(crate) fn swap_position(&mut self, other: &mut G) {
-        debug_assert!(match &self.restore {
-            Restore::Undo { played, .. } => played.is_empty(),
-            Restore::Copies { depth, .. } => *depth == 0,
-        });
-        std::mem::swap(&mut self.pos, other);
+        self.playout.run(&mut self.pos, rng, cap, seq, ctx)
     }
 }
 
@@ -675,130 +616,9 @@ mod tests {
         }
     }
 
-    /// `Trap` with the scratch-state fast path: identical game, walked in
-    /// place. Used to assert the walker's two restore modes are
-    /// draw-for-draw identical.
-    #[derive(Clone, Debug)]
-    struct FastTrap(Trap);
-
-    impl Game for FastTrap {
-        type Move = u8;
-        fn legal_moves(&self, out: &mut Vec<u8>) {
-            self.0.legal_moves(out);
-        }
-        fn play(&mut self, mv: &u8) {
-            self.0.play(mv);
-        }
-        fn score(&self) -> Score {
-            self.0.score()
-        }
-        fn moves_played(&self) -> usize {
-            self.0.moves_played()
-        }
-        fn supports_undo(&self) -> bool {
-            true
-        }
-        fn apply(&mut self, mv: &u8) -> crate::game::Undo<Self> {
-            self.0.play(mv);
-            crate::game::Undo::internal()
-        }
-        fn undo(&mut self, token: crate::game::Undo<Self>) {
-            debug_assert!(token.is_internal());
-            self.0.taken.pop().expect("undo without apply");
-        }
-    }
-
-    #[test]
-    fn undo_path_is_bit_identical_to_clone_path() {
-        for seed in 0..20 {
-            for level in 1..=3 {
-                for config in [NestedConfig::paper(), NestedConfig::greedy()] {
-                    let slow = SearchResult::unbounded(|ctx| {
-                        nested_with(
-                            &Trap { taken: vec![] },
-                            level,
-                            &config,
-                            &mut Rng::seeded(seed),
-                            ctx,
-                        )
-                    });
-                    let fast = SearchResult::unbounded(|ctx| {
-                        nested_with(
-                            &FastTrap(Trap { taken: vec![] }),
-                            level,
-                            &config,
-                            &mut Rng::seeded(seed),
-                            ctx,
-                        )
-                    });
-                    assert_eq!(fast.score, slow.score, "seed {seed} level {level}");
-                    assert_eq!(fast.sequence, slow.sequence, "seed {seed} level {level}");
-                    assert_eq!(fast.stats, slow.stats, "seed {seed} level {level}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn undo_path_respects_playout_caps() {
-        for seed in 0..10 {
-            let cfg = NestedConfig {
-                memory: MemoryPolicy::Memorise,
-                playout_cap: Some(2),
-            };
-            let slow = SearchResult::unbounded(|ctx| {
-                nested_with(
-                    &Trap { taken: vec![] },
-                    1,
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                    ctx,
-                )
-            });
-            let fast = SearchResult::unbounded(|ctx| {
-                nested_with(
-                    &FastTrap(Trap { taken: vec![] }),
-                    1,
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                    ctx,
-                )
-            });
-            assert_eq!(fast.score, slow.score, "seed {seed}");
-            assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn evaluate_moves_fast_path_matches_clone_path() {
-        for level in 0..3 {
-            let seeds = |i: usize| 7_000 + i as u64;
-            let slow = evaluate_moves(
-                &Trap { taken: vec![] },
-                level,
-                &NestedConfig::paper(),
-                seeds,
-            );
-            let fast = evaluate_moves(
-                &FastTrap(Trap { taken: vec![] }),
-                level,
-                &NestedConfig::paper(),
-                seeds,
-            );
-            assert_eq!(slow.len(), fast.len());
-            for ((ms, rs), (mf, rf)) in slow.iter().zip(fast.iter()) {
-                assert_eq!(ms, mf, "level {level}");
-                assert_eq!(rs.score, rf.score, "level {level}");
-                assert_eq!(rs.sequence, rf.sequence, "level {level}");
-                assert_eq!(rs.stats, rf.stats, "level {level}");
-            }
-        }
-    }
-
     #[test]
     fn copy_walker_rewinds_nested_marks_to_the_marked_positions() {
         let root = Trap { taken: vec![] };
-        assert!(!root.supports_undo());
         let mut walker = Walker::new(&root);
         // Twice, so the second round copies into the slots the first left.
         for round in 0..2 {
@@ -817,17 +637,6 @@ mod tests {
                 "round {round}: outer mark"
             );
         }
-
-        // Nothing is pending, so positions can be swapped in and out.
-        let mut other = Trap { taken: vec![2] };
-        walker.swap_position(&mut other);
-        assert_eq!(walker.position().taken, [2]);
-        let mark = walker.mark();
-        walker.play(&1);
-        walker.rewind(mark);
-        walker.swap_position(&mut other);
-        assert!(walker.position().taken.is_empty());
-        assert_eq!(other.taken, [2]);
     }
 
     #[test]
@@ -842,7 +651,7 @@ mod tests {
 
     #[test]
     fn run_undo_restores_the_position_and_matches_sample_into() {
-        let root = FastTrap(Trap { taken: vec![] });
+        let root = Trap { taken: vec![] };
         let mut scratch = PlayoutScratch::new();
         for seed in 0..20 {
             let mut pos = root.clone();
@@ -850,7 +659,7 @@ mod tests {
             let mut ctx = SearchCtx::unbounded();
             let score =
                 scratch.run_undo(&mut pos, &mut Rng::seeded(seed), None, &mut seq, &mut ctx);
-            assert_eq!(pos.0.taken, root.0.taken, "seed {seed}: position restored");
+            assert_eq!(pos.taken, root.taken, "seed {seed}: position restored");
 
             let mut clone = root.clone();
             let mut seq2 = Vec::new();

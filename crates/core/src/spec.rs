@@ -41,8 +41,7 @@
 //! unit tests below assert both halves of the contract.
 
 use crate::baselines::{
-    beam_search_with, flat_monte_carlo_with, iterated_sampling_with, simulated_annealing_with,
-    AnnealingConfig,
+    flat_monte_carlo_with, iterated_sampling_with, simulated_annealing_with, AnnealingConfig,
 };
 use crate::ctx::SearchCtx;
 use crate::exec;
@@ -163,8 +162,16 @@ impl Deserialize for Budget {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let opt = |name: &str| v.get_field(name).cloned().unwrap_or(Value::Null);
         let deadline_ms: Option<f64> = Option::from_value(&opt("deadline_ms"))?;
+        // Specs arrive from outside the program: a deadline no `Duration`
+        // holds (including an infinite one) is refused here, not panicked on.
+        let deadline = deadline_ms
+            .map(|ms| {
+                Duration::try_from_secs_f64((ms / 1e3).max(0.0))
+                    .map_err(|_| Error::custom(format!("`deadline_ms` out of range: {ms:e}")))
+            })
+            .transpose()?;
         Ok(Budget {
-            deadline: deadline_ms.map(|ms| Duration::from_secs_f64((ms / 1e3).max(0.0))),
+            deadline,
             max_playouts: Option::from_value(&opt("max_playouts"))?,
             max_nodes: Option::from_value(&opt("max_nodes"))?,
         })
@@ -203,9 +210,6 @@ pub enum AlgorithmSpec {
     /// Iterated sampling with `samples` playouts per candidate move
     /// ([`crate::baselines::iterated_sampling_with`]).
     IteratedSampling { samples: usize },
-    /// Beam search of `width` with `samples` playouts per candidate
-    /// ([`crate::baselines::beam_search_with`]).
-    Beam { width: usize, samples: usize },
     /// A single random playout (the paper's `sample`).
     Sample,
     /// Leaf-parallel batched NMCS: each candidate move evaluated by a
@@ -302,7 +306,6 @@ impl AlgorithmSpec {
             AlgorithmSpec::Uct { .. } => "uct",
             AlgorithmSpec::FlatMc { .. } => "flat-mc",
             AlgorithmSpec::IteratedSampling { .. } => "iterated-sampling",
-            AlgorithmSpec::Beam { .. } => "beam",
             AlgorithmSpec::Sample => "sample",
             AlgorithmSpec::LeafParallel { .. } => "leaf-parallel",
             AlgorithmSpec::RootParallel { .. } => "root-parallel",
@@ -353,11 +356,6 @@ impl Serialize for AlgorithmSpec {
             ],
             AlgorithmSpec::IteratedSampling { samples } => vec![
                 kind("iterated_sampling"),
-                ("samples".to_string(), samples.to_value()),
-            ],
-            AlgorithmSpec::Beam { width, samples } => vec![
-                kind("beam"),
-                ("width".to_string(), width.to_value()),
                 ("samples".to_string(), samples.to_value()),
             ],
             AlgorithmSpec::Sample => vec![kind("sample")],
@@ -482,10 +480,6 @@ impl Deserialize for AlgorithmSpec {
                 playouts: usize::from_value(field("playouts")?)?,
             }),
             "iterated_sampling" => Ok(AlgorithmSpec::IteratedSampling {
-                samples: usize::from_value(field("samples")?)?,
-            }),
-            "beam" => Ok(AlgorithmSpec::Beam {
-                width: usize::from_value(field("width")?)?,
                 samples: usize::from_value(field("samples")?)?,
             }),
             "sample" => Ok(AlgorithmSpec::Sample),
@@ -647,11 +641,6 @@ impl SearchSpec {
     /// Iterated sampling with `samples` playouts per candidate move.
     pub fn iterated_sampling(samples: usize) -> SearchBuilder {
         SearchBuilder::new(AlgorithmSpec::IteratedSampling { samples })
-    }
-
-    /// Beam search of `width` with `samples` playouts per candidate.
-    pub fn beam(width: usize, samples: usize) -> SearchBuilder {
-        SearchBuilder::new(AlgorithmSpec::Beam { width, samples })
     }
 
     /// A single random playout.
@@ -819,10 +808,6 @@ where
             AlgorithmSpec::IteratedSampling { samples } => {
                 let mut rng = Rng::seeded(self.seed);
                 iterated_sampling_with(game, *samples, &mut rng, &mut ctx)
-            }
-            AlgorithmSpec::Beam { width, samples } => {
-                let mut rng = Rng::seeded(self.seed);
-                beam_search_with(game, *width, *samples, &mut rng, &mut ctx)
             }
             AlgorithmSpec::Sample => {
                 // The paper's `sample` is a level-0 nested search.
@@ -1188,15 +1173,6 @@ mod tests {
                 (d.score, &d.sequence, &d.stats)
             );
 
-            let r = SearchSpec::beam(2, 2).seed(seed).run(&g);
-            let d = SearchResult::unbounded(|ctx| {
-                beam_search_with(&g, 2, 2, &mut Rng::seeded(seed), ctx)
-            });
-            assert_eq!(
-                (r.score, &r.sequence, &r.stats),
-                (d.score, &d.sequence, &d.stats)
-            );
-
             let r = SearchSpec::sample().seed(seed).run(&g);
             let d = sample(&g, &mut Rng::seeded(seed));
             assert_eq!(
@@ -1352,7 +1328,6 @@ mod tests {
             SearchSpec::uct().max_nodes(10_000).build(),
             SearchSpec::flat_mc(64).build(),
             SearchSpec::iterated_sampling(4).build(),
-            SearchSpec::beam(8, 2).build(),
             SearchSpec::sample().seed(11).build(),
             SearchSpec::leaf(2, 16, 8).playout_cap(100).build(),
             SearchSpec::root_parallel(3, 8).first_move_only().build(),

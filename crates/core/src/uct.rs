@@ -1593,7 +1593,6 @@ where
 mod tests {
     use super::*;
     use crate::baselines::flat_monte_carlo_with;
-    use crate::game::Undo;
     use crate::search::SearchResult;
 
     /// Depth-`d` ternary game, unique optimum all-2s.
@@ -1623,72 +1622,6 @@ mod tests {
 
     fn optimum(d: usize) -> Score {
         (0..d).fold(0, |acc, _| acc * 3 + 2)
-    }
-
-    /// `Ternary` with the scratch-state fast path, for path-equality tests.
-    #[derive(Clone, Debug)]
-    struct FastTernary(Ternary);
-
-    impl Game for FastTernary {
-        type Move = u8;
-        fn legal_moves(&self, out: &mut Vec<u8>) {
-            self.0.legal_moves(out);
-        }
-        fn play(&mut self, mv: &u8) {
-            self.0.play(mv);
-        }
-        fn score(&self) -> Score {
-            self.0.score()
-        }
-        fn moves_played(&self) -> usize {
-            self.0.moves_played()
-        }
-        fn supports_undo(&self) -> bool {
-            true
-        }
-        fn apply(&mut self, mv: &u8) -> Undo<Self> {
-            self.0.play(mv);
-            Undo::internal()
-        }
-        fn undo(&mut self, token: Undo<Self>) {
-            debug_assert!(token.is_internal());
-            self.0.taken.pop().expect("undo without apply");
-        }
-    }
-
-    #[test]
-    fn uct_undo_path_is_bit_identical_to_clone_path() {
-        let cfg = UctConfig {
-            iterations: 300,
-            ..Default::default()
-        };
-        for seed in 0..10 {
-            let slow = SearchResult::unbounded(|ctx| {
-                uct_with(
-                    &Ternary {
-                        depth: 5,
-                        taken: vec![],
-                    },
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                    ctx,
-                )
-            });
-            let fast = SearchResult::unbounded(|ctx| {
-                uct_with(
-                    &FastTernary(Ternary {
-                        depth: 5,
-                        taken: vec![],
-                    }),
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                    ctx,
-                )
-            });
-            assert_eq!(fast.score, slow.score, "seed {seed}");
-            assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
-            assert_eq!(fast.stats, slow.stats, "seed {seed}");
-        }
     }
 
     #[test]
@@ -1835,27 +1768,6 @@ mod tests {
                 let tree = tree_parallel(&g, &cfg, mode, 1, seed, &mut tp_ctx);
                 assert_eq!(tree, sequential, "seed {seed} {mode:?}");
                 assert_eq!(tp_ctx.stats(), seq_ctx.stats(), "seed {seed} {mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_worker_tree_parallel_matches_on_fast_path_games_too() {
-        let cfg = UctConfig {
-            iterations: 200,
-            ..Default::default()
-        };
-        for seed in 0..5 {
-            let g = FastTernary(Ternary {
-                depth: 5,
-                taken: vec![],
-            });
-            let mut seq_ctx = SearchCtx::unbounded();
-            let sequential = uct_with(&g, &cfg, &mut Rng::seeded(seed), &mut seq_ctx);
-            for mode in ALL_MODES {
-                let mut tp_ctx = SearchCtx::unbounded();
-                let tree = tree_parallel(&g, &cfg, mode, 1, seed, &mut tp_ctx);
-                assert_eq!(tree, sequential, "seed {seed} {mode:?}");
             }
         }
     }

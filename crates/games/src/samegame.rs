@@ -54,7 +54,7 @@
 //! and its undo (35 ns against 59 ns, medians of three perf-ledger runs
 //! on a 2-vCPU x86-64 VM), and a search copies once per mark, not once
 //! per move. So
-//! SameGame does not opt into [`Game::supports_undo`]: the searches copy
+//! SameGame, like every domain, restores by copy: the searches copy
 //! the position at each mark, and the hand-written `clone_from` copies
 //! into the buffers the target already has. Both floods share one
 //! thread-local scratch (`FLOOD`), so a warmed playout and a warmed

@@ -8,14 +8,14 @@
 //! less — exactly the "maximise a score with no good heuristic beyond
 //! playouts" shape NMCS targets.
 
-use nmcs_core::{mix64, CodedGame, Game, Rng, Score, Undo};
+use nmcs_core::{mix64, CodedGame, Game, Rng, Score};
 
 /// Domain-separation salt of [`Sudoku`]'s [`Game::state_hash`] keys.
 const SUDOKU_HASH_SALT: u64 = 0x6d2e_81cb_f017_4a93;
 
 /// A Sudoku position over an `n² × n²` grid (`n = 3` is the classic 9×9;
 /// `n = 4` the 16×16 of the NMCS paper).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Sudoku {
     n: usize,
     side: usize,
@@ -25,10 +25,28 @@ pub struct Sudoku {
     /// Becomes true when a contradiction is found (an empty cell with no
     /// consistent digit) — the game then has no legal moves.
     dead: bool,
-    /// Undo journal of the scratch-state protocol: the cells filled by
-    /// `apply`, in order. `undo` pops (a fill is fully reversible from
-    /// its cell index; `dead` is always false before a legal move).
-    undo_cells: Vec<u16>,
+}
+
+impl Clone for Sudoku {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            side: self.side,
+            cells: self.cells.clone(),
+            filled: self.filled,
+            dead: self.dead,
+        }
+    }
+
+    /// Copies into `self`'s buffer: the searches restore positions by
+    /// copy, once per candidate evaluation.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.side = source.side;
+        self.cells.clone_from(&source.cells);
+        self.filled = source.filled;
+        self.dead = source.dead;
+    }
 }
 
 impl Sudoku {
@@ -42,7 +60,6 @@ impl Sudoku {
             cells: vec![0; side * side],
             filled: 0,
             dead: false,
-            undo_cells: Vec::new(),
         }
     }
 
@@ -213,10 +230,6 @@ impl Game for Sudoku {
         self.filled
     }
 
-    // Scratch-state fast path: a fill touches exactly one cell, so the
-    // journal records the cell index and undo blanks it. `dead` resets
-    // to false because a position that admitted a legal move was alive.
-
     /// The filled cells fully determine the position (`dead` is derived),
     /// so the hash XORs one Zobrist key per filled cell — order-
     /// independent, so distinct fill orders reaching the same grid
@@ -229,25 +242,6 @@ impl Game for Sudoku {
             }
         }
         h
-    }
-
-    fn supports_undo(&self) -> bool {
-        true
-    }
-
-    fn apply(&mut self, mv: &Fill) -> Undo<Self> {
-        self.play(mv);
-        self.undo_cells.push(mv.cell);
-        Undo::internal()
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        debug_assert!(token.is_internal());
-        let cell = self.undo_cells.pop().expect("undo without apply");
-        debug_assert_ne!(self.cells[cell as usize], 0);
-        self.cells[cell as usize] = 0;
-        self.filled -= 1;
-        self.dead = false;
     }
 }
 

@@ -2,7 +2,7 @@
 //! and backend in the workspace: if parallel NMCS on the simulated cluster
 //! cannot solve `SumGame`, something is broken in plumbing, not in luck.
 
-use nmcs_core::{mix64, CodedGame, Game, Rng, Score, Undo};
+use nmcs_core::{mix64, CodedGame, Game, Rng, Score};
 
 /// Domain-separation salts of the toy games' [`Game::state_hash`] folds
 /// (non-zero: `mix64(0) == 0`).
@@ -13,11 +13,31 @@ const NEEDLE_HASH_SALT: u64 = 0x2fd8_44b1_03c7_96e5;
 /// `c` and earns `values[k][c]`. The optimum is the sum of row maxima —
 /// computable in closed form, while random play is mediocre, which gives
 /// search quality something measurable to improve.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SumGame {
     values: std::sync::Arc<Vec<Vec<Score>>>,
     taken: Vec<u8>,
     accumulated: Score,
+}
+
+impl Clone for SumGame {
+    fn clone(&self) -> Self {
+        Self {
+            values: self.values.clone(),
+            taken: self.taken.clone(),
+            accumulated: self.accumulated,
+        }
+    }
+
+    /// Copies into `self`'s buffers: the searches restore positions by
+    /// copy, once per candidate evaluation.
+    fn clone_from(&mut self, source: &Self) {
+        if !std::sync::Arc::ptr_eq(&self.values, &source.values) {
+            self.values = source.values.clone();
+        }
+        self.taken.clone_from(&source.taken);
+        self.accumulated = source.accumulated;
+    }
 }
 
 impl SumGame {
@@ -98,24 +118,6 @@ impl Game for SumGame {
         }
         mix64(h ^ self.accumulated as u64)
     }
-
-    // Scratch-state fast path: a move is one pushed column, so undo pops
-    // it and subtracts the value it earned.
-
-    fn supports_undo(&self) -> bool {
-        true
-    }
-
-    fn apply(&mut self, mv: &u8) -> Undo<Self> {
-        self.play(mv);
-        Undo::internal()
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        debug_assert!(token.is_internal());
-        let mv = self.taken.pop().expect("undo without apply");
-        self.accumulated -= self.values[self.taken.len()][mv as usize];
-    }
 }
 
 /// The needle-ladder game: a prize of `2 × depth` sits at the unique
@@ -126,10 +128,26 @@ impl Game for SumGame {
 /// step at a time and finds it deterministically for any depth. This is
 /// the mechanism behind "nested search amplifies Monte-Carlo" (paper §I),
 /// in miniature, and the basis of a workspace-wide validation test.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NeedleLadder {
     depth: usize,
     taken: Vec<u8>,
+}
+
+impl Clone for NeedleLadder {
+    fn clone(&self) -> Self {
+        Self {
+            depth: self.depth,
+            taken: self.taken.clone(),
+        }
+    }
+
+    /// Copies into `self`'s buffer: the searches restore positions by
+    /// copy, once per candidate evaluation.
+    fn clone_from(&mut self, source: &Self) {
+        self.depth = source.depth;
+        self.taken.clone_from(&source.taken);
+    }
 }
 
 impl NeedleLadder {
@@ -187,23 +205,6 @@ impl Game for NeedleLadder {
             h = mix64(h ^ (m as u64 + 1));
         }
         h
-    }
-
-    // Scratch-state fast path: the score is derived from `taken`, so
-    // undo is a plain pop.
-
-    fn supports_undo(&self) -> bool {
-        true
-    }
-
-    fn apply(&mut self, mv: &u8) -> Undo<Self> {
-        self.play(mv);
-        Undo::internal()
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        debug_assert!(token.is_internal());
-        self.taken.pop().expect("undo without apply");
     }
 }
 

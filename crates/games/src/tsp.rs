@@ -6,7 +6,7 @@
 //! tour, a move visits an unvisited city, and the score is the *negated*
 //! tour length in integer micro-units (NMCS maximises).
 
-use nmcs_core::{mix64, CodedGame, Game, Rng, Score, Undo};
+use nmcs_core::{mix64, CodedGame, Game, Rng, Score};
 use std::cell::RefCell;
 
 /// Domain-separation salts of [`TspGame`]'s [`Game::state_hash`]:
@@ -70,7 +70,7 @@ impl TspInstance {
 }
 
 /// A partial tour over a shared instance. Starts at city 0.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TspGame {
     instance: std::sync::Arc<TspInstance>,
     visited_mask: Vec<bool>,
@@ -80,6 +80,30 @@ pub struct TspGame {
     /// all). Mirrors the neighbourhood-size parameter of \[15\], which
     /// controlled their speedup.
     neighbourhood: Option<usize>,
+}
+
+impl Clone for TspGame {
+    fn clone(&self) -> Self {
+        Self {
+            instance: self.instance.clone(),
+            visited_mask: self.visited_mask.clone(),
+            tour: self.tour.clone(),
+            length_so_far: self.length_so_far,
+            neighbourhood: self.neighbourhood,
+        }
+    }
+
+    /// Copies into `self`'s buffers: the searches restore positions by
+    /// copy, once per candidate evaluation.
+    fn clone_from(&mut self, source: &Self) {
+        if !std::sync::Arc::ptr_eq(&self.instance, &source.instance) {
+            self.instance = source.instance.clone();
+        }
+        self.visited_mask.clone_from(&source.visited_mask);
+        self.tour.clone_from(&source.tour);
+        self.length_so_far = source.length_so_far;
+        self.neighbourhood = source.neighbourhood;
+    }
 }
 
 impl TspGame {
@@ -182,27 +206,6 @@ impl Game for TspGame {
         let here = *self.tour.last().unwrap() as u64;
         let tail = mix64(here ^ TSP_HASH_TAIL_SALT) ^ (self.length_so_far as u64);
         mix64(h ^ mix64(tail))
-    }
-
-    // Scratch-state fast path: a move extends the tour by one city, so
-    // undo pops it, re-opens the city, and subtracts the edge length.
-
-    fn supports_undo(&self) -> bool {
-        true
-    }
-
-    fn apply(&mut self, mv: &u16) -> Undo<Self> {
-        self.play(mv);
-        Undo::internal()
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        debug_assert!(token.is_internal());
-        let city = self.tour.pop().expect("undo without apply");
-        debug_assert!(city != 0, "cannot undo the fixed start city");
-        self.visited_mask[city] = false;
-        let here = *self.tour.last().expect("tour keeps its start");
-        self.length_so_far -= self.instance.dist(here, city);
     }
 }
 

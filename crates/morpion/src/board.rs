@@ -20,7 +20,7 @@
 //! through the new point, making random playouts allocation-free and fast.
 
 use crate::geom::{Dir, Point, DIRS};
-use nmcs_core::{mix64, Game, Score, Undo};
+use nmcs_core::{mix64, Game, Score};
 use serde::{Deserialize, Serialize};
 
 /// Domain-separation salts of the board's Zobrist hash: occupancy keys
@@ -111,26 +111,14 @@ impl std::fmt::Display for Move {
     }
 }
 
-/// One `apply` frame of the undo journal: how much of the candidate
-/// cache this move disturbed (the move itself lives in `history`).
-#[derive(Debug, Clone, Copy)]
-struct MoveFrame {
-    /// Start of this frame's evicted candidates in `undo_removed`.
-    removed_start: u32,
-    /// Number of candidates the move appended at the cache tail.
-    added: u32,
-}
-
 /// A Morpion Solitaire position.
-#[derive(Clone)]
 pub struct Board {
     cells: Box<[u16]>,
     /// Zobrist hash of `cells` (occupancy + constraint bits), maintained
-    /// incrementally: XORed in `play_move_inner`/`undo` and in
-    /// `mark_line`/`unmark_line`, whose set/clear operations are exact
-    /// inverses by the legality guarantee. The cells fully determine the
-    /// position (score is the move count, derivable from occupancy), so
-    /// this is a complete transposition key.
+    /// incrementally: XORed in `play_move` and `mark_line`, each of which
+    /// sets bits the legality guarantee proved clear. The cells fully
+    /// determine the position (score is the move count, derivable from
+    /// occupancy), so this is a complete transposition key.
     hash: u64,
     variant: Variant,
     /// Cached legal moves of the current position (kept exact).
@@ -142,14 +130,35 @@ pub struct Board {
     /// Top-left corner of the initial points' bounding box; record
     /// coordinates are relative to it.
     origin: Point,
-    /// Undo spill buffer: candidates evicted by recorded moves, with
-    /// their pre-eviction indices (ascending within a frame) so undo can
-    /// re-insert them in the exact original cache order — move order
-    /// feeds the search RNG, so "same set, different order" would change
-    /// results.
-    undo_removed: Vec<(u32, Move)>,
-    /// One frame per outstanding recorded `apply`.
-    undo_frames: Vec<MoveFrame>,
+}
+
+impl Clone for Board {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            hash: self.hash,
+            variant: self.variant,
+            candidates: self.candidates.clone(),
+            history: self.history.clone(),
+            initial: self.initial.clone(),
+            origin: self.origin,
+        }
+    }
+
+    /// Copies into `self`'s buffers: the searches restore positions by
+    /// copy, so this runs once per candidate evaluation and must not
+    /// allocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.cells.copy_from_slice(&source.cells);
+        self.hash = source.hash;
+        self.variant = source.variant;
+        self.candidates.clone_from(&source.candidates);
+        self.history.clone_from(&source.history);
+        if !std::sync::Arc::ptr_eq(&self.initial, &source.initial) {
+            self.initial = source.initial.clone();
+        }
+        self.origin = source.origin;
+    }
 }
 
 impl Board {
@@ -181,8 +190,6 @@ impl Board {
             history: Vec::new(),
             initial: std::sync::Arc::new(initial),
             origin: min,
-            undo_removed: Vec::new(),
-            undo_frames: Vec::new(),
         };
         board.candidates = board.recompute_candidates();
         board
@@ -254,10 +261,6 @@ impl Board {
     /// Panics (in all builds) if the move is illegal: silently corrupting a
     /// search is worse than failing fast, and the check is five cell reads.
     pub fn play_move(&mut self, m: &Move) {
-        self.play_move_inner(m, false);
-    }
-
-    fn play_move_inner(&mut self, m: &Move, record: bool) {
         assert!(self.is_legal(m), "illegal move {m}");
         let q: Point = m.new_point();
         self.cells[cell_index(q)] |= OCC;
@@ -267,28 +270,17 @@ impl Board {
         // Revalidate the cache: a candidate dies iff its new point just got
         // occupied, or it shares constraint marks with the played line
         // (same direction only — other directions' bits are untouched).
-        // With `record`, evicted candidates are journalled with their
-        // pre-eviction indices so undo can restore the exact cache order.
+        // Survivors keep their order: move order feeds the search RNG.
         let dir = m.dir;
-        let removed_start = self.undo_removed.len() as u32;
-        let mut write = 0usize;
-        for read in 0..self.candidates.len() {
-            let c = self.candidates[read];
-            let keep = c.new_point() != q
-                && (c.dir != dir || constraints_free(&self.cells, self.variant, c.start, c.dir));
-            if keep {
-                self.candidates[write] = c;
-                write += 1;
-            } else if record {
-                self.undo_removed.push((read as u32, c));
-            }
-        }
-        self.candidates.truncate(write);
+        let cells = &self.cells;
+        let variant = self.variant;
+        self.candidates.retain(|c| {
+            c.new_point() != q && (c.dir != dir || constraints_free(cells, variant, c.start, c.dir))
+        });
 
         // Add the windows through the new point. No candidate surviving the
         // filter contains `q` (it would have had two empty cells before
         // this move), so these are never duplicates.
-        let before_add = self.candidates.len();
         for e in DIRS {
             for k in 0..5i16 {
                 let start = q.step(e, -k);
@@ -297,36 +289,8 @@ impl Board {
                 }
             }
         }
-        if record {
-            self.undo_frames.push(MoveFrame {
-                removed_start,
-                added: (self.candidates.len() - before_add) as u32,
-            });
-        }
 
         self.history.push(*m);
-    }
-
-    /// Clears the constraint bits of a line being undone. Sound because
-    /// the legality check at play time guaranteed the bits were clear
-    /// before the line was marked.
-    fn unmark_line(&mut self, start: Point, dir: Dir) {
-        match self.variant {
-            Variant::Disjoint => {
-                for k in 0..5i16 {
-                    let idx = cell_index(start.step(dir, k));
-                    self.cells[idx] &= !used_bit(dir);
-                    self.hash ^= line_key(idx, used_bit(dir));
-                }
-            }
-            Variant::Touching => {
-                for k in 0..4i16 {
-                    let idx = cell_index(start.step(dir, k));
-                    self.cells[idx] &= !seg_bit(dir);
-                    self.hash ^= line_key(idx, seg_bit(dir));
-                }
-            }
-        }
     }
 
     /// Structural + constraint check of the 5-window starting at `start`
@@ -450,45 +414,6 @@ impl Game for Board {
     /// so transposed move orders reaching the same marks hash equal.
     fn state_hash(&self) -> u64 {
         self.hash
-    }
-
-    // Scratch-state fast path: the board journals the candidates each
-    // recorded move evicted (plus a tail count of additions); everything
-    // else a move did — one occupancy bit, one line's constraint bits,
-    // the history entry — reverses from the move itself.
-
-    fn supports_undo(&self) -> bool {
-        true
-    }
-
-    fn apply(&mut self, mv: &Move) -> Undo<Self> {
-        self.play_move_inner(mv, true);
-        Undo::internal()
-    }
-
-    fn undo(&mut self, token: Undo<Self>) {
-        debug_assert!(token.is_internal());
-        let m = self.history.pop().expect("undo without apply");
-        let frame = self.undo_frames.pop().expect("a recorded frame per apply");
-
-        // Board bits.
-        let q: Point = m.new_point();
-        self.cells[cell_index(q)] &= !OCC;
-        self.hash ^= occ_key(cell_index(q));
-        self.unmark_line(m.start, m.dir);
-
-        // Candidate cache: drop this move's tail additions, then re-insert
-        // the evicted candidates at their original (ascending) indices —
-        // restoring not just the set but the exact enumeration order the
-        // search RNG depends on.
-        self.candidates
-            .truncate(self.candidates.len() - frame.added as usize);
-        let removed_start = frame.removed_start as usize;
-        for i in removed_start..self.undo_removed.len() {
-            let (idx, c) = self.undo_removed[i];
-            self.candidates.insert(idx as usize, c);
-        }
-        self.undo_removed.truncate(removed_start);
     }
 }
 
@@ -619,38 +544,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_undo_round_trips_along_random_games() {
-        use nmcs_core::Rng;
-        for variant in [Variant::Disjoint, Variant::Touching] {
-            let mut b = cross_board(variant, 4);
-            let mut rng = Rng::seeded(7);
-            let mut steps = 0;
-            while !b.candidates().is_empty() && steps < 40 {
-                // Round-trip a few moves at this position.
-                for probe in 0..b.candidates().len().min(3) {
-                    let mv = b.candidates()[probe];
-                    let cells_before = b.cells.clone();
-                    let cands_before = b.candidates.clone();
-                    let hist_before = b.history.clone();
-                    let token = b.apply(&mv);
-                    assert_eq!(b.move_count(), hist_before.len() + 1);
-                    b.undo(token);
-                    assert_eq!(&b.cells[..], &cells_before[..], "{variant} step {steps}");
-                    assert_eq!(
-                        b.candidates, cands_before,
-                        "{variant} step {steps}: cache order must be restored"
-                    );
-                    assert_eq!(b.history, hist_before);
-                }
-                let mv = b.candidates()[rng.below(b.candidates().len())];
-                b.play_move(&mv);
-                steps += 1;
-            }
-            assert!(steps > 10, "{variant}: game should progress");
-        }
-    }
-
     /// From-scratch recompute of the incremental Zobrist key: fold every
     /// set occupancy and constraint bit through the same key functions.
     fn rehash(b: &Board) -> u64 {
@@ -681,14 +574,6 @@ mod tests {
             let mut rng = Rng::seeded(11);
             let mut steps = 0;
             while !b.candidates().is_empty() && steps < 40 {
-                // Every legal move round-trips the hash through apply/undo.
-                let before = b.state_hash();
-                let mv = b.candidates()[0];
-                let token = b.apply(&mv);
-                assert_eq!(b.state_hash(), rehash(&b), "{variant} step {steps}");
-                b.undo(token);
-                assert_eq!(b.state_hash(), before, "{variant} step {steps}: undo");
-
                 let mv = b.candidates()[rng.below(b.candidates().len())];
                 b.play_move(&mv);
                 assert_eq!(
@@ -699,43 +584,6 @@ mod tests {
                 steps += 1;
             }
             assert!(steps > 10, "{variant}: game should progress");
-        }
-    }
-
-    #[test]
-    fn full_game_apply_chain_unwinds_to_the_cross() {
-        use nmcs_core::Rng;
-        let reference = cross_board(Variant::Disjoint, 4);
-        let mut b = reference.clone();
-        let mut rng = Rng::seeded(13);
-        let mut tokens = Vec::new();
-        while !b.candidates().is_empty() {
-            let mv = b.candidates()[rng.below(b.candidates().len())];
-            tokens.push(b.apply(&mv));
-        }
-        assert!(b.move_count() > 15, "5D random games exceed 15 moves");
-        while let Some(t) = tokens.pop() {
-            b.undo(t);
-        }
-        assert_eq!(&b.cells[..], &reference.cells[..]);
-        assert_eq!(b.candidates, reference.candidates);
-        assert!(b.history.is_empty());
-        assert!(b.undo_removed.is_empty());
-        assert!(b.undo_frames.is_empty());
-    }
-
-    #[test]
-    fn undo_path_search_matches_snapshot_path() {
-        use nmcs_core::{SearchSpec, SnapshotOnly};
-        let b = cross_board(Variant::Disjoint, 3);
-        for seed in 0..3 {
-            let fast = SearchSpec::nested(1).seed(seed).run(&b);
-            let slow = SearchSpec::nested(1)
-                .seed(seed)
-                .run(&SnapshotOnly(b.clone()));
-            assert_eq!(fast.score, slow.score, "seed {seed}");
-            assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
-            assert_eq!(fast.stats, slow.stats, "seed {seed}");
         }
     }
 

@@ -13,10 +13,10 @@
 //! [`PlayoutScratch`] by replaying the exact seeded playout that will be
 //! measured (identical RNG stream ⇒ identical peak buffer sizes), then
 //! wrap the replay in [`alloc_counter::assert_no_alloc`]. On the
-//! restore path each domain uses — apply/undo in place, or `clone_from`
-//! into a kept copy (SameGame) — this must be **zero**; on the snapshot
-//! fallback (via [`SnapshotOnly`]) we instead record the honest non-zero
-//! count and pin its determinism.
+//! restore path every domain uses — `clone_from` into a kept copy — this
+//! must be **zero**; on the snapshot fallback (`apply`/`undo`, which no
+//! search calls) we instead record the honest non-zero count and pin its
+//! determinism.
 //!
 //! Locks and clock reads are counted per thread by vendored
 //! `parking_lot` ([`parking_lot::lock_acquisitions`]) and by the one
@@ -31,8 +31,7 @@ use pnmcs::morpion::{cross_board, Variant};
 #[cfg(debug_assertions)]
 use pnmcs::search::{ctx::DEADLINE_STRIDE, metrics::clock_reads, Budget};
 use pnmcs::search::{
-    CodedGame, DynGame, Game, PlayoutScratch, Rng, SearchCtx, SearchSession, SearchSpec,
-    SnapshotOnly, UctConfig,
+    CodedGame, DynGame, Game, PlayoutScratch, Rng, SearchCtx, SearchSession, SearchSpec, UctConfig,
 };
 
 #[global_allocator]
@@ -56,9 +55,8 @@ fn locks_and_clock_reads(f: impl FnOnce()) -> (u64, u64) {
 }
 
 /// One seeded playout from `root`, restored the way the searches' walker
-/// restores this game: in place by apply/undo where the game opts into
-/// the scratch-state protocol, otherwise on a copy that `clone_from`
-/// refreshes from `root` first.
+/// restores every game: on a copy that `clone_from` refreshes from
+/// `root` first.
 struct Replay<'a, G: Game> {
     root: &'a mut G,
     copy: G,
@@ -72,14 +70,9 @@ impl<G: Game> Replay<'_, G> {
     fn run(&mut self, ctx: &mut SearchCtx) -> usize {
         self.seq.clear();
         let mut rng = Rng::seeded(self.seed);
-        if self.root.supports_undo() {
-            self.scratch
-                .run_undo(self.root, &mut rng, None, &mut self.seq, ctx);
-        } else {
-            self.copy.clone_from(self.root);
-            self.scratch
-                .run(&mut self.copy, &mut rng, None, &mut self.seq, ctx);
-        }
+        self.copy.clone_from(self.root);
+        self.scratch
+            .run(&mut self.copy, &mut rng, None, &mut self.seq, ctx);
         self.seq.len()
     }
 }
@@ -99,7 +92,7 @@ fn assert_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
     };
     let mut ctx = SearchCtx::unbounded();
 
-    // Warm-up: grows the move/undo/seq buffers, the copy and any domain
+    // Warm-up: grows the move/seq buffers, the copy and any domain
     // thread-local scratch to this playout's peak size. Two rounds so
     // the second confirms the first left the root fully restored.
     replay.run(&mut ctx);
@@ -139,25 +132,15 @@ fn assert_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
     }
 }
 
-/// Runs the check on a game that opts into the scratch-state protocol.
-fn assert_scratch_playout_alloc_free<G: Game>(label: &str, game: &mut G, seed: u64) {
-    assert!(game.supports_undo(), "{label}: scratch path requires undo");
-    assert_playout_alloc_free(label, game, seed);
-}
-
 #[test]
 fn morpion_scratch_playout_is_allocation_free() {
-    assert_scratch_playout_alloc_free("morpion-5d", &mut cross_board(Variant::Disjoint, 3), 2009);
-    assert_scratch_playout_alloc_free("morpion-5t", &mut cross_board(Variant::Touching, 3), 2009);
+    assert_playout_alloc_free("morpion-5d", &mut cross_board(Variant::Disjoint, 3), 2009);
+    assert_playout_alloc_free("morpion-5t", &mut cross_board(Variant::Touching, 3), 2009);
 }
 
-/// SameGame restores by copy: the walker refreshes its copy with
-/// `clone_from`, which reuses the copy's buffers.
 #[test]
 fn samegame_copy_restore_playout_is_allocation_free() {
-    let mut board = SameGame::random(8, 8, 3, 7);
-    assert!(!board.supports_undo(), "samegame restores by copy");
-    assert_playout_alloc_free("samegame", &mut board, 2009);
+    assert_playout_alloc_free("samegame", &mut SameGame::random(8, 8, 3, 7), 2009);
 }
 
 #[test]
@@ -165,30 +148,30 @@ fn tsp_scratch_playout_is_allocation_free() {
     let instance = TspInstance::random(24, 11);
     // Both branchings: the full successor list and the k-nearest
     // neighbourhood pruning (which uses its own thread-local scratch).
-    assert_scratch_playout_alloc_free("tsp-full", &mut TspGame::new(instance.clone(), None), 2009);
-    assert_scratch_playout_alloc_free("tsp-k8", &mut TspGame::new(instance, Some(8)), 2009);
+    assert_playout_alloc_free("tsp-full", &mut TspGame::new(instance.clone(), None), 2009);
+    assert_playout_alloc_free("tsp-k8", &mut TspGame::new(instance, Some(8)), 2009);
 }
 
 #[test]
 fn sudoku_scratch_playout_is_allocation_free() {
-    assert_scratch_playout_alloc_free("sudoku", &mut Sudoku::puzzle(3, 40, 5), 2009);
+    assert_playout_alloc_free("sudoku", &mut Sudoku::puzzle(3, 40, 5), 2009);
 }
 
 #[test]
 fn toy_scratch_playouts_are_allocation_free() {
-    assert_scratch_playout_alloc_free("sumgame", &mut SumGame::random(12, 4, 3), 2009);
-    assert_scratch_playout_alloc_free("needle-ladder", &mut NeedleLadder::new(10), 2009);
+    assert_playout_alloc_free("sumgame", &mut SumGame::random(12, 4, 3), 2009);
+    assert_playout_alloc_free("needle-ladder", &mut NeedleLadder::new(10), 2009);
 }
 
-/// The clone path allocates by design (one boxed snapshot per move via
-/// the default `apply`). The sanitizer cannot demand zero there; it
-/// instead records the honest count and pins that it is deterministic —
-/// a regression doubling snapshot traffic fails this test.
+/// The snapshot fallback, which no search calls, allocates by design
+/// (one boxed snapshot per move via the default `apply`). The sanitizer
+/// cannot demand zero there; it instead records the honest count and
+/// pins that it is deterministic — a regression doubling snapshot
+/// traffic fails this test.
 #[test]
 fn clone_path_allocation_count_is_honest_and_deterministic() {
     let run_once = || {
-        let mut game = SnapshotOnly(SumGame::random(12, 4, 3));
-        assert!(!game.supports_undo(), "the adapter must hide the fast path");
+        let mut game = SumGame::random(12, 4, 3);
         let mut scratch = PlayoutScratch::new();
         let mut seq = Vec::new();
         let mut ctx = SearchCtx::unbounded();

@@ -33,7 +33,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::uct().seed(seed).build(),
         SearchSpec::flat_mc(256).seed(seed).build(),
         SearchSpec::iterated_sampling(2).seed(seed).build(),
-        SearchSpec::beam(3, 1).seed(seed).build(),
         SearchSpec::sample().seed(seed).build(),
         SearchSpec::simulated_annealing_with(pnmcs::search::AnnealingConfig {
             iterations: 2_000,
@@ -328,39 +327,6 @@ fn node_budget_bounds_uct_tree_growth() {
         report.stats.expansions
     );
     assert_replays(&board, &report, "uct-node-budget");
-}
-
-#[test]
-fn a_beam_with_huge_samples_stops_on_a_deadline_and_on_cancellation() {
-    // The per-child playout loop once never polled: a 50 ms deadline or
-    // a `DELETE /jobs/:id` left an engine worker on it for good.
-    let board = SameGame::random(6, 6, 3, 1);
-    let spec = SearchSpec::beam(2, 1 << 40).seed(1).build();
-    let t0 = Instant::now();
-    let report = with_budget(
-        &spec,
-        Budget::none().with_deadline(Duration::from_millis(50)),
-    )
-    .run(&board);
-    assert_eq!(report.interrupted, Some(Interruption::Deadline));
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "took {:?}",
-        t0.elapsed()
-    );
-    assert_replays(&board, &report, "beam-deadline");
-
-    let token = CancelToken::new();
-    token.cancel();
-    let t0 = Instant::now();
-    let report = spec.run_cancellable(&board, &token);
-    assert_eq!(report.interrupted, Some(Interruption::Cancelled));
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "took {:?}",
-        t0.elapsed()
-    );
-    assert_replays(&board, &report, "beam-cancel");
 }
 
 /// A budget that trips mid-search stops `uct` (the sequential arena)

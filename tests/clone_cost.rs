@@ -1,5 +1,5 @@
-//! The cost model of clone-only games, pinned: a game without the
-//! apply/undo fast path pays one position copy per candidate evaluation
+//! The cost model of restoring by copy, pinned: a game pays one
+//! position copy per candidate evaluation
 //! (per tree iteration, per NRPA walk) — never one per playout move.
 //! Sequential UCT pays neither a copy nor any other game call on an
 //! iteration that ends on a node it already knows is terminal.
@@ -32,8 +32,7 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     counter.with(|c| c.set(c.get() + 1));
 }
 
-/// A clone-only view of `G` (no `supports_undo`) that counts its copies,
-/// moves played and move lists.
+/// A view of `G` that counts its copies, moves played and move lists.
 struct Counted<G>(G);
 
 impl<G: Clone> Clone for Counted<G> {

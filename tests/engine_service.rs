@@ -568,7 +568,6 @@ fn spec_jobs_are_bit_identical_to_direct_spec_runs() {
         SearchSpec::uct().seed(502).build(),
         SearchSpec::flat_mc(64).seed(503).build(),
         SearchSpec::iterated_sampling(2).seed(504).build(),
-        SearchSpec::beam(4, 1).seed(505).build(),
         SearchSpec::sample().seed(506).build(),
     ];
     let handles: Vec<_> = specs

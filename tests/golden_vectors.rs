@@ -7,9 +7,8 @@
 //! the tree can vouch for it, so the anchor is the parent commit's
 //! output. Each row names a spec (its JSON is in `SPECS`; the stock game
 //! is built from the spec's seed) and the six numbers the parent
-//! produced — the same on the undo game and on its [`SnapshotOnly`]
-//! twin, which is checked here too. All eleven backends appear, UCT and
-//! the shared tree in each of their width-1 shapes.
+//! produced. All ten backends appear, UCT and the shared tree in each of
+//! their width-1 shapes.
 //!
 //! The rows on `samegame-7x7` and `morpion-c2` are what the frozen
 //! spawn-per-step leaf and root executors returned at commit f855283,
@@ -19,12 +18,18 @@
 //! playout cap leaves the greedy game — reproducible only at one worker,
 //! so that is where they run.
 //!
+//! The rows on `tsp`, `sudoku`, `sum` and `needle` were captured at
+//! commit 0ed56e8, the last one where those games undid their own moves
+//! and every search ran on them both by undo and by copy, with equal
+//! reports; they anchor the copy restore that replaced the undo
+//! journals.
+//!
 //! To re-capture after an intended behaviour change, run this test: on a
 //! mismatch it prints the whole table as it is now, ready to paste.
 
-use pnmcs::games::SameGame;
+use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::{AlgorithmSpec, CodedGame, Fnv1a, SearchReport, SearchSpec, SnapshotOnly};
+use pnmcs::search::{AlgorithmSpec, CodedGame, Fnv1a, SearchReport, SearchSpec};
 
 mod common;
 use common::test_workers;
@@ -35,6 +40,10 @@ type Golden = (i64, usize, u64, u64, u64, u64);
 
 /// The specs, by the name the rows below use.
 const SPECS: &[(&str, &str)] = &[
+    (
+        "NESTED_1",
+        r#"{"algorithm":{"kind":"nested","level":1},"seed":29}"#,
+    ),
     (
         "NESTED_2",
         r#"{"algorithm":{"kind":"nested","level":2},"seed":11}"#,
@@ -70,10 +79,6 @@ const SPECS: &[(&str, &str)] = &[
     (
         "ITERATED",
         r#"{"algorithm":{"kind":"iterated_sampling","samples":2},"seed":19}"#,
-    ),
-    (
-        "BEAM",
-        r#"{"algorithm":{"kind":"beam","width":3,"samples":2},"seed":20}"#,
     ),
     ("SAMPLE", r#"{"algorithm":{"kind":"sample"},"seed":21}"#),
     (
@@ -184,11 +189,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         (149, 6, 16628918643559266478, 40, 40, 0),
     ),
     (
-        "BEAM",
-        "samegame-small",
-        (1282, 4, 13793031836415709444, 54, 27, 0),
-    ),
-    (
         "SAMPLE",
         "samegame-small",
         (90, 9, 16637232903061044941, 1, 0, 0),
@@ -257,11 +257,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "ITERATED",
         "morpion-c3",
         (19, 19, 11287353731609931035, 334, 334, 0),
-    ),
-    (
-        "BEAM",
-        "morpion-c3",
-        (20, 20, 1754060825167036300, 928, 464, 0),
     ),
     (
         "SAMPLE",
@@ -338,6 +333,82 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "morpion-c3",
         (3, 3, 14774041858670472746, 6000, 0, 6000),
     ),
+    (
+        "NESTED_1",
+        "tsp",
+        (-23719, 7, 6818524468237041220, 28, 28, 0),
+    ),
+    (
+        "NESTED_2",
+        "tsp",
+        (-28143, 7, 6098529324036162564, 322, 350, 0),
+    ),
+    ("NRPA_2", "tsp", (-26481, 7, 17642497321395949280, 64, 0, 0)),
+    ("UCT", "tsp", (-26890, 7, 9541251875795301372, 300, 171, 0)),
+    (
+        "UCT_REUSE",
+        "tsp",
+        (-31410, 7, 1609631444329638400, 300, 191, 0),
+    ),
+    (
+        "TREE_1",
+        "tsp",
+        (-33337, 7, 17585318618265282524, 300, 133, 0),
+    ),
+    (
+        "NESTED_1",
+        "sudoku",
+        (81, 30, 12218407743607576893, 30, 30, 0),
+    ),
+    (
+        "NESTED_2",
+        "sudoku",
+        (81, 30, 15917448987363830598, 435, 465, 0),
+    ),
+    ("NRPA_2", "sudoku", (81, 30, 11864183751316438865, 64, 0, 0)),
+    ("UCT", "sudoku", (81, 30, 16779708892762698706, 300, 30, 0)),
+    (
+        "UCT_REUSE",
+        "sudoku",
+        (81, 30, 3386513384996444394, 300, 30, 0),
+    ),
+    (
+        "TREE_1",
+        "sudoku",
+        (81, 30, 15877583657101342407, 300, 30, 0),
+    ),
+    ("NESTED_1", "sum", (297, 5, 2419395034776772079, 15, 15, 0)),
+    (
+        "NESTED_2",
+        "sum",
+        (271, 5, 17022326364072191667, 90, 105, 0),
+    ),
+    ("NRPA_2", "sum", (399, 5, 18047672298984193059, 64, 0, 0)),
+    ("UCT", "sum", (409, 5, 13227043729328565340, 300, 74, 0)),
+    (
+        "UCT_REUSE",
+        "sum",
+        (413, 5, 1535370348215484825, 300, 65, 0),
+    ),
+    ("TREE_1", "sum", (346, 5, 10433101744443062021, 300, 55, 0)),
+    (
+        "NESTED_1",
+        "needle",
+        (21, 7, 9707453042961880613, 14, 14, 0),
+    ),
+    (
+        "NESTED_2",
+        "needle",
+        (21, 7, 9707453042961880613, 84, 98, 0),
+    ),
+    ("NRPA_2", "needle", (21, 7, 9707453042961880613, 64, 0, 0)),
+    ("UCT", "needle", (21, 7, 9707453042961880613, 300, 18, 0)),
+    (
+        "UCT_REUSE",
+        "needle",
+        (21, 7, 9707453042961880613, 300, 19, 0),
+    ),
+    ("TREE_1", "needle", (21, 7, 9707453042961880613, 300, 18, 0)),
 ];
 
 fn digest<M: std::fmt::Debug>(report: &SearchReport<M>) -> Golden {
@@ -356,20 +427,14 @@ fn digest<M: std::fmt::Debug>(report: &SearchReport<M>) -> Golden {
     )
 }
 
-/// Runs `spec` on `game` and on its clone-only twin; the two must agree
-/// on the whole report, not just on the digest.
-fn run_both<G>(spec: &SearchSpec, game: &G) -> Golden
+/// Runs `spec` on `game`, and unbudgeted leaf- and root-parallel specs
+/// at every width of [`worker_sweep`] too; all must agree.
+fn run_golden<G>(spec: &SearchSpec, game: &G) -> Golden
 where
     G: CodedGame + Send + Sync,
     G::Move: Send + Sync,
 {
-    let undo = spec.run(game);
-    let clone = spec.run(&SnapshotOnly(game.clone()));
-    assert_eq!(undo.score, clone.score, "{spec:?}");
-    assert_eq!(undo.sequence, clone.sequence, "{spec:?}");
-    assert_eq!(undo.stats, clone.stats, "{spec:?}");
-    assert_eq!(undo.interrupted, clone.interrupted, "{spec:?}");
-    let golden = digest(&undo);
+    let golden = digest(&spec.run(game));
     for wide in worker_sweep(spec) {
         assert_eq!(digest(&wide.run(game)), golden, "{wide:?}");
     }
@@ -404,10 +469,17 @@ fn run_row(name: &str, game: &str) -> Golden {
         .1;
     let spec: SearchSpec = serde_json::from_str(json).expect("spec parses");
     match game {
-        "samegame-small" => run_both(&spec, &SameGame::random(6, 6, 3, spec.seed)),
-        "samegame-7x7" => run_both(&spec, &SameGame::random(7, 7, 3, 2)),
-        "morpion-c3" => run_both(&spec, &cross_board(Variant::Disjoint, 3)),
-        "morpion-c2" => run_both(&spec, &cross_board(Variant::Disjoint, 2)),
+        "samegame-small" => run_golden(&spec, &SameGame::random(6, 6, 3, spec.seed)),
+        "samegame-7x7" => run_golden(&spec, &SameGame::random(7, 7, 3, 2)),
+        "morpion-c3" => run_golden(&spec, &cross_board(Variant::Disjoint, 3)),
+        "morpion-c2" => run_golden(&spec, &cross_board(Variant::Disjoint, 2)),
+        "tsp" => run_golden(
+            &spec,
+            &TspGame::new(TspInstance::random(8, spec.seed), None),
+        ),
+        "sudoku" => run_golden(&spec, &Sudoku::puzzle(3, 30, spec.seed)),
+        "sum" => run_golden(&spec, &SumGame::random(5, 3, spec.seed)),
+        "needle" => run_golden(&spec, &NeedleLadder::new(7)),
         other => panic!("unknown stock game {other}"),
     }
 }

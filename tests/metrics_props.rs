@@ -76,7 +76,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::uct().seed(seed).build(),
         SearchSpec::flat_mc(128).seed(seed).build(),
         SearchSpec::iterated_sampling(2).seed(seed).build(),
-        SearchSpec::beam(3, 1).seed(seed).build(),
         SearchSpec::sample().seed(seed).build(),
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),

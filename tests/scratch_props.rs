@@ -1,50 +1,48 @@
-//! Property tests of the scratch-state protocol (apply/undo) across all
-//! five game domains:
+//! Property tests of restoring by copy across all five game domains:
 //!
-//! * `apply` followed by `undo` — including chains of applies unwound in
-//!   LIFO order — restores an *identical* observable state: score, move
-//!   count, and the legal-move list **in order** (order feeds the search
+//! * a copy made with `clone_from` into a slot another position left
+//!   behind — the searches' position walker does exactly that at every
+//!   mark — restores an *identical* observable state: score, move count,
+//!   hash and the legal-move list **in order** (order feeds the search
 //!   RNG, so it is part of the contract);
-//! * every serial backend, plus the width-1 shared-tree paths, returns a
-//!   bit-identical report — score, sequence, counters, interruption — on
-//!   a game and on its [`SnapshotOnly`] twin, which hides the fast path.
-//!   Both run the same search body; only the position walker differs
-//!   (apply/undo in place against copy-at-mark), so this checks each
-//!   domain's undo journal against its plain `play`. SameGame restores
-//!   by copy, so its twin is the other way round: [`InPlace`] walks it
-//!   in place on the trait's snapshot tokens, which checks the walker's
-//!   copy slots against its undo path;
-//! * the type-erased [`DynGame`] used by the engine preserves both
-//!   properties.
+//! * the type-erased [`DynGame`] used by the engine, which copies its
+//!   legal-move cache along with the game, gets a bit-identical report —
+//!   score, sequence, counters, interruption — from every serial backend
+//!   and the width-1 shared-tree paths, once its index sequence is
+//!   decoded.
 
 use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::search::{
-    AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, Rng, Score, SearchSpec,
-    SnapshotOnly, UctConfig,
+    decode_report, AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, Rng,
+    SearchSpec, UctConfig,
 };
 use proptest::prelude::*;
 
-/// Observable surface of a position: score, move count, and the ordered
-/// legal-move list (printed, so one helper serves every move type).
-fn observe<G: Game>(g: &G) -> (i64, usize, Vec<String>) {
+/// Observable surface of a position: score, move count, hash and the
+/// ordered legal-move list (printed, so one helper serves every move
+/// type).
+fn observe<G: Game>(g: &G) -> (i64, usize, u64, Vec<String>) {
     let mut moves = Vec::new();
     g.legal_moves(&mut moves);
     (
         g.score(),
         g.moves_played(),
+        g.state_hash(),
         moves.iter().map(|m| format!("{m:?}")).collect(),
     )
 }
 
-/// Walks a random game, and at every step round-trips an apply/undo
-/// chain of up to `chain` moves, asserting the observable state is
-/// restored exactly. On a game that opts in this checks its journal; on
-/// a clone-only game, the trait's snapshot fallback.
+/// Walks a random game and, at every step, restores it the way the
+/// walker does: copies the position into a kept slot with `clone_from`,
+/// plays a random chain of up to `chain` moves, and swaps the copy back.
+/// The slot then holds the advanced position, so every copy lands in
+/// buffers a different position left behind.
 fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
     let mut g = root.clone();
+    let mut slot = root.clone();
     let mut rng = Rng::seeded(seed);
-    let mut moves = Vec::new();
+    let (mut moves, mut chain_moves) = (Vec::new(), Vec::new());
     let mut steps = 0;
     loop {
         g.legal_moves_into(&mut moves);
@@ -52,22 +50,17 @@ fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
             break;
         }
         let before = observe(&g);
-        // Apply a random chain, then unwind it in LIFO order.
-        let mut tokens = Vec::new();
-        let mut chain_moves = Vec::new();
+        slot.clone_from(&g);
         for _ in 0..chain {
             g.legal_moves_into(&mut chain_moves);
             if chain_moves.is_empty() {
                 break;
             }
             let mv = chain_moves[rng.below(chain_moves.len())].clone();
-            tokens.push(g.apply(&mv));
+            g.play(&mv);
         }
-        while let Some(token) = tokens.pop() {
-            g.undo(token);
-        }
-        let after = observe(&g);
-        assert_eq!(before, after, "undo must restore the observable state");
+        std::mem::swap(&mut g, &mut slot);
+        assert_eq!(observe(&g), before, "the copy must restore the position");
 
         let mv = moves[rng.below(moves.len())].clone();
         g.play(&mv);
@@ -76,7 +69,7 @@ fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
 }
 
 /// Every backend whose result is a function of the seed alone: the
-/// eight serial ones, UCT on the shared tree (reuse on, width 1), and
+/// seven serial ones, UCT on the shared tree (reuse on, width 1), and
 /// one case each of the greedy policy, a playout cap, and a playout
 /// budget that trips mid-search.
 fn differential_specs(seed: u64) -> Vec<SearchSpec> {
@@ -103,7 +96,6 @@ fn differential_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::tree_parallel_with(uct, 1),
         SearchSpec::flat_mc(8),
         SearchSpec::iterated_sampling(2),
-        SearchSpec::beam(2, 2),
         SearchSpec::sample(),
         SearchSpec::simulated_annealing_with(annealing),
     ]
@@ -112,18 +104,17 @@ fn differential_specs(seed: u64) -> Vec<SearchSpec> {
     .collect()
 }
 
-/// Asserts `fast` (walked with apply/undo) and `slow` (the same game
-/// with the fast path hidden) get the same report from every spec.
-fn assert_twins_agree<A, B>(fast: &A, slow: &B, seed: u64)
+/// Asserts `game` and its [`DynGame`] erasure get the same report from
+/// every spec.
+fn assert_paths_agree<G>(game: &G, seed: u64)
 where
-    A: CodedGame + Send + Sync,
-    A::Move: Send + Sync,
-    B: CodedGame<Move = A::Move> + Send + Sync,
+    G: CodedGame + Send + Sync + 'static,
+    G::Move: Send + Sync,
 {
-    assert!(fast.supports_undo() && !slow.supports_undo());
+    let erased = DynGame::new(game.clone());
     for spec in differential_specs(seed) {
-        let a = spec.run(fast);
-        let b = spec.run(slow);
+        let a = spec.run(game);
+        let b = decode_report(game, &spec.run(&erased));
         assert_eq!(a.score, b.score, "score of {spec:?}");
         assert_eq!(a.sequence, b.sequence, "sequence of {spec:?}");
         assert_eq!(a.stats, b.stats, "stats of {spec:?}");
@@ -131,56 +122,12 @@ where
     }
 }
 
-/// Opts a clone-only game into the scratch-state protocol with the
-/// trait's default snapshot `apply`/`undo`, so the walker takes its undo
-/// path on it.
-#[derive(Debug, Clone)]
-struct InPlace<G>(G);
-
-impl<G: Game> Game for InPlace<G> {
-    type Move = G::Move;
-    fn legal_moves(&self, out: &mut Vec<G::Move>) {
-        self.0.legal_moves(out);
-    }
-    fn play(&mut self, mv: &G::Move) {
-        self.0.play(mv);
-    }
-    fn score(&self) -> Score {
-        self.0.score()
-    }
-    fn moves_played(&self) -> usize {
-        self.0.moves_played()
-    }
-    fn state_hash(&self) -> u64 {
-        self.0.state_hash()
-    }
-    fn supports_undo(&self) -> bool {
-        true
-    }
-}
-
-impl<G: CodedGame> CodedGame for InPlace<G> {
-    fn move_code(&self, mv: &G::Move) -> u64 {
-        self.0.move_code(mv)
-    }
-}
-
-fn assert_paths_agree<G>(game: &G, seed: u64)
-where
-    G: CodedGame + Send + Sync,
-    G::Move: Send + Sync,
-{
-    assert_twins_agree(game, &SnapshotOnly(game.clone()), seed);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn samegame_round_trips(seed in 0u64..500, w in 5usize..10, h in 5usize..10) {
-        let g = SameGame::random(w, h, 3, seed);
-        prop_assert!(!g.supports_undo(), "samegame restores by copy");
-        assert_round_trips(&g, seed, 3);
+        assert_round_trips(&SameGame::random(w, h, 3, seed), seed, 3);
     }
 
     #[test]
@@ -212,8 +159,7 @@ proptest! {
 
     #[test]
     fn samegame_paths_bit_identical(seed in 0u64..300) {
-        let g = SameGame::random(6, 6, 3, seed);
-        assert_twins_agree(&InPlace(g.clone()), &g, seed);
+        assert_paths_agree(&SameGame::random(6, 6, 3, seed), seed);
     }
 
     #[test]
@@ -234,14 +180,14 @@ proptest! {
 
     #[test]
     fn erased_games_round_trip_and_agree(seed in 0u64..200) {
-        // The engine's view: a DynGame over a fast-path game keeps both
-        // protocol properties through the erasure.
+        // The engine's view: an erased copy carries the legal-move cache,
+        // and a slot that erased another game type is replaced whole.
         let typed = SumGame::random(5, 3, seed);
-        let erased = DynGame::new(typed.clone());
-        prop_assert!(erased.supports_undo());
-        assert_round_trips(&erased, seed, 3);
-
-        assert_twins_agree(&erased, &DynGame::new(SnapshotOnly(typed)), seed);
+        assert_round_trips(&DynGame::new(typed.clone()), seed, 3);
+        assert_round_trips(&DynGame::new(cross_board(Variant::Disjoint, 2)), seed, 3);
+        let mut slot = DynGame::new(NeedleLadder::new(4));
+        slot.clone_from(&DynGame::new(typed.clone()));
+        prop_assert_eq!(observe(&slot), observe(&DynGame::new(typed)));
     }
 
     #[test]

@@ -209,7 +209,7 @@ fn submit_and_wait(addr: SocketAddr, body: &str) -> Value {
     json(&out)
 }
 
-/// The 10 deterministic strategy shapes of the unified API (the
+/// The 9 deterministic strategy shapes of the unified API (the
 /// `tests/metrics_props.rs` list): every `AlgorithmSpec` variant, with
 /// tree-parallel at one worker — its deterministic form.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
@@ -219,7 +219,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::uct().seed(seed).build(),
         SearchSpec::flat_mc(128).seed(seed).build(),
         SearchSpec::iterated_sampling(2).seed(seed).build(),
-        SearchSpec::beam(3, 1).seed(seed).build(),
         SearchSpec::sample().seed(seed).build(),
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
@@ -646,6 +645,13 @@ fn error_paths_answer_400_404_405_as_documented() {
 
     let (status, _, resp) = post(addr, "/jobs", &submit_body("", "sum", &spec, ""));
     assert_eq!(status, 400, "empty tenant: {resp}");
+
+    // A deadline no `Duration` holds once panicked the parser and the
+    // client read nothing back.
+    let body = r#"{"tenant":"t","game":"sum","spec":{"algorithm":{"kind":"sample"},"budget":{"deadline_ms":1e300},"seed":1}}"#;
+    let (status, _, resp) = post(addr, "/jobs", body);
+    assert_eq!(status, 400, "huge deadline: {resp}");
+    assert!(as_str(field(&json(&resp), "error")).contains("`deadline_ms`"));
 
     let (status, _, _) = get(addr, "/jobs/999999");
     assert_eq!(status, 404, "unknown job id");

@@ -194,9 +194,39 @@ fn legacy_leaf_batch_parses_as_the_inline_search_or_is_refused() {
         .expect_err("a batched row must not parse")
         .to_string();
     assert!(err.contains("`leaf_batch`"), "{err}");
+
+    // The beam kind is gone: its rows are refused by name.
+    let beam = r#"{"algorithm":{"kind":"beam","width":3,"samples":2},"seed":20}"#;
+    let err = serde_json::from_str::<SearchSpec>(beam)
+        .expect_err("a beam row must not parse")
+        .to_string();
+    assert!(err.contains("`beam`"), "{err}");
 }
 
-/// One spec of each of the eleven kinds, its counts drawn from `n`, its
+#[test]
+fn a_deadline_no_duration_holds_is_refused_by_name() {
+    // `Duration::from_secs_f64` panics above ~1.8e22 ms; a spec from
+    // outside the program must get a parse error instead. `1e999`
+    // parses to infinity.
+    for ms in ["1e300", "1e999"] {
+        let json = format!(
+            r#"{{"algorithm":{{"kind":"nested","level":1}},"budget":{{"deadline_ms":{ms}}},"seed":1}}"#
+        );
+        let err = serde_json::from_str::<SearchSpec>(&json)
+            .expect_err("an unrepresentable deadline must not parse")
+            .to_string();
+        assert!(err.contains("`deadline_ms`"), "{ms}: {err}");
+    }
+    // The largest deadline a `Duration` holds still parses, and a search
+    // under it runs to its end.
+    let json =
+        r#"{"algorithm":{"kind":"nested","level":1},"budget":{"deadline_ms":1e22},"seed":1}"#;
+    let spec: SearchSpec = serde_json::from_str(json).expect("1e22 ms fits a Duration");
+    let report = spec.run(&SameGame::random(4, 4, 3, 1));
+    assert_eq!(report.interrupted, None);
+}
+
+/// One spec of each of the ten kinds, its counts drawn from `n`, its
 /// floats from `x`, and its flags, options and enum knobs from `bits`.
 fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::AlgorithmSpec {
     use pnmcs::search::{
@@ -237,25 +267,21 @@ fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::Alg
         },
         3 => A::FlatMc { playouts: n },
         4 => A::IteratedSampling { samples: n },
-        5 => A::Beam {
-            width: n,
-            samples: n + 1,
-        },
-        6 => A::Sample,
-        7 => A::LeafParallel {
+        5 => A::Sample,
+        6 => A::LeafParallel {
             level: 1 + level,
             batch: n,
             threads,
             playout_cap: cap,
             first_move: flag,
         },
-        8 => A::RootParallel {
+        7 => A::RootParallel {
             level: 2 + level,
             threads,
             playout_cap: cap,
             first_move: flag,
         },
-        9 => A::TreeParallel {
+        8 => A::TreeParallel {
             config: uct,
             threads,
             lock: if bits & 4 == 4 {
@@ -342,29 +368,22 @@ fn with_leaf(value: &serde::Value, path: &str, leaf: &serde::Value) -> serde::Va
     )
 }
 
-/// The parse edge, swept: every integer field of every algorithm kind
-/// (`level`, `batch`, `threads`, `width`, `samples`, `playouts`,
-/// `iterations`, `playout_cap`) set to 2^40 under a 50 ms deadline, as
-/// `POST /jobs` or `tables --spec` receives it. Each spec is either
-/// refused by the parser or returns a replayable report within `WALL`.
-/// A spec that sizes work from the integer before its budget is read
-/// either aborts this process or misses the bound.
-#[test]
-fn every_integer_field_at_2_pow_40_is_refused_or_stops_on_the_deadline() {
-    use serde::{Serialize, Value};
+/// Sets every field of every algorithm kind that `select` picks to
+/// `leaf`, one at a time, under a 50 ms deadline, as `POST /jobs` or
+/// `tables --spec` receives it. Each spec must be refused by the parser
+/// or return a replayable report within `WALL`. Returns how many were
+/// `(refused, ran)`.
+fn sweep_fields(select: fn(&serde::Value) -> bool, leaf: serde::Value) -> (usize, usize) {
+    use serde::Serialize;
     const WALL: std::time::Duration = std::time::Duration::from_secs(5);
     let game = pnmcs::serve::wire::stock_game("samegame-small", 1).expect("stock game");
     let (mut refused, mut ran) = (0, 0);
-    for kind in 0..11 {
+    for kind in 0..10 {
         let json = arbitrary_spec(kind, 2, 0, 2).to_value();
         let mut fields = Vec::new();
         leaves(&json, "", &mut fields);
-        for (path, _) in fields
-            .iter()
-            .filter(|(_, v)| matches!(v, Value::U64(_) | Value::Null))
-        {
-            let algorithm =
-                serde_json::to_string(&with_leaf(&json, path, &Value::U64(1 << 40))).unwrap();
+        for (path, _) in fields.iter().filter(|(_, v)| select(v)) {
+            let algorithm = serde_json::to_string(&with_leaf(&json, path, &leaf)).unwrap();
             let case = format!("{algorithm} ({path})");
             let spec =
                 format!(r#"{{"algorithm":{algorithm},"budget":{{"deadline_ms":50}},"seed":1}}"#);
@@ -390,9 +409,34 @@ fn every_integer_field_at_2_pow_40_is_refused_or_stops_on_the_deadline() {
             ran += 1;
         }
     }
+    (refused, ran)
+}
+
+/// The parse edge, swept: every integer field of every algorithm kind
+/// (`level`, `batch`, `threads`, `samples`, `playouts`, `iterations`,
+/// `playout_cap`) set to 2^40. A spec that sizes work from the integer
+/// before its budget is read either aborts this process or misses the
+/// bound.
+#[test]
+fn every_integer_field_at_2_pow_40_is_refused_or_stops_on_the_deadline() {
+    use serde::Value;
+    let swept = sweep_fields(
+        |v| matches!(v, Value::U64(_) | Value::Null),
+        Value::U64(1 << 40),
+    );
     // Levels (`u32`), `threads` and `batch` are refused; counts of work
     // that a budget interrupts, and caps, run.
-    assert_eq!((refused, ran), (8, 11), "(refused, ran)");
+    assert_eq!(swept, (8, 9), "(refused, ran)");
+}
+
+/// Every float field of every algorithm kind (`alpha`, `exploration`,
+/// `max_bias`, `t_initial`, `t_final`) set to 1e300: all seven parse,
+/// and none panics or hangs its search.
+#[test]
+fn every_float_field_at_1e300_is_refused_or_stops_on_the_deadline() {
+    use serde::Value;
+    let swept = sweep_fields(|v| matches!(v, Value::F64(_)), Value::F64(1e300));
+    assert_eq!(swept, (0, 7), "(refused, ran)");
 }
 
 proptest! {
@@ -403,7 +447,7 @@ proptest! {
     /// and it must parse to a different spec.
     #[test]
     fn changing_any_serialised_field_changes_the_spec(
-        kind in 0usize..11,
+        kind in 0usize..10,
         n in 1usize..500,
         x in 0u64..1000,
         bits in 0u8..16,
