@@ -18,6 +18,17 @@
 //! under 40 cells). Move generation is incremental: a cached candidate
 //! list is revalidated after each move and extended with the ≤20 windows
 //! through the new point, making random playouts allocation-free and fast.
+//!
+//! Cells are stored row-major in one flat array, cell `(x, y)` at index
+//! `y · GRID + x`, and the hot path (window probes, constraint checks, line
+//! marks, the cache filter) walks a line by adding one signed offset per
+//! step: E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`. A flat step past
+//! the right edge does not leave the array; it lands on the next row (or,
+//! for NE, the same row's left end). What keeps every walk on its grid line
+//! is that a window is only probed when *both* its end points are in
+//! bounds: the directions are monotone in `x` and `y`, so the cells between
+//! lie in the box the two ends span. The Zobrist keys stay keyed by the
+//! same flat index, so hashes do not depend on how a cell was reached.
 
 use crate::geom::{Dir, Point, DIRS};
 use nmcs_core::{mix64, Game, Score};
@@ -262,10 +273,11 @@ impl Board {
     /// search is worse than failing fast, and the check is five cell reads.
     pub fn play_move(&mut self, m: &Move) {
         assert!(self.is_legal(m), "illegal move {m}");
-        let q: Point = m.new_point();
-        self.cells[cell_index(q)] |= OCC;
-        self.hash ^= occ_key(cell_index(q));
-        self.mark_line(m.start, m.dir);
+        let q = m.new_point();
+        let qi = cell_index(q);
+        self.cells[qi] |= OCC;
+        self.hash ^= occ_key(qi);
+        self.mark_line(cell_index(m.start), m.dir);
 
         // Revalidate the cache: a candidate dies iff its new point just got
         // occupied, or it shares constraint marks with the played line
@@ -275,15 +287,18 @@ impl Board {
         let cells = &self.cells;
         let variant = self.variant;
         self.candidates.retain(|c| {
-            c.new_point() != q && (c.dir != dir || constraints_free(cells, variant, c.start, c.dir))
+            let base = cell_index(c.start);
+            along(base, c.dir, c.pos as usize) != qi
+                && (c.dir != dir || constraints_free(cells, variant, base, c.dir))
         });
 
         // Add the windows through the new point. No candidate surviving the
         // filter contains `q` (it would have had two empty cells before
         // this move), so these are never duplicates.
         for e in DIRS {
+            let (dx, dy) = e.delta();
             for k in 0..5i16 {
-                let start = q.step(e, -k);
+                let start = Point::new(q.x - k * dx, q.y - k * dy);
                 if let Some(mv) = self.check_window(start, e) {
                     self.candidates.push(mv);
                 }
@@ -299,13 +314,15 @@ impl Board {
     /// line here.
     fn check_window(&self, start: Point, dir: Dir) -> Option<Move> {
         let end = start.step(dir, 4);
+        // Both ends in bounds is what keeps the flat walk below on the
+        // grid line: the cells between lie in the box the ends span.
         if !in_bounds(start) || !in_bounds(end) {
             return None;
         }
+        let base = cell_index(start);
         let mut empty_pos: Option<u8> = None;
-        for k in 0..5i16 {
-            let p = start.step(dir, k);
-            if self.cells[cell_index(p)] & OCC == 0 {
+        for k in 0..5 {
+            if self.cells[along(base, dir, k)] & OCC == 0 {
                 if empty_pos.is_some() {
                     return None; // two empties
                 }
@@ -313,31 +330,22 @@ impl Board {
             }
         }
         let pos = empty_pos?; // all-occupied windows are not moves
-        if !constraints_free(&self.cells, self.variant, start, dir) {
+        if !constraints_free(&self.cells, self.variant, base, dir) {
             return None;
         }
         Some(Move { start, dir, pos })
     }
 
-    /// Marks the constraint bits of a just-played line.
-    fn mark_line(&mut self, start: Point, dir: Dir) {
+    /// Marks the constraint bits of a just-played line starting at cell
+    /// `base`.
+    fn mark_line(&mut self, base: usize, dir: Dir) {
         // Legality guaranteed the bits were clear, so `|=` truly flips
         // 0 → 1 on every cell and the XOR below is its exact inverse.
-        match self.variant {
-            Variant::Disjoint => {
-                for k in 0..5i16 {
-                    let idx = cell_index(start.step(dir, k));
-                    self.cells[idx] |= used_bit(dir);
-                    self.hash ^= line_key(idx, used_bit(dir));
-                }
-            }
-            Variant::Touching => {
-                for k in 0..4i16 {
-                    let idx = cell_index(start.step(dir, k));
-                    self.cells[idx] |= seg_bit(dir);
-                    self.hash ^= line_key(idx, seg_bit(dir));
-                }
-            }
+        let (bit, len) = constraint(self.variant, dir);
+        for k in 0..len {
+            let idx = along(base, dir, k);
+            self.cells[idx] |= bit;
+            self.hash ^= line_key(idx, bit);
         }
     }
 
@@ -370,17 +378,45 @@ fn cell_index(p: Point) -> usize {
     p.y as usize * GRID as usize + p.x as usize
 }
 
-fn constraints_free(cells: &[u16], variant: Variant, start: Point, dir: Dir) -> bool {
+/// Flat index `k` cells from `base` along `dir`: one signed offset per
+/// direction (E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`). Row-safe only
+/// inside a window whose two end points are in bounds; debug builds check
+/// that the step stayed on the grid line, release builds let it wrap.
+#[inline]
+fn along(base: usize, dir: Dir, k: usize) -> usize {
+    const G: isize = GRID as isize;
+    let off = match dir {
+        Dir::E => 1,
+        Dir::S => G,
+        Dir::SE => G + 1,
+        Dir::NE => 1 - G,
+    };
+    let idx = base.wrapping_add_signed(off * k as isize);
+    debug_assert!(
+        idx < NCELLS
+            && (idx % GRID as usize) == (base % GRID as usize) + (dir.delta().0 as usize) * k,
+        "step {k} along {dir} from cell {base} left the grid line"
+    );
+    idx
+}
+
+/// The constraint bit a line of direction `dir` sets, and on how many of
+/// its cells from the start: all five points in 5D, the four unit
+/// segments in 5T.
+#[inline]
+const fn constraint(variant: Variant, dir: Dir) -> (u16, usize) {
     match variant {
-        Variant::Disjoint => {
-            let bit = used_bit(dir);
-            (0..5i16).all(|k| cells[cell_index(start.step(dir, k))] & bit == 0)
-        }
-        Variant::Touching => {
-            let bit = seg_bit(dir);
-            (0..4i16).all(|k| cells[cell_index(start.step(dir, k))] & bit == 0)
-        }
+        Variant::Disjoint => (used_bit(dir), 5),
+        Variant::Touching => (seg_bit(dir), 4),
     }
+}
+
+/// Whether a line of direction `dir` from cell `base` would overlap a
+/// same-direction line beyond what the variant allows.
+#[inline]
+fn constraints_free(cells: &[u16], variant: Variant, base: usize, dir: Dir) -> bool {
+    let (bit, len) = constraint(variant, dir);
+    (0..len).all(|k| cells[along(base, dir, k)] & bit == 0)
 }
 
 impl Game for Board {
@@ -443,7 +479,7 @@ impl std::fmt::Debug for Board {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cross::cross_board;
+    use crate::cross::{cross_board, cross_points, STANDARD_ARM};
 
     fn row_board(variant: Variant, n: usize) -> Board {
         // n consecutive points on a horizontal row, centred.
@@ -584,6 +620,193 @@ mod tests {
                 steps += 1;
             }
             assert!(steps > 10, "{variant}: game should progress");
+        }
+    }
+
+    /// Folds the candidate list *in cache order* (the order that feeds
+    /// the search RNG) into one word.
+    fn candidates_digest(b: &Board, acc: u64) -> u64 {
+        use nmcs_core::CodedGame;
+        let mut h = mix64(acc ^ b.candidates().len() as u64);
+        for m in b.candidates() {
+            h = mix64(h ^ b.move_code(m));
+        }
+        h
+    }
+
+    #[test]
+    fn state_hash_and_candidate_order_are_pinned_along_fixed_lines() {
+        // One line per variant from the standard cross, each move drawn by
+        // position in the unsorted cache, so the line itself also depends
+        // on the order. `hashes` is the state hash after each of the first
+        // moves; `order` digests every candidate list, in cache order,
+        // along the whole line; `len` is the game's length.
+        struct Pin {
+            variant: Variant,
+            seed: u64,
+            hashes: [u64; 12],
+            order: u64,
+            len: usize,
+        }
+        const PINS: [Pin; 2] = [
+            Pin {
+                variant: Variant::Disjoint,
+                seed: 2009,
+                hashes: [
+                    0x1610bc339fbfeeb2,
+                    0x2ebb389a7f18ee93,
+                    0x7816f2340e96b9b4,
+                    0xa64090afa2a9193a,
+                    0x7657df69db8aa0ca,
+                    0x9ee3325ce89d596a,
+                    0xd7a846e21ef8b91c,
+                    0x4a1a0b85b430ebec,
+                    0xfedff230f5aea0d0,
+                    0xf8c8042a3142d36a,
+                    0x09eb0f1f042a8e05,
+                    0x841f8c8ad94e49b9,
+                ],
+                order: 0x36e1bdd62a642460,
+                len: 58,
+            },
+            Pin {
+                variant: Variant::Touching,
+                seed: 37,
+                hashes: [
+                    0xfc1fbe7faa758af1,
+                    0xf0e7050c953c05f1,
+                    0xa3897e893eb53f31,
+                    0xc16cebfb911d075f,
+                    0xb84b61b51efe652d,
+                    0xbc1ee2e0a61a68b7,
+                    0x7810b72ac7b42d94,
+                    0x449373b39d7bb5b8,
+                    0x200aa7f37e2ec702,
+                    0x67a9e47f8211cc73,
+                    0x80d37ccc4d8e25f3,
+                    0x819791a70280f2fa,
+                ],
+                order: 0xfa6fde2009e1135a,
+                len: 59,
+            },
+        ];
+        use nmcs_core::Rng;
+        for pin in PINS {
+            let mut b = cross_board(pin.variant, 4);
+            let mut rng = Rng::seeded(pin.seed);
+            let mut hashes = Vec::new();
+            let mut order = candidates_digest(&b, 0);
+            while !b.candidates().is_empty() {
+                let mv = b.candidates()[rng.below(b.candidates().len())];
+                b.play_move(&mv);
+                hashes.push(b.state_hash());
+                order = candidates_digest(&b, order);
+            }
+            let head: Vec<String> = hashes
+                .iter()
+                .take(12)
+                .map(|h| format!("{h:#018x}"))
+                .collect();
+            assert_eq!(
+                (&hashes[..12], order, b.move_count()),
+                (&pin.hashes[..], pin.order, pin.len),
+                "{}: now hashes [{}], order {order:#018x}, len {}",
+                pin.variant,
+                head.join(", "),
+                b.move_count()
+            );
+        }
+    }
+
+    /// Boards whose points run into every edge and corner of the window,
+    /// plus "wrap traps": four points that follow one another in flat cell
+    /// order along a direction's offset but do not lie on one grid line,
+    /// so a window that stepped past the right edge into the next row
+    /// would find four occupied cells and one empty one; and points on the
+    /// top and bottom rows, where an unguarded step leaves the array.
+    fn edge_boards(variant: Variant) -> Vec<Board> {
+        let s = 3 * STANDARD_ARM - 2; // side of the standard cross's box
+        let centred = (GRID - s) / 2;
+        let mut out = Vec::new();
+        for ox in [0, centred, GRID - s] {
+            for oy in [0, centred, GRID - s] {
+                if ox == centred && oy == centred {
+                    continue;
+                }
+                let pts = cross_points(STANDARD_ARM)
+                    .into_iter()
+                    .map(|p| Point::new(p.x - centred + ox, p.y - centred + oy))
+                    .collect();
+                out.push(Board::from_points(variant, pts));
+            }
+        }
+        let last = GRID - 1;
+        let traps: [&[(i16, i16)]; 4] = [
+            // E past the right edge: (61..=63, 20) then (0, 21).
+            &[(61, 20), (62, 20), (63, 20), (0, 21)],
+            // SE past the right edge: (62, 20), (63, 21), then (0, 23).
+            &[(62, 20), (63, 21), (0, 23), (1, 24)],
+            // NE past the right edge: (62, 31), (63, 30), then (0, 30).
+            &[(62, 31), (63, 30), (0, 30), (1, 29)],
+            // NE past the top edge, and a row across the bottom corner.
+            &[
+                (1, 2),
+                (2, 1),
+                (3, 0),
+                (60, last),
+                (61, last),
+                (62, last),
+                (63, last),
+            ],
+        ];
+        for trap in traps {
+            let pts = trap.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            out.push(Board::from_points(variant, pts));
+        }
+        out
+    }
+
+    #[test]
+    fn candidates_stay_inside_the_window_near_every_edge() {
+        use nmcs_core::Rng;
+        let sorted = |mut v: Vec<Move>| {
+            v.sort_by_key(|m| (m.start.y, m.start.x, m.dir.index(), m.pos));
+            v
+        };
+        for variant in [Variant::Disjoint, Variant::Touching] {
+            for (i, root) in edge_boards(variant).into_iter().enumerate() {
+                for seed in 0..3 {
+                    let mut b = root.clone();
+                    let mut rng = Rng::seeded(seed);
+                    let mut steps = 0;
+                    loop {
+                        let cached = sorted(b.candidates().to_vec());
+                        assert_eq!(
+                            cached,
+                            sorted(b.recompute_candidates()),
+                            "{variant} board {i} seed {seed} step {steps}"
+                        );
+                        for m in &cached {
+                            let pts = m.line_points();
+                            assert!(
+                                pts.iter().all(|&p| in_bounds(p)),
+                                "{variant} board {i}: {m} leaves the window"
+                            );
+                            let empty: Vec<_> = pts.iter().filter(|&&p| !b.occupied(p)).collect();
+                            assert_eq!(empty, [&m.new_point()], "{variant} board {i}: {m}");
+                        }
+                        if cached.is_empty() {
+                            break;
+                        }
+                        let mv = b.candidates()[rng.below(b.candidates().len())];
+                        b.play_move(&mv);
+                        steps += 1;
+                    }
+                    if i < 8 {
+                        assert!(steps > 10, "{variant} board {i}: the cross should play on");
+                    }
+                }
+            }
         }
     }
 
