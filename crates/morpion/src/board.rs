@@ -16,19 +16,26 @@
 //! enough for every humanly- or machine-reachable game from the standard
 //! cross (the proven 5D upper bound is 121 moves; record games span well
 //! under 40 cells). Move generation is incremental: a cached candidate
-//! list is revalidated after each move and extended with the ≤20 windows
+//! list is revalidated after each move and extended with the windows
 //! through the new point, making random playouts allocation-free and fast.
+//! Those windows are found in one pass per direction: the ≤ 9 cells
+//! `q−4e … q+4e` around the new point `q` are read once into an occupancy
+//! mask and a constraint mask, and bit operations with a 512-entry table
+//! decide all five windows of that direction at once.
 //!
 //! Cells are stored row-major in one flat array, cell `(x, y)` at index
-//! `y · GRID + x`, and the hot path (window probes, constraint checks, line
-//! marks, the cache filter) walks a line by adding one signed offset per
-//! step: E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`. A flat step past
-//! the right edge does not leave the array; it lands on the next row (or,
-//! for NE, the same row's left end). What keeps every walk on its grid line
-//! is that a window is only probed when *both* its end points are in
-//! bounds: the directions are monotone in `x` and `y`, so the cells between
-//! lie in the box the two ends span. The Zobrist keys stay keyed by the
-//! same flat index, so hashes do not depend on how a cell was reached.
+//! `y · GRID + x`, and the hot path (window probes and slides, constraint
+//! checks, line marks, the cache filter) walks a line by adding one signed
+//! offset per step: E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`. A flat
+//! step past the right edge does not leave the array; it lands on the next
+//! row (or, for NE, the same row's left end). What keeps every walk on its
+//! grid line is that it only covers cells between two in-bounds end
+//! points: the directions are monotone in `x` and `y`, so the cells between
+//! lie in the box the two ends span. A single window is probed only when
+//! both its ends are in bounds; the incremental path instead clips each
+//! direction's nine cells to the grid with `reach`, and reads only that
+//! in-bounds run. The Zobrist keys stay keyed by the same flat index, so
+//! hashes do not depend on how a cell was reached.
 
 use crate::geom::{Dir, Point, DIRS};
 use nmcs_core::{mix64, Game, Score};
@@ -280,32 +287,83 @@ impl Board {
         self.mark_line(cell_index(m.start), m.dir);
 
         // Revalidate the cache: a candidate dies iff its new point just got
-        // occupied, or it shares constraint marks with the played line
-        // (same direction only — other directions' bits are untouched).
+        // occupied, or it shares constraint marks with the played line.
+        // Only the played line's cells gained a bit, `dir`'s, and the cache
+        // was exact before the move, so a candidate of another direction
+        // keeps its verdict, and one of `dir` dies iff it lies on the played
+        // line's grid line fewer than `len` steps from its start.
         // Survivors keep their order: move order feeds the search RNG.
         let dir = m.dir;
+        let (dx, dy) = dir.delta();
+        let (_, len) = constraint(self.variant, dir);
         let cells = &self.cells;
         let variant = self.variant;
         self.candidates.retain(|c| {
             let base = cell_index(c.start);
-            along(base, c.dir, c.pos as usize) != qi
-                && (c.dir != dir || constraints_free(cells, variant, base, c.dir))
+            if along(base, c.dir, c.pos as usize) == qi {
+                return false;
+            }
+            if c.dir != dir {
+                return true;
+            }
+            let (rx, ry) = (c.start.x - m.start.x, c.start.y - m.start.y);
+            let t = if dx == 0 { ry } else { rx };
+            let overlaps = rx == dx * t && ry == dy * t && (t.unsigned_abs() as usize) < len;
+            debug_assert_eq!(
+                overlaps,
+                !constraints_free(cells, variant, base, dir),
+                "same-line verdict for {c} after {m}"
+            );
+            !overlaps
         });
 
         // Add the windows through the new point. No candidate surviving the
         // filter contains `q` (it would have had two empty cells before
         // this move), so these are never duplicates.
-        for e in DIRS {
-            let (dx, dy) = e.delta();
-            for k in 0..5i16 {
-                let start = Point::new(q.x - k * dx, q.y - k * dy);
-                if let Some(mv) = self.check_window(start, e) {
-                    self.candidates.push(mv);
-                }
-            }
-        }
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.windows_through(q, &mut candidates);
+        self.candidates = candidates;
 
         self.history.push(*m);
+    }
+
+    /// Appends the moves whose windows run through `q`, in the order of
+    /// one `check_window` probe per direction and start `q − k·e`,
+    /// `k = 0..5`. One pass per direction instead: bit `i` of two 9-bit
+    /// masks stands for the cell `i − 4` steps from `q`; `occ` holds which
+    /// cells are occupied and `con` which carry `e`'s constraint bit. The
+    /// window whose cells are bits `s..s+4` (start `q − (4−s)·e`) is a
+    /// move iff it has exactly one hole (`ONE_HOLE`), all five cells are
+    /// in the grid (`reach`), and none of the `len` cells its line would
+    /// mark is marked already.
+    fn windows_through(&self, q: Point, out: &mut Vec<Move>) {
+        for e in DIRS {
+            let (back, fwd) = reach(q, e);
+            let lo = 4 - back; // bit of the first in-bounds cell
+            let (bit, len) = constraint(self.variant, e);
+            let base = cell_index(q.step(e, -(back as i16)));
+            let (mut occ, mut con) = (0usize, 0usize);
+            // A fixed bound lets the compiler unroll the read.
+            for i in (0..9).take_while(|&i| i <= back + fwd) {
+                let cell = self.cells[along(base, e, i)];
+                occ |= usize::from(cell & OCC != 0) << (lo + i);
+                con |= usize::from(cell & bit != 0) << (lo + i);
+            }
+            // Windows `s` in `lo..=fwd` have both ends in the grid.
+            let inside = (0x1F >> (4 - fwd)) & (0x1F << lo);
+            let marked = (0..len).fold(0, |acc, j| acc | con >> j);
+            let mut open = usize::from(ONE_HOLE[occ]) & inside & !marked;
+            while open != 0 {
+                // Highest `s` first: that is `k = 4 − s` ascending.
+                let s = open.ilog2() as usize;
+                open ^= 1 << s;
+                out.push(Move {
+                    start: q.step(e, s as i16 - 4),
+                    dir: e,
+                    pos: ((!occ >> s) & 0x1F).trailing_zeros() as u8,
+                });
+            }
+        }
     }
 
     /// Structural + constraint check of the 5-window starting at `start`
@@ -378,10 +436,48 @@ fn cell_index(p: Point) -> usize {
     p.y as usize * GRID as usize + p.x as usize
 }
 
+/// How many steps from `q` along `dir` stay in the grid, backwards and
+/// forwards, each capped at 4: the in-bounds run of the nine cells
+/// `q−4·dir … q+4·dir`.
+#[inline]
+fn reach(q: Point, dir: Dir) -> (usize, usize) {
+    debug_assert!(in_bounds(q));
+    // Room before and after `c` on one axis that a step changes by `d`.
+    let room = |c: i16, d: i16| match d {
+        0 => (4, 4),
+        1 => (c, GRID - 1 - c),
+        _ => (GRID - 1 - c, c),
+    };
+    let (dx, dy) = dir.delta();
+    let (bx, fx) = room(q.x, dx);
+    let (by, fy) = room(q.y, dy);
+    (bx.min(by).min(4) as usize, fx.min(fy).min(4) as usize)
+}
+
+/// `ONE_HOLE[occ]` has bit `s` (`0 ≤ s ≤ 4`) set iff bits `s..s+4` of the
+/// 9-bit occupancy mask `occ` hold exactly one zero. A `const`, so the
+/// playout path never initialises it.
+const ONE_HOLE: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut occ: usize = 0;
+    while occ < 512 {
+        let mut s = 0;
+        while s < 5 {
+            if ((!occ >> s) & 0x1F).count_ones() == 1 {
+                table[occ] |= 1 << s;
+            }
+            s += 1;
+        }
+        occ += 1;
+    }
+    table
+};
+
 /// Flat index `k` cells from `base` along `dir`: one signed offset per
 /// direction (E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`). Row-safe only
-/// inside a window whose two end points are in bounds; debug builds check
-/// that the step stayed on the grid line, release builds let it wrap.
+/// between two in-bounds end points (a window whose ends are in bounds, or
+/// a run `reach` clipped); debug builds check that the step stayed on the
+/// grid line, release builds let it wrap.
 #[inline]
 fn along(base: usize, dir: Dir, k: usize) -> usize {
     const G: isize = GRID as isize;
@@ -805,6 +901,60 @@ mod tests {
                     if i < 8 {
                         assert!(steps > 10, "{variant} board {i}: the cross should play on");
                     }
+                }
+            }
+        }
+    }
+
+    /// The reference `windows_through` is tested against: one
+    /// `check_window` probe per direction `e` and start `q − k·e`,
+    /// `k = 0..5`, in that order.
+    fn probe_windows(b: &Board, q: Point, out: &mut Vec<Move>) {
+        for e in DIRS {
+            for k in 0..5 {
+                if let Some(mv) = b.check_window(q.step(e, -k), e) {
+                    out.push(mv);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windows_through_matches_the_probe_loop_at_every_point() {
+        use nmcs_core::Rng;
+        // The cross boards, the edge and wrap-trap boards, and random
+        // positions reached from each of them.
+        let mut boards = Vec::new();
+        for variant in [Variant::Disjoint, Variant::Touching] {
+            let roots: Vec<Board> = [cross_board(variant, 3), cross_board(variant, 4)]
+                .into_iter()
+                .chain(edge_boards(variant))
+                .collect();
+            for (i, root) in roots.iter().enumerate() {
+                let mut b = root.clone();
+                let mut rng = Rng::seeded(i as u64);
+                let mut steps = 0;
+                while !b.candidates().is_empty() {
+                    if steps % 20 == 0 {
+                        boards.push(b.clone());
+                    }
+                    let mv = b.candidates()[rng.below(b.candidates().len())];
+                    b.play_move(&mv);
+                    steps += 1;
+                }
+                boards.push(b);
+            }
+        }
+        let (mut slide, mut probes) = (Vec::new(), Vec::new());
+        for b in &boards {
+            for y in 0..GRID {
+                for x in 0..GRID {
+                    let q = Point::new(x, y);
+                    slide.clear();
+                    probes.clear();
+                    b.windows_through(q, &mut slide);
+                    probe_windows(b, q, &mut probes);
+                    assert_eq!(slide, probes, "{b:?} at {q}");
                 }
             }
         }
