@@ -205,6 +205,21 @@ impl SearchCtx {
         false
     }
 
+    /// Playouts the budget has left before it trips; `usize::MAX`
+    /// without a playout budget. The UCT master sizes its waves by it,
+    /// so that no wave starts more rollouts than the budget allows.
+    #[inline]
+    pub(crate) fn playouts_left(&self) -> usize {
+        self.meter
+            .as_ref()
+            .and_then(|meter| {
+                let max = meter.max_playouts?;
+                let left = max.saturating_sub(meter.playouts.load(Ordering::Acquire));
+                usize::try_from(left).ok()
+            })
+            .unwrap_or(usize::MAX)
+    }
+
     // ---- recorders (the shared accounting choke points) --------------
 
     #[inline]

@@ -314,12 +314,7 @@ pub fn decode_report<G: Game>(root: &G, report: &SearchReport<usize>) -> SearchR
 ///
 /// Because the erasure is search-transparent, `search_erased` over
 /// `DynGame::new(g)` makes exactly the same decisions as the same
-/// searcher over `g` directly; [`decode_report`] converts back. For the
-/// one schedule-dependent strategy (multi-worker tree-parallel UCT) the
-/// per-decision transparency still holds, but erased and typed runs are
-/// separate executions and may legitimately explore different trees —
-/// equality is only assertable where the spec itself is deterministic
-/// ([`crate::spec::AlgorithmSpec::worker_count_deterministic`]).
+/// searcher over `g` directly; [`decode_report`] converts back.
 pub trait AnySearcher: Send + Sync {
     /// Runs the strategy on an erased game (see [`Searcher::search`]).
     fn search_erased(&self, game: &DynGame, cancel: Option<&CancelToken>) -> SearchReport<usize>;

@@ -40,12 +40,10 @@ pub enum Interruption {
 /// legacy `RunMode::FirstMove`) reports the best *evaluation* score of
 /// the single move it plays.
 ///
-/// The replay invariant deliberately does **not** imply reproducibility:
-/// a multi-worker tree-parallel report replays to its score like every
-/// other report, but re-running its spec may legitimately produce a
-/// different (equally valid) report — see
-/// [`crate::spec::AlgorithmSpec::worker_count_deterministic`] for which
-/// specs promise bit-identical reruns.
+/// Reproducibility is a separate promise, and every strategy makes it:
+/// re-running the spec on the same game gives the same report, budgets
+/// that trip on a playout or node count included. Only a deadline or a
+/// cancellation makes where a run stops depend on timing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchReport<M> {
     /// Best score found.

@@ -43,10 +43,11 @@ pub fn slot_seed(root_seed: u64, step: usize, mv: usize, slot: usize) -> u64 {
     client_seed(median_seed(root_seed, step, mv), 0, slot)
 }
 
-/// The RNG seed of tree-parallel UCT worker `worker`. Worker 0 uses the
-/// root seed *itself*, so a single-worker tree-parallel run draws the
-/// exact RNG stream of sequential UCT — the bit-identity anchor of the
-/// one backend whose multi-worker runs are inherently nondeterministic.
+/// The RNG seed of lane `worker` of tree-parallel UCT: the stream its
+/// descents shuffle with and its rollouts draw from. Lane 0 uses the
+/// root seed *itself*, so a one-lane tree-parallel run draws the exact
+/// RNG stream of sequential UCT — the bit-identity anchor of
+/// `tree_parallel(1)` ≡ `uct`.
 pub fn tree_worker_seed(root_seed: u64, worker: usize) -> u64 {
     if worker == 0 {
         root_seed

@@ -11,46 +11,40 @@
 //! from thousands of already-evaluated positions instead of zero
 //! (`tables --reuse` measures the gap).
 //!
-//! Which tree is kept follows the spec. `uct` with `tree_reuse` keeps
-//! the sequential arena (`UctArena`), which takes no lock and allocates
-//! nothing per expansion; `tree_parallel` with `tree_reuse` keeps the
-//! shared tree (`TpTree`) its workers need. At width 1, in the default
-//! WU-UCT stats mode, the two are bit-identical at every step, table
-//! counters included (`tests/session_props.rs`).
+//! Both UCT kinds keep the same tree, the arena (`UctArena`) with its
+//! table: `uct` steps it with one lane, `tree_parallel(w)` with `w`.
+//! At width 1, in the default WU-UCT stats mode, the two are
+//! bit-identical at every step, table counters included
+//! (`tests/session_props.rs`).
 //!
 //! Determinism: step `k` searches with
 //! [`session_step_seed`]`(spec.seed, k)` (step 0 ≡ the root seed), so a
-//! session is run-to-run deterministic whenever its backend is — always
-//! for reuse-off steps and for `uct` with reuse on, and at width 1 for
-//! reuse-on `tree_parallel` steps. Reuse-off sessions run the plain
-//! spec per step, cold, bit-identical to a sequence of one-shot runs at
-//! the derived seeds.
+//! session is run-to-run deterministic, as every backend is. Reuse-off
+//! sessions run the plain spec per step, cold, bit-identical to a
+//! sequence of one-shot runs at the derived seeds.
 
 use crate::ctx::SearchCtx;
 use crate::game::{Game, Score};
 use crate::nrpa::CodedGame;
 use crate::report::{Interruption, SearchReport};
-use crate::rng::Rng;
 use crate::seeds::session_step_seed;
 use crate::spec::{finish_search, AlgorithmSpec, CancelToken, SearchSpec, Searcher};
-use crate::uct::{uct_tree_parallel_on, TpTree, UctArena, UctConfig, DEFAULT_TT_BYTES};
+use crate::uct::{StatsMode, UctArena, UctConfig, DEFAULT_TT_BYTES};
 
-/// What a session keeps between steps, fixed at open.
-enum WarmState<M> {
-    /// Reuse off: every step is a cold one-shot search.
-    Cold,
-    /// `uct` with `tree_reuse`: the sequential arena and its table.
-    Arena {
-        arena: UctArena<M>,
-        config: UctConfig,
-    },
-    /// `tree_parallel` with `tree_reuse`: the shared tree, searched by
-    /// `threads` workers.
-    Shared {
-        tree: TpTree<M>,
-        config: UctConfig,
-        threads: usize,
-    },
+/// The tree a warm step searches with: a `uct` or `tree_parallel`
+/// spec's tunables, stats mode and lane count (`uct` is one WU-UCT
+/// lane).
+fn uct_shape(algorithm: &AlgorithmSpec) -> Option<(&UctConfig, StatsMode, usize)> {
+    match algorithm {
+        AlgorithmSpec::Uct { config, .. } => Some((config, StatsMode::WuUct, 1)),
+        AlgorithmSpec::TreeParallel {
+            config,
+            stats,
+            threads,
+            ..
+        } => Some((config, *stats, *threads)),
+        _ => None,
+    }
 }
 
 /// Persistent search state for stepping one game to completion: the
@@ -63,7 +57,8 @@ enum WarmState<M> {
 pub struct SearchSession<G: Game> {
     game: G,
     spec: SearchSpec,
-    warm: WarmState<G::Move>,
+    /// The warm tree, when the spec's `tree_reuse` is on.
+    tree: Option<UctArena<G::Move>>,
     step: usize,
     committed: Vec<G::Move>,
 }
@@ -79,32 +74,19 @@ where
     /// table bounded to `table_bytes`, or the default bound if `None`);
     /// anything else steps cold.
     pub fn new(game: G, spec: SearchSpec, table_bytes: Option<usize>) -> Self {
-        let table_bytes = table_bytes.unwrap_or(DEFAULT_TT_BYTES);
-        let warm = match &spec.algorithm {
+        let tree = match &spec.algorithm {
             AlgorithmSpec::Uct {
-                config,
-                tree_reuse: true,
-            } => WarmState::Arena {
-                arena: UctArena::new(Some(table_bytes)),
-                config: config.clone(),
-            },
-            AlgorithmSpec::TreeParallel {
-                config,
-                threads,
-                lock,
-                stats,
-                tree_reuse: true,
-            } => WarmState::Shared {
-                tree: TpTree::with_table(config, *lock, *stats, table_bytes),
-                config: config.clone(),
-                threads: *threads,
-            },
-            _ => WarmState::Cold,
+                tree_reuse: true, ..
+            }
+            | AlgorithmSpec::TreeParallel {
+                tree_reuse: true, ..
+            } => Some(UctArena::new(Some(table_bytes.unwrap_or(DEFAULT_TT_BYTES)))),
+            _ => None,
         };
         SearchSession {
             game,
             spec,
-            warm,
+            tree,
             step: 0,
             committed: Vec::new(),
         }
@@ -136,8 +118,18 @@ where
                 seed: step_seed,
             };
         }
-        let report = match &mut self.warm {
-            WarmState::Cold => {
+        let report = match (&mut self.tree, uct_shape(&self.spec.algorithm)) {
+            (Some(arena), Some((config, stats, threads))) => {
+                let started = crate::metrics::monotonic_now();
+                let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
+                let line = arena.farm(&self.game, config, stats, threads, step_seed, &mut ctx);
+                let report = finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0);
+                if let Some(mv) = committable(&report) {
+                    arena.reroot(mv);
+                }
+                report
+            }
+            _ => {
                 // The plain spec at the step seed. A budget trip (or
                 // cancellation) surfaces in the report but does not
                 // poison the session — the next step starts fresh from
@@ -145,32 +137,6 @@ where
                 let mut spec = self.spec.clone();
                 spec.seed = step_seed;
                 spec.search(&self.game, cancel)
-            }
-            WarmState::Arena { arena, config } => {
-                let started = crate::metrics::monotonic_now();
-                let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
-                let mut rng = Rng::seeded(step_seed);
-                let line = arena.search(&self.game, config, &mut rng, &mut ctx);
-                let report = finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0);
-                if let Some(mv) = committable(&report) {
-                    arena.reroot(mv);
-                }
-                report
-            }
-            WarmState::Shared {
-                tree,
-                config,
-                threads,
-            } => {
-                let started = crate::metrics::monotonic_now();
-                let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
-                let line =
-                    uct_tree_parallel_on(&self.game, tree, config, *threads, step_seed, &mut ctx);
-                let report = finish_search(&self.spec.algorithm, step_seed, started, ctx, line, 0);
-                if let Some(mv) = committable(&report) {
-                    tree.reroot(mv);
-                }
-                report
             }
         };
         if let Some(mv) = committable(&report) {
@@ -212,36 +178,22 @@ where
 
     /// Whether steps run on a warm tree.
     pub fn is_warm(&self) -> bool {
-        !matches!(self.warm, WarmState::Cold)
+        self.tree.is_some()
     }
 
     /// Approximate heap bytes held across steps: the warm tree plus its
     /// transposition table (0 for cold sessions — they keep no search
-    /// state).
-    ///
-    /// On the arena (`uct`) this is read off its vectors' capacities in
-    /// O(1). Statistics cells are reclaimed once no node or table slot
-    /// holds them, so they stay within one per live node plus one per
-    /// occupied slot. On the shared tree (`tree_parallel`) it is a walk
-    /// that locks every node, counting one statistics cell per node
-    /// plus the table's slots; a cell shared by several holders is
-    /// counted once per holder, and `Arc` reference counts and
-    /// allocator overhead are not counted. Call it between steps.
+    /// state), read off the arena's vectors' capacities in O(1).
+    /// Statistics cells are reclaimed once no node or table slot holds
+    /// them, so they stay within one per live node plus one per
+    /// occupied slot.
     pub fn approx_bytes(&self) -> usize {
-        match &self.warm {
-            WarmState::Cold => 0,
-            WarmState::Arena { arena, .. } => arena.approx_bytes(),
-            WarmState::Shared { tree, .. } => tree.approx_bytes(),
-        }
+        self.tree.as_ref().map_or(0, UctArena::approx_bytes)
     }
 
     /// (hits, evictions) of the warm tree's transposition table.
     pub fn table_counters(&self) -> (u64, u64) {
-        match &self.warm {
-            WarmState::Cold => (0, 0),
-            WarmState::Arena { arena, .. } => arena.table_counters(),
-            WarmState::Shared { tree, .. } => tree.table().map_or((0, 0), |t| t.counters()),
-        }
+        self.tree.as_ref().map_or((0, 0), UctArena::table_counters)
     }
 }
 

@@ -50,9 +50,7 @@ use crate::nrpa::{nrpa_with, CodedGame, NrpaConfig};
 use crate::report::{Interruption, SearchReport};
 use crate::rng::Rng;
 use crate::search::{nested_with, MemoryPolicy, NestedConfig};
-use crate::uct::{
-    uct_tree_parallel_on, LockStrategy, StatsMode, TpTree, UctArena, UctConfig, DEFAULT_TT_BYTES,
-};
+use crate::uct::{LockStrategy, StatsMode, UctArena, UctConfig, DEFAULT_TT_BYTES};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -194,7 +192,7 @@ pub enum AlgorithmSpec {
     /// Single-agent UCT ([`crate::uct::uct_with`]).
     Uct {
         config: UctConfig,
-        /// Warm-tree mode: the search runs on a re-rootable shared tree
+        /// Warm-tree mode: the search runs on a re-rootable tree
         /// with a bounded transposition table keyed by
         /// [`Game::state_hash`], so transposed move orders share
         /// statistics and `SearchSession` can keep the tree across
@@ -234,13 +232,15 @@ pub enum AlgorithmSpec {
         /// Evaluate and play only the first move (paper Tables I–II mode).
         first_move: bool,
     },
-    /// Tree-parallel UCT ([`crate::uct`]): `threads` workers share one
-    /// tree, each rolling out its own leaves, with two execution knobs —
-    /// the [`LockStrategy`] (sharded per-node locks vs the global arena
-    /// mutex) and the [`StatsMode`] (WU-UCT unobserved-sample statistics
-    /// vs plain virtual loss). The one backend whose multi-worker
-    /// results are schedule-dependent; `threads == 1` is bit-identical
-    /// to [`AlgorithmSpec::Uct`] per seed at any knob setting.
+    /// Tree-parallel UCT ([`crate::uct`]): the UCT arena selects, expands
+    /// and backs up in waves of `threads` descents, and each wave's
+    /// rollouts run as one batch on the executor pool. Lane `i` draws
+    /// from `tree_worker_seed(seed, i)`, so results are a pure function
+    /// of (game, spec, seed) at every width; `threads == 1` is
+    /// bit-identical to [`AlgorithmSpec::Uct`] per seed. The
+    /// [`StatsMode`] says how a wave's in-flight descents enter
+    /// selection (WU-UCT unobserved-sample statistics vs plain virtual
+    /// loss); the [`LockStrategy`] still parses but selects nothing.
     TreeParallel {
         config: UctConfig,
         threads: usize,
@@ -250,7 +250,7 @@ pub enum AlgorithmSpec {
         /// intern their position's [`Game::state_hash`] in a bounded
         /// transposition table so transposed lines share statistics.
         /// Off (default): bit-identical to the pre-knob behaviour.
-        /// On at `threads == 1`: run-to-run deterministic.
+        /// On: run-to-run deterministic, as off is.
         tree_reuse: bool,
     },
     /// Simulated annealing over decision vectors
@@ -279,8 +279,8 @@ impl AlgorithmSpec {
         }
     }
 
-    /// Tree-parallel UCT on `threads` workers with default tunables
-    /// (sharded locks, WU-UCT statistics, inline rollouts).
+    /// Tree-parallel UCT on `threads` lanes with default tunables
+    /// (WU-UCT statistics).
     pub fn tree_parallel(threads: usize) -> Self {
         AlgorithmSpec::TreeParallel {
             config: UctConfig::default(),
@@ -312,19 +312,6 @@ impl AlgorithmSpec {
             AlgorithmSpec::TreeParallel { .. } => "tree-parallel",
             AlgorithmSpec::SimulatedAnnealing { .. } => "simulated-annealing",
         }
-    }
-
-    /// Whether this strategy promises bit-identical results regardless
-    /// of how many workers execute it (given the same seed and an unhit
-    /// budget). True for everything except tree-parallel UCT above one
-    /// worker: leaf- and root-parallel derive every evaluation's seed
-    /// from its logical coordinates, but tree-parallel workers race on
-    /// one shared tree, so their interleaving shapes the search itself.
-    pub fn worker_count_deterministic(&self) -> bool {
-        !matches!(
-            self,
-            AlgorithmSpec::TreeParallel { threads, .. } if *threads > 1
-        )
     }
 }
 
@@ -670,12 +657,11 @@ impl SearchSpec {
         })
     }
 
-    /// Tree-parallel UCT on `threads` workers (default tunables:
-    /// sharded locks, WU-UCT statistics — tune with
-    /// [`SearchBuilder::lock_strategy`] and [`SearchBuilder::stats_mode`]).
-    /// With `threads == 1` this is bit-identical to [`SearchSpec::uct`]
-    /// per seed; with more workers, results are schedule-dependent (see
-    /// [`AlgorithmSpec::worker_count_deterministic`]).
+    /// Tree-parallel UCT in waves of `threads` descents (default
+    /// tunables: WU-UCT statistics — tune with
+    /// [`SearchBuilder::stats_mode`]). With `threads == 1` this is
+    /// bit-identical to [`SearchSpec::uct`] per seed; at every width the
+    /// result is a pure function of (game, spec, seed).
     pub fn tree_parallel(threads: usize) -> SearchBuilder {
         SearchBuilder::new(AlgorithmSpec::tree_parallel(threads))
     }
@@ -798,8 +784,8 @@ where
                 // so the *only* behavioural delta of the knob is the
                 // statistics sharing it exists to provide.
                 let table = tree_reuse.then_some(DEFAULT_TT_BYTES);
-                let mut rng = Rng::seeded(self.seed);
-                UctArena::new(table).search(game, config, &mut rng, &mut ctx)
+                let wu = StatsMode::WuUct;
+                UctArena::new(table).farm(game, config, wu, 1, self.seed, &mut ctx)
             }
             AlgorithmSpec::FlatMc { playouts } => {
                 let mut rng = Rng::seeded(self.seed);
@@ -840,16 +826,12 @@ where
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
-                lock,
                 stats,
                 tree_reuse,
+                ..
             } => {
-                let tree = if *tree_reuse {
-                    TpTree::with_table(config, *lock, *stats, DEFAULT_TT_BYTES)
-                } else {
-                    TpTree::new(config, *lock, *stats)
-                };
-                uct_tree_parallel_on(game, &tree, config, *threads, self.seed, &mut ctx)
+                let table = tree_reuse.then_some(DEFAULT_TT_BYTES);
+                UctArena::new(table).farm(game, config, *stats, *threads, self.seed, &mut ctx)
             }
             AlgorithmSpec::SimulatedAnnealing { config } => {
                 let mut rng = Rng::seeded(self.seed);
@@ -999,8 +981,8 @@ impl SearchBuilder {
         self
     }
 
-    /// How tree-parallel descents lock the shared tree (tree-parallel
-    /// only; ignored by other strategies).
+    /// Sets the tree-parallel [`LockStrategy`], which still parses but
+    /// selects nothing: the UCT arena takes no lock at any width.
     pub fn lock_strategy(mut self, strategy: LockStrategy) -> Self {
         if let AlgorithmSpec::TreeParallel { lock, .. } = &mut self.spec.algorithm {
             *lock = strategy;
@@ -1008,8 +990,8 @@ impl SearchBuilder {
         self
     }
 
-    /// How in-flight tree-parallel descents bias selection
-    /// (tree-parallel only; ignored by other strategies).
+    /// How a wave's in-flight descents bias selection (tree-parallel
+    /// only; ignored by other strategies).
     pub fn stats_mode(mut self, mode: StatsMode) -> Self {
         if let AlgorithmSpec::TreeParallel { stats, .. } = &mut self.spec.algorithm {
             *stats = mode;
@@ -1018,17 +1000,17 @@ impl SearchBuilder {
     }
 
     /// Warm-tree mode (UCT and tree-parallel only; ignored by other
-    /// strategies): the search runs on a re-rootable shared tree with a
+    /// strategies): the search runs on a re-rootable tree with a
     /// bounded transposition table keyed by [`Game::state_hash`], so
     /// transposed move orders share node statistics and sessions can
     /// keep the tree warm between steps.
     ///
     /// Determinism contract, stated explicitly: **reuse-off is
-    /// bit-identical to the pre-knob behaviour** (the legacy code path
-    /// runs verbatim, and legacy JSON without the field deserialises to
-    /// off); **reuse-on is run-to-run deterministic at width 1** (same
-    /// spec + seed → same result on every run), but is a different
-    /// search from reuse-off — table sharing is the point.
+    /// bit-identical to the pre-knob behaviour** (legacy JSON without
+    /// the field deserialises to off); **reuse-on is run-to-run
+    /// deterministic** (same spec + seed → same result on every run, at
+    /// every width), but is a different search from reuse-off — table
+    /// sharing is the point.
     pub fn tree_reuse(mut self, reuse: bool) -> Self {
         match &mut self.spec.algorithm {
             AlgorithmSpec::Uct { tree_reuse, .. }
@@ -1225,27 +1207,14 @@ mod tests {
             taken: vec![],
         };
         let r = SearchSpec::tree_parallel(4).seed(3).run(&g);
+        let again = SearchSpec::tree_parallel(4).seed(3).run(&g);
+        assert_eq!((&again.sequence, again.stats), (&r.sequence, r.stats));
         let mut replay = g;
         for mv in &r.sequence {
             replay.play(mv);
         }
         assert_eq!(replay.score(), r.score);
         assert!(r.interrupted.is_none());
-    }
-
-    #[test]
-    fn worker_count_determinism_is_declared_honestly() {
-        assert!(AlgorithmSpec::nested(2).worker_count_deterministic());
-        assert!(AlgorithmSpec::LeafParallel {
-            level: 1,
-            batch: 4,
-            threads: 8,
-            playout_cap: None,
-            first_move: false,
-        }
-        .worker_count_deterministic());
-        assert!(AlgorithmSpec::tree_parallel(1).worker_count_deterministic());
-        assert!(!AlgorithmSpec::tree_parallel(4).worker_count_deterministic());
     }
 
     #[test]

@@ -23,12 +23,10 @@ pub type JobId = u64;
 /// leaf-/root-/tree-parallel replica fans its inner work out on the
 /// process-wide `nmcs_core::ExecutorPool` (shared with every other
 /// replica — no per-job thread spawns), while the engine's own pool below
-/// schedules whole replicas. One caveat is inherited from the core:
-/// `Algorithm::TreeParallel` above one worker is the only variant
-/// whose replica results are not reproducible bit-for-bit from
-/// `ReplicaResult::seed_used` (see
-/// `AlgorithmSpec::worker_count_deterministic`); its replay invariant — sequence replays to score — still holds and
-/// is what the engine's merge relies on.
+/// schedules whole replicas. Every variant's replica result is
+/// reproducible bit for bit from `ReplicaResult::seed_used`, and its
+/// replay invariant — sequence replays to score — is what the engine's
+/// merge relies on.
 pub type Algorithm = nmcs_core::AlgorithmSpec;
 
 /// A search job: one game position × one algorithm × one seed × one

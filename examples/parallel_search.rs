@@ -57,11 +57,11 @@ fn main() {
 
     // 3. Tree-level parallelism — the scheme from the parallel-MCTS
     //    literature the paper cites — through the same front door: one
-    //    shared UCT tree with per-node (sharded) locks and WU-UCT
-    //    unobserved-sample statistics steering concurrent workers
-    //    apart. One worker is bit-identical to `SearchSpec::uct()`;
-    //    more workers trade determinism for wall-clock (the honest
-    //    contract is on `AlgorithmSpec::worker_count_deterministic`).
+    //    UCT tree whose master selects waves of descents, with WU-UCT
+    //    unobserved-sample statistics steering a wave's descents apart,
+    //    and rolls each wave out on the pool. One lane is bit-identical
+    //    to `SearchSpec::uct()`; every width is a pure function of the
+    //    seed.
     for workers in [1usize, 4] {
         let tree = SearchSpec::tree_parallel(workers).seed(seed).run(&board);
         println!(
@@ -71,29 +71,6 @@ fn main() {
             tree.elapsed,
             if workers == 1 { "  (≡ uct)" } else { "" }
         );
-    }
-
-    //    The execution knobs are builder methods: the PR-4 global arena
-    //    mutex and plain virtual loss remain available as the measured
-    //    baseline beside the sharded / WU-UCT default.
-    {
-        use pnmcs::search::{LockStrategy, StatsMode};
-        for lock in [LockStrategy::Sharded, LockStrategy::Global] {
-            for stats in [StatsMode::WuUct, StatsMode::VirtualLoss] {
-                let r = SearchSpec::tree_parallel(4)
-                    .lock_strategy(lock)
-                    .stats_mode(stats)
-                    .seed(seed)
-                    .run(&board);
-                println!(
-                    "tree×4 {:>7}/{:<6}: score {} in {:.2?}",
-                    lock.label(),
-                    stats.label(),
-                    r.score,
-                    r.elapsed
-                );
-            }
-        }
     }
 
     // 4. Sequential reference records the job trace...

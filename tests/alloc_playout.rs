@@ -1,8 +1,8 @@
 //! The hot-path contract, counted: a warmed playout on every domain
 //! allocates nothing, takes no lock and reads no clock; a deadline costs
-//! one clock read per `DEADLINE_STRIDE` polls; sequential UCT takes no
-//! lock, and the shared tree's lock count is pinned per iteration and
-//! per expansion.
+//! one clock read per `DEADLINE_STRIDE` polls; UCT's master takes no
+//! lock at any width, and tree-parallel UCT's rollout farm takes a fixed
+//! count per wave.
 //!
 //! This binary installs the counting [`alloc_counter::CountingAllocator`]
 //! as its global allocator; being a *separate test binary* is the cfg
@@ -36,6 +36,17 @@ use pnmcs::search::{
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
+/// What one wave above one lane allocates on the searching thread: the
+/// batch its rollouts are handed to the pool in, and the lane locks the
+/// batch's slots take.
+const FARM_ALLOCS_PER_WAVE: u64 = 2;
+
+/// What each lane past the first may add to a search's fixed bound: its
+/// position and buffers, which grow on whichever thread first rolls the
+/// lane out, so the searching thread's share of them varies from run to
+/// run.
+const FARM_ALLOCS_PER_LANE: u64 = 16;
 
 /// The locks this thread takes and the clock reads it makes while `f`
 /// runs.
@@ -198,13 +209,13 @@ fn clone_path_allocation_count_is_honest_and_deterministic() {
 /// the iteration. Sequential UCT allocates nothing per expansion either:
 /// its arena, its move pool and its `ln` table are search-wide vectors,
 /// so all it pays is their amortised (doubling) growth and the search's
-/// fixed buffers. The shared tree at width 1 pays, per expansion, the
-/// node and its statistics cell (two `Arc`s), the move list copied in
-/// when a node is first descended into, and its parent's child list
-/// growing. On a 6×6 board most of 2000 iterations end on a terminal
-/// node and build nothing, so a per-iteration allocation shows as a
-/// multiple of these bounds, and one allocation per sequential
-/// expansion (a few hundred here) breaks the fixed bound.
+/// fixed buffers; `tree_parallel(1)` is the same search. Above one lane
+/// each wave hands its rollouts to the pool as one batch, which this
+/// thread allocates: a term per wave, none per expansion. On a 6×6
+/// board most of 2000 iterations end on a terminal node and build
+/// nothing, so a per-iteration allocation shows as a multiple of these
+/// bounds, and one allocation per expansion (a few hundred here) breaks
+/// the fixed bound.
 ///
 /// SameGame restores by copy, so an iteration that needs a position (to
 /// expand a node or to roll out from a leaf not known to be terminal)
@@ -221,9 +232,9 @@ fn uct_allocates_per_expansion_not_per_iteration() {
     }
 }
 
-/// The allocation bounds of sequential UCT on `board`, one-shot with and
-/// without `tree_reuse` and as a warm session step, plus the shared
-/// tree's per-expansion bound at width 1 when `tree_parallel` is set.
+/// The allocation bounds of UCT on `board`, one-shot with and without
+/// `tree_reuse` and as a warm session step, plus `tree_parallel` at one,
+/// two and four lanes when `tree_parallel` is set.
 fn assert_uct_allocations<G>(game: &str, board: &G, seed: u64, tree_parallel: bool)
 where
     G: CodedGame + Send + Sync,
@@ -234,30 +245,31 @@ where
         ..UctConfig::default()
     };
     let mut rows = vec![
-        ("uct", SearchSpec::uct_with(config.clone()), 0),
+        ("uct", SearchSpec::uct_with(config.clone()), 1),
         (
             "uct + tree_reuse",
             SearchSpec::uct_with(config.clone()).tree_reuse(true),
-            0,
+            1,
         ),
     ];
     if tree_parallel {
-        rows.push((
-            "tree_parallel(1)",
-            SearchSpec::tree_parallel_with(config.clone(), 1),
-            4,
-        ));
+        for lanes in [1, 2, 4] {
+            let spec = SearchSpec::tree_parallel_with(config.clone(), lanes);
+            rows.push(("tree_parallel", spec, lanes));
+        }
     }
-    for (label, spec, per_expansion) in rows {
+    for (label, spec, lanes) in rows {
         let (events, report) = count_allocs(|| spec.seed(seed).run(board));
         let expansions = report.stats.expansions;
         assert!(
             expansions < 1000,
-            "{game} {label} seed {seed}: {expansions} expansions — most iterations must build no node"
+            "{game} {label}({lanes}) seed {seed}: {expansions} expansions — most iterations must build no node"
         );
+        let waves = if lanes == 1 { 0 } else { 2000 / lanes as u64 };
+        let lane_setup = FARM_ALLOCS_PER_LANE * (lanes as u64 - 1);
         assert!(
-            events <= per_expansion * expansions + 80,
-            "{game} {label} seed {seed}: {events} allocations for {expansions} expansions"
+            events <= FARM_ALLOCS_PER_WAVE * waves + lane_setup + 80,
+            "{game} {label}({lanes}) seed {seed}: {events} allocations for {expansions} expansions"
         );
     }
     // A warm step grows the kept arena and re-roots it into fresh
@@ -322,8 +334,8 @@ fn sequential_uct_takes_no_lock() {
 /// Under a deadline, `uct` polls as often as `tree_parallel(1)`, so both
 /// read the clock equally often. Most of these iterations end on a node
 /// the arena already knows is terminal: it backs up the node's score
-/// without a position, but still polls once, as the shared tree's
-/// rollout from that position does.
+/// without a position, but still polls once, as a rollout from that
+/// position would.
 #[cfg(debug_assertions)]
 #[test]
 fn uct_polls_a_deadline_as_often_as_the_shared_tree() {
@@ -343,46 +355,47 @@ fn uct_polls_a_deadline_as_often_as_the_shared_tree() {
     assert_eq!(arena, shared, "clock reads under a far deadline");
 }
 
-/// The shared tree at width 1, where every lock lands on this thread (a
-/// one-slot batch runs inline). Each iteration `descend` locks the body
-/// of every node it stands on: one per step down to an existing child
-/// (counted in `nested_moves`) plus one where it stops, expanding a child
-/// or meeting a terminal node. `offer_best` then locks the incumbent
-/// once. After the batch, one lock hands the worker's context back and
-/// the debug end-of-search check walks the tree, locking each of its
-/// `expansions + 1` nodes once. So
-/// `locks = nested_moves + 2 · iterations + expansions + 2`.
-/// A transposition table adds two per expansion: the
-/// table's own lock, and re-locking the parent to publish the child once
-/// `state_hash` has run outside it. The `Global` strategy adds its
-/// structure lock once per iteration.
+/// The master of a UCT search takes no lock at any width:
+/// `tree_parallel(1)`, reuse off or on, costs exactly what the spec
+/// wrapper around `uct` does. Above one lane each wave hands its
+/// rollouts to the pool as one batch, and that hand-off is all the
+/// locking there is: on the submitting thread `run_batch` takes the
+/// pool's monitor to publish and to retire the batch and the batch's
+/// own lock to wait and to check for a panic; slot 0 and each further
+/// slot the submitter claims lock their own lane, and claiming any
+/// takes the batch's lock once more. So a wave of `w` lanes takes
+/// between 5 and 5 + w locks, whatever the table and the tree's shape.
 #[cfg(debug_assertions)]
 #[test]
-fn tree_parallel_locks_are_pinned_per_iteration_and_per_expansion() {
-    use pnmcs::search::LockStrategy;
+fn tree_parallel_master_takes_no_lock_and_its_farm_a_bounded_count_per_wave() {
     let board = SameGame::random(6, 6, 3, 2);
     let iterations = 1500;
     let config = UctConfig {
         iterations,
         ..UctConfig::default()
     };
-    for (label, reuse, lock, per_iteration, per_expansion) in [
-        ("sharded", false, LockStrategy::Sharded, 2, 1),
-        ("sharded + table", true, LockStrategy::Sharded, 2, 3),
-        ("global", false, LockStrategy::Global, 3, 1),
-    ] {
-        let spec = SearchSpec::tree_parallel_with(config.clone(), 1)
-            .lock_strategy(lock)
-            .tree_reuse(reuse)
-            .seed(2)
-            .build();
-        let mut stats = None;
-        let (locks, _) = locks_and_clock_reads(|| stats = Some(spec.run(&board).stats));
-        let stats = stats.expect("the search ran");
-        let expected = stats.nested_moves
-            + per_iteration * iterations as u64
-            + per_expansion * stats.expansions
-            + 2;
-        assert_eq!(locks, expected, "{label}: locks for {stats:?}");
+    let uct = SearchSpec::uct_with(config.clone()).seed(2).build();
+    let wrapper = locks_and_clock_reads(|| drop(uct.run(&board)));
+    assert_eq!(wrapper, (0, 1), "the spec wrapper reads the clock once");
+    for reuse in [false, true] {
+        for lanes in [1usize, 2, 4] {
+            let spec = SearchSpec::tree_parallel_with(config.clone(), lanes)
+                .tree_reuse(reuse)
+                .seed(2)
+                .build();
+            let (locks, clocks) = locks_and_clock_reads(|| drop(spec.run(&board)));
+            let label = format!("{lanes} lanes, reuse {reuse}");
+            assert_eq!(clocks, wrapper.1, "{label}: clock reads");
+            let waves = iterations.div_ceil(lanes) as u64;
+            let per_wave = if lanes == 1 {
+                0..=0
+            } else {
+                5..=5 + lanes as u64
+            };
+            assert!(
+                (per_wave.start() * waves..=per_wave.end() * waves).contains(&locks),
+                "{label}: {locks} locks over {waves} waves"
+            );
+        }
     }
 }

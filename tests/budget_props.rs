@@ -22,10 +22,8 @@ use pnmcs::search::{
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
-/// Every deterministic strategy of the unified API, smallest-sensible
-/// shapes, with the given seed. Tree-parallel joins at one worker (the
-/// deterministic form; its multi-worker shape gets its own tests below,
-/// since a schedule-dependent backend cannot promise bit-identity).
+/// Every strategy of the unified API, smallest-sensible shapes, with the
+/// given seed; tree-parallel at one lane and at two.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
     vec![
         SearchSpec::nested(2).seed(seed).build(),
@@ -43,6 +41,7 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),
+        SearchSpec::tree_parallel(2).seed(seed).build(),
     ]
 }
 
@@ -229,34 +228,40 @@ fn mid_search_cancellation_from_another_thread_is_prompt() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Multi-worker tree-parallel cannot promise bit-identity, but it
-    /// must always honour budgets and hand back a replayable line.
+    /// Multi-worker tree-parallel honours budgets, hands back a
+    /// replayable line and, under a hit playout or node budget, stops at
+    /// the same lane of the same wave on every run: the cap exactly, and
+    /// the same report twice.
     #[test]
     fn budgets_halt_multi_worker_tree_parallel_with_replayable_results(seed in 0u64..1000) {
         let workers = test_workers();
         let game = SameGame::random(7, 7, 3, seed);
         let spec = SearchSpec::tree_parallel(workers).seed(seed).build();
 
-        // (a) playout cap.
+        // (a) playout cap: waves never start more rollouts than are
+        // left, so the count lands on the cap.
         let budgeted = with_budget(&spec, Budget::none().with_max_playouts(40));
         let report = budgeted.run(&game);
         assert_replays(&game, &report, "tree-parallel/playouts");
-        // Each worker may finish the iteration it is in when the cap
-        // trips, so the overshoot is bounded by the worker count.
-        assert!(
-            report.stats.playouts <= 40 + 16 + workers as u64,
-            "{} playouts blew through the cap",
-            report.stats.playouts
+        assert_eq!(report.stats.playouts, 40, "playouts under a cap of 40");
+        assert_eq!(report.interrupted, Some(Interruption::PlayoutBudget));
+        let again = budgeted.run(&game);
+        assert_eq!(
+            (again.score, &again.sequence, again.stats),
+            (report.score, &report.sequence, report.stats)
         );
 
-        // (b) node (expansion) cap bounds the shared tree.
+        // (b) node (expansion) cap: the master trips it in a descent and
+        // the next lane's poll stops the search.
         let budgeted = with_budget(&spec, Budget::none().with_max_nodes(50));
         let report = budgeted.run(&game);
         assert_replays(&game, &report, "tree-parallel/nodes");
-        assert!(
-            report.stats.expansions <= 50 + 16 + workers as u64,
-            "{} expansions blew through the node cap",
-            report.stats.expansions
+        assert_eq!(report.stats.expansions, 50, "expansions under a cap of 50");
+        assert_eq!(report.interrupted, Some(Interruption::NodeBudget));
+        let again = budgeted.run(&game);
+        assert_eq!(
+            (again.score, &again.sequence, again.stats),
+            (report.score, &report.sequence, report.stats)
         );
 
         // (c) an elapsed deadline halts promptly.
@@ -283,33 +288,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The playout-budget over-issue bound: tree-parallel at *any*
-    /// width, lock strategy and stats mode never exceeds `max_playouts`
-    /// by more than `threads` in-flight rollouts — one per worker, the
-    /// iteration each worker may already have claimed when the cap
-    /// trips.
+    /// width and stats mode plays exactly `max_playouts` rollouts, never
+    /// one more. The master sizes each wave to the playouts left, so the
+    /// last wave before the cap is as narrow as it must be.
     #[test]
     fn tree_parallel_playout_overissue_is_bounded_by_threads(seed in 0u64..1000) {
-        use pnmcs::search::{LockStrategy, StatsMode};
+        use pnmcs::search::StatsMode;
         let game = SameGame::random(6, 6, 3, seed);
         let cap = 40u64;
         for threads in [1usize, 2, 4, 8] {
-            for (lock, stats) in [
-                (LockStrategy::Sharded, StatsMode::WuUct),
-                (LockStrategy::Global, StatsMode::VirtualLoss),
-            ] {
+            for stats in [StatsMode::WuUct, StatsMode::VirtualLoss] {
                 let spec = SearchSpec::tree_parallel(threads)
-                    .lock_strategy(lock)
                     .stats_mode(stats)
                     .seed(seed)
                     .max_playouts(cap)
                     .build();
                 let report = spec.run(&game);
-                let label = format!("tree-parallel t{threads} {lock:?}/{stats:?} seed {seed}");
-                assert!(
-                    report.stats.playouts <= cap + threads as u64,
-                    "{label}: {} playouts overshot the {cap} cap by more than {threads} in-flight rollouts",
-                    report.stats.playouts
-                );
+                let label = format!("tree-parallel t{threads} {stats:?} seed {seed}");
+                assert_eq!(report.stats.playouts, cap, "{label}: playouts under the cap");
                 assert_replays(&game, &report, &label);
             }
         }
@@ -329,12 +325,10 @@ fn node_budget_bounds_uct_tree_growth() {
     assert_replays(&board, &report, "uct-node-budget");
 }
 
-/// A budget that trips mid-search stops `uct` (the sequential arena)
-/// exactly where it stops `tree_parallel(1)` (the shared tree, which
-/// replays every descent on the board): same score, sequence, counters
-/// and interruption. Most of these iterations end on a node the arena
-/// already knows is terminal, where it ends the playout without the
-/// position: a playout it failed to count would show here.
+/// A budget that trips mid-search stops `uct` exactly where it stops
+/// `tree_parallel(1)`, its one-lane farm: same score, sequence,
+/// counters and interruption, so the two spec kinds route one budget
+/// to one loop alike.
 #[test]
 fn hit_budgets_stop_uct_where_they_stop_tree_parallel_at_one_worker() {
     let config = UctConfig {

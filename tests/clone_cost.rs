@@ -115,7 +115,7 @@ fn clone_only_games_pay_no_more_copies_than_before_the_fold() {
 /// node's moves, hash a new child or roll out), and backs up a known
 /// terminal node's kept score. A 4×4 board's whole tree is built within
 /// 2 000 iterations, so 18 000 more run almost no game code; replaying
-/// every descent, as the shared tree still does, costs about four
+/// every descent, as the deleted shared tree did, would cost about four
 /// `play` calls and one `legal_moves` call per iteration here.
 #[test]
 fn an_exhausted_uct_tree_runs_no_game_code() {

@@ -7,8 +7,9 @@
 //! This suite also pins: leaf results bit-identical across 1/2/4
 //! workers (the per-slot scratch reuse must not leak state between
 //! items) with the rest of the leaf-parallel contract; and the
-//! tree-parallel UCT contract — single-worker ≡ sequential `uct`,
-//! multi-worker always replayable, on all five domains through both the
+//! tree-parallel UCT contract — one lane ≡ sequential `uct`, every
+//! width a pure function of the seed (the same report on every run,
+//! typed ≡ erased) and replayable, on all five domains through both the
 //! typed and erased (engine) paths. (What the pool executors returned
 //! when they were last compared with the spawn-per-step ones is in
 //! `golden_vectors.rs`.)
@@ -311,32 +312,31 @@ fn single_worker_tree_parallel_equals_sequential_uct_on_real_domains() {
 }
 
 /// Runs tree-parallel on `game` at the CI worker count through the
-/// typed path and the erased path, asserting the replay invariant (the
-/// one promise multi-worker tree-parallel makes) on both — for the
-/// default sharded/WU-UCT configuration and the global-mutex baseline.
+/// typed path and the erased path, for the default WU-UCT statistics and
+/// for virtual loss: each run repeats itself exactly, the erased run
+/// makes the typed run's decisions, and both replay to their score.
 fn tree_parallel_runs_on<G>(game: &G, label: &str)
 where
     G: CodedGame + Send + Sync + 'static,
     G::Move: Send + Sync + std::fmt::Debug + PartialEq,
 {
-    use pnmcs::search::{LockStrategy, StatsMode};
+    use pnmcs::search::StatsMode;
     let workers = test_workers();
     let cfg = UctConfig {
         iterations: 300,
         ..UctConfig::default()
     };
-    let specs = [
-        SearchSpec::tree_parallel_with(cfg.clone(), workers)
+    for stats in [StatsMode::WuUct, StatsMode::VirtualLoss] {
+        let spec = SearchSpec::tree_parallel_with(cfg.clone(), workers)
+            .stats_mode(stats)
             .seed(5)
-            .build(),
-        SearchSpec::tree_parallel_with(cfg, workers)
-            .lock_strategy(LockStrategy::Global)
-            .stats_mode(StatsMode::VirtualLoss)
-            .seed(5)
-            .build(),
-    ];
-    for spec in specs {
+            .build();
+        let label = format!("{label} {stats:?}");
         let typed = spec.run(game);
+        let again = spec.run(game);
+        assert_eq!(again.score, typed.score, "{label}: typed rerun");
+        assert_eq!(again.sequence, typed.sequence, "{label}: typed rerun");
+        assert_eq!(again.stats, typed.stats, "{label}: typed rerun");
         let mut replay = game.clone();
         for mv in &typed.sequence {
             replay.play(mv);
@@ -346,11 +346,9 @@ where
 
         let erased = spec.search(&DynGame::new(game.clone()), None);
         let decoded = decode_sequence(game, &erased.sequence);
-        let mut replay = game.clone();
-        for mv in &decoded {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), erased.score, "{label}: erased replay");
+        assert_eq!(erased.score, typed.score, "{label}: erased ≡ typed");
+        assert_eq!(decoded, typed.sequence, "{label}: erased ≡ typed");
+        assert_eq!(erased.stats, typed.stats, "{label}: erased ≡ typed");
     }
 }
 
@@ -361,6 +359,34 @@ fn tree_parallel_runs_on_all_five_domains_typed_and_erased() {
     tree_parallel_runs_on(&TspGame::new(TspInstance::random(8, 2), None), "tsp");
     tree_parallel_runs_on(&Sudoku::puzzle(3, 30, 7), "sudoku");
     tree_parallel_runs_on(&SumGame::random(6, 4, 3), "sumgame");
+}
+
+/// Tree-parallel UCT above one lane is a pure function of its seed: ten
+/// runs at each width, reuse off and on, give one score, one sequence
+/// and one set of counters.
+#[test]
+fn tree_parallel_is_run_to_run_deterministic_at_every_width() {
+    let board = SameGame::random(6, 6, 3, 12);
+    let cfg = UctConfig {
+        iterations: 300,
+        ..UctConfig::default()
+    };
+    for lanes in [2usize, 4, 8] {
+        for reuse in [false, true] {
+            let spec = SearchSpec::tree_parallel_with(cfg.clone(), lanes)
+                .tree_reuse(reuse)
+                .seed(3)
+                .build();
+            let first = spec.run(&board);
+            for run in 1..10 {
+                let again = spec.run(&board);
+                let label = format!("{lanes} lanes, reuse {reuse}, run {run}");
+                assert_eq!(again.score, first.score, "{label}");
+                assert_eq!(again.sequence, first.sequence, "{label}");
+                assert_eq!(again.stats, first.stats, "{label}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! the tree can vouch for it, so the anchor is the parent commit's
 //! output. Each row names a spec (its JSON is in `SPECS`; the stock game
 //! is built from the spec's seed) and the six numbers the parent
-//! produced. All ten backends appear, UCT and the shared tree in each of
-//! their width-1 shapes.
+//! produced. All ten backends appear, UCT and tree-parallel UCT in each
+//! of their width-1 shapes.
 //!
 //! The rows on `samegame-7x7` and `morpion-c2` are what the frozen
 //! spawn-per-step leaf and root executors returned at commit f855283,
@@ -23,6 +23,12 @@
 //! and every search ran on them both by undo and by copy, with equal
 //! reports; they anchor the copy restore that replaced the undo
 //! journals.
+//!
+//! The `TREE_2` and `TREE_4` rows on `samegame-small` and `tsp` pin
+//! tree-parallel UCT above one lane. They were captured when its waves
+//! replaced the shared tree several workers raced on; a wave's result
+//! does not depend on which thread rolled out which lane, so they hold
+//! at every pool size and every `NMCS_TEST_WORKERS`.
 //!
 //! To re-capture after an intended behaviour change, run this test: on a
 //! mismatch it prints the whole table as it is now, ready to paste.
@@ -92,6 +98,14 @@ const SPECS: &[(&str, &str)] = &[
     (
         "TREE_1",
         r#"{"algorithm":{"kind":"tree_parallel","config":{"iterations":300,"exploration":0.4,"max_bias":0.5},"threads":1},"seed":24}"#,
+    ),
+    (
+        "TREE_2",
+        r#"{"algorithm":{"kind":"tree_parallel","config":{"iterations":300,"exploration":0.4,"max_bias":0.5},"threads":2},"seed":30}"#,
+    ),
+    (
+        "TREE_4",
+        r#"{"algorithm":{"kind":"tree_parallel","config":{"iterations":300,"exploration":0.4,"max_bias":0.5},"threads":4},"seed":31}"#,
     ),
     (
         "ANNEALING",
@@ -207,6 +221,16 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "TREE_1",
         "samegame-small",
         (1114, 8, 11232429302378845598, 300, 300, 0),
+    ),
+    (
+        "TREE_2",
+        "samegame-small",
+        (1144, 8, 7134724620076197728, 300, 90, 0),
+    ),
+    (
+        "TREE_4",
+        "samegame-small",
+        (1072, 11, 3973573167563523465, 300, 300, 0),
     ),
     (
         "ANNEALING",
@@ -354,6 +378,16 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "TREE_1",
         "tsp",
         (-33337, 7, 17585318618265282524, 300, 133, 0),
+    ),
+    (
+        "TREE_2",
+        "tsp",
+        (-27268, 7, 4790979008307794960, 300, 125, 0),
+    ),
+    (
+        "TREE_4",
+        "tsp",
+        (-19197, 7, 18314609066677773980, 300, 118, 0),
     ),
     (
         "NESTED_1",

@@ -211,7 +211,8 @@ proptest! {
 
     /// Budget-interrupted pool-backed runs return promptly and their
     /// best-so-far line replays to the reported score, at the CI worker
-    /// count, across every pool-backed backend.
+    /// count, across every pool-backed backend; tree-parallel's also
+    /// repeats exactly.
     #[test]
     fn budget_cancelled_pool_runs_return_promptly_with_replayable_best(seed in 0u64..500) {
         let workers = test_workers();
@@ -235,6 +236,16 @@ proptest! {
                 t0.elapsed()
             );
             assert_replays(&game, &report, label);
+            if label == "tree-parallel" {
+                // Its waves stop at the same lane on every run; the
+                // leaf and root slots race to the cap.
+                let again = budgeted.run(&game);
+                assert_eq!(
+                    (again.score, &again.sequence, again.stats, again.interrupted),
+                    (report.score, &report.sequence, report.stats, report.interrupted),
+                    "{label}: a hit playout budget repeats"
+                );
+            }
 
             // (b) a pre-cancelled token stops it before real work.
             let token = CancelToken::new();

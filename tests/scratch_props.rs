@@ -69,9 +69,9 @@ fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
 }
 
 /// Every backend whose result is a function of the seed alone: the
-/// seven serial ones, UCT on the shared tree (reuse on, width 1), and
-/// one case each of the greedy policy, a playout cap, and a playout
-/// budget that trips mid-search.
+/// seven serial ones, tree-parallel UCT at one lane and at two, and one
+/// case each of the greedy policy, a playout cap, and a playout budget
+/// that trips mid-search.
 fn differential_specs(seed: u64) -> Vec<SearchSpec> {
     let uct = UctConfig {
         iterations: 60,
@@ -93,7 +93,8 @@ fn differential_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::nrpa_with(1, nrpa),
         SearchSpec::uct_with(uct.clone()),
         SearchSpec::uct_with(uct.clone()).tree_reuse(true),
-        SearchSpec::tree_parallel_with(uct, 1),
+        SearchSpec::tree_parallel_with(uct.clone(), 1),
+        SearchSpec::tree_parallel_with(uct, 2),
         SearchSpec::flat_mc(8),
         SearchSpec::iterated_sampling(2),
         SearchSpec::sample(),

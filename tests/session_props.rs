@@ -16,12 +16,12 @@
 //!    Without this, a warm tree re-rooted after a search would look up
 //!    poisoned entries.
 //!
-//! 3. **One warm tree, two implementations** — a warm `uct` session
-//!    steps on the sequential arena and a warm `tree_parallel(1)`
-//!    session on the shared tree; at every step the two agree on score,
-//!    sequence, counters and transposition-table hits and evictions, on
-//!    every table size down to one that evicts constantly, and on a game
-//!    whose `state_hash` collides on purpose.
+//! 3. **One warm tree, two spec kinds** — a warm `uct` session and a
+//!    warm `tree_parallel(1)` session both step the arena, with one
+//!    lane; at every step the two agree on score, sequence, counters and
+//!    transposition-table hits and evictions, on every table size down
+//!    to one that evicts constantly, and on a game whose `state_hash`
+//!    collides on purpose.
 
 use pnmcs::games::{NeedleLadder, SameGame, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
