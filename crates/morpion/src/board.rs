@@ -19,23 +19,35 @@
 //! list is revalidated after each move and extended with the windows
 //! through the new point, making random playouts allocation-free and fast.
 //! Those windows are found in one pass per direction: the ≤ 9 cells
-//! `q−4e … q+4e` around the new point `q` are read once into an occupancy
+//! `q−4e … q+4e` around the new point `q` are read into an occupancy
 //! mask and a constraint mask, and bit operations with a 512-entry table
 //! decide all five windows of that direction at once.
 //!
-//! Cells are stored row-major in one flat array, cell `(x, y)` at index
-//! `y · GRID + x`, and the hot path (window probes and slides, constraint
-//! checks, line marks, the cache filter) walks a line by adding one signed
-//! offset per step: E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`. A flat
-//! step past the right edge does not leave the array; it lands on the next
-//! row (or, for NE, the same row's left end). What keeps every walk on its
-//! grid line is that it only covers cells between two in-bounds end
-//! points: the directions are monotone in `x` and `y`, so the cells between
-//! lie in the box the two ends span. A single window is probed only when
-//! both its ends are in bounds; the incremental path instead clips each
-//! direction's nine cells to the grid with `reach`, and reads only that
-//! in-bounds run. The Zobrist keys stay keyed by the same flat index, so
-//! hashes do not depend on how a cell was reached.
+//! The position is stored as *line words*. `GRID` is 64, so each grid
+//! line fits in one `u64`: 64 rows (E), 64 columns (S), 127 falling
+//! diagonals (SE, one per `x − y`) and 127 rising ones (NE, one per
+//! `x + y`). A point is bit `x` of its row and of both its diagonals and
+//! bit `y` of its column, so one step along any direction is one bit up
+//! the same word. Every line has two words: its occupied points (so
+//! occupancy is kept in all four orientations) and its points that carry
+//! the constraint mark of a line drawn in *that* direction (a point's E
+//! mark is kept in its row only, and so on). A window's five cells are
+//! five adjacent bits of one word: `check_window` tests one masked word
+//! for the hole and one for the marks, `mark_line` is one OR, and the
+//! nine cells around a new point are one shifted load of each word. Bits
+//! of a diagonal word that lie off the grid are never set, so they read
+//! as empty and unmarked, like the bits shifted in past either end.
+//!
+//! No hash is kept: `state_hash` folds the Zobrist key on demand from the
+//! initial points and the move history, with keys on the flat cell index
+//! `y · GRID + x`. The cache filter finds a candidate's new point on that
+//! flat index too, by adding one signed offset per step (E `+1`, S
+//! `+GRID`, SE `+GRID+1`, NE `1−GRID`). A flat step past the right edge
+//! does not leave the array; it lands on the next row (or, for NE, the
+//! same row's left end). What keeps such a walk on its grid line is that
+//! it only covers cells between two in-bounds end points: the directions
+//! are monotone in `x` and `y`, so the cells between lie in the box the
+//! two ends span, and a candidate's window has both ends in bounds.
 
 use crate::geom::{Dir, Point, DIRS};
 use nmcs_core::{mix64, Game, Score};
@@ -52,9 +64,9 @@ fn occ_key(idx: usize) -> u64 {
     mix64(idx as u64 ^ OCC_HASH_SALT)
 }
 
-/// Zobrist key of one constraint bit (`used_bit`/`seg_bit` of one
+/// Zobrist key of one constraint mark (`used_bit`/`seg_bit` of one
 /// direction) at one cell. The raw bit value distinguishes both the
-/// direction and the variant's bit family.
+/// direction and the variant's mark family.
 #[inline]
 fn line_key(idx: usize, bit: u16) -> u64 {
     mix64((((idx as u64) << 16) | bit as u64) ^ LINE_HASH_SALT)
@@ -62,10 +74,16 @@ fn line_key(idx: usize, bit: u16) -> u64 {
 
 /// Side length of the board window.
 pub const GRID: i16 = 64;
+// One grid line is one `u64` word.
+const _: () = assert!(GRID == 64, "the line-word layout needs GRID == 64");
 const NCELLS: usize = (GRID as usize) * (GRID as usize);
 
-/// Cell bit layout.
-const OCC: u16 = 1;
+/// Line words: 64 rows, 64 columns, 127 falling and 127 rising diagonals.
+const NLINES: usize = 6 * GRID as usize - 2;
+
+/// The marks' Zobrist identities: the bits a cell held when the board
+/// kept one `u16` per cell (occupancy was bit 0). Only `state_hash` reads
+/// them, so its values do not depend on the storage.
 #[inline]
 const fn used_bit(d: Dir) -> u16 {
     1 << (1 + d as u16) // 5D: point used by a line of direction d
@@ -73,6 +91,17 @@ const fn used_bit(d: Dir) -> u16 {
 #[inline]
 const fn seg_bit(d: Dir) -> u16 {
     1 << (5 + d as u16) // 5T: unit segment from this point toward +d used
+}
+
+/// One grid line; bit `i` of a word is the line's point `i` (see
+/// `line_of`).
+#[derive(Clone, Copy)]
+struct Line {
+    /// The occupied points.
+    occ: u64,
+    /// The points that carry the constraint mark of a line drawn in this
+    /// line's direction.
+    con: u64,
 }
 
 /// Rule variant.
@@ -131,13 +160,12 @@ impl std::fmt::Display for Move {
 
 /// A Morpion Solitaire position.
 pub struct Board {
-    cells: Box<[u16]>,
-    /// Zobrist hash of `cells` (occupancy + constraint bits), maintained
-    /// incrementally: XORed in `play_move` and `mark_line`, each of which
-    /// sets bits the legality guarantee proved clear. The cells fully
-    /// determine the position (score is the move count, derivable from
-    /// occupancy), so this is a complete transposition key.
-    hash: u64,
+    /// The line words, indexed by `line_of`. They fully determine the
+    /// position (the score is the move count, derivable from occupancy).
+    lines: Box<[Line; NLINES]>,
+    /// XOR of the initial points' occupancy keys, where `state_hash`'s
+    /// fold starts.
+    initial_key: u64,
     variant: Variant,
     /// Cached legal moves of the current position (kept exact).
     candidates: Vec<Move>,
@@ -153,8 +181,8 @@ pub struct Board {
 impl Clone for Board {
     fn clone(&self) -> Self {
         Self {
-            cells: self.cells.clone(),
-            hash: self.hash,
+            lines: self.lines.clone(),
+            initial_key: self.initial_key,
             variant: self.variant,
             candidates: self.candidates.clone(),
             history: self.history.clone(),
@@ -167,8 +195,8 @@ impl Clone for Board {
     /// copy, so this runs once per candidate evaluation and must not
     /// allocate.
     fn clone_from(&mut self, source: &Self) {
-        self.cells.copy_from_slice(&source.cells);
-        self.hash = source.hash;
+        *self.lines = *source.lines;
+        self.initial_key = source.initial_key;
         self.variant = source.variant;
         self.candidates.clone_from(&source.candidates);
         self.history.clone_from(&source.history);
@@ -185,24 +213,24 @@ impl Board {
     /// Panics if a point is out of the grid window or duplicated.
     pub fn from_points(variant: Variant, initial: Vec<Point>) -> Self {
         assert!(!initial.is_empty(), "initial position must have points");
-        let mut cells = vec![0u16; NCELLS].into_boxed_slice();
+        let mut lines = Box::new([Line { occ: 0, con: 0 }; NLINES]);
         let mut min = Point::new(i16::MAX, i16::MAX);
-        let mut hash = 0u64;
+        let mut initial_key = 0u64;
         for p in &initial {
             assert!(
                 in_bounds(*p),
                 "initial point {p} outside the {GRID}x{GRID} window"
             );
-            let idx = cell_index(*p);
-            assert_eq!(cells[idx] & OCC, 0, "duplicate initial point {p}");
-            cells[idx] |= OCC;
-            hash ^= occ_key(idx);
+            let (row, x) = line_of(*p, Dir::E);
+            assert_eq!(lines[row].occ >> x & 1, 0, "duplicate initial point {p}");
+            occupy(&mut lines, *p);
+            initial_key ^= occ_key(cell_index(*p));
             min.x = min.x.min(p.x);
             min.y = min.y.min(p.y);
         }
         let mut board = Self {
-            cells,
-            hash,
+            lines,
+            initial_key,
             variant,
             candidates: Vec::new(),
             history: Vec::new(),
@@ -246,7 +274,10 @@ impl Board {
     /// Whether `p` holds a point (initial or played).
     #[inline]
     pub fn occupied(&self, p: Point) -> bool {
-        in_bounds(p) && self.cells[cell_index(p)] & OCC != 0
+        in_bounds(p) && {
+            let (row, x) = line_of(p, Dir::E);
+            self.lines[row].occ >> x & 1 != 0
+        }
     }
 
     /// Bounding box `(min, max)` of all occupied points.
@@ -254,19 +285,19 @@ impl Board {
         let mut min = Point::new(i16::MAX, i16::MAX);
         let mut max = Point::new(i16::MIN, i16::MIN);
         for y in 0..GRID {
-            for x in 0..GRID {
-                if self.cells[cell_index(Point::new(x, y))] & OCC != 0 {
-                    min.x = min.x.min(x);
-                    min.y = min.y.min(y);
-                    max.x = max.x.max(x);
-                    max.y = max.y.max(y);
-                }
+            let row = self.lines[line_of(Point::new(0, y), Dir::E).0].occ;
+            if row != 0 {
+                min.x = min.x.min(row.trailing_zeros() as i16);
+                max.x = max.x.max(63 - row.leading_zeros() as i16);
+                min.y = min.y.min(y);
+                max.y = max.y.max(y);
             }
         }
         (min, max)
     }
 
-    /// Checks a move against the full rules of the current position.
+    /// Checks a move against the full rules of the current position. A
+    /// start off the grid is refused before anything steps from it.
     pub fn is_legal(&self, m: &Move) -> bool {
         m.pos < 5
             && self
@@ -277,30 +308,30 @@ impl Board {
     /// Plays a legal move, updating the candidate cache incrementally.
     ///
     /// Panics (in all builds) if the move is illegal: silently corrupting a
-    /// search is worse than failing fast, and the check is five cell reads.
+    /// search is worse than failing fast, and the check is two masked
+    /// words.
     pub fn play_move(&mut self, m: &Move) {
         assert!(self.is_legal(m), "illegal move {m}");
         let q = m.new_point();
-        let qi = cell_index(q);
-        self.cells[qi] |= OCC;
-        self.hash ^= occ_key(qi);
-        self.mark_line(cell_index(m.start), m.dir);
+        occupy(&mut self.lines, q);
+        self.mark_line(m.start, m.dir);
 
         // Revalidate the cache: a candidate dies iff its new point just got
         // occupied, or it shares constraint marks with the played line.
-        // Only the played line's cells gained a bit, `dir`'s, and the cache
-        // was exact before the move, so a candidate of another direction
-        // keeps its verdict, and one of `dir` dies iff it lies on the played
-        // line's grid line fewer than `len` steps from its start.
-        // Survivors keep their order: move order feeds the search RNG.
+        // Only the played line's cells gained a mark, `dir`'s, and the
+        // cache was exact before the move, so a candidate of another
+        // direction keeps its verdict, and one of `dir` dies iff it lies on
+        // the played line's grid line fewer than `len` steps from its
+        // start. Survivors keep their order: move order feeds the search
+        // RNG.
+        let qi = cell_index(q);
         let dir = m.dir;
         let (dx, dy) = dir.delta();
         let (_, len) = constraint(self.variant, dir);
-        let cells = &self.cells;
+        let lines = &self.lines;
         let variant = self.variant;
         self.candidates.retain(|c| {
-            let base = cell_index(c.start);
-            if along(base, c.dir, c.pos as usize) == qi {
+            if along(cell_index(c.start), c.dir, c.pos as usize) == qi {
                 return false;
             }
             if c.dir != dir {
@@ -311,7 +342,7 @@ impl Board {
             let overlaps = rx == dx * t && ry == dy * t && (t.unsigned_abs() as usize) < len;
             debug_assert_eq!(
                 overlaps,
-                !constraints_free(cells, variant, base, dir),
+                !constraints_free(lines, variant, c.start, dir),
                 "same-line verdict for {c} after {m}"
             );
             !overlaps
@@ -331,24 +362,19 @@ impl Board {
     /// one `check_window` probe per direction and start `q − k·e`,
     /// `k = 0..5`. One pass per direction instead: bit `i` of two 9-bit
     /// masks stands for the cell `i − 4` steps from `q`; `occ` holds which
-    /// cells are occupied and `con` which carry `e`'s constraint bit. The
-    /// window whose cells are bits `s..s+4` (start `q − (4−s)·e`) is a
-    /// move iff it has exactly one hole (`ONE_HOLE`), all five cells are
-    /// in the grid (`reach`), and none of the `len` cells its line would
-    /// mark is marked already.
+    /// cells are occupied and `con` which carry `e`'s constraint mark, both
+    /// cut from `q`'s line word along `e`. The window whose cells are bits
+    /// `s..s+4` (start `q − (4−s)·e`) is a move iff it has exactly one
+    /// hole (`ONE_HOLE`), all five cells are in the grid (`reach`), and
+    /// none of the `len` cells its line would mark is marked already.
     fn windows_through(&self, q: Point, out: &mut Vec<Move>) {
         for e in DIRS {
             let (back, fwd) = reach(q, e);
             let lo = 4 - back; // bit of the first in-bounds cell
-            let (bit, len) = constraint(self.variant, e);
-            let base = cell_index(q.step(e, -(back as i16)));
-            let (mut occ, mut con) = (0usize, 0usize);
-            // A fixed bound lets the compiler unroll the read.
-            for i in (0..9).take_while(|&i| i <= back + fwd) {
-                let cell = self.cells[along(base, e, i)];
-                occ |= usize::from(cell & OCC != 0) << (lo + i);
-                con |= usize::from(cell & bit != 0) << (lo + i);
-            }
+            let (_, len) = constraint(self.variant, e);
+            let (line, b) = line_of(q, e);
+            let Line { occ, con } = self.lines[line];
+            let (occ, con) = (nine_around(occ, b), nine_around(con, b));
             // Windows `s` in `lo..=fwd` have both ends in the grid.
             let inside = (0x1F >> (4 - fwd)) & (0x1F << lo);
             let marked = (0..len).fold(0, |acc, j| acc | con >> j);
@@ -371,40 +397,32 @@ impl Board {
     /// one cell is empty and the variant's overlap constraints allow a new
     /// line here.
     fn check_window(&self, start: Point, dir: Dir) -> Option<Move> {
-        let end = start.step(dir, 4);
-        // Both ends in bounds is what keeps the flat walk below on the
-        // grid line: the cells between lie in the box the ends span.
-        if !in_bounds(start) || !in_bounds(end) {
+        // Bits past a grid edge are not cells of the line: a window is
+        // five bits of one word only when both its ends are in the grid.
+        // The start is tested first, so no step leaves the `i16` range.
+        if !in_bounds(start) || !in_bounds(start.step(dir, 4)) {
             return None;
         }
-        let base = cell_index(start);
-        let mut empty_pos: Option<u8> = None;
-        for k in 0..5 {
-            if self.cells[along(base, dir, k)] & OCC == 0 {
-                if empty_pos.is_some() {
-                    return None; // two empties
-                }
-                empty_pos = Some(k as u8);
-            }
-        }
-        let pos = empty_pos?; // all-occupied windows are not moves
-        if !constraints_free(&self.cells, self.variant, base, dir) {
+        let (line, b) = line_of(start, dir);
+        let holes = !(self.lines[line].occ >> b) & 0x1F;
+        if holes.count_ones() != 1 || !constraints_free(&self.lines, self.variant, start, dir) {
             return None;
         }
-        Some(Move { start, dir, pos })
+        Some(Move {
+            start,
+            dir,
+            pos: holes.trailing_zeros() as u8,
+        })
     }
 
-    /// Marks the constraint bits of a just-played line starting at cell
-    /// `base`.
-    fn mark_line(&mut self, base: usize, dir: Dir) {
-        // Legality guaranteed the bits were clear, so `|=` truly flips
-        // 0 → 1 on every cell and the XOR below is its exact inverse.
-        let (bit, len) = constraint(self.variant, dir);
-        for k in 0..len {
-            let idx = along(base, dir, k);
-            self.cells[idx] |= bit;
-            self.hash ^= line_key(idx, bit);
-        }
+    /// Sets the constraint marks of a just-played line from `start`: one
+    /// OR on its line word.
+    fn mark_line(&mut self, start: Point, dir: Dir) {
+        let (line, b) = line_of(start, dir);
+        let (_, len) = constraint(self.variant, dir);
+        let marks = ((1u64 << len) - 1) << b;
+        debug_assert_eq!(self.lines[line].con & marks, 0, "legality left them clear");
+        self.lines[line].con |= marks;
     }
 
     /// Recomputes the legal-move list from scratch (O(grid²)); the
@@ -434,6 +452,40 @@ fn in_bounds(p: Point) -> bool {
 fn cell_index(p: Point) -> usize {
     debug_assert!(in_bounds(p));
     p.y as usize * GRID as usize + p.x as usize
+}
+
+/// The line through the in-bounds point `p` along `dir`, as an index into
+/// `Board::lines`, and `p`'s bit in its words: rows are lines `0..64`
+/// (bit `x`), columns `64..128` (bit `y`), falling diagonals `128..255`
+/// (one per `x − y`, bit `x`) and rising ones `255..382` (one per
+/// `x + y`, bit `x`). A step along `dir` is one bit up the same line.
+#[inline]
+fn line_of(p: Point, dir: Dir) -> (usize, u32) {
+    const G: usize = GRID as usize;
+    debug_assert!(in_bounds(p));
+    let (x, y) = (p.x as usize, p.y as usize);
+    match dir {
+        Dir::E => (y, x as u32),
+        Dir::S => (G + x, y as u32),
+        Dir::SE => (3 * G - 1 + x - y, x as u32),
+        Dir::NE => (4 * G - 1 + x + y, x as u32),
+    }
+}
+
+/// Sets `p`'s occupancy bit in its row, its column and both diagonals.
+#[inline]
+fn occupy(lines: &mut [Line; NLINES], p: Point) {
+    for dir in DIRS {
+        let (line, b) = line_of(p, dir);
+        lines[line].occ |= 1 << b;
+    }
+}
+
+/// Bits `b−4 … b+4` of `word` as bits `0 … 8`; the bits below bit 0 and
+/// above bit 63 read as clear.
+#[inline]
+fn nine_around(word: u64, b: u32) -> usize {
+    ((u128::from(word) << 4 >> b) & 0x1FF) as usize
 }
 
 /// How many steps from `q` along `dir` stay in the grid, backwards and
@@ -475,9 +527,8 @@ const ONE_HOLE: [u8; 512] = {
 
 /// Flat index `k` cells from `base` along `dir`: one signed offset per
 /// direction (E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`). Row-safe only
-/// between two in-bounds end points (a window whose ends are in bounds, or
-/// a run `reach` clipped); debug builds check that the step stayed on the
-/// grid line, release builds let it wrap.
+/// between two in-bounds end points (a move's window); debug builds check
+/// that the step stayed on the grid line, release builds let it wrap.
 #[inline]
 fn along(base: usize, dir: Dir, k: usize) -> usize {
     const G: isize = GRID as isize;
@@ -496,9 +547,9 @@ fn along(base: usize, dir: Dir, k: usize) -> usize {
     idx
 }
 
-/// The constraint bit a line of direction `dir` sets, and on how many of
-/// its cells from the start: all five points in 5D, the four unit
-/// segments in 5T.
+/// The mark a line of direction `dir` sets (as its Zobrist identity), and
+/// on how many of its cells from the start: all five points in 5D, the
+/// four unit segments in 5T.
 #[inline]
 const fn constraint(variant: Variant, dir: Dir) -> (u16, usize) {
     match variant {
@@ -507,12 +558,13 @@ const fn constraint(variant: Variant, dir: Dir) -> (u16, usize) {
     }
 }
 
-/// Whether a line of direction `dir` from cell `base` would overlap a
-/// same-direction line beyond what the variant allows.
+/// Whether a line of direction `dir` from `start` would overlap a
+/// same-direction line beyond what the variant allows: one masked word.
 #[inline]
-fn constraints_free(cells: &[u16], variant: Variant, base: usize, dir: Dir) -> bool {
-    let (bit, len) = constraint(variant, dir);
-    (0..len).all(|k| cells[along(base, dir, k)] & bit == 0)
+fn constraints_free(lines: &[Line; NLINES], variant: Variant, start: Point, dir: Dir) -> bool {
+    let (line, b) = line_of(start, dir);
+    let (_, len) = constraint(variant, dir);
+    (lines[line].con >> b) & ((1 << len) - 1) == 0
 }
 
 impl Game for Board {
@@ -540,12 +592,21 @@ impl Game for Board {
         self.candidates.is_empty()
     }
 
-    /// The incrementally maintained Zobrist key over occupancy and
-    /// constraint bits — cells fully determine the position (the score is
-    /// the move count, derivable from occupancy minus the fixed cross),
-    /// so transposed move orders reaching the same marks hash equal.
+    /// The Zobrist key over occupancy and constraint marks, folded on
+    /// demand: the initial points' key, then each move's new point and the
+    /// marks its line set. No move sets a bit twice (legality), so this is
+    /// the XOR over the bits the board holds: the words fully determine
+    /// the position (the score is the move count, derivable from
+    /// occupancy minus the fixed cross), and transposed move orders
+    /// reaching the same marks hash equal. Playing pays nothing for it;
+    /// a caller that asks pays O(moves).
     fn state_hash(&self) -> u64 {
-        self.hash
+        self.history.iter().fold(self.initial_key, |h, m| {
+            let (bit, len) = constraint(self.variant, m.dir);
+            let base = cell_index(m.start);
+            let h = h ^ occ_key(along(base, m.dir, m.pos as usize));
+            (0..len).fold(h, |h, k| h ^ line_key(along(base, m.dir, k), bit))
+        })
     }
 }
 
@@ -676,21 +737,23 @@ mod tests {
         }
     }
 
-    /// From-scratch recompute of the incremental Zobrist key: fold every
-    /// set occupancy and constraint bit through the same key functions.
+    /// From-scratch recompute of the Zobrist key: fold every occupied
+    /// point and every constraint mark the line words hold through the
+    /// same key functions.
     fn rehash(b: &Board) -> u64 {
         let mut h = 0u64;
-        for idx in 0..NCELLS {
-            let bits = b.cells[idx];
-            if bits & OCC != 0 {
-                h ^= occ_key(idx);
-            }
-            for d in crate::geom::DIRS {
-                if bits & used_bit(d) != 0 {
-                    h ^= line_key(idx, used_bit(d));
+        for y in 0..GRID {
+            for x in 0..GRID {
+                let p = Point::new(x, y);
+                let idx = cell_index(p);
+                if b.occupied(p) {
+                    h ^= occ_key(idx);
                 }
-                if bits & seg_bit(d) != 0 {
-                    h ^= line_key(idx, seg_bit(d));
+                for d in DIRS {
+                    let (line, bit) = line_of(p, d);
+                    if b.lines[line].con >> bit & 1 != 0 {
+                        h ^= line_key(idx, constraint(b.variant, d).0);
+                    }
                 }
             }
         }
@@ -698,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn state_hash_is_maintained_incrementally_along_random_games() {
+    fn state_hash_fold_matches_a_rehash_of_the_words_along_random_games() {
         use nmcs_core::Rng;
         for variant in [Variant::Disjoint, Variant::Touching] {
             let mut b = cross_board(variant, 4);
@@ -906,6 +969,67 @@ mod tests {
         }
     }
 
+    /// Checks the line words against what they must hold: every point's
+    /// occupancy bit agrees in its row, column and both diagonals, no word
+    /// holds an occupancy bit of a point off the grid, and the constraint
+    /// words hold exactly the marks of the lines in `history`.
+    fn assert_words_consistent(b: &Board, what: &str) {
+        let mut count = [0u32; 4];
+        let mut marks = [0u64; NLINES];
+        for m in b.history() {
+            let (_, len) = constraint(b.variant, m.dir);
+            for k in 0..len as i16 {
+                let (line, bit) = line_of(m.start.step(m.dir, k), m.dir);
+                marks[line] |= 1 << bit;
+            }
+        }
+        for y in 0..GRID {
+            for x in 0..GRID {
+                let p = Point::new(x, y);
+                let occupied = DIRS.map(|d| {
+                    let (line, bit) = line_of(p, d);
+                    b.lines[line].occ >> bit & 1 != 0
+                });
+                assert!(
+                    occupied.iter().all(|&o| o == occupied[0]),
+                    "{what}: orientations disagree at {p}: {occupied:?}"
+                );
+                if occupied[0] {
+                    count = count.map(|c| c + 1);
+                }
+            }
+        }
+        let ranges = [0..64, 64..128, 128..255, 255..NLINES];
+        for (d, range) in ranges.into_iter().enumerate() {
+            let bits: u32 = b.lines[range].iter().map(|l| l.occ.count_ones()).sum();
+            assert_eq!(bits, count[d], "{what}: {} holds stray bits", DIRS[d]);
+        }
+        let points = b.initial_points().len() + b.move_count();
+        assert_eq!(count[0] as usize, points, "{what}: occupied points");
+        for (line, want) in marks.iter().enumerate() {
+            assert_eq!(b.lines[line].con, *want, "{what}: marks of line {line}");
+        }
+    }
+
+    #[test]
+    fn line_words_agree_across_orientations_and_hold_exactly_the_played_marks() {
+        use nmcs_core::Rng;
+        for variant in [Variant::Disjoint, Variant::Touching] {
+            let roots = std::iter::once(cross_board(variant, 4)).chain(edge_boards(variant));
+            for (i, root) in roots.enumerate() {
+                let mut b = root;
+                let mut rng = Rng::seeded(100 + i as u64);
+                assert_words_consistent(&b, &format!("{variant} board {i} root"));
+                while !b.candidates().is_empty() {
+                    let mv = b.candidates()[rng.below(b.candidates().len())];
+                    b.play_move(&mv);
+                    let what = format!("{variant} board {i} move {}", b.move_count());
+                    assert_words_consistent(&b, &what);
+                }
+            }
+        }
+    }
+
     /// The reference `windows_through` is tested against: one
     /// `check_window` probe per direction `e` and start `q − k·e`,
     /// `k = 0..5`, in that order.
@@ -997,6 +1121,26 @@ mod tests {
             pos: 0,
         };
         b.play_move(&bogus);
+    }
+
+    #[test]
+    fn is_legal_refuses_a_start_off_the_grid_before_stepping() {
+        let b = row_board(Variant::Disjoint, 4);
+        for (x, y) in [
+            (i16::MAX - 1, 3),
+            (3, i16::MAX),
+            (-1, 3),
+            (i16::MIN, i16::MIN),
+        ] {
+            for dir in DIRS {
+                let m = Move {
+                    start: Point::new(x, y),
+                    dir,
+                    pos: 0,
+                };
+                assert!(!b.is_legal(&m), "({x},{y}) {dir}");
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,14 @@ use crate::geom::Point;
 /// The standard cross segment length (four points per outline segment).
 pub const STANDARD_ARM: i16 = 4;
 
+/// The segment lengths [`cross_points`] accepts: at least 2, and short
+/// enough that the cross's box (side `3n − 2`) leaves eight free cells on
+/// each side in the grid window.
+pub const ARMS: std::ops::RangeInclusive<i16> = 2..=(GRID - 14) / 3;
+
 /// Returns the points of the cross outline with segment length `n`
-/// (`n ≥ 2`), in board coordinates with the pattern's bounding box centred
-/// in the grid window.
+/// (`n` in [`ARMS`]), in board coordinates with the pattern's bounding
+/// box centred in the grid window.
 ///
 /// `n = 4` is the official 36-point cross; `n = 3` is a 24-point reduced
 /// cross used by the scaled experiment mode; `n = 2` is a 12-point ring
@@ -137,6 +142,20 @@ mod tests {
                 "arm {n} cross should have at least one first move"
             );
         }
+    }
+
+    #[test]
+    fn every_arm_in_range_fits_the_window() {
+        assert_eq!((*ARMS.start(), *ARMS.end()), (2, 16));
+        for n in ARMS {
+            let _ = cross_points(n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too little margin")]
+    fn arm_past_the_range_rejected() {
+        let _ = cross_points(*ARMS.end() + 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! kept as documented constants for the benchmark reports.
 
 use crate::board::{Board, Move, Variant};
-use crate::cross::{cross_board, STANDARD_ARM};
+use crate::cross::{cross_board, ARMS, STANDARD_ARM};
 use crate::geom::{Dir, Point};
 use serde::{Deserialize, Serialize};
 
@@ -51,7 +51,10 @@ pub struct GameRecord {
 /// Why a record failed verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordError {
-    /// Move `index` is illegal on the position reached so far.
+    /// A cross arm outside [`ARMS`]: no starting position to replay on.
+    BadArm { arm: i16 },
+    /// Move `index` is illegal on the position reached so far, or its
+    /// line starts off the grid.
     IllegalMove { index: usize },
     /// A direction index outside `0..4`.
     BadDirection { index: usize },
@@ -62,6 +65,7 @@ pub enum RecordError {
 impl std::fmt::Display for RecordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RecordError::BadArm { arm } => write!(f, "cross arm {arm} is outside {ARMS:?}"),
             RecordError::IllegalMove { index } => write!(f, "move #{index} is illegal"),
             RecordError::BadDirection { index } => write!(f, "move #{index} has a bad direction"),
             RecordError::BadPosition { index } => write!(f, "move #{index} has a bad position"),
@@ -100,6 +104,9 @@ impl GameRecord {
 
     /// Replays the record under the full rules, returning the final board.
     pub fn replay(&self) -> Result<Board, RecordError> {
+        if !ARMS.contains(&self.arm) {
+            return Err(RecordError::BadArm { arm: self.arm });
+        }
         let mut board = cross_board(self.variant, self.arm);
         let origin = board.origin();
         for (index, rm) in self.moves.iter().enumerate() {
@@ -109,8 +116,12 @@ impl GameRecord {
             if rm.pos > 4 {
                 return Err(RecordError::BadPosition { index });
             }
+            let start = rm.x.checked_add(origin.x).zip(rm.y.checked_add(origin.y));
+            let Some((x, y)) = start else {
+                return Err(RecordError::IllegalMove { index });
+            };
             let mv = Move {
-                start: Point::new(rm.x + origin.x, rm.y + origin.y),
+                start: Point::new(x, y),
                 dir: Dir::from_index(rm.dir as usize),
                 pos: rm.pos,
             };
@@ -199,6 +210,41 @@ mod tests {
         let mut rec2 = GameRecord::from_board(&board, "");
         rec2.moves[0].pos = 5;
         assert_eq!(rec2.verify(), Err(RecordError::BadPosition { index: 0 }));
+    }
+
+    /// A record as it arrives from outside: JSON, verified on replay.
+    fn hostile(arm: i16, x: i16) -> Result<usize, RecordError> {
+        let json = format!(
+            r#"{{"variant":"Disjoint","arm":{arm},"moves":[{{"x":{x},"y":3,"dir":0,"pos":0}}]}}"#
+        );
+        serde_json::from_str::<GameRecord>(&json).unwrap().verify()
+    }
+
+    #[test]
+    fn an_arm_too_large_for_the_grid_is_refused() {
+        assert_eq!(hostile(40, 0), Err(RecordError::BadArm { arm: 40 }));
+    }
+
+    #[test]
+    fn an_arm_below_two_is_refused() {
+        assert_eq!(hostile(1, 0), Err(RecordError::BadArm { arm: 1 }));
+    }
+
+    #[test]
+    fn a_start_past_the_coordinate_range_is_an_illegal_move() {
+        assert_eq!(
+            hostile(4, 32767),
+            Err(RecordError::IllegalMove { index: 0 })
+        );
+    }
+
+    #[test]
+    fn a_start_off_the_grid_is_an_illegal_move() {
+        // Inside `i16` once placed, but its line's far end is not.
+        assert_eq!(
+            hostile(4, 32740),
+            Err(RecordError::IllegalMove { index: 0 })
+        );
     }
 
     #[test]
