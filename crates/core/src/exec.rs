@@ -40,7 +40,7 @@ pub mod pool;
 use crate::ctx::SearchCtx;
 use crate::game::{Game, Score};
 use crate::rng::Rng;
-use crate::search::{nested_with, NestedConfig, PlayoutScratch};
+use crate::search::{Evaluator, NestedConfig};
 use crate::seeds::{client_seed, median_seed, slot_seed};
 use parking_lot::Mutex;
 use pool::ExecutorPool;
@@ -191,14 +191,6 @@ impl Fan {
     }
 }
 
-/// Reusable per-slot scratch of the leaf executor: the playout engine
-/// and its sequence buffer live here for the whole run instead of being
-/// allocated per evaluated item.
-struct LeafSlot<G: Game> {
-    scratch: PlayoutScratch<G>,
-    seq: Vec<G::Move>,
-}
-
 /// Leaf-parallel batched NMCS (the strategy behind
 /// `AlgorithmSpec::LeafParallel`); see the module docs.
 pub(crate) fn leaf_parallel<G>(
@@ -216,32 +208,18 @@ where
     assert!(level >= 1, "leaf-parallel search needs level >= 1");
     assert!(batch >= 1, "leaf-parallel search needs batch >= 1");
     let eval_level = level - 1;
-    // One scratch per slot for the whole run: reused across every step
+    // One evaluator per slot for the whole run: reused across every step
     // and every item a slot claims.
-    let scratch: Vec<Mutex<LeafSlot<G>>> = (0..fan.threads)
-        .map(|_| {
-            Mutex::new(LeafSlot {
-                scratch: PlayoutScratch::new(),
-                seq: Vec::new(),
-            })
-        })
+    let evals: Vec<Mutex<Evaluator<G>>> = (0..fan.threads)
+        .map(|_| Mutex::new(Evaluator::new(game)))
         .collect();
 
     greedy_game(game.clone(), first_move, ctx, |step, pos, moves, ctx| {
         let (scores, jobs) = fan.out(moves.len() * batch, ctx, |idx, slot, wctx| {
             let (i, slot_idx) = (idx / batch, idx % batch);
-            let mut child = pos.clone();
-            child.play(&moves[i]);
             let mut rng = Rng::seeded(slot_seed(fan.seed, step, i, slot_idx));
-            let score = if eval_level == 0 {
-                let slot = &mut *scratch[slot].lock();
-                slot.seq.clear();
-                let cap = fan.config.playout_cap;
-                slot.scratch
-                    .run(&mut child, &mut rng, cap, &mut slot.seq, wctx)
-            } else {
-                nested_with(&child, eval_level, &fan.config, &mut rng, wctx).0
-            };
+            let mut eval = evals[slot].lock();
+            let score = eval.eval(pos, &moves[i], eval_level, &fan.config, &mut rng, wctx);
             (score, 1)
         });
         // A move scores the best of its batch; a move whose whole batch
@@ -284,8 +262,9 @@ where
 }
 
 /// Plays one median game on the worker's context — the same loop, its
-/// candidates scored one after the other by seeded client searches —
-/// and returns its final score and its client-job count.
+/// candidates scored one after the other by seeded client searches on one
+/// evaluator kept for the whole game — and returns its final score and
+/// its client-job count.
 fn median_game<G: Game>(
     pos: G,
     client_level: u32,
@@ -293,16 +272,15 @@ fn median_game<G: Game>(
     config: &NestedConfig,
     ctx: &mut SearchCtx,
 ) -> (Score, u64) {
+    let mut eval = Evaluator::new(&pos);
     let game = greedy_game(pos, false, ctx, |mstep, pos, moves, ctx| {
         let mut scores = Vec::with_capacity(moves.len());
         for (j, mv) in moves.iter().enumerate() {
             if ctx.should_stop() {
                 break;
             }
-            let mut child = pos.clone();
-            child.play(mv);
             let mut rng = Rng::seeded(client_seed(mseed, mstep, j));
-            let (score, _) = nested_with(&child, client_level, config, &mut rng, ctx);
+            let score = eval.eval(pos, mv, client_level, config, &mut rng, ctx);
             scores.push(Some(score));
         }
         let jobs = scores.len() as u64;

@@ -191,6 +191,13 @@ impl<G: Game> Walker<G> {
         Mark(self.depth - 1)
     }
 
+    /// Stands the walker on `root` again and drops every mark: one
+    /// `clone_from` into the kept position.
+    pub(crate) fn reset(&mut self, root: &G) {
+        self.pos.clone_from(root);
+        self.depth = 0;
+    }
+
     /// Plays `mv`, which must be legal in the current position.
     pub(crate) fn play(&mut self, mv: &G::Move) {
         self.pos.play(mv);
@@ -234,9 +241,73 @@ impl<G: Game> Default for LevelBufs<G> {
     }
 }
 
-/// The buffers of one [`nested_with`] call tree, indexed by level − 1.
-fn level_bufs<G: Game>(level: u32) -> Vec<LevelBufs<G>> {
-    (0..level).map(|_| LevelBufs::default()).collect()
+/// The one evaluation body, on kept buffers: a walker (which owns the
+/// playout scratch), the per-level buffers of a nested search, and the
+/// sequence the last search played. [`nested_with`], [`evaluate_moves`]
+/// and every client and leaf job of the parallel executors run through
+/// it, so once warm an evaluation costs one `clone_from` and no
+/// allocation.
+pub(crate) struct Evaluator<G: Game> {
+    walker: Walker<G>,
+    /// Indexed by level − 1; grown to the deepest level searched.
+    levels: Vec<LevelBufs<G>>,
+    seq: Vec<G::Move>,
+}
+
+impl<G: Game> Evaluator<G> {
+    /// An evaluator standing on a copy of `root`.
+    pub(crate) fn new(root: &G) -> Self {
+        Evaluator {
+            walker: Walker::new(root),
+            levels: Vec::new(),
+            seq: Vec::new(),
+        }
+    }
+
+    /// Scores `mv` played from `pos` with a `level` search.
+    pub(crate) fn eval(
+        &mut self,
+        pos: &G,
+        mv: &G::Move,
+        level: u32,
+        config: &NestedConfig,
+        rng: &mut Rng,
+        ctx: &mut SearchCtx,
+    ) -> Score {
+        self.walker.reset(pos);
+        self.walker.play(mv);
+        self.search(level, config, rng, ctx)
+    }
+
+    /// A `level` search from the walker's position: one random playout
+    /// at level 0, a nested rollout above. Leaves the sequence it played
+    /// in `self.seq`.
+    fn search(
+        &mut self,
+        level: u32,
+        config: &NestedConfig,
+        rng: &mut Rng,
+        ctx: &mut SearchCtx,
+    ) -> Score {
+        self.seq.clear();
+        if level == 0 {
+            return self
+                .walker
+                .rollout(rng, config.playout_cap, &mut self.seq, ctx);
+        }
+        if self.levels.len() < level as usize {
+            self.levels.resize_with(level as usize, LevelBufs::default);
+        }
+        nested_rollout(
+            &mut self.walker,
+            level,
+            config,
+            rng,
+            ctx,
+            &mut self.levels,
+            &mut self.seq,
+        )
+    }
 }
 
 /// Outcome of a search: the best score found and the move sequence that
@@ -365,16 +436,9 @@ pub fn nested_with<G: Game>(
     rng: &mut Rng,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>) {
-    if level == 0 {
-        // One playout on a copy nobody wants back: nothing to restore.
-        let mut seq = Vec::new();
-        let mut pos = game.clone();
-        let score = PlayoutScratch::new().run(&mut pos, rng, config.playout_cap, &mut seq, ctx);
-        return (score, seq);
-    }
-    let mut walker = Walker::new(game);
-    let mut scratch = level_bufs(level);
-    nested_rollout(&mut walker, level, config, rng, ctx, &mut scratch)
+    let mut eval = Evaluator::new(game);
+    let score = eval.search(level, config, rng, ctx);
+    (score, eval.seq)
 }
 
 /// The paper's nested rollout (§III) at `level >= 1`, played on `walker`.
@@ -383,7 +447,8 @@ pub fn nested_with<G: Game>(
 /// scored (by a random playout at level 1, by a recursive call at level
 /// ≥ 2), and taken back. The game then advances along the memorised best
 /// sequence. The walker is left at the end of the line this call played;
-/// the caller rewinds if it wants its position back.
+/// the caller rewinds if it wants its position back. The line it played
+/// is left in `best_seq`, whose old contents are dropped.
 fn nested_rollout<G: Game>(
     walker: &mut Walker<G>,
     level: u32,
@@ -391,12 +456,13 @@ fn nested_rollout<G: Game>(
     rng: &mut Rng,
     ctx: &mut SearchCtx,
     scratch: &mut [LevelBufs<G>],
-) -> (Score, Vec<G::Move>) {
+    best_seq: &mut Vec<G::Move>,
+) -> Score {
     debug_assert!(level >= 1);
     let mut bufs = std::mem::take(&mut scratch[level as usize - 1]);
     // `best_seq[..played]` is the prefix already played by this call;
     // `best_seq[played..]` is the memorised best continuation.
-    let mut best_seq: Vec<G::Move> = Vec::new();
+    best_seq.clear();
     let mut played = 0usize;
     let mut best_score = Score::MIN;
 
@@ -424,9 +490,7 @@ fn nested_rollout<G: Game>(
                 bufs.seq.clear();
                 walker.rollout(rng, config.playout_cap, &mut bufs.seq, ctx)
             } else {
-                let (s, seq) = nested_rollout(walker, level - 1, config, rng, ctx, scratch);
-                bufs.seq = seq;
-                s
+                nested_rollout(walker, level - 1, config, rng, ctx, scratch, &mut bufs.seq)
             };
             walker.rewind(mark);
 
@@ -494,11 +558,11 @@ fn nested_rollout<G: Game>(
         );
         debug_assert_eq!(played, best_seq.len());
     }
-    // The game was advanced along `best_seq[..played]`, so the pair below
-    // is consistent by construction under every policy.
+    // The game was advanced along `best_seq[..played]`, so the score and
+    // the line left in `best_seq` agree by construction under every policy.
     best_seq.truncate(played);
     scratch[level as usize - 1] = bufs;
-    (final_score, best_seq)
+    final_score
 }
 
 /// Evaluates every legal move of `game` with a `level`-search and returns
@@ -517,25 +581,15 @@ pub fn evaluate_moves<G: Game>(
 ) -> Vec<(G::Move, SearchResult<G::Move>)> {
     let mut moves = Vec::new();
     game.legal_moves(&mut moves);
-    let mut walker = Walker::new(game);
-    let mut scratch = level_bufs(level);
+    let mut eval = Evaluator::new(game);
     moves
         .into_iter()
         .enumerate()
         .map(|(i, mv)| {
             let mut rng = Rng::seeded(seeds(i));
             let result = SearchResult::unbounded(|ctx| {
-                let mark = walker.mark();
-                walker.play(&mv);
-                let out = if level == 0 {
-                    let mut seq = Vec::new();
-                    let score = walker.rollout(&mut rng, config.playout_cap, &mut seq, ctx);
-                    (score, seq)
-                } else {
-                    nested_rollout(&mut walker, level, config, &mut rng, ctx, &mut scratch)
-                };
-                walker.rewind(mark);
-                out
+                let score = eval.eval(game, &mv, level, config, &mut rng, ctx);
+                (score, eval.seq.clone())
             });
             (mv, result)
         })

@@ -38,16 +38,28 @@
 //! of a diagonal word that lie off the grid are never set, so they read
 //! as empty and unmarked, like the bits shifted in past either end.
 //!
+//! The cache filter works on one packed `u32` per candidate, its *kill
+//! key* (`kill_key`), kept beside the candidate list and written by the
+//! pass that finds the candidate: the new point's flat cell index
+//! `y · GRID + x` in the low 12 bits, and above them the candidate's start
+//! as `line · 64 + bit` along its own direction (`line_of`). After a move
+//! a candidate dies iff its new point is the move's new point (one
+//! compare of the low bits) or its start lies on the played line's grid
+//! line fewer than `len` steps from the played start (one wrapping
+//! subtraction and compare of the high bits), so the filter is one
+//! branch-free compaction with no per-candidate geometry.
+//!
 //! No hash is kept: `state_hash` folds the Zobrist key on demand from the
-//! initial points and the move history, with keys on the flat cell index
-//! `y · GRID + x`. The cache filter finds a candidate's new point on that
-//! flat index too, by adding one signed offset per step (E `+1`, S
-//! `+GRID`, SE `+GRID+1`, NE `1−GRID`). A flat step past the right edge
-//! does not leave the array; it lands on the next row (or, for NE, the
-//! same row's left end). What keeps such a walk on its grid line is that
-//! it only covers cells between two in-bounds end points: the directions
-//! are monotone in `x` and `y`, so the cells between lie in the box the
-//! two ends span, and a candidate's window has both ends in bounds.
+//! initial points and the move history, with keys on the flat cell index.
+//! It steps along a move's line on that index with `along`, one signed
+//! offset per step (E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`); the
+//! kill keys' new points are found the same way. A flat step past the
+//! right edge does not leave the array; it lands on the next row (or, for
+//! NE, the same row's left end). What keeps such a walk on its grid line
+//! is that it only covers cells between two in-bounds end points: the
+//! directions are monotone in `x` and `y`, so the cells between lie in
+//! the box the two ends span, and a move's window has both ends in
+//! bounds.
 
 use crate::geom::{Dir, Point, DIRS};
 use nmcs_core::{mix64, Game, Score};
@@ -169,6 +181,8 @@ pub struct Board {
     variant: Variant,
     /// Cached legal moves of the current position (kept exact).
     candidates: Vec<Move>,
+    /// `kill[i]` is `kill_key(&candidates[i])`.
+    kill: Vec<u32>,
     /// Moves played so far, in order.
     history: Vec<Move>,
     /// The initial points (for rendering and records).
@@ -185,6 +199,7 @@ impl Clone for Board {
             initial_key: self.initial_key,
             variant: self.variant,
             candidates: self.candidates.clone(),
+            kill: self.kill.clone(),
             history: self.history.clone(),
             initial: self.initial.clone(),
             origin: self.origin,
@@ -199,6 +214,7 @@ impl Clone for Board {
         self.initial_key = source.initial_key;
         self.variant = source.variant;
         self.candidates.clone_from(&source.candidates);
+        self.kill.clone_from(&source.kill);
         self.history.clone_from(&source.history);
         if !std::sync::Arc::ptr_eq(&self.initial, &source.initial) {
             self.initial = source.initial.clone();
@@ -233,11 +249,13 @@ impl Board {
             initial_key,
             variant,
             candidates: Vec::new(),
+            kill: Vec::new(),
             history: Vec::new(),
             initial: std::sync::Arc::new(initial),
             origin: min,
         };
         board.candidates = board.recompute_candidates();
+        board.kill = board.candidates.iter().map(kill_key).collect();
         board
     }
 
@@ -274,10 +292,7 @@ impl Board {
     /// Whether `p` holds a point (initial or played).
     #[inline]
     pub fn occupied(&self, p: Point) -> bool {
-        in_bounds(p) && {
-            let (row, x) = line_of(p, Dir::E);
-            self.lines[row].occ >> x & 1 != 0
-        }
+        occupied(&self.lines, p)
     }
 
     /// Bounding box `(min, max)` of all occupied points.
@@ -322,38 +337,46 @@ impl Board {
         // cache was exact before the move, so a candidate of another
         // direction keeps its verdict, and one of `dir` dies iff it lies on
         // the played line's grid line fewer than `len` steps from its
-        // start. Survivors keep their order: move order feeds the search
-        // RNG.
-        let qi = cell_index(q);
-        let dir = m.dir;
-        let (dx, dy) = dir.delta();
-        let (_, len) = constraint(self.variant, dir);
-        let lines = &self.lines;
-        let variant = self.variant;
-        self.candidates.retain(|c| {
-            if along(cell_index(c.start), c.dir, c.pos as usize) == qi {
-                return false;
-            }
-            if c.dir != dir {
-                return true;
-            }
-            let (rx, ry) = (c.start.x - m.start.x, c.start.y - m.start.y);
-            let t = if dx == 0 { ry } else { rx };
-            let overlaps = rx == dx * t && ry == dy * t && (t.unsigned_abs() as usize) < len;
+        // start: iff its key's start `line · 64 + bit` is within `len − 1`
+        // of the played one. That range never reaches into a neighbouring
+        // line's starts, because no window starts past bit 59 (its five
+        // bits lie in one word): its top, at most bit 59 + 4, stays in the
+        // played line, and its bottom reaches at most bits 60..63 of the
+        // line numbered one lower (or wraps below zero after line 0), where
+        // no start lies. Survivors keep their order:
+        // move order feeds the search RNG.
+        let qi = cell_index(q) as u32;
+        let (line, b) = line_of(m.start, m.dir);
+        let len = constraint(self.variant, m.dir).1 as u32;
+        let lo = (line as u32 * 64 + b).wrapping_sub(len - 1);
+        let n = self.candidates.len();
+        let (candidates, kill) = (&mut self.candidates[..n], &mut self.kill[..n]);
+        let mut kept = 0;
+        for i in 0..n {
+            let (c, key) = (candidates[i], kill[i]);
+            let dies = key & 0xFFF == qi || (key >> 12).wrapping_sub(lo) < 2 * len - 1;
             debug_assert_eq!(
-                overlaps,
-                !constraints_free(lines, variant, c.start, dir),
-                "same-line verdict for {c} after {m}"
+                dies,
+                occupied(&self.lines, c.new_point())
+                    || !constraints_free(&self.lines, self.variant, c.start, c.dir),
+                "verdict for {c} after {m}"
             );
-            !overlaps
-        });
+            candidates[kept] = c;
+            kill[kept] = key;
+            kept += usize::from(!dies);
+        }
+        self.candidates.truncate(kept);
+        self.kill.truncate(kept);
 
         // Add the windows through the new point. No candidate surviving the
         // filter contains `q` (it would have had two empty cells before
         // this move), so these are never duplicates.
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.windows_through(q, &mut candidates);
-        self.candidates = candidates;
+        let (mut candidates, mut kill) = (
+            std::mem::take(&mut self.candidates),
+            std::mem::take(&mut self.kill),
+        );
+        self.windows_through(q, &mut candidates, &mut kill);
+        (self.candidates, self.kill) = (candidates, kill);
 
         self.history.push(*m);
     }
@@ -367,7 +390,11 @@ impl Board {
     /// `s..s+4` (start `q − (4−s)·e`) is a move iff it has exactly one
     /// hole (`ONE_HOLE`), all five cells are in the grid (`reach`), and
     /// none of the `len` cells its line would mark is marked already.
-    fn windows_through(&self, q: Point, out: &mut Vec<Move>) {
+    /// Each move's kill key goes to `keys`, built from what the pass
+    /// holds: the window's start is bit `b + s − 4` of `q`'s line, and its
+    /// new point `s − 4 + pos` steps from `q`.
+    fn windows_through(&self, q: Point, out: &mut Vec<Move>, keys: &mut Vec<u32>) {
+        let qi = cell_index(q);
         for e in DIRS {
             let (back, fwd) = reach(q, e);
             let lo = 4 - back; // bit of the first in-bounds cell
@@ -383,11 +410,14 @@ impl Board {
                 // Highest `s` first: that is `k = 4 − s` ascending.
                 let s = open.ilog2() as usize;
                 open ^= 1 << s;
+                let pos = ((!occ >> s) & 0x1F).trailing_zeros() as usize;
                 out.push(Move {
                     start: q.step(e, s as i16 - 4),
                     dir: e,
-                    pos: ((!occ >> s) & 0x1F).trailing_zeros() as u8,
+                    pos: pos as u8,
                 });
+                let new_point = qi.wrapping_add_signed(flat_step(e) * ((s + pos) as isize - 4));
+                keys.push(new_point as u32 | (line as u32 * 64 + b + s as u32 - 4) << 12);
             }
         }
     }
@@ -452,6 +482,25 @@ fn in_bounds(p: Point) -> bool {
 fn cell_index(p: Point) -> usize {
     debug_assert!(in_bounds(p));
     p.y as usize * GRID as usize + p.x as usize
+}
+
+/// Whether `p` is in the grid and occupied.
+#[inline]
+fn occupied(lines: &[Line; NLINES], p: Point) -> bool {
+    in_bounds(p) && {
+        let (row, x) = line_of(p, Dir::E);
+        lines[row].occ >> x & 1 != 0
+    }
+}
+
+/// A candidate's kill key: its new point's flat cell index in bits
+/// `0..12`, and its start as `line · 64 + bit` along its own direction
+/// (`line_of`; below 382 · 64 < 2¹⁵) from bit 12 up. `windows_through`
+/// builds the same value from its own variables.
+#[inline]
+fn kill_key(m: &Move) -> u32 {
+    let (line, b) = line_of(m.start, m.dir);
+    cell_index(m.new_point()) as u32 | (line as u32 * 64 + b) << 12
 }
 
 /// The line through the in-bounds point `p` along `dir`, as an index into
@@ -525,20 +574,26 @@ const ONE_HOLE: [u8; 512] = {
     table
 };
 
-/// Flat index `k` cells from `base` along `dir`: one signed offset per
-/// direction (E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`). Row-safe only
-/// between two in-bounds end points (a move's window); debug builds check
-/// that the step stayed on the grid line, release builds let it wrap.
+/// The flat-index offset of one step along `dir`.
 #[inline]
-fn along(base: usize, dir: Dir, k: usize) -> usize {
+const fn flat_step(dir: Dir) -> isize {
     const G: isize = GRID as isize;
-    let off = match dir {
+    match dir {
         Dir::E => 1,
         Dir::S => G,
         Dir::SE => G + 1,
         Dir::NE => 1 - G,
-    };
-    let idx = base.wrapping_add_signed(off * k as isize);
+    }
+}
+
+/// Flat index `k` cells from `base` along `dir`: one signed offset per
+/// direction (`flat_step`). Row-safe only between two in-bounds end points
+/// (a move's window); debug builds check that the step stayed on the grid
+/// line, release builds let it wrap. `state_hash` walks a move's line with
+/// it.
+#[inline]
+fn along(base: usize, dir: Dir, k: usize) -> usize {
+    let idx = base.wrapping_add_signed(flat_step(dir) * k as isize);
     debug_assert!(
         idx < NCELLS
             && (idx % GRID as usize) == (base % GRID as usize) + (dir.delta().0 as usize) * k,
@@ -716,6 +771,15 @@ mod tests {
         }
     }
 
+    /// Checks that every cached candidate's kill key is the one
+    /// `kill_key` computes from the move.
+    fn assert_keys(b: &Board, what: &str) {
+        assert_eq!(b.kill.len(), b.candidates.len(), "{what}: one key each");
+        for (c, key) in b.candidates.iter().zip(&b.kill) {
+            assert_eq!(*key, kill_key(c), "{what}: key of {c}");
+        }
+    }
+
     #[test]
     fn incremental_candidates_match_full_recompute_along_random_games() {
         use nmcs_core::Rng;
@@ -724,6 +788,7 @@ mod tests {
             let mut rng = Rng::seeded(42);
             let mut steps = 0;
             while !b.candidates().is_empty() && steps < 200 {
+                assert_keys(&b, &format!("{variant} step {steps}"));
                 let mut cached: Vec<Move> = b.candidates().to_vec();
                 let mut full = b.recompute_candidates();
                 cached.sort_by_key(|m| (m.start.y, m.start.x, m.dir.index(), m.pos));
@@ -733,6 +798,7 @@ mod tests {
                 b.play_move(&mv);
                 steps += 1;
             }
+            assert_keys(&b, &format!("{variant} end"));
             assert!(steps > 10, "{variant}: game should last more than 10 moves");
         }
     }
@@ -933,18 +999,19 @@ mod tests {
             v
         };
         for variant in [Variant::Disjoint, Variant::Touching] {
+            // Played lines whose start bit is below `len − 1`: the filter's
+            // range of killed starts reaches below the line's bit 0.
+            let mut low_starts = 0;
             for (i, root) in edge_boards(variant).into_iter().enumerate() {
                 for seed in 0..3 {
                     let mut b = root.clone();
                     let mut rng = Rng::seeded(seed);
                     let mut steps = 0;
                     loop {
+                        let what = format!("{variant} board {i} seed {seed} step {steps}");
+                        assert_keys(&b, &what);
                         let cached = sorted(b.candidates().to_vec());
-                        assert_eq!(
-                            cached,
-                            sorted(b.recompute_candidates()),
-                            "{variant} board {i} seed {seed} step {steps}"
-                        );
+                        assert_eq!(cached, sorted(b.recompute_candidates()), "{what}");
                         for m in &cached {
                             let pts = m.line_points();
                             assert!(
@@ -958,6 +1025,10 @@ mod tests {
                             break;
                         }
                         let mv = b.candidates()[rng.below(b.candidates().len())];
+                        let len = constraint(variant, mv.dir).1;
+                        if (line_of(mv.start, mv.dir).1 as usize) < len - 1 {
+                            low_starts += 1;
+                        }
                         b.play_move(&mv);
                         steps += 1;
                     }
@@ -966,6 +1037,10 @@ mod tests {
                     }
                 }
             }
+            assert!(
+                low_starts > 0,
+                "{variant}: no line started below bit len − 1"
+            );
         }
     }
 
@@ -1069,16 +1144,19 @@ mod tests {
                 boards.push(b);
             }
         }
-        let (mut slide, mut probes) = (Vec::new(), Vec::new());
+        let (mut slide, mut keys, mut probes) = (Vec::new(), Vec::new(), Vec::new());
         for b in &boards {
             for y in 0..GRID {
                 for x in 0..GRID {
                     let q = Point::new(x, y);
                     slide.clear();
+                    keys.clear();
                     probes.clear();
-                    b.windows_through(q, &mut slide);
+                    b.windows_through(q, &mut slide, &mut keys);
                     probe_windows(b, q, &mut probes);
                     assert_eq!(slide, probes, "{b:?} at {q}");
+                    let want: Vec<u32> = probes.iter().map(kill_key).collect();
+                    assert_eq!(keys, want, "{b:?} at {q}: keys");
                 }
             }
         }

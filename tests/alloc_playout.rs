@@ -399,3 +399,50 @@ fn tree_parallel_master_takes_no_lock_and_its_farm_a_bounded_count_per_wave() {
         }
     }
 }
+
+/// A client job of the paper's root/median/client hierarchy is one
+/// `clone_from` into its median game's kept evaluator and allocates
+/// nothing, so a root-parallel search allocates per median game and per
+/// step, not per client job. One thread: `run_batch` runs slot 0 on the
+/// submitting thread, so this thread's counter sees the whole search.
+/// Each job copying the position (four buffers of a Morpion board)
+/// breaks the bound several times over.
+#[test]
+fn root_parallel_allocates_per_median_game_not_per_client_job() {
+    let board = cross_board(Variant::Disjoint, 3);
+    for seed in 1..=3 {
+        let spec = SearchSpec::root_parallel(2, 1)
+            .first_move_only()
+            .seed(seed)
+            .build();
+        let (allocs, report) = count_allocs(|| spec.run(&board));
+        let jobs = report.client_jobs;
+        assert!(jobs > 1000, "seed {seed}: {jobs} client jobs");
+        assert!(
+            allocs < jobs / 2,
+            "seed {seed}: {allocs} allocations for {jobs} client jobs"
+        );
+    }
+}
+
+/// The leaf executor keeps one evaluator per slot for the whole run, so
+/// its allocations do not grow with the items it evaluates: a step pays
+/// for its score table, not for its items. Four times the batch is four
+/// times the items at every step, and both stay under one allocation per
+/// two items.
+#[test]
+fn leaf_parallel_allocations_do_not_grow_with_items() {
+    let board = cross_board(Variant::Disjoint, 3);
+    for seed in 1..=3 {
+        for batch in [4, 16] {
+            let spec = SearchSpec::leaf(1, batch, 1).seed(seed).build();
+            let (allocs, report) = count_allocs(|| spec.run(&board));
+            let jobs = report.client_jobs;
+            assert!(jobs > 100 * batch as u64, "seed {seed}: {jobs} items");
+            assert!(
+                allocs < jobs / 2,
+                "leaf(1, {batch}, 1) seed {seed}: {allocs} allocations for {jobs} items"
+            );
+        }
+    }
+}
