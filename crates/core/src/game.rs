@@ -6,7 +6,7 @@
 //! `sample` and `nested` need: cheap position cloning, legal move
 //! enumeration, move application, and a score.
 
-use crate::rng::mix64;
+use crate::rng::{mix64, Rng};
 
 /// The score of a game; the search maximises it.
 ///
@@ -68,6 +68,16 @@ impl<G> std::fmt::Debug for Undo<G> {
 /// `clone_from` reuse your buffers**: a game that holds heap buffers and
 /// keeps the derived `clone_from` (which is `*self = source.clone()`)
 /// allocates once per candidate.
+///
+/// ## The random step
+///
+/// Every random playout advances by [`Game::play_random`]. Its default
+/// lists the legal moves, draws one with `rng.below(n)` and plays it. A
+/// game that can pick from its own move cache faster may override it,
+/// but only draw for draw: an override draws exactly one `rng.below(n)`,
+/// `n` the number of legal moves, and plays the move at that index of
+/// the [`Game::legal_moves`] order. The searches' results are pinned to
+/// the seed, so an override that drew differently would change them.
 pub trait Game: Clone {
     /// The move type. `Clone + PartialEq` suffice for sequence memoisation.
     type Move: Clone + PartialEq + std::fmt::Debug;
@@ -118,6 +128,26 @@ pub trait Game: Clone {
     fn legal_moves_into(&self, out: &mut Vec<Self::Move>) {
         out.clear();
         self.legal_moves(out);
+    }
+
+    /// Plays one uniformly random legal move and returns it, or returns
+    /// `None` and leaves the position as it is if there is none. `scratch`
+    /// is a buffer the caller keeps across steps; its contents on return
+    /// are unspecified.
+    ///
+    /// The default is the playout step itself: [`Game::legal_moves_into`]
+    /// `scratch`, `swap_remove(rng.below(n))`, [`Game::play`]. An override
+    /// must match it draw for draw (see the trait docs): the same single
+    /// `rng.below(n)`, the same move.
+    #[inline]
+    fn play_random(&mut self, rng: &mut Rng, scratch: &mut Vec<Self::Move>) -> Option<Self::Move> {
+        self.legal_moves_into(scratch);
+        if scratch.is_empty() {
+            return None;
+        }
+        let mv = scratch.swap_remove(rng.below(scratch.len()));
+        self.play(&mv);
+        Some(mv)
     }
 
     /// A 64-bit hash of the current position — the transposition-table

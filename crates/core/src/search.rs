@@ -61,7 +61,8 @@ impl<G: Game> PlayoutScratch<G> {
     /// (mutating it to the terminal position), appending the moves played
     /// to `seq`, and returns the final score. This is the one random
     /// playout loop; [`sample_into`], [`sample`], level-0 [`nested_with`]
-    /// and every walker rollout sit on top of it.
+    /// and every walker rollout sit on top of it. Each step is one
+    /// [`Game::play_random`].
     ///
     /// Budget/cancellation polls go through `ctx` — one check per playout
     /// move, the shared choke point every backend's playouts pass through.
@@ -83,12 +84,9 @@ impl<G: Game> PlayoutScratch<G> {
             if ctx.should_stop() {
                 break;
             }
-            game.legal_moves_into(&mut self.moves);
-            if self.moves.is_empty() {
+            let Some(mv) = game.play_random(rng, &mut self.moves) else {
                 break;
-            }
-            let mv = self.moves.swap_remove(rng.below(self.moves.len()));
-            game.play(&mv);
+            };
             seq.push(mv);
             ctx.record_playout_move();
             steps += 1;

@@ -221,17 +221,15 @@ mod tests {
     use super::*;
     use crate::cross::cross_board;
     use crate::Variant;
-    use nmcs_core::Rng;
+    use nmcs_core::{Game, Rng};
 
     fn random_board(seed: u64, moves: usize) -> Board {
         let mut b = cross_board(Variant::Disjoint, 4);
         let mut rng = Rng::seeded(seed);
         for _ in 0..moves {
-            if b.candidates().is_empty() {
+            if b.play_random(&mut rng, &mut Vec::new()).is_none() {
                 break;
             }
-            let mv = b.candidates()[rng.below(b.candidates().len())];
-            b.play_move(&mv);
         }
         b
     }
@@ -269,8 +267,7 @@ mod tests {
         seen.insert(position_hash(&b));
         let mut rng = Rng::seeded(4);
         for _ in 0..20 {
-            let mv = b.candidates()[rng.below(b.candidates().len())];
-            b.play_move(&mv);
+            assert!(b.play_random(&mut rng, &mut Vec::new()).is_some());
             assert!(
                 seen.insert(position_hash(&b)),
                 "hash collision along a game"

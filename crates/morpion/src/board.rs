@@ -15,9 +15,10 @@
 //! The board is a bounded `GRID × GRID` window of the infinite grid, large
 //! enough for every humanly- or machine-reachable game from the standard
 //! cross (the proven 5D upper bound is 121 moves; record games span well
-//! under 40 cells). Move generation is incremental: a cached candidate
-//! list is revalidated after each move and extended with the windows
-//! through the new point, making random playouts allocation-free and fast.
+//! under 40 cells). Move generation is incremental: a cached list of the
+//! legal moves is revalidated after each move and extended with the
+//! windows through the new point, making random playouts allocation-free
+//! and fast.
 //! Those windows are found in one pass per direction: the ≤ 9 cells
 //! `q−4e … q+4e` around the new point `q` are read into an occupancy
 //! mask and a constraint mask, and bit operations with a 512-entry table
@@ -33,27 +34,56 @@
 //! the constraint mark of a line drawn in *that* direction (a point's E
 //! mark is kept in its row only, and so on). A window's five cells are
 //! five adjacent bits of one word: `check_window` tests one masked word
-//! for the hole and one for the marks, `mark_line` is one OR, and the
-//! nine cells around a new point are one shifted load of each word. Bits
-//! of a diagonal word that lie off the grid are never set, so they read
-//! as empty and unmarked, like the bits shifted in past either end.
+//! for the hole and one for the marks, marking a played line is one OR,
+//! and the nine cells around a new point are one shifted load of each
+//! word. Bits of a diagonal word that lie off the grid are never set, so
+//! they read as empty and unmarked, like the bits shifted in past either
+//! end.
 //!
-//! The cache filter works on one packed `u32` per candidate, its *kill
-//! key* (`kill_key`), kept beside the candidate list and written by the
-//! pass that finds the candidate: the new point's flat cell index
-//! `y · GRID + x` in the low 12 bits, and above them the candidate's start
-//! as `line · 64 + bit` along its own direction (`line_of`). After a move
-//! a candidate dies iff its new point is the move's new point (one
-//! compare of the low bits) or its start lies on the played line's grid
-//! line fewer than `len` steps from the played start (one wrapping
-//! subtraction and compare of the high bits), so the filter is one
-//! branch-free compaction with no per-candidate geometry.
+//! The move cache is one list of packed `u32` *keys*, one per legal move
+//! (`kill_key`), written by the pass that finds the move: the new point's
+//! flat cell index `y · GRID + x` in bits `0..12`, the move's start as
+//! `line · 64 + bit` along its own direction (`line_of`) in bits `12..27`,
+//! and `pos` in bits `27..30`. `decode` turns a key back into its `Move`
+//! without a branch: the direction is the line's range (three compares)
+//! and the start's coordinates a per-direction linear form of the line and
+//! the bit (`START`). `legal_moves` decodes the list in order.
+//!
+//! After a move a cached move dies iff its new point is the move's new
+//! point (one compare of the low bits) or its start lies on the played
+//! line's grid line fewer than `len` steps from the played start (one
+//! wrapping subtraction and compare of the start bits), so the filter
+//! needs no per-move geometry. It scans to the first death and compacts
+//! only from there.
+//!
+//! The windows through the new point `q` are found by one body in two
+//! builds (`windows_through`). When `4 ≤ q.x, q.y ≤ 59` (`interior`) the
+//! nine cells around `q` in every direction are on the grid, so each
+//! direction's are one plain shift of its word and every window is
+//! inside. Any other point takes the clipped build, which reads the words
+//! through a `u128` (`nine_around`) and drops the windows that leave the
+//! grid (`reach`). Games from the crosses stay far inside the grid (in
+//! 29 643 playouts inside level-1 games from both ledger crosses every
+//! point lay within `24..=39`), so only boards built against an edge
+//! take the clipped build.
+//!
+//! Every move is checked against the rules before it is played, in every
+//! build. `play_move` checks the `Move` (`is_legal`). The random step
+//! (`Game::play_random`) draws one key and checks it on the key's own line
+//! words with the same predicate (`key_is_legal`): the window on the grid,
+//! exactly one hole, at `pos`, and the `len` marks clear. Both then run
+//! one body, `play_key`, which takes the new point from the key's low
+//! bits. Those agree with the start and `pos` bits by construction: only
+//! `windows_through` and `kill_key` build keys, the unit tests hold every
+//! key to `kill_key` of its decoded move, and debug builds assert it in
+//! `play_key`. A cached key can go stale only through a filter fault, and
+//! staleness is what the check sees: a filled hole or a marked window.
 //!
 //! No hash is kept: `state_hash` folds the Zobrist key on demand from the
 //! initial points and the move history, with keys on the flat cell index.
 //! It steps along a move's line on that index with `along`, one signed
 //! offset per step (E `+1`, S `+GRID`, SE `+GRID+1`, NE `1−GRID`); the
-//! kill keys' new points are found the same way. A flat step past the
+//! keys' new points are found the same way. A flat step past the
 //! right edge does not leave the array; it lands on the next row (or, for
 //! NE, the same row's left end). What keeps such a walk on its grid line
 //! is that it only covers cells between two in-bounds end points: the
@@ -62,7 +92,7 @@
 //! bounds.
 
 use crate::geom::{Dir, Point, DIRS};
-use nmcs_core::{mix64, Game, Score};
+use nmcs_core::{mix64, Game, Rng, Score};
 use serde::{Deserialize, Serialize};
 
 /// Domain-separation salts of the board's Zobrist hash: occupancy keys
@@ -179,9 +209,8 @@ pub struct Board {
     /// fold starts.
     initial_key: u64,
     variant: Variant,
-    /// Cached legal moves of the current position (kept exact).
-    candidates: Vec<Move>,
-    /// `kill[i]` is `kill_key(&candidates[i])`.
+    /// The legal moves of the current position as keys (`kill_key`), in
+    /// `legal_moves` order (kept exact).
     kill: Vec<u32>,
     /// Moves played so far, in order.
     history: Vec<Move>,
@@ -198,7 +227,6 @@ impl Clone for Board {
             lines: self.lines.clone(),
             initial_key: self.initial_key,
             variant: self.variant,
-            candidates: self.candidates.clone(),
             kill: self.kill.clone(),
             history: self.history.clone(),
             initial: self.initial.clone(),
@@ -213,7 +241,6 @@ impl Clone for Board {
         *self.lines = *source.lines;
         self.initial_key = source.initial_key;
         self.variant = source.variant;
-        self.candidates.clone_from(&source.candidates);
         self.kill.clone_from(&source.kill);
         self.history.clone_from(&source.history);
         if !std::sync::Arc::ptr_eq(&self.initial, &source.initial) {
@@ -248,14 +275,12 @@ impl Board {
             lines,
             initial_key,
             variant,
-            candidates: Vec::new(),
             kill: Vec::new(),
             history: Vec::new(),
             initial: std::sync::Arc::new(initial),
             origin: min,
         };
-        board.candidates = board.recompute_candidates();
-        board.kill = board.candidates.iter().map(kill_key).collect();
+        board.kill = board.recompute_candidates().iter().map(kill_key).collect();
         board
     }
 
@@ -282,11 +307,6 @@ impl Board {
     /// Top-left corner of the initial points' bounding box.
     pub fn origin(&self) -> Point {
         self.origin
-    }
-
-    /// The current legal moves (cached, exact).
-    pub fn candidates(&self) -> &[Move] {
-        &self.candidates
     }
 
     /// Whether `p` holds a point (initial or played).
@@ -320,106 +340,105 @@ impl Board {
                 .is_some_and(|legal| legal.pos == m.pos)
     }
 
-    /// Plays a legal move, updating the candidate cache incrementally.
+    /// Plays a legal move, updating the move cache incrementally.
     ///
     /// Panics (in all builds) if the move is illegal: silently corrupting a
     /// search is worse than failing fast, and the check is two masked
     /// words.
     pub fn play_move(&mut self, m: &Move) {
         assert!(self.is_legal(m), "illegal move {m}");
-        let q = m.new_point();
-        occupy(&mut self.lines, q);
-        self.mark_line(m.start, m.dir);
-
-        // Revalidate the cache: a candidate dies iff its new point just got
-        // occupied, or it shares constraint marks with the played line.
-        // Only the played line's cells gained a mark, `dir`'s, and the
-        // cache was exact before the move, so a candidate of another
-        // direction keeps its verdict, and one of `dir` dies iff it lies on
-        // the played line's grid line fewer than `len` steps from its
-        // start: iff its key's start `line · 64 + bit` is within `len − 1`
-        // of the played one. That range never reaches into a neighbouring
-        // line's starts, because no window starts past bit 59 (its five
-        // bits lie in one word): its top, at most bit 59 + 4, stays in the
-        // played line, and its bottom reaches at most bits 60..63 of the
-        // line numbered one lower (or wraps below zero after line 0), where
-        // no start lies. Survivors keep their order:
-        // move order feeds the search RNG.
-        let qi = cell_index(q) as u32;
-        let (line, b) = line_of(m.start, m.dir);
-        let len = constraint(self.variant, m.dir).1 as u32;
-        let lo = (line as u32 * 64 + b).wrapping_sub(len - 1);
-        let n = self.candidates.len();
-        let (candidates, kill) = (&mut self.candidates[..n], &mut self.kill[..n]);
-        let mut kept = 0;
-        for i in 0..n {
-            let (c, key) = (candidates[i], kill[i]);
-            let dies = key & 0xFFF == qi || (key >> 12).wrapping_sub(lo) < 2 * len - 1;
-            debug_assert_eq!(
-                dies,
-                occupied(&self.lines, c.new_point())
-                    || !constraints_free(&self.lines, self.variant, c.start, c.dir),
-                "verdict for {c} after {m}"
-            );
-            candidates[kept] = c;
-            kill[kept] = key;
-            kept += usize::from(!dies);
-        }
-        self.candidates.truncate(kept);
-        self.kill.truncate(kept);
-
-        // Add the windows through the new point. No candidate surviving the
-        // filter contains `q` (it would have had two empty cells before
-        // this move), so these are never duplicates.
-        let (mut candidates, mut kill) = (
-            std::mem::take(&mut self.candidates),
-            std::mem::take(&mut self.kill),
-        );
-        self.windows_through(q, &mut candidates, &mut kill);
-        (self.candidates, self.kill) = (candidates, kill);
-
-        self.history.push(*m);
+        self.play_key(kill_key(m), *m);
     }
 
-    /// Appends the moves whose windows run through `q`, in the order of
-    /// one `check_window` probe per direction and start `q − k·e`,
-    /// `k = 0..5`. One pass per direction instead: bit `i` of two 9-bit
-    /// masks stands for the cell `i − 4` steps from `q`; `occ` holds which
-    /// cells are occupied and `con` which carry `e`'s constraint mark, both
-    /// cut from `q`'s line word along `e`. The window whose cells are bits
-    /// `s..s+4` (start `q − (4−s)·e`) is a move iff it has exactly one
-    /// hole (`ONE_HOLE`), all five cells are in the grid (`reach`), and
-    /// none of the `len` cells its line would mark is marked already.
-    /// Each move's kill key goes to `keys`, built from what the pass
-    /// holds: the window's start is bit `b + s − 4` of `q`'s line, and its
-    /// new point `s − 4 + pos` steps from `q`.
-    fn windows_through(&self, q: Point, out: &mut Vec<Move>, keys: &mut Vec<u32>) {
-        let qi = cell_index(q);
-        for e in DIRS {
-            let (back, fwd) = reach(q, e);
-            let lo = 4 - back; // bit of the first in-bounds cell
-            let (_, len) = constraint(self.variant, e);
-            let (line, b) = line_of(q, e);
-            let Line { occ, con } = self.lines[line];
-            let (occ, con) = (nine_around(occ, b), nine_around(con, b));
-            // Windows `s` in `lo..=fwd` have both ends in the grid.
-            let inside = (0x1F >> (4 - fwd)) & (0x1F << lo);
-            let marked = (0..len).fold(0, |acc, j| acc | con >> j);
-            let mut open = usize::from(ONE_HOLE[occ]) & inside & !marked;
-            while open != 0 {
-                // Highest `s` first: that is `k = 4 − s` ascending.
-                let s = open.ilog2() as usize;
-                open ^= 1 << s;
-                let pos = ((!occ >> s) & 0x1F).trailing_zeros() as usize;
-                out.push(Move {
-                    start: q.step(e, s as i16 - 4),
-                    dir: e,
-                    pos: pos as u8,
-                });
-                let new_point = qi.wrapping_add_signed(flat_step(e) * ((s + pos) as isize - 4));
-                keys.push(new_point as u32 | (line as u32 * 64 + b + s as u32 - 4) << 12);
+    /// Whether the move `m` that `key` decodes to is legal: `is_legal`'s
+    /// predicate on the key's own line words. The window is on the grid,
+    /// has exactly one hole, at `pos`, and none of its `len` cells from
+    /// the start carries its direction's mark.
+    #[inline]
+    fn key_is_legal(&self, key: u32, m: &Move) -> bool {
+        let (line, b) = key_start(key);
+        let Some(&Line { occ, con }) = self.lines.get(line) else {
+            return false;
+        };
+        let (_, len) = constraint(self.variant, m.dir);
+        // `b ≤ 59` keeps the five bits in one word, and with them the
+        // window's `x` in the grid (`x` is the bit, or for S the column);
+        // `y` is monotone along a line, so both ends' `y` must be in it.
+        let end_y = m.start.y + 4 * m.dir.delta().1;
+        let on_grid = (b <= 59) & (0..GRID).contains(&m.start.y) & (0..GRID).contains(&end_y);
+        on_grid & (!(occ >> b) & 0x1F == 1 << m.pos) & ((con >> b) & ((1 << len) - 1) == 0)
+    }
+
+    /// The one body behind `play_move` and the random step: plays `m`,
+    /// whose key is `key` and which the caller has checked, and updates
+    /// the key list. The four lines through the new point `q` are worked
+    /// out once, for its occupancy bits and for the slide.
+    fn play_key(&mut self, key: u32, m: Move) {
+        debug_assert_eq!(key, kill_key(&m), "key of {m}");
+        let qi = key & CELL_BITS;
+        let q = Point::new((qi % GRID as u32) as i16, (qi / GRID as u32) as i16);
+        let through = [
+            line_of(q, Dir::E),
+            line_of(q, Dir::S),
+            line_of(q, Dir::SE),
+            line_of(q, Dir::NE),
+        ];
+        for (line, b) in through {
+            self.lines[line].occ |= 1 << b;
+        }
+        let (line, b) = key_start(key);
+        let len = constraint(self.variant, m.dir).1 as u32;
+        let marks = ((1u64 << len) - 1) << b;
+        debug_assert_eq!(self.lines[line].con & marks, 0, "legality left them clear");
+        self.lines[line].con |= marks;
+
+        // Revalidate the cache: a move dies iff its new point just got
+        // occupied, or it shares constraint marks with the played line.
+        // Only the played line's cells gained a mark, `dir`'s, and the
+        // cache was exact before the move, so a move of another direction
+        // keeps its verdict, and one of `dir` dies iff it lies on the
+        // played line's grid line fewer than `len` steps from its start:
+        // iff its key's start `line · 64 + bit` is within `len − 1` of the
+        // played one. That range never reaches into a neighbouring line's
+        // starts, because no window starts past bit 59 (its five bits lie
+        // in one word): its top, at most bit 59 + 4, stays in the played
+        // line, and its bottom reaches at most bits 60..63 of the line
+        // numbered one lower (or wraps below zero after line 0), where no
+        // start lies. Survivors keep their order: move order feeds the
+        // search RNG.
+        let lo = (key >> START_SHIFT & START_BITS).wrapping_sub(len - 1);
+        let dies = |k: u32| {
+            (k & CELL_BITS == qi) | ((k >> START_SHIFT & START_BITS).wrapping_sub(lo) < 2 * len - 1)
+        };
+        if cfg!(debug_assertions) {
+            for &k in &self.kill {
+                let c = decode(k);
+                let dead = occupied(&self.lines, c.new_point())
+                    || !constraints_free(&self.lines, self.variant, c.start, c.dir);
+                assert_eq!(dies(k), dead, "verdict for {c} after {m}");
             }
         }
+        let kill = &mut self.kill[..];
+        let n = kill.len();
+        // The keys before the first death stay where they are.
+        let mut kept = kill.iter().position(|&k| dies(k)).unwrap_or(n);
+        for i in kept + 1..n {
+            let k = kill[i];
+            kill[kept] = k;
+            kept += usize::from(!dies(k));
+        }
+        self.kill.truncate(kept);
+
+        // Add the windows through the new point. No move surviving the
+        // filter contains `q` (it would have had two empty cells before
+        // this move), so these are never duplicates.
+        if interior(q) {
+            windows_through::<false>(&self.lines, self.variant, q, &through, &mut self.kill);
+        } else {
+            windows_through::<true>(&self.lines, self.variant, q, &through, &mut self.kill);
+        }
+
+        self.history.push(m);
     }
 
     /// Structural + constraint check of the 5-window starting at `start`
@@ -443,16 +462,6 @@ impl Board {
             dir,
             pos: holes.trailing_zeros() as u8,
         })
-    }
-
-    /// Sets the constraint marks of a just-played line from `start`: one
-    /// OR on its line word.
-    fn mark_line(&mut self, start: Point, dir: Dir) {
-        let (line, b) = line_of(start, dir);
-        let (_, len) = constraint(self.variant, dir);
-        let marks = ((1u64 << len) - 1) << b;
-        debug_assert_eq!(self.lines[line].con & marks, 0, "legality left them clear");
-        self.lines[line].con |= marks;
     }
 
     /// Recomputes the legal-move list from scratch (O(grid²)); the
@@ -493,14 +502,128 @@ fn occupied(lines: &[Line; NLINES], p: Point) -> bool {
     }
 }
 
-/// A candidate's kill key: its new point's flat cell index in bits
-/// `0..12`, and its start as `line · 64 + bit` along its own direction
-/// (`line_of`; below 382 · 64 < 2¹⁵) from bit 12 up. `windows_through`
-/// builds the same value from its own variables.
+/// Fields of a move key (see the module docs): the new point's flat cell
+/// index, the start's `line · 64 + bit` (below 382 · 64 < 2¹⁵) and `pos`.
+const CELL_BITS: u32 = 0xFFF;
+const START_SHIFT: u32 = 12;
+const START_BITS: u32 = 0x7FFF;
+const POS_SHIFT: u32 = 27;
+
+/// A move's key. `windows_through` builds the same value from its own
+/// variables.
 #[inline]
 fn kill_key(m: &Move) -> u32 {
     let (line, b) = line_of(m.start, m.dir);
-    cell_index(m.new_point()) as u32 | (line as u32 * 64 + b) << 12
+    cell_index(m.new_point()) as u32
+        | (line as u32 * 64 + b) << START_SHIFT
+        | u32::from(m.pos) << POS_SHIFT
+}
+
+/// The key's start: its line and its bit in that line's words.
+#[inline]
+fn key_start(key: u32) -> (usize, u32) {
+    let start = key >> START_SHIFT & START_BITS;
+    ((start >> 6) as usize, start & 63)
+}
+
+/// Per direction, the start's coordinates as linear forms of its line `l`
+/// and bit `b` (the inverse of `line_of`): `x = xb·b + xl·l + x0` and
+/// `y = yb·b + yl·l + y0`, as `[xb, xl, x0, yb, yl, y0]`.
+const START: [[i16; 6]; 4] = [
+    [1, 0, 0, 0, 1, 0],     // E: x = b, y = l
+    [0, 1, -64, 1, 0, 0],   // S: x = l − 64, y = b
+    [1, 0, 0, 1, -1, 191],  // SE: l = 191 + x − y
+    [1, 0, 0, -1, 1, -255], // NE: l = 255 + x + y
+];
+
+/// The move a key stands for, without a branch: the direction is the
+/// line's range (rows, columns, falling and rising diagonals begin at
+/// lines 0, 64, 128 and 255), and the start a per-direction linear form
+/// of the line and the bit (`START`).
+#[inline]
+fn decode(key: u32) -> Move {
+    let (line, b) = key_start(key);
+    let d = usize::from(line >= 64) + usize::from(line >= 128) + usize::from(line >= 255);
+    let [xb, xl, x0, yb, yl, y0] = START[d];
+    let (l, b) = (line as i16, b as i16);
+    Move {
+        start: Point::new(xb * b + xl * l + x0, yb * b + yl * l + y0),
+        dir: DIRS[d],
+        pos: (key >> POS_SHIFT) as u8,
+    }
+}
+
+/// Whether every direction's nine cells `q − 4e … q + 4e` are on the grid,
+/// so that `windows_through` may take its interior build.
+#[inline]
+fn interior(q: Point) -> bool {
+    (4..=GRID - 5).contains(&q.x) && (4..=GRID - 5).contains(&q.y)
+}
+
+/// Appends the keys of the moves whose windows run through `q`, in the
+/// order of one `check_window` probe per direction and start `q − k·e`,
+/// `k = 0..5`; `through` holds `line_of(q, e)` for each direction. One
+/// pass per direction instead: bit `i` of two 9-bit masks stands for the
+/// cell `i − 4` steps from `q`; `occ` holds which cells are occupied and
+/// `con` which carry `e`'s constraint mark, both cut from `q`'s line word
+/// along `e`. The window whose cells are bits `s..s+4` (start
+/// `q − (4−s)·e`) is a move iff it has exactly one hole (`ONE_HOLE`), all
+/// five cells are in the grid, and none of the `len` cells its line would
+/// mark is marked already. The four directions' open windows are found
+/// first and pushed in one loop, direction by direction, highest `s`
+/// (that is `k = 4 − s` ascending) first. A move's key is built from what
+/// the pass holds: its start is bit `b + s − 4` of `q`'s line, and its
+/// new point `s − 4 + pos` steps from `q`.
+///
+/// With `EDGE` false, `q` must be `interior`: each mask is one plain shift
+/// of the word and every window is in the grid. With `EDGE` true the
+/// masks are cut through a `u128` (`nine_around`) and windows past the
+/// grid are dropped (`reach`); that build is right for every `q`.
+#[inline]
+fn windows_through<const EDGE: bool>(
+    lines: &[Line; NLINES],
+    variant: Variant,
+    q: Point,
+    through: &[(usize, u32); 4],
+    keys: &mut Vec<u32>,
+) {
+    debug_assert!(EDGE || interior(q), "{q} is not interior");
+    let qi = cell_index(q) as u32;
+    // The fifth mark is 5D's; in 5T a line marks four cells.
+    let fifth = if constraint(variant, Dir::E).1 == 5 {
+        0x1FF
+    } else {
+        0
+    };
+    let mut occs = [0; 4];
+    let mut open = 0u32;
+    for (d, e) in DIRS.into_iter().enumerate() {
+        let (line, b) = through[d];
+        let Line { occ, con } = lines[line];
+        let (occ, con, inside) = if EDGE {
+            let (back, fwd) = reach(q, e);
+            let inside = (0x1F >> (4 - fwd)) & (0x1F << (4 - back));
+            (nine_around(occ, b), nine_around(con, b), inside)
+        } else {
+            let cut = |word: u64| (word >> (b - 4)) as usize & 0x1FF;
+            (cut(occ), cut(con), 0x1F)
+        };
+        let marked = con | con >> 1 | con >> 2 | con >> 3 | (con >> 4 & fifth);
+        occs[d] = occ;
+        // Direction `d`'s windows go to byte `3 − d`, so the highest set
+        // bit is the next window in push order.
+        open |= ((usize::from(ONE_HOLE[occ]) & inside & !marked) as u32) << (8 * (3 - d));
+    }
+    while open != 0 {
+        let t = open.ilog2();
+        open ^= 1 << t;
+        let (d, s) = (3 - (t / 8) as usize, t % 8);
+        let pos = ((!occs[d] >> s) & 0x1F).trailing_zeros();
+        let (line, b) = through[d];
+        let step = flat_step(DIRS[d]) as i32;
+        let new_point = qi.wrapping_add_signed(step * (s + pos) as i32 - 4 * step);
+        keys.push(new_point | (line as u32 * 64 + b + s - 4) << START_SHIFT | pos << POS_SHIFT);
+    }
 }
 
 /// The line through the in-bounds point `p` along `dir`, as an index into
@@ -626,11 +749,25 @@ impl Game for Board {
     type Move = Move;
 
     fn legal_moves(&self, out: &mut Vec<Move>) {
-        out.extend_from_slice(&self.candidates);
+        out.extend(self.kill.iter().map(|&key| decode(key)));
     }
 
     fn play(&mut self, mv: &Move) {
         self.play_move(mv);
+    }
+
+    /// Draws one key, `rng.below(n)` over the list `legal_moves` decodes,
+    /// checks it against the rules on its own line words, and plays it:
+    /// draw for draw the default step, with no move list copied.
+    fn play_random(&mut self, rng: &mut Rng, _: &mut Vec<Move>) -> Option<Move> {
+        if self.kill.is_empty() {
+            return None;
+        }
+        let key = self.kill[rng.below(self.kill.len())];
+        let m = decode(key);
+        assert!(self.key_is_legal(key, &m), "illegal move {m}");
+        self.play_key(key, m);
+        Some(m)
     }
 
     /// The Morpion score: "the score is the number of moves played in the
@@ -644,7 +781,7 @@ impl Game for Board {
     }
 
     fn is_terminal(&self) -> bool {
-        self.candidates.is_empty()
+        self.kill.is_empty()
     }
 
     /// The Zobrist key over occupancy and constraint marks, folded on
@@ -683,7 +820,7 @@ impl std::fmt::Debug for Board {
             self.variant,
             self.initial.len(),
             self.history.len(),
-            self.candidates.len()
+            self.kill.len()
         )
     }
 }
@@ -692,6 +829,14 @@ impl std::fmt::Debug for Board {
 mod tests {
     use super::*;
     use crate::cross::{cross_board, cross_points, STANDARD_ARM};
+    use nmcs_core::Rng;
+
+    /// The legal moves, in cache order.
+    fn moves(b: &Board) -> Vec<Move> {
+        let mut out = Vec::new();
+        b.legal_moves(&mut out);
+        out
+    }
 
     fn row_board(variant: Variant, n: usize) -> Board {
         // n consecutive points on a horizontal row, centred.
@@ -705,8 +850,8 @@ mod tests {
     fn four_in_a_row_has_two_extensions() {
         for variant in [Variant::Disjoint, Variant::Touching] {
             let b = row_board(variant, 4);
-            assert_eq!(b.candidates().len(), 2, "{variant}: extend left or right");
-            for c in b.candidates() {
+            assert_eq!(moves(&b).len(), 2, "{variant}: extend left or right");
+            for c in moves(&b) {
                 assert_eq!(c.dir, Dir::E);
             }
         }
@@ -715,20 +860,20 @@ mod tests {
     #[test]
     fn three_in_a_row_has_no_moves() {
         let b = row_board(Variant::Disjoint, 3);
-        assert!(b.candidates().is_empty());
+        assert!(moves(&b).is_empty());
         assert!(b.is_terminal());
     }
 
     #[test]
     fn playing_an_extension_marks_line_and_updates_candidates() {
         let mut b = row_board(Variant::Disjoint, 4);
-        let mv = b.candidates()[0];
+        let mv = moves(&b)[0];
         b.play_move(&mv);
         assert_eq!(b.move_count(), 1);
         assert!(b.occupied(mv.new_point()));
         // 5 points in a used row: in 5D no further horizontal move may
         // reuse any of them; a row of 5 has no legal move at all.
-        assert!(b.candidates().is_empty());
+        assert!(b.is_terminal());
     }
 
     #[test]
@@ -760,7 +905,7 @@ mod tests {
                 pos: 4,
             };
             let legal_now = b.is_legal(&follow);
-            let cached = b.candidates().contains(&follow);
+            let cached = moves(&b).contains(&follow);
             assert_eq!(legal_now, cached, "{variant}: cache agrees with rules");
             match variant {
                 // 5T: the two lines share only the endpoint — allowed.
@@ -771,31 +916,32 @@ mod tests {
         }
     }
 
-    /// Checks that every cached candidate's kill key is the one
-    /// `kill_key` computes from the move.
+    /// Checks the key list: it decodes to the from-scratch recompute (as
+    /// a set; the cache order is the slide's), and every key decodes to a
+    /// move that both checks call legal and whose key it is.
     fn assert_keys(b: &Board, what: &str) {
-        assert_eq!(b.kill.len(), b.candidates.len(), "{what}: one key each");
-        for (c, key) in b.candidates.iter().zip(&b.kill) {
-            assert_eq!(*key, kill_key(c), "{what}: key of {c}");
+        let sorted = |mut v: Vec<Move>| {
+            v.sort_by_key(|m| (m.start.y, m.start.x, m.dir.index(), m.pos));
+            v
+        };
+        assert_eq!(sorted(moves(b)), sorted(b.recompute_candidates()), "{what}");
+        for &key in &b.kill {
+            let m = decode(key);
+            assert_eq!(kill_key(&m), key, "{what}: key of {m}");
+            assert!(b.is_legal(&m) && b.key_is_legal(key, &m), "{what}: {m}");
         }
     }
 
     #[test]
     fn incremental_candidates_match_full_recompute_along_random_games() {
-        use nmcs_core::Rng;
         for variant in [Variant::Disjoint, Variant::Touching] {
             let mut b = cross_board(variant, 4);
             let mut rng = Rng::seeded(42);
             let mut steps = 0;
-            while !b.candidates().is_empty() && steps < 200 {
+            while !b.is_terminal() && steps < 200 {
                 assert_keys(&b, &format!("{variant} step {steps}"));
-                let mut cached: Vec<Move> = b.candidates().to_vec();
-                let mut full = b.recompute_candidates();
-                cached.sort_by_key(|m| (m.start.y, m.start.x, m.dir.index(), m.pos));
-                full.sort_by_key(|m| (m.start.y, m.start.x, m.dir.index(), m.pos));
-                assert_eq!(cached, full, "{variant} step {steps}");
-                let mv = cached[rng.below(cached.len())];
-                b.play_move(&mv);
+                let cached = moves(&b);
+                b.play_move(&cached[rng.below(cached.len())]);
                 steps += 1;
             }
             assert_keys(&b, &format!("{variant} end"));
@@ -828,15 +974,12 @@ mod tests {
 
     #[test]
     fn state_hash_fold_matches_a_rehash_of_the_words_along_random_games() {
-        use nmcs_core::Rng;
         for variant in [Variant::Disjoint, Variant::Touching] {
             let mut b = cross_board(variant, 4);
             assert_eq!(b.state_hash(), rehash(&b), "{variant}: initial cross");
             let mut rng = Rng::seeded(11);
             let mut steps = 0;
-            while !b.candidates().is_empty() && steps < 40 {
-                let mv = b.candidates()[rng.below(b.candidates().len())];
-                b.play_move(&mv);
+            while steps < 40 && b.play_random(&mut rng, &mut Vec::new()).is_some() {
                 assert_eq!(
                     b.state_hash(),
                     rehash(&b),
@@ -852,8 +995,9 @@ mod tests {
     /// the search RNG) into one word.
     fn candidates_digest(b: &Board, acc: u64) -> u64 {
         use nmcs_core::CodedGame;
-        let mut h = mix64(acc ^ b.candidates().len() as u64);
-        for m in b.candidates() {
+        let moves = moves(b);
+        let mut h = mix64(acc ^ moves.len() as u64);
+        for m in &moves {
             h = mix64(h ^ b.move_code(m));
         }
         h
@@ -915,15 +1059,12 @@ mod tests {
                 len: 59,
             },
         ];
-        use nmcs_core::Rng;
         for pin in PINS {
             let mut b = cross_board(pin.variant, 4);
             let mut rng = Rng::seeded(pin.seed);
             let mut hashes = Vec::new();
             let mut order = candidates_digest(&b, 0);
-            while !b.candidates().is_empty() {
-                let mv = b.candidates()[rng.below(b.candidates().len())];
-                b.play_move(&mv);
+            while b.play_random(&mut rng, &mut Vec::new()).is_some() {
                 hashes.push(b.state_hash());
                 order = candidates_digest(&b, order);
             }
@@ -993,11 +1134,6 @@ mod tests {
 
     #[test]
     fn candidates_stay_inside_the_window_near_every_edge() {
-        use nmcs_core::Rng;
-        let sorted = |mut v: Vec<Move>| {
-            v.sort_by_key(|m| (m.start.y, m.start.x, m.dir.index(), m.pos));
-            v
-        };
         for variant in [Variant::Disjoint, Variant::Touching] {
             // Played lines whose start bit is below `len − 1`: the filter's
             // range of killed starts reaches below the line's bit 0.
@@ -1010,9 +1146,7 @@ mod tests {
                     loop {
                         let what = format!("{variant} board {i} seed {seed} step {steps}");
                         assert_keys(&b, &what);
-                        let cached = sorted(b.candidates().to_vec());
-                        assert_eq!(cached, sorted(b.recompute_candidates()), "{what}");
-                        for m in &cached {
+                        for m in &moves(&b) {
                             let pts = m.line_points();
                             assert!(
                                 pts.iter().all(|&p| in_bounds(p)),
@@ -1021,15 +1155,13 @@ mod tests {
                             let empty: Vec<_> = pts.iter().filter(|&&p| !b.occupied(p)).collect();
                             assert_eq!(empty, [&m.new_point()], "{variant} board {i}: {m}");
                         }
-                        if cached.is_empty() {
+                        let Some(mv) = b.play_random(&mut rng, &mut Vec::new()) else {
                             break;
-                        }
-                        let mv = b.candidates()[rng.below(b.candidates().len())];
+                        };
                         let len = constraint(variant, mv.dir).1;
                         if (line_of(mv.start, mv.dir).1 as usize) < len - 1 {
                             low_starts += 1;
                         }
-                        b.play_move(&mv);
                         steps += 1;
                     }
                     if i < 8 {
@@ -1088,16 +1220,13 @@ mod tests {
 
     #[test]
     fn line_words_agree_across_orientations_and_hold_exactly_the_played_marks() {
-        use nmcs_core::Rng;
         for variant in [Variant::Disjoint, Variant::Touching] {
             let roots = std::iter::once(cross_board(variant, 4)).chain(edge_boards(variant));
             for (i, root) in roots.enumerate() {
                 let mut b = root;
                 let mut rng = Rng::seeded(100 + i as u64);
                 assert_words_consistent(&b, &format!("{variant} board {i} root"));
-                while !b.candidates().is_empty() {
-                    let mv = b.candidates()[rng.below(b.candidates().len())];
-                    b.play_move(&mv);
+                while b.play_random(&mut rng, &mut Vec::new()).is_some() {
                     let what = format!("{variant} board {i} move {}", b.move_count());
                     assert_words_consistent(&b, &what);
                 }
@@ -1120,7 +1249,6 @@ mod tests {
 
     #[test]
     fn windows_through_matches_the_probe_loop_at_every_point() {
-        use nmcs_core::Rng;
         // The cross boards, the edge and wrap-trap boards, and random
         // positions reached from each of them.
         let mut boards = Vec::new();
@@ -1133,33 +1261,48 @@ mod tests {
                 let mut b = root.clone();
                 let mut rng = Rng::seeded(i as u64);
                 let mut steps = 0;
-                while !b.candidates().is_empty() {
+                loop {
                     if steps % 20 == 0 {
                         boards.push(b.clone());
                     }
-                    let mv = b.candidates()[rng.below(b.candidates().len())];
-                    b.play_move(&mv);
+                    if b.play_random(&mut rng, &mut Vec::new()).is_none() {
+                        break;
+                    }
                     steps += 1;
                 }
                 boards.push(b);
             }
         }
-        let (mut slide, mut keys, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+        // Each point goes through the build `play_key` picks for it, and
+        // through the clipped build, which is right everywhere.
+        let (mut keys, mut clipped, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut inner, mut edge) = (0, 0);
         for b in &boards {
             for y in 0..GRID {
                 for x in 0..GRID {
                     let q = Point::new(x, y);
-                    slide.clear();
+                    let through = DIRS.map(|d| line_of(q, d));
                     keys.clear();
+                    clipped.clear();
                     probes.clear();
-                    b.windows_through(q, &mut slide, &mut keys);
+                    if interior(q) {
+                        inner += 1;
+                        windows_through::<false>(&b.lines, b.variant, q, &through, &mut keys);
+                    } else {
+                        edge += 1;
+                        windows_through::<true>(&b.lines, b.variant, q, &through, &mut keys);
+                    }
+                    windows_through::<true>(&b.lines, b.variant, q, &through, &mut clipped);
                     probe_windows(b, q, &mut probes);
+                    let slide: Vec<Move> = keys.iter().map(|&k| decode(k)).collect();
                     assert_eq!(slide, probes, "{b:?} at {q}");
                     let want: Vec<u32> = probes.iter().map(kill_key).collect();
                     assert_eq!(keys, want, "{b:?} at {q}: keys");
+                    assert_eq!(clipped, want, "{b:?} at {q}: clipped build");
                 }
             }
         }
+        assert!(inner > 0 && edge > 0, "interior {inner}, edge {edge}");
     }
 
     #[test]
@@ -1169,21 +1312,19 @@ mod tests {
         // recompute and stable across variants (no lines played yet).
         let b5d = cross_board(Variant::Disjoint, 4);
         let b5t = cross_board(Variant::Touching, 4);
-        assert_eq!(b5d.candidates().len(), b5t.candidates().len());
-        assert_eq!(b5d.candidates().len(), b5d.recompute_candidates().len());
-        let n = b5d.candidates().len();
+        assert_eq!(moves(&b5d).len(), moves(&b5t).len());
+        assert_eq!(moves(&b5d).len(), b5d.recompute_candidates().len());
+        let n = moves(&b5d).len();
         assert_eq!(n, 28, "standard cross admits 28 first moves, got {n}");
     }
 
     #[test]
     fn score_equals_moves_played() {
-        use nmcs_core::Rng;
         let mut b = cross_board(Variant::Disjoint, 4);
         let mut rng = Rng::seeded(3);
         for i in 0..10 {
             assert_eq!(b.score(), i as Score);
-            let mv = b.candidates()[rng.below(b.candidates().len())];
-            b.play_move(&mv);
+            assert!(b.play_random(&mut rng, &mut Vec::new()).is_some());
         }
         assert_eq!(b.score(), 10);
         assert_eq!(b.moves_played(), 10);
@@ -1199,6 +1340,71 @@ mod tests {
             pos: 0,
         };
         b.play_move(&bogus);
+    }
+
+    #[test]
+    fn the_key_check_agrees_with_is_legal_on_every_key() {
+        // Every start field and `pos` (on the grid or not, legal or not),
+        // at positions every 15 moves along games from the edge and
+        // wrap-trap boards.
+        for variant in [Variant::Disjoint, Variant::Touching] {
+            for (i, mut b) in edge_boards(variant).into_iter().enumerate() {
+                let mut rng = Rng::seeded(i as u64);
+                let mut more = true;
+                while more {
+                    for start in 0..NLINES as u32 * 64 {
+                        for pos in 0..5 {
+                            let key = start << START_SHIFT | pos << POS_SHIFT;
+                            let m = decode(key);
+                            if in_bounds(m.start) {
+                                let (line, bit) = line_of(m.start, m.dir);
+                                assert_eq!(line as u32 * 64 + bit, start, "{m}");
+                            }
+                            let want = b.is_legal(&m);
+                            assert_eq!(b.key_is_legal(key, &m), want, "{b:?}: {m}");
+                        }
+                    }
+                    more = (0..15).all(|_| b.play_random(&mut rng, &mut Vec::new()).is_some());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stale_key_panics_in_the_random_step_in_every_build() {
+        // Three ways a cached key can go stale: its new point filled, its
+        // window marked, and a window that runs past the right edge (the
+        // only hole is off the grid), each the only key left to draw.
+        let stalings: [fn(&mut Board); 3] = [
+            |b| occupy(&mut b.lines, decode(b.kill[0]).new_point()),
+            |b| {
+                let (line, bit) = key_start(b.kill[0]);
+                b.lines[line].con |= 1 << bit;
+            },
+            |b| {
+                let y = GRID / 2;
+                for x in GRID - 4..GRID {
+                    occupy(&mut b.lines, Point::new(x, y));
+                }
+                let start = (y * GRID + GRID - 4) as u32;
+                b.kill[0] = ((y + 1) * GRID) as u32 | start << START_SHIFT | 4 << POS_SHIFT;
+            },
+        ];
+        for (i, stale) in stalings.into_iter().enumerate() {
+            let mut b = row_board(Variant::Disjoint, 4);
+            b.kill.truncate(1);
+            stale(&mut b);
+            let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b.play_random(&mut Rng::seeded(0), &mut Vec::new())
+            }));
+            let err = step.expect_err("a stale key must not be played");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.starts_with("illegal move"), "staling {i}: {msg}");
+        }
     }
 
     #[test]
@@ -1232,11 +1438,11 @@ mod tests {
     fn clone_is_independent() {
         let mut a = row_board(Variant::Disjoint, 4);
         let b = a.clone();
-        let mv = a.candidates()[0];
+        let mv = moves(&a)[0];
         a.play_move(&mv);
         assert_eq!(a.move_count(), 1);
         assert_eq!(b.move_count(), 0);
-        assert_eq!(b.candidates().len(), 2);
+        assert_eq!(moves(&b).len(), 2);
     }
 
     #[test]
@@ -1245,11 +1451,11 @@ mod tests {
         let (min0, max0) = b.extent();
         assert_eq!(max0.x - min0.x, 3);
         // Extend to the right if possible, else left.
-        let mv = *b
-            .candidates()
+        let moves = moves(&b);
+        let mv = *moves
             .iter()
             .find(|m| m.new_point().x > max0.x)
-            .unwrap_or(&b.candidates()[0]);
+            .unwrap_or(&moves[0]);
         b.play_move(&mv);
         let (min1, max1) = b.extent();
         assert!(max1.x - min1.x >= 4);

@@ -80,6 +80,7 @@ pub fn standard_5t() -> Board {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmcs_core::Game;
     use std::collections::HashSet;
 
     #[test]
@@ -138,7 +139,7 @@ mod tests {
         for n in [2, 3, 4] {
             let b = cross_board(Variant::Disjoint, n);
             assert!(
-                !b.candidates().is_empty(),
+                !b.is_terminal(),
                 "arm {n} cross should have at least one first move"
             );
         }

@@ -98,8 +98,9 @@ mod tests {
     #[test]
     fn played_points_get_their_move_number() {
         let mut b = cross_board(Variant::Disjoint, 4);
-        let mv = b.candidates()[0];
-        b.play(&mv);
+        let mut moves = Vec::new();
+        b.legal_moves(&mut moves);
+        b.play(&moves[0]);
         let art = render_default(&b);
         assert!(art.contains(" 1"), "first move should render as 1:\n{art}");
         assert_eq!(art.matches('o').count(), 36);
@@ -108,8 +109,9 @@ mod tests {
     #[test]
     fn unnumbered_mode_uses_stars() {
         let mut b = cross_board(Variant::Disjoint, 4);
-        let mv = b.candidates()[0];
-        b.play(&mv);
+        let mut moves = Vec::new();
+        b.legal_moves(&mut moves);
+        b.play(&moves[0]);
         let art = render(
             &b,
             &RenderOptions {

@@ -9,7 +9,7 @@
 //! * records round-trip through serialisation and replay.
 
 use pnmcs::morpion::{cross_board, Dir, GameRecord, Move, Point, Variant, DIRS};
-use pnmcs::search::Rng;
+use pnmcs::search::{Game, Rng};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -24,9 +24,10 @@ fn random_game(
     let mut board = cross_board(variant, arm);
     let mut rng = Rng::seeded(seed);
     let mut played = Vec::new();
-    while !board.candidates().is_empty() && played.len() < max_moves {
-        let mv = board.candidates()[rng.below(board.candidates().len())];
-        board.play_move(&mv);
+    while played.len() < max_moves {
+        let Some(mv) = board.play_random(&mut rng, &mut Vec::new()) else {
+            break;
+        };
         played.push(mv);
     }
     (board, played)
@@ -104,14 +105,15 @@ proptest! {
         for variant in [Variant::Disjoint, Variant::Touching] {
             let mut board = cross_board(variant, 3);
             let mut rng = Rng::seeded(seed);
+            let mut cached = Vec::new();
             for _ in 0..stop {
-                if board.candidates().is_empty() {
+                board.legal_moves_into(&mut cached);
+                if cached.is_empty() {
                     break;
                 }
-                let mv = board.candidates()[rng.below(board.candidates().len())];
-                board.play_move(&mv);
+                board.play_move(&cached[rng.below(cached.len())]);
             }
-            let mut cached: Vec<Move> = board.candidates().to_vec();
+            board.legal_moves_into(&mut cached);
             let mut full = board.recompute_candidates();
             let key = |m: &Move| (m.start.y, m.start.x, m.dir.index(), m.pos);
             cached.sort_by_key(key);
@@ -155,13 +157,10 @@ proptest! {
 
     #[test]
     fn scores_are_monotone_along_games(seed in 0u64..1000) {
-        use pnmcs::search::Game;
         let mut board = cross_board(Variant::Disjoint, 3);
         let mut rng = Rng::seeded(seed);
         let mut prev = board.score();
-        while !board.candidates().is_empty() {
-            let mv = board.candidates()[rng.below(board.candidates().len())];
-            board.play_move(&mv);
+        while board.play_random(&mut rng, &mut Vec::new()).is_some() {
             prop_assert_eq!(board.score(), prev + 1);
             prev = board.score();
         }

@@ -9,13 +9,21 @@
 //!   legal-move cache along with the game, gets a bit-identical report —
 //!   score, sequence, counters, interruption — from every serial backend
 //!   and the width-1 shared-tree paths, once its index sequence is
-//!   decoded.
+//!   decoded;
+//! * the random step is the default step draw for draw: a
+//!   [`PlayoutScratch::run`] playout, which steps by
+//!   [`Game::play_random`] (Morpion overrides it), plays the same moves
+//!   to the same score and leaves the RNG where a written-out
+//!   `legal_moves_into` + `swap_remove(rng.below(n))` + `play` loop does,
+//!   for every domain and its [`DynGame`] erasure.
 
 use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
-use pnmcs::morpion::{cross_board, Variant};
+use pnmcs::morpion::{
+    cross_board, cross_points, standard_5d, standard_5t, Board, Point, Variant, STANDARD_ARM,
+};
 use pnmcs::search::{
-    decode_report, AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, Rng,
-    SearchSpec, UctConfig,
+    decode_report, AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig,
+    PlayoutScratch, Rng, SearchCtx, SearchSpec, UctConfig,
 };
 use proptest::prelude::*;
 
@@ -123,8 +131,84 @@ where
     }
 }
 
+/// Plays `lead` random moves from `root`, then one playout through
+/// [`PlayoutScratch::run`] and one by the default step written out, each
+/// from that position with a generator seeded `seed`: the same moves, the
+/// same score and position, and the same next draw of the generator.
+fn assert_step_is_the_default<G: Game>(root: &G, seed: u64, lead: usize) {
+    let mut start = root.clone();
+    let mut lead_rng = Rng::seeded(!seed);
+    let mut moves = Vec::new();
+    for _ in 0..lead {
+        start.legal_moves_into(&mut moves);
+        if moves.is_empty() {
+            break;
+        }
+        start.play(&moves[lead_rng.below(moves.len())]);
+    }
+
+    let (mut hooked, mut rng, mut seq) = (start.clone(), Rng::seeded(seed), Vec::new());
+    let mut ctx = SearchCtx::unbounded();
+    let score = PlayoutScratch::new().run(&mut hooked, &mut rng, None, &mut seq, &mut ctx);
+
+    let (mut plain, mut plain_rng, mut plain_seq) = (start, Rng::seeded(seed), Vec::new());
+    loop {
+        plain.legal_moves_into(&mut moves);
+        if moves.is_empty() {
+            break;
+        }
+        let mv = moves.swap_remove(plain_rng.below(moves.len()));
+        plain.play(&mv);
+        plain_seq.push(mv);
+    }
+    assert_eq!(seq, plain_seq, "moves");
+    assert_eq!(score, plain.score(), "score");
+    assert_eq!(observe(&hooked), observe(&plain), "final position");
+    assert_eq!(rng.next_u64(), plain_rng.next_u64(), "generator state");
+}
+
+/// [`assert_step_is_the_default`] on `game` and on its erasure.
+fn assert_step_is_the_default_typed_and_erased<G>(game: &G, seed: u64, lead: usize)
+where
+    G: CodedGame + Send + Sync + 'static,
+    G::Move: Send + Sync,
+{
+    assert_step_is_the_default(game, seed, lead);
+    assert_step_is_the_default(&DynGame::new(game.clone()), seed, lead);
+}
+
+/// The standard cross moved into the grid's top-left corner: its points
+/// touch the first row and column, so its playouts take the board's
+/// clipped slide.
+fn corner_cross(variant: Variant) -> Board {
+    let pts = cross_points(STANDARD_ARM);
+    let min_x = pts.iter().map(|p| p.x).min().unwrap_or(0);
+    let min_y = pts.iter().map(|p| p.y).min().unwrap_or(0);
+    let pts = pts.iter().map(|p| Point::new(p.x - min_x, p.y - min_y));
+    Board::from_points(variant, pts.collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn random_step_is_the_default_step(seed in 0u64..1000, lead in 0usize..4) {
+        assert_step_is_the_default_typed_and_erased(&SameGame::random(6, 6, 3, seed), seed, lead);
+        let tsp = TspGame::new(TspInstance::random(8, seed), None);
+        assert_step_is_the_default_typed_and_erased(&tsp, seed, lead);
+        assert_step_is_the_default_typed_and_erased(&Sudoku::puzzle(3, 30, seed), seed, lead);
+        assert_step_is_the_default_typed_and_erased(&SumGame::random(5, 3, seed), seed, lead);
+        assert_step_is_the_default_typed_and_erased(&NeedleLadder::new(7), seed, lead);
+        for board in [
+            standard_5d(),
+            standard_5t(),
+            cross_board(Variant::Disjoint, 3),
+            corner_cross(Variant::Disjoint),
+            corner_cross(Variant::Touching),
+        ] {
+            assert_step_is_the_default_typed_and_erased(&board, seed, lead);
+        }
+    }
 
     #[test]
     fn samegame_round_trips(seed in 0u64..500, w in 5usize..10, h in 5usize..10) {

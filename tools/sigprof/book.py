@@ -22,10 +22,12 @@ and booked twice:
   contains FUNC: a sample goes to the line of that function it was in,
   or that called the inlined code it was in.
 
-A stripped object such as the system libc resolves only to its exported
-symbols, so a sample in a local function (glibc's `memcpy` variants,
-malloc's internals) is booked under the exported name just below it.
-Read its lines as address ranges, not as functions.
+A stripped object such as the system libc has no symbols but its
+exported ones. A sample inside an exported function (its size from
+`nm -D -S`) is booked under its name; a sample past that function's end
+is in a local one (glibc's `memcpy` variants, malloc's internals) and is
+booked as `<unexported after SYM>`, SYM being the exported function
+just below it. Read those lines as address ranges, not as functions.
 """
 
 import argparse
@@ -105,6 +107,37 @@ def resolve(obj, addrs):
     return chains
 
 
+def exported_functions(obj):
+    """A stripped object's exported functions as sorted (address, size,
+    name), one per address (the largest of its aliases), from
+    `nm -D -S`; None if the object has its own symbol table, which
+    addr2line reads."""
+    own = subprocess.run(["nm", obj], capture_output=True, text=True).stdout
+    if own.strip():
+        return None
+    out = subprocess.run(
+        ["nm", "-D", "-S", "--defined-only", obj], capture_output=True, text=True
+    ).stdout
+    by_addr = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 4 and parts[2] in "TtWwi":
+            addr, size = int(parts[0], 16), int(parts[1], 16)
+            if size > by_addr.get(addr, (0, ""))[0]:
+                by_addr[addr] = (size, parts[3].split("@")[0])
+    return sorted((addr, size, name) for addr, (size, name) in by_addr.items())
+
+
+def bounded_name(syms, addr):
+    """The exported function `addr` lies in, or `<unexported after SYM>`
+    past the end of the nearest one below it."""
+    k = bisect.bisect_right(syms, (addr, float("inf"), "")) - 1
+    if k < 0:
+        return "<unexported before any export>"
+    start, size, name = syms[k]
+    return name if addr < start + size else f"<unexported after {name}>"
+
+
 def shorten(name, width=90):
     return name if len(name) <= width else name[: width - 1] + "…"
 
@@ -147,6 +180,10 @@ def main():
         segs = load_segments(obj)
         vaddrs = [to_vaddr(segs, off) for off in by_obj[obj]]
         chains = resolve(obj, sorted(set(vaddrs)))
+        syms = exported_functions(obj)
+        if syms:
+            for a, chain in chains.items():
+                chains[a] = [(bounded_name(syms, a), chain[0][1] if chain else "??:0")]
         inner, funcs, lines = collections.Counter(), collections.Counter(), collections.Counter()
         for a in vaddrs:
             chain = chains.get(a) or [("??", "??:0")]
