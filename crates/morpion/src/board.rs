@@ -280,7 +280,7 @@ impl Board {
             initial: std::sync::Arc::new(initial),
             origin: min,
         };
-        board.kill = board.recompute_candidates().iter().map(kill_key).collect();
+        board.kill = board.initial_candidates().iter().map(kill_key).collect();
         board
     }
 
@@ -462,6 +462,43 @@ impl Board {
             dir,
             pos: holes.trailing_zeros() as u8,
         })
+    }
+
+    /// The legal moves of a board that holds only its initial points, in
+    /// [`Board::recompute_candidates`]' (y, x, direction) order, probing
+    /// only the windows through an initial point: with no line drawn, a
+    /// legal window holds four initial points, so its start is `p − k·e`
+    /// (`k ∈ 0..5`) for one of them.
+    fn initial_candidates(&self) -> Vec<Move> {
+        // One bit per (start, direction) at `(y · GRID + x) · 4 + d`: the
+        // set bits, read in index order, are the probe loop's windows
+        // without repeats.
+        const WORDS: usize = GRID as usize * GRID as usize * DIRS.len() / 64;
+        let mut starts = [0u64; WORDS];
+        for &p in self.initial.iter() {
+            for (d, dir) in DIRS.into_iter().enumerate() {
+                for k in 0..5 {
+                    let start = p.step(dir, -k);
+                    if in_bounds(start) {
+                        let i = cell_index(start) * DIRS.len() + d;
+                        starts[i / 64] |= 1 << (i % 64);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (w, mut bits) in starts.into_iter().enumerate() {
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let cell = (i / DIRS.len()) as i16;
+                let start = Point::new(cell % GRID, cell / GRID);
+                if let Some(mv) = self.check_window(start, DIRS[i % DIRS.len()]) {
+                    out.push(mv);
+                }
+            }
+        }
+        out
     }
 
     /// Recomputes the legal-move list from scratch (O(grid²)); the
@@ -1130,6 +1167,45 @@ mod tests {
             out.push(Board::from_points(variant, pts));
         }
         out
+    }
+
+    #[test]
+    fn the_first_key_list_is_the_full_probe_loop() {
+        let mut boards = vec![crate::cross::standard_5d(), crate::cross::standard_5t()];
+        let mut rng = Rng::seeded(44);
+        for variant in [Variant::Disjoint, Variant::Touching] {
+            boards.extend(crate::cross::ARMS.map(|n| cross_board(variant, n)));
+            boards.extend(edge_boards(variant));
+            // Random point sets: dense enough in a 10x10 box for
+            // one-hole windows, the box anywhere on the grid, corners too.
+            for _ in 0..40 {
+                let (ox, oy) = (rng.below(55) as i16, rng.below(55) as i16);
+                let mut pts = Vec::new();
+                for y in 0..10 {
+                    for x in 0..10 {
+                        if rng.chance(0.55) {
+                            pts.push(Point::new(ox + x, oy + y));
+                        }
+                    }
+                }
+                if pts.is_empty() {
+                    pts.push(Point::new(ox, oy));
+                }
+                boards.push(Board::from_points(variant, pts));
+            }
+        }
+        let mut moves_seen = 0;
+        for (i, b) in boards.iter().enumerate() {
+            let full = b.recompute_candidates();
+            assert_eq!(b.initial_candidates(), full, "board {i}");
+            let keys: Vec<u32> = full.iter().map(kill_key).collect();
+            assert_eq!(b.kill, keys, "board {i}");
+            moves_seen += full.len();
+        }
+        assert!(
+            moves_seen > 1000,
+            "the boards have moves to find: {moves_seen}"
+        );
     }
 
     #[test]

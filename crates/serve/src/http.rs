@@ -4,6 +4,13 @@
 //! fixed or chunked responses out, pipelined requests answered in order. No TLS, no compression, no HTTP/2; curl and any
 //! standard client speak this subset.
 //!
+//! Every message goes out in one `write`: a fixed response's head and
+//! body, a chunk's size line, payload and CRLF, and the terminator are
+//! each built in one buffer first. The socket runs with `TCP_NODELAY`,
+//! so a message written in parts would leave as several segments and
+//! wake the client once per part. The writers take any [`Write`], which
+//! is how the tests hold the bytes and the write count.
+//!
 //! Hard limits protect the server from hostile peers: headers are
 //! capped at [`MAX_HEAD_BYTES`], bodies at the caller's `max_body`, and
 //! both sides run under socket read/write timeouts set by the
@@ -262,13 +269,18 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a fixed-length response.
+/// Writes a fixed-length response, head and body in one `write_all`
+/// from one buffer sized for both.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     resp: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    // The head's fixed text, the status and the length come to well
+    // under 160 bytes. Writing into a `Vec` cannot fail.
+    let mut message = Vec::with_capacity(160 + resp.content_type.len() + resp.body.len());
+    let _ = write!(
+        message,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
         reason(resp.status),
@@ -276,22 +288,23 @@ pub fn write_response(
         resp.body.len()
     );
     if let Some(secs) = resp.retry_after_secs {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
+        let _ = write!(message, "Retry-After: {secs}\r\n");
     }
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n\r\n"
+    let connection: &[u8] = if keep_alive {
+        b"Connection: keep-alive\r\n\r\n"
     } else {
-        "Connection: close\r\n\r\n"
-    });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+        b"Connection: close\r\n\r\n"
+    };
+    message.extend_from_slice(connection);
+    message.extend_from_slice(&resp.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
 /// Starts a chunked (streaming) 200 response. Follow with
 /// [`write_chunk`] per payload and [`finish_chunks`] to terminate. The
 /// connection always closes after a stream.
-pub fn start_chunked(stream: &mut TcpStream, content_type: &str) -> std::io::Result<()> {
+pub fn start_chunked(stream: &mut impl Write, content_type: &str) -> std::io::Result<()> {
     let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
     );
@@ -299,17 +312,21 @@ pub fn start_chunked(stream: &mut TcpStream, content_type: &str) -> std::io::Res
     stream.flush()
 }
 
-/// Writes one chunk. A write error means the client went away — the
-/// caller stops streaming.
-pub fn write_chunk(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(format!("{:x}\r\n", payload.len()).as_bytes())?;
-    stream.write_all(payload)?;
-    stream.write_all(b"\r\n")?;
+/// Writes one chunk — size line, payload and closing CRLF in one
+/// `write_all`. A write error means the client went away — the caller
+/// stops streaming.
+pub fn write_chunk(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    // A size line of at most 16 hex digits and two CRLFs.
+    let mut chunk = Vec::with_capacity(payload.len() + 20);
+    let _ = write!(chunk, "{:x}\r\n", payload.len());
+    chunk.extend_from_slice(payload);
+    chunk.extend_from_slice(b"\r\n");
+    stream.write_all(&chunk)?;
     stream.flush()
 }
 
 /// Terminates a chunked response.
-pub fn finish_chunks(stream: &mut TcpStream) -> std::io::Result<()> {
+pub fn finish_chunks(stream: &mut impl Write) -> std::io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }
@@ -331,6 +348,100 @@ mod tests {
             ]
         );
         assert_eq!(split_target("/metrics").0, "/metrics");
+    }
+
+    /// A writer that records the bytes and counts the calls that hand it
+    /// bytes (`write` and `write_all` alike).
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes of a response as the two-write writer sent them: the
+    /// head formatted on its own, then the body.
+    fn head_then_body(resp: &Response, keep_alive: bool) -> Vec<u8> {
+        let mut head = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            resp.status,
+            reason(resp.status),
+            resp.content_type,
+            resp.body.len()
+        );
+        if let Some(secs) = resp.retry_after_secs {
+            head.push_str(&format!("Retry-After: {secs}\r\n"));
+        }
+        head.push_str(if keep_alive {
+            "Connection: keep-alive\r\n\r\n"
+        } else {
+            "Connection: close\r\n\r\n"
+        });
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&resp.body);
+        out
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_head_then_body_bytes() {
+        let bodies = [
+            Response::json(200, r#"{"state":"completed"}"#.to_string()),
+            Response::json(202, r#"{"job":7}"#.to_string()),
+            Response::json(400, r#"{"error":"bad"}"#.to_string()),
+            Response::json(404, String::new()),
+            Response::json(405, "x".to_string()),
+            Response::json(413, "y".repeat(300)),
+            Response::json(429, r#"{"error":"quota"}"#.to_string()).with_retry_after(2),
+            Response::json(503, r#"{"error":"full"}"#.to_string()).with_retry_after(1),
+            Response::json(500, "z".repeat(70_000)),
+            Response::text(200, "ok\n".to_string()),
+        ];
+        for resp in &bodies {
+            for keep_alive in [true, false] {
+                let mut out = CountingWriter::default();
+                write_response(&mut out, resp, keep_alive).unwrap();
+                assert_eq!(out.writes, 1, "{} keep_alive={keep_alive}", resp.status);
+                assert_eq!(
+                    out.bytes,
+                    head_then_body(resp, keep_alive),
+                    "{} keep_alive={keep_alive}",
+                    resp.status
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_is_one_write_of_size_line_payload_and_crlf() {
+        for payload in [&b""[..], b"{}\n", &[b'a'; 4096]] {
+            let mut out = CountingWriter::default();
+            write_chunk(&mut out, payload).unwrap();
+            assert_eq!(out.writes, 1);
+            let mut expected = format!("{:x}\r\n", payload.len()).into_bytes();
+            expected.extend_from_slice(payload);
+            expected.extend_from_slice(b"\r\n");
+            assert_eq!(out.bytes, expected);
+        }
+        let mut out = CountingWriter::default();
+        finish_chunks(&mut out).unwrap();
+        assert_eq!((out.writes, &out.bytes[..]), (1, &b"0\r\n\r\n"[..]));
     }
 
     #[test]

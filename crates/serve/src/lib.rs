@@ -250,11 +250,12 @@ fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>) {
         };
         let keep_alive = request.keep_alive();
         let started = monotonic_now();
-        let routed = route(&request, &ctx);
+        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+        let routed = route(&request, &segments, &ctx);
         // For streaming routes this measures routing + setup; the
         // stream's own lifetime is the client's choice, not a latency.
         ctx.metrics
-            .record_route(route_label(&request), started.elapsed());
+            .record_route(route_label(&request.method, &segments), started.elapsed());
         match routed {
             Routed::Plain(resp) => {
                 if http::write_response(&mut stream, &resp, keep_alive).is_err() || !keep_alive {
@@ -279,9 +280,8 @@ enum Routed {
 /// The route template a request resolves to — the label of the edge's
 /// per-route latency histogram (a closed static set, so recording
 /// never allocates after a route's first sight).
-fn route_label(req: &Request) -> &'static str {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+fn route_label(method: &str, segments: &[&str]) -> &'static str {
+    match (method, segments) {
         ("POST", ["jobs"]) => "POST /jobs",
         ("GET", ["jobs", _]) => "GET /jobs/{id}",
         ("DELETE", ["jobs", _]) => "DELETE /jobs/{id}",
@@ -295,9 +295,8 @@ fn route_label(req: &Request) -> &'static str {
     }
 }
 
-fn route(req: &Request, ctx: &ServerCtx) -> Routed {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+fn route(req: &Request, segments: &[&str], ctx: &ServerCtx) -> Routed {
+    match (req.method.as_str(), segments) {
         ("POST", ["jobs"]) => Routed::Plain(submit(req, ctx)),
         ("GET", ["jobs", id]) => match id.parse::<JobId>() {
             Err(_) => Routed::Plain(json_error(404, "no such job", None)),

@@ -1,12 +1,13 @@
-//! Allocation counts of the HTTP front door's job directory — the
-//! dynamic proof that `POST /jobs` asks each retained job a flag and
-//! copies nothing, and that a server's heap does not follow the number
-//! of jobs it has served.
+//! Allocation and lock counts of the HTTP front door's job directory —
+//! the dynamic proof that `POST /jobs` neither copies nor locks in
+//! proportion to the finished jobs retained, and that a server's heap
+//! does not follow the number of jobs it has served.
 //!
 //! Like `tests/alloc_playout.rs` this is its own test binary because it
 //! installs [`alloc_counter::CountingAllocator`] as the global
-//! allocator; no other binary is affected. The two tests share the
+//! allocator; no other binary is affected. The tests share the
 //! process-wide gauges, so they take [`SERIAL`] and run one at a time.
+//! The lock counts exist in debug builds only and are per thread.
 
 #![allow(
     clippy::disallowed_methods,
@@ -49,12 +50,9 @@ fn finished_job(engine: &Engine, seed: u64) -> pnmcs::engine::JobHandle {
     handle
 }
 
-/// `(allocations of one tenant_inflight, allocations of one insert)` on
-/// a directory already holding `fill` terminal entries of the same
-/// tenant. The inserted job is terminal too, so at `fill == RETAIN` the
-/// insert runs all three walks: the quota gauge's, the terminal count
-/// and the evicting `retain`.
-fn submit_path_allocations(fill: usize) -> (u64, u64) {
+/// A one-worker engine and a directory already holding `fill` terminal
+/// entries of tenant `acme`, plus one more finished job to insert.
+fn filled_directory(fill: usize) -> (Engine, JobDirectory, pnmcs::engine::JobHandle) {
     let engine = Engine::start(EngineConfig {
         workers: 1,
         queue_capacity: 8,
@@ -66,7 +64,15 @@ fn submit_path_allocations(fill: usize) -> (u64, u64) {
     }
     assert_eq!(dir.len(), fill);
     let fresh = finished_job(&engine, fill as u64);
+    (engine, dir, fresh)
+}
 
+/// `(allocations of one tenant_inflight, allocations of one insert)` on
+/// a directory already holding `fill` terminal entries of the same
+/// tenant. The inserted job is terminal too, so at `fill == RETAIN` the
+/// insert retires it and evicts the oldest entry.
+fn submit_path_allocations(fill: usize) -> (u64, u64) {
+    let (engine, dir, fresh) = filled_directory(fill);
     let (gauge, inflight) = count_allocs(|| dir.tenant_inflight("acme"));
     assert_eq!(inflight, 0, "every entry is terminal");
     let (insert, ()) = count_allocs(|| dir.insert("acme", fresh));
@@ -75,25 +81,61 @@ fn submit_path_allocations(fill: usize) -> (u64, u64) {
     (gauge, insert)
 }
 
-/// One submit's two directory calls allocate the same whether the
-/// directory holds nothing or a full retention's worth of finished
-/// jobs: the gauge nothing at all, the insert twice (the entry's tenant
-/// `String`, and the entry `Vec` growing — from empty at fill 0, past
-/// its 256th slot at fill 256).
+/// One submit's two directory calls allocate no more on a directory
+/// holding a full retention's worth of finished jobs than on an empty
+/// one: the gauge nothing at all; the insert the entry's tenant
+/// `String`, and at fill 0 also the first slot of the empty live list.
+/// At fill 256 the live list reuses the capacity earlier inserts grew,
+/// and the terminal list was sized for the bound when the directory
+/// was made, so the tenant `String` is all.
 ///
-/// At the parent commit, where the three walks called `try_output()`
-/// and dropped the `JobOutput` it built (name, best replica, the
-/// replica list, each replica's move sequence: 4 allocations a job),
-/// the same calls at fill 256 allocated 1024 times in `tenant_inflight`
-/// and 1034 times in `insert` (2 058 a submit; debug and release
-/// alike), and at fill 0, 0 and 6.
+/// When one `Vec` held every entry, the insert allocated twice at both
+/// fills (the `Vec` growing from empty at fill 0, past its 256th slot
+/// at fill 256). Before that, when the walks called `try_output()` and
+/// dropped the `JobOutput` it built (name, best replica, the replica
+/// list, each replica's move sequence: 4 allocations a job), the same
+/// calls at fill 256 allocated 1024 times in `tenant_inflight` and
+/// 1034 times in `insert` (2 058 a submit; debug and release alike),
+/// and at fill 0, 0 and 6.
 #[test]
 fn a_submit_allocates_the_same_on_an_empty_and_a_full_directory() {
     let _one_at_a_time = serial();
     let empty = submit_path_allocations(0);
     let full = submit_path_allocations(RETAIN);
     assert_eq!(empty, (0, 2), "fill 0: (tenant_inflight, insert)");
-    assert_eq!(full, (0, 2), "fill {RETAIN}: (tenant_inflight, insert)");
+    assert_eq!(full, (0, 1), "fill {RETAIN}: (tenant_inflight, insert)");
+}
+
+/// `(locks of one tenant_inflight, locks of one insert)` on the
+/// directory of [`submit_path_allocations`], counted by the debug-only
+/// per-thread [`parking_lot::lock_acquisitions`].
+#[cfg(debug_assertions)]
+fn submit_path_locks(fill: usize) -> (u64, u64) {
+    let (engine, dir, fresh) = filled_directory(fill);
+    let before = parking_lot::lock_acquisitions();
+    assert_eq!(dir.tenant_inflight("acme"), 0, "every entry is terminal");
+    let gauge = parking_lot::lock_acquisitions() - before;
+    let before = parking_lot::lock_acquisitions();
+    dir.insert("acme", fresh);
+    let insert = parking_lot::lock_acquisitions() - before;
+    engine.shutdown();
+    (gauge, insert)
+}
+
+/// The submit path's locks do not follow the finished jobs retained:
+/// the gauge takes the directory's lock and asks no handle (every
+/// retained entry is in the terminal list), and the insert takes the
+/// directory's lock and asks the one live entry, the new job. When one
+/// `Vec` held every entry, each walk asked every handle: 257 and 259
+/// locks at fill 256.
+#[cfg(debug_assertions)]
+#[test]
+fn a_submit_takes_the_same_locks_on_an_empty_and_a_full_directory() {
+    let _one_at_a_time = serial();
+    let empty = submit_path_locks(0);
+    let full = submit_path_locks(RETAIN);
+    assert_eq!(empty, (1, 2), "fill 0: (tenant_inflight, insert)");
+    assert_eq!(full, (1, 2), "fill {RETAIN}: (tenant_inflight, insert)");
 }
 
 /// One keep-alive client: POST a tiny job, wait for it, repeat.
