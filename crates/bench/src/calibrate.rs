@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn fit_handles_tiny_real_traces() {
         let g = SumGame::random(4, 3, 2);
-        let (_, trace) = run_reference(&g, 2, 1, RunMode::FullGame, None);
+        let (_, trace) = run_reference(&g, 2, 1, RunMode::FullGame);
         let fit = fit_model(&trace, 0.35);
         assert!(fit.game_len >= 4);
         assert!(fit.branching0 >= 1.0);

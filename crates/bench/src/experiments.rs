@@ -116,7 +116,7 @@ impl Experiments {
     /// record; FullGame ≈ 1–2 min.
     pub fn real_trace(&self, mode: RunMode) -> SearchTrace {
         let board = standard_5d();
-        let (_, trace) = run_reference(&board, 2, self.seed, mode, None);
+        let (_, trace) = run_reference(&board, 2, self.seed, mode);
         trace
     }
 

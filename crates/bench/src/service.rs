@@ -99,7 +99,7 @@ pub fn slo_snapshot(n_jobs: usize, seed: u64) -> MetricsSnapshot {
             .submit(JobSpec::uncoded(
                 "slo-panic",
                 FaultyGame::default(),
-                Algorithm::Sample,
+                Algorithm::nested(0),
                 seed,
             ))
             .expect("engine accepting"),

@@ -50,6 +50,13 @@ fn a_bad_flag_value_prints_usage_and_exits_2() {
     assert_refused(&["--table", "9"], "no table 9");
     assert_refused(&["--figure", "2"], "no figure 2");
     assert_refused(&["--spec", "{"], "--spec JSON did not parse");
+    for kind in ["iterated_sampling", "simulated_annealing"] {
+        let spec = format!(r#"{{"algorithm":{{"kind":"{kind}"}},"seed":1}}"#);
+        assert_refused(
+            &["--spec", &spec],
+            &format!("unknown algorithm kind `{kind}`"),
+        );
+    }
     let spec = r#"{"algorithm":{"kind":"sample"},"budget":{},"seed":1}"#;
     assert_refused(&["--spec", spec, "--game", "chess"], "unknown game 'chess'");
 }

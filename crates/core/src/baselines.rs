@@ -14,7 +14,6 @@ use crate::ctx::SearchCtx;
 use crate::game::{Game, Score};
 use crate::rng::Rng;
 use crate::search::Walker;
-use serde::{Deserialize, Serialize};
 
 /// Flat Monte-Carlo search: play `n` independent random games from `game`
 /// and keep the best.
@@ -40,7 +39,7 @@ pub fn flat_monte_carlo_with<G: Game>(
         }
         seq.clear();
         let root = walker.mark();
-        let score = walker.rollout(rng, None, &mut seq, ctx);
+        let score = walker.rollout(rng, &mut seq, ctx);
         walker.rewind(root);
         if score > best_score {
             best_score = score;
@@ -56,10 +55,10 @@ pub fn flat_monte_carlo_with<G: Game>(
 ///
 /// Equivalent to a level-1 NMCS when `n == 1` except for the absence of
 /// sequence memory; with larger `n` it is the classic "rollout algorithm"
-/// of Tesauro & Galperin applied with a uniform random base policy. The
-/// engine room of `SearchSpec::iterated_sampling`. On interruption the
-/// game stops where it stands; the played prefix and its score stay
-/// consistent.
+/// of Tesauro & Galperin applied with a uniform random base policy. A
+/// library function only, for ablation A5: no spec kind runs it. On
+/// interruption the game stops where it stands; the played prefix and its
+/// score stay consistent.
 pub fn iterated_sampling_with<G: Game>(
     game: &G,
     n: usize,
@@ -92,7 +91,7 @@ pub fn iterated_sampling_with<G: Game>(
                 seq.clear();
                 let mark = walker.mark();
                 walker.play(mv);
-                let s = walker.rollout(rng, None, &mut seq, ctx);
+                let s = walker.rollout(rng, &mut seq, ctx);
                 walker.rewind(mark);
                 if best.is_none_or(|(bs, _)| s > bs) {
                     best = Some((s, i));
@@ -111,8 +110,8 @@ pub fn iterated_sampling_with<G: Game>(
 }
 
 /// Configuration for the simulated-annealing baseline
-/// (`SearchSpec::simulated_annealing`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// ([`simulated_annealing_with`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
     /// Total iterations (neighbour proposals).
     pub iterations: usize,
@@ -143,7 +142,7 @@ impl Default for AnnealingConfig {
 /// for permutation-free games). Standard Metropolis acceptance with a
 /// geometric cooling schedule.
 ///
-/// The engine room of `SearchSpec::simulated_annealing`.
+/// A library function only, for ablation A5: no spec kind runs it.
 /// Budget/cancellation polls happen once per proposal and once per
 /// replayed move — and never touch the RNG, so an unhit budget is
 /// bit-identical to the unbudgeted run. An

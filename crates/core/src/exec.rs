@@ -122,25 +122,16 @@ where
     }
 }
 
-/// The width, evaluation settings and root seed one parallel run fans
-/// out with.
+/// The width and root seed one parallel run fans out with.
 pub(crate) struct Fan {
     threads: usize,
-    config: NestedConfig,
     seed: u64,
 }
 
 impl Fan {
-    pub(crate) fn new(threads: usize, playout_cap: Option<usize>, seed: u64) -> Self {
+    pub(crate) fn new(threads: usize, seed: u64) -> Self {
         assert!(threads >= 1, "a parallel search needs threads >= 1");
-        Fan {
-            threads,
-            config: NestedConfig {
-                playout_cap,
-                ..NestedConfig::paper()
-            },
-            seed,
-        }
+        Fan { threads, seed }
     }
 
     /// Fans `items` work indices out over up to `threads` batch slots on
@@ -219,7 +210,14 @@ where
             let (i, slot_idx) = (idx / batch, idx % batch);
             let mut rng = Rng::seeded(slot_seed(fan.seed, step, i, slot_idx));
             let mut eval = evals[slot].lock();
-            let score = eval.eval(pos, &moves[i], eval_level, &fan.config, &mut rng, wctx);
+            let score = eval.eval(
+                pos,
+                &moves[i],
+                eval_level,
+                &NestedConfig::paper(),
+                &mut rng,
+                wctx,
+            );
             (score, 1)
         });
         // A move scores the best of its batch; a move whose whole batch
@@ -256,7 +254,7 @@ where
             let mut median_pos = pos.clone();
             median_pos.play(&moves[i]);
             let mseed = median_seed(fan.seed, step, i);
-            median_game(median_pos, client_level, mseed, &fan.config, wctx)
+            median_game(median_pos, client_level, mseed, wctx)
         })
     })
 }
@@ -269,7 +267,6 @@ fn median_game<G: Game>(
     pos: G,
     client_level: u32,
     mseed: u64,
-    config: &NestedConfig,
     ctx: &mut SearchCtx,
 ) -> (Score, u64) {
     let mut eval = Evaluator::new(&pos);
@@ -280,7 +277,7 @@ fn median_game<G: Game>(
                 break;
             }
             let mut rng = Rng::seeded(client_seed(mseed, mstep, j));
-            let score = eval.eval(pos, mv, client_level, config, &mut rng, ctx);
+            let score = eval.eval(pos, mv, client_level, &NestedConfig::paper(), &mut rng, ctx);
             scores.push(Some(score));
         }
         let jobs = scores.len() as u64;

@@ -60,9 +60,12 @@ impl<G: Game> PlayoutScratch<G> {
     /// Plays a uniformly random game forward on a *disposable* position
     /// (mutating it to the terminal position), appending the moves played
     /// to `seq`, and returns the final score. This is the one random
-    /// playout loop; [`sample_into`], [`sample`], level-0 [`nested_with`]
-    /// and every walker rollout sit on top of it. Each step is one
-    /// [`Game::play_random`].
+    /// playout loop; [`sample`], level-0 [`nested_with`] and every walker
+    /// rollout sit on top of it. Each step is one [`Game::play_random`].
+    ///
+    /// `cap` stops the playout after that many moves (`None` plays to
+    /// the end). No search passes anything but `None`: it stays only
+    /// because the perf ledger passes it by position.
     ///
     /// Budget/cancellation polls go through `ctx` — one check per playout
     /// move, the shared choke point every backend's playouts pass through.
@@ -99,8 +102,8 @@ impl<G: Game> PlayoutScratch<G> {
     /// restores `game` to its entry state with [`Game::undo_all`] before
     /// returning, paying one snapshot per move.
     ///
-    /// No search calls it: they restore by copy. Kept because the perf
-    /// ledger still names it.
+    /// No search calls it: they restore by copy. Kept, with its `cap`,
+    /// because the perf ledger still names it.
     pub fn run_undo(
         &mut self,
         game: &mut G,
@@ -215,11 +218,10 @@ impl<G: Game> Walker<G> {
     pub(crate) fn rollout(
         &mut self,
         rng: &mut Rng,
-        cap: Option<usize>,
         seq: &mut Vec<G::Move>,
         ctx: &mut SearchCtx,
     ) -> Score {
-        self.playout.run(&mut self.pos, rng, cap, seq, ctx)
+        self.playout.run(&mut self.pos, rng, None, seq, ctx)
     }
 }
 
@@ -289,9 +291,7 @@ impl<G: Game> Evaluator<G> {
     ) -> Score {
         self.seq.clear();
         if level == 0 {
-            return self
-                .walker
-                .rollout(rng, config.playout_cap, &mut self.seq, ctx);
+            return self.walker.rollout(rng, &mut self.seq, ctx);
         }
         if self.levels.len() < level as usize {
             self.levels.resize_with(level as usize, LevelBufs::default);
@@ -349,28 +349,16 @@ pub enum MemoryPolicy {
     Greedy,
 }
 
-/// Tunables for [`nested_with`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Tunables for [`nested_with`]. Playouts always run to the end of the
+/// game.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct NestedConfig {
     /// Cross-step memory policy.
     pub memory: MemoryPolicy,
-    /// Hard cap on the number of moves a single random playout may make;
-    /// `None` plays to termination. Used by scaled-down experiments, never
-    /// by the paper-faithful ones.
-    pub playout_cap: Option<usize>,
-}
-
-impl Default for NestedConfig {
-    fn default() -> Self {
-        Self {
-            memory: MemoryPolicy::Memorise,
-            playout_cap: None,
-        }
-    }
 }
 
 impl NestedConfig {
-    /// Paper-faithful configuration (memorised sequence, uncapped playouts).
+    /// Paper-faithful configuration (memorised sequence).
     pub fn paper() -> Self {
         Self::default()
     }
@@ -379,32 +367,13 @@ impl NestedConfig {
     pub fn greedy() -> Self {
         Self {
             memory: MemoryPolicy::Greedy,
-            playout_cap: None,
         }
     }
 }
 
-/// Plays a uniformly random game from `game` (mutating it to the terminal
-/// position), appends the moves played to `seq`, and returns the final
-/// score.
-///
-/// This is the paper's `sample` function; `cap` bounds the playout length
-/// for scaled experiments (`None` = play to the end).
-pub fn sample_into<G: Game>(
-    game: &mut G,
-    rng: &mut Rng,
-    cap: Option<usize>,
-    seq: &mut Vec<G::Move>,
-    stats: &mut SearchStats,
-) -> Score {
-    let mut ctx = SearchCtx::unbounded();
-    let score = PlayoutScratch::new().run(game, rng, cap, seq, &mut ctx);
-    stats.merge(ctx.stats());
-    score
-}
-
 /// Plays a uniformly random game from a copy of `game` and returns the
-/// result: a level-0 [`nested_with`] under no budget.
+/// result — the paper's `sample` function: a level-0 [`nested_with`]
+/// under no budget.
 pub fn sample<G: Game>(game: &G, rng: &mut Rng) -> SearchResult<G::Move> {
     SearchResult::unbounded(|ctx| nested_with(game, 0, &NestedConfig::paper(), rng, ctx))
 }
@@ -486,7 +455,7 @@ fn nested_rollout<G: Game>(
 
             let score = if level == 1 {
                 bufs.seq.clear();
-                walker.rollout(rng, config.playout_cap, &mut bufs.seq, ctx)
+                walker.rollout(rng, &mut bufs.seq, ctx)
             } else {
                 nested_rollout(walker, level - 1, config, rng, ctx, scratch, &mut bufs.seq)
             };
@@ -509,11 +478,9 @@ fn nested_rollout<G: Game>(
         }
 
         // Paper lines 10–11: play the next move of the memorised best
-        // sequence. Fallbacks: the greedy policy always plays this step's
-        // argmax, and a capped search whose memorised (capped) continuation
-        // is exhausted must extend it with the step argmax.
-        let follow_memory = config.memory == MemoryPolicy::Memorise && played < best_seq.len();
-        let next = if follow_memory {
+        // sequence, which runs to the end of the game; the greedy policy
+        // plays this step's argmax instead.
+        let next = if config.memory == MemoryPolicy::Memorise {
             best_seq[played].clone()
         } else {
             let (_, idx) = step_best.expect("non-empty move list");
@@ -545,11 +512,7 @@ fn nested_rollout<G: Game>(
     }
 
     let final_score = walker.position().score();
-    if played > 0
-        && config.memory == MemoryPolicy::Memorise
-        && config.playout_cap.is_none()
-        && ctx.interruption().is_none()
-    {
+    if played > 0 && config.memory == MemoryPolicy::Memorise && ctx.interruption().is_none() {
         debug_assert_eq!(
             best_score, final_score,
             "memorised sequence must reach the memorised score"
@@ -713,19 +676,10 @@ mod tests {
                 scratch.run_undo(&mut pos, &mut Rng::seeded(seed), None, &mut seq, &mut ctx);
             assert_eq!(pos.taken, root.taken, "seed {seed}: position restored");
 
-            let mut clone = root.clone();
-            let mut seq2 = Vec::new();
-            let mut stats2 = SearchStats::new();
-            let score2 = sample_into(
-                &mut clone,
-                &mut Rng::seeded(seed),
-                None,
-                &mut seq2,
-                &mut stats2,
-            );
-            assert_eq!(score, score2, "seed {seed}");
-            assert_eq!(seq, seq2, "seed {seed}");
-            assert_eq!(*ctx.stats(), stats2, "seed {seed}");
+            let sampled = sample(&root, &mut Rng::seeded(seed));
+            assert_eq!(score, sampled.score, "seed {seed}");
+            assert_eq!(seq, sampled.sequence, "seed {seed}");
+            assert_eq!(*ctx.stats(), sampled.stats, "seed {seed}");
         }
     }
 
@@ -832,17 +786,6 @@ mod tests {
         });
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
-    }
-
-    #[test]
-    fn playout_cap_limits_sample_length() {
-        let mut stats = SearchStats::new();
-        let mut seq = Vec::new();
-        let mut game = fresh(100);
-        let mut rng = Rng::seeded(2);
-        sample_into(&mut game, &mut rng, Some(10), &mut seq, &mut stats);
-        assert_eq!(seq.len(), 10);
-        assert_eq!(stats.playout_moves, 10);
     }
 
     #[test]

@@ -35,14 +35,12 @@
 //! Determinism contract: for any spec whose budget is never hit, the
 //! result is **bit-identical** to the direct call of the function the
 //! variant names with the same seed (`nested_with`, `nrpa_with`,
-//! `uct_with`, the baselines' `*_with`; for the parallel variants,
+//! `uct_with`, `flat_monte_carlo_with`; for the parallel variants,
 //! `parallel_nmcs::trace::run_reference`) — budget and cancellation
 //! polls never touch the RNG stream. `tests/budget_props.rs` and the
 //! unit tests below assert both halves of the contract.
 
-use crate::baselines::{
-    flat_monte_carlo_with, iterated_sampling_with, simulated_annealing_with, AnnealingConfig,
-};
+use crate::baselines::flat_monte_carlo_with;
 use crate::ctx::SearchCtx;
 use crate::exec;
 use crate::game::{Game, Score};
@@ -205,11 +203,6 @@ pub enum AlgorithmSpec {
     /// Flat Monte-Carlo: best of `playouts` random playouts
     /// ([`crate::baselines::flat_monte_carlo_with`]).
     FlatMc { playouts: usize },
-    /// Iterated sampling with `samples` playouts per candidate move
-    /// ([`crate::baselines::iterated_sampling_with`]).
-    IteratedSampling { samples: usize },
-    /// A single random playout (the paper's `sample`).
-    Sample,
     /// Leaf-parallel batched NMCS: each candidate move evaluated by a
     /// batch of seeded `level − 1` evaluations on a worker pool
     /// (the strategy documented in [`crate::exec`]).
@@ -217,7 +210,6 @@ pub enum AlgorithmSpec {
         level: u32,
         batch: usize,
         threads: usize,
-        playout_cap: Option<usize>,
         /// Evaluate and play only the first move (paper Tables I–II mode).
         first_move: bool,
     },
@@ -228,7 +220,6 @@ pub enum AlgorithmSpec {
     RootParallel {
         level: u32,
         threads: usize,
-        playout_cap: Option<usize>,
         /// Evaluate and play only the first move (paper Tables I–II mode).
         first_move: bool,
     },
@@ -253,10 +244,6 @@ pub enum AlgorithmSpec {
         /// On: run-to-run deterministic, as off is.
         tree_reuse: bool,
     },
-    /// Simulated annealing over decision vectors
-    /// ([`crate::baselines::simulated_annealing_with`]), the last
-    /// pre-paper baseline (Hyyrö & Poranen's Morpion record holder).
-    SimulatedAnnealing { config: AnnealingConfig },
 }
 
 impl AlgorithmSpec {
@@ -291,13 +278,6 @@ impl AlgorithmSpec {
         }
     }
 
-    /// Simulated annealing with the default schedule.
-    pub fn simulated_annealing() -> Self {
-        AlgorithmSpec::SimulatedAnnealing {
-            config: AnnealingConfig::default(),
-        }
-    }
-
     /// Short label for logs, tables, and progress lines.
     pub fn label(&self) -> &'static str {
         match self {
@@ -305,12 +285,9 @@ impl AlgorithmSpec {
             AlgorithmSpec::Nrpa { .. } => "nrpa",
             AlgorithmSpec::Uct { .. } => "uct",
             AlgorithmSpec::FlatMc { .. } => "flat-mc",
-            AlgorithmSpec::IteratedSampling { .. } => "iterated-sampling",
-            AlgorithmSpec::Sample => "sample",
             AlgorithmSpec::LeafParallel { .. } => "leaf-parallel",
             AlgorithmSpec::RootParallel { .. } => "root-parallel",
             AlgorithmSpec::TreeParallel { .. } => "tree-parallel",
-            AlgorithmSpec::SimulatedAnnealing { .. } => "simulated-annealing",
         }
     }
 }
@@ -341,35 +318,26 @@ impl Serialize for AlgorithmSpec {
                 kind("flat_mc"),
                 ("playouts".to_string(), playouts.to_value()),
             ],
-            AlgorithmSpec::IteratedSampling { samples } => vec![
-                kind("iterated_sampling"),
-                ("samples".to_string(), samples.to_value()),
-            ],
-            AlgorithmSpec::Sample => vec![kind("sample")],
             AlgorithmSpec::LeafParallel {
                 level,
                 batch,
                 threads,
-                playout_cap,
                 first_move,
             } => vec![
                 kind("leaf_parallel"),
                 ("level".to_string(), level.to_value()),
                 ("batch".to_string(), batch.to_value()),
                 ("threads".to_string(), threads.to_value()),
-                ("playout_cap".to_string(), playout_cap.to_value()),
                 ("first_move".to_string(), first_move.to_value()),
             ],
             AlgorithmSpec::RootParallel {
                 level,
                 threads,
-                playout_cap,
                 first_move,
             } => vec![
                 kind("root_parallel"),
                 ("level".to_string(), level.to_value()),
                 ("threads".to_string(), threads.to_value()),
-                ("playout_cap".to_string(), playout_cap.to_value()),
                 ("first_move".to_string(), first_move.to_value()),
             ],
             AlgorithmSpec::TreeParallel {
@@ -385,10 +353,6 @@ impl Serialize for AlgorithmSpec {
                 ("lock".to_string(), lock.to_value()),
                 ("stats".to_string(), stats.to_value()),
                 ("tree_reuse".to_string(), tree_reuse.to_value()),
-            ],
-            AlgorithmSpec::SimulatedAnnealing { config } => vec![
-                kind("simulated_annealing"),
-                ("config".to_string(), config.to_value()),
             ],
         };
         Value::Object(fields)
@@ -429,6 +393,21 @@ where
     Ok(n)
 }
 
+/// Playouts run to the end: the per-playout move cap is gone. A legacy
+/// `"playout_cap"` of `null`, or none, was this same search and is
+/// accepted; a number named a different search and is refused rather
+/// than silently replayed as this one (the derived `NestedConfig` reader
+/// ignores fields it does not know, so nothing else would notice it).
+fn refuse_playout_cap(fields: Option<&Value>, kind: &str) -> Result<(), Error> {
+    let cap = fields.and_then(|f| f.get_field("playout_cap"));
+    if let Some(n) = cap.map(Option::<usize>::from_value).transpose()?.flatten() {
+        return Err(Error::custom(format!(
+            "`{kind}` no longer caps playouts: `playout_cap` must be null, got {n}"
+        )));
+    }
+    Ok(())
+}
+
 impl Deserialize for AlgorithmSpec {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let field = |name: &str| -> Result<&Value, Error> {
@@ -437,13 +416,17 @@ impl Deserialize for AlgorithmSpec {
         let opt = |name: &str| v.get_field(name).cloned().unwrap_or(Value::Null);
         let kind = String::from_value(field("kind")?)?;
         match kind.as_str() {
-            "nested" => Ok(AlgorithmSpec::Nested {
-                level: u32::from_value(field("level")?)?,
-                config: match v.get_field("config") {
-                    Some(c) => NestedConfig::from_value(c)?,
-                    None => NestedConfig::paper(),
-                },
-            }),
+            "nested" => {
+                let config = v.get_field("config");
+                refuse_playout_cap(config, &kind)?;
+                Ok(AlgorithmSpec::Nested {
+                    level: u32::from_value(field("level")?)?,
+                    config: match config {
+                        Some(c) => NestedConfig::from_value(c)?,
+                        None => NestedConfig::paper(),
+                    },
+                })
+            }
             "nrpa" => Ok(AlgorithmSpec::Nrpa {
                 level: u32::from_value(field("level")?)?,
                 config: match v.get_field("config") {
@@ -466,23 +449,25 @@ impl Deserialize for AlgorithmSpec {
             "flat_mc" => Ok(AlgorithmSpec::FlatMc {
                 playouts: usize::from_value(field("playouts")?)?,
             }),
-            "iterated_sampling" => Ok(AlgorithmSpec::IteratedSampling {
-                samples: usize::from_value(field("samples")?)?,
-            }),
-            "sample" => Ok(AlgorithmSpec::Sample),
-            "leaf_parallel" => Ok(AlgorithmSpec::LeafParallel {
-                level: field_in_range(v, &kind, "level", 1, None)?,
-                batch: field_in_range(v, &kind, "batch", 1, Some(MAX_BATCH))?,
-                threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
-                playout_cap: Option::from_value(&opt("playout_cap"))?,
-                first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
-            }),
-            "root_parallel" => Ok(AlgorithmSpec::RootParallel {
-                level: field_in_range(v, &kind, "level", 2, None)?,
-                threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
-                playout_cap: Option::from_value(&opt("playout_cap"))?,
-                first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
-            }),
+            // The paper's `sample` is a level-0 nested search.
+            "sample" => Ok(AlgorithmSpec::nested(0)),
+            "leaf_parallel" => {
+                refuse_playout_cap(Some(v), &kind)?;
+                Ok(AlgorithmSpec::LeafParallel {
+                    level: field_in_range(v, &kind, "level", 1, None)?,
+                    batch: field_in_range(v, &kind, "batch", 1, Some(MAX_BATCH))?,
+                    threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
+                    first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
+                })
+            }
+            "root_parallel" => {
+                refuse_playout_cap(Some(v), &kind)?;
+                Ok(AlgorithmSpec::RootParallel {
+                    level: field_in_range(v, &kind, "level", 2, None)?,
+                    threads: field_in_range(v, &kind, "threads", 1, Some(MAX_THREADS))?,
+                    first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
+                })
+            }
             "tree_parallel" => {
                 // Batched leaves are gone: a legacy `"leaf_batch"` of 0 or
                 // 1 was this same inline search, so it is ignored (as is
@@ -519,12 +504,6 @@ impl Deserialize for AlgorithmSpec {
                     },
                 })
             }
-            "simulated_annealing" => Ok(AlgorithmSpec::SimulatedAnnealing {
-                config: match v.get_field("config") {
-                    Some(c) => AnnealingConfig::from_value(c)?,
-                    None => AnnealingConfig::default(),
-                },
-            }),
             other => Err(Error::custom(format!("unknown algorithm kind `{other}`"))),
         }
     }
@@ -625,14 +604,10 @@ impl SearchSpec {
         SearchBuilder::new(AlgorithmSpec::FlatMc { playouts })
     }
 
-    /// Iterated sampling with `samples` playouts per candidate move.
-    pub fn iterated_sampling(samples: usize) -> SearchBuilder {
-        SearchBuilder::new(AlgorithmSpec::IteratedSampling { samples })
-    }
-
-    /// A single random playout.
+    /// A single random playout: the paper's `sample`, which is NMCS at
+    /// level 0 (`nested(0)`). Level 0 never reads the memory policy.
     pub fn sample() -> SearchBuilder {
-        SearchBuilder::new(AlgorithmSpec::Sample)
+        Self::nested(0)
     }
 
     /// Leaf-parallel batched NMCS: `batch` evaluations per candidate
@@ -642,7 +617,6 @@ impl SearchSpec {
             level,
             batch,
             threads,
-            playout_cap: None,
             first_move: false,
         })
     }
@@ -652,7 +626,6 @@ impl SearchSpec {
         SearchBuilder::new(AlgorithmSpec::RootParallel {
             level,
             threads,
-            playout_cap: None,
             first_move: false,
         })
     }
@@ -676,16 +649,6 @@ impl SearchSpec {
             stats: StatsMode::default(),
             tree_reuse: false,
         })
-    }
-
-    /// Simulated annealing with the default schedule.
-    pub fn simulated_annealing() -> SearchBuilder {
-        SearchBuilder::new(AlgorithmSpec::simulated_annealing())
-    }
-
-    /// Simulated annealing with an explicit [`AnnealingConfig`].
-    pub fn simulated_annealing_with(config: AnnealingConfig) -> SearchBuilder {
-        SearchBuilder::new(AlgorithmSpec::SimulatedAnnealing { config })
     }
 
     /// Runs the spec on `game`. See [`Searcher::search`] for the full
@@ -791,23 +754,13 @@ where
                 let mut rng = Rng::seeded(self.seed);
                 flat_monte_carlo_with(game, *playouts, &mut rng, &mut ctx)
             }
-            AlgorithmSpec::IteratedSampling { samples } => {
-                let mut rng = Rng::seeded(self.seed);
-                iterated_sampling_with(game, *samples, &mut rng, &mut ctx)
-            }
-            AlgorithmSpec::Sample => {
-                // The paper's `sample` is a level-0 nested search.
-                let mut rng = Rng::seeded(self.seed);
-                nested_with(game, 0, &NestedConfig::paper(), &mut rng, &mut ctx)
-            }
             AlgorithmSpec::LeafParallel {
                 level,
                 batch,
                 threads,
-                playout_cap,
                 first_move,
             } => {
-                let fan = exec::Fan::new(*threads, *playout_cap, self.seed);
+                let fan = exec::Fan::new(*threads, self.seed);
                 let run = exec::leaf_parallel(game, *level, *batch, *first_move, &fan, &mut ctx);
                 client_jobs = run.client_jobs;
                 (run.score, run.sequence)
@@ -815,10 +768,9 @@ where
             AlgorithmSpec::RootParallel {
                 level,
                 threads,
-                playout_cap,
                 first_move,
             } => {
-                let fan = exec::Fan::new(*threads, *playout_cap, self.seed);
+                let fan = exec::Fan::new(*threads, self.seed);
                 let run = exec::root_parallel(game, *level, *first_move, &fan, &mut ctx);
                 client_jobs = run.client_jobs;
                 (run.score, run.sequence)
@@ -832,10 +784,6 @@ where
             } => {
                 let table = tree_reuse.then_some(DEFAULT_TT_BYTES);
                 UctArena::new(table).farm(game, config, *stats, *threads, self.seed, &mut ctx)
-            }
-            AlgorithmSpec::SimulatedAnnealing { config } => {
-                let mut rng = Rng::seeded(self.seed);
-                simulated_annealing_with(game, config, &mut rng, &mut ctx)
             }
         };
         finish_search(&self.algorithm, self.seed, started, ctx, line, client_jobs)
@@ -954,18 +902,6 @@ impl SearchBuilder {
     pub fn memory(mut self, memory: MemoryPolicy) -> Self {
         if let AlgorithmSpec::Nested { config, .. } = &mut self.spec.algorithm {
             config.memory = memory;
-        }
-        self
-    }
-
-    /// Per-playout move cap (NMCS and parallel variants; ignored by
-    /// strategies without one).
-    pub fn playout_cap(mut self, cap: usize) -> Self {
-        match &mut self.spec.algorithm {
-            AlgorithmSpec::Nested { config, .. } => config.playout_cap = Some(cap),
-            AlgorithmSpec::LeafParallel { playout_cap, .. }
-            | AlgorithmSpec::RootParallel { playout_cap, .. } => *playout_cap = Some(cap),
-            _ => {}
         }
         self
     }
@@ -1146,32 +1082,8 @@ mod tests {
                 (d.score, &d.sequence, &d.stats)
             );
 
-            let r = SearchSpec::iterated_sampling(2).seed(seed).run(&g);
-            let d = SearchResult::unbounded(|ctx| {
-                iterated_sampling_with(&g, 2, &mut Rng::seeded(seed), ctx)
-            });
-            assert_eq!(
-                (r.score, &r.sequence, &r.stats),
-                (d.score, &d.sequence, &d.stats)
-            );
-
             let r = SearchSpec::sample().seed(seed).run(&g);
             let d = sample(&g, &mut Rng::seeded(seed));
-            assert_eq!(
-                (r.score, &r.sequence, &r.stats),
-                (d.score, &d.sequence, &d.stats)
-            );
-
-            let acfg = AnnealingConfig {
-                iterations: 200,
-                ..Default::default()
-            };
-            let r = SearchSpec::simulated_annealing_with(acfg.clone())
-                .seed(seed)
-                .run(&g);
-            let d = SearchResult::unbounded(|ctx| {
-                simulated_annealing_with(&g, &acfg, &mut Rng::seeded(seed), ctx)
-            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1290,15 +1202,12 @@ mod tests {
     fn spec_serde_round_trips_every_variant() {
         let specs = [
             SearchSpec::nested(3).seed(5).deadline_ms(250).build(),
-            SearchSpec::nested_with(2, NestedConfig::greedy())
-                .playout_cap(40)
-                .build(),
+            SearchSpec::nested_with(2, NestedConfig::greedy()).build(),
             SearchSpec::nrpa(2).seed(1).max_playouts(500).build(),
             SearchSpec::uct().max_nodes(10_000).build(),
             SearchSpec::flat_mc(64).build(),
-            SearchSpec::iterated_sampling(4).build(),
             SearchSpec::sample().seed(11).build(),
-            SearchSpec::leaf(2, 16, 8).playout_cap(100).build(),
+            SearchSpec::leaf(2, 16, 8).build(),
             SearchSpec::root_parallel(3, 8).first_move_only().build(),
             SearchSpec::tree_parallel(4)
                 .seed(8)
@@ -1311,13 +1220,6 @@ mod tests {
                 },
                 2,
             )
-            .build(),
-            SearchSpec::simulated_annealing().seed(13).build(),
-            SearchSpec::simulated_annealing_with(AnnealingConfig {
-                iterations: 500,
-                t_initial: 2.5,
-                t_final: 0.1,
-            })
             .build(),
         ];
         for spec in specs {

@@ -911,7 +911,7 @@ impl<'r, G: Game> Lane<'r, G> {
             }
             None => {
                 let walker = self.trail.at(&self.seq);
-                walker.rollout(self.rng, None, &mut self.seq, &mut self.ctx)
+                walker.rollout(self.rng, &mut self.seq, &mut self.ctx)
             }
         };
         self.trail.reset();

@@ -746,7 +746,7 @@ mod tests {
         let e = engine(2, 16);
         let (release, long_game) = gate();
         let long = e
-            .submit(JobSpec::uncoded("long", long_game, Algorithm::Sample, 1))
+            .submit(JobSpec::uncoded("long", long_game, Algorithm::nested(0), 1))
             .unwrap();
         wait_until("long job running", || {
             long.poll_progress().state == JobState::Running
@@ -756,7 +756,7 @@ mod tests {
                 e.submit(JobSpec::new(
                     format!("short-{i}"),
                     SumGame::random(4, 3, i),
-                    Algorithm::Sample,
+                    Algorithm::nested(0),
                     i,
                 ))
                 .unwrap()
@@ -781,9 +781,9 @@ mod tests {
         let (release_a, game_a) = gate();
         let (release_b, game_b) = gate();
         let job_b =
-            |i: u64| JobSpec::uncoded(format!("b-{i}"), game_b.clone(), Algorithm::Sample, i);
+            |i: u64| JobSpec::uncoded(format!("b-{i}"), game_b.clone(), Algorithm::nested(0), i);
         let a = e
-            .submit(JobSpec::uncoded("a", game_a, Algorithm::Sample, 0))
+            .submit(JobSpec::uncoded("a", game_a, Algorithm::nested(0), 0))
             .unwrap();
         wait_until("a running", || a.poll_progress().state == JobState::Running);
         let mut queued: Vec<_> = (0..8).map(|i| e.try_submit(job_b(i)).unwrap()).collect();
@@ -849,7 +849,7 @@ mod tests {
             .submit(JobSpec::uncoded(
                 "gate-a",
                 gate.clone(),
-                Algorithm::Sample,
+                Algorithm::nested(0),
                 1,
             ))
             .unwrap();
@@ -861,7 +861,7 @@ mod tests {
             .submit(JobSpec::uncoded(
                 "gate-b",
                 gate.clone(),
-                Algorithm::Sample,
+                Algorithm::nested(0),
                 2,
             ))
             .unwrap();
@@ -871,7 +871,7 @@ mod tests {
                 e.submit(JobSpec::uncoded(
                     "gate-c",
                     gate.clone(),
-                    Algorithm::Sample,
+                    Algorithm::nested(0),
                     3,
                 ))
             });
@@ -911,7 +911,7 @@ mod tests {
                                 JobSpec::new(
                                     format!("hammer-{t}"),
                                     SumGame::random(3, 3, round * 100 + t),
-                                    Algorithm::Sample,
+                                    Algorithm::nested(0),
                                     round * 100 + t,
                                 )
                                 .with_replicas(2),

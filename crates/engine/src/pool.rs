@@ -30,7 +30,7 @@ use crate::handle::{JobCore, ReplicaOutcome};
 use crate::job::{Algorithm, ReplicaResult};
 use crate::queue::BoundedQueue;
 use nmcs_core::metrics::{metrics_enabled, DeadLetter, DeadLetterQueue, Histogram, TagHistograms};
-use nmcs_core::{Interruption, NestedConfig, Searcher};
+use nmcs_core::{Interruption, Searcher};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -206,10 +206,7 @@ fn run_task(shared: &PoolShared, task: Task) {
             if let (Algorithm::Nested { config, .. }, Some(policy)) =
                 (&mut spec.algorithm, plan.memory_policy)
             {
-                *config = NestedConfig {
-                    memory: policy,
-                    ..config.clone()
-                };
+                config.memory = policy;
             }
             let game = job.spec.game.clone();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -36,8 +36,6 @@ pub struct ThreadConfig {
     /// emulate a heterogeneous cluster on homogeneous local cores by
     /// sleeping `(1/speed − 1) ×` compute time after each job.
     pub client_speeds: Option<Vec<f64>>,
-    /// Playout cap forwarded to client searches (scaled experiments only).
-    pub playout_cap: Option<usize>,
 }
 
 impl ThreadConfig {
@@ -52,7 +50,6 @@ impl ThreadConfig {
             seed: 0,
             mode: RunMode::FullGame,
             client_speeds: None,
-            playout_cap: None,
         }
     }
 }
@@ -136,13 +133,8 @@ where
 
     // ---- clients ----
     let notify_free = config.policy.uses_free_list();
-    let client_config = NestedConfig {
-        playout_cap: config.playout_cap,
-        ..NestedConfig::paper()
-    };
     for i in 0..config.n_clients {
         let mut ep = world.take_endpoint(client_rank(config.n_medians, i));
-        let cfg = client_config.clone();
         let speed = config.client_speeds.as_ref().map_or(1.0, |s| s[i]);
         handles.push(std::thread::spawn(move || {
             loop {
@@ -158,8 +150,13 @@ where
                     } => {
                         let t0 = monotonic_now();
                         let mut ctx = SearchCtx::unbounded();
-                        let (score, sequence) =
-                            nested_with(&position, level, &cfg, &mut Rng::seeded(seed), &mut ctx);
+                        let (score, sequence) = nested_with(
+                            &position,
+                            level,
+                            &NestedConfig::paper(),
+                            &mut Rng::seeded(seed),
+                            &mut ctx,
+                        );
                         if speed < 1.0 {
                             // Emulate a slower core: stretch the service
                             // time by 1/speed.
@@ -468,7 +465,7 @@ mod tests {
                 let mut cfg = config(2, policy, 3);
                 cfg.mode = mode;
                 let (t_out, _) = run_threads(&g, &cfg);
-                let (r_out, _) = run_reference(&g, 2, cfg.seed, mode, None);
+                let (r_out, _) = run_reference(&g, 2, cfg.seed, mode);
                 assert_eq!(t_out.score, r_out.score, "{policy} {mode:?}");
                 assert_eq!(t_out.sequence, r_out.sequence, "{policy} {mode:?}");
                 assert_eq!(t_out.total_work, r_out.total_work, "{policy} {mode:?}");
@@ -489,7 +486,7 @@ mod tests {
         let mut cfg = config(2, DispatchPolicy::RoundRobin, 2);
         cfg.n_medians = 2;
         let (out, _) = run_threads(&g, &cfg);
-        let (r_out, _) = run_reference(&g, 2, cfg.seed, RunMode::FullGame, None);
+        let (r_out, _) = run_reference(&g, 2, cfg.seed, RunMode::FullGame);
         assert_eq!(out.score, r_out.score);
         assert_eq!(out.sequence, r_out.sequence);
     }
@@ -508,7 +505,7 @@ mod tests {
         let g = SumGame::random(3, 2, 5);
         let (out, _) = run_threads(&g, &config(3, DispatchPolicy::LastMinute, 2));
         assert_eq!(out.score, g.optimum(), "level 3 is exhaustive here");
-        let (r_out, _) = run_reference(&g, 3, 77, RunMode::FullGame, None);
+        let (r_out, _) = run_reference(&g, 3, 77, RunMode::FullGame);
         assert_eq!(out.score, r_out.score);
         assert_eq!(out.total_work, r_out.total_work);
     }
@@ -519,7 +516,7 @@ mod tests {
         let mut cfg = config(2, DispatchPolicy::LastMinute, 3);
         cfg.client_speeds = Some(vec![1.0, 0.5, 1.0]);
         let (out, _) = run_threads(&g, &cfg);
-        let (r_out, _) = run_reference(&g, 2, cfg.seed, RunMode::FullGame, None);
+        let (r_out, _) = run_reference(&g, 2, cfg.seed, RunMode::FullGame);
         assert_eq!(out.score, r_out.score);
         assert_eq!(out.sequence, r_out.sequence);
     }
@@ -559,7 +556,7 @@ mod tests {
         let g = SumGame::random(4, 3, 17);
         let cfg = config(2, DispatchPolicy::RoundRobin, 2);
         let (out, _) = run_threads(&g, &cfg);
-        let (r_out, _) = run_reference(&g, 2, cfg.seed, RunMode::FullGame, None);
+        let (r_out, _) = run_reference(&g, 2, cfg.seed, RunMode::FullGame);
         assert_eq!(out.client_jobs, r_out.client_jobs);
     }
 }

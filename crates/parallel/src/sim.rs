@@ -345,7 +345,7 @@ mod tests {
 
     fn small_trace(mode: RunMode) -> SearchTrace {
         let g = SumGame::random(5, 3, 11);
-        let (_, trace) = run_reference(&g, 2, 99, mode, None);
+        let (_, trace) = run_reference(&g, 2, 99, mode);
         trace
     }
 
@@ -459,7 +459,7 @@ mod tests {
         // variance LM has no straggler to fix and lands within a few
         // percent of RR.
         let g = SumGame::random(10, 4, 3);
-        let (_, trace) = run_reference(&g, 2, 5, RunMode::FullGame, None);
+        let (_, trace) = run_reference(&g, 2, 5, RunMode::FullGame);
         let cluster = ClusterSpec::oversubscribed(2, 1).with_ns_per_unit(1e6);
         let rr = simulate_trace(&trace, &cluster, DispatchPolicy::RoundRobin).makespan as f64;
         let lm = simulate_trace(&trace, &cluster, DispatchPolicy::LastMinute).makespan as f64;

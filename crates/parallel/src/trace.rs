@@ -126,13 +126,9 @@ pub fn run_reference<G: Game>(
     level: u32,
     seed: u64,
     mode: RunMode,
-    playout_cap: Option<usize>,
 ) -> (ParallelOutcome<G::Move>, SearchTrace) {
     assert!(level >= 2, "parallel NMCS needs level >= 2, got {level}");
-    let config = NestedConfig {
-        playout_cap,
-        ..NestedConfig::paper()
-    };
+    let config = NestedConfig::paper();
     let client_level = level - 2;
 
     let mut root_pos = game.clone();
@@ -273,7 +269,7 @@ mod tests {
         // every level >= 2 (playout partial credit orders the children).
         let g = NeedleLadder::new(10);
         for level in [2, 3] {
-            let (out, _) = run_reference(&g, level, 1, RunMode::FullGame, None);
+            let (out, _) = run_reference(&g, level, 1, RunMode::FullGame);
             assert_eq!(out.score, g.optimum(), "level {level}");
         }
     }
@@ -284,7 +280,7 @@ mod tests {
         // pseudocode), so it is weaker than the memorised sequential NMCS;
         // near-optimality is the right expectation here.
         let g = SumGame::random(5, 3, 11);
-        let (out, trace) = run_reference(&g, 2, 99, RunMode::FullGame, None);
+        let (out, trace) = run_reference(&g, 2, 99, RunMode::FullGame);
         assert!(
             out.score as f64 >= 0.9 * g.optimum() as f64,
             "greedy level-2 reference too weak: {} vs {}",
@@ -311,7 +307,7 @@ mod tests {
     #[test]
     fn first_move_mode_stops_after_one_step() {
         let g = SumGame::random(6, 3, 4);
-        let (out, trace) = run_reference(&g, 2, 1, RunMode::FirstMove, None);
+        let (out, trace) = run_reference(&g, 2, 1, RunMode::FirstMove);
         assert_eq!(out.sequence.len(), 1);
         assert_eq!(trace.steps.len(), 1);
         // One median per candidate move of the initial position.
@@ -321,8 +317,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let g = SumGame::random(4, 3, 8);
-        let (a_out, a_tr) = run_reference(&g, 2, 5, RunMode::FullGame, None);
-        let (b_out, b_tr) = run_reference(&g, 2, 5, RunMode::FullGame, None);
+        let (a_out, a_tr) = run_reference(&g, 2, 5, RunMode::FullGame);
+        let (b_out, b_tr) = run_reference(&g, 2, 5, RunMode::FullGame);
         assert_eq!(a_out, b_out);
         assert_eq!(a_tr, b_tr);
     }
@@ -330,8 +326,8 @@ mod tests {
     #[test]
     fn different_seeds_may_change_work_but_not_validity() {
         let g = SumGame::random(4, 3, 8);
-        let (a, _) = run_reference(&g, 2, 5, RunMode::FullGame, None);
-        let (b, _) = run_reference(&g, 2, 6, RunMode::FullGame, None);
+        let (a, _) = run_reference(&g, 2, 5, RunMode::FullGame);
+        let (b, _) = run_reference(&g, 2, 6, RunMode::FullGame);
         // Scores may differ, sequences must be full games.
         assert_eq!(a.sequence.len(), 4);
         assert_eq!(b.sequence.len(), 4);
@@ -340,7 +336,7 @@ mod tests {
     #[test]
     fn median_moves_played_hints_increase_within_a_game() {
         let g = SumGame::random(5, 2, 3);
-        let (_, trace) = run_reference(&g, 2, 7, RunMode::FirstMove, None);
+        let (_, trace) = run_reference(&g, 2, 7, RunMode::FirstMove);
         for m in &trace.steps[0].medians {
             let hints: Vec<u64> = m
                 .steps
@@ -368,7 +364,7 @@ mod tests {
     #[test]
     fn trace_serde_round_trip() {
         let g = SumGame::random(3, 2, 2);
-        let (_, trace) = run_reference(&g, 2, 9, RunMode::FullGame, None);
+        let (_, trace) = run_reference(&g, 2, 9, RunMode::FullGame);
         let json = serde_json::to_string(&trace).unwrap();
         let back: SearchTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(trace, back);
@@ -377,7 +373,7 @@ mod tests {
     #[test]
     fn peak_parallelism_counts_first_step_widths() {
         let g = SumGame::random(4, 3, 1);
-        let (_, trace) = run_reference(&g, 2, 3, RunMode::FirstMove, None);
+        let (_, trace) = run_reference(&g, 2, 3, RunMode::FirstMove);
         // 3 medians × 3 first-step jobs each.
         assert_eq!(trace.peak_parallelism(), 9);
     }
@@ -386,6 +382,6 @@ mod tests {
     #[should_panic(expected = "level >= 2")]
     fn level_below_two_rejected() {
         let g = SumGame::random(3, 2, 1);
-        let _ = run_reference(&g, 1, 0, RunMode::FullGame, None);
+        let _ = run_reference(&g, 1, 0, RunMode::FullGame);
     }
 }

@@ -205,14 +205,11 @@ mod tests {
                 h
             })
             .collect();
-        // Pin the worker, then park a job of tenant "t" behind it.
-        let blocker = e
-            .submit(JobSpec::from_spec(
-                "busy",
-                morpion::standard_5d(),
-                SearchSpec::nested(3).seed(1).build(),
-            ))
-            .unwrap();
+        // Pin the worker, then park a job of tenant "t" behind it. A
+        // failed assertion unwinds through `blocker` before `e`, so the
+        // engine's drop does not wait for the search.
+        let blocker = Running::on(&e, 1);
+        let blocker = &blocker.handle;
         let parked = e.submit(job("t", 9)).unwrap();
         assert!(!parked.is_terminal());
 
@@ -244,17 +241,19 @@ mod tests {
         e.shutdown();
     }
 
-    /// A job held running on an engine of its own until the test
-    /// finishes it; dropped unfinished (a failed case), it is cancelled
-    /// so the engine's shutdown does not wait for the search.
+    /// A job held running until the test finishes it; dropped
+    /// unfinished (a failed case), it is cancelled so the engine's
+    /// shutdown does not wait for the search.
     struct Running {
         handle: JobHandle,
-        _engine: Engine,
+        /// The engine of its own the job runs on, if it has one; dropped
+        /// after the job is cancelled.
+        _engine: Option<Engine>,
     }
 
     impl Running {
-        fn start(seed: u64) -> Self {
-            let engine = engine();
+        /// A job that runs for minutes, on `engine`.
+        fn on(engine: &Engine, seed: u64) -> Self {
             let handle = engine
                 .submit(JobSpec::from_spec(
                     "busy",
@@ -264,8 +263,16 @@ mod tests {
                 .unwrap();
             Running {
                 handle,
-                _engine: engine,
+                _engine: None,
             }
+        }
+
+        /// A job that runs for minutes, on an engine of its own.
+        fn start(seed: u64) -> Self {
+            let engine = engine();
+            let mut job = Running::on(&engine, seed);
+            job._engine = Some(engine);
+            job
         }
     }
 

@@ -74,7 +74,7 @@ fn main() {
     }
 
     // 4. Sequential reference records the job trace...
-    let (ref_out, trace) = run_reference(&board, level, seed, RunMode::FirstMove, None);
+    let (ref_out, trace) = run_reference(&board, level, seed, RunMode::FirstMove);
     println!(
         "reference: score {} — identical to both threaded runs by construction",
         ref_out.score

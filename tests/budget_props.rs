@@ -30,14 +30,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::nrpa(1).seed(seed).build(),
         SearchSpec::uct().seed(seed).build(),
         SearchSpec::flat_mc(256).seed(seed).build(),
-        SearchSpec::iterated_sampling(2).seed(seed).build(),
-        SearchSpec::sample().seed(seed).build(),
-        SearchSpec::simulated_annealing_with(pnmcs::search::AnnealingConfig {
-            iterations: 2_000,
-            ..Default::default()
-        })
-        .seed(seed)
-        .build(),
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),

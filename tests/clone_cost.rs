@@ -89,11 +89,6 @@ fn clone_only_games_pay_no_more_copies_than_before_the_fold() {
     let cases = [
         ("nested(1)", SearchSpec::nested(1).seed(1).build(), 25),
         ("nested(2)", SearchSpec::nested(2).seed(1).build(), 289),
-        (
-            "iterated_sampling(3)",
-            SearchSpec::iterated_sampling(3).seed(1).build(),
-            73,
-        ),
         ("uct(50)", SearchSpec::uct_with(uct).seed(1).build(), 51),
         (
             "nrpa(1)",

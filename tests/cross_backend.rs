@@ -43,7 +43,7 @@ fn threads_match_reference_on_morpion() {
     for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::LastMinute] {
         let cfg = thread_config(2, policy);
         let (t_out, _, _) = run_threads_traced(&board, &cfg);
-        let (r_out, _) = run_reference(&board, 2, cfg.seed, RunMode::FullGame, None);
+        let (r_out, _) = run_reference(&board, 2, cfg.seed, RunMode::FullGame);
         assert_eq!(t_out.score, r_out.score, "{policy}");
         assert_eq!(t_out.sequence, r_out.sequence, "{policy}");
         assert_eq!(t_out.total_work, r_out.total_work, "{policy}");
@@ -60,7 +60,7 @@ fn unified_spec_matches_reference_and_threads() {
         let mut cfg = thread_config(2, DispatchPolicy::LastMinute);
         cfg.mode = mode;
         let (t_out, _, _) = run_threads_traced(&board, &cfg);
-        let (r_out, _) = run_reference(&board, 2, cfg.seed, mode, None);
+        let (r_out, _) = run_reference(&board, 2, cfg.seed, mode);
         let spec = SearchSpec::root_parallel(2, cfg.n_clients).seed(cfg.seed);
         let spec = if mode == RunMode::FirstMove {
             spec.first_move_only()
@@ -90,7 +90,7 @@ fn unified_spec_matches_reference_and_threads() {
 #[test]
 fn simulator_executes_exactly_the_recorded_jobs() {
     let board = cross_board(Variant::Disjoint, 2);
-    let (_, trace) = run_reference(&board, 2, 9, RunMode::FullGame, None);
+    let (_, trace) = run_reference(&board, 2, 9, RunMode::FullGame);
     for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::LastMinute] {
         let out = simulate_trace(&trace, &ClusterSpec::homogeneous(5), policy);
         assert_eq!(out.stats.jobs, trace.client_jobs, "{policy}");
@@ -104,7 +104,7 @@ fn first_move_agreement_at_level_3() {
     let mut cfg = thread_config(3, DispatchPolicy::LastMinute);
     cfg.mode = RunMode::FirstMove;
     let (t_out, _, _) = run_threads_traced(&board, &cfg);
-    let (r_out, _) = run_reference(&board, 3, cfg.seed, RunMode::FirstMove, None);
+    let (r_out, _) = run_reference(&board, 3, cfg.seed, RunMode::FirstMove);
     assert_eq!(t_out.score, r_out.score);
     assert_eq!(t_out.sequence, r_out.sequence);
 }
@@ -440,16 +440,4 @@ fn tree_parallel_reaches_every_domain_through_the_engine() {
     check(&engine, Sudoku::puzzle(3, 30, 2), &spec, "sudoku");
     check(&engine, SumGame::random(6, 4, 9), &spec, "sumgame");
     engine.shutdown();
-}
-
-#[test]
-fn playout_caps_propagate_to_all_backends() {
-    let board = cross_board(Variant::Disjoint, 3);
-    let mut cfg = thread_config(2, DispatchPolicy::LastMinute);
-    cfg.mode = RunMode::FirstMove;
-    cfg.playout_cap = Some(4);
-    let (t_out, _, _) = run_threads_traced(&board, &cfg);
-    let (r_out, _) = run_reference(&board, 2, cfg.seed, RunMode::FirstMove, Some(4));
-    assert_eq!(t_out.score, r_out.score);
-    assert_eq!(t_out.total_work, r_out.total_work);
 }

@@ -523,7 +523,6 @@ fn policy_diversified_ensembles_match_their_recorded_policies() {
     for replica in out.replicas.iter().flatten() {
         let config = NestedConfig {
             memory: replica.memory_policy.expect("NMCS job records its policy"),
-            ..NestedConfig::paper()
         };
         let direct = SearchSpec::nested_with(1, config)
             .seed(replica.seed_used)
@@ -567,8 +566,6 @@ fn spec_jobs_are_bit_identical_to_direct_spec_runs() {
         SearchSpec::nested(1).seed(501).build(),
         SearchSpec::uct().seed(502).build(),
         SearchSpec::flat_mc(64).seed(503).build(),
-        SearchSpec::iterated_sampling(2).seed(504).build(),
-        SearchSpec::sample().seed(506).build(),
     ];
     let handles: Vec<_> = specs
         .iter()

@@ -7,8 +7,9 @@
 //! the tree can vouch for it, so the anchor is the parent commit's
 //! output. Each row names a spec (its JSON is in `SPECS`; the stock game
 //! is built from the spec's seed) and the six numbers the parent
-//! produced. All ten backends appear, UCT and tree-parallel UCT in each
-//! of their width-1 shapes.
+//! produced. All seven algorithm kinds appear, `sample` (NMCS at level
+//! 0) under its own name, and UCT and tree-parallel UCT in each of their
+//! width-1 shapes.
 //!
 //! The rows on `samegame-7x7` and `morpion-c2` are what the frozen
 //! spawn-per-step leaf and root executors returned at commit f855283,
@@ -59,10 +60,6 @@ const SPECS: &[(&str, &str)] = &[
         r#"{"algorithm":{"kind":"nested","level":1,"config":{"memory":"Greedy","playout_cap":null}},"seed":12}"#,
     ),
     (
-        "NESTED_2_CAPPED",
-        r#"{"algorithm":{"kind":"nested","level":2,"config":{"memory":"Memorise","playout_cap":4}},"seed":13}"#,
-    ),
-    (
         "NESTED_2_INTERRUPTED",
         r#"{"algorithm":{"kind":"nested","level":2},"budget":{"max_playouts":60},"seed":14}"#,
     ),
@@ -81,10 +78,6 @@ const SPECS: &[(&str, &str)] = &[
     (
         "FLAT_MC",
         r#"{"algorithm":{"kind":"flat_mc","playouts":32},"seed":18}"#,
-    ),
-    (
-        "ITERATED",
-        r#"{"algorithm":{"kind":"iterated_sampling","samples":2},"seed":19}"#,
     ),
     ("SAMPLE", r#"{"algorithm":{"kind":"sample"},"seed":21}"#),
     (
@@ -106,10 +99,6 @@ const SPECS: &[(&str, &str)] = &[
     (
         "TREE_4",
         r#"{"algorithm":{"kind":"tree_parallel","config":{"iterations":300,"exploration":0.4,"max_bias":0.5},"threads":4},"seed":31}"#,
-    ),
-    (
-        "ANNEALING",
-        r#"{"algorithm":{"kind":"simulated_annealing","config":{"iterations":200,"t_initial":4.0,"t_final":0.05}},"seed":26}"#,
     ),
     (
         "LEAF_1X4_S1",
@@ -168,11 +157,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         (1118, 6, 7483844548777703249, 20, 20, 0),
     ),
     (
-        "NESTED_2_CAPPED",
-        "samegame-small",
-        (1156, 7, 9801951122013371721, 328, 354, 0),
-    ),
-    (
         "NESTED_2_INTERRUPTED",
         "samegame-small",
         (1074, 10, 15752795208005060062, 60, 64, 0),
@@ -196,11 +180,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "FLAT_MC",
         "samegame-small",
         (206, 5, 4059608484415841740, 32, 0, 0),
-    ),
-    (
-        "ITERATED",
-        "samegame-small",
-        (149, 6, 16628918643559266478, 40, 40, 0),
     ),
     (
         "SAMPLE",
@@ -233,11 +212,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         (1072, 11, 3973573167563523465, 300, 300, 0),
     ),
     (
-        "ANNEALING",
-        "samegame-small",
-        (1148, 7, 13023125504463441159, 201, 0, 0),
-    ),
-    (
         "NESTED_2",
         "morpion-c3",
         (20, 20, 5234184807030370768, 14872, 15067, 0),
@@ -246,11 +220,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "NESTED_1_GREEDY",
         "morpion-c3",
         (18, 18, 4335103857427599305, 178, 178, 0),
-    ),
-    (
-        "NESTED_2_CAPPED",
-        "morpion-c3",
-        (19, 19, 303418054923973051, 9042, 9172, 0),
     ),
     (
         "NESTED_2_INTERRUPTED",
@@ -278,11 +247,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         (19, 19, 7180629947719075366, 32, 0, 0),
     ),
     (
-        "ITERATED",
-        "morpion-c3",
-        (19, 19, 11287353731609931035, 334, 334, 0),
-    ),
-    (
         "SAMPLE",
         "morpion-c3",
         (15, 15, 245363851894596210, 1, 0, 0),
@@ -301,11 +265,6 @@ const GOLDEN: &[(&str, &str, Golden)] = &[
         "TREE_1",
         "morpion-c3",
         (19, 19, 7036528427292344293, 300, 300, 0),
-    ),
-    (
-        "ANNEALING",
-        "morpion-c3",
-        (19, 19, 15465733730230896991, 201, 0, 0),
     ),
     (
         "LEAF_1X4_S1",

@@ -75,8 +75,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::nrpa(1).seed(seed).build(),
         SearchSpec::uct().seed(seed).build(),
         SearchSpec::flat_mc(128).seed(seed).build(),
-        SearchSpec::iterated_sampling(2).seed(seed).build(),
-        SearchSpec::sample().seed(seed).build(),
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),
@@ -458,7 +456,7 @@ fn backend_series_are_one_per_kind_however_many_configs_run() {
     let registry = m::search_metrics();
     assert_eq!(registry.wall.overflow(), 0, "a backend kind found no slot");
     let backends = registry.snapshot().backends;
-    assert!(backends.len() <= 11, "{} series", backends.len());
+    assert!(backends.len() <= 7, "{} series", backends.len());
     assert_eq!(
         backends.iter().filter(|b| b.label == "uct").count(),
         1,

@@ -22,8 +22,8 @@ use pnmcs::morpion::{
     cross_board, cross_points, standard_5d, standard_5t, Board, Point, Variant, STANDARD_ARM,
 };
 use pnmcs::search::{
-    decode_report, AnnealingConfig, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig,
-    PlayoutScratch, Rng, SearchCtx, SearchSpec, UctConfig,
+    decode_report, CodedGame, DynGame, Game, MemoryPolicy, NrpaConfig, PlayoutScratch, Rng,
+    SearchCtx, SearchSpec, UctConfig,
 };
 use proptest::prelude::*;
 
@@ -77,9 +77,9 @@ fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
 }
 
 /// Every backend whose result is a function of the seed alone: the
-/// seven serial ones, tree-parallel UCT at one lane and at two, and one
-/// case each of the greedy policy, a playout cap, and a playout budget
-/// that trips mid-search.
+/// four serial ones, tree-parallel UCT at one lane and at two, and one
+/// case each of the greedy policy and a playout budget that trips
+/// mid-search.
 fn differential_specs(seed: u64) -> Vec<SearchSpec> {
     let uct = UctConfig {
         iterations: 60,
@@ -89,14 +89,9 @@ fn differential_specs(seed: u64) -> Vec<SearchSpec> {
         iterations: 5,
         alpha: 1.0,
     };
-    let annealing = AnnealingConfig {
-        iterations: 40,
-        ..Default::default()
-    };
     [
         SearchSpec::nested(1),
         SearchSpec::nested(1).memory(MemoryPolicy::Greedy),
-        SearchSpec::nested(2).playout_cap(3),
         SearchSpec::nested(2).max_playouts(25),
         SearchSpec::nrpa_with(1, nrpa),
         SearchSpec::uct_with(uct.clone()),
@@ -104,9 +99,6 @@ fn differential_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::tree_parallel_with(uct.clone(), 1),
         SearchSpec::tree_parallel_with(uct, 2),
         SearchSpec::flat_mc(8),
-        SearchSpec::iterated_sampling(2),
-        SearchSpec::sample(),
-        SearchSpec::simulated_annealing_with(annealing),
     ]
     .into_iter()
     .map(|builder| builder.seed(seed).build())

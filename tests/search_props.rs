@@ -3,8 +3,8 @@
 //! under every configuration.
 
 use pnmcs::games::{NeedleLadder, SameGame, SumGame, TspGame, TspInstance};
-use pnmcs::search::baselines::AnnealingConfig;
-use pnmcs::search::{sample, Game, MemoryPolicy, NestedConfig, Rng, SearchSpec};
+use pnmcs::search::baselines::{iterated_sampling_with, simulated_annealing_with, AnnealingConfig};
+use pnmcs::search::{sample, Game, MemoryPolicy, NestedConfig, Rng, SearchResult, SearchSpec};
 use proptest::prelude::*;
 
 fn replay_score<G: Game>(game: &G, seq: &[G::Move]) -> i64 {
@@ -34,18 +34,8 @@ proptest! {
     #[test]
     fn greedy_policy_sequences_also_replay(seed in 0u64..1000) {
         let g = SumGame::random(5, 3, seed);
-        let cfg = NestedConfig { memory: MemoryPolicy::Greedy, playout_cap: None };
+        let cfg = NestedConfig { memory: MemoryPolicy::Greedy };
         let r = SearchSpec::nested_with(1, cfg).seed(seed).run(&g);
-        prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
-    }
-
-    #[test]
-    fn capped_searches_stay_consistent(seed in 0u64..500, cap in 1usize..6) {
-        let g = SumGame::random(6, 3, seed);
-        let cfg = NestedConfig { memory: MemoryPolicy::Memorise, playout_cap: Some(cap) };
-        let r = SearchSpec::nested_with(1, cfg).seed(seed).run(&g);
-        // The top-level game still runs to termination.
-        prop_assert_eq!(r.sequence.len(), 6);
         prop_assert_eq!(replay_score(&g, &r.sequence), r.score);
     }
 
@@ -69,9 +59,10 @@ proptest! {
         let g = SumGame::random(5, 3, seed);
         let flat = SearchSpec::flat_mc(8).seed(seed).run(&g);
         prop_assert_eq!(replay_score(&g, &flat.sequence), flat.score);
-        let iter = SearchSpec::iterated_sampling(2).seed(seed).run(&g);
+        let iter = SearchResult::unbounded(|ctx| iterated_sampling_with(&g, 2, &mut Rng::seeded(seed), ctx));
         prop_assert_eq!(replay_score(&g, &iter.sequence), iter.score);
-        let sa = SearchSpec::simulated_annealing_with(AnnealingConfig { iterations: 50, ..Default::default() }).seed(seed).run(&g);
+        let cfg = AnnealingConfig { iterations: 50, ..Default::default() };
+        let sa = SearchResult::unbounded(|ctx| simulated_annealing_with(&g, &cfg, &mut Rng::seeded(seed), ctx));
         prop_assert_eq!(replay_score(&g, &sa.sequence), sa.score);
     }
 

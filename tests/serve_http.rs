@@ -209,7 +209,7 @@ fn submit_and_wait(addr: SocketAddr, body: &str) -> Value {
     json(&out)
 }
 
-/// The 9 deterministic strategy shapes of the unified API (the
+/// The 7 deterministic strategy shapes of the unified API (the
 /// `tests/metrics_props.rs` list): every `AlgorithmSpec` variant, with
 /// tree-parallel at one worker — its deterministic form.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
@@ -218,8 +218,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::nrpa(1).seed(seed).build(),
         SearchSpec::uct().seed(seed).build(),
         SearchSpec::flat_mc(128).seed(seed).build(),
-        SearchSpec::iterated_sampling(2).seed(seed).build(),
-        SearchSpec::sample().seed(seed).build(),
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),
@@ -652,6 +650,17 @@ fn error_paths_answer_400_404_405_as_documented() {
     let (status, _, resp) = post(addr, "/jobs", body);
     assert_eq!(status, 400, "huge deadline: {resp}");
     assert!(as_str(field(&json(&resp), "error")).contains("`deadline_ms`"));
+
+    // The two pre-paper baselines are library functions, not spec kinds.
+    for kind in ["iterated_sampling", "simulated_annealing"] {
+        let body = format!(
+            r#"{{"tenant":"t","game":"sum","spec":{{"algorithm":{{"kind":"{kind}"}},"seed":1}}}}"#
+        );
+        let (status, _, resp) = post(addr, "/jobs", &body);
+        assert_eq!(status, 400, "{kind}: {resp}");
+        let error = as_str(field(&json(&resp), "error")).to_string();
+        assert!(error.contains(&format!("`{kind}`")), "{resp}");
+    }
 
     let (status, _, _) = get(addr, "/jobs/999999");
     assert_eq!(status, 404, "unknown job id");

@@ -51,12 +51,9 @@ fn strip_tree_reuse(v: &Value) -> Value {
 /// bit-reproducible and the legacy/current comparison cannot flake.
 fn backends(seed: u64) -> Vec<SearchSpec> {
     vec![
-        SearchSpec::sample().seed(seed).build(),
         SearchSpec::nested(1).seed(seed).build(),
         SearchSpec::nrpa(1).seed(seed).build(),
         SearchSpec::flat_mc(16).seed(seed).build(),
-        SearchSpec::iterated_sampling(8).seed(seed).build(),
-        SearchSpec::simulated_annealing().seed(seed).build(),
         SearchSpec::uct().seed(seed).max_playouts(64).build(),
         SearchSpec::leaf(1, 2, 1).seed(seed).build(),
         SearchSpec::root_parallel(2, 1).seed(seed).build(),

@@ -11,38 +11,12 @@
 use pnmcs::games::SameGame;
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::search::{
-    decode_report, AnnealingConfig, AnySearcher, DynGame, Game, SearchReport, SearchSpec, UctConfig,
+    decode_report, AnySearcher, DynGame, Game, SearchReport, SearchSpec, UctConfig,
 };
 use proptest::prelude::*;
 
-#[test]
-fn simulated_annealing_spec_round_trips_and_reruns_identically() {
-    // The last baseline joins the `tables --spec '<json>'` contract:
-    // serialise, re-parse, rerun, and the reports agree bit-for-bit.
-    let sg = SameGame::random(7, 7, 3, 6);
-    let spec = SearchSpec::simulated_annealing_with(AnnealingConfig {
-        iterations: 800,
-        t_initial: 6.0,
-        t_final: 0.02,
-    })
-    .seed(2009)
-    .build();
-    let json = serde_json::to_string(&spec).unwrap();
-    let pasted: SearchSpec = serde_json::from_str(&json).unwrap();
-    assert_eq!(spec, pasted);
-    let first = spec.run(&sg);
-    let second = pasted.run(&sg);
-    assert_eq!(first.score, second.score);
-    assert_eq!(first.sequence, second.sequence);
-    assert_eq!(first.stats, second.stats);
-
-    // The sequence replays (annealing reports real lines, not vectors).
-    let mut replay = sg;
-    for mv in &first.sequence {
-        replay.play(mv);
-    }
-    assert_eq!(replay.score(), first.score);
-}
+/// How many algorithm kinds a spec can name.
+const KINDS: usize = 7;
 
 #[test]
 fn a_pasted_spec_json_reproduces_a_run_exactly() {
@@ -79,12 +53,6 @@ fn erased_searcher_matches_typed_searcher() {
         // Tree-parallel at one worker is deterministic, so erasure
         // transparency is assertable for the new backend too.
         SearchSpec::tree_parallel(1).seed(5).build(),
-        SearchSpec::simulated_annealing_with(AnnealingConfig {
-            iterations: 400,
-            ..Default::default()
-        })
-        .seed(5)
-        .build(),
     ];
     for spec in &specs {
         let typed = spec.run(&sg);
@@ -195,12 +163,59 @@ fn legacy_leaf_batch_parses_as_the_inline_search_or_is_refused() {
         .to_string();
     assert!(err.contains("`leaf_batch`"), "{err}");
 
-    // The beam kind is gone: its rows are refused by name.
-    let beam = r#"{"algorithm":{"kind":"beam","width":3,"samples":2},"seed":20}"#;
-    let err = serde_json::from_str::<SearchSpec>(beam)
-        .expect_err("a beam row must not parse")
-        .to_string();
-    assert!(err.contains("`beam`"), "{err}");
+    // The beam kind and the two pre-paper baselines are gone as kinds:
+    // their rows are refused by name.
+    for (kind, algorithm) in [
+        ("beam", r#"{"kind":"beam","width":3,"samples":2}"#),
+        (
+            "iterated_sampling",
+            r#"{"kind":"iterated_sampling","samples":2}"#,
+        ),
+        (
+            "simulated_annealing",
+            r#"{"kind":"simulated_annealing","config":{"iterations":200,"t_initial":4.0,"t_final":0.05}}"#,
+        ),
+    ] {
+        let json = format!(r#"{{"algorithm":{algorithm},"seed":20}}"#);
+        let err = serde_json::from_str::<SearchSpec>(&json)
+            .expect_err("a removed kind must not parse")
+            .to_string();
+        assert!(err.contains(&format!("`{kind}`")), "{err}");
+    }
+
+    // The paper's `sample` is nested level 0, under either name.
+    let sample: SearchSpec =
+        serde_json::from_str(r#"{"algorithm":{"kind":"sample"},"seed":21}"#).unwrap();
+    assert_eq!(sample, SearchSpec::sample().seed(21).build());
+    assert_eq!(sample, SearchSpec::nested(0).seed(21).build());
+
+    // Playouts run to the end: a `playout_cap` of null was this same
+    // search and parses to it; a number named a different search and is
+    // refused naming the field, wherever the kind kept it.
+    for (plain, field_at) in [
+        (
+            r#"{"kind":"nested","level":1,"config":{"memory":"Greedy"}}"#,
+            r#"{"kind":"nested","level":1,"config":{"memory":"Greedy","playout_cap":CAP}}"#,
+        ),
+        (
+            r#"{"kind":"leaf_parallel","level":2,"batch":2,"threads":2}"#,
+            r#"{"kind":"leaf_parallel","level":2,"batch":2,"threads":2,"playout_cap":CAP}"#,
+        ),
+        (
+            r#"{"kind":"root_parallel","level":2,"threads":2}"#,
+            r#"{"kind":"root_parallel","level":2,"threads":2,"playout_cap":CAP}"#,
+        ),
+    ] {
+        let spec = |algorithm: &str| format!(r#"{{"algorithm":{algorithm},"seed":3}}"#);
+        let expected: SearchSpec = serde_json::from_str(&spec(plain)).unwrap();
+        let null = spec(&field_at.replace("CAP", "null"));
+        assert_eq!(serde_json::from_str::<SearchSpec>(&null).unwrap(), expected);
+        let capped = spec(&field_at.replace("CAP", "4"));
+        let err = serde_json::from_str::<SearchSpec>(&capped)
+            .expect_err("a capped row must not parse")
+            .to_string();
+        assert!(err.contains("`playout_cap`"), "{capped}: {err}");
+    }
 }
 
 #[test]
@@ -226,15 +241,14 @@ fn a_deadline_no_duration_holds_is_refused_by_name() {
     assert_eq!(report.interrupted, None);
 }
 
-/// One spec of each of the ten kinds, its counts drawn from `n`, its
-/// floats from `x`, and its flags, options and enum knobs from `bits`.
+/// One spec of each of the [`KINDS`] kinds, its counts drawn from `n`,
+/// its floats from `x`, and its flags and enum knobs from `bits`.
 fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::AlgorithmSpec {
     use pnmcs::search::{
         AlgorithmSpec as A, LockStrategy, MemoryPolicy, NestedConfig, NrpaConfig, StatsMode,
     };
     let f = 0.1 + x as f64 / 100.0;
     let flag = bits & 1 == 1;
-    let cap = (bits & 2 == 2).then_some(n + 3);
     let level = n as u32 % 4;
     let threads = 1 + n % 8;
     let uct = UctConfig {
@@ -251,7 +265,6 @@ fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::Alg
                 } else {
                     MemoryPolicy::Memorise
                 },
-                playout_cap: cap,
             },
         },
         1 => A::Nrpa {
@@ -266,22 +279,18 @@ fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::Alg
             tree_reuse: flag,
         },
         3 => A::FlatMc { playouts: n },
-        4 => A::IteratedSampling { samples: n },
-        5 => A::Sample,
-        6 => A::LeafParallel {
+        4 => A::LeafParallel {
             level: 1 + level,
             batch: n,
             threads,
-            playout_cap: cap,
             first_move: flag,
         },
-        7 => A::RootParallel {
+        5 => A::RootParallel {
             level: 2 + level,
             threads,
-            playout_cap: cap,
             first_move: flag,
         },
-        8 => A::TreeParallel {
+        _ => A::TreeParallel {
             config: uct,
             threads,
             lock: if bits & 4 == 4 {
@@ -295,13 +304,6 @@ fn arbitrary_spec(kind: usize, n: usize, x: u64, bits: u8) -> pnmcs::search::Alg
                 StatsMode::WuUct
             },
             tree_reuse: flag,
-        },
-        _ => A::SimulatedAnnealing {
-            config: AnnealingConfig {
-                iterations: n,
-                t_initial: 1.0 + f,
-                t_final: f / 10.0,
-            },
         },
     }
 }
@@ -320,8 +322,8 @@ fn leaves(value: &serde::Value, path: &str, out: &mut Vec<(String, serde::Value)
 }
 
 /// What a leaf can be changed to: a count or a float moves, a flag
-/// flips, an option toggles between absent and present, and an enum
-/// knob tries every other variant name of the spec types.
+/// flips, and an enum knob tries every other variant name of the spec
+/// types.
 fn perturbations(leaf: &serde::Value) -> Vec<serde::Value> {
     use serde::Value as V;
     const VARIANTS: [&str; 6] = [
@@ -333,17 +335,16 @@ fn perturbations(leaf: &serde::Value) -> Vec<serde::Value> {
         "WuUct",
     ];
     match leaf {
-        V::Null => vec![V::U64(7)],
         V::Bool(b) => vec![V::Bool(!b)],
-        V::U64(n) => vec![V::U64(n + 1), V::Null],
-        V::I64(n) => vec![V::I64(n + 1), V::Null],
+        V::U64(n) => vec![V::U64(n + 1)],
+        V::I64(n) => vec![V::I64(n + 1)],
         V::F64(x) => vec![V::F64(x + 0.25)],
         V::Str(s) => VARIANTS
             .iter()
             .filter(|v| **v != s.as_str())
             .map(|v| V::Str(v.to_string()))
             .collect(),
-        V::Array(_) | V::Object(_) => unreachable!("spec leaves are scalars"),
+        V::Null | V::Array(_) | V::Object(_) => unreachable!("spec leaves are set scalars"),
     }
 }
 
@@ -378,8 +379,8 @@ fn sweep_fields(select: fn(&serde::Value) -> bool, leaf: serde::Value) -> (usize
     const WALL: std::time::Duration = std::time::Duration::from_secs(5);
     let game = pnmcs::serve::wire::stock_game("samegame-small", 1).expect("stock game");
     let (mut refused, mut ran) = (0, 0);
-    for kind in 0..10 {
-        let json = arbitrary_spec(kind, 2, 0, 2).to_value();
+    for kind in 0..KINDS {
+        let json = arbitrary_spec(kind, 2, 0, 0).to_value();
         let mut fields = Vec::new();
         leaves(&json, "", &mut fields);
         for (path, _) in fields.iter().filter(|(_, v)| select(v)) {
@@ -413,30 +414,26 @@ fn sweep_fields(select: fn(&serde::Value) -> bool, leaf: serde::Value) -> (usize
 }
 
 /// The parse edge, swept: every integer field of every algorithm kind
-/// (`level`, `batch`, `threads`, `samples`, `playouts`, `iterations`,
-/// `playout_cap`) set to 2^40. A spec that sizes work from the integer
-/// before its budget is read either aborts this process or misses the
-/// bound.
+/// (`level`, `batch`, `threads`, `playouts`, `iterations`) set to 2^40.
+/// A spec that sizes work from the integer before its budget is read
+/// either aborts this process or misses the bound.
 #[test]
 fn every_integer_field_at_2_pow_40_is_refused_or_stops_on_the_deadline() {
     use serde::Value;
-    let swept = sweep_fields(
-        |v| matches!(v, Value::U64(_) | Value::Null),
-        Value::U64(1 << 40),
-    );
+    let swept = sweep_fields(|v| matches!(v, Value::U64(_)), Value::U64(1 << 40));
     // Levels (`u32`), `threads` and `batch` are refused; counts of work
-    // that a budget interrupts, and caps, run.
-    assert_eq!(swept, (8, 9), "(refused, ran)");
+    // that a budget interrupts run.
+    assert_eq!(swept, (8, 4), "(refused, ran)");
 }
 
 /// Every float field of every algorithm kind (`alpha`, `exploration`,
-/// `max_bias`, `t_initial`, `t_final`) set to 1e300: all seven parse,
-/// and none panics or hangs its search.
+/// `max_bias`) set to 1e300: all five parse, and none panics or hangs its
+/// search.
 #[test]
 fn every_float_field_at_1e300_is_refused_or_stops_on_the_deadline() {
     use serde::Value;
     let swept = sweep_fields(|v| matches!(v, Value::F64(_)), Value::F64(1e300));
-    assert_eq!(swept, (0, 7), "(refused, ran)");
+    assert_eq!(swept, (0, 5), "(refused, ran)");
 }
 
 proptest! {
@@ -447,7 +444,7 @@ proptest! {
     /// and it must parse to a different spec.
     #[test]
     fn changing_any_serialised_field_changes_the_spec(
-        kind in 0usize..10,
+        kind in 0usize..KINDS,
         n in 1usize..500,
         x in 0u64..1000,
         bits in 0u8..16,
